@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .linalg import RowReducer, same_span
+from .linalg import RowReducer, keyed_rows, same_span
 from .operators import PolyDiffOp
 from .poly import (Coeff, Poly, Ring, StructureError, doubled_ring, norm_coeff,
                    rat, rat_str, single_ring)
@@ -350,7 +350,7 @@ def _staircase(n: int, dmax: int, width: int = 2) -> list[tuple[int, ...]]:
     return sorted(set(out))
 
 
-def _field_monomials(n: int, shapes: list[tuple[int, ...]]) -> list[Poly]:
+def field_monomials(n: int, shapes: list[tuple[int, ...]]) -> list[Poly]:
     ring = single_ring(n)
     out = []
     for u in shapes:
@@ -417,12 +417,8 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     reducer = RowReducer(len(indices))
 
     def add_poly_rows(values: list[Poly]) -> None:
-        keyed: dict[tuple, dict[int, Coeff]] = {}
-        for j, val in enumerate(values):
-            for exp, c in val.terms.items():
-                keyed.setdefault(exp, {})[j] = c
-        for exp in sorted(keyed):
-            reducer.add_row(keyed[exp])
+        for row in keyed_rows([val.terms for val in values]):
+            reducer.add_row(row)
 
     # vanishing rows
     van_symbols = _symbol_monomials(n, k, _staircase(n, p + 2, width=1),
@@ -434,7 +430,7 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
 
     # equivariance rows along two quadratic generators; the rest follow by
     # the already-imposed linear equivariance and are re-verified in tests
-    y_fields = _field_monomials(n, _staircase(n, p + 2, width=1))
+    y_fields = field_monomials(n, _staircase(n, p + 2, width=1))
     eq_symbols = _symbol_monomials(n, k, _staircase(n, p + 1, width=1),
                                    _xi_slice(n, k, max_off_axis=2))
     for Y in y_fields:
@@ -477,7 +473,7 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
         skew = [0] * n
         skew[0], skew[2] = 2, 1
         cubic_shapes = sorted(set(cubic_shapes) | {tuple(mixed), tuple(skew)})
-    cubics = _field_monomials(n, cubic_shapes)
+    cubics = field_monomials(n, cubic_shapes)
     pairs = [(cubics[i], cubics[j]) for i in range(len(cubics))
              for j in range(i + 1, len(cubics))]
     pairs += [(G, Z) for G in fam.quadratic for Z in cubics[:2 * n]]
@@ -494,15 +490,12 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
         for P in symbols_fam:
             YP = schouten_bracket(Y, P)
             ZP = schouten_bracket(Z, P)
-            keyed: dict[tuple, dict[int, Coeff]] = {}
-            for j, (opY, opZ, opB) in enumerate(ops):
-                val = (opB.apply(P)
-                       - schouten_bracket(Y, opZ.apply(P)) + opZ.apply(YP)
-                       + schouten_bracket(Z, opY.apply(P)) - opY.apply(ZP))
-                for exp, c in val.terms.items():
-                    keyed.setdefault(exp, {})[j] = c
-            for exp in sorted(keyed):
-                reducer.add_row(keyed[exp])
+            defects = [(opB.apply(P)
+                        - schouten_bracket(Y, opZ.apply(P)) + opZ.apply(YP)
+                        + schouten_bracket(Z, opY.apply(P)) - opY.apply(ZP)).terms
+                       for opY, opZ, opB in ops]
+            for row in keyed_rows(defects):
+                reducer.add_row(row)
 
     combos = reducer.nullspace()
     idx = full_indices(k, p)

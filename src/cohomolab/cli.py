@@ -145,7 +145,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except StructureError as exc:
+    except (StructureError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceLimitError as exc:

@@ -20,12 +20,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .ansatz import AnsatzCoefficients, build_bilinear
-from .linalg import solve
+from .ansatz import AnsatzCoefficients, build_bilinear, field_monomials
+from .linalg import keyed_rows, solve
 from .operators import (
     PolyDiffOp,
     SymbolMap,
     lie_derivative_op,
+    linear_combination,
+    module_action,
     monomials_up_to,
     op_str,
 )
@@ -58,14 +60,7 @@ class OneCocycle:
 
 def monomial_fields(n: int, max_degree: int) -> list[Poly]:
     """All monomial vector fields x^u xi_m with |u| <= max_degree, canonical order."""
-    ring = single_ring(n)
-    out = []
-    for u in monomials_up_to(n, max_degree):
-        for m in range(n):
-            exp = list(u) + [0] * n
-            exp[n + m] = 1
-            out.append(Poly.monomial(ring, tuple(exp)))
-    return out
+    return field_monomials(n, monomials_up_to(n, max_degree))
 
 
 @dataclass
@@ -164,6 +159,28 @@ class CoboundaryResult:
         }
 
 
+def _solve_on_fields(c: OneCocycle, references: list[OneCocycle],
+                     candidates: list[PolyDiffOp], fields: list[Poly]):
+    """Exact mu, b with c(X) = sum mu_i ref_i(X) + X.(sum b_j B_j) on every field.
+
+    Returns the solution vector (mu followed by b, free variables zero), or
+    None when the system has no solution.  Each field contributes one row per
+    entry of the degree-k canonical forms involved.
+    """
+    columns: list[dict] = [{} for _ in range(len(references) + len(candidates) + 1)]
+    for f_idx, X in enumerate(fields):
+        maps = [ref.symbol_map(X) for ref in references]
+        maps += [module_action(X, B, c.k, c.ell, check_contract=False).symbol_map(c.k)
+                 for B in candidates]
+        maps.append(c.symbol_map(X))
+        for column, sm in zip(columns, maps):
+            column.update(((f_idx, key), v) for key, v in sm.entries.items())
+    rows = keyed_rows(columns)
+    ncols = len(columns) - 1
+    rhs = [row.pop(ncols, 0) for row in rows]
+    return solve(rows, rhs, ncols)
+
+
 def coboundary_solve(c: OneCocycle, candidates: list[PolyDiffOp],
                      max_vf_degree: int = 4,
                      candidate_description: str = "custom",
@@ -174,30 +191,10 @@ def coboundary_solve(c: OneCocycle, candidates: list[PolyDiffOp],
     returned witness therefore satisfies the coboundary equation on that
     whole family, and an empty answer proves no witness exists in the span.
     """
-    from .operators import module_action
-
     fields = monomial_fields(c.n, max_vf_degree)
-    rows: dict[tuple, dict[int, object]] = {}
-    rhs: dict[tuple, object] = {}
-    for f_idx, X in enumerate(fields):
-        for j, B in enumerate(candidates):
-            act = module_action(X, B, c.k, c.ell, check_contract=False).symbol_map(c.k)
-            for key, v in act.entries.items():
-                rows.setdefault((f_idx, key), {})[j] = v
-        target = c.symbol_map(X)
-        for key, v in target.entries.items():
-            rhs[(f_idx, key)] = v
-            rows.setdefault((f_idx, key), {})
-    all_keys = sorted(rows.keys(), key=lambda t: (t[0], repr(t[1])))
-    row_list = [rows[key] for key in all_keys]
-    rhs_list = [rhs.get(key, 0) for key in all_keys]
-    sol = solve(row_list, rhs_list, len(candidates))
-    if sol is None:
-        return CoboundaryResult(None, candidate_description, len(fields))
-    witness = PolyDiffOp.zero(single_ring(c.n))
-    for j, b in enumerate(sol):
-        if b != 0:
-            witness = witness + candidates[j].scale(b)
+    sol = _solve_on_fields(c, [], candidates, fields)
+    witness = None if sol is None \
+        else linear_combination(single_ring(c.n), candidates, sol)
     return CoboundaryResult(witness, candidate_description, len(fields))
 
 
@@ -209,35 +206,13 @@ def class_proportionality(c: OneCocycle, reference: OneCocycle,
     Solvability says the two cocycles represent proportional cohomology
     classes relative to the candidate coboundary space.
     """
-    from .operators import module_action
-
     if (c.n, c.k, c.ell) != (reference.n, reference.k, reference.ell):
         raise StructureError("cocycle shapes differ")
-    fields = monomial_fields(c.n, max_vf_degree)
-    ncols = len(candidates) + 1
-    rows: dict[tuple, dict[int, object]] = {}
-    rhs: dict[tuple, object] = {}
-    for f_idx, X in enumerate(fields):
-        ref_map = reference.symbol_map(X)
-        for key, v in ref_map.entries.items():
-            rows.setdefault((f_idx, key), {})[0] = v
-        for j, B in enumerate(candidates):
-            act = module_action(X, B, c.k, c.ell, check_contract=False).symbol_map(c.k)
-            for key, v in act.entries.items():
-                rows.setdefault((f_idx, key), {})[j + 1] = v
-        for key, v in c.symbol_map(X).entries.items():
-            rhs[(f_idx, key)] = v
-            rows.setdefault((f_idx, key), {})
-    all_keys = sorted(rows.keys(), key=lambda t: (t[0], repr(t[1])))
-    sol = solve([rows[key] for key in all_keys],
-                [rhs.get(key, 0) for key in all_keys], ncols)
+    sol = _solve_on_fields(c, [reference], candidates,
+                           monomial_fields(c.n, max_vf_degree))
     if sol is None:
         return None
-    witness = PolyDiffOp.zero(single_ring(c.n))
-    for j, b in enumerate(sol[1:]):
-        if b != 0:
-            witness = witness + candidates[j].scale(b)
-    return rat(sol[0]), witness
+    return rat(sol[0]), linear_combination(single_ring(c.n), candidates, sol[1:])
 
 
 # -- built-in cocycles ---------------------------------------------------------

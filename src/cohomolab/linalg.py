@@ -93,6 +93,22 @@ class RowReducer:
         return basis
 
 
+def keyed_rows(columns: list[dict]) -> list[Row]:
+    """The rows of a system given column by column, one row per key.
+
+    columns[j] maps the key of each equation to the coefficient of unknown j
+    in it; a key absent from columns[j] leaves no entry for j.  Rows come out
+    in ascending key order.  Row order changes neither nullspace nor solve:
+    RowReducer keeps the fully reduced echelon form with leading-column
+    pivots, which is unique for a given row space.
+    """
+    rows: dict = {}
+    for j, column in enumerate(columns):
+        for key, c in column.items():
+            rows.setdefault(key, {})[j] = c
+    return [rows[key] for key in sorted(rows)]
+
+
 def nullspace(rows: list[Row], ncols: int) -> list[list[Coeff]]:
     red = RowReducer(ncols)
     for row in rows:

@@ -155,10 +155,6 @@ class PolyDiffOp:
     def order(self) -> int:
         return max((sum(mu) for mu in self.terms), default=0)
 
-    def x_order(self) -> int:
-        n = self.ring.n
-        return max((sum(mu[:n]) for mu in self.terms), default=0)
-
     def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
         if self.ring != other.ring:
             raise StructureError("operator ring mismatch")
@@ -185,10 +181,6 @@ class PolyDiffOp:
         return PolyDiffOp(self.ring,
                           {mu: coeff.scale(c) for mu, coeff in self.terms.items()},
                           _clean=True)
-
-    def scale_poly(self, p: Poly) -> "PolyDiffOp":
-        out = {mu: p * coeff for mu, coeff in self.terms.items()}
-        return PolyDiffOp(self.ring, out)
 
     # -- action and composition ----------------------------------------------
 
@@ -428,6 +420,15 @@ def _unit(ring: Ring, var: int) -> Deriv:
     return tuple(mu)
 
 
+def linear_combination(ring: Ring, ops: list[PolyDiffOp], weights) -> PolyDiffOp:
+    """sum_j weights[j] * ops[j], skipping zero weights."""
+    out = PolyDiffOp.zero(ring)
+    for op, c in zip(ops, weights):
+        if c != 0:
+            out = out + op.scale(c)
+    return out
+
+
 def module_action(X: Poly, A: PolyDiffOp, k: int, ell: int,
                   *, check_contract: bool = True) -> PolyDiffOp:
     """The vector-field action X.A = L_X o A - A o L_X on maps S_k -> S_ell."""
@@ -453,7 +454,7 @@ def affine_equivariant_basis(n: int, k: int, ell: int, max_order: int,
     through the degree-k canonical form, and the resulting solution space is
     reduced to operators that are independent as maps on degree-k symbols.
     """
-    from .linalg import RowReducer, nullspace
+    from .linalg import RowReducer, keyed_rows, nullspace
 
     if k < 0 or ell < 0:
         raise StructureError("symbol degrees must be nonnegative")
@@ -492,23 +493,21 @@ def affine_equivariant_basis(n: int, k: int, ell: int, max_order: int,
         for j in range(n):
             gens.append(Poly.variable(ring, ring.x(i)) * Poly.variable(ring, ring.xi(j)))
 
-    rows: dict = {}
-    for col, cand in enumerate(candidates):
+    columns = []
+    for cand in candidates:
+        column = {}
         for g_idx, X in enumerate(gens):
             defect = module_action(X, cand, k, ell, check_contract=False).symbol_map(k)
-            for key, c in defect.entries.items():
-                rows.setdefault((g_idx, key), {})[col] = c
-    solution = nullspace(list(rows.values()), len(candidates))
+            column.update(((g_idx, key), c) for key, c in defect.entries.items())
+        columns.append(column)
+    solution = nullspace(keyed_rows(columns), len(candidates))
 
     # reduce to operators independent as maps on degree-k symbols
     basis: list[PolyDiffOp] = []
     reducer = RowReducer(0)
     key_index: dict = {}
     for vec in solution:
-        op = PolyDiffOp.zero(ring)
-        for col, c in enumerate(vec):
-            if c != 0:
-                op = op + candidates[col].scale(c)
+        op = linear_combination(ring, candidates, vec)
         sm = op.symbol_map(k)
         if sm.is_zero():
             continue

@@ -34,10 +34,13 @@ class ResourceLimitError(RuntimeError):
 
 def _term_budget() -> int:
     raw = os.environ.get("COHOMOLAB_MAX_TERMS", "")
-    try:
-        return int(raw) if raw else 2_000_000
-    except ValueError:
+    if not raw:
         return 2_000_000
+    try:
+        return int(raw)
+    except ValueError:
+        raise StructureError(
+            f"COHOMOLAB_MAX_TERMS must be an integer, got {raw!r}") from None
 
 
 def check_term_budget(n_terms: int) -> None:
@@ -63,7 +66,10 @@ def rat(value) -> Coeff:
     if isinstance(value, (int, Fraction)):
         return norm_coeff(Fraction(value))
     if isinstance(value, str):
-        return norm_coeff(Fraction(value))
+        try:
+            return norm_coeff(Fraction(value))
+        except (ValueError, ZeroDivisionError):
+            raise StructureError(f"not an exact rational: {value!r}") from None
     raise StructureError(f"not an exact rational: {value!r}")
 
 
@@ -169,7 +175,9 @@ class Poly:
                         f"exponent {exp} has length {len(exp)}, ring has {nv} variables")
                 if any(e < 0 for e in exp):
                     raise StructureError(f"negative exponent in {exp}")
-                c = norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                    raise StructureError(f"not an exact rational coefficient: {c!r}")
+                c = norm_coeff(c)
                 if c != 0:
                     clean[tuple(exp)] = c
             self.terms = clean
@@ -433,11 +441,10 @@ def parse_poly(ring: Ring, text: str) -> Poly:
         coeff = rat(factors[0])
         exp = [0] * ring.nvars
         for f in factors[1:]:
-            if "^" in f:
-                name, e = f.split("^")
-                exp[ring.var_index(name)] += int(e)
-            else:
-                exp[ring.var_index(f)] += 1
+            name, caret, e = f.partition("^")
+            if caret and not e.isdecimal():
+                raise StructureError(f"bad exponent in {f!r}")
+            exp[ring.var_index(name)] += int(e) if caret else 1
         key = tuple(exp)
         prev = terms.get(key, 0) + coeff
         if prev == 0:

@@ -23,13 +23,7 @@ from fractions import Fraction
 from math import factorial
 
 from .cocycles import OneCocycle
-from .operators import (
-    PolyDiffOp,
-    _leibniz_subsets,
-    falling,
-    monomials_up_to,
-    xi_simplex,
-)
+from .operators import PolyDiffOp, falling, monomials_up_to, op_str, xi_simplex
 from .poly import (
     Exponent,
     Poly,
@@ -48,93 +42,64 @@ def _check_x_only(p: Poly) -> Poly:
 
 
 class DensityOperator:
-    """A differential operator on densities: sparse sum of a_alpha(x) d^alpha."""
+    """A differential operator sum a_alpha(x) d^alpha on densities of one weight.
 
-    __slots__ = ("n", "weight", "terms")
+    A thin view over an x-only PolyDiffOp on the single ring: the calculus is
+    the operator's, and the view adds only the weight and its own checks
+    (length-n indices, xi-free coefficients, matching n and weight).
+    """
+
+    __slots__ = ("n", "weight", "op")
 
     def __init__(self, n: int, weight, terms: dict[Exponent, Poly]):
+        pad = (0,) * n
+        for alpha, coeff in terms.items():
+            if len(alpha) != n:
+                raise StructureError(f"bad derivative index {alpha}")
+            _check_x_only(coeff)
         self.n = n
         self.weight = rat(weight)
-        clean = {}
-        for alpha, coeff in terms.items():
-            if len(alpha) != n or any(a < 0 for a in alpha):
-                raise StructureError(f"bad derivative index {alpha}")
-            if not coeff.is_zero():
-                clean[tuple(alpha)] = _check_x_only(coeff)
-        self.terms = clean
+        self.op = PolyDiffOp(single_ring(n),
+                             {tuple(alpha) + pad: c for alpha, c in terms.items()})
 
-    @staticmethod
-    def zero(n: int, weight) -> "DensityOperator":
-        return DensityOperator(n, weight, {})
+    def _like(self, op: PolyDiffOp) -> "DensityOperator":
+        out = object.__new__(DensityOperator)
+        out.n, out.weight, out.op = self.n, self.weight, op
+        return out
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.op.is_zero()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DensityOperator):
             return NotImplemented
-        return (self.n, self.weight) == (other.n, other.weight) \
-            and self.terms == other.terms
+        return (self.n, self.weight) == (other.n, other.weight) and self.op == other.op
 
     @property
     def order(self) -> int:
-        return max((sum(a) for a in self.terms), default=0)
-
-    def _like(self, terms) -> "DensityOperator":
-        out = DensityOperator.zero(self.n, self.weight)
-        out.terms = {a: c for a, c in terms.items() if not c.is_zero()}
-        return out
+        return self.op.order()
 
     def __add__(self, other: "DensityOperator") -> "DensityOperator":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            prev = out.get(a)
-            out[a] = c if prev is None else prev + c
-        return self._like(out)
+        return self._like(self.op + other.op)
 
     def __sub__(self, other: "DensityOperator") -> "DensityOperator":
-        return self + other.scale(-1)
+        self._check_compatible(other)
+        return self._like(self.op - other.op)
 
     def scale(self, c) -> "DensityOperator":
-        c = rat(c)
-        return self._like({a: coeff.scale(c) for a, coeff in self.terms.items()})
+        return self._like(self.op.scale(c))
 
     def _check_compatible(self, other: "DensityOperator") -> None:
         if self.n != other.n or self.weight != other.weight:
             raise StructureError("density operators live on different spaces")
 
     def apply(self, f: Poly) -> Poly:
-        _check_x_only(f)
-        ring = f.ring
-        pad = (0,) * ring.n
-        out = Poly.zero(ring)
-        for alpha, coeff in self.terms.items():
-            d = f.diff_multi(tuple(alpha) + pad)
-            if not d.is_zero():
-                out = out + coeff * d
-        return out
+        return self.op.apply(_check_x_only(f))
 
     def compose(self, other: "DensityOperator") -> "DensityOperator":
         self._check_compatible(other)
-        pad = (0,) * self.n
-        out: dict[Exponent, Poly] = {}
-        for alpha, f in self.terms.items():
-            for beta, g in other.terms.items():
-                gdeg = g.total_degree()
-                for sub, b, sub_total in _leibniz_subsets(alpha):
-                    if sub_total > gdeg:
-                        break
-                    dg = g.diff_multi(tuple(sub) + pad)
-                    if dg.is_zero():
-                        continue
-                    coeff = f * dg
-                    if b != 1:
-                        coeff = coeff.scale(b)
-                    key = tuple(a - s + bb for a, s, bb in zip(alpha, sub, beta))
-                    prev = out.get(key)
-                    out[key] = coeff if prev is None else prev + coeff
-        return self._like(out)
+        return self._like(self.op.compose(other.op))
 
     def commutator(self, other: "DensityOperator") -> "DensityOperator":
         return self.compose(other) - other.compose(self)
@@ -144,39 +109,25 @@ class DensityOperator:
         if self.order > j:
             raise StructureError(
                 f"operator order {self.order} exceeds requested symbol degree {j}")
-        ring = single_ring(self.n)
+        ring = self.op.ring
+        pad = (0,) * self.n
         out = Poly.zero(ring)
-        for alpha, coeff in self.terms.items():
-            if sum(alpha) == j:
-                out = out + coeff * Poly.monomial(ring, (0,) * self.n + alpha)
+        for mu, coeff in self.op.terms.items():
+            if sum(mu) == j:
+                out = out + coeff * Poly.monomial(ring, pad + mu[:self.n])
         return out
 
-    def drop_top_order(self, j: int) -> "DensityOperator":
-        """The part of order < j (exact when the order-j symbol is removed)."""
-        return self._like({a: c for a, c in self.terms.items() if sum(a) < j})
-
     def __repr__(self) -> str:
-        inner = " + ".join(f"({c})*d^{a}" for a, c in sorted(self.terms.items()))
-        return f"DensityOperator[{self.weight}]({inner or '0'})"
+        return f"DensityOperator[{self.weight}]({op_str(self.op)})"
 
 
 def weighted_lie_derivative(X: Poly, weight) -> DensityOperator:
     """L_X = X^i d_i + weight * div(X) on densities of the given weight."""
     check_vector_field(X)
-    ring = X.ring
-    n = ring.n
-    terms: dict[Exponent, Poly] = {}
-    for i in range(n):
-        comp = X.diff(ring.xi(i))
-        if not comp.is_zero():
-            alpha = [0] * n
-            alpha[i] = 1
-            key = tuple(alpha)
-            prev = terms.get(key)
-            terms[key] = comp if prev is None else prev + comp
-    dv = divergence(X).scale(rat(weight))
-    if not dv.is_zero():
-        terms[(0,) * n] = terms.get((0,) * n, Poly.zero(ring)) + dv
+    n = X.ring.n
+    terms = {tuple(int(j == i) for j in range(n)): X.diff(X.ring.xi(i))
+             for i in range(n)}
+    terms[(0,) * n] = divergence(X).scale(rat(weight))
     return DensityOperator(n, weight, terms)
 
 
@@ -195,7 +146,7 @@ def normal_order_section(P: Poly, weight) -> DensityOperator:
 def right_order_section(P: Poly, weight) -> DensityOperator:
     """The section placing coefficients to the right: p xi^v |-> d^v o (p .)."""
     n = P.ring.n
-    out = DensityOperator.zero(n, weight)
+    out = DensityOperator(n, weight, {})
     pad = (0,) * n
     for exp, c in P.terms.items():
         u, v = exp[:n], exp[n:]

@@ -142,6 +142,8 @@ def _witness_verdict(n, k, p, space, config) -> dict:
 
 def check_relation(n: int, max_total_degree: int = 6) -> dict:
     """Exact verification of the quadratic-generator commutation relation."""
+    if max_total_degree < 0:
+        raise StructureError("the monomial degree bound must be nonnegative")
     ring = single_ring(n)
     fam = sl_generators(n)
     D = divergence_diffop(ring)
@@ -224,6 +226,8 @@ def _random_symbol(rng, ring, k, max_x=3):
 
 def run_property_suite(seed: int = 2024, count: int = 100, n: int = 2) -> list[dict]:
     """The randomized exact-invariant suite; every instance must hold exactly."""
+    if count < 1:
+        raise StructureError("the property suite needs at least one instance")
     ring = single_ring(n)
     rng = random.Random(seed)
     results = []

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cohomolab.cli import main
 
 
@@ -97,8 +99,32 @@ def test_properties_command(capsys):
     assert out.count("PASS") >= 6
 
 
-def test_bad_dimension_exits_2(capsys):
-    assert main(["check-relation", "--dim", "1"]) == 2
+CONFIG_ERRORS = {
+    "bad-dimension": (["check-relation", "--dim", "1"], None),
+    "bad-lambda": (["quantization-cocycle", "--dim", "2", "--order", "2",
+                    "--lambda", "abc"], None),
+    "zero-denominator": (["verify-cocycle", "--name", "div", "--dim", "2",
+                          "--order", "2", "--a", "1/0"], None),
+    "bad-omega-exponent": (["verify-cocycle", "--name", "div", "--dim", "2",
+                            "--order", "2", "--omega", "1*x1^a,0"], None),
+    "missing-candidates-file": (["coboundary-test", "--name", "c1", "--dim", "2",
+                                 "--order", "2", "--candidates", "custom-file",
+                                 "--candidates-file", "{missing}"], None),
+    "negative-degree-bound": (["check-relation", "--dim", "2",
+                               "--max-total-degree", "-3"], None),
+    "zero-count": (["properties", "--dim", "2", "--count", "0"], None),
+    "non-integer-term-budget": (["check-relation", "--dim", "2"], "abc"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_configuration_errors_exit_2(case, tmp_path, monkeypatch, capsys):
+    argv, budget = CONFIG_ERRORS[case]
+    if budget is not None:
+        monkeypatch.setenv("COHOMOLAB_MAX_TERMS", budget)
+    argv = [a.replace("{missing}", str(tmp_path / "missing.txt")) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error")
 
 
 def test_table_output_is_deterministic(capsys):

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
 
-from cohomolab.linalg import RowReducer, in_span, nullspace, rank_of, same_span, solve
+from cohomolab.linalg import (RowReducer, in_span, keyed_rows, nullspace, rank_of,
+                              same_span, solve)
 
 
 def test_nullspace_of_simple_system():
@@ -95,3 +96,10 @@ def test_deterministic_reduction():
     b1 = nullspace([dict(r) for r in rows], 5)
     b2 = nullspace([dict(r) for r in rows], 5)
     assert b1 == b2
+
+
+def test_keyed_rows_one_row_per_sorted_key():
+    # column 1 has no entry under key "a", so row "a" carries column 0 only
+    columns = [{"b": 2, "a": 1}, {"c": 5, "b": Fraction(1, 3)}]
+    assert keyed_rows(columns) == [{0: 1}, {0: 2, 1: Fraction(1, 3)}, {1: 5}]
+    assert keyed_rows([{}, {}]) == []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cohomolab.poly import (
     Poly,
     StructureError,
+    check_term_budget,
     doubled_ring,
     parse_poly,
     poly_str,
@@ -113,6 +114,25 @@ def test_unknown_variable_rejected():
 def test_ring_mismatch_rejected():
     with pytest.raises(StructureError):
         x(0) + Poly.variable(single_ring(3), 0)
+
+
+def test_float_coefficient_rejected():
+    with pytest.raises(StructureError):
+        Poly(R2, {(1, 0, 0, 0): 0.1})
+
+
+def test_malformed_rational_text_rejected():
+    for text in ("abc", "1/0", ""):
+        with pytest.raises(StructureError):
+            rat(text)
+    with pytest.raises(StructureError):
+        parse_poly(R2, "1*x1^a")
+
+
+def test_non_integer_term_budget_rejected(monkeypatch):
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "abc")
+    with pytest.raises(StructureError):
+        check_term_budget(1)
 
 
 coeffs = st.integers(min_value=-(10**6), max_value=10**6)

@@ -113,6 +113,22 @@ def test_sections_are_sections_and_linear():
             assert section(P + Q, 0) == section(P, 0) + section(Q, 0)
 
 
+def test_density_operator_rejects_xi_dependent_coefficient():
+    with pytest.raises(StructureError):
+        DensityOperator(2, 0, {(1, 0): xi(0)})
+    A = DensityOperator(2, 0, {(1, 0): x(0)})
+    with pytest.raises(StructureError):
+        A.apply(xi(1))
+
+
+def test_density_operators_of_different_weights_do_not_mix():
+    A = DensityOperator(2, 0, {(1, 0): x(0)})
+    B = DensityOperator(2, Fraction(1, 2), {(0, 1): x(1)})
+    for combine in (A.compose, A.commutator, A.__add__, A.__sub__):
+        with pytest.raises(StructureError):
+            combine(B)
+
+
 def test_compose_matches_iterated_apply():
     rng = random.Random(4)
     for _ in range(40):
