@@ -63,9 +63,7 @@ from .quantization import (
 from .report import RunConfig, cohomology_table, emit_report, run_property_suite
 from .symbols import (
     GeneratorFamily,
-    div_op,
     divergence_cocycle,
-    euler_op,
     hamiltonian_action,
     schouten_bracket,
     sl_generators,
@@ -98,11 +96,9 @@ __all__ = [
     "cohomology_table",
     "divergence_cocycle",
     "divergence_diffop",
-    "div_op",
     "doubled_ring",
     "emit_report",
     "euler_diffop",
-    "euler_op",
     "hamiltonian_action",
     "impose_cocycle",
     "lie_derivative_op",

@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import factorial
 
 from .linalg import RowReducer, keyed_rows, same_span
-from .operators import PolyDiffOp
+from .operators import PolyDiffOp, unit_deriv
 from .poly import (Coeff, Poly, Ring, StructureError, doubled_ring, norm_coeff,
                    rat, rat_str, single_ring)
 from .symbols import schouten_bracket, sl_generators
@@ -131,13 +131,9 @@ def _pair_contraction(ring: Ring, first: str, second: str) -> PolyDiffOp:
     """One of the four contractions as a doubled-ring operator."""
     blocks = {"x": 0, "xi": 1, "y": 2, "eta": 3}
     n = ring.n
-    terms = {}
     one = Poly.constant(ring, 1)
-    for i in range(n):
-        mu = [0] * ring.nvars
-        mu[blocks[first] * n + i] += 1
-        mu[blocks[second] * n + i] += 1
-        terms[tuple(mu)] = one
+    terms = {unit_deriv(ring, blocks[first] * n + i, blocks[second] * n + i): one
+             for i in range(n)}
     return PolyDiffOp(ring, terms, _clean=True)
 
 
@@ -361,7 +357,7 @@ def field_monomials(n: int, shapes: list[tuple[int, ...]]) -> list[Poly]:
     return out
 
 
-def _symbol_monomials(n: int, k: int, x_shapes: list[tuple[int, ...]],
+def _symbol_monomials(n: int, x_shapes: list[tuple[int, ...]],
                       xi_slice: list[tuple[int, ...]]) -> list[Poly]:
     ring = single_ring(n)
     return [Poly.monomial(ring, w + v) for w in x_shapes for v in xi_slice]
@@ -421,7 +417,7 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
             reducer.add_row(row)
 
     # vanishing rows
-    van_symbols = _symbol_monomials(n, k, _staircase(n, p + 2, width=1),
+    van_symbols = _symbol_monomials(n, _staircase(n, p + 2, width=1),
                                     _xi_slice(n, k))
     for label, G in fam.labeled():
         ops_for_G = [t.operator_for_field(G) for t in term_ops]
@@ -431,7 +427,7 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     # equivariance rows along two quadratic generators; the rest follow by
     # the already-imposed linear equivariance and are re-verified in tests
     y_fields = field_monomials(n, _staircase(n, p + 2, width=1))
-    eq_symbols = _symbol_monomials(n, k, _staircase(n, p + 1, width=1),
+    eq_symbols = _symbol_monomials(n, _staircase(n, p + 1, width=1),
                                    _xi_slice(n, k, max_off_axis=2))
     for Y in y_fields:
         ops_Y = [t.operator_for_field(Y) for t in term_ops]
@@ -478,7 +474,7 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
              for j in range(i + 1, len(cubics))]
     pairs += [(G, Z) for G in fam.quadratic for Z in cubics[:2 * n]]
 
-    symbols_fam = _symbol_monomials(n, k, _staircase(n, max(p - 1, 0) + 1, width=1),
+    symbols_fam = _symbol_monomials(n, _staircase(n, max(p - 1, 0) + 1, width=1),
                                     _xi_slice(n, k, max_off_axis=2))
     reducer = RowReducer(len(bilinear))
     for Y, Z in pairs:

@@ -30,6 +30,7 @@ from .operators import (
     module_action,
     monomials_up_to,
     op_str,
+    unit_deriv,
 )
 from .poly import Poly, StructureError, poly_str, rat, rat_str, single_ring
 from .symbols import divergence, divergence_cocycle, is_closed, sl_generators
@@ -160,25 +161,30 @@ class CoboundaryResult:
 
 
 def _solve_on_fields(c: OneCocycle, references: list[OneCocycle],
-                     candidates: list[PolyDiffOp], fields: list[Poly]):
+                     candidates: list[PolyDiffOp], max_vf_degree: int):
     """Exact mu, b with c(X) = sum mu_i ref_i(X) + X.(sum b_j B_j) on every field.
 
-    Returns the solution vector (mu followed by b, free variables zero), or
-    None when the system has no solution.  Each field contributes one row per
+    The fields are all monomial fields up to max_vf_degree, which must be at
+    least 2: a cocycle vanishing on the affine fields (c1 does) would
+    otherwise be cobounded by zero.  Returns the solution vector (mu followed
+    by b, free variables zero), or None when the system has no solution,
+    together with the number of fields.  Each field contributes one row per
     entry of the degree-k canonical forms involved.
     """
+    if max_vf_degree < 2:
+        raise StructureError("coboundary verdicts need fields of degree at least 2")
+    fields = monomial_fields(c.n, max_vf_degree)
     columns: list[dict] = [{} for _ in range(len(references) + len(candidates) + 1)]
     for f_idx, X in enumerate(fields):
         maps = [ref.symbol_map(X) for ref in references]
-        maps += [module_action(X, B, c.k, c.ell, check_contract=False).symbol_map(c.k)
-                 for B in candidates]
+        maps += [module_action(X, B).symbol_map(c.k) for B in candidates]
         maps.append(c.symbol_map(X))
         for column, sm in zip(columns, maps):
             column.update(((f_idx, key), v) for key, v in sm.entries.items())
     rows = keyed_rows(columns)
     ncols = len(columns) - 1
     rhs = [row.pop(ncols, 0) for row in rows]
-    return solve(rows, rhs, ncols)
+    return solve(rows, rhs, ncols), len(fields)
 
 
 def coboundary_solve(c: OneCocycle, candidates: list[PolyDiffOp],
@@ -191,11 +197,10 @@ def coboundary_solve(c: OneCocycle, candidates: list[PolyDiffOp],
     returned witness therefore satisfies the coboundary equation on that
     whole family, and an empty answer proves no witness exists in the span.
     """
-    fields = monomial_fields(c.n, max_vf_degree)
-    sol = _solve_on_fields(c, [], candidates, fields)
+    sol, nfields = _solve_on_fields(c, [], candidates, max_vf_degree)
     witness = None if sol is None \
         else linear_combination(single_ring(c.n), candidates, sol)
-    return CoboundaryResult(witness, candidate_description, len(fields))
+    return CoboundaryResult(witness, candidate_description, nfields)
 
 
 def class_proportionality(c: OneCocycle, reference: OneCocycle,
@@ -208,8 +213,7 @@ def class_proportionality(c: OneCocycle, reference: OneCocycle,
     """
     if (c.n, c.k, c.ell) != (reference.n, reference.k, reference.ell):
         raise StructureError("cocycle shapes differ")
-    sol = _solve_on_fields(c, [reference], candidates,
-                           monomial_fields(c.n, max_vf_degree))
+    sol, _ = _solve_on_fields(c, [reference], candidates, max_vf_degree)
     if sol is None:
         return None
     return rat(sol[0]), linear_combination(single_ring(c.n), candidates, sol[1:])
@@ -235,10 +239,7 @@ def hessian_contraction_op(X: Poly) -> PolyDiffOp:
             coeff = X.diff(ring.x(i)).diff(ring.x(j))
             if coeff.is_zero():
                 continue
-            mu = [0] * ring.nvars
-            mu[ring.xi(i)] += 1
-            mu[ring.xi(j)] += 1
-            key = tuple(mu)
+            key = unit_deriv(ring, ring.xi(i), ring.xi(j))
             prev = terms.get(key)
             terms[key] = coeff if prev is None else prev + coeff
     return PolyDiffOp(ring, terms)
@@ -256,10 +257,7 @@ def trace_contraction_op(X: Poly) -> PolyDiffOp:
             continue
         for ell in range(n):
             coeff = di_div * Poly.variable(ring, ring.xi(ell))
-            mu = [0] * ring.nvars
-            mu[ring.xi(i)] += 1
-            mu[ring.xi(ell)] += 1
-            key = tuple(mu)
+            key = unit_deriv(ring, ring.xi(i), ring.xi(ell))
             prev = terms.get(key)
             terms[key] = coeff if prev is None else prev + coeff
     return PolyDiffOp(ring, terms)
@@ -334,10 +332,9 @@ class CocycleReport:
     ell: int
     identity: IdentityCheck
     sl_vanishing: bool
-    coboundary: CoboundaryResult | None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "name": self.name,
             "dim": self.n,
             "source_degree": self.k,
@@ -345,19 +342,8 @@ class CocycleReport:
             "cocycle_identity": self.identity.to_json(),
             "vanishes_on_sl": self.sl_vanishing,
         }
-        if self.coboundary is not None:
-            out["coboundary"] = self.coboundary.to_json()
-        return out
 
 
-def build_report(c: OneCocycle, max_vf_degree: int = 4,
-                 candidates: list[PolyDiffOp] | None = None,
-                 candidate_description: str = "affine-equivariant basis",
-                 ) -> CocycleReport:
+def build_report(c: OneCocycle, max_vf_degree: int = 4) -> CocycleReport:
     identity = cocycle_check(c, max_vf_degree)
-    sl_van = vanishes_on_sl(c)
-    cob = None
-    if candidates is not None:
-        cob = coboundary_solve(c, candidates, max_vf_degree,
-                               candidate_description)
-    return CocycleReport(c.name, c.n, c.k, c.ell, identity, sl_van, cob)
+    return CocycleReport(c.name, c.n, c.k, c.ell, identity, vanishes_on_sl(c))

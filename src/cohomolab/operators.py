@@ -36,6 +36,7 @@ from .poly import (
     rat,
     single_ring,
 )
+from .symbols import sl_generators
 
 Deriv = tuple[int, ...]
 
@@ -102,6 +103,14 @@ def _leibniz_subsets(mu: Deriv) -> tuple:
     return tuple(subs)
 
 
+def unit_deriv(ring: Ring, *variables: int) -> Deriv:
+    """The multi-index of d_v1 d_v2 ... over all ring variables; repeats add up."""
+    mu = [0] * ring.nvars
+    for var in variables:
+        mu[var] += 1
+    return tuple(mu)
+
+
 class PolyDiffOp:
     """A differential operator in normal form with Poly coefficients."""
 
@@ -138,9 +147,8 @@ class PolyDiffOp:
 
     @staticmethod
     def derivative(ring: Ring, var: int) -> "PolyDiffOp":
-        mu = [0] * ring.nvars
-        mu[var] = 1
-        return PolyDiffOp(ring, {tuple(mu): Poly.constant(ring, 1)}, _clean=True)
+        return PolyDiffOp(ring, {unit_deriv(ring, var): Poly.constant(ring, 1)},
+                          _clean=True)
 
     # -- structure ----------------------------------------------------------
 
@@ -346,7 +354,10 @@ def op_str(op: PolyDiffOp) -> str:
 
 
 def parse_op(ring: Ring, text: str) -> PolyDiffOp:
-    """Parse the canonical operator text form produced by op_str."""
+    """Parse the canonical operator text form produced by op_str.
+
+    Malformed text raises StructureError.
+    """
     from .poly import parse_poly
 
     terms: dict[Deriv, Poly] = {}
@@ -354,20 +365,19 @@ def parse_op(ring: Ring, text: str) -> PolyDiffOp:
         part = part.strip()
         if not part.startswith("("):
             part = "(" + part
-        close = part.rindex(")")
+        close = part.rfind(")")
+        if close < 0:
+            raise StructureError(f"no closing parenthesis in operator text {text!r}")
         coeff = parse_poly(ring, part[1:close])
         mu = [0] * ring.nvars
-        rest = part[close + 1:].strip()
-        if rest:
-            for factor in rest.split("*"):
-                factor = factor.strip()
-                if not factor:
-                    continue
-                if "^" in factor:
-                    name, e = factor.split("^")
-                    mu[ring.var_index(name[1:])] += int(e)
-                else:
-                    mu[ring.var_index(factor[1:])] += 1
+        for factor in part[close + 1:].split("*"):
+            factor = factor.strip()
+            if not factor:
+                continue
+            name, caret, e = factor.partition("^")
+            if not name.startswith("d") or (caret and not e.isdecimal()):
+                raise StructureError(f"bad derivative factor {factor!r}")
+            mu[ring.var_index(name[1:])] += int(e) if caret else 1
         key = tuple(mu)
         prev = terms.get(key)
         terms[key] = coeff if prev is None else prev + coeff
@@ -379,24 +389,15 @@ def parse_op(ring: Ring, text: str) -> PolyDiffOp:
 
 def euler_diffop(ring: Ring) -> PolyDiffOp:
     """E = xi_i d/dxi_i as a normal-form operator."""
-    terms: dict[Deriv, Poly] = {}
-    for i in range(ring.n):
-        mu = [0] * ring.nvars
-        mu[ring.xi(i)] = 1
-        terms[tuple(mu)] = Poly.variable(ring, ring.xi(i))
-    return PolyDiffOp(ring, terms)
+    return PolyDiffOp(ring, {unit_deriv(ring, ring.xi(i)): Poly.variable(ring, ring.xi(i))
+                             for i in range(ring.n)})
 
 
 def divergence_diffop(ring: Ring) -> PolyDiffOp:
     """D = (d/dx^i)(d/dxi_i) as a normal-form operator."""
-    terms: dict[Deriv, Poly] = {}
     one = Poly.constant(ring, 1)
-    for i in range(ring.n):
-        mu = [0] * ring.nvars
-        mu[ring.x(i)] = 1
-        mu[ring.xi(i)] = 1
-        terms[tuple(mu)] = one
-    return PolyDiffOp(ring, terms)
+    return PolyDiffOp(ring, {unit_deriv(ring, ring.x(i), ring.xi(i)): one
+                             for i in range(ring.n)})
 
 
 def lie_derivative_op(X: Poly) -> PolyDiffOp:
@@ -407,17 +408,11 @@ def lie_derivative_op(X: Poly) -> PolyDiffOp:
     for i in range(ring.n):
         cx = X.diff(ring.xi(i))
         if not cx.is_zero():
-            op = op + PolyDiffOp.single(ring, cx, _unit(ring, ring.x(i)))
+            op = op + PolyDiffOp.single(ring, cx, unit_deriv(ring, ring.x(i)))
         cxi = X.diff(ring.x(i))
         if not cxi.is_zero():
-            op = op + PolyDiffOp.single(ring, -cxi, _unit(ring, ring.xi(i)))
+            op = op + PolyDiffOp.single(ring, -cxi, unit_deriv(ring, ring.xi(i)))
     return op
-
-
-def _unit(ring: Ring, var: int) -> Deriv:
-    mu = [0] * ring.nvars
-    mu[var] = 1
-    return tuple(mu)
 
 
 def linear_combination(ring: Ring, ops: list[PolyDiffOp], weights) -> PolyDiffOp:
@@ -429,30 +424,28 @@ def linear_combination(ring: Ring, ops: list[PolyDiffOp], weights) -> PolyDiffOp
     return out
 
 
-def module_action(X: Poly, A: PolyDiffOp, k: int, ell: int,
-                  *, check_contract: bool = True) -> PolyDiffOp:
-    """The vector-field action X.A = L_X o A - A o L_X on maps S_k -> S_ell."""
+def module_action(X: Poly, A: PolyDiffOp) -> PolyDiffOp:
+    """The vector-field action X.A = L_X o A - A o L_X on operators."""
     if X.ring != A.ring:
         raise StructureError("ring mismatch in module action")
-    if check_contract:
-        degrees = A.symbol_map(k).output_degrees()
-        if not degrees <= {ell}:
-            raise StructureError(
-                f"operator does not map degree {k} to degree {ell}: outputs {sorted(degrees)}")
     L = lie_derivative_op(X)
     return L.compose(A) - A.compose(L)
 
 
-def affine_equivariant_basis(n: int, k: int, ell: int, max_order: int,
-                             *, max_candidates: int = 60_000) -> list[PolyDiffOp]:
+MAX_AFFINE_CANDIDATES = 60_000
+
+
+def affine_equivariant_basis(n: int, k: int, ell: int, max_order: int) -> list[PolyDiffOp]:
     """Exact basis of the affine-equivariant operators from degree-k to degree-ell symbols.
 
     Candidates are constant-coefficient terms xi^b d_x^alpha d_xi^beta of
     total order <= max_order with the degree bookkeeping |b| - |beta| =
-    ell - k.  Equivariance under translations holds term by term; the
-    commutators with the linear generators x^i d/dx^j are imposed exactly
-    through the degree-k canonical form, and the resulting solution space is
-    reduced to operators that are independent as maps on degree-k symbols.
+    ell - k.  They are pairwise distinct: one total order never repeats a
+    term, and different total orders differ in |alpha| + |beta|.
+    Equivariance under translations holds term by term; the commutators with
+    the linear generators x^i d/dx^j are imposed exactly through the degree-k
+    canonical form, and the resulting solution space is reduced to operators
+    that are independent as maps on degree-k symbols.
     """
     from .linalg import RowReducer, keyed_rows, nullspace
 
@@ -472,32 +465,16 @@ def affine_equivariant_basis(n: int, k: int, ell: int, max_order: int,
                     coeff = Poly.monomial(ring, (0,) * n + b)
                     candidates.append(
                         PolyDiffOp.single(ring, coeff, alpha + beta))
-    # drop duplicate normal forms arising from the order-stratified loop
-    seen = set()
-    unique = []
-    for cand in candidates:
-        key = next(iter(cand.terms.items()))
-        sig = (key[0], frozenset(key[1].terms.items()))
-        if sig not in seen:
-            seen.add(sig)
-            unique.append(cand)
-    candidates = unique
-    if len(candidates) > max_candidates:
+    if len(candidates) > MAX_AFFINE_CANDIDATES:
         raise ResourceLimitError(
-            f"{len(candidates)} candidate terms exceed the cap {max_candidates}")
+            f"{len(candidates)} candidate terms exceed the cap {MAX_AFFINE_CANDIDATES}")
 
-    gens: list[Poly] = []
-    for i in range(n):
-        gens.append(Poly.variable(ring, ring.xi(i)))
-    for i in range(n):
-        for j in range(n):
-            gens.append(Poly.variable(ring, ring.x(i)) * Poly.variable(ring, ring.xi(j)))
-
+    gens = sl_generators(n).affine()
     columns = []
     for cand in candidates:
         column = {}
         for g_idx, X in enumerate(gens):
-            defect = module_action(X, cand, k, ell, check_contract=False).symbol_map(k)
+            defect = module_action(X, cand).symbol_map(k)
             column.update(((g_idx, key), c) for key, c in defect.entries.items())
         columns.append(column)
     solution = nullspace(keyed_rows(columns), len(candidates))

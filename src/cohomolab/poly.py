@@ -142,9 +142,6 @@ class Ring:
                 return block * self.n + pos
         raise StructureError(f"unknown variable {name!r}")
 
-    def single(self) -> "Ring":
-        return Ring(self.n, False)
-
 
 @lru_cache(maxsize=None)
 def single_ring(n: int) -> Ring:
@@ -364,16 +361,12 @@ class Poly:
             self._tdeg = max((sum(e) for e in self.terms), default=0)
         return self._tdeg
 
-    def x_degree(self) -> int:
-        n = self.ring.n
-        return max((sum(e[:n]) for e in self.terms), default=0)
-
     def restrict_diagonal(self) -> "Poly":
         """Substitute y := x, eta := xi; the result lives in the single ring."""
         if not self.ring.doubled:
             raise StructureError("restrict_diagonal expects a doubled-ring polynomial")
         n2 = 2 * self.ring.n
-        target = self.ring.single()
+        target = single_ring(self.ring.n)
         out: dict[Exponent, Coeff] = {}
         for exp, c in self.terms.items():
             key = tuple(exp[i] + exp[n2 + i] for i in range(n2))

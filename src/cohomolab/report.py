@@ -1,4 +1,4 @@
-"""Assembly of machine-readable reports: the classification table and checks.
+"""Machine-readable reports: classification table, quantization report, checks.
 
 Report payloads are plain dicts of JSON-serializable values; rationals are
 rendered as 'num/den' strings and polynomials and operators in their
@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .ansatz import impose_cocycle, matched_case, recurrence_solutions
 from .cocycles import (
+    OneCocycle,
     builtin_c1,
     builtin_c2,
     class_proportionality,
@@ -30,6 +31,7 @@ from .operators import (
     lie_derivative_op,
     module_action,
     monomials_up_to,
+    op_str,
 )
 from .poly import (
     Poly,
@@ -40,33 +42,51 @@ from .poly import (
     rat_str,
     single_ring,
 )
-from .quantization import normal_order_section
-from .symbols import div_op, euler_op, schouten_bracket, sl_generators
+from .quantization import (
+    normal_order_section,
+    quantization_projected_cocycle,
+    quantization_top_cocycle,
+)
+from .symbols import schouten_bracket, sl_generators
 
 
 @dataclass
 class RunConfig:
     n: int
     max_symbol_degree: int = 5
-    lambdas: list = field(default_factory=list)
     max_vf_degree: int = 3
-    fmt: str = "json"
-    seed: int = 2024
 
     def __post_init__(self):
         if self.n < 2:
             raise StructureError("configuration requires dimension >= 2")
         if self.max_symbol_degree < 0:
             raise StructureError("the symbol degree bound must be nonnegative")
+        if self.max_vf_degree < 2:
+            raise StructureError("the vector-field degree bound must be at least 2")
 
     def to_json(self) -> dict:
         return {
             "dim": self.n,
             "max_symbol_degree": self.max_symbol_degree,
-            "lambdas": [rat_str(rat(v)) for v in self.lambdas],
             "max_vf_degree": self.max_vf_degree,
-            "seed": self.seed,
         }
+
+
+def certify_class(c: OneCocycle, max_vf_degree: int, reference: OneCocycle | None = None):
+    """Identity check, coboundary result and class proportionality of c: S_k -> S_ell.
+
+    The identity is checked on fields up to max_vf_degree.  Triviality is
+    decided against the affine-equivariant basis of order 2(k - ell), and the
+    optional reference class is matched against c modulo that basis (None
+    without a reference); both solve on fields up to min(max_vf_degree, 3).
+    """
+    identity = cocycle_check(c, max_vf_degree)
+    basis = affine_equivariant_basis(c.n, c.k, c.ell, 2 * (c.k - c.ell))
+    solve_degree = min(max_vf_degree, 3)
+    cob = coboundary_solve(c, basis, solve_degree, "affine-equivariant basis")
+    prop = None if reference is None \
+        else class_proportionality(c, reference, basis, solve_degree)
+    return identity, cob, prop
 
 
 def expected_relative_dimension(k: int, ell: int) -> int:
@@ -122,21 +142,48 @@ def cohomology_table(config: RunConfig) -> dict:
 
 
 def _witness_verdict(n, k, p, space, config) -> dict:
-    line = space.basis[0].normalized()
-    c = solver_line_cocycle(n, line)
-    identity = cocycle_check(c, config.max_vf_degree)
-    basis = affine_equivariant_basis(n, k, k - p, 2 * p)
-    cob = coboundary_solve(c, basis, min(config.max_vf_degree, 3),
-                           "affine-equivariant basis")
-    out = {
+    c = solver_line_cocycle(n, space.basis[0].normalized())
+    reference = builtin_c1(n, k) if p == 1 else builtin_c2(n, k)
+    identity, cob, prop = certify_class(c, config.max_vf_degree, reference)
+    return {
         "cocycle_identity_holds": identity.holds,
         "max_vf_degree": identity.max_vf_degree,
         "nontrivial": not cob.is_coboundary,
+        "matches_builtin": prop is not None and prop[0] != 0,
+        "builtin_scalar": rat_str(prop[0]) if prop is not None else None,
     }
-    reference = builtin_c1(n, k) if p == 1 else builtin_c2(n, k)
-    prop = class_proportionality(c, reference, basis, min(config.max_vf_degree, 3))
-    out["matches_builtin"] = prop is not None and prop[0] != 0
-    out["builtin_scalar"] = rat_str(prop[0]) if prop is not None else None
+
+
+def quantization_report(n: int, k: int, weight, max_vf_degree: int) -> dict:
+    """Symbol projections of the density-operator sequence at one weight.
+
+    The top projection S_k -> S_(k-1) is certified and matched against the
+    first class c1.  Where it is trivial, its splitting witness forms the
+    projected cocycle S_k -> S_(k-2), certified on fields up to
+    min(max_vf_degree, 3).
+    """
+    if k < 2:
+        raise StructureError("the quantization report needs --order >= 2")
+    weight = rat(weight)
+    identity, cob, prop = certify_class(quantization_top_cocycle(n, k, weight),
+                                        max_vf_degree, builtin_c1(n, k))
+    out = {
+        "lambda": rat_str(weight),
+        "source_degree": k,
+        "cocycle_identity_holds": identity.holds,
+        "max_vf_degree": max_vf_degree,
+        "top_symbol_trivial": cob.is_coboundary,
+        "proportional_to_first_class": prop is not None,
+        "first_class_scalar": rat_str(prop[0]) if prop is not None else None,
+    }
+    if cob.is_coboundary:
+        out["splitting_witness"] = op_str(cob.witness)
+        proj = quantization_projected_cocycle(n, k, weight, cob.witness)
+        proj_identity, proj_cob, _ = certify_class(proj, min(max_vf_degree, 3))
+        out["projected_cocycle"] = {
+            "identity_holds": proj_identity.holds,
+            "nontrivial": not proj_cob.is_coboundary,
+        }
     return out
 
 
@@ -261,21 +308,20 @@ def run_property_suite(seed: int = 2024, count: int = 100, n: int = 2) -> list[d
     def module_axiom():
         X, Y = _random_field(rng, ring), _random_field(rng, ring)
         A = _random_op(rng, ring)
-        lhs = (module_action(X, module_action(Y, A, 0, 0, check_contract=False),
-                             0, 0, check_contract=False)
-               - module_action(Y, module_action(X, A, 0, 0, check_contract=False),
-                               0, 0, check_contract=False))
-        rhs = module_action(schouten_bracket(X, Y), A, 0, 0, check_contract=False)
-        return lhs == rhs
+        lhs = (module_action(X, module_action(Y, A))
+               - module_action(Y, module_action(X, A)))
+        return lhs == module_action(schouten_bracket(X, Y), A)
 
     def section_property():
         k = rng.randint(0, 4)
         P = _random_symbol(rng, ring, k)
         return normal_order_section(P, 0).principal_symbol(k) == P
 
+    E, D = euler_diffop(ring), divergence_diffop(ring)
+
     def euler_divergence():
         m = _random_poly(rng, ring, max_degree=6, max_terms=2)
-        return euler_op(div_op(m)) - div_op(euler_op(m)) == -div_op(m)
+        return E.apply(D.apply(m)) - D.apply(E.apply(m)) == -D.apply(m)
 
     record("ring-axioms", ring_axioms)
     record("leibniz-rule", leibniz)

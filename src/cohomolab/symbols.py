@@ -6,10 +6,9 @@ X = X^i xi_i.  Its action on symbols is the Hamiltonian vector field
     L_X = (dX/dxi_i) d/dx^i - (dX/dx^i) d/dxi_i,
 
 which on degree-1 arguments reduces to the Lie bracket of vector fields.
-The module also provides the Euler and divergence operators generating the
-commutant of the affine action, the generators of the projective subalgebra
-sl(n+1, R) inside Vect(R^n), and the divergence-type multiplication cocycles
-attached to a closed polynomial 1-form.
+The module also provides the divergence of a field, the generators of the
+projective subalgebra sl(n+1, R) inside Vect(R^n), and the divergence-type
+multiplication cocycles attached to a closed polynomial 1-form.
 """
 
 from __future__ import annotations
@@ -49,32 +48,14 @@ def hamiltonian_action(X: Poly, p: Poly) -> Poly:
     return schouten_bracket(X, p)
 
 
-def euler_op(p: Poly) -> Poly:
-    """E = xi_i d/dxi_i; multiplies each xi-homogeneous part by its degree."""
-    if p.ring.doubled:
-        raise StructureError("euler_op expects the single ring")
-    ring = p.ring
-    out = Poly.zero(ring)
-    for i in range(ring.n):
-        out = out + Poly.variable(ring, ring.xi(i)) * p.diff(ring.xi(i))
-    return out
-
-
-def div_op(p: Poly) -> Poly:
-    """D = (d/dx^i)(d/dxi_i); lowers both the x-degree and the xi-degree by one."""
-    if p.ring.doubled:
-        raise StructureError("div_op expects the single ring")
-    ring = p.ring
-    out = Poly.zero(ring)
-    for i in range(ring.n):
-        out = out + p.diff(ring.x(i)).diff(ring.xi(i))
-    return out
-
-
 def divergence(X: Poly) -> Poly:
     """div X = dX^i/dx^i for the flat volume form; a xi-free polynomial."""
     check_vector_field(X)
-    return div_op(X)
+    ring = X.ring
+    out = Poly.zero(ring)
+    for i in range(ring.n):
+        out = out + X.diff(ring.x(i)).diff(ring.xi(i))
+    return out
 
 
 @dataclass(frozen=True)
@@ -122,10 +103,8 @@ def sl_generators(n: int) -> GeneratorFamily:
         (i, j): Poly.variable(ring, ring.x(i)) * Poly.variable(ring, ring.xi(j))
         for i in range(n) for j in range(n)
     }
-    euler_field = Poly.zero(ring)
-    for j in range(n):
-        euler_field = euler_field + linear[(j, j)]
-    quadratic = tuple(Poly.variable(ring, ring.x(i)) * euler_field for i in range(n))
+    E = euler_field(n)
+    quadratic = tuple(Poly.variable(ring, ring.x(i)) * E for i in range(n))
     return GeneratorFamily(n, translations, linear, quadratic)
 
 

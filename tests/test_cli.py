@@ -99,6 +99,8 @@ def test_properties_command(capsys):
     assert out.count("PASS") >= 6
 
 
+CANDIDATE_FILES = {"garbage.txt": "garbage\n", "bad-exponent.txt": "(1) * dx1^a\n"}
+
 CONFIG_ERRORS = {
     "bad-dimension": (["check-relation", "--dim", "1"], None),
     "bad-lambda": (["quantization-cocycle", "--dim", "2", "--order", "2",
@@ -109,7 +111,21 @@ CONFIG_ERRORS = {
                             "--order", "2", "--omega", "1*x1^a,0"], None),
     "missing-candidates-file": (["coboundary-test", "--name", "c1", "--dim", "2",
                                  "--order", "2", "--candidates", "custom-file",
-                                 "--candidates-file", "{missing}"], None),
+                                 "--candidates-file", "{tmp}/missing.txt"], None),
+    "garbage-candidate-line": (["coboundary-test", "--name", "c1", "--dim", "2",
+                                "--order", "2", "--candidates", "custom-file",
+                                "--candidates-file", "{tmp}/garbage.txt"], None),
+    "bad-candidate-exponent": (["coboundary-test", "--name", "c1", "--dim", "2",
+                                "--order", "2", "--candidates", "custom-file",
+                                "--candidates-file", "{tmp}/bad-exponent.txt"], None),
+    "affine-coboundary-fields": (["coboundary-test", "--name", "c1", "--dim", "2",
+                                  "--order", "2", "--max-vf-degree", "1"], None),
+    "negative-coboundary-degree": (["coboundary-test", "--name", "c1", "--dim", "2",
+                                    "--order", "2", "--max-vf-degree", "-1"], None),
+    "negative-table-degree": (["cohomology-table", "--dim", "2", "--order", "1",
+                               "--max-vf-degree", "-5"], None),
+    "quantization-order-1": (["quantization-cocycle", "--dim", "2", "--order", "1"],
+                             None),
     "negative-degree-bound": (["check-relation", "--dim", "2",
                                "--max-total-degree", "-3"], None),
     "zero-count": (["properties", "--dim", "2", "--count", "0"], None),
@@ -122,7 +138,9 @@ def test_configuration_errors_exit_2(case, tmp_path, monkeypatch, capsys):
     argv, budget = CONFIG_ERRORS[case]
     if budget is not None:
         monkeypatch.setenv("COHOMOLAB_MAX_TERMS", budget)
-    argv = [a.replace("{missing}", str(tmp_path / "missing.txt")) for a in argv]
+    for name, text in CANDIDATE_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("configuration error")
 

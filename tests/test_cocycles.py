@@ -109,7 +109,7 @@ def test_sl_vanishing_pattern():
 def test_constructed_coboundary_detected():
     D = divergence_diffop(R2)
     c = OneCocycle(2, 2, 1, "bdry",
-                   lambda X: module_action(X, D, 2, 1, check_contract=False))
+                   lambda X: module_action(X, D))
     res = coboundary_solve(c, [D], 3)
     assert res.is_coboundary and res.witness == D
 
@@ -169,12 +169,10 @@ def test_solver_p2_line_matches_builtin_c2():
 
 
 def test_report_structure():
-    D = divergence_diffop(R2)
-    rep = build_report(builtin_c1(2, 2), 3, [D], "divergence power")
+    rep = build_report(builtin_c1(2, 2), 3)
     data = rep.to_json()
     assert data["cocycle_identity"]["holds"] is True
     assert data["vanishes_on_sl"] is True
-    assert data["coboundary"]["verdict"] == "no-witness-in-candidate-space"
 
 
 def test_unsupported_shapes_rejected():

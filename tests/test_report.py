@@ -28,8 +28,8 @@ def test_run_config_validation():
         RunConfig(1)
     with pytest.raises(StructureError):
         RunConfig(2, -1)
-    cfg = RunConfig(2, 3, lambdas=["1/2"])
-    assert cfg.to_json()["lambdas"] == ["1/2"]
+    with pytest.raises(StructureError):
+        RunConfig(2, 2, max_vf_degree=1)
 
 
 def test_check_relation_holds():
