@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial
 
 from .linalg import RowReducer, keyed_rows, same_span
@@ -402,6 +402,14 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     The affine part of the equivariance identity holds term by term for the
     candidate family and contributes nothing; agreement with the recurrence
     solver is enforced separately as an acceptance check.
+
+    Values that do not depend on the whole (X, Y) pair are computed once:
+    {X, P} once per generator X and symbol P, and the values C_t(Y, P) of
+    the ansatz terms once per field Y and symbol P.  Every row is added, so
+    these are computed up front.  The operators P |-> C_t(G, P) of the
+    projective generators are built once and reused where a test field Y is
+    a generator (the translations and linear fields are); the operators of
+    [X, Y] are built per pair.
     """
     _validate(n, k, p)
     indices = full_indices(k, p)
@@ -412,6 +420,9 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     fam = sl_generators(n)
     reducer = RowReducer(len(indices))
 
+    def field_ops(F: Poly) -> list[PolyDiffOp]:
+        return [t.operator_for_field(F) for t in term_ops]
+
     def add_poly_rows(values: list[Poly]) -> None:
         for row in keyed_rows([val.terms for val in values]):
             reducer.add_row(row)
@@ -419,29 +430,26 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     # vanishing rows
     van_symbols = _symbol_monomials(n, _staircase(n, p + 2, width=1),
                                     _xi_slice(n, k))
-    for label, G in fam.labeled():
-        ops_for_G = [t.operator_for_field(G) for t in term_ops]
+    generator_ops = {G: field_ops(G) for G in fam.all()}
+    for ops_G in generator_ops.values():
         for P in van_symbols:
-            add_poly_rows([op.apply(P) for op in ops_for_G])
+            add_poly_rows([op.apply(P) for op in ops_G])
 
     # equivariance rows along two quadratic generators; the rest follow by
     # the already-imposed linear equivariance and are re-verified in tests
     y_fields = field_monomials(n, _staircase(n, p + 2, width=1))
     eq_symbols = _symbol_monomials(n, _staircase(n, p + 1, width=1),
                                    _xi_slice(n, k, max_off_axis=2))
+    generators = fam.quadratic[:2]
+    acted = [[schouten_bracket(X, P) for P in eq_symbols] for X in generators]
     for Y in y_fields:
-        ops_Y = [t.operator_for_field(Y) for t in term_ops]
-        for X in fam.quadratic[:2]:
-            bracket = schouten_bracket(X, Y)
-            ops_bracket = [t.operator_for_field(bracket) for t in term_ops]
-            for P in eq_symbols:
-                XP = schouten_bracket(X, P)
-                defects = []
-                for opY, opB in zip(ops_Y, ops_bracket):
-                    val = schouten_bracket(X, opY.apply(P))
-                    val = val - opB.apply(P) - opY.apply(XP)
-                    defects.append(val)
-                add_poly_rows(defects)
+        ops_Y = generator_ops[Y] if Y in generator_ops else field_ops(Y)
+        values_Y = [[opY.apply(P) for opY in ops_Y] for P in eq_symbols]
+        for X, XPs in zip(generators, acted):
+            ops_bracket = field_ops(schouten_bracket(X, Y))
+            for P, XP, vals in zip(eq_symbols, XPs, values_Y):
+                add_poly_rows([schouten_bracket(X, val) - opB.apply(P) - opY.apply(XP)
+                               for opY, opB, val in zip(ops_Y, ops_bracket, vals)])
 
     basis = [AnsatzCoefficients.from_vector(k, p, indices, v)
              for v in reducer.nullspace()]
@@ -456,6 +464,14 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
     fields plus generator-cubic pairs; for maps already equivariant and
     vanishing on the projective subalgebra these pairs carry the only new
     conditions.
+
+    A field takes part in many pairs, so a memo that lives for this call
+    holds, per cubic or generator field X, the operators P |-> C_b(X, P) of
+    the basis maps b, their values C_b(X, P) and the brackets {X, P} on the
+    test symbols.  The operators of [Y, Z] are built per pair and dropped
+    with it: a bracket has x-degree 4 or 5, so it is never a memoized field.
+    The memo is filled lazily: the pair loop stops once the rank is full,
+    and a field no processed pair touches costs nothing.
     """
     _validate(n, k, p)
     if not space.basis:
@@ -470,26 +486,41 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
         skew[0], skew[2] = 2, 1
         cubic_shapes = sorted(set(cubic_shapes) | {tuple(mixed), tuple(skew)})
     cubics = field_monomials(n, cubic_shapes)
-    pairs = [(cubics[i], cubics[j]) for i in range(len(cubics))
-             for j in range(i + 1, len(cubics))]
-    pairs += [(G, Z) for G in fam.quadratic for Z in cubics[:2 * n]]
+    fields = cubics + list(fam.quadratic)
+    pairs = [(i, j) for i in range(len(cubics)) for j in range(i + 1, len(cubics))]
+    pairs += [(len(cubics) + g, j) for g in range(len(fam.quadratic))
+              for j in range(2 * n)]
 
     symbols_fam = _symbol_monomials(n, _staircase(n, max(p - 1, 0) + 1, width=1),
                                     _xi_slice(n, k, max_off_axis=2))
+
+    @cache
+    def field_ops(f: int) -> list[PolyDiffOp]:
+        return [b.operator_for_field(fields[f]) for b in bilinear]
+
+    @cache
+    def values(f: int, q: int) -> list[Poly]:
+        return [op.apply(symbols_fam[q]) for op in field_ops(f)]
+
+    @cache
+    def action(f: int, q: int) -> Poly:
+        return schouten_bracket(fields[f], symbols_fam[q])
+
     reducer = RowReducer(len(bilinear))
-    for Y, Z in pairs:
+    for y, z in pairs:
         if reducer.rank == len(bilinear):
             break
+        Y, Z = fields[y], fields[z]
         bracket = schouten_bracket(Y, Z)
-        ops = [(b.operator_for_field(Y), b.operator_for_field(Z),
-                b.operator_for_field(bracket)) for b in bilinear]
-        for P in symbols_fam:
-            YP = schouten_bracket(Y, P)
-            ZP = schouten_bracket(Z, P)
+        ops_bracket = [b.operator_for_field(bracket) for b in bilinear]
+        for q, P in enumerate(symbols_fam):
+            YP, ZP = action(y, q), action(z, q)
             defects = [(opB.apply(P)
-                        - schouten_bracket(Y, opZ.apply(P)) + opZ.apply(YP)
-                        + schouten_bracket(Z, opY.apply(P)) - opY.apply(ZP)).terms
-                       for opY, opZ, opB in ops]
+                        - schouten_bracket(Y, valZ) + opZ.apply(YP)
+                        + schouten_bracket(Z, valY) - opY.apply(ZP)).terms
+                       for opY, opZ, opB, valY, valZ
+                       in zip(field_ops(y), field_ops(z), ops_bracket,
+                              values(y, q), values(z, q))]
             for row in keyed_rows(defects):
                 reducer.add_row(row)
 

@@ -217,7 +217,8 @@ def _dispatch(args) -> int:
         checks = run_property_suite(args.seed, args.count, args.dim)
         for check in checks:
             status = "PASS" if check["passed"] else "FAIL"
-            print(f"{status} {check['name']} ({check['instances']} instances)")
+            print(f"{status} {check['name']} ({check['instances']} instances)",
+                  file=sys.stderr)
         result = {"checks": checks, "seed": args.seed}
         ok = all(c["passed"] for c in checks)
         config = {"dim": args.dim, "seed": args.seed, "count": args.count}

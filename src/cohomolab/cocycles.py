@@ -160,44 +160,82 @@ class CoboundaryResult:
         }
 
 
-def _solve_on_fields(c: OneCocycle, references: list[OneCocycle],
-                     candidates: list[PolyDiffOp], max_vf_degree: int):
-    """Exact mu, b with c(X) = sum mu_i ref_i(X) + X.(sum b_j B_j) on every field.
+@dataclass
+class FieldColumns:
+    """The columns of c(X) = X.B on every monomial field up to a degree.
 
-    The fields are all monomial fields up to max_vf_degree, which must be at
-    least 2: a cocycle vanishing on the affine fields (c1 does) would
-    otherwise be cobounded by zero.  Returns the solution vector (mu followed
-    by b, free variables zero), or None when the system has no solution,
-    together with the number of fields.  Each field contributes one row per
-    entry of the degree-k canonical forms involved.
+    candidate_columns[j] and target map (field index, canonical-form key) to
+    the entries of X.B_j and of c(X).  Built once by field_columns, they can
+    serve both coboundary_solve and class_proportionality for the same
+    (c, candidates, max_vf_degree).
+    """
+
+    c: OneCocycle
+    candidates: list[PolyDiffOp]
+    max_vf_degree: int
+    fields: list[Poly]
+    candidate_columns: list[dict]
+    target: dict
+
+
+def _column(symbol_maps) -> dict:
+    """Entries of the per-field canonical forms, keyed by (field index, key)."""
+    return {(f_idx, key): v for f_idx, sm in enumerate(symbol_maps)
+            for key, v in sm.entries.items()}
+
+
+def field_columns(c: OneCocycle, candidates: list[PolyDiffOp],
+                  max_vf_degree: int) -> FieldColumns:
+    """Candidate and target columns on all monomial fields up to max_vf_degree.
+
+    The degree must be at least 2: a cocycle vanishing on the affine fields
+    (c1 does) would otherwise be cobounded by zero.  Each field contributes
+    one row per entry of the degree-k canonical forms involved.
     """
     if max_vf_degree < 2:
         raise StructureError("coboundary verdicts need fields of degree at least 2")
     fields = monomial_fields(c.n, max_vf_degree)
-    columns: list[dict] = [{} for _ in range(len(references) + len(candidates) + 1)]
-    for f_idx, X in enumerate(fields):
-        maps = [ref.symbol_map(X) for ref in references]
-        maps += [module_action(X, B).symbol_map(c.k) for B in candidates]
-        maps.append(c.symbol_map(X))
-        for column, sm in zip(columns, maps):
-            column.update(((f_idx, key), v) for key, v in sm.entries.items())
-    rows = keyed_rows(columns)
-    ncols = len(columns) - 1
+    candidate_columns = [_column(module_action(X, B).symbol_map(c.k) for X in fields)
+                         for B in candidates]
+    return FieldColumns(c, candidates, max_vf_degree, fields, candidate_columns,
+                        _column(map(c.symbol_map, fields)))
+
+
+def _solve_on_fields(c: OneCocycle, references: list[OneCocycle],
+                     candidates: list[PolyDiffOp], max_vf_degree: int,
+                     columns: FieldColumns | None):
+    """Exact mu, b with c(X) = sum mu_i ref_i(X) + X.(sum b_j B_j) on every field.
+
+    Returns the solution vector (mu followed by b, free variables zero), or
+    None when the system has no solution, together with the number of
+    fields.  columns, if given, must be field_columns(c, candidates,
+    max_vf_degree).
+    """
+    if columns is None:
+        columns = field_columns(c, candidates, max_vf_degree)
+    elif (columns.c is not c or columns.candidates is not candidates
+          or columns.max_vf_degree != max_vf_degree):
+        raise StructureError("the columns were built for another system")
+    ref_columns = [_column(map(ref.symbol_map, columns.fields)) for ref in references]
+    rows = keyed_rows(ref_columns + columns.candidate_columns + [columns.target])
+    ncols = len(ref_columns) + len(columns.candidate_columns)
     rhs = [row.pop(ncols, 0) for row in rows]
-    return solve(rows, rhs, ncols), len(fields)
+    return solve(rows, rhs, ncols), len(columns.fields)
 
 
 def coboundary_solve(c: OneCocycle, candidates: list[PolyDiffOp],
                      max_vf_degree: int = 4,
                      candidate_description: str = "custom",
+                     columns: FieldColumns | None = None,
                      ) -> CoboundaryResult:
     """Solve c(X) = X.B for B in the span of the candidates, exactly.
 
     The system runs over every monomial field up to the given degree; a
     returned witness therefore satisfies the coboundary equation on that
     whole family, and an empty answer proves no witness exists in the span.
+    columns, if given, is field_columns(c, candidates, max_vf_degree).
     """
-    sol, nfields = _solve_on_fields(c, [], candidates, max_vf_degree)
+    sol, nfields = _solve_on_fields(c, [], candidates, max_vf_degree, columns)
     witness = None if sol is None \
         else linear_combination(single_ring(c.n), candidates, sol)
     return CoboundaryResult(witness, candidate_description, nfields)
@@ -205,15 +243,17 @@ def coboundary_solve(c: OneCocycle, candidates: list[PolyDiffOp],
 
 def class_proportionality(c: OneCocycle, reference: OneCocycle,
                           candidates: list[PolyDiffOp],
-                          max_vf_degree: int = 3):
+                          max_vf_degree: int = 3,
+                          columns: FieldColumns | None = None):
     """Exact scalar mu and witness B with c(X) = mu ref(X) + X.B, or None.
 
     Solvability says the two cocycles represent proportional cohomology
-    classes relative to the candidate coboundary space.
+    classes relative to the candidate coboundary space.  columns, if given,
+    is field_columns(c, candidates, max_vf_degree).
     """
     if (c.n, c.k, c.ell) != (reference.n, reference.k, reference.ell):
         raise StructureError("cocycle shapes differ")
-    sol, _ = _solve_on_fields(c, [reference], candidates, max_vf_degree)
+    sol, _ = _solve_on_fields(c, [reference], candidates, max_vf_degree, columns)
     if sol is None:
         return None
     return rat(sol[0]), linear_combination(single_ring(c.n), candidates, sol[1:])

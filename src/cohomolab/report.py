@@ -21,6 +21,7 @@ from .cocycles import (
     class_proportionality,
     cocycle_check,
     coboundary_solve,
+    field_columns,
     solver_line_cocycle,
 )
 from .operators import (
@@ -78,14 +79,16 @@ def certify_class(c: OneCocycle, max_vf_degree: int, reference: OneCocycle | Non
     The identity is checked on fields up to max_vf_degree.  Triviality is
     decided against the affine-equivariant basis of order 2(k - ell), and the
     optional reference class is matched against c modulo that basis (None
-    without a reference); both solve on fields up to min(max_vf_degree, 3).
+    without a reference); both solve on fields up to min(max_vf_degree, 3),
+    from one set of candidate and target columns.
     """
     identity = cocycle_check(c, max_vf_degree)
     basis = affine_equivariant_basis(c.n, c.k, c.ell, 2 * (c.k - c.ell))
     solve_degree = min(max_vf_degree, 3)
-    cob = coboundary_solve(c, basis, solve_degree, "affine-equivariant basis")
+    columns = field_columns(c, basis, solve_degree)
+    cob = coboundary_solve(c, basis, solve_degree, "affine-equivariant basis", columns)
     prop = None if reference is None \
-        else class_proportionality(c, reference, basis, solve_degree)
+        else class_proportionality(c, reference, basis, solve_degree, columns)
     return identity, cob, prop
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Poly, Ring, StructureError, check_vector_field, rat, single_ring
+from .poly import (Poly, Ring, StructureError, check_vector_field, norm_coeff, rat,
+                   single_ring)
 
 
 def schouten_bracket(f: Poly, g: Poly) -> Poly:
@@ -38,7 +39,6 @@ def schouten_bracket(f: Poly, g: Poly) -> Poly:
                     acc.pop(exp, None)
                 else:
                     acc[exp] = s
-    from .poly import norm_coeff
     return Poly(ring, {e: norm_coeff(c) for e, c in acc.items()}, _clean=True)
 
 

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
+from cohomolab import ansatz
 from cohomolab.ansatz import (
     AnsatzCoefficients,
+    BilinearOp,
     ansatz_term_op,
     build_bilinear,
     contraction_ops,
@@ -128,6 +131,72 @@ def test_cocycle_line_matches_second_class_coefficients():
     assert c.get("beta", 2) == 1
     assert c.get("beta", 3) == 2
     assert c.get("gamma", 2) == -5
+
+
+def _x_degree(f):
+    n = f.ring.n
+    return max(sum(e[:n]) for e in f.terms)
+
+
+def _xi_degree(f):
+    n = f.ring.n
+    return max(sum(e[n:]) for e in f.terms)
+
+
+def test_cocycle_filter_builds_each_field_operator_once(monkeypatch):
+    builds = Counter()
+    original = BilinearOp.operator_for_field
+
+    def counted(self, X):
+        builds[(id(self), X)] += 1
+        return original(self, X)
+
+    monkeypatch.setattr(BilinearOp, "operator_for_field", counted)
+    space = impose_cocycle(recurrence_solutions(2, 3, 2), 2, 3, 2)
+    assert space.to_json() == {
+        "dimension": 1, "matched_paper_case": "c",
+        "basis": [{"k": 3, "p": 2, "alpha": {"2": "-2/5", "3": "-9/5"},
+                   "beta": {"2": "-1/5", "3": "-2/5"}, "gamma": {"2": "1"}}]}
+    # the memoized fields are cubic monomials and quadratic generators; a
+    # field built twice must be a bracket [Y, Z], of x-degree 4 or 5
+    repeated = [X for (_, X), count in builds.items() if count > 1]
+    assert all(_x_degree(X) >= 4 for X in repeated)
+    assert any(_x_degree(X) <= 3 for _, X in builds)
+
+
+def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
+    k = 3
+    calls = Counter()
+    builds = Counter()
+    original = ansatz.schouten_bracket
+    original_build = BilinearOp.operator_for_field
+
+    def counted(f, g):
+        calls[(f, g)] += 1
+        return original(f, g)
+
+    def counted_build(self, X):
+        builds[(id(self), X)] += 1
+        return original_build(self, X)
+
+    monkeypatch.setattr(ansatz, "schouten_bracket", counted)
+    monkeypatch.setattr(BilinearOp, "operator_for_field", counted_build)
+    space = solve_equivariant_direct(2, k, 2)
+    assert space.to_json() == {
+        "dimension": 2, "matched_paper_case": "c",
+        "basis": [{"k": 3, "p": 2, "alpha": {"2": "-3/7", "3": "-3"},
+                   "beta": {"2": "1/7", "3": "1"}, "gamma": {}},
+                  {"k": 3, "p": 2, "alpha": {"2": "-4/7", "3": "-3"},
+                   "beta": {"2": "-1/7"}, "gamma": {"2": "1"}}]}
+    # {X, P} on a degree-k symbol P; fields and values have xi-degree 1
+    symbol_calls = [count for (_, g), count in calls.items()
+                    if not g.is_zero() and _xi_degree(g) == k]
+    assert symbol_calls and all(count == 1 for count in symbol_calls)
+    # the translations and linear generators are also test fields
+    generators = set(sl_generators(2).all())
+    generator_builds = [count for (_, X), count in builds.items() if X in generators]
+    assert len(generator_builds) == len(generators) * len(full_indices(k, 2))
+    assert all(count == 1 for count in generator_builds)
 
 
 def test_cocycle_general_second_class_coefficients():

@@ -93,10 +93,16 @@ def test_quantization_command_half(capsys):
 
 
 def test_properties_command(capsys):
-    code, out = run(capsys, ["properties", "--dim", "2", "--seed", "5",
-                             "--count", "10"])
+    code = main(["properties", "--dim", "2", "--seed", "5", "--count", "10"])
     assert code == 0
-    assert out.count("PASS") >= 6
+    assert capsys.readouterr().err.count("PASS") >= 6
+
+
+def test_properties_stdout_is_one_json_document(capsys):
+    code, out = run(capsys, ["properties", "--dim", "2", "--count", "3"])
+    assert code == 0
+    data = json.loads(out)
+    assert all(check["passed"] for check in data["result"]["checks"])
 
 
 CANDIDATE_FILES = {"garbage.txt": "garbage\n", "bad-exponent.txt": "(1) * dx1^a\n"}

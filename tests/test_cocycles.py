@@ -13,6 +13,7 @@ from cohomolab.cocycles import (
     class_proportionality,
     coboundary_solve,
     cocycle_check,
+    field_columns,
     monomial_fields,
     solver_line_cocycle,
     trace_contraction_op,
@@ -112,6 +113,22 @@ def test_constructed_coboundary_detected():
                    lambda X: module_action(X, D))
     res = coboundary_solve(c, [D], 3)
     assert res.is_coboundary and res.witness == D
+
+
+def test_shared_field_columns_give_the_same_answers():
+    c = builtin_c1(2, 2)
+    candidates = [divergence_diffop(R2)]
+    columns = field_columns(c, candidates, 3)
+    shared = coboundary_solve(c, candidates, 3, columns=columns)
+    assert shared.to_json() == coboundary_solve(c, candidates, 3).to_json()
+    ref = builtin_c1(2, 2)
+    expected = class_proportionality(c, ref, candidates, 3)
+    assert expected is not None
+    assert class_proportionality(c, ref, candidates, 3, columns) == expected
+    with pytest.raises(StructureError):
+        coboundary_solve(c, list(candidates), 3, columns=columns)
+    with pytest.raises(StructureError):
+        class_proportionality(c, ref, candidates, 2, columns)
 
 
 def test_nontriviality_of_invariant_cocycles():
