@@ -9,117 +9,65 @@ Everything is computed over exact rationals; every check is an identity.
 __version__ = "0.1.0"
 
 from .ansatz import (
-    AnsatzCoefficients,
-    BilinearOp,
-    SolutionSpace,
-    build_bilinear,
     impose_cocycle,
     recurrence_solutions,
     solve_equivariant_direct,
+    sys4_residuals,
 )
 from .cocycles import (
-    CocycleReport,
     OneCocycle,
     builtin_c1,
     builtin_c2,
     builtin_div,
     builtin_gamma1_flat,
+    class_proportionality,
     coboundary_solve,
     cocycle_check,
+    field_columns,
     vanishes_on_sl,
 )
-from .operators import (
-    PolyDiffOp,
-    SymbolMap,
-    affine_equivariant_basis,
-    divergence_diffop,
-    euler_diffop,
-    lie_derivative_op,
-    module_action,
-)
+from .operators import PolyDiffOp, affine_equivariant_basis
 from .poly import (
     Poly,
     ResourceLimitError,
-    Ring,
     StructureError,
-    SymbolSection,
-    doubled_ring,
     parse_poly,
     poly_str,
-    rat,
-    rat_str,
     single_ring,
-    symbol,
-    xi_degree_sections,
 )
-from .quantization import (
-    DensityOperator,
-    normal_order_section,
-    quantization_projected_cocycle,
-    quantization_top_cocycle,
-    sequence_cocycle,
-    weighted_lie_derivative,
-)
-from .report import RunConfig, cohomology_table, emit_report, run_property_suite
-from .symbols import (
-    GeneratorFamily,
-    divergence_cocycle,
-    hamiltonian_action,
-    schouten_bracket,
-    sl_generators,
-)
+from .quantization import quantization_projected_cocycle, quantization_top_cocycle
+from .report import RunConfig, cohomology_table, emit_report, quantization_report
+from .symbols import one_form_primitive
 
+# The API the README's "Python API" section documents.
 __all__ = [
-    "AnsatzCoefficients",
-    "BilinearOp",
-    "CocycleReport",
-    "DensityOperator",
-    "GeneratorFamily",
     "OneCocycle",
     "Poly",
     "PolyDiffOp",
     "ResourceLimitError",
-    "Ring",
     "RunConfig",
-    "SolutionSpace",
     "StructureError",
-    "SymbolMap",
-    "SymbolSection",
     "affine_equivariant_basis",
-    "build_bilinear",
     "builtin_c1",
     "builtin_c2",
     "builtin_div",
     "builtin_gamma1_flat",
+    "class_proportionality",
     "coboundary_solve",
     "cocycle_check",
     "cohomology_table",
-    "divergence_cocycle",
-    "divergence_diffop",
-    "doubled_ring",
     "emit_report",
-    "euler_diffop",
-    "hamiltonian_action",
+    "field_columns",
     "impose_cocycle",
-    "lie_derivative_op",
-    "module_action",
-    "normal_order_section",
+    "one_form_primitive",
     "parse_poly",
     "poly_str",
     "quantization_projected_cocycle",
+    "quantization_report",
     "quantization_top_cocycle",
-    "rat",
-    "rat_str",
     "recurrence_solutions",
-    "run_property_suite",
-    "schouten_bracket",
-    "sequence_cocycle",
     "single_ring",
-    "sl_generators",
     "solve_equivariant_direct",
-    "symbol",
+    "sys4_residuals",
     "vanishes_on_sl",
-    "weighted_lie_derivative",
-    "xi_degree_sections",
-    "__version__",
 ]

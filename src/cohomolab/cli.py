@@ -19,6 +19,7 @@ from .cocycles import (
     builtin_div,
     builtin_gamma1_flat,
     coboundary_solve,
+    field_columns,
 )
 # Unused here; the benchmark's tracer asserts that this module binds it.
 from .cocycles import cocycle_check  # noqa: F401
@@ -84,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--max-vf-degree", type=int, default=3)
     p.add_argument("--candidates", choices=("affine", "custom-file"), default="affine")
-    p.add_argument("--candidates-file", help="file with one operator text form per line")
+    p.add_argument("--candidates-file",
+                   help="for --candidates custom-file: one operator text form per line")
     p.add_argument("--max-order", type=int, default=None,
                    help="order bound for the affine-equivariant candidates")
     p.add_argument("--a", default="1")
@@ -133,8 +135,12 @@ def _candidates(args, c):
             raise StructureError("--candidates custom-file needs --candidates-file")
         ring = single_ring(args.dim)
         with open(args.candidates_file) as fh:
-            return ([parse_op(ring, line.strip()) for line in fh if line.strip()],
-                    f"custom:{args.candidates_file}")
+            ops = [parse_op(ring, line.strip()) for line in fh if line.strip()]
+        if not ops:
+            raise StructureError(f"{args.candidates_file} holds no operator line")
+        return ops, f"custom:{args.candidates_file}"
+    if args.candidates_file:
+        raise StructureError("--candidates-file needs --candidates custom-file")
     order = args.max_order if args.max_order is not None \
         else max(2 * (c.k - c.ell), 2)
     return (affine_equivariant_basis(args.dim, c.k, c.ell, order),
@@ -199,7 +205,7 @@ def _dispatch(args) -> int:
     elif command == "coboundary-test":
         c = _make_cocycle(args)
         candidates, desc = _candidates(args, c)
-        res = coboundary_solve(c, candidates, args.max_vf_degree, desc)
+        res = coboundary_solve(field_columns(c, candidates, args.max_vf_degree), desc)
         result = res.to_json()
         result["name"] = args.name
         ok = True

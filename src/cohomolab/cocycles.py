@@ -113,10 +113,8 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4) -> IdentityCheck:
             bracket = schouten_bracket(fields[i], fields[j])
             defect = c.evaluate(bracket) if not bracket.is_zero() \
                 else PolyDiffOp.zero(values[i].ring)
-            defect = defect - (lie_ops[i].compose(values[j])
-                               - values[j].compose(lie_ops[i]))
-            defect = defect + (lie_ops[j].compose(values[i])
-                               - values[i].compose(lie_ops[j]))
+            defect = (defect - lie_ops[i].commutator(values[j])
+                      + lie_ops[j].commutator(values[i]))
             sm = defect.symbol_map(c.k)
             if not sm.is_zero():
                 P, val = _nonzero_witness(sm, c.n)
@@ -133,11 +131,6 @@ def vanishes_on_sl(c: OneCocycle) -> bool:
     """True iff the cocycle kills every projective generator."""
     fam = sl_generators(c.n)
     return all(c.symbol_map(X).is_zero() for X in fam.all())
-
-
-def vanishes_on_affine(c: OneCocycle) -> bool:
-    fam = sl_generators(c.n)
-    return all(c.symbol_map(X).is_zero() for X in fam.affine())
 
 
 @dataclass
@@ -165,14 +158,12 @@ class FieldColumns:
     """The columns of c(X) = X.B on every monomial field up to a degree.
 
     candidate_columns[j] and target map (field index, canonical-form key) to
-    the entries of X.B_j and of c(X).  Built once by field_columns, they can
-    serve both coboundary_solve and class_proportionality for the same
-    (c, candidates, max_vf_degree).
+    the entries of X.B_j and of c(X).  Built by field_columns; one set of
+    columns serves both coboundary_solve and class_proportionality.
     """
 
     c: OneCocycle
     candidates: list[PolyDiffOp]
-    max_vf_degree: int
     fields: list[Poly]
     candidate_columns: list[dict]
     target: dict
@@ -197,66 +188,52 @@ def field_columns(c: OneCocycle, candidates: list[PolyDiffOp],
     fields = monomial_fields(c.n, max_vf_degree)
     candidate_columns = [_column(module_action(X, B).symbol_map(c.k) for X in fields)
                          for B in candidates]
-    return FieldColumns(c, candidates, max_vf_degree, fields, candidate_columns,
+    return FieldColumns(c, candidates, fields, candidate_columns,
                         _column(map(c.symbol_map, fields)))
 
 
-def _solve_on_fields(c: OneCocycle, references: list[OneCocycle],
-                     candidates: list[PolyDiffOp], max_vf_degree: int,
-                     columns: FieldColumns | None):
+def _solve_on_fields(columns: FieldColumns, references: list[OneCocycle]):
     """Exact mu, b with c(X) = sum mu_i ref_i(X) + X.(sum b_j B_j) on every field.
 
     Returns the solution vector (mu followed by b, free variables zero), or
-    None when the system has no solution, together with the number of
-    fields.  columns, if given, must be field_columns(c, candidates,
-    max_vf_degree).
+    None when the system has no solution.
     """
-    if columns is None:
-        columns = field_columns(c, candidates, max_vf_degree)
-    elif (columns.c is not c or columns.candidates is not candidates
-          or columns.max_vf_degree != max_vf_degree):
-        raise StructureError("the columns were built for another system")
     ref_columns = [_column(map(ref.symbol_map, columns.fields)) for ref in references]
     rows = keyed_rows(ref_columns + columns.candidate_columns + [columns.target])
     ncols = len(ref_columns) + len(columns.candidate_columns)
     rhs = [row.pop(ncols, 0) for row in rows]
-    return solve(rows, rhs, ncols), len(columns.fields)
+    return solve(rows, rhs, ncols)
 
 
-def coboundary_solve(c: OneCocycle, candidates: list[PolyDiffOp],
-                     max_vf_degree: int = 4,
-                     candidate_description: str = "custom",
-                     columns: FieldColumns | None = None,
-                     ) -> CoboundaryResult:
+def coboundary_solve(columns: FieldColumns,
+                     candidate_description: str = "custom") -> CoboundaryResult:
     """Solve c(X) = X.B for B in the span of the candidates, exactly.
 
-    The system runs over every monomial field up to the given degree; a
-    returned witness therefore satisfies the coboundary equation on that
-    whole family, and an empty answer proves no witness exists in the span.
-    columns, if given, is field_columns(c, candidates, max_vf_degree).
+    columns is field_columns(c, candidates, max_vf_degree): the system runs
+    over every monomial field up to that degree, so a returned witness
+    satisfies the coboundary equation on that whole family, and an empty
+    answer proves no witness exists in the span.
     """
-    sol, nfields = _solve_on_fields(c, [], candidates, max_vf_degree, columns)
+    sol = _solve_on_fields(columns, [])
     witness = None if sol is None \
-        else linear_combination(single_ring(c.n), candidates, sol)
-    return CoboundaryResult(witness, candidate_description, nfields)
+        else linear_combination(single_ring(columns.c.n), columns.candidates, sol)
+    return CoboundaryResult(witness, candidate_description, len(columns.fields))
 
 
-def class_proportionality(c: OneCocycle, reference: OneCocycle,
-                          candidates: list[PolyDiffOp],
-                          max_vf_degree: int = 3,
-                          columns: FieldColumns | None = None):
+def class_proportionality(columns: FieldColumns, reference: OneCocycle):
     """Exact scalar mu and witness B with c(X) = mu ref(X) + X.B, or None.
 
-    Solvability says the two cocycles represent proportional cohomology
-    classes relative to the candidate coboundary space.  columns, if given,
-    is field_columns(c, candidates, max_vf_degree).
+    columns is field_columns(c, candidates, max_vf_degree).  Solvability says
+    the two cocycles represent proportional cohomology classes relative to
+    the candidate coboundary space.
     """
+    c = columns.c
     if (c.n, c.k, c.ell) != (reference.n, reference.k, reference.ell):
         raise StructureError("cocycle shapes differ")
-    sol, _ = _solve_on_fields(c, [reference], candidates, max_vf_degree, columns)
+    sol = _solve_on_fields(columns, [reference])
     if sol is None:
         return None
-    return rat(sol[0]), linear_combination(single_ring(c.n), candidates, sol[1:])
+    return rat(sol[0]), linear_combination(single_ring(c.n), columns.candidates, sol[1:])
 
 
 # -- built-in cocycles ---------------------------------------------------------

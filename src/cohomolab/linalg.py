@@ -133,10 +133,6 @@ def same_span(a: list[list[Coeff]], b: list[list[Coeff]]) -> bool:
     return rank_of(a + b) == ra
 
 
-def in_span(vectors: list[list[Coeff]], target: list[Coeff]) -> bool:
-    return rank_of(vectors) == rank_of(vectors + [target])
-
-
 def solve(rows: list[Row], rhs: list[Coeff], ncols: int) -> list[Coeff] | None:
     """One exact solution of rows * v = rhs, or None if inconsistent.
 

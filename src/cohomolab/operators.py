@@ -317,9 +317,6 @@ class SymbolMap:
                 out[key] = norm_coeff(s)
         return SymbolMap(self.n, self.k, out)
 
-    def output_degrees(self) -> set[int]:
-        return {sum(w) for (_, w, _, _) in self.entries}
-
     def apply(self, p: Poly) -> Poly:
         """Evaluate the map on a degree-k symbol (for spot checks)."""
         ring = p.ring
@@ -428,8 +425,7 @@ def module_action(X: Poly, A: PolyDiffOp) -> PolyDiffOp:
     """The vector-field action X.A = L_X o A - A o L_X on operators."""
     if X.ring != A.ring:
         raise StructureError("ring mismatch in module action")
-    L = lie_derivative_op(X)
-    return L.compose(A) - A.compose(L)
+    return lie_derivative_op(X).commutator(A)
 
 
 MAX_AFFINE_CANDIDATES = 60_000
@@ -451,6 +447,8 @@ def affine_equivariant_basis(n: int, k: int, ell: int, max_order: int) -> list[P
 
     if k < 0 or ell < 0:
         raise StructureError("symbol degrees must be nonnegative")
+    if max_order < 0:
+        raise StructureError("the operator order bound must be nonnegative")
     ring = single_ring(n)
     shift = ell - k
     candidates: list[PolyDiffOp] = []
@@ -492,7 +490,6 @@ def affine_equivariant_basis(n: int, k: int, ell: int, max_order: int) -> list[P
         for key, c in sm.entries.items():
             idx = key_index.setdefault(key, len(key_index))
             row[idx] = c
-        reducer.ncols = len(key_index)
         if reducer.add_row(row):
             basis.append(op)
     return basis

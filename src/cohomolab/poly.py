@@ -447,35 +447,6 @@ def parse_poly(ring: Ring, text: str) -> Poly:
     return Poly(ring, terms, _clean=True)
 
 
-@dataclass(frozen=True)
-class SymbolSection:
-    """A polynomial symbol homogeneous of a fixed degree in the fiber variables."""
-
-    poly: Poly
-    degree: int
-
-    def __post_init__(self):
-        if self.poly.ring.doubled:
-            raise StructureError("symbols live in the single ring")
-        d = self.poly.xi_degree()
-        if d is None or (self.poly.terms and d != self.degree):
-            raise StructureError(
-                f"polynomial is not xi-homogeneous of degree {self.degree}")
-
-
-def symbol(p: Poly) -> SymbolSection:
-    """Wrap a xi-homogeneous polynomial as a SymbolSection."""
-    d = p.xi_degree()
-    if d is None:
-        raise StructureError("polynomial is not xi-homogeneous")
-    return SymbolSection(p, d)
-
-
-def xi_degree_sections(p: Poly) -> list[SymbolSection]:
-    """Homogeneous components wrapped as sections, ascending degree."""
-    return [SymbolSection(part, k) for k, part in p.xi_degree_decompose()]
-
-
 def check_vector_field(X: Poly) -> Poly:
     """Validate the degree-1 symbol identification of a vector field."""
     if X.ring.doubled:

@@ -143,37 +143,15 @@ def normal_order_section(P: Poly, weight) -> DensityOperator:
     return DensityOperator(n, weight, terms)
 
 
-def right_order_section(P: Poly, weight) -> DensityOperator:
-    """The section placing coefficients to the right: p xi^v |-> d^v o (p .)."""
-    n = P.ring.n
-    out = DensityOperator(n, weight, {})
-    pad = (0,) * n
-    for exp, c in P.terms.items():
-        u, v = exp[:n], exp[n:]
-        mult = DensityOperator(n, weight,
-                               {pad: Poly.monomial(P.ring, u + pad, c)})
-        dv = DensityOperator(n, weight, {v: Poly.constant(P.ring, 1)})
-        out = out + dv.compose(mult)
-    return out
-
-
-def symmetrized_section(P: Poly, weight) -> DensityOperator:
-    """Average of the left- and right-ordered sections; still a symbol section."""
-    left = normal_order_section(P, weight)
-    right = right_order_section(P, weight)
-    return (left + right).scale(Fraction(1, 2))
-
-
-def sequence_cocycle(X: Poly, P: Poly, weight,
-                     section=normal_order_section) -> DensityOperator:
+def sequence_cocycle(X: Poly, P: Poly, weight) -> DensityOperator:
     """The connecting cocycle value [L_X, tau(P)] - tau(L_X P); order <= k-1."""
     check_vector_field(X)
     k = P.xi_degree()
     if k is None:
         raise StructureError("the symbol argument must be xi-homogeneous")
     L = weighted_lie_derivative(X, weight)
-    tau_P = section(P, weight)
-    out = L.compose(tau_P) - tau_P.compose(L) - section(hamiltonian_action(X, P), weight)
+    out = (L.commutator(normal_order_section(P, weight))
+           - normal_order_section(hamiltonian_action(X, P), weight))
     if P.terms and out.order > max(k - 1, 0):
         raise StructureError("top symbols failed to cancel in the sequence cocycle")
     return out
@@ -249,8 +227,7 @@ def operator_from_symbol_values(n: int, k: int, ell: int, value_fn,
     return op
 
 
-def quantization_top_cocycle(n: int, k: int, weight,
-                             section=normal_order_section) -> OneCocycle:
+def quantization_top_cocycle(n: int, k: int, weight) -> OneCocycle:
     """The top symbol of the connecting cocycle, as a cocycle S_k -> S_(k-1)."""
     if k < 1:
         raise StructureError("the quantization cocycle needs degree >= 1")
@@ -260,7 +237,7 @@ def quantization_top_cocycle(n: int, k: int, weight,
     def rule(X: Poly) -> PolyDiffOp:
         def value(u, v):
             P = Poly.monomial(ring, tuple(u) + tuple(v))
-            return sequence_cocycle(X, P, weight, section).principal_symbol(k - 1)
+            return sequence_cocycle(X, P, weight).principal_symbol(k - 1)
 
         return operator_from_symbol_values(n, k, k - 1, value, max_x_order=2)
 
@@ -286,7 +263,7 @@ def quantization_projected_cocycle(n: int, k: int, weight,
         tau_BP = normal_order_section(splitting.apply(P), weight)
         tau_BXP = normal_order_section(
             splitting.apply(hamiltonian_action(X, P)), weight)
-        correction = L.compose(tau_BP) - tau_BP.compose(L) - tau_BXP
+        correction = L.commutator(tau_BP) - tau_BXP
         out = gamma - correction
         if P.terms and out.order > max(k - 2, 0):
             raise StructureError("splitting witness failed to cancel the top symbol")

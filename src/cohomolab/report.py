@@ -29,7 +29,6 @@ from .operators import (
     affine_equivariant_basis,
     divergence_diffop,
     euler_diffop,
-    lie_derivative_op,
     module_action,
     monomials_up_to,
     op_str,
@@ -84,11 +83,9 @@ def certify_class(c: OneCocycle, max_vf_degree: int, reference: OneCocycle | Non
     """
     identity = cocycle_check(c, max_vf_degree)
     basis = affine_equivariant_basis(c.n, c.k, c.ell, 2 * (c.k - c.ell))
-    solve_degree = min(max_vf_degree, 3)
-    columns = field_columns(c, basis, solve_degree)
-    cob = coboundary_solve(c, basis, solve_degree, "affine-equivariant basis", columns)
-    prop = None if reference is None \
-        else class_proportionality(c, reference, basis, solve_degree, columns)
+    columns = field_columns(c, basis, min(max_vf_degree, 3))
+    cob = coboundary_solve(columns, "affine-equivariant basis")
+    prop = None if reference is None else class_proportionality(columns, reference)
     return identity, cob, prop
 
 
@@ -202,8 +199,7 @@ def check_relation(n: int, max_total_degree: int = 6) -> dict:
     results = []
     ok = True
     for i in range(n):
-        L = lie_derivative_op(fam.quadratic[i])
-        lhs = L.compose(D) - D.compose(L)
+        lhs = module_action(fam.quadratic[i], D)
         rhs = (E.scale(2) + I.scale(n + 1)).compose(
             PolyDiffOp.derivative(ring, ring.xi(i)))
         normal_equal = lhs == rhs

@@ -72,25 +72,11 @@ class GeneratorFamily:
     linear: dict[tuple[int, int], Poly]
     quadratic: tuple[Poly, ...]
 
-    def labeled(self) -> list[tuple[str, Poly]]:
-        """All generators with their CLI labels, in canonical order."""
-        out = [(f"T {i + 1}", X) for i, X in enumerate(self.translations)]
-        for (i, j) in sorted(self.linear):
-            out.append((f"L {i + 1} {j + 1}", self.linear[(i, j)]))
-        out.extend((f"Q {i + 1}", X) for i, X in enumerate(self.quadratic))
-        return out
-
     def all(self) -> list[Poly]:
-        return [X for _, X in self.labeled()]
+        return self.affine() + list(self.quadratic)
 
     def affine(self) -> list[Poly]:
         return list(self.translations) + [self.linear[k] for k in sorted(self.linear)]
-
-    def by_label(self, label: str) -> Poly:
-        for lab, X in self.labeled():
-            if lab == label:
-                return X
-        raise StructureError(f"unknown generator label {label!r}")
 
 
 def sl_generators(n: int) -> GeneratorFamily:

@@ -1,0 +1,64 @@
+"""The package's public API: what it exports, and no test-only code in src/."""
+
+import ast
+import re
+from itertools import takewhile
+from pathlib import Path
+
+import cohomolab
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cohomolab"
+
+# Top-level names the benchmark's job lists read from the package.
+BENCHMARK_NAMES = {"ResourceLimitError", "RunConfig", "cohomology_table", "builtin_c1",
+                   "builtin_c2", "builtin_gamma1_flat", "recurrence_solutions",
+                   "solve_equivariant_direct"}
+
+
+def readme_api_names() -> list[str]:
+    """The backquoted names in the list of the README's "Python API" section."""
+    text = (ROOT / "README.md").read_text()
+    lines = text.split("\n## Python API\n", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("- "))
+    listing = "\n".join(takewhile(str.strip, lines[start:]))
+    return re.findall(r"`([A-Za-z_]\w*)`", listing)
+
+
+def test_exports_resolve_and_match_the_readme():
+    exported = cohomolab.__all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(cohomolab, name)] == []
+    documented = readme_api_names()
+    assert len(set(documented)) == len(documented)
+    assert set(exported) == set(documented)
+    assert BENCHMARK_NAMES <= set(exported)
+
+
+def loaded_names(tree: ast.AST, skip: set[int]) -> set[str]:
+    """Names and attribute names read anywhere in tree outside the skipped nodes."""
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_every_module_level_definition_is_used_in_src_or_exported():
+    # __init__.py only re-exports, so its imports do not count as uses
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = {id(sub) for sub in ast.walk(node)}
+            used = any(node.name in loaded_names(other, own) for other in trees.values())
+            if not used and node.name not in cohomolab.__all__:
+                unused.append(f"{module}:{node.name}")
+    assert unused == []

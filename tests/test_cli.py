@@ -105,7 +105,12 @@ def test_properties_stdout_is_one_json_document(capsys):
     assert all(check["passed"] for check in data["result"]["checks"])
 
 
-CANDIDATE_FILES = {"garbage.txt": "garbage\n", "bad-exponent.txt": "(1) * dx1^a\n"}
+CANDIDATE_FILES = {
+    "garbage.txt": "garbage\n",
+    "bad-exponent.txt": "(1) * dx1^a\n",
+    "empty.txt": "\n",
+    "divergence.txt": "(1) * dx1 * dxi1 + (1) * dx2 * dxi2\n",
+}
 
 CONFIG_ERRORS = {
     "bad-dimension": (["check-relation", "--dim", "1"], None),
@@ -124,6 +129,14 @@ CONFIG_ERRORS = {
     "bad-candidate-exponent": (["coboundary-test", "--name", "c1", "--dim", "2",
                                 "--order", "2", "--candidates", "custom-file",
                                 "--candidates-file", "{tmp}/bad-exponent.txt"], None),
+    "empty-candidates-file": (["coboundary-test", "--name", "c1", "--dim", "2",
+                               "--order", "2", "--candidates", "custom-file",
+                               "--candidates-file", "{tmp}/empty.txt"], None),
+    "candidates-file-without-custom": (["coboundary-test", "--name", "c1", "--dim", "2",
+                                        "--order", "2", "--candidates-file",
+                                        "{tmp}/divergence.txt"], None),
+    "negative-max-order": (["coboundary-test", "--name", "c1", "--dim", "2",
+                            "--order", "2", "--max-order", "-1"], None),
     "affine-coboundary-fields": (["coboundary-test", "--name", "c1", "--dim", "2",
                                   "--order", "2", "--max-vf-degree", "1"], None),
     "negative-coboundary-degree": (["coboundary-test", "--name", "c1", "--dim", "2",

@@ -17,12 +17,13 @@ from cohomolab.cocycles import (
     monomial_fields,
     solver_line_cocycle,
     trace_contraction_op,
-    vanishes_on_affine,
     vanishes_on_sl,
 )
 from cohomolab.operators import PolyDiffOp, affine_equivariant_basis, divergence_diffop, module_action
 from cohomolab.poly import Poly, StructureError, single_ring
-from cohomolab.symbols import one_form_primitive
+from cohomolab.quantization import quantization_top_cocycle
+from cohomolab.report import certify_class
+from cohomolab.symbols import one_form_primitive, sl_generators
 
 R2 = single_ring(2)
 
@@ -101,7 +102,7 @@ def test_sl_vanishing_pattern():
     assert vanishes_on_sl(builtin_c1(2, 2))
     assert vanishes_on_sl(builtin_c2(2, 3))
     g1 = builtin_gamma1_flat(2, 2)
-    assert vanishes_on_affine(g1)
+    assert all(g1.symbol_map(X).is_zero() for X in sl_generators(2).affine())
     assert not vanishes_on_sl(g1)
     assert not vanishes_on_sl(builtin_div(2, 2, 1, zero_form(R2)))
     assert vanishes_on_sl(OneCocycle(2, 2, 1, "zero", lambda X: PolyDiffOp.zero(R2)))
@@ -111,24 +112,20 @@ def test_constructed_coboundary_detected():
     D = divergence_diffop(R2)
     c = OneCocycle(2, 2, 1, "bdry",
                    lambda X: module_action(X, D))
-    res = coboundary_solve(c, [D], 3)
+    res = coboundary_solve(field_columns(c, [D], 3))
     assert res.is_coboundary and res.witness == D
 
 
 def test_shared_field_columns_give_the_same_answers():
-    c = builtin_c1(2, 2)
-    candidates = [divergence_diffop(R2)]
-    columns = field_columns(c, candidates, 3)
-    shared = coboundary_solve(c, candidates, 3, columns=columns)
-    assert shared.to_json() == coboundary_solve(c, candidates, 3).to_json()
-    ref = builtin_c1(2, 2)
-    expected = class_proportionality(c, ref, candidates, 3)
-    assert expected is not None
-    assert class_proportionality(c, ref, candidates, 3, columns) == expected
-    with pytest.raises(StructureError):
-        coboundary_solve(c, list(candidates), 3, columns=columns)
-    with pytest.raises(StructureError):
-        class_proportionality(c, ref, candidates, 2, columns)
+    # certify_class solves both systems on one set of columns; its answers
+    # equal those of the two solves on columns of their own
+    for c, ref in ((builtin_c1(2, 2), builtin_c1(2, 2)),
+                   (quantization_top_cocycle(2, 2, Fraction(1, 2)), builtin_c1(2, 2))):
+        basis = affine_equivariant_basis(2, c.k, c.ell, 2 * (c.k - c.ell))
+        _, cob, prop = certify_class(c, 3, ref)
+        expected = coboundary_solve(field_columns(c, basis, 3), "affine-equivariant basis")
+        assert cob.to_json() == expected.to_json()
+        assert prop == class_proportionality(field_columns(c, basis, 3), ref)
 
 
 def test_nontriviality_of_invariant_cocycles():
@@ -136,10 +133,10 @@ def test_nontriviality_of_invariant_cocycles():
         ring = single_ring(n)
         for k in (2, 3, 4):
             basis1 = affine_equivariant_basis(n, k, k - 1, 2)
-            res1 = coboundary_solve(builtin_c1(n, k), basis1, 3)
+            res1 = coboundary_solve(field_columns(builtin_c1(n, k), basis1, 3))
             assert not res1.is_coboundary
             basis2 = affine_equivariant_basis(n, k, k - 2, 4)
-            res2 = coboundary_solve(builtin_c2(n, k), basis2, 3)
+            res2 = coboundary_solve(field_columns(builtin_c2(n, k), basis2, 3))
             assert not res2.is_coboundary
 
 
@@ -151,13 +148,13 @@ def test_divergence_cocycle_coboundary_criterion():
     f = one_form_primitive(omega, ring)
     mult_f = PolyDiffOp(ring, {(0, 0, 0, 0): f})
     candidates = [mult_f, PolyDiffOp.identity(ring)]
-    res = coboundary_solve(c_exact, candidates, 3, "primitive and identity")
+    res = coboundary_solve(field_columns(c_exact, candidates, 3), "primitive and identity")
     assert res.is_coboundary
     assert res.witness == mult_f
     # a != 0: no witness within the affine-equivariant candidate space
     c_div = builtin_div(2, 2, 1, omega)
     basis = affine_equivariant_basis(2, 2, 2, 2)
-    assert not coboundary_solve(c_div, basis, 3).is_coboundary
+    assert not coboundary_solve(field_columns(c_div, basis, 3)).is_coboundary
 
 
 def test_solver_line_matches_builtin_c1_by_constant_ratio():
@@ -165,7 +162,7 @@ def test_solver_line_matches_builtin_c1_by_constant_ratio():
         line = impose_cocycle(recurrence_solutions(n, k, 1), n, k, 1)
         assert line.dimension == 1
         sc = solver_line_cocycle(n, line.basis[0].normalized())
-        res = class_proportionality(sc, builtin_c1(n, k), [], 3)
+        res = class_proportionality(field_columns(sc, [], 3), builtin_c1(n, k))
         assert res is not None
         mu, witness = res
         assert mu == Fraction(1, 2)
@@ -179,7 +176,7 @@ def test_solver_p2_line_matches_builtin_c2():
     for n, k in [(2, 3), (2, 2)]:
         line = impose_cocycle(recurrence_solutions(n, k, 2), n, k, 2)
         sc = solver_line_cocycle(n, line.basis[0])
-        res = class_proportionality(sc, builtin_c2(n, k), [], 3)
+        res = class_proportionality(field_columns(sc, [], 3), builtin_c2(n, k))
         assert res is not None
         mu, witness = res
         assert mu != 0 and witness.is_zero()

@@ -236,14 +236,3 @@ def test_poly_str_roundtrip():
         for _ in range(20):
             p = random_poly(rng, ring, max_degree=4)
             assert parse_poly(ring, poly_str(p)) == p
-
-
-def test_xi_degree_sections_wrapping():
-    from cohomolab.poly import SymbolSection, xi_degree_sections
-
-    p = xi(0) + xi(0) * xi(1) + x(0)
-    sections = xi_degree_sections(p)
-    assert [s.degree for s in sections] == [0, 1, 2]
-    assert all(isinstance(s, SymbolSection) for s in sections)
-    with pytest.raises(StructureError):
-        SymbolSection(p, 1)
