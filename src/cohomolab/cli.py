@@ -88,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates-file",
                    help="for --candidates custom-file: one operator text form per line")
     p.add_argument("--max-order", type=int, default=None,
-                   help="order bound for the affine-equivariant candidates")
+                   help="order bound for the affine-equivariant candidates only; "
+                        "rejected with --candidates custom-file")
     p.add_argument("--a", default="1")
     p.add_argument("--omega", default="")
 
@@ -133,6 +134,9 @@ def _candidates(args, c):
     if args.candidates == "custom-file":
         if not args.candidates_file:
             raise StructureError("--candidates custom-file needs --candidates-file")
+        if args.max_order is not None:
+            raise StructureError("--max-order bounds only the affine candidates, "
+                                 "not --candidates custom-file")
         ring = single_ring(args.dim)
         with open(args.candidates_file) as fh:
             ops = [parse_op(ring, line.strip()) for line in fh if line.strip()]

@@ -15,6 +15,32 @@ Its symbol projections are vector-field cocycles with operator values; the
 top projection is trivial exactly at the halfway weight, where the explicit
 splitting witness found by the coboundary solver lets the next projection
 be formed, reproducing the degree-two-lowering class.
+
+Closed form of the top projection.  Normal ordering is the standard
+(coefficients-left) symbol calculus, in which
+
+    sigma(A o B) = sum_a  d_xi^a sigma(A) * d_x^a sigma(B) / a!
+
+(the calculus of Lecomte and Ovsienko's projectively equivariant
+quantization, Lett. Math. Phys. 49 (1999)).  Here sigma(tau(P)) = P and
+sigma(L_X) = X + lambda div X is linear in xi, so
+
+    sigma(L_X o tau(P)) = (X + lambda div X) P + X^i d_i P,
+    sigma(tau(P) o L_X) = sum_a  d_xi^a P * d_x^a (X + lambda div X) / a!,
+    sigma(tau(L_X P))   = X^i d_i P - d_i X^j xi_j d_xi_i P.
+
+In the difference the a = 0 terms, the transport terms and the |a| = 1
+terms on X cancel, which leaves
+
+    sigma(gamma(X)(P)) = - sum_{|a| >= 2} d_xi^a P * d_x^a X / a!
+                         - lambda sum_{|a| >= 1} d_xi^a P * d_x^a(div X) / a!.
+
+The first sum has xi-degree k + 1 - |a| and the second k - |a|, so only
+|a| = 2 on X and |a| = 1 on div X reach degree k - 1.  In the two-point
+contractions of the bilinear ansatz (ansatz.py) that top part is
+-Dxeta^2 / 2 - lambda Dxxi Dxeta, the (k, p = 1) candidate with
+alpha_2 = -1 and beta_2 = -lambda, and quantization_top_cocycle evaluates it
+as one operator build per field.
 """
 
 from __future__ import annotations
@@ -22,6 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from .ansatz import AnsatzCoefficients, build_bilinear
 from .cocycles import OneCocycle
 from .operators import PolyDiffOp, falling, monomials_up_to, op_str, xi_simplex
 from .poly import (
@@ -228,20 +255,25 @@ def operator_from_symbol_values(n: int, k: int, ell: int, value_fn,
 
 
 def quantization_top_cocycle(n: int, k: int, weight) -> OneCocycle:
-    """The top symbol of the connecting cocycle, as a cocycle S_k -> S_(k-1)."""
+    """The top symbol of the connecting cocycle, as a cocycle S_k -> S_(k-1).
+
+    Evaluated in closed form (module docstring): X |-> sigma_(k-1) gamma(X)
+    is the operator P |-> C(X, P) of the bilinear contraction
+    C = -Dxeta^2 / 2 - lambda Dxxi Dxeta.  The definition, the principal
+    symbol of sequence_cocycle rebuilt by operator_from_symbol_values, gives
+    the same canonical form on every field: both rules are linear in X,
+    x-translation equivariant and of order <= k + 1 in X (the full symbol in
+    the module docstring differentiates X at most k + 1 times), so they agree
+    iff they agree on the monomial fields of degree <= k + 1, which the tests
+    check.
+    """
     if k < 1:
         raise StructureError("the quantization cocycle needs degree >= 1")
-    ring = single_ring(n)
     weight = rat(weight)
-
-    def rule(X: Poly) -> PolyDiffOp:
-        def value(u, v):
-            P = Poly.monomial(ring, tuple(u) + tuple(v))
-            return sequence_cocycle(X, P, weight).principal_symbol(k - 1)
-
-        return operator_from_symbol_values(n, k, k - 1, value, max_x_order=2)
-
-    return OneCocycle(n, k, k - 1, f"sigma{k - 1}-quantization", rule)
+    contraction = build_bilinear(
+        AnsatzCoefficients(k, 1, alpha={2: -1}, beta={2: -weight}), n)
+    return OneCocycle(n, k, k - 1, f"sigma{k - 1}-quantization",
+                      contraction.operator_for_field)
 
 
 def quantization_projected_cocycle(n: int, k: int, weight,
@@ -257,9 +289,8 @@ def quantization_projected_cocycle(n: int, k: int, weight,
     ring = single_ring(n)
     weight = rat(weight)
 
-    def corrected(X: Poly, P: Poly) -> DensityOperator:
+    def corrected(X: Poly, L: DensityOperator, P: Poly) -> DensityOperator:
         gamma = sequence_cocycle(X, P, weight)
-        L = weighted_lie_derivative(X, weight)
         tau_BP = normal_order_section(splitting.apply(P), weight)
         tau_BXP = normal_order_section(
             splitting.apply(hamiltonian_action(X, P)), weight)
@@ -270,9 +301,11 @@ def quantization_projected_cocycle(n: int, k: int, weight,
         return out
 
     def rule(X: Poly) -> PolyDiffOp:
+        L = weighted_lie_derivative(X, weight)
+
         def value(u, v):
             P = Poly.monomial(ring, tuple(u) + tuple(v))
-            return corrected(X, P).principal_symbol(k - 2)
+            return corrected(X, L, P).principal_symbol(k - 2)
 
         return operator_from_symbol_values(n, k, k - 2, value, max_x_order=3)
 

@@ -135,6 +135,10 @@ CONFIG_ERRORS = {
     "candidates-file-without-custom": (["coboundary-test", "--name", "c1", "--dim", "2",
                                         "--order", "2", "--candidates-file",
                                         "{tmp}/divergence.txt"], None),
+    "max-order-with-custom-file": (["coboundary-test", "--name", "c1", "--dim", "2",
+                                    "--order", "2", "--candidates", "custom-file",
+                                    "--candidates-file", "{tmp}/divergence.txt",
+                                    "--max-order", "7"], None),
     "negative-max-order": (["coboundary-test", "--name", "c1", "--dim", "2",
                             "--order", "2", "--max-order", "-1"], None),
     "affine-coboundary-fields": (["coboundary-test", "--name", "c1", "--dim", "2",

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cohomolab.ansatz import AnsatzCoefficients, build_bilinear
 from cohomolab.cocycles import (
     OneCocycle,
     builtin_c1,
@@ -11,6 +12,7 @@ from cohomolab.cocycles import (
     coboundary_solve,
     cocycle_check,
     field_columns,
+    monomial_fields,
 )
 from cohomolab.operators import divergence_diffop
 from cohomolab.poly import Poly, StructureError, single_ring
@@ -23,6 +25,7 @@ from cohomolab.quantization import (
     sequence_cocycle,
     weighted_lie_derivative,
 )
+from cohomolab.report import quantization_report
 from cohomolab.symbols import hamiltonian_action, schouten_bracket, sl_generators
 
 R2 = single_ring(2)
@@ -64,6 +67,58 @@ def symmetrized_section(P, weight):
     """Average of the left- and right-ordered sections; still a symbol section."""
     left = normal_order_section(P, weight)
     return (left + right_order_section(P, weight)).scale(Fraction(1, 2))
+
+
+def definitional_top_cocycle(n, k, weight):
+    """sigma_(k-1) gamma rebuilt from its values on monomial symbols.
+
+    The definition the closed form of quantization_top_cocycle replaces:
+    principal symbols of sequence_cocycle on x^u xi^v, reassembled into an
+    operator by operator_from_symbol_values.
+    """
+    ring = single_ring(n)
+
+    def rule(X):
+        def value(u, v):
+            P = Poly.monomial(ring, tuple(u) + tuple(v))
+            return sequence_cocycle(X, P, weight).principal_symbol(k - 1)
+
+        return operator_from_symbol_values(n, k, k - 1, value, max_x_order=2)
+
+    return OneCocycle(n, k, k - 1, "definitional", rule)
+
+
+def first_disagreement(c, reference, fields):
+    """The first field on which two cocycles have different canonical forms."""
+    return next((X for X in fields if c.symbol_map(X) != reference.symbol_map(X)),
+                None)
+
+
+CROSS_CHECK_WEIGHTS = (0, Fraction(1, 2), Fraction(-3, 7), Fraction(1, 3))
+# (n, k, field degree): degree k+1 is complete by the jet-order fact in
+# quantization_top_cocycle's docstring; only n=3, k=3 is a bounded check
+CROSS_CHECK_CASES = [(2, k, k + 1) for k in (1, 2, 3, 4)] + [(3, 2, 3), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("n,k,degree", CROSS_CHECK_CASES)
+def test_top_cocycle_closed_form_matches_definition(n, k, degree):
+    fields = monomial_fields(n, degree)
+    for lam in CROSS_CHECK_WEIGHTS:
+        closed = quantization_top_cocycle(n, k, lam)
+        assert first_disagreement(closed, definitional_top_cocycle(n, k, lam),
+                                  fields) is None, (n, k, lam)
+
+
+@pytest.mark.parametrize("n,k,degree", CROSS_CHECK_CASES)
+def test_cross_check_rejects_a_sign_flipped_divergence_term(n, k, degree):
+    # beta_2 = +lambda instead of -lambda; identical at lambda = 0 only
+    fields = monomial_fields(n, degree)
+    for lam in CROSS_CHECK_WEIGHTS[1:]:
+        contraction = build_bilinear(
+            AnsatzCoefficients(k, 1, alpha={2: -1}, beta={2: lam}), n)
+        mutant = OneCocycle(n, k, k - 1, "mutant", contraction.operator_for_field)
+        assert first_disagreement(mutant, definitional_top_cocycle(n, k, lam),
+                                  fields) is not None, (n, k, lam)
 
 
 def test_translation_lie_derivative():
@@ -286,3 +341,12 @@ def test_reconstruction_rejects_truncated_order():
         operator_from_symbol_values(2, 2, 1, value, max_x_order=0)
     rebuilt = operator_from_symbol_values(2, 2, 1, value, max_x_order=1)
     assert rebuilt.symbol_map(2) == D.symbol_map(2)
+
+
+@pytest.mark.parametrize("k,scalar", [(2, Fraction(-1, 9)), (3, Fraction(-1, 12))])
+def test_three_dimensional_report_is_a_multiple_of_the_first_class(k, scalar):
+    report = quantization_report(3, k, Fraction(1, 3), 3)
+    assert report["cocycle_identity_holds"]
+    assert not report["top_symbol_trivial"]
+    assert report["proportional_to_first_class"]
+    assert report["first_class_scalar"] == str(scalar)
