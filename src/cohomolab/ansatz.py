@@ -409,7 +409,8 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     these are computed up front.  The operators P |-> C_t(G, P) of the
     projective generators are built once and reused where a test field Y is
     a generator (the translations and linear fields are); the operators of
-    [X, Y] are built per pair.
+    [X, Y] are built per pair, and not at all when the bracket vanishes,
+    since C(0, P) = 0.
     """
     _validate(n, k, p)
     indices = full_indices(k, p)
@@ -446,10 +447,15 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
         ops_Y = generator_ops[Y] if Y in generator_ops else field_ops(Y)
         values_Y = [[opY.apply(P) for opY in ops_Y] for P in eq_symbols]
         for X, XPs in zip(generators, acted):
-            ops_bracket = field_ops(schouten_bracket(X, Y))
+            bracket = schouten_bracket(X, Y)
+            # C(0, P) = 0, so a vanishing bracket needs no operators
+            ops_bracket = None if bracket.is_zero() else field_ops(bracket)
             for P, XP, vals in zip(eq_symbols, XPs, values_Y):
-                add_poly_rows([schouten_bracket(X, val) - opB.apply(P) - opY.apply(XP)
-                               for opY, opB, val in zip(ops_Y, ops_bracket, vals)])
+                rows = [schouten_bracket(X, val) - opY.apply(XP)
+                        for opY, val in zip(ops_Y, vals)]
+                if ops_bracket:
+                    rows = [row - opB.apply(P) for row, opB in zip(rows, ops_bracket)]
+                add_poly_rows(rows)
 
     basis = [AnsatzCoefficients.from_vector(k, p, indices, v)
              for v in reducer.nullspace()]
@@ -470,6 +476,7 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
     the basis maps b, their values C_b(X, P) and the brackets {X, P} on the
     test symbols.  The operators of [Y, Z] are built per pair and dropped
     with it: a bracket has x-degree 4 or 5, so it is never a memoized field.
+    A vanishing bracket builds none, since C(0, P) = 0.
     The memo is filled lazily: the pair loop stops once the rank is full,
     and a field no processed pair touches costs nothing.
     """
@@ -512,16 +519,18 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
             break
         Y, Z = fields[y], fields[z]
         bracket = schouten_bracket(Y, Z)
-        ops_bracket = [b.operator_for_field(bracket) for b in bilinear]
+        # C(0, P) = 0, so a vanishing bracket needs no operators
+        ops_bracket = (None if bracket.is_zero()
+                       else [b.operator_for_field(bracket) for b in bilinear])
         for q, P in enumerate(symbols_fam):
             YP, ZP = action(y, q), action(z, q)
-            defects = [(opB.apply(P)
-                        - schouten_bracket(Y, valZ) + opZ.apply(YP)
-                        + schouten_bracket(Z, valY) - opY.apply(ZP)).terms
-                       for opY, opZ, opB, valY, valZ
-                       in zip(field_ops(y), field_ops(z), ops_bracket,
-                              values(y, q), values(z, q))]
-            for row in keyed_rows(defects):
+            defects = [opZ.apply(YP) - schouten_bracket(Y, valZ)
+                       + schouten_bracket(Z, valY) - opY.apply(ZP)
+                       for opY, opZ, valY, valZ
+                       in zip(field_ops(y), field_ops(z), values(y, q), values(z, q))]
+            if ops_bracket:
+                defects = [opB.apply(P) + d for opB, d in zip(ops_bracket, defects)]
+            for row in keyed_rows([d.terms for d in defects]):
                 reducer.add_row(row)
 
     combos = reducer.nullspace()

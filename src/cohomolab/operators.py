@@ -8,6 +8,20 @@ with all derivatives to the right of coefficients.  Composition re-expands
 through the Leibniz rule, so operator equality is decidable by comparing
 term maps.
 
+For P = sum p_pi d^pi and A = sum a_mu d^mu the Leibniz rule reads
+
+    P o A = sum over pi, mu and rho <= pi of
+            binom(pi, rho) p_pi d^rho(a_mu) d^(pi - rho + mu).
+
+Its rho = 0 terms p_pi a_mu d^(pi + mu) are, term for term, the nu = 0
+terms a_mu p_pi d^(mu + pi) of A o P, because the coefficient ring is
+commutative.  So the commutator is exactly
+
+    [P, A] = (terms of P o A with |rho| >= 1) - (terms of A o P with |nu| >= 1),
+
+in the single and the doubled ring alike, and commutator never forms the
+products that would cancel.
+
 Operators acting on the finite-dimensional xi-monomial slice of fixed degree
 k admit an exact canonical form (SymbolMap below): the xi-part becomes a
 matrix over the degree-k exponent simplex while the x-part keeps its faithful
@@ -21,6 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
+from operator import add
 
 from .poly import (
     Coeff,
@@ -92,15 +107,47 @@ def _sub_multi_indices(mu: Deriv):
 
 
 @lru_cache(maxsize=None)
-def _leibniz_subsets(mu: Deriv) -> tuple:
-    """Triples (nu, binom(mu, nu), |nu|) for all nu <= mu, ordered by |nu|.
+def _leibniz_subsets(mu: Deriv, lowest: int) -> tuple:
+    """Quadruples (nu, mu - nu, binom(mu, nu), |nu|) for nu <= mu with |nu| >= lowest.
 
-    The ordering lets composition stop scanning once |nu| exceeds the degree
-    of the coefficient being differentiated.
+    They are ordered by |nu|, so the Leibniz loop can stop scanning once |nu|
+    exceeds the degree of the coefficient being differentiated.
     """
-    subs = [(nu, multi_binom(mu, nu), sum(nu)) for nu in _sub_multi_indices(mu)]
-    subs.sort(key=lambda t: (t[2], t[0]))
+    subs = [(nu, tuple(m - s for m, s in zip(mu, nu)), multi_binom(mu, nu), sum(nu))
+            for nu in _sub_multi_indices(mu) if sum(nu) >= lowest]
+    subs.sort(key=lambda t: (t[3], t[0]))
     return tuple(subs)
+
+
+def _leibniz(out: dict, left: dict, right: dict, lowest: int, sign: int = 1) -> None:
+    """Add sign * (left o right) into the term map out, by the Leibniz rule.
+
+    For left terms f d^mu and right terms g d^nu this adds
+    binom(mu, s) f d^s(g) d^(mu - s + nu) for every s <= mu with
+    |s| >= lowest.  Each left coefficient is scaled by sign * binom once per
+    subset, and each derivative d^s(g) is computed once per right term.
+    """
+    rights = [(nu, g, g.total_degree(), {}) for nu, g in right.items()]
+    top = max((gdeg for _, _, gdeg, _ in rights), default=-1)
+    for mu, f in left.items():
+        expansion = []
+        for sub, rest, b, sub_total in _leibniz_subsets(mu, lowest):
+            if sub_total > top:
+                break
+            expansion.append((sub, rest, f.scale(sign * b), sub_total))
+        for nu, g, gdeg, derivs in rights:
+            for sub, rest, fb, sub_total in expansion:
+                if sub_total > gdeg:
+                    break
+                dg = derivs.get(sub)
+                if dg is None:
+                    dg = derivs[sub] = g.diff_multi(sub)
+                if not dg.terms:
+                    continue
+                coeff = fb * dg
+                key = tuple(map(add, rest, nu))
+                prev = out.get(key)
+                out[key] = coeff if prev is None else prev + coeff
 
 
 def unit_deriv(ring: Ring, *variables: int) -> Deriv:
@@ -214,31 +261,31 @@ class PolyDiffOp:
         if self.ring != other.ring:
             raise StructureError("operator ring mismatch")
         out: dict[Deriv, Poly] = {}
-        for mu, f in self.terms.items():
-            subs = _leibniz_subsets(mu)
-            for nu, g in other.terms.items():
-                gdeg = g.total_degree()
-                for sub, b, sub_total in subs:
-                    if sub_total > gdeg:
-                        break
-                    dg = g.diff_multi(sub)
-                    if dg.is_zero():
-                        continue
-                    coeff = f * dg
-                    if b != 1:
-                        coeff = coeff.scale(b)
-                    key = tuple(m - s + nn for m, s, nn in zip(mu, sub, nu))
-                    prev = out.get(key)
-                    out[key] = coeff if prev is None else prev + coeff
+        _leibniz(out, self.terms, other.terms, 0)
+        return self._from_sum(out)
+
+    def commutator(self, other: "PolyDiffOp") -> "PolyDiffOp":
+        """Normal form of self o other - other o self, without the cancelling products.
+
+        The subset-0 Leibniz terms f g d^(mu + nu) of the two products are
+        equal, so only subsets of order at least 1 are expanded.
+        """
+        if self.ring != other.ring:
+            raise StructureError("operator ring mismatch")
+        out: dict[Deriv, Poly] = {}
+        _leibniz(out, self.terms, other.terms, 1)
+        _leibniz(out, other.terms, self.terms, 1, sign=-1)
+        return self._from_sum(out)
+
+    def _from_sum(self, out: dict[Deriv, Poly]) -> "PolyDiffOp":
         check_term_budget(len(out))
         return PolyDiffOp(self.ring,
                           {k: v for k, v in out.items() if not v.is_zero()},
                           _clean=True)
 
-    def commutator(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        return self.compose(other) - other.compose(self)
-
     def power(self, k: int) -> "PolyDiffOp":
+        if k < 0:
+            raise StructureError("negative power")
         out = PolyDiffOp.identity(self.ring)
         for _ in range(k):
             out = out.compose(self)

@@ -162,6 +162,8 @@ def test_cocycle_filter_builds_each_field_operator_once(monkeypatch):
     repeated = [X for (_, X), count in builds.items() if count > 1]
     assert all(_x_degree(X) >= 4 for X in repeated)
     assert any(_x_degree(X) <= 3 for _, X in builds)
+    # C(0, P) = 0: a vanishing bracket [Y, Z] builds no operator
+    assert not any(X.is_zero() for _, X in builds)
 
 
 def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
@@ -197,6 +199,8 @@ def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
     generator_builds = [count for (_, X), count in builds.items() if X in generators]
     assert len(generator_builds) == len(generators) * len(full_indices(k, 2))
     assert all(count == 1 for count in generator_builds)
+    # C(0, P) = 0: a vanishing bracket [X, Y] builds no operator
+    assert not any(X.is_zero() for _, X in builds)
 
 
 def test_cocycle_general_second_class_coefficients():

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from cohomolab.poly import Poly, single_ring
+import pytest
+
+from cohomolab.poly import Poly, ResourceLimitError, StructureError, doubled_ring, single_ring
 from cohomolab.operators import (
     PolyDiffOp,
     affine_equivariant_basis,
@@ -96,6 +98,64 @@ def test_self_commutator_vanishes():
     for _ in range(10):
         A = random_op(rng, R2)
         assert A.commutator(A).is_zero()
+
+
+def test_commutator_matches_compose_reference():
+    # coefficients draw from every ring variable, so x and xi (and y, eta)
+    rng = random.Random(12)
+    for ring in (R2, R3, doubled_ring(2)):
+        for _ in range(60):
+            A = random_op(rng, ring, max_order=4, max_coeff_degree=3)
+            B = random_op(rng, ring, max_order=4, max_coeff_degree=3)
+            assert A.commutator(B) == A.compose(B) - B.compose(A)
+
+
+def test_commutator_of_constant_coefficient_operators_cancels():
+    # every Leibniz term of both products is a cancelling product term
+    rng = random.Random(13)
+    for ring in (R2, R3, doubled_ring(2)):
+        for _ in range(20):
+            A = random_op(rng, ring, max_order=4, max_coeff_degree=0)
+            B = random_op(rng, ring, max_order=4, max_coeff_degree=0)
+            assert not (A.compose(B) - B.compose(A)).terms
+            assert A.commutator(B).is_zero()
+
+
+def test_module_action_matches_compose_reference():
+    rng = random.Random(14)
+    for ring in (R2, R3):
+        fields = sl_generators(ring.n).all()
+        for _ in range(10):
+            exp = [0] * ring.nvars
+            for _ in range(rng.randint(0, 3)):
+                exp[rng.randrange(ring.n)] += 1
+            exp[ring.n + rng.randrange(ring.n)] += 1
+            fields.append(Poly.monomial(ring, tuple(exp), rng.randint(1, 5)))
+        for X in fields:
+            L = lie_derivative_op(X)
+            A = random_op(rng, ring, max_order=4, max_coeff_degree=3)
+            assert module_action(X, A) == L.compose(A) - A.compose(L)
+
+
+def test_module_action_respects_term_budget(monkeypatch):
+    # monomial coefficients keep every coefficient product at one term, so
+    # only the commutator's own count of output terms can hit the cap
+    X = Poly.monomial(R2, (2, 1, 1, 0))
+    A = PolyDiffOp(R2, {(2, 0, 1, 0): x(1), (0, 1, 0, 2): xi(0), (1, 1, 0, 0): x(0)})
+    action = module_action(X, A)
+    assert len(action.terms) > 1
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", str(len(action.terms)))
+    assert module_action(X, A) == action
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "1")
+    with pytest.raises(ResourceLimitError):
+        module_action(X, A)
+
+
+def test_negative_power_is_rejected():
+    D = PolyDiffOp.derivative(R2, 0)
+    assert D.power(0) == PolyDiffOp.identity(R2)
+    with pytest.raises(StructureError):
+        D.power(-2)
 
 
 def test_compose_agrees_with_iterated_apply():
