@@ -34,7 +34,7 @@ from functools import cache, lru_cache
 from math import factorial
 
 from .linalg import RowReducer, keyed_rows, same_span
-from .operators import PolyDiffOp, unit_deriv
+from .operators import PolyDiffOp, lie_derivative_op, unit_deriv
 from .poly import (Coeff, Poly, Ring, StructureError, doubled_ring, norm_coeff,
                    rat, rat_str, single_ring)
 from .symbols import schouten_bracket, sl_generators
@@ -406,11 +406,13 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     Values that do not depend on the whole (X, Y) pair are computed once:
     {X, P} once per generator X and symbol P, and the values C_t(Y, P) of
     the ansatz terms once per field Y and symbol P.  Every row is added, so
-    these are computed up front.  The operators P |-> C_t(G, P) of the
-    projective generators are built once and reused where a test field Y is
-    a generator (the translations and linear fields are); the operators of
-    [X, Y] are built per pair, and not at all when the bracket vanishes,
-    since C(0, P) = 0.
+    these are computed up front.  The bracket {X, C_t(Y, P)} of a fresh
+    value is L_X applied to it, since {X, g} = L_X g for a vector field X;
+    L_X = lie_derivative_op(X) is built once per generator and applied in
+    one pass (see PolyDiffOp.apply).  The operators P |-> C_t(F, P) are
+    memoized by the field F for this call, so a projective generator that
+    is also a test field Y, or a bracket [X, Y] met twice, is built once.
+    A vanishing bracket builds none, since C(0, P) = 0.
     """
     _validate(n, k, p)
     indices = full_indices(k, p)
@@ -421,6 +423,7 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     fam = sl_generators(n)
     reducer = RowReducer(len(indices))
 
+    @cache
     def field_ops(F: Poly) -> list[PolyDiffOp]:
         return [t.operator_for_field(F) for t in term_ops]
 
@@ -431,10 +434,9 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     # vanishing rows
     van_symbols = _symbol_monomials(n, _staircase(n, p + 2, width=1),
                                     _xi_slice(n, k))
-    generator_ops = {G: field_ops(G) for G in fam.all()}
-    for ops_G in generator_ops.values():
+    for G in fam.all():
         for P in van_symbols:
-            add_poly_rows([op.apply(P) for op in ops_G])
+            add_poly_rows([op.apply(P) for op in field_ops(G)])
 
     # equivariance rows along two quadratic generators; the rest follow by
     # the already-imposed linear equivariance and are re-verified in tests
@@ -443,15 +445,16 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
                                    _xi_slice(n, k, max_off_axis=2))
     generators = fam.quadratic[:2]
     acted = [[schouten_bracket(X, P) for P in eq_symbols] for X in generators]
+    lie_ops = [lie_derivative_op(X) for X in generators]
     for Y in y_fields:
-        ops_Y = generator_ops[Y] if Y in generator_ops else field_ops(Y)
+        ops_Y = field_ops(Y)
         values_Y = [[opY.apply(P) for opY in ops_Y] for P in eq_symbols]
-        for X, XPs in zip(generators, acted):
+        for X, L_X, XPs in zip(generators, lie_ops, acted):
             bracket = schouten_bracket(X, Y)
             # C(0, P) = 0, so a vanishing bracket needs no operators
             ops_bracket = None if bracket.is_zero() else field_ops(bracket)
             for P, XP, vals in zip(eq_symbols, XPs, values_Y):
-                rows = [schouten_bracket(X, val) - opY.apply(XP)
+                rows = [L_X.apply(val) - opY.apply(XP)
                         for opY, val in zip(ops_Y, vals)]
                 if ops_bracket:
                     rows = [row - opB.apply(P) for row, opB in zip(rows, ops_bracket)]
@@ -472,11 +475,14 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
     conditions.
 
     A field takes part in many pairs, so a memo that lives for this call
-    holds, per cubic or generator field X, the operators P |-> C_b(X, P) of
-    the basis maps b, their values C_b(X, P) and the brackets {X, P} on the
-    test symbols.  The operators of [Y, Z] are built per pair and dropped
-    with it: a bracket has x-degree 4 or 5, so it is never a memoized field.
-    A vanishing bracket builds none, since C(0, P) = 0.
+    holds, per cubic or generator field X, the operator L_X =
+    lie_derivative_op(X), the operators P |-> C_b(X, P) of the basis maps b,
+    their values C_b(X, P) and the brackets {X, P} = L_X P on the test
+    symbols.  Every bracket of a field with a symbol or an operator value is
+    L_X applied in one pass (see PolyDiffOp.apply), since {X, g} = L_X g for
+    a vector field X.  The operators of a bracket [Y, Z] go into the same
+    memo, keyed by the bracket, so a bracket met by two pairs is built once;
+    a vanishing bracket builds none, since C(0, P) = 0.
     The memo is filled lazily: the pair loop stops once the rank is full,
     and a field no processed pair touches costs nothing.
     """
@@ -502,32 +508,36 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
                                     _xi_slice(n, k, max_off_axis=2))
 
     @cache
-    def field_ops(f: int) -> list[PolyDiffOp]:
-        return [b.operator_for_field(fields[f]) for b in bilinear]
+    def field_ops(F: Poly) -> list[PolyDiffOp]:
+        return [b.operator_for_field(F) for b in bilinear]
+
+    @cache
+    def lie_op(f: int) -> PolyDiffOp:
+        return lie_derivative_op(fields[f])
 
     @cache
     def values(f: int, q: int) -> list[Poly]:
-        return [op.apply(symbols_fam[q]) for op in field_ops(f)]
+        return [op.apply(symbols_fam[q]) for op in field_ops(fields[f])]
 
     @cache
     def action(f: int, q: int) -> Poly:
-        return schouten_bracket(fields[f], symbols_fam[q])
+        return lie_op(f).apply(symbols_fam[q])
 
     reducer = RowReducer(len(bilinear))
     for y, z in pairs:
         if reducer.rank == len(bilinear):
             break
         Y, Z = fields[y], fields[z]
+        ops_Y, ops_Z, L_Y, L_Z = field_ops(Y), field_ops(Z), lie_op(y), lie_op(z)
         bracket = schouten_bracket(Y, Z)
         # C(0, P) = 0, so a vanishing bracket needs no operators
-        ops_bracket = (None if bracket.is_zero()
-                       else [b.operator_for_field(bracket) for b in bilinear])
+        ops_bracket = None if bracket.is_zero() else field_ops(bracket)
         for q, P in enumerate(symbols_fam):
             YP, ZP = action(y, q), action(z, q)
-            defects = [opZ.apply(YP) - schouten_bracket(Y, valZ)
-                       + schouten_bracket(Z, valY) - opY.apply(ZP)
+            defects = [opZ.apply(YP) - L_Y.apply(valZ)
+                       + L_Z.apply(valY) - opY.apply(ZP)
                        for opY, opZ, valY, valZ
-                       in zip(field_ops(y), field_ops(z), values(y, q), values(z, q))]
+                       in zip(ops_Y, ops_Z, values(y, q), values(z, q))]
             if ops_bracket:
                 defects = [opB.apply(P) + d for opB, d in zip(ops_bracket, defects)]
             for row in keyed_rows([d.terms for d in defects]):

@@ -119,6 +119,12 @@ def _leibniz_subsets(mu: Deriv, lowest: int) -> tuple:
     return tuple(subs)
 
 
+@lru_cache(maxsize=None)
+def _active_vars(mu: Deriv) -> tuple[tuple[int, int], ...]:
+    """The nonzero (variable, order) pairs of a multi-index."""
+    return tuple((var, m) for var, m in enumerate(mu) if m)
+
+
 def _leibniz(out: dict, left: dict, right: dict, lowest: int, sign: int = 1) -> None:
     """Add sign * (left o right) into the term map out, by the Leibniz rule.
 
@@ -240,19 +246,43 @@ class PolyDiffOp:
     # -- action and composition ----------------------------------------------
 
     def apply(self, p: Poly) -> Poly:
+        """The polynomial sum over terms a_mu d^mu of a_mu * d^mu(p), in one pass.
+
+        Each term of p is differentiated inline (falling factorials over the
+        nonzero entries of mu) and multiplied term by term into a single
+        accumulator, with no intermediate derivative or product polynomial.
+        The term budget is checked once, on the merged sum, as compose and
+        commutator do.
+        """
         if p.ring is not self.ring and p.ring != self.ring:
             raise StructureError("operand ring mismatch")
-        acc: dict[Deriv, Coeff] = {}
+        acc: dict[Exponent, Coeff] = {}
+        pterms = p.terms.items()
         for mu, coeff in self.terms.items():
-            d = p.diff_multi(mu)
-            if not d.terms:
-                continue
-            for exp, c in (coeff * d).terms.items():
-                s = acc.get(exp, 0) + c
-                if s == 0:
-                    acc.pop(exp, None)
-                else:
-                    acc[exp] = s
+            active = _active_vars(mu)
+            cterms = coeff.terms.items()
+            for exp, c in pterms:
+                if active:
+                    new = list(exp)
+                    for var, m in active:
+                        e = exp[var]
+                        if e < m:
+                            c = 0
+                            break
+                        for step in range(m):
+                            c *= e - step
+                        new[var] = e - m
+                    if not c:
+                        continue
+                    exp = new
+                for ce, cc in cterms:
+                    key = tuple(map(add, ce, exp))
+                    s = acc.get(key, 0) + cc * c
+                    if s == 0:
+                        acc.pop(key, None)
+                    else:
+                        acc[key] = s
+        check_term_budget(len(acc))
         return Poly(self.ring,
                     {e: norm_coeff(c) for e, c in acc.items()}, _clean=True)
 
@@ -365,11 +395,18 @@ class SymbolMap:
         return SymbolMap(self.n, self.k, out)
 
     def apply(self, p: Poly) -> Poly:
-        """Evaluate the map on a degree-k symbol (for spot checks)."""
+        """Evaluate the map on a degree-k symbol (for spot checks).
+
+        The map is defined on degree-k symbols only, so a term of any other
+        xi-degree raises StructureError rather than reading as zero.
+        """
         ring = p.ring
         out = Poly.zero(ring)
         for exp, c in p.terms.items():
             u, v = exp[:self.n], exp[self.n:]
+            if sum(v) != self.k:
+                raise StructureError(
+                    f"symbol term of xi-degree {sum(v)} given to a degree-{self.k} symbol map")
             for (vv, w, alpha, a), coeff in self.entries.items():
                 if vv != v:
                     continue

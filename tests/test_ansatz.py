@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +18,8 @@ from cohomolab.ansatz import (
     solve_equivariant_direct,
     sys4_residuals,
 )
-from cohomolab.poly import Poly, single_ring
+from cohomolab.linalg import RowReducer
+from cohomolab.poly import Poly, rat_str, single_ring
 from cohomolab.symbols import hamiltonian_action, schouten_bracket, sl_generators
 
 R2 = single_ring(2)
@@ -157,11 +159,11 @@ def test_cocycle_filter_builds_each_field_operator_once(monkeypatch):
         "dimension": 1, "matched_paper_case": "c",
         "basis": [{"k": 3, "p": 2, "alpha": {"2": "-2/5", "3": "-9/5"},
                    "beta": {"2": "-1/5", "3": "-2/5"}, "gamma": {"2": "1"}}]}
-    # the memoized fields are cubic monomials and quadratic generators; a
-    # field built twice must be a bracket [Y, Z], of x-degree 4 or 5
-    repeated = [X for (_, X), count in builds.items() if count > 1]
-    assert all(_x_degree(X) >= 4 for X in repeated)
+    # fields (cubic monomials and quadratic generators) and brackets [Y, Z]
+    # (x-degree 4 or 5) share one memo: no (basis map, field) is built twice
+    assert all(count == 1 for count in builds.values())
     assert any(_x_degree(X) <= 3 for _, X in builds)
+    assert any(_x_degree(X) >= 4 for _, X in builds)
     # C(0, P) = 0: a vanishing bracket [Y, Z] builds no operator
     assert not any(X.is_zero() for _, X in builds)
 
@@ -198,9 +200,36 @@ def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
     generators = set(sl_generators(2).all())
     generator_builds = [count for (_, X), count in builds.items() if X in generators]
     assert len(generator_builds) == len(generators) * len(full_indices(k, 2))
-    assert all(count == 1 for count in generator_builds)
+    # generators, test fields and brackets [X, Y] share one memo
+    assert all(count == 1 for count in builds.values())
     # C(0, P) = 0: a vanishing bracket [X, Y] builds no operator
     assert not any(X.is_zero() for _, X in builds)
+
+
+def _row_digest(monkeypatch, solve) -> str:
+    """SHA-256 over every row fed to RowReducer.add_row during solve(), in order."""
+    digest = hashlib.sha256()
+    original = RowReducer.add_row
+
+    def hashed(self, row):
+        digest.update(repr([(j, rat_str(c)) for j, c in sorted(row.items())]).encode())
+        digest.update(b"\n")
+        return original(self, row)
+
+    monkeypatch.setattr(RowReducer, "add_row", hashed)
+    solve()
+    monkeypatch.undo()
+    return digest.hexdigest()
+
+
+def test_row_generators_feed_pinned_rows(monkeypatch):
+    # the rows themselves, not just the answers, are pinned: a change to the
+    # operator kernels or the row generators must reproduce them exactly
+    space = recurrence_solutions(2, 3, 2)
+    assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(2, 3, 2)) == (
+        "04aadaa66b21e338d5ade69f0a4e4342bacdfd51e1187691c9a94183a379f4c6")
+    assert _row_digest(monkeypatch, lambda: impose_cocycle(space, 2, 3, 2)) == (
+        "993592dbe880f6e7d5d88aebb25b79b5748e7affff19b0f58e60639aa0dfe17a")
 
 
 def test_cocycle_general_second_class_coefficients():

@@ -64,6 +64,64 @@ def test_identity_application():
         assert A.apply(p) == p
 
 
+def apply_reference(A, p):
+    # sum over mu of a_mu * d^mu(p), through diff_multi and Poly products
+    out = Poly.zero(A.ring)
+    for mu, coeff in A.terms.items():
+        out = out + coeff * p.diff_multi(mu)
+    return out
+
+
+def test_apply_matches_diff_multi_reference():
+    rng = random.Random(23)
+    for ring in (R2, R3, doubled_ring(2)):
+        for _ in range(40):
+            A = random_op(rng, ring, max_order=3, max_coeff_degree=2)
+            A = PolyDiffOp(ring, {mu: c.scale(Fraction(rng.randint(1, 5), rng.randint(1, 7)))
+                                  for mu, c in A.terms.items()})
+            p = random_poly(rng, ring).scale(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            assert A.apply(p) == apply_reference(A, p)
+        p = random_poly(rng, ring)
+        assert PolyDiffOp.zero(ring).apply(p).is_zero()
+        assert PolyDiffOp.identity(ring).apply(p) == p
+
+
+def test_apply_cancels_across_terms():
+    # (E - k) kills xi-degree-k symbols; x1 d_x1 - x2 d_x2 kills x1 x2
+    rng = random.Random(24)
+    for ring in (R2, R3):
+        for k in range(4):
+            A = euler_diffop(ring) - PolyDiffOp.identity(ring).scale(Fraction(k))
+            for _ in range(5):
+                p = Poly.zero(ring)
+                for _ in range(3):
+                    exp = [0] * ring.nvars
+                    for _ in range(rng.randint(0, 3)):
+                        exp[ring.x(rng.randrange(ring.n))] += 1
+                    for _ in range(k):
+                        exp[ring.xi(rng.randrange(ring.n))] += 1
+                    p = p + Poly.monomial(ring, tuple(exp), Fraction(rng.randint(1, 9), 4))
+                assert apply_reference(A, p).is_zero()
+                assert A.apply(p).is_zero()
+    A = PolyDiffOp(R2, {(1, 0, 0, 0): x(0), (0, 1, 0, 0): -x(1)})
+    assert A.apply(x(0) * x(1)).is_zero()
+
+
+def test_apply_respects_term_budget(monkeypatch):
+    # a monomial operand and monomial coefficients keep every term's
+    # contribution at one term, so only the merged sum can hit the cap
+    A = PolyDiffOp(R2, {(1, 0, 0, 0): x(1), (0, 0, 0, 1): xi(0).scale(3),
+                        (0, 0, 0, 0): Poly.constant(R2, 1)})
+    p = Poly.monomial(R2, (2, 0, 0, 1))
+    value = A.apply(p)
+    assert len(value.terms) == 3
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "3")
+    assert A.apply(p) == value
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "2")
+    with pytest.raises(ResourceLimitError):
+        A.apply(p)
+
+
 def test_divergence_operator_matches_div_op():
     D = divergence_diffop(R2)
     p = x(0) * xi(0) * xi(0)
@@ -293,6 +351,18 @@ def test_symbol_map_apply_matches_operator_apply():
             exp[2 + rng.randrange(2)] += 1
         P = Poly.monomial(R2, tuple(exp), rng.randint(-4, 4))
         assert sm.apply(P) == A.apply(P)
+
+
+def test_symbol_map_apply_rejects_other_degrees():
+    # D x1^2 xi1^3 = 6 x1 xi1^2, which a degree-2 map must not report as 0
+    sm = divergence_diffop(R2).symbol_map(2)
+    P = Poly.monomial(R2, (2, 0, 3, 0))
+    assert divergence_diffop(R2).apply(P) == Poly.monomial(R2, (1, 0, 2, 0), 6)
+    with pytest.raises(StructureError):
+        sm.apply(P)
+    with pytest.raises(StructureError):
+        sm.apply(Poly.monomial(R2, (2, 0, 2, 0)) + P)
+    assert sm.apply(Poly.monomial(R2, (2, 0, 2, 0))) == Poly.monomial(R2, (1, 0, 1, 0), 4)
 
 
 def test_symbol_map_identifies_euler_with_scalar():

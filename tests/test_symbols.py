@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cohomolab.linalg import rank_of
-from cohomolab.operators import divergence_diffop, euler_diffop
+from cohomolab.operators import divergence_diffop, euler_diffop, lie_derivative_op
 from cohomolab.poly import Poly, StructureError, rat, single_ring
 from cohomolab.symbols import (
     divergence_cocycle,
@@ -85,6 +85,8 @@ def test_hamiltonian_matches_oracle_on_random_inputs():
             X = random_field(rng, ring)
             P = random_symbol(rng, ring, rng.randint(0, 3))
             assert hamiltonian_action(X, P) == hamiltonian_oracle(X, P)
+            # {X, g} = L_X g: the row generators apply L_X in place of the bracket
+            assert lie_derivative_op(X).apply(P) == schouten_bracket(X, P)
 
 
 def test_schouten_canonical_pair():
