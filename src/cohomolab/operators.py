@@ -246,7 +246,7 @@ class PolyDiffOp:
     # -- action and composition ----------------------------------------------
 
     def apply(self, p: Poly) -> Poly:
-        """The polynomial sum over terms a_mu d^mu of a_mu * d^mu(p), in one pass.
+        """Apply the operator to p: the sum of a_mu * d^mu(p) over its terms, in one pass.
 
         Each term of p is differentiated inline (falling factorials over the
         nonzero entries of mu) and multiplied term by term into a single
