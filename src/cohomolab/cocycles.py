@@ -25,6 +25,7 @@ from .linalg import keyed_rows, solve
 from .operators import (
     PolyDiffOp,
     SymbolMap,
+    commutator_sum,
     lie_derivative_op,
     linear_combination,
     module_action,
@@ -95,9 +96,12 @@ def _nonzero_witness(defect: SymbolMap, n: int) -> tuple[Poly, Poly]:
 def cocycle_check(c: OneCocycle, max_vf_degree: int = 4) -> IdentityCheck:
     """Verify the cocycle identity on all monomial field pairs up to a degree.
 
-    Operator equality is exact equality of degree-k canonical forms.  The
-    first failing pair in canonical order is reported with a monomial symbol
-    on which the defect evaluates to something nonzero.
+    Operator equality is exact equality of degree-k canonical forms.  Each
+    pair's defect c([X, Y]) + [c(Y), L_X] + [L_Y, c(X)] is formed as one
+    commutator_sum, so both commutators and the bracket value merge in one
+    accumulator with one term-budget check.  The first failing pair in
+    canonical order is reported with a monomial symbol on which the defect
+    evaluates to something nonzero.
     """
     if max_vf_degree < 2:
         raise StructureError("the check needs fields of degree at least 2")
@@ -111,10 +115,9 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4) -> IdentityCheck:
         for j in range(i + 1, len(fields)):
             pairs += 1
             bracket = schouten_bracket(fields[i], fields[j])
-            defect = c.evaluate(bracket) if not bracket.is_zero() \
-                else PolyDiffOp.zero(values[i].ring)
-            defect = (defect - lie_ops[i].commutator(values[j])
-                      + lie_ops[j].commutator(values[i]))
+            base = c.evaluate(bracket) if not bracket.is_zero() else None
+            defect = commutator_sum([(values[j], lie_ops[i]), (lie_ops[j], values[i])],
+                                    base=base)
             sm = defect.symbol_map(c.k)
             if not sm.is_zero():
                 P, val = _nonzero_witness(sm, c.n)

@@ -22,6 +22,15 @@ commutative.  So the commutator is exactly
 in the single and the doubled ring alike, and commutator never forms the
 products that would cancel.
 
+The expansion runs in one pass.  Every product of a left coefficient term,
+scaled by sign * binom, with a term of the right coefficient's derivative
+d^rho(a_mu) is added straight into one raw {derivative: {exponent:
+coefficient}} accumulator, and each Poly coefficient is built once at the
+end.  commutator_sum sums any number of commutators and a base operator in
+one such accumulator.  The term budget is checked once per call, on the
+larger of the output's term count and its largest merged coefficient's term
+count; the second stands in for a check on every coefficient product.
+
 Operators acting on the finite-dimensional xi-monomial slice of fixed degree
 k admit an exact canonical form (SymbolMap below): the xi-part becomes a
 matrix over the degree-k exponent simplex while the x-part keeps its faithful
@@ -56,25 +65,31 @@ from .symbols import sl_generators
 Deriv = tuple[int, ...]
 
 
-def xi_simplex(n: int, k: int) -> list[Exponent]:
-    """All xi-exponent tuples of total degree k, in lexicographic order."""
-    if k == 0:
-        return [(0,) * n]
+@lru_cache(maxsize=None)
+def _simplex(n: int, k: int) -> tuple[Exponent, ...]:
+    """All exponent tuples in n variables of total degree k, lexicographic."""
+    if k < 0:
+        raise StructureError(f"symbol degree must be nonnegative, got {k}")
     out = []
     for combo in combinations_with_replacement(range(n), k):
         exp = [0] * n
         for i in combo:
             exp[i] += 1
         out.append(tuple(exp))
-    return sorted(set(out))
+    return tuple(sorted(out))
+
+
+def xi_simplex(n: int, k: int) -> list[Exponent]:
+    """All xi-exponent tuples of total degree k, in lexicographic order."""
+    return list(_simplex(n, k))
 
 
 def monomials_up_to(n: int, d: int) -> list[Exponent]:
     """All exponent tuples in n variables of total degree <= d, lexicographic."""
     out: list[Exponent] = []
     for k in range(d + 1):
-        out.extend(xi_simplex(n, k))
-    return sorted(set(out))
+        out.extend(_simplex(n, k))
+    return sorted(out)
 
 
 def falling(v: Exponent, beta: Exponent) -> int:
@@ -125,35 +140,84 @@ def _active_vars(mu: Deriv) -> tuple[tuple[int, int], ...]:
     return tuple((var, m) for var, m in enumerate(mu) if m)
 
 
-def _leibniz(out: dict, left: dict, right: dict, lowest: int, sign: int = 1) -> None:
-    """Add sign * (left o right) into the term map out, by the Leibniz rule.
+def _diff_terms(terms, sub: Deriv) -> list[tuple[Exponent, Coeff]]:
+    """The (exponent, coefficient) terms of d^sub(g), by falling factorials.
 
-    For left terms f d^mu and right terms g d^nu this adds
-    binom(mu, s) f d^s(g) d^(mu - s + nu) for every s <= mu with
-    |s| >= lowest.  Each left coefficient is scaled by sign * binom once per
-    subset, and each derivative d^s(g) is computed once per right term.
+    Differentiation sends distinct surviving monomials to distinct monomials,
+    so the terms need no merging.
     """
-    rights = [(nu, g, g.total_degree(), {}) for nu, g in right.items()]
+    active = _active_vars(sub)
+    if not active:
+        return list(terms)
+    out = []
+    for exp, c in terms:
+        new = list(exp)
+        for var, m in active:
+            e = exp[var]
+            if e < m:
+                break
+            for step in range(m):
+                c *= e - step
+            new[var] = e - m
+        else:
+            out.append((tuple(new), c))
+    return out
+
+
+def _leibniz(acc: dict, left: dict, right: dict, lowest: int, sign: int = 1) -> None:
+    """Add sign * (left o right) into the raw accumulator acc, by the Leibniz rule.
+
+    acc maps a derivative multi-index to a {exponent: coefficient} dict.  For
+    left terms f d^mu and right terms g d^nu this adds
+    binom(mu, s) f d^s(g) d^(mu - s + nu) for every s <= mu with
+    |s| >= lowest, one product of terms at a time: the terms of f are scaled
+    by sign * binom once per subset, each d^s(g) is a term list computed once
+    per right term, and no intermediate Poly is built.
+    """
+    rights = [(nu, g.terms.items(), g.total_degree(), {}) for nu, g in right.items()]
     top = max((gdeg for _, _, gdeg, _ in rights), default=-1)
     for mu, f in left.items():
+        fterms = f.terms.items()
         expansion = []
         for sub, rest, b, sub_total in _leibniz_subsets(mu, lowest):
             if sub_total > top:
                 break
-            expansion.append((sub, rest, f.scale(sign * b), sub_total))
-        for nu, g, gdeg, derivs in rights:
+            b *= sign
+            expansion.append((sub, rest, [(fe, fc * b) for fe, fc in fterms], sub_total))
+        for nu, gterms, gdeg, derivs in rights:
             for sub, rest, fb, sub_total in expansion:
                 if sub_total > gdeg:
                     break
                 dg = derivs.get(sub)
                 if dg is None:
-                    dg = derivs[sub] = g.diff_multi(sub)
-                if not dg.terms:
+                    dg = derivs[sub] = _diff_terms(gterms, sub)
+                if not dg:
                     continue
-                coeff = fb * dg
                 key = tuple(map(add, rest, nu))
-                prev = out.get(key)
-                out[key] = coeff if prev is None else prev + coeff
+                coeff = acc.get(key)
+                if coeff is None:
+                    coeff = acc[key] = {}
+                for fe, fc in fb:
+                    for ge, gc in dg:
+                        e = tuple(map(add, fe, ge))
+                        s = coeff.get(e, 0) + fc * gc
+                        if s:
+                            coeff[e] = s
+                        else:
+                            del coeff[e]
+
+
+def _from_sum(ring: Ring, acc: dict) -> "PolyDiffOp":
+    """The operator of a raw Leibniz accumulator, after one term-budget check.
+
+    The check is on the larger of the operator's term count and the term
+    count of its largest merged coefficient; the second stands in for the
+    per-product checks that a Poly product would make.
+    """
+    check_term_budget(max(len(acc), max(map(len, acc.values()), default=0)))
+    return PolyDiffOp(ring, {mu: Poly(ring, {e: norm_coeff(c) for e, c in terms.items()},
+                                      _clean=True)
+                             for mu, terms in acc.items() if terms}, _clean=True)
 
 
 def unit_deriv(ring: Ring, *variables: int) -> Deriv:
@@ -290,28 +354,13 @@ class PolyDiffOp:
         """Normal form of self o other via the Leibniz expansion."""
         if self.ring != other.ring:
             raise StructureError("operator ring mismatch")
-        out: dict[Deriv, Poly] = {}
-        _leibniz(out, self.terms, other.terms, 0)
-        return self._from_sum(out)
+        acc: dict = {}
+        _leibniz(acc, self.terms, other.terms, 0)
+        return _from_sum(self.ring, acc)
 
     def commutator(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        """Normal form of self o other - other o self, without the cancelling products.
-
-        The subset-0 Leibniz terms f g d^(mu + nu) of the two products are
-        equal, so only subsets of order at least 1 are expanded.
-        """
-        if self.ring != other.ring:
-            raise StructureError("operator ring mismatch")
-        out: dict[Deriv, Poly] = {}
-        _leibniz(out, self.terms, other.terms, 1)
-        _leibniz(out, other.terms, self.terms, 1, sign=-1)
-        return self._from_sum(out)
-
-    def _from_sum(self, out: dict[Deriv, Poly]) -> "PolyDiffOp":
-        check_term_budget(len(out))
-        return PolyDiffOp(self.ring,
-                          {k: v for k, v in out.items() if not v.is_zero()},
-                          _clean=True)
+        """Normal form of self o other - other o self, without the cancelling products."""
+        return commutator_sum([(self, other)])
 
     def power(self, k: int) -> "PolyDiffOp":
         if k < 0:
@@ -328,6 +377,30 @@ class PolyDiffOp:
 
     def __repr__(self) -> str:
         return f"PolyDiffOp({op_str(self)})"
+
+
+def commutator_sum(pairs: list[tuple[PolyDiffOp, PolyDiffOp]],
+                   base: PolyDiffOp | None = None) -> PolyDiffOp:
+    """Normal form of base + sum_i [P_i, A_i] over the pairs (P_i, A_i), in one accumulator.
+
+    The subset-0 Leibniz terms f g d^(mu + nu) of P o A and A o P are equal,
+    so each commutator expands only the subsets of order at least 1.  Every
+    product of terms lands in one raw accumulator seeded with base, and the
+    term budget is checked once, on the merged sum.
+    """
+    if base is not None:
+        ring = base.ring
+    elif pairs:
+        ring = pairs[0][0].ring
+    else:
+        raise StructureError("an empty commutator sum needs a base operator")
+    acc = {} if base is None else {mu: dict(c.terms) for mu, c in base.terms.items()}
+    for P, A in pairs:
+        if P.ring != ring or A.ring != ring:
+            raise StructureError("operator ring mismatch")
+        _leibniz(acc, P.terms, A.terms, 1)
+        _leibniz(acc, A.terms, P.terms, 1, sign=-1)
+    return _from_sum(ring, acc)
 
 
 class SymbolMap:
@@ -356,7 +429,7 @@ class SymbolMap:
             raise StructureError("symbol maps are single-ring objects")
         n = ring.n
         entries: dict = {}
-        simplex = xi_simplex(n, k)
+        simplex = _simplex(n, k)
         for mu, coeff in op.terms.items():
             alpha, beta = mu[:n], mu[n:]
             for exp, c in coeff.terms.items():

@@ -61,6 +61,10 @@ def norm_coeff(c: Coeff) -> Coeff:
 
 def rat(value) -> Coeff:
     """Parse an exact rational from an int, Fraction, or 'num/den' string."""
+    if type(value) is int:
+        return value
+    if type(value) is Fraction:
+        return norm_coeff(value)
     if isinstance(value, bool):
         raise StructureError("boolean is not a rational coefficient")
     if isinstance(value, (int, Fraction)):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cohomolab.ansatz import impose_cocycle, recurrence_solutions
+from cohomolab.ansatz import AnsatzCoefficients, impose_cocycle, recurrence_solutions
 from cohomolab.cocycles import (
     OneCocycle,
     build_report,
@@ -15,6 +15,7 @@ from cohomolab.cocycles import (
     cocycle_check,
     field_columns,
     monomial_fields,
+    second_class_coefficients,
     solver_line_cocycle,
     trace_contraction_op,
     vanishes_on_sl,
@@ -66,6 +67,11 @@ def test_non_cocycle_yields_counterexample():
     chk = cocycle_check(c, 2)
     assert not chk.holds
     assert chk.counterexample is not None
+    # the first failing pair in canonical order, and its witness, are frozen
+    assert chk.to_json() == {
+        "holds": False, "max_vf_degree": 2, "pairs_checked": 1,
+        "counterexample": {"X": "1*xi1", "Y": "1*xi2", "symbol": "1*xi2^2",
+                           "defect_value": "1*xi2^2"}}
     # the reported pair re-evaluates from scratch to a nonzero defect
     from cohomolab.poly import parse_poly
     from cohomolab.symbols import hamiltonian_action, schouten_bracket
@@ -80,6 +86,18 @@ def test_non_cocycle_yields_counterexample():
               - c.evaluate(X).apply(hamiltonian_action(Y, P)))
     assert not defect.is_zero()
     assert defect == parse_poly(R2, chk.counterexample["defect_value"])
+
+
+def test_mutated_c2_counterexample_frozen():
+    # c2's coefficient line at n=3, k=3 with gamma_2 moved off by one
+    good = second_class_coefficients(3, 3)
+    bad = AnsatzCoefficients(3, 2, alpha=dict(good.alpha), beta=dict(good.beta),
+                             gamma={2: good.gamma[2] + 1})
+    assert cocycle_check(solver_line_cocycle(3, good), 2).holds
+    assert cocycle_check(solver_line_cocycle(3, bad), 2).to_json() == {
+        "holds": False, "max_vf_degree": 2, "pairs_checked": 161,
+        "counterexample": {"X": "1*x3^2*xi1", "Y": "1*x3^2*xi3", "symbol": "1*xi3^3",
+                           "defect_value": "-12*xi1"}}
 
 
 def test_builtin_values_frozen():

@@ -8,6 +8,7 @@ from cohomolab.poly import Poly, ResourceLimitError, StructureError, doubled_rin
 from cohomolab.operators import (
     PolyDiffOp,
     affine_equivariant_basis,
+    commutator_sum,
     divergence_diffop,
     euler_diffop,
     lie_derivative_op,
@@ -207,6 +208,74 @@ def test_module_action_respects_term_budget(monkeypatch):
     monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "1")
     with pytest.raises(ResourceLimitError):
         module_action(X, A)
+
+
+def fraction_op(rng, ring):
+    A = random_op(rng, ring, max_order=3, max_coeff_degree=3)
+    return PolyDiffOp(ring, {mu: c.scale(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 6)))
+                             for mu, c in A.terms.items()})
+
+
+def test_commutator_sum_matches_compose_reference():
+    rng = random.Random(31)
+    for ring in (R2, R3, doubled_ring(2)):
+        for trial in range(30):
+            pairs = [(fraction_op(rng, ring), fraction_op(rng, ring))
+                     for _ in range(rng.randint(1, 3))]
+            reference = PolyDiffOp.zero(ring)
+            for P, A in pairs:
+                reference = reference + (P.compose(A) - A.compose(P))
+            assert commutator_sum(pairs) == reference
+            base = fraction_op(rng, ring)
+            assert commutator_sum(pairs, base=base) == base + reference
+        base = fraction_op(rng, ring)
+        assert commutator_sum([], base=base) == base
+
+
+def test_commutator_sum_cancels_to_zero():
+    rng = random.Random(32)
+    for ring in (R2, R3, doubled_ring(2)):
+        for _ in range(10):
+            A, B = fraction_op(rng, ring), fraction_op(rng, ring)
+            assert commutator_sum([(A, B), (B, A)]).terms == {}
+            # base = -[A, B] cancels the one commutator
+            assert commutator_sum([(A, B)], base=B.compose(A) - A.compose(B)).terms == {}
+    # [E, D] = -D, so D + [E, D] is the zero operator
+    for ring in (R2, R3):
+        E, D = euler_diffop(ring), divergence_diffop(ring)
+        assert commutator_sum([(E, D)], base=D).is_zero()
+
+
+def test_commutator_sum_rejects_mixed_rings_and_empty_sums():
+    E2, E3 = euler_diffop(R2), euler_diffop(R3)
+    with pytest.raises(StructureError):
+        commutator_sum([(E2, E3)])
+    with pytest.raises(StructureError):
+        commutator_sum([(E2, E2)], base=E3)
+    with pytest.raises(StructureError):
+        commutator_sum([])
+
+
+def test_commutator_sum_respects_merged_coefficient_budget(monkeypatch):
+    # [d_x1 + d_x2, a] is multiplication by d_x1(a) + d_x2(a): one operator
+    # term, and every product of terms is one term, so only the term count of
+    # the merged coefficient can hit the cap
+    P = PolyDiffOp(R2, {(1, 0, 0, 0): Poly.constant(R2, 1),
+                        (0, 1, 0, 0): Poly.constant(R2, 1)})
+    a = PolyDiffOp(R2, {(0, 0, 0, 0): x(0) * x(0) + x(1) * x(1)})
+    value = commutator_sum([(P, a)])
+    assert value == PolyDiffOp(R2, {(0, 0, 0, 0): x(0).scale(2) + x(1).scale(2)})
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "2")
+    assert commutator_sum([(P, a)]) == value
+    assert P.commutator(a) == value
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "1")
+    with pytest.raises(ResourceLimitError):
+        commutator_sum([(P, a)])
+    with pytest.raises(ResourceLimitError):
+        P.commutator(a)
+    # a base operator's coefficient terms count towards the merged sum too
+    with pytest.raises(ResourceLimitError):
+        commutator_sum([], base=a)
 
 
 def test_negative_power_is_rejected():
@@ -426,3 +495,14 @@ def test_simplex_enumeration():
     assert xi_simplex(2, 2) == [(0, 2), (1, 1), (2, 0)]
     assert len(xi_simplex(3, 5)) == 21
     assert len(monomials_up_to(2, 3)) == 10
+
+
+def test_simplex_rejects_negative_degree():
+    with pytest.raises(StructureError):
+        xi_simplex(2, -1)
+    with pytest.raises(StructureError):
+        PolyDiffOp.identity(R2).symbol_map(-1)
+    # each call returns a fresh list, so a caller's edit cannot leak
+    first = xi_simplex(2, 2)
+    first.append((9, 9))
+    assert xi_simplex(2, 2) == [(0, 2), (1, 1), (2, 0)]

@@ -129,6 +129,17 @@ def test_malformed_rational_text_rejected():
         parse_poly(R2, "1*x1^a")
 
 
+def test_rat_normalizes_exact_inputs():
+    assert rat(5) == 5 and type(rat(5)) is int
+    assert rat(Fraction(6, 3)) == 2 and type(rat(Fraction(6, 3))) is int
+    assert rat(Fraction(-2, 4)) == Fraction(-1, 2)
+    assert rat("3/6") == Fraction(1, 2)
+    assert rat("-4/2") == -2 and type(rat("-4/2")) is int
+    for bad in (True, False, 0.5, None):
+        with pytest.raises(StructureError):
+            rat(bad)
+
+
 def test_non_integer_term_budget_rejected(monkeypatch):
     monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "abc")
     with pytest.raises(StructureError):
