@@ -472,6 +472,23 @@ def test_affine_basis_order_zero_contains_identity():
     assert sm == I.scale(ratio).symbol_map(2)
 
 
+def test_affine_basis_is_pinned():
+    # the exact operators, in order, that the basis has always returned.  At
+    # l = k the Euler operator acts as k * Id, so the solution space holds
+    # vectors that are zero or repeated as maps on degree-k symbols (at
+    # (2, 2, 2, 2) eight solutions reduce to one operator) and the pruning
+    # must drop them
+    pinned = {
+        (2, 2, 2, 2): ["(1)"],
+        (2, 3, 1, 4): ["(1) * dx2^2 * dxi2^2 + (2) * dx1 * dx2 * dxi1 * dxi2"
+                       " + (1) * dx1^2 * dxi1^2"],
+        (3, 2, 1, 3): ["(1) * dx3 * dxi3 + (1) * dx2 * dxi2 + (1) * dx1 * dxi1"],
+        (2, 1, 2, 2): [],
+    }
+    for shape, ops in pinned.items():
+        assert [op_str(b) for b in affine_equivariant_basis(*shape)] == ops, shape
+
+
 def test_divergence_power_is_not_projectively_equivariant():
     # the assertable form of the no-equivariant-operator lemma
     for n in (2, 3):
