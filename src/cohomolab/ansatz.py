@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial
 
-from .linalg import RowReducer, keyed_rows, same_span
+from .linalg import RowReducer, keyed_rows, nullspace, same_span
 from .operators import PolyDiffOp, lie_derivative_op, unit_deriv
 from .poly import (Coeff, Poly, Ring, StructureError, doubled_ring, norm_coeff,
                    rat, rat_str, single_ring)
@@ -168,7 +168,12 @@ def ansatz_term_op(n: int, kind: str, s: int, p: int) -> PolyDiffOp:
 
 
 class BilinearOp:
-    """A bilinear map S_1 (x) S_k -> S_{k-p}: doubled operator plus restriction."""
+    """A bilinear map S_1 (x) S_k -> S_{k-p}: doubled operator plus restriction.
+
+    The doubled operator's coefficients must be constant, checked once here.
+    `terms` splits each term c * dx^a dxi^b dy^g deta^h once, in the
+    operator's term order, into ((a, b), |a| + |b|, (g, h), c).
+    """
 
     def __init__(self, n: int, k: int, p: int, op: PolyDiffOp):
         if op.ring != doubled_ring(n):
@@ -177,6 +182,13 @@ class BilinearOp:
         self.k = k
         self.p = p
         self.op = op
+        const = (0,) * 4 * n
+        self.terms = []
+        for mu, coeff in op.terms.items():
+            if coeff.terms.keys() != {const}:
+                raise StructureError("bilinear operators need constant coefficients")
+            a_b = mu[:2 * n]
+            self.terms.append((a_b, sum(a_b), mu[2 * n:], coeff.terms[const]))
 
     def __call__(self, X: Poly, P: Poly) -> Poly:
         return self.op.apply(
@@ -185,31 +197,25 @@ class BilinearOp:
     def operator_for_field(self, X: Poly) -> PolyDiffOp:
         """The single-ring operator P |-> C(X, P), for a fixed vector field.
 
-        For a doubled term c * dx^a dxi^b dy^g deta^h with constant c, the
-        x and xi derivatives land on X and the y, eta derivatives pass to
-        the symbol slot, so the restriction is the single-ring operator
-        (c * d^a d^b X) * dx^g dxi^h.
+        For a doubled term c * dx^a dxi^b dy^g deta^h the x and xi
+        derivatives land on X and the y, eta derivatives pass to the symbol
+        slot, so the restriction is the single-ring operator
+        (c * d^a d^b X) * dx^g dxi^h.  A term with |a| + |b| above the total
+        degree of X contributes d^a d^b X = 0 and is skipped.
         """
-        n = self.n
-        ring = single_ring(n)
+        degree = X.total_degree()
         out: dict[tuple, Poly] = {}
-        Xd = X  # single ring
-        for mu, coeff in self.op.terms.items():
-            if set(coeff.terms) - {(0,) * 4 * n}:
-                raise StructureError("operator_for_field expects constant coefficients")
-            c = coeff.terms.get((0,) * 4 * n, 0)
-            if c == 0:
+        for a_b, order, g_h, c in self.terms:
+            if order > degree:
                 continue
-            a_b = mu[:2 * n]
-            g_h = mu[2 * n:]
-            dX = Xd.diff_multi(a_b)
+            dX = X.diff_multi(a_b)
             if dX.is_zero():
                 continue
             prev = out.get(g_h)
             contrib = dX.scale(c)
             out[g_h] = contrib if prev is None else prev + contrib
-        return PolyDiffOp(ring, {mu: c for mu, c in out.items() if not c.is_zero()},
-                          _clean=True)
+        return PolyDiffOp(single_ring(self.n),
+                          {mu: c for mu, c in out.items() if not c.is_zero()}, _clean=True)
 
 
 def build_bilinear(coeffs: AnsatzCoefficients, n: int) -> BilinearOp:
@@ -249,15 +255,14 @@ class SolutionSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def vectors(self, indices: list[AnsatzIndex] | None = None) -> list[list[Coeff]]:
-        idx = indices if indices is not None else full_indices(self.k, self.p)
+    def vectors(self) -> list[list[Coeff]]:
+        idx = full_indices(self.k, self.p)
         return [c.as_vector(idx) for c in self.basis]
 
     def same_span_as(self, other: "SolutionSpace") -> bool:
         if (self.n, self.k, self.p) != (other.n, other.k, other.p):
             return False
-        idx = full_indices(self.k, self.p)
-        return same_span(self.vectors(idx), other.vectors(idx))
+        return same_span(self.vectors(), other.vectors())
 
     def to_json(self) -> dict:
         return {
@@ -302,7 +307,6 @@ def recurrence_solutions(n: int, k: int, p: int) -> SolutionSpace:
                             ("gamma", s): -1}))
         rows.append(row_of({("gamma", s): s - 2, ("gamma", s - 1): -lam}))
 
-    from .linalg import nullspace
     basis = [AnsatzCoefficients.from_vector(k, p, indices, v)
              for v in nullspace(rows, len(indices))]
     return SolutionSpace(n, k, p, basis)
@@ -331,7 +335,7 @@ def _validate(n: int, k: int, p: int) -> None:
 # -- direct solver -------------------------------------------------------------
 
 
-def _staircase(n: int, dmax: int, width: int = 2) -> list[tuple[int, ...]]:
+def _staircase(n: int, dmax: int, width: int) -> list[tuple[int, ...]]:
     """x-exponents a*e1 + b*e2 with a+b <= dmax and b <= width, lex order."""
     out = []
     for a in range(dmax + 1):

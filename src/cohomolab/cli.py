@@ -11,7 +11,8 @@ import argparse
 import sys
 import time
 
-from .ansatz import impose_cocycle, recurrence_solutions, solve_equivariant_direct
+from .ansatz import (impose_cocycle, recurrence_solutions, reduced_indices,
+                     solve_equivariant_direct)
 from .cocycles import (
     build_report,
     builtin_c1,
@@ -173,8 +174,6 @@ def _dispatch(args) -> int:
         config = {"dim": args.dim, "max_total_degree": args.max_total_degree}
 
     elif command == "classify-equivariant":
-        from .ansatz import reduced_indices
-
         space = recurrence_solutions(args.dim, args.order, args.delta)
         direct = solve_equivariant_direct(args.dim, args.order, args.delta)
         agree = space.same_span_as(direct)

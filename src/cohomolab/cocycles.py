@@ -34,7 +34,8 @@ from .operators import (
     unit_deriv,
 )
 from .poly import Poly, StructureError, poly_str, rat, rat_str, single_ring
-from .symbols import divergence, divergence_cocycle, is_closed, sl_generators
+from .symbols import (divergence, divergence_cocycle, is_closed, schouten_bracket,
+                      sl_generators)
 
 
 @dataclass
@@ -105,7 +106,6 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4) -> IdentityCheck:
     """
     if max_vf_degree < 2:
         raise StructureError("the check needs fields of degree at least 2")
-    from .symbols import schouten_bracket
 
     fields = monomial_fields(c.n, max_vf_degree)
     lie_ops = [lie_derivative_op(X) for X in fields]

@@ -15,6 +15,17 @@ from .poly import Coeff, norm_coeff
 Row = dict[int, Coeff]
 
 
+def _eliminate(row: Row, col: int, pivot: Row) -> None:
+    """Subtract row[col] times the pivot row (pivot[col] == 1) from row, in place."""
+    factor = row[col]
+    for c, v in pivot.items():
+        s = row.get(c, 0) - factor * v
+        if s == 0:
+            row.pop(c, None)
+        else:
+            row[c] = norm_coeff(s)
+
+
 class RowReducer:
     """Incremental Gaussian elimination over exact rationals.
 
@@ -40,16 +51,8 @@ class RowReducer:
         """
         row = {c: v for c, v in row.items() if v != 0}
         for hit in sorted(set(row) & self.pivot_rows.keys()):
-            if hit not in row:
-                continue
-            piv = self.pivot_rows[hit]
-            factor = row[hit]
-            for c, v in piv.items():
-                s = row.get(c, 0) - factor * v
-                if s == 0:
-                    row.pop(c, None)
-                else:
-                    row[c] = norm_coeff(s)
+            if hit in row:
+                _eliminate(row, hit, self.pivot_rows[hit])
         return row
 
     def add_row(self, row: Row) -> bool:
@@ -63,13 +66,7 @@ class RowReducer:
         # keep earlier pivot rows fully reduced against the new one
         for prow in self.pivot_rows.values():
             if lead in prow:
-                factor = prow[lead]
-                for c, v in red.items():
-                    s = prow.get(c, 0) - factor * v
-                    if s == 0:
-                        prow.pop(c, None)
-                    else:
-                        prow[c] = norm_coeff(s)
+                _eliminate(prow, lead, red)
         self.pivot_rows[lead] = red
         return True
 
@@ -137,7 +134,8 @@ def solve(rows: list[Row], rhs: list[Coeff], ncols: int) -> list[Coeff] | None:
     """One exact solution of rows * v = rhs, or None if inconsistent.
 
     Solved by eliminating the augmented system; among solution families the
-    one with all free variables set to 0 is returned (deterministic).
+    one with all free variables set to 0 is returned (deterministic).  Pivot
+    rows are fully reduced, so each pivot variable is then minus its row's rhs.
     """
     aug = RowReducer(ncols + 1)
     for row, b in zip(rows, rhs):
@@ -148,11 +146,6 @@ def solve(rows: list[Row], rhs: list[Coeff], ncols: int) -> list[Coeff] | None:
     if ncols in aug.pivot_rows:
         return None
     sol: list[Coeff] = [0] * ncols
-    for lead in sorted(aug.pivot_rows, reverse=True):
-        row = aug.pivot_rows[lead]
-        acc = row.get(ncols, 0)
-        for c, v in row.items():
-            if c != lead and c != ncols:
-                acc += v * sol[c]
-        sol[lead] = norm_coeff(-acc)
+    for lead, row in aug.pivot_rows.items():
+        sol[lead] = -row.get(ncols, 0)
     return sol

@@ -85,6 +85,37 @@ def rat_str(c: Coeff) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
+@lru_cache(maxsize=None)
+def active_vars(mu: Exponent) -> tuple[tuple[int, int], ...]:
+    """The nonzero (variable, order) pairs of a multi-index."""
+    return tuple((var, m) for var, m in enumerate(mu) if m)
+
+
+def diff_terms(terms, multi: Exponent) -> list[tuple[Exponent, Coeff]]:
+    """The (exponent, coefficient) pairs of d^multi(g), given those of g.
+
+    The one differentiation kernel, behind Poly.diff_multi and the operators'
+    Leibniz expansion.  Distinct surviving monomials stay distinct, so nothing
+    is merged; coefficients come back unnormalized.
+    """
+    active = active_vars(multi)
+    if not active:
+        return list(terms)
+    out = []
+    for exp, c in terms:
+        new = list(exp)
+        for var, m in active:
+            e = exp[var]
+            if e < m:
+                break
+            for step in range(m):
+                c *= e - step
+            new[var] = e - m
+        else:
+            out.append((tuple(new), c))
+    return out
+
+
 @dataclass(frozen=True)
 class Ring:
     """Variable layout for a polynomial ring of dimension n.
@@ -308,29 +339,8 @@ class Poly:
 
     def diff_multi(self, multi: Exponent) -> "Poly":
         """Iterated partial derivative d^multi, computed in one pass per term."""
-        active = [(var, m) for var, m in enumerate(multi) if m]
-        if not active:
-            return self
-        out: dict[Exponent, Coeff] = {}
-        for exp, c in self.terms.items():
-            fac = 1
-            new = list(exp)
-            for var, m in active:
-                e = exp[var]
-                if e < m:
-                    fac = 0
-                    break
-                for step in range(m):
-                    fac *= e - step
-                new[var] = e - m
-            if fac:
-                key = tuple(new)
-                s = out.get(key, 0) + c * fac
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = norm_coeff(s)
-        return Poly(self.ring, out, _clean=True)
+        terms = diff_terms(self.terms.items(), multi)
+        return Poly(self.ring, {e: norm_coeff(c) for e, c in terms}, _clean=True)
 
     # -- grading and slot moves ---------------------------------------------
 
@@ -340,16 +350,6 @@ class Poly:
         if self.ring.doubled:
             d += sum(exp[3 * n:4 * n])
         return d
-
-    def xi_degree_decompose(self) -> list[tuple[int, "Poly"]]:
-        """Split into xi-homogeneous parts; returns (degree, part) sorted by degree."""
-        if self.ring.doubled:
-            raise StructureError("grading decomposition expects the single ring")
-        buckets: dict[int, dict[Exponent, Coeff]] = {}
-        for exp, c in self.terms.items():
-            buckets.setdefault(self.xi_degree_of_term(exp), {})[exp] = c
-        return [(k, Poly(self.ring, t, _clean=True))
-                for k, t in sorted(buckets.items())]
 
     def xi_degree(self) -> int | None:
         """The xi-degree if xi-homogeneous (0 for the zero polynomial), else None."""

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from cohomolab import ansatz
 from cohomolab.ansatz import (
     AnsatzCoefficients,
@@ -18,8 +20,10 @@ from cohomolab.ansatz import (
     solve_equivariant_direct,
     sys4_residuals,
 )
+from cohomolab.cocycles import second_class_coefficients
 from cohomolab.linalg import RowReducer
-from cohomolab.poly import Poly, rat_str, single_ring
+from cohomolab.operators import PolyDiffOp, unit_deriv
+from cohomolab.poly import Poly, StructureError, doubled_ring, rat_str, single_ring
 from cohomolab.symbols import hamiltonian_action, schouten_bracket, sl_generators
 
 R2 = single_ring(2)
@@ -67,6 +71,38 @@ def test_operator_for_field_matches_direct_evaluation():
             Pexp[2 + rng.randrange(2)] += 1
         P = Poly.monomial(R2, tuple(Pexp), rng.randint(-4, 4))
         assert C.operator_for_field(X).apply(P) == C(X, P)
+
+
+def test_bilinear_op_rejects_non_constant_coefficients_when_built():
+    D2 = doubled_ring(2)
+    op = PolyDiffOp.single(D2, Poly.variable(D2, D2.y(0)), unit_deriv(D2, D2.x(0)))
+    with pytest.raises(StructureError):
+        BilinearOp(2, 3, 1, op)
+
+
+def test_operator_for_field_skips_terms_above_the_field_degree(monkeypatch):
+    # the c2 line at n = 2, k = 3, whose terms have x-order 2 to 4, against
+    # the translation xi1 (total degree 1, so no derivative is taken), the
+    # linear field x1 xi2 and the quadratic field x1 x2 xi1
+    C = build_bilinear(second_class_coefficients(2, 3), 2)
+    orders = [order for _, order, _, _ in C.terms]
+    calls = []
+    original = Poly.diff_multi
+
+    def recorded(self, multi):
+        calls.append(sum(multi))
+        return original(self, multi)
+
+    monkeypatch.setattr(Poly, "diff_multi", recorded)
+    for X in (xi(0), x(0) * xi(1), x(0) * x(1) * xi(0)):
+        degree = X.total_degree()
+        assert max(orders) > degree
+        calls.clear()
+        op = C.operator_for_field(X)
+        assert all(order <= degree for order in calls)
+        assert len(calls) == sum(order <= degree for order in orders)
+        P = x(0) * x(1) * x(1) * xi(0) * xi(0) * xi(1)
+        assert op.apply(P) == C(X, P)
 
 
 def test_case_a_no_solutions():

@@ -92,6 +92,22 @@ def test_diff_against_sympy():
         assert sympy.expand(sympy.diff(ep, syms2[var]) - got) == 0
 
 
+def test_diff_multi_matches_iterated_diff():
+    rng = random.Random(19)
+    for _ in range(30):
+        p = random_poly(rng, R2, max_degree=5)
+        multi = tuple(rng.randint(0, 2) for _ in range(R2.nvars))
+        expected = p
+        for var, m in enumerate(multi):
+            for _ in range(m):
+                expected = expected.diff(var)
+        got = p.diff_multi(multi)
+        assert got == expected
+        # integral coefficients come back as ints, as everywhere in the ring
+        assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+    assert (xi(0) * xi(0)).scale(Fraction(1, 2)).diff_multi((0, 0, 2, 0)) == Poly.constant(R2, 1)
+
+
 def test_power_rule():
     p = xi(0) * xi(0)
     assert p.diff(R2.xi(0)) == xi(0).scale(2)
@@ -207,33 +223,6 @@ def test_restrict_diagonal_is_ring_homomorphism():
     for _ in range(25):
         a, b = d_poly(rng), d_poly(rng)
         assert (a * b).restrict_diagonal() == a.restrict_diagonal() * b.restrict_diagonal()
-
-
-def test_xi_degree_decompose_by_inspection():
-    p = xi(0) + xi(0) * xi(1)
-    assert p.xi_degree_decompose() == [(1, xi(0)), (2, xi(0) * xi(1))]
-
-
-def test_xi_degree_decompose_zero():
-    assert Poly.zero(R2).xi_degree_decompose() == []
-
-
-def test_xi_degree_decompose_square():
-    p = (x(0) + xi(0)) ** 2
-    parts = dict(p.xi_degree_decompose())
-    assert parts[0] == x(0) * x(0)
-    assert parts[1] == (x(0) * xi(0)).scale(2)
-    assert parts[2] == xi(0) * xi(0)
-
-
-def test_decompose_sums_back():
-    rng = random.Random(11)
-    for _ in range(30):
-        p = random_poly(rng, R2)
-        total = Poly.zero(R2)
-        for _, part in p.xi_degree_decompose():
-            total = total + part
-        assert total == p
 
 
 def test_poly_str_canonical():
