@@ -268,6 +268,16 @@ def test_row_generators_feed_pinned_rows(monkeypatch):
         "993592dbe880f6e7d5d88aebb25b79b5748e7affff19b0f58e60639aa0dfe17a")
 
 
+def test_row_generators_feed_pinned_rows_in_dimension_three(monkeypatch):
+    # n = 3 reaches what n = 2 cannot: the e3 point of the xi slice and the
+    # mixed x1x2x3 and skew x1^2x3 cubic fields of the cocycle filter
+    space = recurrence_solutions(3, 3, 2)
+    assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(3, 3, 2)) == (
+        "4c308d6edb726d89a716f8e1f6ad7322d8a388e77391afcd0f998f1ca037c3f9")
+    assert _row_digest(monkeypatch, lambda: impose_cocycle(space, 3, 3, 2)) == (
+        "7306d554fe3ad2980a6e8857531a52ac623a4cb2476c159511651eede47fe638")
+
+
 def test_cocycle_general_second_class_coefficients():
     for n in (2, 3):
         for k in (3, 4, 5):
