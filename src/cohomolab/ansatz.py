@@ -34,7 +34,7 @@ from functools import cache, lru_cache
 from math import factorial
 
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
-from .operators import PolyDiffOp, lie_derivative_op, unit_deriv
+from .operators import PolyDiffOp, commutator_sum, lie_derivative_op, unit_deriv
 from .poly import (Coeff, Poly, Ring, StructureError, doubled_ring, norm_coeff,
                    rat, rat_str, single_ring)
 from .symbols import schouten_bracket, sl_generators
@@ -407,16 +407,14 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     candidate family and contributes nothing; agreement with the recurrence
     solver is enforced separately as an acceptance check.
 
-    Values that do not depend on the whole (X, Y) pair are computed once:
-    {X, P} once per generator X and symbol P, and the values C_t(Y, P) of
-    the ansatz terms once per field Y and symbol P.  Every row is added, so
-    these are computed up front.  The bracket {X, C_t(Y, P)} of a fresh
-    value is L_X applied to it, since {X, g} = L_X g for a vector field X;
-    L_X = lie_derivative_op(X) is built once per generator and applied in
-    one pass (see PolyDiffOp.apply).  The operators P |-> C_t(F, P) are
-    memoized by the field F for this call, so a projective generator that
-    is also a test field Y, or a bracket [X, Y] met twice, is built once.
-    A vanishing bracket builds none, since C(0, P) = 0.
+    Each row is a defect operator applied to a test symbol P.  Per
+    generator X, field Y and ansatz term t, the operator
+    D_t = [L_X, C_t(Y, .)] - C_t([X, Y], .) is formed once, as one
+    commutator_sum; since {X, g} = L_X g for a vector field X, D_t(P) is
+    the equivariance defect exactly.  L_X = lie_derivative_op(X) is built once per generator, and
+    the operators P |-> C_t(F, P) are memoized by the field F, so a
+    generator that is also a test field Y, or a bracket [X, Y] met twice,
+    is built once; a vanishing bracket builds none, since C(0, P) = 0.
     """
     _validate(n, k, p)
     indices = full_indices(k, p)
@@ -448,21 +446,18 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     eq_symbols = _symbol_monomials(n, _staircase(n, p + 1, width=1),
                                    _xi_slice(n, k, max_off_axis=2))
     generators = fam.quadratic[:2]
-    acted = [[schouten_bracket(X, P) for P in eq_symbols] for X in generators]
     lie_ops = [lie_derivative_op(X) for X in generators]
     for Y in y_fields:
         ops_Y = field_ops(Y)
-        values_Y = [[opY.apply(P) for opY in ops_Y] for P in eq_symbols]
-        for X, L_X, XPs in zip(generators, lie_ops, acted):
+        for X, L_X in zip(generators, lie_ops):
             bracket = schouten_bracket(X, Y)
             # C(0, P) = 0, so a vanishing bracket needs no operators
-            ops_bracket = None if bracket.is_zero() else field_ops(bracket)
-            for P, XP, vals in zip(eq_symbols, XPs, values_Y):
-                rows = [L_X.apply(val) - opY.apply(XP)
-                        for opY, val in zip(ops_Y, vals)]
-                if ops_bracket:
-                    rows = [row - opB.apply(P) for row, opB in zip(rows, ops_bracket)]
-                add_poly_rows(rows)
+            bases = ([None] * len(ops_Y) if bracket.is_zero()
+                     else [-opB for opB in field_ops(bracket)])
+            defects = [commutator_sum([(L_X, opY)], base=base)
+                       for opY, base in zip(ops_Y, bases)]
+            for P in eq_symbols:
+                add_poly_rows([d.apply(P) for d in defects])
 
     basis = [AnsatzCoefficients.from_vector(k, p, indices, v)
              for v in reducer.nullspace()]
@@ -478,17 +473,16 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
     vanishing on the projective subalgebra these pairs carry the only new
     conditions.
 
-    A field takes part in many pairs, so a memo that lives for this call
-    holds, per cubic or generator field X, the operator L_X =
-    lie_derivative_op(X), the operators P |-> C_b(X, P) of the basis maps b,
-    their values C_b(X, P) and the brackets {X, P} = L_X P on the test
-    symbols.  Every bracket of a field with a symbol or an operator value is
-    L_X applied in one pass (see PolyDiffOp.apply), since {X, g} = L_X g for
-    a vector field X.  The operators of a bracket [Y, Z] go into the same
-    memo, keyed by the bracket, so a bracket met by two pairs is built once;
-    a vanishing bracket builds none, since C(0, P) = 0.
-    The memo is filled lazily: the pair loop stops once the rank is full,
-    and a field no processed pair touches costs nothing.
+    Each processed pair (Y, Z) and basis map b gives one defect operator
+    D_b = C_b([Y, Z], .) + [L_Z, C_b(Y, .)] + [C_b(Z, .), L_Y], formed as
+    one commutator_sum as in cocycle_check, and each row is D_b applied to
+    a test symbol; a pair whose defects all vanish evaluates no symbol.  A
+    memo that lives for this call holds, per field X, L_X =
+    lie_derivative_op(X) and the operators P |-> C_b(X, P); the operators
+    of a bracket [Y, Z] go into the same memo, so a bracket met by two
+    pairs is built once, and a vanishing one builds none, since
+    C(0, P) = 0.  The memo is filled lazily: the pair loop stops once the
+    rank is full, and a field no processed pair touches costs nothing.
     """
     _validate(n, k, p)
     if not space.basis:
@@ -519,32 +513,21 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
     def lie_op(f: int) -> PolyDiffOp:
         return lie_derivative_op(fields[f])
 
-    @cache
-    def values(f: int, q: int) -> list[Poly]:
-        return [op.apply(symbols_fam[q]) for op in field_ops(fields[f])]
-
-    @cache
-    def action(f: int, q: int) -> Poly:
-        return lie_op(f).apply(symbols_fam[q])
-
     reducer = RowReducer(len(bilinear))
     for y, z in pairs:
         if reducer.rank == len(bilinear):
             break
         Y, Z = fields[y], fields[z]
-        ops_Y, ops_Z, L_Y, L_Z = field_ops(Y), field_ops(Z), lie_op(y), lie_op(z)
+        L_Y, L_Z = lie_op(y), lie_op(z)
         bracket = schouten_bracket(Y, Z)
         # C(0, P) = 0, so a vanishing bracket needs no operators
-        ops_bracket = None if bracket.is_zero() else field_ops(bracket)
-        for q, P in enumerate(symbols_fam):
-            YP, ZP = action(y, q), action(z, q)
-            defects = [opZ.apply(YP) - L_Y.apply(valZ)
-                       + L_Z.apply(valY) - opY.apply(ZP)
-                       for opY, opZ, valY, valZ
-                       in zip(ops_Y, ops_Z, values(y, q), values(z, q))]
-            if ops_bracket:
-                defects = [opB.apply(P) + d for opB, d in zip(ops_bracket, defects)]
-            for row in keyed_rows([d.terms for d in defects]):
+        ops_bracket = [None] * len(bilinear) if bracket.is_zero() else field_ops(bracket)
+        defects = [commutator_sum([(L_Z, opY), (opZ, L_Y)], base=opB)
+                   for opY, opZ, opB in zip(field_ops(Y), field_ops(Z), ops_bracket)]
+        if all(d.is_zero() for d in defects):
+            continue
+        for P in symbols_fam:
+            for row in keyed_rows([d.apply(P).terms for d in defects]):
                 reducer.add_row(row)
 
     combos = reducer.nullspace()

@@ -26,8 +26,9 @@ The expansion runs in one pass.  Every product of a left coefficient term,
 scaled by sign * binom, with a term of the right coefficient's derivative
 d^rho(a_mu) is added straight into one raw {derivative: {exponent:
 coefficient}} accumulator, and each Poly coefficient is built once at the
-end.  commutator_sum sums any number of commutators and a base operator in
-one such accumulator.  The term budget is checked once per call, on the
+end.  commutator_sum, the one defect kernel of cocycle_check and of both
+ansatz row generators, sums any number of commutators and a base operator
+in one such accumulator.  The term budget is checked once per call, on the
 larger of the output's term count and its largest merged coefficient's term
 count; the second stands in for a check on every coefficient product.
 

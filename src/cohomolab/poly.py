@@ -435,7 +435,11 @@ def parse_poly(ring: Ring, text: str) -> Poly:
     terms: dict[Exponent, Coeff] = {}
     for part in text.split(" + "):
         factors = part.strip().split("*")
-        coeff = rat(factors[0])
+        try:
+            coeff = rat(factors[0])
+        except StructureError:
+            raise StructureError("each term starts with its coefficient, as in "
+                                 f"'1*x2': got {part.strip()!r}") from None
         exp = [0] * ring.nvars
         for f in factors[1:]:
             name, caret, e = f.partition("^")

@@ -204,6 +204,27 @@ def test_cocycle_filter_builds_each_field_operator_once(monkeypatch):
     assert not any(X.is_zero() for _, X in builds)
 
 
+def test_cocycle_filter_adds_no_row_when_every_defect_vanishes(monkeypatch):
+    # the degree-drop-one line at n = 2, k = 3 is already a cocycle: every
+    # pair's defect operators vanish, so no symbol is evaluated and no row fed
+    rows, applied = [], []
+    original, original_apply = RowReducer.add_row, PolyDiffOp.apply
+
+    def recorded(self, row):
+        rows.append(row)
+        return original(self, row)
+
+    def recorded_apply(self, P):
+        applied.append(P)
+        return original_apply(self, P)
+
+    space = recurrence_solutions(2, 3, 1)
+    monkeypatch.setattr(RowReducer, "add_row", recorded)
+    monkeypatch.setattr(PolyDiffOp, "apply", recorded_apply)
+    assert impose_cocycle(space, 2, 3, 1).dimension == 1
+    assert rows == [] and applied == []
+
+
 def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
     k = 3
     calls = Counter()
@@ -219,8 +240,16 @@ def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
         builds[(id(self), X)] += 1
         return original_build(self, X)
 
+    defects = Counter()
+    original_sum = ansatz.commutator_sum
+
+    def counted_sum(pairs, base=None):
+        defects[tuple((id(L), id(A)) for L, A in pairs)] += 1
+        return original_sum(pairs, base=base)
+
     monkeypatch.setattr(ansatz, "schouten_bracket", counted)
     monkeypatch.setattr(BilinearOp, "operator_for_field", counted_build)
+    monkeypatch.setattr(ansatz, "commutator_sum", counted_sum)
     space = solve_equivariant_direct(2, k, 2)
     assert space.to_json() == {
         "dimension": 2, "matched_paper_case": "c",
@@ -228,10 +257,17 @@ def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
                    "beta": {"2": "1/7", "3": "1"}, "gamma": {}},
                   {"k": 3, "p": 2, "alpha": {"2": "-4/7", "3": "-3"},
                    "beta": {"2": "-1/7"}, "gamma": {"2": "1"}}]}
-    # {X, P} on a degree-k symbol P; fields and values have xi-degree 1
+    # no {X, P} on a degree-k symbol P is formed: each row is a defect
+    # operator applied to P, and only brackets [X, Y] of fields are taken
     symbol_calls = [count for (_, g), count in calls.items()
                     if not g.is_zero() and _xi_degree(g) == k]
-    assert symbol_calls and all(count == 1 for count in symbol_calls)
+    assert not symbol_calls
+    # one defect operator [L_X, C_t(Y)] - C_t([X, Y]), a single commutator,
+    # per quadratic generator X (2), test field Y (x-shapes a e1 + b e2 with
+    # a + b <= 4 and b <= 1, times 2 components: 18) and ansatz term t (10)
+    assert all(len(key) == 1 and count == 1 for key, count in defects.items())
+    assert len({key[0][0] for key in defects}) == 2
+    assert len(defects) == 2 * 18 * len(full_indices(k, 2)) == 360
     # the translations and linear generators are also test fields
     generators = set(sl_generators(2).all())
     generator_builds = [count for (_, X), count in builds.items() if X in generators]

@@ -120,6 +120,8 @@ CONFIG_ERRORS = {
                           "--order", "2", "--a", "1/0"], None),
     "bad-omega-exponent": (["verify-cocycle", "--name", "div", "--dim", "2",
                             "--order", "2", "--omega", "1*x1^a,0"], None),
+    "omega-without-coefficient": (["verify-cocycle", "--name", "div", "--dim", "2",
+                                   "--order", "2", "--omega", "x2,0"], None),
     "missing-candidates-file": (["coboundary-test", "--name", "c1", "--dim", "2",
                                  "--order", "2", "--candidates", "custom-file",
                                  "--candidates-file", "{tmp}/missing.txt"], None),

@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+from cohomolab.ansatz import build_bilinear
+from cohomolab.cocycles import second_class_coefficients
 from cohomolab.poly import Poly, ResourceLimitError, StructureError, doubled_ring, single_ring
 from cohomolab.operators import (
     PolyDiffOp,
@@ -18,7 +20,7 @@ from cohomolab.operators import (
     parse_op,
     xi_simplex,
 )
-from cohomolab.symbols import sl_generators
+from cohomolab.symbols import schouten_bracket, sl_generators
 
 R2 = single_ring(2)
 R3 = single_ring(3)
@@ -246,6 +248,45 @@ def test_commutator_sum_cancels_to_zero():
         assert commutator_sum([(E, D)], base=D).is_zero()
 
 
+def _c2_line_and_symbols():
+    """Degree-3 monomial symbols of x-degree <= 3, and the c2 line at n=2, k=3."""
+    C = build_bilinear(second_class_coefficients(2, 3), 2)
+    symbols = [Poly.monomial(R2, u + v)
+               for u in monomials_up_to(2, 3) for v in xi_simplex(2, 3)]
+    return C, symbols
+
+
+def test_commutator_sum_evaluates_the_equivariance_defect():
+    # the direct solver's row: [L_X, A] - B applied to P is
+    # L_X(A P) - A(L_X P) - B P, with A, B the c2 operators of cubic fields
+    C, symbols = _c2_line_and_symbols()
+    X = sl_generators(2).quadratic[0]
+    L_X = lie_derivative_op(X)
+    A = C.operator_for_field(x(0) * x(0) * x(1) * xi(0))
+    B = C.operator_for_field(x(0) * x(1) * x(1) * xi(1))
+    assert not (A.is_zero() or B.is_zero())
+    defect = commutator_sum([(L_X, A)], base=-B)
+    for P in symbols:
+        assert defect.apply(P) == (
+            L_X.apply(A.apply(P)) - A.apply(L_X.apply(P)) - B.apply(P))
+
+
+def test_commutator_sum_evaluates_the_cocycle_defect():
+    # the cocycle filter's row: [L_Z, A] + [B, L_Y] + C([Y, Z]) applied to P
+    C, symbols = _c2_line_and_symbols()
+    Y = x(0) * x(0) * x(1) * xi(0)
+    Z = x(0) * x(0) * x(0) * xi(1)
+    L_Y, L_Z = lie_derivative_op(Y), lie_derivative_op(Z)
+    A, B = C.operator_for_field(Y), C.operator_for_field(Z)
+    base = C.operator_for_field(schouten_bracket(Y, Z))
+    assert not base.is_zero()
+    defect = commutator_sum([(L_Z, A), (B, L_Y)], base=base)
+    for P in symbols:
+        assert defect.apply(P) == (
+            L_Z.apply(A.apply(P)) - A.apply(L_Z.apply(P))
+            + B.apply(L_Y.apply(P)) - L_Y.apply(B.apply(P)) + base.apply(P))
+
+
 def test_commutator_sum_rejects_mixed_rings_and_empty_sums():
     E2, E3 = euler_diffop(R2), euler_diffop(R3)
     with pytest.raises(StructureError):
@@ -396,7 +437,6 @@ def test_module_action_lie_axiom():
             exp[rng.randrange(2)] += 1
         exp[2 + rng.randrange(2)] += 1
         fields.append(Poly.monomial(R2, tuple(exp), rng.randint(1, 5)))
-    from cohomolab.symbols import schouten_bracket
 
     A = divergence_diffop(R2)
     k = 2

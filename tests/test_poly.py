@@ -145,6 +145,13 @@ def test_malformed_rational_text_rejected():
         parse_poly(R2, "1*x1^a")
 
 
+def test_term_without_coefficient_names_the_expected_form():
+    for text in ("x2", "1*x1 + xi2", "abc"):
+        with pytest.raises(StructureError, match=r"starts with its coefficient, as in '1\*x2'"):
+            parse_poly(R2, text)
+    assert parse_poly(R2, "1*x2") == x(1)
+
+
 def test_rat_normalizes_exact_inputs():
     assert rat(5) == 5 and type(rat(5)) is int
     assert rat(Fraction(6, 3)) == 2 and type(rat(Fraction(6, 3))) is int
