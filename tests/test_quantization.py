@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from cohomolab.cocycles import (
     field_columns,
     monomial_fields,
 )
-from cohomolab.operators import divergence_diffop
+from cohomolab.operators import divergence_diffop, op_str
 from cohomolab.poly import Poly, StructureError, single_ring
 from cohomolab.quantization import (
     DensityOperator,
@@ -341,6 +342,46 @@ def test_reconstruction_rejects_truncated_order():
         operator_from_symbol_values(2, 2, 1, value, max_x_order=0)
     rebuilt = operator_from_symbol_values(2, 2, 1, value, max_x_order=1)
     assert rebuilt.symbol_map(2) == D.symbol_map(2)
+    # the rebuilt normal form is pinned, not only its action on S_2
+    assert op_str(rebuilt) == (
+        "(1*xi2) * dx2 * dxi2^2 + (1*xi1) * dx2 * dxi1 * dxi2"
+        " + (1*xi2) * dx1 * dxi1 * dxi2 + (1*xi1) * dx1 * dxi1^2")
+
+
+def test_reconstruction_rejects_a_value_of_the_wrong_degree():
+    def value(u, v):
+        return Poly.monomial(R2, tuple(u) + tuple(v))  # degree 2, not 1
+
+    with pytest.raises(StructureError, match="target degree 1"):
+        operator_from_symbol_values(2, 2, 1, value, max_x_order=1)
+
+
+def test_reconstruction_rejects_an_inhomogeneous_value():
+    D = divergence_diffop(R2)
+
+    def value(u, v):
+        P = Poly.monomial(R2, tuple(u) + tuple(v))
+        return D.apply(P) + P  # degrees 1 and 2
+
+    with pytest.raises(StructureError, match="target degree 1"):
+        operator_from_symbol_values(2, 2, 1, value, max_x_order=1)
+
+
+def test_projected_cocycle_values_are_pinned():
+    # SHA-256 over the canonical text of every value of the weight-1/2
+    # projected cocycle on monomial fields of degree <= 3: a change to the
+    # reconstruction must rebuild the same operators, term for term
+    D = divergence_diffop(R2)
+    digest = hashlib.sha256()
+    for k in (2, 3):
+        top = quantization_top_cocycle(2, k, Fraction(1, 2))
+        witness = coboundary_solve(field_columns(top, [D], 3)).witness
+        proj = quantization_projected_cocycle(2, k, Fraction(1, 2), witness)
+        for X in monomial_fields(2, 3):
+            digest.update(op_str(proj.evaluate(X)).encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == (
+        "adc2bc31d4999d368c2b266d85868356448b8e6f1b59ff65ff1b1ec69da3d931")
 
 
 @pytest.mark.parametrize("k,scalar", [(2, Fraction(-1, 9)), (3, Fraction(-1, 12))])
