@@ -175,12 +175,10 @@ class BilinearOp:
     operator's term order, into ((a, b), |a| + |b|, (g, h), c).
     """
 
-    def __init__(self, n: int, k: int, p: int, op: PolyDiffOp):
+    def __init__(self, n: int, op: PolyDiffOp):
         if op.ring != doubled_ring(n):
             raise StructureError("bilinear operators live in the doubled ring")
         self.n = n
-        self.k = k
-        self.p = p
         self.op = op
         const = (0,) * 4 * n
         self.terms = []
@@ -227,7 +225,7 @@ def build_bilinear(coeffs: AnsatzCoefficients, n: int) -> BilinearOp:
         c = coeffs.get(kind, s)
         if c != 0:
             op = op + ansatz_term_op(n, kind, s, p).scale(c)
-    return BilinearOp(n, k, p, op)
+    return BilinearOp(n, op)
 
 
 # -- solution spaces ----------------------------------------------------------
@@ -420,7 +418,7 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     indices = full_indices(k, p)
     if not indices:
         return SolutionSpace(n, k, p, [])
-    term_ops = [BilinearOp(n, k, p, ansatz_term_op(n, kind, s, p))
+    term_ops = [BilinearOp(n, ansatz_term_op(n, kind, s, p))
                 for kind, s in indices]
     fam = sl_generators(n)
     reducer = RowReducer(len(indices))

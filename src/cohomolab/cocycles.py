@@ -316,8 +316,7 @@ def second_class_coefficients(n: int, k: int) -> AnsatzCoefficients:
 def builtin_c2(n: int, k: int) -> OneCocycle:
     """The projectively invariant cocycle lowering the symbol degree by two."""
     _check_shape(n, k, 2)
-    C = build_bilinear(second_class_coefficients(n, k), n)
-    return OneCocycle(n, k, k - 2, "c2", C.operator_for_field)
+    return bilinear_cocycle(n, second_class_coefficients(n, k), "c2")
 
 
 def builtin_div(n: int, k: int, a, omega: list[Poly]) -> OneCocycle:
@@ -335,10 +334,10 @@ def builtin_div(n: int, k: int, a, omega: list[Poly]) -> OneCocycle:
     return OneCocycle(n, k, k, f"div(a={rat_str(a)})", rule)
 
 
-def solver_line_cocycle(n: int, coeffs: AnsatzCoefficients) -> OneCocycle:
-    """Wrap an ansatz coefficient family as an evaluable cocycle."""
-    C = build_bilinear(coeffs, n)
-    return OneCocycle(n, coeffs.k, coeffs.k - coeffs.p, "solver", C.operator_for_field)
+def bilinear_cocycle(n: int, coeffs: AnsatzCoefficients, name: str) -> OneCocycle:
+    """The cocycle X |-> C(X, .) of an ansatz coefficient family, S_k -> S_(k-p)."""
+    return OneCocycle(n, coeffs.k, coeffs.k - coeffs.p, name,
+                      build_bilinear(coeffs, n).operator_for_field)
 
 
 # -- reporting ------------------------------------------------------------------

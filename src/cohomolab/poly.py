@@ -37,10 +37,13 @@ def _term_budget() -> int:
     if not raw:
         return 2_000_000
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
+        cap = 0
+    if cap < 1:
         raise StructureError(
-            f"COHOMOLAB_MAX_TERMS must be an integer, got {raw!r}") from None
+            f"COHOMOLAB_MAX_TERMS must be a positive integer, got {raw!r}")
+    return cap
 
 
 def check_term_budget(n_terms: int) -> None:

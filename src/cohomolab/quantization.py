@@ -46,11 +46,11 @@ as one operator build per field.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
-from .ansatz import AnsatzCoefficients, build_bilinear
-from .cocycles import OneCocycle
-from .operators import PolyDiffOp, falling, monomials_up_to, op_str, xi_simplex
+from .ansatz import AnsatzCoefficients
+from .cocycles import OneCocycle, bilinear_cocycle
+from .operators import PolyDiffOp, monomials_up_to, multi_binom, op_str, xi_simplex
 from .poly import (
     Exponent,
     Poly,
@@ -184,71 +184,58 @@ def sequence_cocycle(X: Poly, P: Poly, weight) -> DensityOperator:
     return out
 
 
+def _factorial(e: Exponent) -> int:
+    return prod(map(factorial, e))
+
+
 def operator_from_symbol_values(n: int, k: int, ell: int, value_fn,
                                 max_x_order: int) -> PolyDiffOp:
     """Reconstruct the operator S_k -> S_ell from its values on monomials.
 
-    value_fn(u, v) must return the value on x^u xi^v.  Coefficients of the
-    x-part are recovered degree by degree through the falling-factorial
-    triangular system; the result is re-checked against fresh evaluations
-    one degree beyond the requested order and rejected on mismatch, so a
-    too-small max_x_order cannot produce a silently wrong operator.
+    value_fn(u, v) must return the value on x^u xi^v.  An operator
+    sum a_mu d^mu sends x^u xi^v (|v| = k) to D_v(x^u), where
+    D_v = sum_alpha v! a_(alpha + v) d^alpha differentiates in x only.  The
+    finite difference
+
+        c_alpha = sum_{gamma <= alpha} binom(alpha, gamma) (-x)^(alpha - gamma)
+                  value(gamma, v) / alpha!
+
+    inverts that action: it is D_v applied to (y - x)^alpha / alpha! in y
+    and set at y = x, where only the d^alpha term survives.  So
+    c_alpha = v! a_(alpha + v), and the term c_alpha / v! sits at
+    d^(alpha + v).
+
+    The values on |u| <= max_x_order fix the terms of x-order up to
+    max_x_order exactly.  A term C d^beta of x-order max_x_order + 1 is the
+    first they miss, and it adds beta! C to the value on x^beta; so the
+    result is re-checked on fresh evaluations of x-degree max_x_order + 1
+    and rejected on mismatch.  That catches a max_x_order one below the
+    operator's x-order, not an operator with no terms of that order and
+    some above it: callers pass a bound on the x-order.
     """
     ring = single_ring(n)
     pad = (0,) * n
-    # recovered[(v, w)][alpha] -> x-only Poly coefficient
-    recovered: dict[tuple, dict[Exponent, Poly]] = {}
     us = monomials_up_to(n, max_x_order)
-    for v in xi_simplex(n, k):
-        values: dict[Exponent, dict[Exponent, Poly]] = {}
-        for u in us:
-            val = value_fn(u, v)
-            by_w: dict[Exponent, Poly] = {}
-            for exp, c in val.terms.items():
-                w = exp[n:]
-                mono = Poly.monomial(ring, exp[:n] + pad, c)
-                prev = by_w.get(w)
-                by_w[w] = mono if prev is None else prev + mono
-            values[u] = by_w
-        ws = sorted({w for by_w in values.values() for w in by_w})
-        for w in ws:
-            if sum(w) != ell:
-                raise StructureError(
-                    f"value outside the target degree {ell}: output {w}")
-            coeffs: dict[Exponent, Poly] = {}
-            for u in us:
-                residue = values[u].get(w, Poly.zero(ring))
-                for alpha, c_alpha in coeffs.items():
-                    fac = falling(u, alpha)
-                    if fac == 0:
-                        continue
-                    shift = tuple(ui - ai for ui, ai in zip(u, alpha))
-                    residue = residue - c_alpha * Poly.monomial(ring, shift + pad, fac)
-                if not residue.is_zero():
-                    fact = 1
-                    for ui in u:
-                        fact *= factorial(ui)
-                    coeffs[u] = residue.scale(Fraction(1, fact))
-            if coeffs:
-                recovered[(v, w)] = coeffs
-
     terms: dict[Exponent, Poly] = {}
-    for (v, w), coeffs in recovered.items():
-        vfact = 1
-        for vi in v:
-            vfact *= factorial(vi)
-        for alpha, c_alpha in coeffs.items():
-            deriv = tuple(alpha) + tuple(v)
-            contrib = c_alpha * Poly.monomial(ring, pad + w, Fraction(1, vfact))
-            prev = terms.get(deriv)
-            terms[deriv] = contrib if prev is None else prev + contrib
+    for v in xi_simplex(n, k):
+        values = {u: val for u in us if (val := value_fn(u, v)).terms}
+        for u, val in values.items():
+            if val.xi_degree() != ell:
+                raise StructureError(
+                    f"value on x^{u} xi^{v} outside the target degree {ell}")
+        for alpha in us:
+            c = Poly.zero(ring)
+            for gamma, val in values.items():
+                shift = tuple(a - g for a, g in zip(alpha, gamma))
+                if min(shift) >= 0:
+                    c = c + val * Poly.monomial(
+                        ring, shift + pad, (-1) ** sum(shift) * multi_binom(alpha, gamma))
+            terms[alpha + v] = c.scale(Fraction(1, _factorial(alpha) * _factorial(v)))
     op = PolyDiffOp(ring, terms)
 
     for v in xi_simplex(n, k):
         for u in xi_simplex(n, max_x_order + 1):
-            expected = value_fn(u, v)
-            got = op.apply(Poly.monomial(ring, tuple(u) + v))
-            if expected != got:
+            if value_fn(u, v) != op.apply(Poly.monomial(ring, u + v)):
                 raise StructureError(
                     "operator reconstruction inconsistent; raise max_x_order")
     return op
@@ -269,11 +256,9 @@ def quantization_top_cocycle(n: int, k: int, weight) -> OneCocycle:
     """
     if k < 1:
         raise StructureError("the quantization cocycle needs degree >= 1")
-    weight = rat(weight)
-    contraction = build_bilinear(
-        AnsatzCoefficients(k, 1, alpha={2: -1}, beta={2: -weight}), n)
-    return OneCocycle(n, k, k - 1, f"sigma{k - 1}-quantization",
-                      contraction.operator_for_field)
+    return bilinear_cocycle(
+        n, AnsatzCoefficients(k, 1, alpha={2: -1}, beta={2: -rat(weight)}),
+        f"sigma{k - 1}-quantization")
 
 
 def quantization_projected_cocycle(n: int, k: int, weight,

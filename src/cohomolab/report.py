@@ -16,13 +16,13 @@ from . import __version__
 from .ansatz import impose_cocycle, matched_case, recurrence_solutions
 from .cocycles import (
     OneCocycle,
+    bilinear_cocycle,
     builtin_c1,
     builtin_c2,
     class_proportionality,
     cocycle_check,
     coboundary_solve,
     field_columns,
-    solver_line_cocycle,
 )
 from .operators import (
     PolyDiffOp,
@@ -142,7 +142,7 @@ def cohomology_table(config: RunConfig) -> dict:
 
 
 def _witness_verdict(n, k, p, space, config) -> dict:
-    c = solver_line_cocycle(n, space.basis[0].normalized())
+    c = bilinear_cocycle(n, space.basis[0].normalized(), "solver")
     reference = builtin_c1(n, k) if p == 1 else builtin_c2(n, k)
     identity, cob, prop = certify_class(c, config.max_vf_degree, reference)
     return {

@@ -77,7 +77,7 @@ def test_bilinear_op_rejects_non_constant_coefficients_when_built():
     D2 = doubled_ring(2)
     op = PolyDiffOp.single(D2, Poly.variable(D2, D2.y(0)), unit_deriv(D2, D2.x(0)))
     with pytest.raises(StructureError):
-        BilinearOp(2, 3, 1, op)
+        BilinearOp(2, op)
 
 
 def test_operator_for_field_skips_terms_above_the_field_degree(monkeypatch):

@@ -155,6 +155,10 @@ CONFIG_ERRORS = {
                                "--max-total-degree", "-3"], None),
     "zero-count": (["properties", "--dim", "2", "--count", "0"], None),
     "non-integer-term-budget": (["check-relation", "--dim", "2"], "abc"),
+    "zero-term-budget": (["verify-cocycle", "--name", "c1", "--dim", "2", "--order", "2",
+                          "--max-vf-degree", "2"], "0"),
+    "negative-term-budget": (["verify-cocycle", "--name", "c1", "--dim", "2",
+                              "--order", "2", "--max-vf-degree", "2"], "-5"),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 from cohomolab.ansatz import AnsatzCoefficients, impose_cocycle, recurrence_solutions
 from cohomolab.cocycles import (
     OneCocycle,
+    bilinear_cocycle,
     build_report,
     builtin_c1,
     builtin_c2,
@@ -16,7 +17,6 @@ from cohomolab.cocycles import (
     field_columns,
     monomial_fields,
     second_class_coefficients,
-    solver_line_cocycle,
     trace_contraction_op,
     vanishes_on_sl,
 )
@@ -93,8 +93,8 @@ def test_mutated_c2_counterexample_frozen():
     good = second_class_coefficients(3, 3)
     bad = AnsatzCoefficients(3, 2, alpha=dict(good.alpha), beta=dict(good.beta),
                              gamma={2: good.gamma[2] + 1})
-    assert cocycle_check(solver_line_cocycle(3, good), 2).holds
-    assert cocycle_check(solver_line_cocycle(3, bad), 2).to_json() == {
+    assert cocycle_check(bilinear_cocycle(3, good, "solver"), 2).holds
+    assert cocycle_check(bilinear_cocycle(3, bad, "solver"), 2).to_json() == {
         "holds": False, "max_vf_degree": 2, "pairs_checked": 161,
         "counterexample": {"X": "1*x3^2*xi1", "Y": "1*x3^2*xi3", "symbol": "1*xi3^3",
                            "defect_value": "-12*xi1"}}
@@ -179,7 +179,7 @@ def test_solver_line_matches_builtin_c1_by_constant_ratio():
     for n, k in [(2, 2), (2, 3), (3, 2)]:
         line = impose_cocycle(recurrence_solutions(n, k, 1), n, k, 1)
         assert line.dimension == 1
-        sc = solver_line_cocycle(n, line.basis[0].normalized())
+        sc = bilinear_cocycle(n, line.basis[0].normalized(), "solver")
         res = class_proportionality(field_columns(sc, [], 3), builtin_c1(n, k))
         assert res is not None
         mu, witness = res
@@ -193,7 +193,7 @@ def test_solver_line_matches_builtin_c1_by_constant_ratio():
 def test_solver_p2_line_matches_builtin_c2():
     for n, k in [(2, 3), (2, 2)]:
         line = impose_cocycle(recurrence_solutions(n, k, 2), n, k, 2)
-        sc = solver_line_cocycle(n, line.basis[0])
+        sc = bilinear_cocycle(n, line.basis[0], "solver")
         res = class_proportionality(field_columns(sc, [], 3), builtin_c2(n, k))
         assert res is not None
         mu, witness = res

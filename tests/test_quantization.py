@@ -348,20 +348,13 @@ def test_reconstruction_rejects_truncated_order():
         " + (1*xi2) * dx1 * dxi1 * dxi2 + (1*xi1) * dx1 * dxi1^2")
 
 
-def test_reconstruction_rejects_a_value_of_the_wrong_degree():
-    def value(u, v):
-        return Poly.monomial(R2, tuple(u) + tuple(v))  # degree 2, not 1
-
-    with pytest.raises(StructureError, match="target degree 1"):
-        operator_from_symbol_values(2, 2, 1, value, max_x_order=1)
-
-
-def test_reconstruction_rejects_an_inhomogeneous_value():
+@pytest.mark.parametrize("mixed", [False, True], ids=["wrong-degree", "inhomogeneous"])
+def test_reconstruction_rejects_values_outside_the_target_degree(mixed):
     D = divergence_diffop(R2)
 
     def value(u, v):
-        P = Poly.monomial(R2, tuple(u) + tuple(v))
-        return D.apply(P) + P  # degrees 1 and 2
+        P = Poly.monomial(R2, tuple(u) + tuple(v))  # degree 2, not 1
+        return D.apply(P) + P if mixed else P
 
     with pytest.raises(StructureError, match="target degree 1"):
         operator_from_symbol_values(2, 2, 1, value, max_x_order=1)
