@@ -9,9 +9,9 @@ is verified exactly: both sides are normalized and compared through the
 degree-k canonical form, over all pairs of monomial vector fields up to a
 configurable coefficient degree.  The coboundary solver looks for a witness
 B with c(X) = X.B inside a finite candidate space; for cocycles vanishing on
-the projective subalgebra the affine-equivariant basis is a complete
-candidate space, because a cobounding operator would itself have to be
-equivariant and the divergence powers never are.
+the affine fields the affine-equivariant basis is a complete candidate
+space, because a cobounding operator would itself be affine-equivariant,
+hence a multiple of the divergence power (coboundary_solve).
 """
 
 from __future__ import annotations
@@ -216,6 +216,11 @@ def coboundary_solve(columns: FieldColumns,
     over every monomial field up to that degree, so a returned witness
     satisfies the coboundary equation on that whole family, and an empty
     answer proves no witness exists in the span.
+
+    For a cocycle vanishing on the affine fields, an empty answer against
+    affine_equivariant_basis of order >= 2(k - ell) is complete: a cobounding
+    B has X.B = c(X) = 0 for affine X, so on S_k it is c D^(k - ell), which
+    that basis spans, and "no-witness" proves the class nontrivial.
     """
     sol = _solve_on_fields(columns, [])
     witness = None if sol is None \

@@ -268,11 +268,19 @@ def quantization_projected_cocycle(n: int, k: int, weight,
     The splitting witness B solves  sigma_(k-1) gamma(X) = X.B; subtracting
     the corresponding coboundary of  P |-> tau(B(P))  pushes the cocycle
     into operators of order <= k-2, whose top symbol is again a cocycle.
+
+    Each value is rebuilt from x^u xi^v with |u| at most the x-order of B
+    (1 for the witness c D), which bounds the x-order of P |-> value: as
+    B L_X = L_X B - X.B, the correction [L_X, tau(BP)] - tau(B L_X P) is
+    gamma(X)(BP) + tau((X.B)P), whose tau term has degree k-1 and no
+    degree-(k-2) symbol; and by the full-symbol formula in the module
+    docstring, sigma(gamma(X)(Q)) takes only xi-derivatives of Q (P or BP).
     """
     if k < 2:
         raise StructureError("the projected cocycle needs degree >= 2")
     ring = single_ring(n)
     weight = rat(weight)
+    x_order = max((sum(mu[:n]) for mu in splitting.terms), default=0)
 
     def corrected(X: Poly, L: DensityOperator, P: Poly) -> DensityOperator:
         gamma = sequence_cocycle(X, P, weight)
@@ -292,6 +300,6 @@ def quantization_projected_cocycle(n: int, k: int, weight,
             P = Poly.monomial(ring, tuple(u) + tuple(v))
             return corrected(X, L, P).principal_symbol(k - 2)
 
-        return operator_from_symbol_values(n, k, k - 2, value, max_x_order=3)
+        return operator_from_symbol_values(n, k, k - 2, value, max_x_order=x_order)
 
     return OneCocycle(n, k, k - 2, f"sigma{k - 2}-quantization", rule)

@@ -79,7 +79,8 @@ def certify_class(c: OneCocycle, max_vf_degree: int, reference: OneCocycle | Non
     decided against the affine-equivariant basis of order 2(k - ell), and the
     optional reference class is matched against c modulo that basis (None
     without a reference); both solve on fields up to min(max_vf_degree, 3),
-    from one set of candidate and target columns.
+    from one set of candidate and target columns.  For c vanishing on the
+    affine fields "no-witness" proves the class nontrivial (coboundary_solve).
     """
     identity = cocycle_check(c, max_vf_degree)
     basis = affine_equivariant_basis(c.n, c.k, c.ell, 2 * (c.k - c.ell))

@@ -70,6 +70,17 @@ def test_coboundary_command_affine(capsys):
     assert result["verdict"] == "no-witness-in-candidate-space"
 
 
+def test_coboundary_command_large_order_bound(capsys):
+    # the affine basis is D^(k - ell) at every order bound, so a generous
+    # --max-order costs nothing and still gives the complete verdict
+    code, out = run(capsys, ["coboundary-test", "--name", "c2", "--dim", "3",
+                             "--order", "3", "--max-vf-degree", "2",
+                             "--max-order", "40"])
+    assert code == 0
+    result = last_json(out)["result"]
+    assert result["verdict"] == "no-witness-in-candidate-space"
+
+
 def test_coboundary_command_custom_file(tmp_path, capsys):
     from cohomolab.operators import divergence_diffop, op_str
     from cohomolab.poly import single_ring

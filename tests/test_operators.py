@@ -22,6 +22,8 @@ from cohomolab.operators import (
 )
 from cohomolab.symbols import schouten_bracket, sl_generators
 
+from affine_oracle import affine_basis_by_elimination
+
 R2 = single_ring(2)
 R3 = single_ring(3)
 
@@ -488,18 +490,17 @@ def test_symbol_map_detects_degree_contract():
 
 
 def test_affine_basis_is_divergence_power():
-    for n in (2, 3):
-        ring = single_ring(n)
-        D = divergence_diffop(ring)
-        for (k, ell, r) in [(2, 1, 3), (3, 1, 4), (3, 2, 2)]:
-            basis = affine_equivariant_basis(n, k, ell, r)
-            assert len(basis) == 1
-            sm = basis[0].symbol_map(k)
-            target = D.power(k - ell).symbol_map(k)
-            # proportional as maps on degree-k symbols
-            key = next(iter(target.entries))
-            ratio = Fraction(sm.entries[key]) / Fraction(target.entries[key])
-            assert sm == D.power(k - ell).scale(ratio).symbol_map(k)
+    # the closed form against the elimination it replaced.  n=2 crosses the
+    # order threshold 2(k - ell) for every drop up to 3 and reaches ell up to
+    # k + 2; n=3 crosses it for drops 0 and 1 (criterion 02 takes drop 2)
+    sweeps = [(2, 4, 2, 6), (3, 3, 1, 3)]
+    for n, max_k, above, max_r in sweeps:
+        for k in range(max_k + 1):
+            for ell in range(k + above + 1):
+                for r in range(max_r + 1):
+                    got = [op_str(b) for b in affine_equivariant_basis(n, k, ell, r)]
+                    want = [op_str(b) for b in affine_basis_by_elimination(n, k, ell, r)]
+                    assert got == want, (n, k, ell, r)
 
 
 def test_affine_basis_order_zero_contains_identity():

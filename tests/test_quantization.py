@@ -15,7 +15,8 @@ from cohomolab.cocycles import (
     field_columns,
     monomial_fields,
 )
-from cohomolab.operators import divergence_diffop, op_str
+from cohomolab import quantization
+from cohomolab.operators import divergence_diffop, monomials_up_to, op_str, xi_simplex
 from cohomolab.poly import Poly, StructureError, single_ring
 from cohomolab.quantization import (
     DensityOperator,
@@ -375,6 +376,33 @@ def test_projected_cocycle_values_are_pinned():
             digest.update(b"\n")
     assert digest.hexdigest() == (
         "adc2bc31d4999d368c2b266d85868356448b8e6f1b59ff65ff1b1ec69da3d931")
+
+
+def test_projected_cocycle_values_have_the_witness_x_order(monkeypatch):
+    # the values of the weight-1/2 projected cocycle have x-order at most that
+    # of the witness -D/2, which is 1 (quantization_projected_cocycle's
+    # docstring): each value is rebuilt at that bound, and the rebuilt
+    # operator reproduces the values on every x^u xi^v with |u| <= 3
+    calls = []
+
+    def spy(n, k, ell, value_fn, max_x_order):
+        calls.append((value_fn, max_x_order))
+        return operator_from_symbol_values(n, k, ell, value_fn, max_x_order)
+
+    monkeypatch.setattr(quantization, "operator_from_symbol_values", spy)
+    for n, k, degree in [(2, 2, 3), (2, 3, 3), (3, 2, 2)]:
+        ring = single_ring(n)
+        top = quantization_top_cocycle(n, k, Fraction(1, 2))
+        witness = coboundary_solve(field_columns(top, [divergence_diffop(ring)], 3)).witness
+        proj = quantization_projected_cocycle(n, k, Fraction(1, 2), witness)
+        for X in monomial_fields(n, degree):
+            calls.clear()
+            op = proj.rule(X)
+            [(value_fn, bound)] = calls
+            assert bound == 1
+            for v in xi_simplex(n, k):
+                for u in monomials_up_to(n, 3):
+                    assert value_fn(u, v) == op.apply(Poly.monomial(ring, u + v)), (n, k, X)
 
 
 @pytest.mark.parametrize("k,scalar", [(2, Fraction(-1, 9)), (3, Fraction(-1, 12))])
