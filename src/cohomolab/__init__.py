@@ -24,6 +24,8 @@ from .cocycles import (
     coboundary_solve,
     cocycle_check,
     field_columns,
+    hessian_contraction_op,
+    trace_contraction_op,
     vanishes_on_sl,
 )
 from .operators import PolyDiffOp, affine_equivariant_basis
@@ -58,6 +60,7 @@ __all__ = [
     "cohomology_table",
     "emit_report",
     "field_columns",
+    "hessian_contraction_op",
     "impose_cocycle",
     "one_form_primitive",
     "parse_poly",
@@ -69,5 +72,6 @@ __all__ = [
     "single_ring",
     "solve_equivariant_direct",
     "sys4_residuals",
+    "trace_contraction_op",
     "vanishes_on_sl",
 ]

@@ -389,6 +389,17 @@ def _xi_slice(n: int, k: int, max_off_axis: int | None = None) -> list[tuple[int
     return sorted(set(out))
 
 
+def _add_rows(reducer: RowReducer, ops: list[PolyDiffOp], symbols: list[Poly]) -> None:
+    """Per test symbol P, in order, add the rows keyed by the terms of op(P).
+
+    ops[j] is the operator of unknown j, so each row is one monomial's
+    coefficients across the unknowns; both solvers feed their rows here.
+    """
+    for P in symbols:
+        for row in keyed_rows([op.apply(P).terms for op in ops]):
+            reducer.add_row(row)
+
+
 def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     """Classify the equivariant family by imposing the defining identities.
 
@@ -427,16 +438,11 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     def field_ops(F: Poly) -> list[PolyDiffOp]:
         return [t.operator_for_field(F) for t in term_ops]
 
-    def add_poly_rows(values: list[Poly]) -> None:
-        for row in keyed_rows([val.terms for val in values]):
-            reducer.add_row(row)
-
     # vanishing rows
     van_symbols = _symbol_monomials(n, _staircase(n, p + 2, width=1),
                                     _xi_slice(n, k))
     for G in fam.all():
-        for P in van_symbols:
-            add_poly_rows([op.apply(P) for op in field_ops(G)])
+        _add_rows(reducer, field_ops(G), van_symbols)
 
     # equivariance rows along two quadratic generators; the rest follow by
     # the already-imposed linear equivariance and are re-verified in tests
@@ -454,8 +460,7 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
                      else [-opB for opB in field_ops(bracket)])
             defects = [commutator_sum([(L_X, opY)], base=base)
                        for opY, base in zip(ops_Y, bases)]
-            for P in eq_symbols:
-                add_poly_rows([d.apply(P) for d in defects])
+            _add_rows(reducer, defects, eq_symbols)
 
     basis = [AnsatzCoefficients.from_vector(k, p, indices, v)
              for v in reducer.nullspace()]
@@ -524,9 +529,7 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
                    for opY, opZ, opB in zip(field_ops(Y), field_ops(Z), ops_bracket)]
         if all(d.is_zero() for d in defects):
             continue
-        for P in symbols_fam:
-            for row in keyed_rows([d.apply(P).terms for d in defects]):
-                reducer.add_row(row)
+        _add_rows(reducer, defects, symbols_fam)
 
     combos = reducer.nullspace()
     idx = full_indices(k, p)

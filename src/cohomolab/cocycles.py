@@ -12,6 +12,26 @@ B with c(X) = X.B inside a finite candidate space; for cocycles vanishing on
 the affine fields the affine-equivariant basis is a complete candidate
 space, because a cobounding operator would itself be affine-equivariant,
 hence a multiple of the divergence power (coboundary_solve).
+
+Every built-in cocycle but div is a line of the bilinear ansatz family
+(ansatz.py) and is evaluated by one constructor, bilinear_cocycle: c2, and
+c1 and gamma1 through two identities.  For a field X and a symbol P:
+
+  * Hessian.  alpha_2 = 2 on (k, p = 1) is the term Dxeta^2, which puts
+    d_x^i d_x^j on X and d_eta_i d_eta_j on P; restricted to the diagonal it
+    is sum (d_i d_j X) d_xi_i d_xi_j P, hessian_contraction_op, term for
+    term and on every symbol.  So gamma1 is that line.
+  * Trace.  beta_2 = 1 is Dxxi Dxeta, sum (d_j div X) d_xi_j P.  The trace
+    part sum (d_i div X) xi_l d_xi_i d_xi_l P applies xi_l d_xi_l, the Euler
+    operator, to d_xi_i P, which has xi-degree k-1 when P is in S_k; so on
+    S_k it is (k-1) Dxxi Dxeta.  Hence c1 = Hessian - 2/(n+1) trace is the
+    line alpha_2 = 2, beta_2 = -2(k-1)/(n+1).  The beta_2 term's
+    coefficients d_j div X are x-only where the trace part's carry a factor
+    xi_l, so c1's raw operator differs from the definitional one; its
+    canonical form on S_k is the same.
+
+hessian_contraction_op and trace_contraction_op stay as the definitional
+forms those two lines are proved equal to.
 """
 
 from __future__ import annotations
@@ -255,7 +275,12 @@ def _check_shape(n: int, k: int, min_k: int) -> None:
 
 
 def hessian_contraction_op(X: Poly) -> PolyDiffOp:
-    """P |-> sum (d_i d_j X) d_xi_i d_xi_j, contraction with the field's Hessian."""
+    """P |-> sum (d_i d_j X) d_xi_i d_xi_j, contraction with the field's Hessian.
+
+    The definitional form of gamma1, which builtin_gamma1_flat evaluates as
+    the ansatz line alpha_2 = 2 instead; the tests and the benchmark gate
+    (perfbench/tests/test_bench_gate.py) read this form to check that line.
+    """
     ring = X.ring
     n = ring.n
     terms: dict = {}
@@ -271,7 +296,13 @@ def hessian_contraction_op(X: Poly) -> PolyDiffOp:
 
 
 def trace_contraction_op(X: Poly) -> PolyDiffOp:
-    """P |-> sum (d_i div X) xi_l d_xi_i d_xi_l, the trace part of the contraction."""
+    """P |-> sum (d_i div X) xi_l d_xi_i d_xi_l, the trace part of the contraction.
+
+    With hessian_contraction_op, the definitional form of c1, which
+    builtin_c1 evaluates as an ansatz line instead; on S_k this equals
+    (k-1) Dxxi Dxeta (module docstring).  The tests and the benchmark gate
+    (perfbench/tests/test_bench_gate.py) read this form to check that line.
+    """
     ring = X.ring
     n = ring.n
     div_X = divergence(X)
@@ -289,24 +320,31 @@ def trace_contraction_op(X: Poly) -> PolyDiffOp:
 
 
 def builtin_gamma1_flat(n: int, k: int) -> OneCocycle:
-    """Contraction with the Lie derivative of the flat connection (Hessian tensor)."""
+    """Contraction with the Lie derivative of the flat connection (Hessian tensor).
+
+    The ansatz line alpha_2 = 2, whose one term is Dxeta^2: it puts two
+    x-derivatives on X and two xi-derivatives on P, which is
+    hessian_contraction_op term for term (module docstring).
+    """
     _check_shape(n, k, 2)
-    return OneCocycle(n, k, k - 1, "gamma1", hessian_contraction_op)
+    return bilinear_cocycle(n, AnsatzCoefficients(k, 1, alpha={2: 2}), "gamma1")
 
 
 def builtin_c1(n: int, k: int) -> OneCocycle:
     """The projectively invariant degree-lowering cocycle S_k -> S_(k-1).
 
-    Contraction with the trace-adjusted Hessian tensor of the field; the
-    trace coefficient -2/(n+1) is what makes every projective generator die.
+    Contraction with the trace-adjusted Hessian tensor of the field, the
+    Hessian part plus -2/(n+1) times the trace part; that coefficient is
+    what makes every projective generator die.  It is the ansatz line
+    alpha_2 = 2, beta_2 = -2(k-1)/(n+1): alpha_2 = 2 is the Hessian part,
+    and the trace part sum (d_i div X) xi_l d_xi_i d_xi_l equals
+    (k-1) Dxxi Dxeta on S_k, because xi_l d_xi_l is the Euler operator on
+    d_xi_i P in S_(k-1) (module docstring).  The two forms have the same
+    canonical form on S_k, though their raw operators differ.
     """
     _check_shape(n, k, 2)
-    factor = Fraction(-2, n + 1)
-
-    def rule(X: Poly) -> PolyDiffOp:
-        return hessian_contraction_op(X) + trace_contraction_op(X).scale(factor)
-
-    return OneCocycle(n, k, k - 1, "c1", rule)
+    line = AnsatzCoefficients(k, 1, alpha={2: 2}, beta={2: Fraction(-2 * (k - 1), n + 1)})
+    return bilinear_cocycle(n, line, "c1")
 
 
 def second_class_coefficients(n: int, k: int) -> AnsatzCoefficients:

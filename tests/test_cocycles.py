@@ -15,6 +15,7 @@ from cohomolab.cocycles import (
     coboundary_solve,
     cocycle_check,
     field_columns,
+    hessian_contraction_op,
     monomial_fields,
     second_class_coefficients,
     trace_contraction_op,
@@ -108,12 +109,37 @@ def test_builtin_values_frozen():
 
 
 def test_c1_is_hessian_plus_trace_part():
-    c1 = builtin_c1(2, 3)
-    g1 = builtin_gamma1_flat(2, 3)
-    fields = monomial_fields(2, 3)
-    for X in fields[::3]:
-        expected = g1.evaluate(X) + trace_contraction_op(X).scale(Fraction(-2, 3))
-        assert c1.evaluate(X) == expected
+    """The ansatz lines c1 and gamma1 equal their definitional contractions.
+
+    Checking monomial fields of degree <= 3 is complete: both rules are
+    x-translation-equivariant and of order 2 in X = X^m xi_m, so each value
+    is the sum over |a| = 2 and m of (d^a X^m) K_am with x-constant
+    operators K_am.  The field x^a xi_m / a! has the value K_am, so the
+    fields of degree 2 already fix every K_am, and two such rules that agree
+    there agree on every field; degree 3 adds fields with x-dependent second
+    derivatives on top.
+    """
+    for n, ks in ((2, range(2, 6)), (3, range(2, 6)), (4, (2, 3))):
+        fields = monomial_fields(n, 3)
+        for k in ks:
+            c1, g1 = builtin_c1(n, k), builtin_gamma1_flat(n, k)
+            for X in fields:
+                hessian = hessian_contraction_op(X)
+                expected = hessian + trace_contraction_op(X).scale(Fraction(-2, n + 1))
+                assert c1.symbol_map(X) == expected.symbol_map(k)
+                assert g1.symbol_map(X) == hessian.symbol_map(k)
+                # gamma1's line is the Hessian contraction term for term
+                assert g1.evaluate(X) == hessian
+
+
+def test_off_ratio_c1_line_is_a_cocycle_that_survives_sl():
+    # The Hessian and trace parts are cocycles on their own, so moving the
+    # ratio keeps the identity and breaks only the projective vanishing.
+    # c1's line at n=3, k=2 has beta_2 = -2(k-1)/(n+1) = -1/2.
+    off = AnsatzCoefficients(2, 1, alpha={2: 2}, beta={2: Fraction(-1, 2) + Fraction(1, 7)})
+    c = bilinear_cocycle(3, off, "c1")
+    assert cocycle_check(c, 3).holds
+    assert not vanishes_on_sl(c)
 
 
 def test_sl_vanishing_pattern():
