@@ -34,7 +34,8 @@ from functools import cache, lru_cache
 from math import factorial
 
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
-from .operators import PolyDiffOp, commutator_sum, lie_derivative_op, unit_deriv
+from .operators import (PolyDiffOp, commutator_sum, lie_derivative_op, monomials_up_to,
+                        unit_deriv, xi_simplex)
 from .poly import (Coeff, Poly, Ring, StructureError, doubled_ring, norm_coeff,
                    rat, rat_str, single_ring)
 from .symbols import schouten_bracket, sl_generators
@@ -333,19 +334,11 @@ def _validate(n: int, k: int, p: int) -> None:
 # -- direct solver -------------------------------------------------------------
 
 
-def _staircase(n: int, dmax: int, width: int) -> list[tuple[int, ...]]:
-    """x-exponents a*e1 + b*e2 with a+b <= dmax and b <= width, lex order."""
-    out = []
-    for a in range(dmax + 1):
-        for b in range(min(width, dmax - a) + 1):
-            exp = [0] * n
-            exp[0] = a
-            if n > 1:
-                exp[1] = b
-            elif b:
-                continue
-            out.append(tuple(exp))
-    return sorted(set(out))
+def _staircase(n: int, dmax: int) -> list[tuple[int, ...]]:
+    """x-exponents a*e1 + b*e2 with a + b <= dmax and b <= 1, lex order."""
+    pad = (0,) * (n - 2)
+    return sorted((a, b) + pad for a in range(dmax + 1)
+                  for b in range(min(1, dmax - a) + 1))
 
 
 def field_monomials(n: int, shapes: list[tuple[int, ...]]) -> list[Poly]:
@@ -372,20 +365,10 @@ def _xi_slice(n: int, k: int, max_off_axis: int | None = None) -> list[tuple[int
     equivariance rows where the full slice is redundant.
     """
     cap = k if max_off_axis is None else min(k, max_off_axis)
-    out = []
-    for j in range(cap + 1):
-        exp = [0] * n
-        exp[0] = k - j
-        if n > 1:
-            exp[1] = j
-        elif j:
-            continue
-        out.append(tuple(exp))
+    pad = (0,) * (n - 2)
+    out = [(k - j, j) + pad for j in range(cap + 1)]
     if n >= 3 and k >= 1:
-        exp = [0] * n
-        exp[0] = k - 1
-        exp[2] = 1
-        out.append(tuple(exp))
+        out.append((k - 1, 0, 1) + pad[1:])
     return sorted(set(out))
 
 
@@ -409,12 +392,18 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
       equivariance: L_X(C(Y, P)) = C([X, Y], P) + C(Y, L_X P) for the
                     quadratic generators X
 
-    evaluated on stratified monomial data rich enough in the x-degrees to
-    reach every coefficient level (a Dyeta power kills symbols of low
-    x-degree, so the symbol family must climb to x-degree about p+1).
-    The affine part of the equivariance identity holds term by term for the
-    candidate family and contributes nothing; agreement with the recurrence
-    solver is enforced separately as an acceptance check.
+    evaluated on a fixed monomial sample: the fields and symbols of
+    _staircase (x-exponents along e1 and e2) times the xi slice _xi_slice.
+    The sample stays because each of its rows is a necessary condition, so
+    the returned space contains the true one, and the tests certify the
+    output against the recurrence solver with same_span_as.  The complete
+    rows that impose_cocycle uses would cost more here, since this loop has
+    no full-rank exit: the sweep over every (k, p) took 1.2x as long at
+    n=2, k <= 5 (6.0 -> 6.9 s) and 2.7x at n=3, k <= 4 (7.8 -> 20.7 s),
+    process time on a 2-core x86 box.  The affine part of the equivariance
+    identity holds term by term for the candidate family and contributes
+    nothing; agreement with the recurrence solver is enforced separately as
+    an acceptance check.
 
     Each row is a defect operator applied to a test symbol P.  Per
     generator X, field Y and ansatz term t, the operator
@@ -439,15 +428,15 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
         return [t.operator_for_field(F) for t in term_ops]
 
     # vanishing rows
-    van_symbols = _symbol_monomials(n, _staircase(n, p + 2, width=1),
+    van_symbols = _symbol_monomials(n, _staircase(n, p + 2),
                                     _xi_slice(n, k))
     for G in fam.all():
         _add_rows(reducer, field_ops(G), van_symbols)
 
     # equivariance rows along two quadratic generators; the rest follow by
     # the already-imposed linear equivariance and are re-verified in tests
-    y_fields = field_monomials(n, _staircase(n, p + 2, width=1))
-    eq_symbols = _symbol_monomials(n, _staircase(n, p + 1, width=1),
+    y_fields = field_monomials(n, _staircase(n, p + 2))
+    eq_symbols = _symbol_monomials(n, _staircase(n, p + 1),
                                    _xi_slice(n, k, max_off_axis=2))
     generators = fam.quadratic[:2]
     lie_ops = [lie_derivative_op(X) for X in generators]
@@ -471,16 +460,29 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
     """Intersect an equivariant solution space with the cocycle identity.
 
     The identity  C([Y,Z], P) = Y.(C(Z,P)) - Z.(C(Y,P))  (with the natural
-    action on operator values) is evaluated on pairs of monomial cubic
-    fields plus generator-cubic pairs; for maps already equivariant and
-    vanishing on the projective subalgebra these pairs carry the only new
-    conditions.
+    action on operator values) is imposed on a bounded set of field pairs:
+    every pair of monomial cubic fields (the cubic exponents in x1, x2, plus
+    x1x2x3 and x1^2x3 for n >= 3, times each xi_i), then each quadratic
+    generator against the first 2n of those cubic fields.  That these
+    pairs suffice is observed, not proved: it reproduces the classification
+    on every tested (n, k, p).  Every row is a necessary condition, so a
+    dimension-0 answer is sound; the table certifies a surviving line with
+    cocycle_check.
 
     Each processed pair (Y, Z) and basis map b gives one defect operator
     D_b = C_b([Y, Z], .) + [L_Z, C_b(Y, .)] + [C_b(Z, .), L_Y], formed as
-    one commutator_sum as in cocycle_check, and each row is D_b applied to
-    a test symbol; a pair whose defects all vanish evaluates no symbol.  A
-    memo that lives for this call holds, per field X, L_X =
+    one commutator_sum as in cocycle_check.  Its rows are the D_b applied to
+    x^u xi^v for every v of degree k and every |u| <= r, where r is the
+    largest x-order among the pair's defect terms; a pair whose defects all
+    vanish evaluates no symbol.  These rows span exactly the pair's
+    conditions on S_k.  Proof: a combination D = sum_b c_b D_b has x-order
+    <= r, so for fixed v the map p(x) |-> D(p xi^v) is an x-operator
+    sum_{|a| <= r} A_a d_x^a with coefficients A_a in the polynomials.  Its
+    value on x^u is u! A_u plus terms in A_a for a < u, so by induction on
+    |u| its values on |u| <= r fix every A_a: D vanishes on S_k iff all
+    these rows vanish at c.
+
+    A memo that lives for this call holds, per field X, L_X =
     lie_derivative_op(X) and the operators P |-> C_b(X, P); the operators
     of a bracket [Y, Z] go into the same memo, so a bracket met by two
     pairs is built once, and a vanishing one builds none, since
@@ -492,21 +494,13 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
         return SolutionSpace(n, k, p, [])
     bilinear = [build_bilinear(c, n) for c in space.basis]
     fam = sl_generators(n)
-    cubic_shapes = [s for s in _staircase(n, 3, width=3) if sum(s) == 3]
-    if n >= 3:
-        mixed = [0] * n
-        mixed[0] = mixed[1] = mixed[2] = 1
-        skew = [0] * n
-        skew[0], skew[2] = 2, 1
-        cubic_shapes = sorted(set(cubic_shapes) | {tuple(mixed), tuple(skew)})
-    cubics = field_monomials(n, cubic_shapes)
+    # the cubic exponents in x1, x2, plus the mixed x1x2x3 and skew x1^2x3
+    cubics = field_monomials(n, [u for u in xi_simplex(n, 3) if sum(u[:2]) == 3
+                                 or u[:3] in ((1, 1, 1), (2, 0, 1))])
     fields = cubics + list(fam.quadratic)
     pairs = [(i, j) for i in range(len(cubics)) for j in range(i + 1, len(cubics))]
     pairs += [(len(cubics) + g, j) for g in range(len(fam.quadratic))
               for j in range(2 * n)]
-
-    symbols_fam = _symbol_monomials(n, _staircase(n, max(p - 1, 0) + 1, width=1),
-                                    _xi_slice(n, k, max_off_axis=2))
 
     @cache
     def field_ops(F: Poly) -> list[PolyDiffOp]:
@@ -527,9 +521,10 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
         ops_bracket = [None] * len(bilinear) if bracket.is_zero() else field_ops(bracket)
         defects = [commutator_sum([(L_Z, opY), (opZ, L_Y)], base=opB)
                    for opY, opZ, opB in zip(field_ops(Y), field_ops(Z), ops_bracket)]
-        if all(d.is_zero() for d in defects):
-            continue
-        _add_rows(reducer, defects, symbols_fam)
+        r = max((sum(mu[:n]) for d in defects for mu in d.terms), default=-1)
+        if r >= 0:  # r = -1: every defect vanishes
+            _add_rows(reducer, defects,
+                      _symbol_monomials(n, monomials_up_to(n, r), xi_simplex(n, k)))
 
     combos = reducer.nullspace()
     idx = full_indices(k, p)

@@ -21,7 +21,7 @@ from cohomolab.ansatz import (
     sys4_residuals,
 )
 from cohomolab.cocycles import second_class_coefficients
-from cohomolab.linalg import RowReducer
+from cohomolab.linalg import RowReducer, keyed_rows
 from cohomolab.operators import PolyDiffOp, unit_deriv
 from cohomolab.poly import Poly, StructureError, doubled_ring, rat_str, single_ring
 from cohomolab.symbols import hamiltonian_action, schouten_bracket, sl_generators
@@ -301,7 +301,7 @@ def test_row_generators_feed_pinned_rows(monkeypatch):
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(2, 3, 2)) == (
         "04aadaa66b21e338d5ade69f0a4e4342bacdfd51e1187691c9a94183a379f4c6")
     assert _row_digest(monkeypatch, lambda: impose_cocycle(space, 2, 3, 2)) == (
-        "993592dbe880f6e7d5d88aebb25b79b5748e7affff19b0f58e60639aa0dfe17a")
+        "8678858971da7fa71e37b60b03640d762555439cf55bf4185aa3af0c8936a6b5")
 
 
 def test_row_generators_feed_pinned_rows_in_dimension_three(monkeypatch):
@@ -311,7 +311,36 @@ def test_row_generators_feed_pinned_rows_in_dimension_three(monkeypatch):
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(3, 3, 2)) == (
         "4c308d6edb726d89a716f8e1f6ad7322d8a388e77391afcd0f998f1ca037c3f9")
     assert _row_digest(monkeypatch, lambda: impose_cocycle(space, 3, 3, 2)) == (
-        "7306d554fe3ad2980a6e8857531a52ac623a4cb2476c159511651eede47fe638")
+        "1d8b4f090a19176aba40738c762c82241bab6ad9eeba14707340e22ee00db4d6")
+
+
+def _rank(rows, ncols) -> int:
+    reducer = RowReducer(ncols)
+    for row in rows:
+        reducer.add_row(row)
+    return reducer.rank
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cocycle_filter_rows_are_exact_on_each_pair(monkeypatch, n):
+    # each pair's rows span all of its defects' conditions on S_k: their rank
+    # is the rank of the defects' canonical forms, the symbol_map(k) entries
+    # (every row is implied by those, so equal rank means equal span)
+    k, p = 3, 2
+    calls = []
+    original = ansatz._add_rows
+
+    def checked(reducer, ops, symbols):
+        sampled = [row for P in symbols
+                   for row in keyed_rows([op.apply(P).terms for op in ops])]
+        exact = keyed_rows([op.symbol_map(k).entries for op in ops])
+        calls.append((_rank(sampled, len(ops)), _rank(exact, len(ops))))
+        return original(reducer, ops, symbols)
+
+    monkeypatch.setattr(ansatz, "_add_rows", checked)
+    impose_cocycle(recurrence_solutions(n, k, p), n, k, p)
+    assert calls
+    assert [c for c in calls if c[0] != c[1]] == []
 
 
 def test_cocycle_general_second_class_coefficients():
