@@ -6,6 +6,8 @@ X = X^i xi_i.  Its action on symbols is the Hamiltonian vector field
     L_X = (dX/dxi_i) d/dx^i - (dX/dx^i) d/dxi_i,
 
 which on degree-1 arguments reduces to the Lie bracket of vector fields.
+The bracket {f, g} is operators.hamiltonian_op(f) applied to g, the same
+kernel that builds L_X as an operator.
 The module also provides the divergence of a field, the generators of the
 projective subalgebra sl(n+1, R) inside Vect(R^n), and the divergence-type
 multiplication cocycles attached to a closed polynomial 1-form.
@@ -15,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import (Poly, Ring, StructureError, check_vector_field, norm_coeff, rat,
-                   single_ring)
+from .operators import hamiltonian_op
+from .poly import Poly, Ring, StructureError, check_vector_field, rat, single_ring
 
 
 def schouten_bracket(f: Poly, g: Poly) -> Poly:
@@ -25,21 +27,7 @@ def schouten_bracket(f: Poly, g: Poly) -> Poly:
         raise StructureError("bracket arguments must share a ring")
     if f.ring.doubled:
         raise StructureError("the bracket is defined on the single ring")
-    ring = f.ring
-    acc: dict = {}
-    for i in range(ring.n):
-        xv, xiv = ring.x(i), ring.xi(i)
-        for sign, a, b in ((1, f.diff(xiv), g.diff(xv)),
-                           (-1, f.diff(xv), g.diff(xiv))):
-            if a.is_zero() or b.is_zero():
-                continue
-            for exp, c in (a * b).terms.items():
-                s = acc.get(exp, 0) + sign * c
-                if s == 0:
-                    acc.pop(exp, None)
-                else:
-                    acc[exp] = s
-    return Poly(ring, {e: norm_coeff(c) for e, c in acc.items()}, _clean=True)
+    return hamiltonian_op(f).apply(g)
 
 
 def hamiltonian_action(X: Poly, p: Poly) -> Poly:

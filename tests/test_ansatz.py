@@ -206,7 +206,8 @@ def test_cocycle_filter_builds_each_field_operator_once(monkeypatch):
 
 def test_cocycle_filter_adds_no_row_when_every_defect_vanishes(monkeypatch):
     # the degree-drop-one line at n = 2, k = 3 is already a cocycle: every
-    # pair's defect operators vanish, so no symbol is evaluated and no row fed
+    # pair's defect operators vanish, so no row is fed and no operator meets a
+    # degree-k symbol (brackets of fields still apply Hamiltonian operators)
     rows, applied = [], []
     original, original_apply = RowReducer.add_row, PolyDiffOp.apply
 
@@ -222,7 +223,8 @@ def test_cocycle_filter_adds_no_row_when_every_defect_vanishes(monkeypatch):
     monkeypatch.setattr(RowReducer, "add_row", recorded)
     monkeypatch.setattr(PolyDiffOp, "apply", recorded_apply)
     assert impose_cocycle(space, 2, 3, 1).dimension == 1
-    assert rows == [] and applied == []
+    assert rows == []
+    assert applied and not any(_xi_degree(P) == 3 for P in applied if not P.is_zero())
 
 
 def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
