@@ -34,8 +34,7 @@ from functools import cache, lru_cache
 from math import factorial
 
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
-from .operators import (PolyDiffOp, commutator_sum, lie_derivative_op, monomials_up_to,
-                        unit_deriv, xi_simplex)
+from .operators import PolyDiffOp, commutator_sum, lie_derivative_op, unit_deriv, xi_simplex
 from .poly import (Coeff, Poly, Ring, StructureError, doubled_ring, norm_coeff,
                    rat, rat_str, single_ring)
 from .symbols import schouten_bracket, sl_generators
@@ -352,35 +351,17 @@ def field_monomials(n: int, shapes: list[tuple[int, ...]]) -> list[Poly]:
     return out
 
 
-def _symbol_monomials(n: int, x_shapes: list[tuple[int, ...]],
-                      xi_slice: list[tuple[int, ...]]) -> list[Poly]:
-    ring = single_ring(n)
-    return [Poly.monomial(ring, w + v) for w in x_shapes for v in xi_slice]
+def _add_rows(reducer: RowReducer, ops: list[PolyDiffOp], k: int) -> None:
+    """Add one row per key of the canonical forms of ops on S_k.
 
-
-def _xi_slice(n: int, k: int, max_off_axis: int | None = None) -> list[tuple[int, ...]]:
-    """The e1-e2 slice of the degree-k xi simplex (plus an e3 point for n >= 3).
-
-    max_off_axis caps the e2 exponent, thinning the slice for the bulk
-    equivariance rows where the full slice is redundant.
+    ops[j] is the operator of unknown j, so each row is one SymbolMap
+    entry's coefficients across the unknowns; both solvers feed their rows
+    here.  The rows are exact on S_k: SymbolMap is faithful on S_k and
+    from_operator is linear, so sum_j c_j ops[j] vanishes on S_k iff every
+    row vanishes at c.
     """
-    cap = k if max_off_axis is None else min(k, max_off_axis)
-    pad = (0,) * (n - 2)
-    out = [(k - j, j) + pad for j in range(cap + 1)]
-    if n >= 3 and k >= 1:
-        out.append((k - 1, 0, 1) + pad[1:])
-    return sorted(set(out))
-
-
-def _add_rows(reducer: RowReducer, ops: list[PolyDiffOp], symbols: list[Poly]) -> None:
-    """Per test symbol P, in order, add the rows keyed by the terms of op(P).
-
-    ops[j] is the operator of unknown j, so each row is one monomial's
-    coefficients across the unknowns; both solvers feed their rows here.
-    """
-    for P in symbols:
-        for row in keyed_rows([op.apply(P).terms for op in ops]):
-            reducer.add_row(row)
+    for row in keyed_rows([op.symbol_map(k).entries for op in ops]):
+        reducer.add_row(row)
 
 
 def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
@@ -392,27 +373,22 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
       equivariance: L_X(C(Y, P)) = C([X, Y], P) + C(Y, L_X P) for the
                     quadratic generators X
 
-    evaluated on a fixed monomial sample: the fields and symbols of
-    _staircase (x-exponents along e1 and e2) times the xi slice _xi_slice.
-    The sample stays because each of its rows is a necessary condition, so
-    the returned space contains the true one, and the tests certify the
-    output against the recurrence solver with same_span_as.  The complete
-    rows that impose_cocycle uses would cost more here, since this loop has
-    no full-rank exit: the sweep over every (k, p) took 1.2x as long at
-    n=2, k <= 5 (6.0 -> 6.9 s) and 2.7x at n=3, k <= 4 (7.8 -> 20.7 s),
-    process time on a 2-core x86 box.  The affine part of the equivariance
-    identity holds term by term for the candidate family and contributes
-    nothing; agreement with the recurrence solver is enforced separately as
-    an acceptance check.
+    imposed exactly on S_k (_add_rows) for a bounded set of fields: the
+    generators G, two quadratic generators X and the monomial fields Y of
+    _staircase (x-exponents along e1 and e2).  Each row is a necessary
+    condition, so the returned space contains the true one, and the tests
+    certify the output against the recurrence solver with same_span_as.
+    The affine part of the equivariance identity holds term by term for the
+    candidate family and contributes nothing.
 
-    Each row is a defect operator applied to a test symbol P.  Per
-    generator X, field Y and ansatz term t, the operator
+    Per generator X, field Y and ansatz term t, the defect operator
     D_t = [L_X, C_t(Y, .)] - C_t([X, Y], .) is formed once, as one
     commutator_sum; since {X, g} = L_X g for a vector field X, D_t(P) is
-    the equivariance defect exactly.  L_X = lie_derivative_op(X) is built once per generator, and
-    the operators P |-> C_t(F, P) are memoized by the field F, so a
-    generator that is also a test field Y, or a bracket [X, Y] met twice,
-    is built once; a vanishing bracket builds none, since C(0, P) = 0.
+    the equivariance defect exactly.  L_X = lie_derivative_op(X) is built
+    once per generator, and the operators P |-> C_t(F, P) are memoized by
+    the field F, so a generator that is also a test field Y, or a bracket
+    [X, Y] met twice, is built once; a vanishing bracket builds none, since
+    C(0, P) = 0.
     """
     _validate(n, k, p)
     indices = full_indices(k, p)
@@ -428,16 +404,12 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
         return [t.operator_for_field(F) for t in term_ops]
 
     # vanishing rows
-    van_symbols = _symbol_monomials(n, _staircase(n, p + 2),
-                                    _xi_slice(n, k))
     for G in fam.all():
-        _add_rows(reducer, field_ops(G), van_symbols)
+        _add_rows(reducer, field_ops(G), k)
 
     # equivariance rows along two quadratic generators; the rest follow by
     # the already-imposed linear equivariance and are re-verified in tests
     y_fields = field_monomials(n, _staircase(n, p + 2))
-    eq_symbols = _symbol_monomials(n, _staircase(n, p + 1),
-                                   _xi_slice(n, k, max_off_axis=2))
     generators = fam.quadratic[:2]
     lie_ops = [lie_derivative_op(X) for X in generators]
     for Y in y_fields:
@@ -449,7 +421,7 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
                      else [-opB for opB in field_ops(bracket)])
             defects = [commutator_sum([(L_X, opY)], base=base)
                        for opY, base in zip(ops_Y, bases)]
-            _add_rows(reducer, defects, eq_symbols)
+            _add_rows(reducer, defects, k)
 
     basis = [AnsatzCoefficients.from_vector(k, p, indices, v)
              for v in reducer.nullspace()]
@@ -471,16 +443,9 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
 
     Each processed pair (Y, Z) and basis map b gives one defect operator
     D_b = C_b([Y, Z], .) + [L_Z, C_b(Y, .)] + [C_b(Z, .), L_Y], formed as
-    one commutator_sum as in cocycle_check.  Its rows are the D_b applied to
-    x^u xi^v for every v of degree k and every |u| <= r, where r is the
-    largest x-order among the pair's defect terms; a pair whose defects all
-    vanish evaluates no symbol.  These rows span exactly the pair's
-    conditions on S_k.  Proof: a combination D = sum_b c_b D_b has x-order
-    <= r, so for fixed v the map p(x) |-> D(p xi^v) is an x-operator
-    sum_{|a| <= r} A_a d_x^a with coefficients A_a in the polynomials.  Its
-    value on x^u is u! A_u plus terms in A_a for a < u, so by induction on
-    |u| its values on |u| <= r fix every A_a: D vanishes on S_k iff all
-    these rows vanish at c.
+    one commutator_sum as in cocycle_check.  Its rows are read off the
+    D_b's canonical forms on S_k (_add_rows), so they span exactly the
+    pair's conditions on S_k; a pair whose defects all vanish adds none.
 
     A memo that lives for this call holds, per field X, L_X =
     lie_derivative_op(X) and the operators P |-> C_b(X, P); the operators
@@ -521,10 +486,7 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
         ops_bracket = [None] * len(bilinear) if bracket.is_zero() else field_ops(bracket)
         defects = [commutator_sum([(L_Z, opY), (opZ, L_Y)], base=opB)
                    for opY, opZ, opB in zip(field_ops(Y), field_ops(Z), ops_bracket)]
-        r = max((sum(mu[:n]) for d in defects for mu in d.terms), default=-1)
-        if r >= 0:  # r = -1: every defect vanishes
-            _add_rows(reducer, defects,
-                      _symbol_monomials(n, monomials_up_to(n, r), xi_simplex(n, k)))
+        _add_rows(reducer, defects, k)
 
     combos = reducer.nullspace()
     idx = full_indices(k, p)

@@ -146,8 +146,11 @@ def _candidates(args, c):
         return ops, f"custom:{args.candidates_file}"
     if args.candidates_file:
         raise StructureError("--candidates-file needs --candidates custom-file")
-    order = args.max_order if args.max_order is not None \
-        else max(2 * (c.k - c.ell), 2)
+    least = 2 * (c.k - c.ell)
+    order = args.max_order if args.max_order is not None else max(least, 2)
+    if order < least:
+        raise StructureError(f"--max-order {order} is below 2(k - ell) = {least}, the order "
+                             "of the divergence power: the affine candidate space is empty")
     return (affine_equivariant_basis(args.dim, c.k, c.ell, order),
             f"affine-equivariant basis, order <= {order}")
 

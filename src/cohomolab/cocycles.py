@@ -102,16 +102,20 @@ class IdentityCheck:
 
 
 def _nonzero_witness(defect: SymbolMap, n: int) -> tuple[Poly, Poly]:
-    """A monomial symbol on which a nonzero defect map takes a nonzero value."""
-    ring = single_ring(n)
-    max_alpha = max((sum(alpha) for (_, _, alpha, _) in defect.entries), default=0)
-    for v in sorted({v for (v, _, _, _) in defect.entries}):
-        for u in monomials_up_to(n, max_alpha + 1):
-            P = Poly.monomial(ring, tuple(u) + v)
-            val = defect.apply(P)
-            if not val.is_zero():
-                return P, val
-    raise StructureError("nonzero canonical form with no monomial witness")
+    """A monomial symbol on which a nonzero defect map takes a nonzero value.
+
+    Take v the lex-first xi-exponent among the entries, alpha the lex-first
+    x-derivative among that v's entries, and P = x^alpha xi^v.  An entry
+    (v, w, alpha', a) contributes c x^a d^alpha'(x^alpha) xi^w, which
+    vanishes unless alpha' <= alpha componentwise, and such an alpha' other
+    than alpha is lex-before alpha.  So the value is alpha! sum c x^a xi^w
+    over the entries (v, w, alpha, a): distinct monomials, nonzero.  By the
+    same argument every x^u xi^v with u lex-before alpha maps to 0, so P is
+    the first monomial with a nonzero value in lex order of (v, u).
+    """
+    v, alpha = min((v, alpha) for (v, _, alpha, _) in defect.entries)
+    P = Poly.monomial(single_ring(n), alpha + v)
+    return P, defect.apply(P)
 
 
 def cocycle_check(c: OneCocycle, max_vf_degree: int = 4) -> IdentityCheck:

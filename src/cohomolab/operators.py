@@ -36,9 +36,8 @@ hamiltonian_op builds the Hamiltonian field of a symbol once, as an
 operator: lie_derivative_op is that field of a vector field, and
 symbols.schouten_bracket applies it.
 
-Term differentiation lives in poly.diff_terms, shared with Poly.diff_multi.
-Only PolyDiffOp.apply differentiates inline: it reuses no derivative, and
-routing it through diff_terms cost the direct solver 5-7% of its wall time.
+Term differentiation lives in poly.diff_terms, shared with Poly.diff_multi
+and PolyDiffOp.apply.
 
 Operators acting on the finite-dimensional xi-monomial slice of fixed degree
 k admit an exact canonical form (SymbolMap below): the xi-part becomes a
@@ -64,7 +63,6 @@ from .poly import (
     Poly,
     Ring,
     StructureError,
-    active_vars,
     check_term_budget,
     check_vector_field,
     diff_terms,
@@ -295,34 +293,18 @@ class PolyDiffOp:
     def apply(self, p: Poly) -> Poly:
         """Apply the operator to p: the sum of a_mu * d^mu(p) over its terms, in one pass.
 
-        Each term of p is differentiated inline (falling factorials over the
-        nonzero entries of mu) and multiplied term by term into a single
-        accumulator, with no intermediate derivative or product polynomial.
-        The term budget is checked once, on the merged sum, as compose and
-        commutator do.
+        The terms of each d^mu(p) (poly.diff_terms) are multiplied term by
+        term into a single accumulator, with no intermediate derivative or
+        product polynomial.  The term budget is checked once, on the merged
+        sum, as compose and commutator do.
         """
         if p.ring is not self.ring and p.ring != self.ring:
             raise StructureError("operand ring mismatch")
         acc: dict[Exponent, Coeff] = {}
         pterms = p.terms.items()
         for mu, coeff in self.terms.items():
-            active = active_vars(mu)
             cterms = coeff.terms.items()
-            for exp, c in pterms:
-                # inline, not poly.diff_terms: no derivative is reused here
-                if active:
-                    new = list(exp)
-                    for var, m in active:
-                        e = exp[var]
-                        if e < m:
-                            c = 0
-                            break
-                        for step in range(m):
-                            c *= e - step
-                        new[var] = e - m
-                    if not c:
-                        continue
-                    exp = new
+            for exp, c in diff_terms(pterms, mu):
                 for ce, cc in cterms:
                     key = tuple(map(add, ce, exp))
                     s = acc.get(key, 0) + cc * c

@@ -97,8 +97,8 @@ def active_vars(mu: Exponent) -> tuple[tuple[int, int], ...]:
 def diff_terms(terms, multi: Exponent) -> list[tuple[Exponent, Coeff]]:
     """The (exponent, coefficient) pairs of d^multi(g), given those of g.
 
-    The one differentiation kernel, behind Poly.diff_multi and the operators'
-    Leibniz expansion.  Distinct surviving monomials stay distinct, so nothing
+    The one differentiation kernel, behind Poly.diff_multi, PolyDiffOp.apply
+    and the operators' Leibniz expansion.  Distinct surviving monomials stay distinct, so nothing
     is merged; coefficients come back unnormalized.
     """
     active = active_vars(multi)

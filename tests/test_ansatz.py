@@ -22,7 +22,7 @@ from cohomolab.ansatz import (
 )
 from cohomolab.cocycles import second_class_coefficients
 from cohomolab.linalg import RowReducer, keyed_rows
-from cohomolab.operators import PolyDiffOp, unit_deriv
+from cohomolab.operators import PolyDiffOp, monomials_up_to, unit_deriv, xi_simplex
 from cohomolab.poly import Poly, StructureError, doubled_ring, rat_str, single_ring
 from cohomolab.symbols import hamiltonian_action, schouten_bracket, sl_generators
 
@@ -301,17 +301,21 @@ def test_row_generators_feed_pinned_rows(monkeypatch):
     # operator kernels or the row generators must reproduce them exactly
     space = recurrence_solutions(2, 3, 2)
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(2, 3, 2)) == (
-        "04aadaa66b21e338d5ade69f0a4e4342bacdfd51e1187691c9a94183a379f4c6")
+        "e21db10743b06b3cceb7a9af490d5dba7423bbda9e165cf74d9bcd87b1d66d75")
     assert _row_digest(monkeypatch, lambda: impose_cocycle(space, 2, 3, 2)) == (
         "8678858971da7fa71e37b60b03640d762555439cf55bf4185aa3af0c8936a6b5")
+    # every filter defect at (3, 2) has x-order 0; at (4, 4) it has x-order 2
+    top = recurrence_solutions(2, 4, 4)
+    assert _row_digest(monkeypatch, lambda: impose_cocycle(top, 2, 4, 4)) == (
+        "3276926f62990c1a2b73cc853bc7ee3a6b35d958a96b75a9b9075e328aadff3a")
 
 
 def test_row_generators_feed_pinned_rows_in_dimension_three(monkeypatch):
-    # n = 3 reaches what n = 2 cannot: the e3 point of the xi slice and the
+    # n = 3 reaches what n = 2 cannot: xi3 in the canonical forms and the
     # mixed x1x2x3 and skew x1^2x3 cubic fields of the cocycle filter
     space = recurrence_solutions(3, 3, 2)
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(3, 3, 2)) == (
-        "4c308d6edb726d89a716f8e1f6ad7322d8a388e77391afcd0f998f1ca037c3f9")
+        "d48de92cc96fea0e2fa6923f7c64fd6576079580b178f76f215d2acefb555b25")
     assert _row_digest(monkeypatch, lambda: impose_cocycle(space, 3, 3, 2)) == (
         "1d8b4f090a19176aba40738c762c82241bab6ad9eeba14707340e22ee00db4d6")
 
@@ -323,25 +327,39 @@ def _rank(rows, ncols) -> int:
     return reducer.rank
 
 
+def _sampled_rows(ops, k):
+    """The rows of ops applied to x^u xi^v, for every xi^v of degree k and
+    every |u| up to the largest x-order among the ops' terms."""
+    ring = ops[0].ring
+    n = ring.n
+    r = max((sum(mu[:n]) for op in ops for mu in op.terms), default=-1)
+    return [row for u in monomials_up_to(n, r) for v in xi_simplex(n, k)
+            for row in keyed_rows([op.apply(Poly.monomial(ring, u + v)).terms
+                                   for op in ops])]
+
+
 @pytest.mark.parametrize("n", [2, 3])
-def test_cocycle_filter_rows_are_exact_on_each_pair(monkeypatch, n):
-    # each pair's rows span all of its defects' conditions on S_k: their rank
-    # is the rank of the defects' canonical forms, the symbol_map(k) entries
-    # (every row is implied by those, so equal rank means equal span)
+def test_both_row_generators_are_exact_on_each_call(monkeypatch, n):
+    # the oracle fixes the ops on S_k: for fixed xi^v, a combination of x-order
+    # <= r is an x-operator sum_{|a| <= r} A_a d_x^a, and its value on x^u is
+    # u! A_u plus terms in A_a for a < u, so its values on |u| <= r fix every
+    # A_a.  Each oracle row is implied by the canonical-form rows, so equal
+    # rank means equal span: the rows fed are exactly the conditions on S_k
     k, p = 3, 2
     calls = []
     original = ansatz._add_rows
 
-    def checked(reducer, ops, symbols):
-        sampled = [row for P in symbols
-                   for row in keyed_rows([op.apply(P).terms for op in ops])]
+    def checked(reducer, ops, degree):
+        assert degree == k
         exact = keyed_rows([op.symbol_map(k).entries for op in ops])
-        calls.append((_rank(sampled, len(ops)), _rank(exact, len(ops))))
-        return original(reducer, ops, symbols)
+        calls.append((_rank(_sampled_rows(ops, k), len(ops)), _rank(exact, len(ops))))
+        return original(reducer, ops, degree)
 
     monkeypatch.setattr(ansatz, "_add_rows", checked)
-    impose_cocycle(recurrence_solutions(n, k, p), n, k, p)
-    assert calls
+    direct = solve_equivariant_direct(n, k, p)
+    direct_calls = len(calls)
+    impose_cocycle(direct, n, k, p)
+    assert 0 < direct_calls < len(calls)
     assert [c for c in calls if c[0] != c[1]] == []
 
 

@@ -152,6 +152,8 @@ CONFIG_ERRORS = {
                                     "--order", "2", "--candidates", "custom-file",
                                     "--candidates-file", "{tmp}/divergence.txt",
                                     "--max-order", "7"], None),
+    "max-order-below-divergence-power": (["coboundary-test", "--name", "c1", "--dim", "2",
+                                          "--order", "3", "--max-order", "1"], None),
     "negative-max-order": (["coboundary-test", "--name", "c1", "--dim", "2",
                             "--order", "2", "--max-order", "-1"], None),
     "affine-coboundary-fields": (["coboundary-test", "--name", "c1", "--dim", "2",
