@@ -21,8 +21,8 @@ derivatives to an eta-degree-k argument and die on the relevant subspace).
 
 Two independent solvers compute the equivariant subspace: one solves the
 closed-form recurrence system for the coefficients, the other imposes the
-equivariance identity itself on monomial test data and extracts an exact
-nullspace.  Their agreement, together with the cocycle filter, reproduces
+equivariance identity itself, exactly on S_k for a bounded set of
+monomial test fields, and extracts an exact nullspace.  Their agreement, together with the cocycle filter, reproduces
 the case classification (a)-(d) of the relative cohomology computation.
 """
 

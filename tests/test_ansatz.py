@@ -259,8 +259,9 @@ def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
                    "beta": {"2": "1/7", "3": "1"}, "gamma": {}},
                   {"k": 3, "p": 2, "alpha": {"2": "-4/7", "3": "-3"},
                    "beta": {"2": "-1/7"}, "gamma": {"2": "1"}}]}
-    # no {X, P} on a degree-k symbol P is formed: each row is a defect
-    # operator applied to P, and only brackets [X, Y] of fields are taken
+    # no {X, P} on a degree-k symbol P is formed: rows are read off the
+    # defect operators' canonical forms, and only brackets [X, Y] of fields
+    # are taken
     symbol_calls = [count for (_, g), count in calls.items()
                     if not g.is_zero() and _xi_degree(g) == k]
     assert not symbol_calls
