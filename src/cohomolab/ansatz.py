@@ -22,8 +22,13 @@ derivatives to an eta-degree-k argument and die on the relevant subspace).
 Two independent solvers compute the equivariant subspace: one solves the
 closed-form recurrence system for the coefficients, the other imposes the
 equivariance identity itself, exactly on S_k for a bounded set of
-monomial test fields, and extracts an exact nullspace.  Their agreement, together with the cocycle filter, reproduces
-the case classification (a)-(d) of the relative cohomology computation.
+monomial test fields, and extracts an exact nullspace.  Their agreement,
+together with the cocycle filter, reproduces the case classification
+(a)-(d) of the relative cohomology computation.
+
+cocycle_defects is the one home of the cocycle defect: the filter
+impose_cocycle and the identity check cocycles.cocycle_check both loop
+over it.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial
+from typing import Callable, Iterable, Iterator
 
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
 from .operators import PolyDiffOp, commutator_sum, lie_derivative_op, unit_deriv, xi_simplex
@@ -364,6 +370,31 @@ def _add_rows(reducer: RowReducer, ops: list[PolyDiffOp], k: int) -> None:
         reducer.add_row(row)
 
 
+def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
+                    pairs: Iterable[tuple[Poly, Poly]]) -> Iterator[list[PolyDiffOp]]:
+    """The cocycle defect operators of each rule, one list per field pair.
+
+    For a pair (Y, Z) and a rule r : X |-> r(X), a linear map from vector
+    fields to operators, the defect of the identity
+    r([Y, Z]) = Y.r(Z) - Z.r(Y), with X.A = [L_X, A], is
+
+        D_r = r([Y, Z]) + [L_Z, r(Y)] + [r(Z), L_Y],
+
+    formed as one commutator_sum; r is a cocycle on the pairs iff every D_r
+    is zero.  A vanishing bracket gives no base and evaluates no rule at the
+    zero field, since r(0) = 0.  L_F = lie_derivative_op(F) is memoized for
+    this call; a rule that should build each field's operator once is
+    memoized by the caller.  Pairs are formed only as the caller draws them.
+    """
+    lie = cache(lie_derivative_op)
+    for Y, Z in pairs:
+        L_Y, L_Z = lie(Y), lie(Z)
+        bracket = schouten_bracket(Y, Z)
+        zero = bracket.is_zero()
+        yield [commutator_sum([(L_Z, r(Y)), (r(Z), L_Y)], base=None if zero else r(bracket))
+               for r in rules]
+
+
 def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     """Classify the equivariant family by imposing the defining identities.
 
@@ -384,28 +415,26 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     Per generator X, field Y and ansatz term t, the defect operator
     D_t = [L_X, C_t(Y, .)] - C_t([X, Y], .) is formed once, as one
     commutator_sum; since {X, g} = L_X g for a vector field X, D_t(P) is
-    the equivariance defect exactly.  L_X = lie_derivative_op(X) is built
-    once per generator, and the operators P |-> C_t(F, P) are memoized by
-    the field F, so a generator that is also a test field Y, or a bracket
-    [X, Y] met twice, is built once; a vanishing bracket builds none, since
-    C(0, P) = 0.
+    the equivariance defect exactly.  It is not the cocycle defect of
+    cocycle_defects: that would add [L_Y, C_t(X, .)], which lies in the
+    span of the vanishing rows and roughly doubles the solver's time.
+    L_X = lie_derivative_op(X) is built once per generator, and each
+    term's rule F |-> C_t(F, .) is memoized by the field F, so a generator
+    that is also a test field Y, or a bracket [X, Y] met twice, is built
+    once; a vanishing bracket builds none, since C(0, P) = 0.
     """
     _validate(n, k, p)
     indices = full_indices(k, p)
     if not indices:
         return SolutionSpace(n, k, p, [])
-    term_ops = [BilinearOp(n, ansatz_term_op(n, kind, s, p))
-                for kind, s in indices]
+    rules = [cache(BilinearOp(n, ansatz_term_op(n, kind, s, p)).operator_for_field)
+             for kind, s in indices]
     fam = sl_generators(n)
     reducer = RowReducer(len(indices))
 
-    @cache
-    def field_ops(F: Poly) -> list[PolyDiffOp]:
-        return [t.operator_for_field(F) for t in term_ops]
-
     # vanishing rows
     for G in fam.all():
-        _add_rows(reducer, field_ops(G), k)
+        _add_rows(reducer, [r(G) for r in rules], k)
 
     # equivariance rows along two quadratic generators; the rest follow by
     # the already-imposed linear equivariance and are re-verified in tests
@@ -413,89 +442,73 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     generators = fam.quadratic[:2]
     lie_ops = [lie_derivative_op(X) for X in generators]
     for Y in y_fields:
-        ops_Y = field_ops(Y)
         for X, L_X in zip(generators, lie_ops):
             bracket = schouten_bracket(X, Y)
             # C(0, P) = 0, so a vanishing bracket needs no operators
-            bases = ([None] * len(ops_Y) if bracket.is_zero()
-                     else [-opB for opB in field_ops(bracket)])
-            defects = [commutator_sum([(L_X, opY)], base=base)
-                       for opY, base in zip(ops_Y, bases)]
-            _add_rows(reducer, defects, k)
+            zero = bracket.is_zero()
+            _add_rows(reducer, [commutator_sum([(L_X, r(Y))],
+                                               base=None if zero else -r(bracket))
+                                for r in rules], k)
 
     basis = [AnsatzCoefficients.from_vector(k, p, indices, v)
              for v in reducer.nullspace()]
     return SolutionSpace(n, k, p, basis)
 
 
+def cocycle_filter_pairs(n: int) -> list[tuple[Poly, Poly]]:
+    """The field pairs impose_cocycle imposes the cocycle identity on, in order.
+
+    Every pair of monomial cubic fields (the cubic exponents in x1, x2, plus
+    x1x2x3 and x1^2x3 for n >= 3, times each xi_i), then each quadratic
+    generator against the first 2n of those cubic fields.
+    """
+    cubics = field_monomials(n, [u for u in xi_simplex(n, 3) if sum(u[:2]) == 3
+                                 or u[:3] in ((1, 1, 1), (2, 0, 1))])
+    pairs = [(Y, Z) for i, Y in enumerate(cubics) for Z in cubics[i + 1:]]
+    return pairs + [(G, Z) for G in sl_generators(n).quadratic for Z in cubics[:2 * n]]
+
+
 def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpace:
     """Intersect an equivariant solution space with the cocycle identity.
 
     The identity  C([Y,Z], P) = Y.(C(Z,P)) - Z.(C(Y,P))  (with the natural
-    action on operator values) is imposed on a bounded set of field pairs:
-    every pair of monomial cubic fields (the cubic exponents in x1, x2, plus
-    x1x2x3 and x1^2x3 for n >= 3, times each xi_i), then each quadratic
-    generator against the first 2n of those cubic fields.  That these
-    pairs suffice is observed, not proved: it reproduces the classification
-    on every tested (n, k, p).  Every row is a necessary condition, so a
-    dimension-0 answer is sound; the table certifies a surviving line with
-    cocycle_check.
+    action on operator values) is imposed on the bounded set of field pairs
+    of cocycle_filter_pairs.  That the cubic pairs suffice is observed, not
+    proved: it reproduces the classification on every tested (n, k, p).
+    Every row is a necessary condition, so a dimension-0 answer is sound;
+    the table certifies a surviving line with cocycle_check.
 
-    Each processed pair (Y, Z) and basis map b gives one defect operator
-    D_b = C_b([Y, Z], .) + [L_Z, C_b(Y, .)] + [C_b(Z, .), L_Y], formed as
-    one commutator_sum as in cocycle_check.  Its rows are read off the
-    D_b's canonical forms on S_k (_add_rows), so they span exactly the
-    pair's conditions on S_k; a pair whose defects all vanish adds none.
+    The generator pairs provably add no row.  The input space must be
+    sl(n+1)-equivariant and vanish on sl(n+1), as recurrence_solutions'
+    spaces are: C(G, .) = 0 and [L_G, C(Z, .)] = C([G, Z], .) for every
+    G in sl(n+1).  The defect at a pair (G, Z) is then
 
-    A memo that lives for this call holds, per field X, L_X =
-    lie_derivative_op(X) and the operators P |-> C_b(X, P); the operators
-    of a bracket [Y, Z] go into the same memo, so a bracket met by two
-    pairs is built once, and a vanishing one builds none, since
-    C(0, P) = 0.  The memo is filled lazily: the pair loop stops once the
-    rank is full, and a field no processed pair touches costs nothing.
+        C([G, Z], .) - [L_G, C(Z, .)] + [L_Z, C(G, .)] = 0 - 0.
+
+    Each pair (Y, Z) and basis map b gives one defect operator D_b of
+    cocycle_defects.  Its rows are read off the D_b's canonical forms on
+    S_k (_add_rows), so they span exactly the pair's conditions on S_k; a
+    pair whose defects all vanish adds none.
+
+    Each basis map's rule F |-> C_b(F, .) is memoized for this call, so a
+    cubic field met by several pairs, or a bracket [Y, Z] met twice, is
+    built once per basis map, and a vanishing bracket builds none.  The
+    pairs are drawn lazily: the loop stops as soon as the rank is full, and
+    no pair past the one that completes it is formed.
     """
     _validate(n, k, p)
     if not space.basis:
         return SolutionSpace(n, k, p, [])
-    bilinear = [build_bilinear(c, n) for c in space.basis]
-    fam = sl_generators(n)
-    # the cubic exponents in x1, x2, plus the mixed x1x2x3 and skew x1^2x3
-    cubics = field_monomials(n, [u for u in xi_simplex(n, 3) if sum(u[:2]) == 3
-                                 or u[:3] in ((1, 1, 1), (2, 0, 1))])
-    fields = cubics + list(fam.quadratic)
-    pairs = [(i, j) for i in range(len(cubics)) for j in range(i + 1, len(cubics))]
-    pairs += [(len(cubics) + g, j) for g in range(len(fam.quadratic))
-              for j in range(2 * n)]
-
-    @cache
-    def field_ops(F: Poly) -> list[PolyDiffOp]:
-        return [b.operator_for_field(F) for b in bilinear]
-
-    @cache
-    def lie_op(f: int) -> PolyDiffOp:
-        return lie_derivative_op(fields[f])
-
-    reducer = RowReducer(len(bilinear))
-    for y, z in pairs:
-        if reducer.rank == len(bilinear):
-            break
-        Y, Z = fields[y], fields[z]
-        L_Y, L_Z = lie_op(y), lie_op(z)
-        bracket = schouten_bracket(Y, Z)
-        # C(0, P) = 0, so a vanishing bracket needs no operators
-        ops_bracket = [None] * len(bilinear) if bracket.is_zero() else field_ops(bracket)
-        defects = [commutator_sum([(L_Z, opY), (opZ, L_Y)], base=opB)
-                   for opY, opZ, opB in zip(field_ops(Y), field_ops(Z), ops_bracket)]
+    rules = [cache(build_bilinear(c, n).operator_for_field) for c in space.basis]
+    reducer = RowReducer(len(rules))
+    for defects in cocycle_defects(rules, cocycle_filter_pairs(n)):
         _add_rows(reducer, defects, k)
+        if reducer.rank == len(rules):
+            break
 
-    combos = reducer.nullspace()
-    idx = full_indices(k, p)
-    out = []
-    for combo in combos:
-        vec = [0] * len(idx)
-        for j, c in enumerate(combo):
-            if c != 0:
-                bvec = space.basis[j].as_vector(idx)
-                vec = [norm_coeff(a + rat(c) * rat(b)) for a, b in zip(vec, bvec)]
-        out.append(AnsatzCoefficients.from_vector(k, p, idx, vec))
-    return SolutionSpace(n, k, p, out)
+    columns = list(zip(*space.vectors()))
+    basis = [AnsatzCoefficients.from_vector(
+                 k, p, full_indices(k, p),
+                 [sum(rat(c) * rat(b) for c, b in zip(combo, col)) for col in columns])
+             for combo in reducer.nullspace()]
+    return SolutionSpace(n, k, p, basis)

@@ -40,13 +40,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .ansatz import AnsatzCoefficients, build_bilinear, field_monomials
+from .ansatz import AnsatzCoefficients, build_bilinear, cocycle_defects, field_monomials
 from .linalg import keyed_rows, solve
 from .operators import (
     PolyDiffOp,
     SymbolMap,
-    commutator_sum,
-    lie_derivative_op,
     linear_combination,
     module_action,
     monomials_up_to,
@@ -54,8 +52,7 @@ from .operators import (
     unit_deriv,
 )
 from .poly import Poly, StructureError, poly_str, rat, rat_str, single_ring
-from .symbols import (divergence, divergence_cocycle, is_closed, schouten_bracket,
-                      sl_generators)
+from .symbols import divergence, divergence_cocycle, is_closed, sl_generators
 
 
 @dataclass
@@ -122,36 +119,30 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4) -> IdentityCheck:
     """Verify the cocycle identity on all monomial field pairs up to a degree.
 
     Operator equality is exact equality of degree-k canonical forms.  Each
-    pair's defect c([X, Y]) + [c(Y), L_X] + [L_Y, c(X)] is formed as one
-    commutator_sum, so both commutators and the bracket value merge in one
-    accumulator with one term-budget check.  The first failing pair in
-    canonical order is reported with a monomial symbol on which the defect
-    evaluates to something nonzero.
+    pair's defect c([X, Y]) + [L_Y, c(X)] + [c(Y), L_X] is the one operator
+    that ansatz.cocycle_defects forms for the rule c.evaluate, so both
+    commutators and the bracket value merge in one accumulator with one
+    term-budget check.  The first failing pair in canonical order is
+    reported with a monomial symbol on which the defect evaluates to
+    something nonzero.
     """
     if max_vf_degree < 2:
         raise StructureError("the check needs fields of degree at least 2")
 
     fields = monomial_fields(c.n, max_vf_degree)
-    lie_ops = [lie_derivative_op(X) for X in fields]
-    values = [c.evaluate(X) for X in fields]
-    pairs = 0
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            pairs += 1
-            bracket = schouten_bracket(fields[i], fields[j])
-            base = c.evaluate(bracket) if not bracket.is_zero() else None
-            defect = commutator_sum([(values[j], lie_ops[i]), (lie_ops[j], values[i])],
-                                    base=base)
-            sm = defect.symbol_map(c.k)
-            if not sm.is_zero():
-                P, val = _nonzero_witness(sm, c.n)
-                return IdentityCheck(False, max_vf_degree, pairs, {
-                    "X": poly_str(fields[i]),
-                    "Y": poly_str(fields[j]),
-                    "symbol": poly_str(P),
-                    "defect_value": poly_str(val),
-                })
-    return IdentityCheck(True, max_vf_degree, pairs)
+    pairs = [(X, Y) for i, X in enumerate(fields) for Y in fields[i + 1:]]
+    defects = cocycle_defects([c.evaluate], pairs)
+    for checked, ((X, Y), [defect]) in enumerate(zip(pairs, defects), 1):
+        sm = defect.symbol_map(c.k)
+        if not sm.is_zero():
+            P, val = _nonzero_witness(sm, c.n)
+            return IdentityCheck(False, max_vf_degree, checked, {
+                "X": poly_str(X),
+                "Y": poly_str(Y),
+                "symbol": poly_str(P),
+                "defect_value": poly_str(val),
+            })
+    return IdentityCheck(True, max_vf_degree, len(pairs))
 
 
 def vanishes_on_sl(c: OneCocycle) -> bool:

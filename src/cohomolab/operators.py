@@ -26,11 +26,13 @@ The expansion runs in one pass.  Every product of a left coefficient term,
 scaled by sign * binom, with a term of the right coefficient's derivative
 d^rho(a_mu) is added straight into one raw {derivative: {exponent:
 coefficient}} accumulator, and each Poly coefficient is built once at the
-end.  commutator_sum, the one defect kernel of cocycle_check and of both
-ansatz row generators, sums any number of commutators and a base operator
-in one such accumulator.  The term budget is checked once per call, on the
-larger of the output's term count and its largest merged coefficient's term
-count; the second stands in for a check on every coefficient product.
+end.  commutator_sum is the one defect kernel: it sums any number of
+commutators and a base operator in one such accumulator.  The pair loop
+over it is ansatz.cocycle_defects, shared by cocycle_check and the cocycle
+filter; the direct solver calls it once per equivariance defect.  The
+term budget is checked once per call, on the larger of the output's term
+count and its largest merged coefficient's term count; the second stands
+in for a check on every coefficient product.
 
 hamiltonian_op builds the Hamiltonian field of a symbol once, as an
 operator: lie_derivative_op is that field of a vector field, and

@@ -98,8 +98,8 @@ def diff_terms(terms, multi: Exponent) -> list[tuple[Exponent, Coeff]]:
     """The (exponent, coefficient) pairs of d^multi(g), given those of g.
 
     The one differentiation kernel, behind Poly.diff_multi, PolyDiffOp.apply
-    and the operators' Leibniz expansion.  Distinct surviving monomials stay distinct, so nothing
-    is merged; coefficients come back unnormalized.
+    and the operators' Leibniz expansion.  Distinct surviving monomials stay
+    distinct, so nothing is merged; coefficients come back unnormalized.
     """
     active = active_vars(multi)
     if not active:

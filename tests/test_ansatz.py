@@ -9,8 +9,11 @@ from cohomolab import ansatz
 from cohomolab.ansatz import (
     AnsatzCoefficients,
     BilinearOp,
+    SolutionSpace,
     ansatz_term_op,
     build_bilinear,
+    cocycle_defects,
+    cocycle_filter_pairs,
     contraction_ops,
     full_indices,
     impose_cocycle,
@@ -225,6 +228,71 @@ def test_cocycle_filter_adds_no_row_when_every_defect_vanishes(monkeypatch):
     assert impose_cocycle(space, 2, 3, 1).dimension == 1
     assert rows == []
     assert applied and not any(_xi_degree(P) == 3 for P in applied if not P.is_zero())
+
+
+def test_cocycle_defects_match_the_pointwise_identity():
+    # two rules at (n, k, p) = (2, 3, 2): the cocycle c2 and a non-cocycle
+    k = 3
+    rules = [build_bilinear(second_class_coefficients(2, k), 2).operator_for_field,
+             build_bilinear(AnsatzCoefficients(k, 2, gamma={2: 1}), 2).operator_for_field]
+    Y, Z = x(0) * x(0) * xi(0), x(0) * x(1) * xi(1)
+    bracket = schouten_bracket(Y, Z)
+    assert not bracket.is_zero()
+    [defects] = cocycle_defects(rules, [(Y, Z)])
+    assert len(defects) == len(rules)
+    symbols = [Poly.monomial(R2, u + v) for u in monomials_up_to(2, 2)
+               for v in xi_simplex(2, k)]
+    for r, defect in zip(rules, defects):
+        for P in symbols:
+            assert defect.apply(P) == (
+                r(bracket).apply(P)
+                + hamiltonian_action(Z, r(Y).apply(P)) - r(Y).apply(hamiltonian_action(Z, P))
+                + r(Z).apply(hamiltonian_action(Y, P)) - hamiltonian_action(Y, r(Z).apply(P)))
+    # c2 is a cocycle; the gamma_2 = 1 line is not, and fails at this pair
+    assert [d.symbol_map(k).is_zero() for d in defects] == [True, False]
+
+
+def test_cocycle_defects_evaluate_no_rule_at_a_vanishing_bracket():
+    seen = []
+    op = build_bilinear(AnsatzCoefficients(3, 2, gamma={2: 1}), 2).operator_for_field
+
+    def rule(X):
+        seen.append(X)
+        return op(X)
+
+    [defects] = cocycle_defects([rule], [(xi(0), xi(1))])
+    assert len(defects) == 1
+    assert set(seen) == {xi(0), xi(1)}
+
+
+def _generator_pair_defects(space):
+    """The cocycle defects of space's basis maps at the filter's generator pairs."""
+    n = space.n
+    quadratic = set(sl_generators(n).quadratic)
+    pairs = [(G, Z) for G, Z in cocycle_filter_pairs(n) if G in quadratic]
+    assert len(pairs) == n * 2 * n
+    rules = [build_bilinear(c, n).operator_for_field for c in space.basis]
+    return [d for defects in cocycle_defects(rules, pairs) for d in defects]
+
+
+def test_cocycle_filter_generator_pairs_vanish_on_equivariant_spaces():
+    # impose_cocycle's docstring proves that each (quadratic generator, cubic)
+    # pair adds no row for an sl(n+1)-equivariant space vanishing on sl(n+1)
+    checked = 0
+    for n, kmax in ((2, 5), (3, 4)):
+        for k in range(kmax + 1):
+            for p in range(k + 1):
+                for d in _generator_pair_defects(recurrence_solutions(n, k, p)):
+                    assert d.symbol_map(k).is_zero()
+                    checked += 1
+    assert checked == 376
+
+
+def test_cocycle_filter_generator_pairs_catch_a_non_equivariant_line():
+    line = AnsatzCoefficients(3, 2, gamma={2: 1})
+    defects = _generator_pair_defects(SolutionSpace(2, 3, 2, [line]))
+    assert len(defects) == 8
+    assert not any(d.symbol_map(3).is_zero() for d in defects)
 
 
 def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):

@@ -62,3 +62,27 @@ def test_every_module_level_definition_is_used_in_src_or_exported():
             if not used and node.name not in cohomolab.__all__:
                 unused.append(f"{module}:{node.name}")
     assert unused == []
+
+
+# cli re-exports cocycle_check for the benchmark tracer's binding test
+# (perfbench/tests/test_bench_tracer.py)
+UNREAD_IMPORTS = {"cli.py:cocycle_check"}
+
+
+def test_every_import_in_src_is_read_in_its_module():
+    # __init__.py only re-exports, so its imports are never read there
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{name}")
+    assert set(unread) == UNREAD_IMPORTS
