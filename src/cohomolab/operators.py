@@ -26,7 +26,17 @@ The expansion runs in one pass.  Every product of a left coefficient term,
 scaled by sign * binom, with a term of the right coefficient's derivative
 d^rho(a_mu) is added straight into one raw {derivative: {exponent:
 coefficient}} accumulator, and each Poly coefficient is built once at the
-end.  commutator_sum is the one defect kernel: it sums any number of
+end.  The two factors come from per-operator Leibniz tables, one lazily
+filled slot of each PolyDiffOp: per term, the derivatives d^rho(a_mu) that
+have been read with the operator as right operand, and the scaled terms
+sign * binom(pi, rho) p_pi read with it as left operand.  An entry is
+computed the first time a product reads it and kept for the operator's
+life, so the fields L_X and cocycle values that a cocycle check composes
+for pair after pair are differentiated and scaled once, not once per
+commutator.  The cost is memory held by long-lived operators; filling only
+what a product reads keeps one-shot operators near their bare size.  The
+products, and the order they are added in, do not depend on the tables.
+commutator_sum is the one defect kernel: it sums any number of
 commutators and a base operator in one such accumulator.  The pair loop
 over it is ansatz.cocycle_defects, shared by cocycle_check and the cocycle
 filter; the direct solver calls it once per equivariance defect.  The
@@ -147,35 +157,36 @@ def _leibniz_subsets(mu: Deriv, lowest: int) -> tuple:
     return tuple(subs)
 
 
-def _leibniz(acc: dict, left: dict, right: dict, lowest: int, sign: int = 1) -> None:
+def _leibniz(acc: dict, left: "PolyDiffOp", right: "PolyDiffOp", lowest: int,
+             sign: int = 1) -> None:
     """Add sign * (left o right) into the raw accumulator acc, by the Leibniz rule.
 
     acc maps a derivative multi-index to a {exponent: coefficient} dict.  For
     left terms f d^mu and right terms g d^nu this adds
     binom(mu, s) f d^s(g) d^(mu - s + nu) for every s <= mu with
-    |s| >= lowest, one product of terms at a time: the terms of f are scaled
-    by sign * binom once per subset, each d^s(g) is a term list computed once
-    per right term, and no intermediate Poly is built.
+    |s| >= lowest, one product of terms at a time, and no intermediate Poly
+    is built.  The factors come from the two operators' Leibniz tables
+    (PolyDiffOp._leibniz_table): the term list of d^s(g) from the right
+    operand's, the terms of f scaled by sign * binom(mu, s) from the left
+    operand's.  An entry missing from a table is computed and stored the
+    first time a product reads it.
     """
-    rights = [(nu, g.terms.items(), g.total_degree(), {}) for nu, g in right.items()]
-    top = max((gdeg for _, _, gdeg, _ in rights), default=-1)
-    for mu, f in left.items():
-        fterms = f.terms.items()
-        expansion = []
-        for sub, rest, b, sub_total in _leibniz_subsets(mu, lowest):
-            if sub_total > top:
-                break
-            b *= sign
-            expansion.append((sub, rest, [(fe, fc * b) for fe, fc in fterms], sub_total))
-        for nu, gterms, gdeg, derivs in rights:
-            for sub, rest, fb, sub_total in expansion:
+    rights = right._leibniz_table()
+    for mu, f, _, _, scaled in left._leibniz_table():
+        subsets = _leibniz_subsets(mu, lowest)
+        for nu, g, gdeg, derivs, _ in rights:
+            for sub, rest, b, sub_total in subsets:
                 if sub_total > gdeg:
                     break
                 dg = derivs.get(sub)
                 if dg is None:
-                    dg = derivs[sub] = diff_terms(gterms, sub)
+                    dg = derivs[sub] = diff_terms(g.terms.items(), sub)
                 if not dg:
                     continue
+                fb = scaled.get((sub, sign))
+                if fb is None:
+                    b *= sign
+                    fb = scaled[sub, sign] = [(fe, fc * b) for fe, fc in f.terms.items()]
                 key = tuple(map(add, rest, nu))
                 coeff = acc.get(key)
                 if coeff is None:
@@ -214,10 +225,11 @@ def unit_deriv(ring: Ring, *variables: int) -> Deriv:
 class PolyDiffOp:
     """A differential operator in normal form with Poly coefficients."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_table")
 
     def __init__(self, ring: Ring, terms: dict[Deriv, Poly], *, _clean: bool = False):
         self.ring = ring
+        self._table = None
         if _clean:
             self.terms = terms
         else:
@@ -262,6 +274,23 @@ class PolyDiffOp:
 
     def order(self) -> int:
         return max((sum(mu) for mu in self.terms), default=0)
+
+    def _leibniz_table(self) -> list:
+        """Per term, (mu, coefficient, coefficient degree, derivs, scaled).
+
+        derivs maps a multi-index s to the term list of d^s(coefficient), read
+        when this operator is the right operand of _leibniz; scaled maps
+        (s, sign) to the coefficient's terms times sign * binom(mu, s), read
+        when it is the left operand.  Both start empty and _leibniz fills an
+        entry the first time a product reads it, so an operator composed many
+        times (a cached L_X or cocycle value) differentiates and scales each
+        coefficient once, while a one-shot operator stores only what its one
+        product read.  The table lives as long as the operator.
+        """
+        if self._table is None:
+            self._table = [(mu, g, g.total_degree(), {}, {})
+                           for mu, g in self.terms.items()]
+        return self._table
 
     def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
         if self.ring != other.ring:
@@ -323,7 +352,7 @@ class PolyDiffOp:
         if self.ring != other.ring:
             raise StructureError("operator ring mismatch")
         acc: dict = {}
-        _leibniz(acc, self.terms, other.terms, 0)
+        _leibniz(acc, self, other, 0)
         return _from_sum(self.ring, acc)
 
     def commutator(self, other: "PolyDiffOp") -> "PolyDiffOp":
@@ -366,8 +395,8 @@ def commutator_sum(pairs: list[tuple[PolyDiffOp, PolyDiffOp]],
     for P, A in pairs:
         if P.ring != ring or A.ring != ring:
             raise StructureError("operator ring mismatch")
-        _leibniz(acc, P.terms, A.terms, 1)
-        _leibniz(acc, A.terms, P.terms, 1, sign=-1)
+        _leibniz(acc, P, A, 1)
+        _leibniz(acc, A, P, 1, sign=-1)
     return _from_sum(ring, acc)
 
 

@@ -86,3 +86,11 @@ def test_every_import_in_src_is_read_in_its_module():
                     if name not in read:
                         unread.append(f"{path.name}:{name}")
     assert set(unread) == UNREAD_IMPORTS
+
+
+def test_operators_keep_their_leibniz_table_in_a_slot():
+    # a slot, not an instance dict, so a one-shot operator stays small
+    op = cohomolab.PolyDiffOp.identity(cohomolab.single_ring(2))
+    op.compose(op)
+    assert op._table is not None
+    assert not hasattr(op, "__dict__")

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cohomolab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, argv):
@@ -22,6 +28,16 @@ def test_check_relation_command(capsys):
     data = last_json(out)
     assert data["result"]["holds"] is True
     assert data["tool"] == "cohomolab"
+
+
+def test_python_m_cohomolab_runs_from_a_checkout():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "cohomolab", "check-relation", "--dim", "2"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["tool"] == "cohomolab"
+    assert data["result"]["holds"] is True
 
 
 def test_classify_command_with_cocycle(capsys):

@@ -4,9 +4,11 @@ from itertools import product
 
 import pytest
 
+from cohomolab import operators
 from cohomolab.ansatz import build_bilinear
 from cohomolab.cocycles import second_class_coefficients
-from cohomolab.poly import Poly, ResourceLimitError, StructureError, doubled_ring, single_ring
+from cohomolab.poly import (Poly, ResourceLimitError, StructureError, diff_terms, doubled_ring,
+                            single_ring)
 from cohomolab.operators import (
     PolyDiffOp,
     affine_equivariant_basis,
@@ -248,6 +250,77 @@ def test_commutator_sum_cancels_to_zero():
     for ring in (R2, R3):
         E, D = euler_diffop(ring), divergence_diffop(ring)
         assert commutator_sum([(E, D)], base=D).is_zero()
+
+
+def fresh(op):
+    """A copy of op with an empty Leibniz table."""
+    return PolyDiffOp(op.ring, dict(op.terms))
+
+
+def layout(op):
+    """op's terms and each coefficient's terms, in dict order."""
+    return [(mu, list(c.terms.items())) for mu, c in op.terms.items()]
+
+
+def test_filled_leibniz_tables_never_change_an_answer():
+    rng = random.Random(41)
+    for ring in (R2, doubled_ring(2)):
+        for _ in range(12):
+            A, B, C = (fraction_op(rng, ring) for _ in range(3))
+            texts = [op_str(op) for op in (A, B, C)]
+            # the second round reads the tables the first round filled
+            for _ in range(2):
+                for P, Q in ((A, B), (B, A), (A, A), (C, A)):
+                    assert layout(P.compose(Q)) == layout(fresh(P).compose(fresh(Q)))
+                    assert layout(P.commutator(Q)) == layout(fresh(P).commutator(fresh(Q)))
+                    assert (layout(commutator_sum([(P, Q), (Q, C)], base=C))
+                            == layout(commutator_sum([(fresh(P), fresh(Q)), (fresh(Q), fresh(C))],
+                                                     base=fresh(C))))
+                    for lowest, sign in product((0, 1), (1, -1)):
+                        filled, reference = {}, {}
+                        operators._leibniz(filled, P, Q, lowest, sign)
+                        operators._leibniz(reference, fresh(P), fresh(Q), lowest, sign)
+                        assert ([(key, list(c.items())) for key, c in filled.items()]
+                                == [(key, list(c.items())) for key, c in reference.items()])
+            for op, text in zip((A, B, C), texts):
+                assert op._table is not None
+                assert op == fresh(op) and fresh(op) == op
+                assert op_str(op) == text == op_str(fresh(op))
+                assert repr(op) == repr(fresh(op))
+
+
+def test_composition_is_associative_on_reused_operands():
+    rng = random.Random(42)
+    for ring in (R2, doubled_ring(2)):
+        for _ in range(4):
+            A, B, C = (fraction_op(rng, ring) for _ in range(3))
+            AB, BC = A.compose(B), B.compose(C)
+            # the second round reads the tables the first round filled
+            for _ in range(2):
+                assert AB.compose(C) == A.compose(BC)
+                assert A.compose(B).compose(C) == A.compose(B.compose(C))
+                assert C.compose(AB) == C.compose(A).compose(B)
+
+
+def test_a_repeated_commutator_sum_differentiates_nothing(monkeypatch):
+    calls = []
+
+    def counting_diff_terms(terms, multi):
+        calls.append(multi)
+        return diff_terms(terms, multi)
+
+    monkeypatch.setattr(operators, "diff_terms", counting_diff_terms)
+    L = lie_derivative_op(x(0) * x(0) * xi(1) + x(1) * xi(0))
+    rng = random.Random(43)
+    A = fraction_op(rng, R2)
+    B = PolyDiffOp(R2, {(1, 0, 1, 0): x(0) * x(1) * xi(1), (0, 0, 0, 1): x(1) * x(1)})
+    pairs = [(L, A), (B, L)]
+    first = commutator_sum(pairs, base=B)
+    assert calls
+    calls.clear()
+    second = commutator_sum(pairs, base=B)
+    assert calls == []
+    assert layout(second) == layout(first)
 
 
 def _c2_line_and_symbols():
