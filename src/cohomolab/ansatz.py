@@ -177,8 +177,9 @@ class BilinearOp:
     """A bilinear map S_1 (x) S_k -> S_{k-p}: doubled operator plus restriction.
 
     The doubled operator's coefficients must be constant, checked once here.
-    `terms` splits each term c * dx^a dxi^b dy^g deta^h once, in the
-    operator's term order, into ((a, b), |a| + |b|, (g, h), c).
+    `parts` groups its terms c * dx^a dxi^b dy^g deta^h by the derivative
+    part (a, b) that lands on the field, once, in the operator's term
+    order: one ((a, b), |a| + |b|, [((g, h), c), ...]) per distinct (a, b).
     """
 
     def __init__(self, n: int, op: PolyDiffOp):
@@ -187,12 +188,12 @@ class BilinearOp:
         self.n = n
         self.op = op
         const = (0,) * 4 * n
-        self.terms = []
+        grouped: dict[tuple, list] = {}
         for mu, coeff in op.terms.items():
             if coeff.terms.keys() != {const}:
                 raise StructureError("bilinear operators need constant coefficients")
-            a_b = mu[:2 * n]
-            self.terms.append((a_b, sum(a_b), mu[2 * n:], coeff.terms[const]))
+            grouped.setdefault(mu[:2 * n], []).append((mu[2 * n:], coeff.terms[const]))
+        self.parts = [(a_b, sum(a_b), rest) for a_b, rest in grouped.items()]
 
     def __call__(self, X: Poly, P: Poly) -> Poly:
         return self.op.apply(
@@ -204,22 +205,33 @@ class BilinearOp:
         For a doubled term c * dx^a dxi^b dy^g deta^h the x and xi
         derivatives land on X and the y, eta derivatives pass to the symbol
         slot, so the restriction is the single-ring operator
-        (c * d^a d^b X) * dx^g dxi^h.  A term with |a| + |b| above the total
-        degree of X contributes d^a d^b X = 0 and is skipped.
+        (c * d^a d^b X) * dx^g dxi^h.  Each distinct part (a, b) takes one
+        derivative d^a d^b X, whose terms, scaled by each c, are added raw
+        into the coefficients of their (g, h); a part with |a| + |b| above
+        the total degree of X has d^a d^b X = 0 and is skipped.
         """
         degree = X.total_degree()
-        out: dict[tuple, Poly] = {}
-        for a_b, order, g_h, c in self.terms:
+        out: dict[tuple, dict] = {}
+        for a_b, order, rest in self.parts:
             if order > degree:
                 continue
-            dX = X.diff_multi(a_b)
-            if dX.is_zero():
+            dX = X.diff_multi(a_b).terms.items()
+            if not dX:
                 continue
-            prev = out.get(g_h)
-            contrib = dX.scale(c)
-            out[g_h] = contrib if prev is None else prev + contrib
-        return PolyDiffOp(single_ring(self.n),
-                          {mu: c for mu, c in out.items() if not c.is_zero()}, _clean=True)
+            for g_h, c in rest:
+                acc = out.get(g_h)
+                if acc is None:
+                    acc = out[g_h] = {}
+                for e, v in dX:
+                    s = acc.get(e, 0) + c * v
+                    if s:
+                        acc[e] = s
+                    else:
+                        del acc[e]
+        ring = single_ring(self.n)
+        return PolyDiffOp(ring, {mu: Poly(ring, {e: norm_coeff(v) for e, v in acc.items()},
+                                          _clean=True)
+                                 for mu, acc in out.items() if acc}, _clean=True)
 
 
 def build_bilinear(coeffs: AnsatzCoefficients, n: int) -> BilinearOp:
@@ -370,6 +382,21 @@ def _add_rows(reducer: RowReducer, ops: list[PolyDiffOp], k: int) -> None:
         reducer.add_row(row)
 
 
+def _monomial_terms(F: Poly, memo: dict) -> list[tuple[Coeff, Poly]]:
+    """F = sum_m c_m x^m as its (c_m, x^m) pairs, each x^m a coefficient-1 monomial.
+
+    memo maps an exponent m to the one Poly x^m built for it, so a rule
+    memoized by its field meets one key per monomial, hashed once.
+    """
+    out = []
+    for e, c in F.terms.items():
+        unit = memo.get(e)
+        if unit is None:
+            unit = memo[e] = Poly(F.ring, {e: 1}, _clean=True)
+        out.append((c, unit))
+    return out
+
+
 def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
                     pairs: Iterable[tuple[Poly, Poly]]) -> Iterator[list[PolyDiffOp]]:
     """The cocycle defect operators of each rule, one list per field pair.
@@ -381,17 +408,22 @@ def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
         D_r = r([Y, Z]) + [L_Z, r(Y)] + [r(Z), L_Y],
 
     formed as one commutator_sum; r is a cocycle on the pairs iff every D_r
-    is zero.  A vanishing bracket gives no base and evaluates no rule at the
-    zero field, since r(0) = 0.  L_F = lie_derivative_op(F) is memoized for
-    this call; a rule that should build each field's operator once is
-    memoized by the caller.  Pairs are formed only as the caller draws them.
+    is zero.  The rule is evaluated on monomial fields only: r is linear, so
+    [Y, Z] = sum_m c_m x^m gives r([Y, Z]) = sum_m c_m r(x^m) exactly, and
+    the pairs (c_m, r(x^m)) are the commutator_sum's base (_monomial_terms,
+    one memo per call).  A bracket of two monomial fields has at most two
+    terms; a vanishing bracket gives an empty base.  L_F =
+    lie_derivative_op(F) is memoized for this call; a rule that should
+    build each field's operator once is memoized by the caller.  Pairs are
+    formed only as the caller draws them.
     """
     lie = cache(lie_derivative_op)
+    units: dict = {}
     for Y, Z in pairs:
         L_Y, L_Z = lie(Y), lie(Z)
-        bracket = schouten_bracket(Y, Z)
-        zero = bracket.is_zero()
-        yield [commutator_sum([(L_Z, r(Y)), (r(Z), L_Y)], base=None if zero else r(bracket))
+        bracket = _monomial_terms(schouten_bracket(Y, Z), units)
+        yield [commutator_sum([(L_Z, r(Y)), (r(Z), L_Y)],
+                              base=[(c, r(m)) for c, m in bracket])
                for r in rules]
 
 
@@ -418,10 +450,12 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     the equivariance defect exactly.  It is not the cocycle defect of
     cocycle_defects: that would add [L_Y, C_t(X, .)], which lies in the
     span of the vanishing rows and roughly doubles the solver's time.
-    L_X = lie_derivative_op(X) is built once per generator, and each
-    term's rule F |-> C_t(F, .) is memoized by the field F, so a generator
-    that is also a test field Y, or a bracket [X, Y] met twice, is built
-    once; a vanishing bracket builds none, since C(0, P) = 0.
+    As there, C_t([X, Y], .) enters as the linear combination
+    sum_m -c_m C_t(x^m, .) over the bracket's monomials (_monomial_terms),
+    so each term's rule F |-> C_t(F, .), memoized by the field F, is built
+    on generators and monomial fields only, once each; a vanishing bracket
+    gives an empty combination.  L_X = lie_derivative_op(X) is built once
+    per generator.
     """
     _validate(n, k, p)
     indices = full_indices(k, p)
@@ -441,13 +475,12 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     y_fields = field_monomials(n, _staircase(n, p + 2))
     generators = fam.quadratic[:2]
     lie_ops = [lie_derivative_op(X) for X in generators]
+    units: dict = {}
     for Y in y_fields:
         for X, L_X in zip(generators, lie_ops):
-            bracket = schouten_bracket(X, Y)
-            # C(0, P) = 0, so a vanishing bracket needs no operators
-            zero = bracket.is_zero()
+            bracket = _monomial_terms(schouten_bracket(X, Y), units)
             _add_rows(reducer, [commutator_sum([(L_X, r(Y))],
-                                               base=None if zero else -r(bracket))
+                                               base=[(-c, r(m)) for c, m in bracket])
                                 for r in rules], k)
 
     basis = [AnsatzCoefficients.from_vector(k, p, indices, v)
@@ -490,9 +523,11 @@ def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpac
     S_k (_add_rows), so they span exactly the pair's conditions on S_k; a
     pair whose defects all vanish adds none.
 
-    Each basis map's rule F |-> C_b(F, .) is memoized for this call, so a
-    cubic field met by several pairs, or a bracket [Y, Z] met twice, is
-    built once per basis map, and a vanishing bracket builds none.  The
+    Each basis map's rule F |-> C_b(F, .) is memoized for this call and,
+    through cocycle_defects, evaluated on the pairs' fields and on the
+    monomials of their brackets only: a cubic field met by several pairs,
+    or a monomial shared by several brackets, is built once per basis map,
+    and a vanishing bracket builds none.  The
     pairs are drawn lazily: the loop stops as soon as the rank is full, and
     no pair past the one that completes it is formed.
     """

@@ -57,7 +57,13 @@ from .symbols import divergence, divergence_cocycle, is_closed, sl_generators
 
 @dataclass
 class OneCocycle:
-    """A linear map from vector fields to operators on degree-k symbols."""
+    """A linear map from vector fields to operators on degree-k symbols.
+
+    The rule must be linear: cocycle_check evaluates it on coefficient-1
+    monomial fields only and takes its value at a bracket sum_m c_m x^m as
+    sum_m c_m rule(x^m) (ansatz.cocycle_defects).  evaluate memoizes it by
+    the field.
+    """
 
     n: int
     k: int
@@ -121,8 +127,9 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4) -> IdentityCheck:
     Operator equality is exact equality of degree-k canonical forms.  Each
     pair's defect c([X, Y]) + [L_Y, c(X)] + [c(Y), L_X] is the one operator
     that ansatz.cocycle_defects forms for the rule c.evaluate, so both
-    commutators and the bracket value merge in one accumulator with one
-    term-budget check.  The first failing pair in canonical order is
+    commutators and the bracket value, sum_m c_m c(x^m) over the bracket's
+    monomials, merge in one accumulator with one term-budget check; c is
+    evaluated once per monomial field met.  The first failing pair in canonical order is
     reported with a monomial symbol on which the defect evaluates to
     something nonzero.
     """

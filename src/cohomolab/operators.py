@@ -37,7 +37,10 @@ commutator.  The cost is memory held by long-lived operators; filling only
 what a product reads keeps one-shot operators near their bare size.  The
 products, and the order they are added in, do not depend on the tables.
 commutator_sum is the one defect kernel: it sums any number of
-commutators and a base operator in one such accumulator.  The pair loop
+commutators and a base linear combination of operators, sum_j c_j B_j, in
+one such accumulator.  Both row generators and the identity check pass a
+rule's value at a field bracket as that combination over the bracket's
+monomials, so a rule is evaluated on monomial fields only.  The pair loop
 over it is ansatz.cocycle_defects, shared by cocycle_check and the cocycle
 filter; the direct solver calls it once per equivariance defect.  The
 term budget is checked once per call, on the larger of the output's term
@@ -68,6 +71,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from operator import add
+from typing import Iterable
 
 from .poly import (
     Coeff,
@@ -377,21 +381,36 @@ class PolyDiffOp:
 
 
 def commutator_sum(pairs: list[tuple[PolyDiffOp, PolyDiffOp]],
-                   base: PolyDiffOp | None = None) -> PolyDiffOp:
-    """Normal form of base + sum_i [P_i, A_i] over the pairs (P_i, A_i), in one accumulator.
+                   base: Iterable[tuple[Coeff, PolyDiffOp]] = ()) -> PolyDiffOp:
+    """Normal form of sum_j c_j B_j + sum_i [P_i, A_i], in one accumulator.
 
-    The subset-0 Leibniz terms f g d^(mu + nu) of P o A and A o P are equal,
-    so each commutator expands only the subsets of order at least 1.  Every
-    product of terms lands in one raw accumulator seeded with base, and the
-    term budget is checked once, on the merged sum.
+    base is a linear combination of operators, (c_j, B_j) pairs; each
+    coefficient term of each B_j is scaled by c_j and added raw, so a
+    combination that cancels leaves nothing behind.  The subset-0 Leibniz
+    terms f g d^(mu + nu) of P o A and A o P are equal, so each commutator
+    expands only the subsets of order at least 1.  Every product of terms
+    lands in the same accumulator, and the term budget is checked once, on
+    the merged sum.
     """
-    if base is not None:
-        ring = base.ring
-    elif pairs:
-        ring = pairs[0][0].ring
-    else:
+    ring = pairs[0][0].ring if pairs else None
+    acc: dict = {}
+    for c, B in base:
+        if ring is None:
+            ring = B.ring
+        elif B.ring != ring:
+            raise StructureError("operator ring mismatch")
+        for mu, coeff in B.terms.items():
+            terms = acc.get(mu)
+            if terms is None:
+                terms = acc[mu] = {}
+            for e, v in coeff.terms.items():
+                s = terms.get(e, 0) + c * v
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+    if ring is None:
         raise StructureError("an empty commutator sum needs a base operator")
-    acc = {} if base is None else {mu: dict(c.terms) for mu, c in base.terms.items()}
     for P, A in pairs:
         if P.ring != ring or A.ring != ring:
             raise StructureError("operator ring mismatch")

@@ -86,14 +86,17 @@ def test_bilinear_op_rejects_non_constant_coefficients_when_built():
 def test_operator_for_field_skips_terms_above_the_field_degree(monkeypatch):
     # the c2 line at n = 2, k = 3, whose terms have x-order 2 to 4, against
     # the translation xi1 (total degree 1, so no derivative is taken), the
-    # linear field x1 xi2 and the quadratic field x1 x2 xi1
+    # linear field x1 xi2 and the quadratic field x1 x2 xi1; the field is
+    # differentiated once per distinct (a, b) part, not once per term
     C = build_bilinear(second_class_coefficients(2, 3), 2)
-    orders = [order for _, order, _, _ in C.terms]
+    orders = [order for _, order, _ in C.parts]
+    assert len({a_b for a_b, _, _ in C.parts}) == len(C.parts)
+    assert sum(len(rest) for _, _, rest in C.parts) == len(C.op.terms)
     calls = []
     original = Poly.diff_multi
 
     def recorded(self, multi):
-        calls.append(sum(multi))
+        calls.append(multi)
         return original(self, multi)
 
     monkeypatch.setattr(Poly, "diff_multi", recorded)
@@ -102,8 +105,8 @@ def test_operator_for_field_skips_terms_above_the_field_degree(monkeypatch):
         assert max(orders) > degree
         calls.clear()
         op = C.operator_for_field(X)
-        assert all(order <= degree for order in calls)
-        assert len(calls) == sum(order <= degree for order in orders)
+        assert all(sum(multi) <= degree for multi in calls)
+        assert len(calls) == len(set(calls)) == sum(order <= degree for order in orders)
         P = x(0) * x(1) * x(1) * xi(0) * xi(0) * xi(1)
         assert op.apply(P) == C(X, P)
 
@@ -313,7 +316,7 @@ def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
     defects = Counter()
     original_sum = ansatz.commutator_sum
 
-    def counted_sum(pairs, base=None):
+    def counted_sum(pairs, base=()):
         defects[tuple((id(L), id(A)) for L, A in pairs)] += 1
         return original_sum(pairs, base=base)
 

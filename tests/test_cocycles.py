@@ -23,9 +23,11 @@ from cohomolab.cocycles import (
 )
 from cohomolab.operators import PolyDiffOp, affine_equivariant_basis, divergence_diffop, module_action
 from cohomolab.poly import Poly, StructureError, single_ring
-from cohomolab.quantization import quantization_top_cocycle
+from cohomolab import quantization
+from cohomolab.quantization import quantization_projected_cocycle, quantization_top_cocycle
+from cohomolab.report import quantization_report
 from cohomolab.report import certify_class
-from cohomolab.symbols import one_form_primitive, sl_generators
+from cohomolab.symbols import one_form_primitive, schouten_bracket, sl_generators
 
 R2 = single_ring(2)
 
@@ -270,3 +272,57 @@ def test_builtin_full_sweep_quartic_fields():
             for c in (builtin_c1(n, k), builtin_c2(n, k),
                       builtin_gamma1_flat(n, k), builtin_div(n, k, 1, omega)):
                 assert cocycle_check(c, 4).holds, (n, k, c.name)
+
+
+def test_every_builtin_rule_is_linear_on_bracket_fields():
+    # the defect loops evaluate a rule only on coefficient-1 monomial fields
+    # and get r(F) as sum c_m r(x^m) over F's monomials; that is exact only
+    # if every rule is linear, checked here as operator equality (not only on
+    # S_k) on every bracket of two degree <= 2 monomial fields and on the
+    # quadratic generators
+    top = quantization_top_cocycle(2, 2, Fraction(1, 2))
+    witness = coboundary_solve(field_columns(top, [divergence_diffop(R2)], 3)).witness
+    rules = [builtin_c1(2, 2), builtin_c2(2, 2), builtin_gamma1_flat(2, 2),
+             builtin_div(2, 2, Fraction(2, 3), _omega(R2)), top,
+             quantization_projected_cocycle(2, 2, Fraction(1, 2), witness)]
+    fields = monomial_fields(2, 2)
+    brackets = {schouten_bracket(X, Y) for i, X in enumerate(fields) for Y in fields[i + 1:]}
+    brackets.discard(Poly.zero(R2))
+    test_fields = list(brackets) + list(sl_generators(2).quadratic)
+    assert any(len(F.terms) == 2 for F in test_fields)
+    assert any(set(F.terms.values()) - {1} for F in test_fields)
+    for c in rules:
+        for F in test_fields:
+            combination = PolyDiffOp.zero(R2)
+            for e, coeff in F.terms.items():
+                combination = combination + c.rule(Poly.monomial(R2, e)).scale(coeff)
+            assert c.rule(F) == combination, (c.name, F)
+
+
+def test_cocycle_check_evaluates_each_unit_monomial_field_once():
+    c = builtin_c2(3, 3)
+    seen = []
+    rule = c.rule
+
+    def recorded(X):
+        seen.append(X)
+        return rule(X)
+
+    c.rule = recorded
+    assert cocycle_check(c, 2).holds
+    assert seen and len(seen) == len(set(seen))
+    assert all(list(X.terms.values()) == [1] for X in seen)
+
+
+def test_weight_half_report_rebuilds_at_most_one_operator_per_monomial(monkeypatch):
+    calls = []
+    original = quantization.operator_from_symbol_values
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quantization, "operator_from_symbol_values", counted)
+    report = quantization_report(2, 2, Fraction(1, 2), 2)
+    assert report["projected_cocycle"] == {"identity_holds": True, "nontrivial": True}
+    assert 0 < len(calls) <= 20

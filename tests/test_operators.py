@@ -233,9 +233,9 @@ def test_commutator_sum_matches_compose_reference():
                 reference = reference + (P.compose(A) - A.compose(P))
             assert commutator_sum(pairs) == reference
             base = fraction_op(rng, ring)
-            assert commutator_sum(pairs, base=base) == base + reference
+            assert commutator_sum(pairs, base=[(1, base)]) == base + reference
         base = fraction_op(rng, ring)
-        assert commutator_sum([], base=base) == base
+        assert commutator_sum([], base=[(1, base)]) == base
 
 
 def test_commutator_sum_cancels_to_zero():
@@ -245,11 +245,15 @@ def test_commutator_sum_cancels_to_zero():
             A, B = fraction_op(rng, ring), fraction_op(rng, ring)
             assert commutator_sum([(A, B), (B, A)]).terms == {}
             # base = -[A, B] cancels the one commutator
-            assert commutator_sum([(A, B)], base=B.compose(A) - A.compose(B)).terms == {}
+            assert commutator_sum([(A, B)], base=[(1, B.compose(A) - A.compose(B))]).terms == {}
+            # two fractional base terms that cancel leave no term behind
+            c = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+            assert commutator_sum([], base=[(c, A), (-c, A)]) == PolyDiffOp.zero(ring)
+            assert commutator_sum([(A, B)], base=[(c, A), (-c, A)]) == A.commutator(B)
     # [E, D] = -D, so D + [E, D] is the zero operator
     for ring in (R2, R3):
         E, D = euler_diffop(ring), divergence_diffop(ring)
-        assert commutator_sum([(E, D)], base=D).is_zero()
+        assert commutator_sum([(E, D)], base=[(1, D)]).is_zero()
 
 
 def fresh(op):
@@ -273,9 +277,9 @@ def test_filled_leibniz_tables_never_change_an_answer():
                 for P, Q in ((A, B), (B, A), (A, A), (C, A)):
                     assert layout(P.compose(Q)) == layout(fresh(P).compose(fresh(Q)))
                     assert layout(P.commutator(Q)) == layout(fresh(P).commutator(fresh(Q)))
-                    assert (layout(commutator_sum([(P, Q), (Q, C)], base=C))
+                    assert (layout(commutator_sum([(P, Q), (Q, C)], base=[(1, C)]))
                             == layout(commutator_sum([(fresh(P), fresh(Q)), (fresh(Q), fresh(C))],
-                                                     base=fresh(C))))
+                                                     base=[(1, fresh(C))])))
                     for lowest, sign in product((0, 1), (1, -1)):
                         filled, reference = {}, {}
                         operators._leibniz(filled, P, Q, lowest, sign)
@@ -315,10 +319,10 @@ def test_a_repeated_commutator_sum_differentiates_nothing(monkeypatch):
     A = fraction_op(rng, R2)
     B = PolyDiffOp(R2, {(1, 0, 1, 0): x(0) * x(1) * xi(1), (0, 0, 0, 1): x(1) * x(1)})
     pairs = [(L, A), (B, L)]
-    first = commutator_sum(pairs, base=B)
+    first = commutator_sum(pairs, base=[(1, B)])
     assert calls
     calls.clear()
-    second = commutator_sum(pairs, base=B)
+    second = commutator_sum(pairs, base=[(1, B)])
     assert calls == []
     assert layout(second) == layout(first)
 
@@ -340,7 +344,7 @@ def test_commutator_sum_evaluates_the_equivariance_defect():
     A = C.operator_for_field(x(0) * x(0) * x(1) * xi(0))
     B = C.operator_for_field(x(0) * x(1) * x(1) * xi(1))
     assert not (A.is_zero() or B.is_zero())
-    defect = commutator_sum([(L_X, A)], base=-B)
+    defect = commutator_sum([(L_X, A)], base=[(-1, B)])
     for P in symbols:
         assert defect.apply(P) == (
             L_X.apply(A.apply(P)) - A.apply(L_X.apply(P)) - B.apply(P))
@@ -355,7 +359,7 @@ def test_commutator_sum_evaluates_the_cocycle_defect():
     A, B = C.operator_for_field(Y), C.operator_for_field(Z)
     base = C.operator_for_field(schouten_bracket(Y, Z))
     assert not base.is_zero()
-    defect = commutator_sum([(L_Z, A), (B, L_Y)], base=base)
+    defect = commutator_sum([(L_Z, A), (B, L_Y)], base=[(1, base)])
     for P in symbols:
         assert defect.apply(P) == (
             L_Z.apply(A.apply(P)) - A.apply(L_Z.apply(P))
@@ -367,9 +371,13 @@ def test_commutator_sum_rejects_mixed_rings_and_empty_sums():
     with pytest.raises(StructureError):
         commutator_sum([(E2, E3)])
     with pytest.raises(StructureError):
-        commutator_sum([(E2, E2)], base=E3)
+        commutator_sum([(E2, E2)], base=[(1, E3)])
+    with pytest.raises(StructureError):
+        commutator_sum([], base=[(1, E2), (1, E3)])
     with pytest.raises(StructureError):
         commutator_sum([])
+    with pytest.raises(StructureError):
+        commutator_sum([], base=[])
 
 
 def test_commutator_sum_respects_merged_coefficient_budget(monkeypatch):
@@ -391,7 +399,7 @@ def test_commutator_sum_respects_merged_coefficient_budget(monkeypatch):
         P.commutator(a)
     # a base operator's coefficient terms count towards the merged sum too
     with pytest.raises(ResourceLimitError):
-        commutator_sum([], base=a)
+        commutator_sum([], base=[(1, a)])
 
 
 def test_negative_power_is_rejected():
