@@ -41,8 +41,8 @@ from typing import Callable, Iterable, Iterator
 
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
 from .operators import PolyDiffOp, commutator_sum, lie_derivative_op, unit_deriv, xi_simplex
-from .poly import (Coeff, Poly, Ring, StructureError, doubled_ring, norm_coeff,
-                   rat, rat_str, single_ring)
+from .poly import (Coeff, Poly, Ring, StructureError, add_scaled_terms, doubled_ring,
+                   norm_coeff, rat, rat_str, single_ring)
 from .symbols import schouten_bracket, sl_generators
 
 AnsatzIndex = tuple[str, int]
@@ -219,15 +219,7 @@ class BilinearOp:
             if not dX:
                 continue
             for g_h, c in rest:
-                acc = out.get(g_h)
-                if acc is None:
-                    acc = out[g_h] = {}
-                for e, v in dX:
-                    s = acc.get(e, 0) + c * v
-                    if s:
-                        acc[e] = s
-                    else:
-                        del acc[e]
+                add_scaled_terms(out.setdefault(g_h, {}), dX, c)
         ring = single_ring(self.n)
         return PolyDiffOp(ring, {mu: Poly(ring, {e: norm_coeff(v) for e, v in acc.items()},
                                           _clean=True)

@@ -79,6 +79,7 @@ from .poly import (
     Poly,
     Ring,
     StructureError,
+    add_scaled_terms,
     check_term_budget,
     check_vector_field,
     diff_terms,
@@ -400,15 +401,7 @@ def commutator_sum(pairs: list[tuple[PolyDiffOp, PolyDiffOp]],
         elif B.ring != ring:
             raise StructureError("operator ring mismatch")
         for mu, coeff in B.terms.items():
-            terms = acc.get(mu)
-            if terms is None:
-                terms = acc[mu] = {}
-            for e, v in coeff.terms.items():
-                s = terms.get(e, 0) + c * v
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
+            add_scaled_terms(acc.setdefault(mu, {}), coeff.terms.items(), c)
     if ring is None:
         raise StructureError("an empty commutator sum needs a base operator")
     for P, A in pairs:

@@ -119,6 +119,20 @@ def diff_terms(terms, multi: Exponent) -> list[tuple[Exponent, Coeff]]:
     return out
 
 
+def add_scaled_terms(acc: dict, terms, c: Coeff) -> None:
+    """Add c * v into acc[e] for each (e, v) of terms; a sum that reaches 0 is dropped.
+
+    The raw accumulation shared by commutator_sum's base and
+    BilinearOp.operator_for_field; coefficients stay unnormalized.
+    """
+    for e, v in terms:
+        s = acc.get(e, 0) + c * v
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+
+
 @dataclass(frozen=True)
 class Ring:
     """Variable layout for a polynomial ring of dimension n.
