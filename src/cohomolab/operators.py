@@ -206,12 +206,15 @@ def _leibniz(acc: dict, left: "PolyDiffOp", right: "PolyDiffOp", lowest: int,
                             del coeff[e]
 
 
-def _from_sum(ring: Ring, acc: dict) -> "PolyDiffOp":
-    """The operator of a raw Leibniz accumulator, after one term-budget check.
+def operator_from_sum(ring: Ring, acc: dict) -> "PolyDiffOp":
+    """The operator of a raw accumulator {mu: {exponent: coefficient}}, after one budget check.
 
-    The check is on the larger of the operator's term count and the term
-    count of its largest merged coefficient; the second stands in for the
-    per-product checks that a Poly product would make.
+    The last step of compose, commutator_sum and
+    ansatz.BilinearOp.operator_for_field: the coefficients are normalized
+    and empty ones dropped.  The term-budget check is on the larger of the
+    operator's term count and the term count of its largest merged
+    coefficient; the second stands in for the per-product checks that a
+    Poly product would make.
     """
     check_term_budget(max(len(acc), max(map(len, acc.values()), default=0)))
     return PolyDiffOp(ring, {mu: Poly(ring, {e: norm_coeff(c) for e, c in terms.items()},
@@ -358,7 +361,7 @@ class PolyDiffOp:
             raise StructureError("operator ring mismatch")
         acc: dict = {}
         _leibniz(acc, self, other, 0)
-        return _from_sum(self.ring, acc)
+        return operator_from_sum(self.ring, acc)
 
     def commutator(self, other: "PolyDiffOp") -> "PolyDiffOp":
         """Normal form of self o other - other o self, without the cancelling products."""
@@ -409,7 +412,7 @@ def commutator_sum(pairs: list[tuple[PolyDiffOp, PolyDiffOp]],
             raise StructureError("operator ring mismatch")
         _leibniz(acc, P, A, 1)
         _leibniz(acc, A, P, 1, sign=-1)
-    return _from_sum(ring, acc)
+    return operator_from_sum(ring, acc)
 
 
 class SymbolMap:

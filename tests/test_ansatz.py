@@ -2,6 +2,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -15,6 +16,7 @@ from cohomolab.ansatz import (
     cocycle_defects,
     cocycle_filter_pairs,
     contraction_ops,
+    field_monomials,
     full_indices,
     impose_cocycle,
     matched_case,
@@ -24,9 +26,11 @@ from cohomolab.ansatz import (
     sys4_residuals,
 )
 from cohomolab.cocycles import second_class_coefficients
-from cohomolab.linalg import RowReducer, keyed_rows
-from cohomolab.operators import PolyDiffOp, monomials_up_to, unit_deriv, xi_simplex
-from cohomolab.poly import Poly, StructureError, doubled_ring, rat_str, single_ring
+from cohomolab.linalg import RowReducer, keyed_rows, rank_of
+from cohomolab.operators import (PolyDiffOp, commutator_sum, lie_derivative_op,
+                                 monomials_up_to, unit_deriv, xi_simplex)
+from cohomolab.poly import (Poly, ResourceLimitError, StructureError, doubled_ring, rat_str,
+                            single_ring)
 from cohomolab.symbols import hamiltonian_action, schouten_bracket, sl_generators
 
 R2 = single_ring(2)
@@ -109,6 +113,20 @@ def test_operator_for_field_skips_terms_above_the_field_degree(monkeypatch):
         assert len(calls) == len(set(calls)) == sum(order <= degree for order in orders)
         P = x(0) * x(1) * x(1) * xi(0) * xi(0) * xi(1)
         assert op.apply(P) == C(X, P)
+
+
+def test_operator_for_field_respects_the_term_budget(monkeypatch):
+    # the field's operator is built by operators.operator_from_sum, as in
+    # compose, so it meets the same term-budget check
+    C = build_bilinear(second_class_coefficients(2, 3), 2)
+    X = x(0) * x(1) * xi(0)
+    op = C.operator_for_field(X)
+    assert len(op.terms) > 1
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", str(len(op.terms)))
+    assert C.operator_for_field(X) == op
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", str(len(op.terms) - 1))
+    with pytest.raises(ResourceLimitError):
+        C.operator_for_field(X)
 
 
 def test_case_a_no_solutions():
@@ -337,12 +355,14 @@ def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
                     if not g.is_zero() and _xi_degree(g) == k]
     assert not symbol_calls
     # one defect operator [L_X, C_t(Y)] - C_t([X, Y]), a single commutator,
-    # per quadratic generator X (2), test field Y (x-shapes a e1 + b e2 with
-    # a + b <= 4 and b <= 1, times 2 components: 18) and ansatz term t (10)
+    # per quadratic generator X (Xbar_1 only), test field Y (the monomial
+    # fields of degree 2 = p: 3 x-shapes times 2 components) and ansatz term
+    # t (10)
     assert all(len(key) == 1 and count == 1 for key, count in defects.items())
-    assert len({key[0][0] for key in defects}) == 2
-    assert len(defects) == 2 * 18 * len(full_indices(k, 2)) == 360
-    # the translations and linear generators are also test fields
+    assert len({key[0][0] for key in defects}) == 1
+    assert len(defects) == 1 * 6 * len(full_indices(k, 2)) == 60
+    # the generators are no test fields, but the vanishing rows build each
+    # one's operator once per term
     generators = set(sl_generators(2).all())
     generator_builds = [count for (_, X), count in builds.items() if X in generators]
     assert len(generator_builds) == len(generators) * len(full_indices(k, 2))
@@ -350,6 +370,86 @@ def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
     assert all(count == 1 for count in builds.values())
     # C(0, P) = 0: a vanishing bracket [X, Y] builds no operator
     assert not any(X.is_zero() for _, X in builds)
+
+
+def _equivariance_defect(rule, A, Y):
+    """E(A, Y) = [L_A, C(Y, .)] - C([A, Y], .) for the rule F |-> C(F, .)."""
+    bracket = schouten_bracket(A, Y)
+    base = [] if bracket.is_zero() else [(-1, rule(bracket))]
+    return commutator_sum([(lie_derivative_op(A), rule(Y))], base=base)
+
+
+def test_affine_fields_are_equivariant_term_by_term():
+    # step 2 of solve_equivariant_direct's proof: each ansatz term alone,
+    # whatever its coefficient, is equivariant under every affine generator;
+    # checked on every monomial field of degree <= 3
+    checked = 0
+    for n, k, p in [(2, 2, 0), (2, 2, 1), (2, 3, 2), (2, 4, 4), (3, 3, 2), (3, 4, 3)]:
+        fields = field_monomials(n, monomials_up_to(n, 3))
+        affine = sl_generators(n).affine()
+        for kind, s in full_indices(k, p):
+            rule = cache(BilinearOp(n, ansatz_term_op(n, kind, s, p)).operator_for_field)
+            for A in affine:
+                for Y in fields:
+                    assert _equivariance_defect(rule, A, Y).symbol_map(k).is_zero()
+                    checked += 1
+    assert checked == 120 * (4 + 7 + 10 + 10) + 720 * (10 + 13) == 20280
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_linear_fields_carry_the_first_quadratic_generator_to_the_others(n):
+    # step 5 of solve_equivariant_direct's proof: [x^i xi_1, Xbar_1] = Xbar_i
+    fam = sl_generators(n)
+    for i in range(n):
+        assert schouten_bracket(fam.linear[(i, 0)], fam.quadratic[0]) == fam.quadratic[i]
+
+
+def test_direct_solver_needs_the_fields_of_degree_p(monkeypatch):
+    # step 4's bound |u| <= p is tight: without the degree-p fields the rows
+    # still hold on the true space but no longer cut it out
+    original = ansatz.field_monomials
+    for n in (2, 3):
+        for k in range(2, 6):
+            for p in range(2, k + 1):
+                monkeypatch.setattr(ansatz, "field_monomials", lambda n, shapes, p=p:
+                                    original(n, [u for u in shapes if sum(u) != p]))
+                short = solve_equivariant_direct(n, k, p).vectors()
+                true = recurrence_solutions(n, k, p).vectors()
+                assert len(short) > len(true)
+                assert rank_of(short + true) == len(short)
+
+
+def _proved_cocycle_pairs(n, p):
+    """The monomial field pairs (x^u xi_m, x^v xi_l), |u|, |v| >= 2 and
+    |u| + |v| <= p + 2, on which impose_cocycle's docstring proves the
+    cocycle identity complete; each unordered pair once."""
+    fields = [(d, Y) for d in range(2, p + 1) for Y in field_monomials(n, xi_simplex(n, d))]
+    return [(Y, Z) for i, (d, Y) in enumerate(fields) for e, Z in fields[i + 1:]
+            if d + e <= p + 2]
+
+
+def test_surviving_filter_lines_are_cocycles_on_every_field_pair():
+    # every line the filter keeps at p = 2 lies in the direct solver's space,
+    # which is exactly the sl-equivariant maps vanishing on sl, and has zero
+    # defect on the proved pair set: so it is a cocycle on every pair of
+    # polynomial fields.  At p = 1 that set is empty and the filter keeps
+    # the whole space
+    lines = pairs_checked = 0
+    for n, kmax in ((2, 6), (3, 5), (4, 4)):
+        assert _proved_cocycle_pairs(n, 1) == []
+        pairs = _proved_cocycle_pairs(n, 2)
+        for k in range(2, kmax + 1):
+            line = recurrence_solutions(n, k, 1)
+            assert impose_cocycle(line, n, k, 1).same_span_as(line)
+            space = recurrence_solutions(n, k, 2)
+            assert space.same_span_as(solve_equivariant_direct(n, k, 2))
+            kept = impose_cocycle(space, n, k, 2)
+            rules = [build_bilinear(c, n).operator_for_field for c in kept.basis]
+            for defects in cocycle_defects(rules, pairs):
+                assert all(d.symbol_map(k).is_zero() for d in defects)
+            lines += kept.dimension
+            pairs_checked += len(pairs)
+    assert (lines, pairs_checked) == (12, 3027)
 
 
 def _row_digest(monkeypatch, solve) -> str:
@@ -373,7 +473,7 @@ def test_row_generators_feed_pinned_rows(monkeypatch):
     # operator kernels or the row generators must reproduce them exactly
     space = recurrence_solutions(2, 3, 2)
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(2, 3, 2)) == (
-        "e21db10743b06b3cceb7a9af490d5dba7423bbda9e165cf74d9bcd87b1d66d75")
+        "9dc2d5b53209de217b52e2ef2458ad47764a9828a7f410fd4ae95b2f268aa954")
     assert _row_digest(monkeypatch, lambda: impose_cocycle(space, 2, 3, 2)) == (
         "8678858971da7fa71e37b60b03640d762555439cf55bf4185aa3af0c8936a6b5")
     # every filter defect at (3, 2) has x-order 0; at (4, 4) it has x-order 2
@@ -387,7 +487,7 @@ def test_row_generators_feed_pinned_rows_in_dimension_three(monkeypatch):
     # mixed x1x2x3 and skew x1^2x3 cubic fields of the cocycle filter
     space = recurrence_solutions(3, 3, 2)
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(3, 3, 2)) == (
-        "d48de92cc96fea0e2fa6923f7c64fd6576079580b178f76f215d2acefb555b25")
+        "3d0d020e31ef272a47060bd8cee000c33c14d988f897acdb85476f83f12ce0be")
     assert _row_digest(monkeypatch, lambda: impose_cocycle(space, 3, 3, 2)) == (
         "1d8b4f090a19176aba40738c762c82241bab6ad9eeba14707340e22ee00db4d6")
 
