@@ -21,10 +21,13 @@ derivatives to an eta-degree-k argument and die on the relevant subspace).
 
 Two independent solvers compute the equivariant subspace: one solves the
 closed-form recurrence system for the coefficients, the other imposes the
-equivariance identity itself, exactly on S_k for a proved finite set of
-monomial test fields, and extracts an exact nullspace.  Their agreement,
-together with the cocycle filter, reproduces the case classification
-(a)-(d) of the relative cohomology computation.
+equivariance identity itself and extracts an exact nullspace.  The cocycle
+filter impose_cocycle then keeps the relative cocycles of a space.  The
+direct solver and the filter both impose their identities exactly on S_k,
+on a proved finite set of monomial test fields or field pairs, so both
+answers are exact.  The solvers' agreement, together with the filter,
+reproduces the case classification (a)-(d) of the relative cohomology
+computation.
 
 cocycle_defects is the one home of the cocycle defect: the filter
 impose_cocycle and the identity check cocycles.cocycle_check both loop
@@ -36,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import combinations, takewhile
 from math import factorial
 from typing import Callable, Iterable, Iterator
 
@@ -44,7 +48,7 @@ from .operators import (PolyDiffOp, commutator_sum, lie_derivative_op, operator_
                         unit_deriv, xi_simplex)
 from .poly import (Coeff, Poly, Ring, StructureError, add_scaled_terms, doubled_ring,
                    norm_coeff, rat, rat_str, single_ring)
-from .symbols import schouten_bracket, sl_generators
+from .symbols import GeneratorFamily, schouten_bracket, sl_generators
 
 AnsatzIndex = tuple[str, int]
 
@@ -367,6 +371,18 @@ def _add_rows(reducer: RowReducer, ops: list[PolyDiffOp], k: int) -> None:
         reducer.add_row(row)
 
 
+def _add_vanishing_rows(reducer: RowReducer, rules: list[Callable[[Poly], PolyDiffOp]],
+                        fam: GeneratorFamily, k: int) -> None:
+    """Add the rows of C(G, .) = 0 on S_k for every projective generator G.
+
+    rules[j] is the rule F |-> C_j(F, .) of unknown j.  The generators span
+    sl(n+1), so the rows hold at c iff sum_j c_j C_j vanishes on sl(n+1).
+    Both solvers start from these rows.
+    """
+    for G in fam.all():
+        _add_rows(reducer, [r(G) for r in rules], k)
+
+
 def _monomial_terms(F: Poly, memo: dict) -> list[tuple[Coeff, Poly]]:
     """F = sum_m c_m x^m as its (c_m, x^m) pairs, each x^m a coefficient-1 monomial.
 
@@ -424,7 +440,8 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
 
     Rows are imposed exactly on S_k (_add_rows) on a finite field set that
     is proved complete below: the vanishing rows on every projective
-    generator G, and the equivariance rows E(X, Y) for the one generator
+    generator G (_add_vanishing_rows, shared with impose_cocycle), and the
+    equivariance rows E(X, Y) for the one generator
     X = Xbar_1 = x^1 (x^j xi_j) against every monomial field Y = x^u xi_m
     with 2 <= |u| <= p.  So the returned space is exactly the true one;
     for p <= 1 there is no equivariance row at all.
@@ -477,15 +494,11 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     """
     _validate(n, k, p)
     indices = full_indices(k, p)
-    if not indices:
-        return SolutionSpace(n, k, p, [])
     rules = [cache(BilinearOp(n, ansatz_term_op(n, kind, s, p)).operator_for_field)
              for kind, s in indices]
     fam = sl_generators(n)
     reducer = RowReducer(len(indices))
-
-    for G in fam.all():
-        _add_rows(reducer, [r(G) for r in rules], k)
+    _add_vanishing_rows(reducer, rules, fam, k)
 
     X = fam.quadratic[0]
     L_X = lie_derivative_op(X)
@@ -501,79 +514,83 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     return SolutionSpace(n, k, p, basis)
 
 
-def cocycle_filter_pairs(n: int) -> list[tuple[Poly, Poly]]:
+def cocycle_filter_pairs(n: int, p: int) -> Iterator[tuple[Poly, Poly]]:
     """The field pairs impose_cocycle imposes the cocycle identity on, in order.
 
-    Every pair of monomial cubic fields (the cubic exponents in x1, x2, plus
-    x1x2x3 and x1^2x3 for n >= 3, times each xi_i), then each quadratic
-    generator against the first 2n of those cubic fields.
+    Every unordered pair of monomial fields (x^u xi_m, x^v xi_l) with
+    |u|, |v| >= 2 and |u| + |v| <= p + 2, drawn lazily in ascending
+    |u| + |v|; none for p <= 1.  Within one |u| + |v| the pairs come in
+    the order of combinations over the fields sorted by degree.
     """
-    cubics = field_monomials(n, [u for u in xi_simplex(n, 3) if sum(u[:2]) == 3
-                                 or u[:3] in ((1, 1, 1), (2, 0, 1))])
-    pairs = [(Y, Z) for i, Y in enumerate(cubics) for Z in cubics[i + 1:]]
-    return pairs + [(G, Z) for G in sl_generators(n).quadratic for Z in cubics[:2 * n]]
+    fields = [(d, Y) for d in range(2, p + 1) for Y in field_monomials(n, xi_simplex(n, d))]
+    for total in range(4, p + 3):
+        yield from ((Y, Z) for (d, Y), (e, Z) in combinations(fields, 2) if d + e == total)
 
 
-def impose_cocycle(space: SolutionSpace, n: int, k: int, p: int) -> SolutionSpace:
-    """Intersect an equivariant solution space with the cocycle identity.
+def impose_cocycle(space: SolutionSpace) -> SolutionSpace:
+    """The relative cocycles in the span of a space of ansatz maps.
 
-    The identity  C([Y,Z], P) = Y.(C(Z,P)) - Z.(C(Y,P))  (with the natural
-    action on operator values) is imposed on the bounded set of field pairs
-    of cocycle_filter_pairs.  That the cubic pairs suffice is observed, not
-    proved: it reproduces the classification on every tested (n, k, p).
-    Every row is a necessary condition, so a dimension-0 answer is sound;
-    the table certifies a surviving line with cocycle_check.
+    For C in the span, write dC(Y, Z) = C([Y, Z], .) - [L_Y, C(Z, .)] +
+    [L_Z, C(Y, .)], the defect of the identity C([Y, Z], P) = Y.(C(Z, P)) -
+    Z.(C(Y, P)) under the natural action on operator values.  The returned
+    space holds exactly the C in the span that vanish on sl(n+1) and have
+    dC = 0 on S_k for every pair of polynomial fields; n, k and p are the
+    space's.  Any basis of ansatz vectors is allowed: it need not be
+    equivariant, nor vanish on sl(n+1).
 
-    The generator pairs provably add no row.  The input space must be
-    sl(n+1)-equivariant and vanish on sl(n+1), as recurrence_solutions'
-    spaces are: C(G, .) = 0 and [L_G, C(Z, .)] = C([G, Z], .) for every
-    G in sl(n+1).  The defect at a pair (G, Z) is then
+    Two row sets are imposed, each exactly on S_k (_add_rows): the
+    vanishing rows C(G, .) = 0 for every projective generator G
+    (_add_vanishing_rows, shared with solve_equivariant_direct), and the
+    rows dC(Y, Z) = 0 on the pairs of cocycle_filter_pairs, the monomial
+    pairs x^u xi_m, x^v xi_l with |u|, |v| >= 2 and |u| + |v| <= p + 2.
+    Every row is necessary, and the set is proved complete below.
 
-        C([G, Z], .) - [L_G, C(Z, .)] + [L_Z, C(G, .)] = 0 - 0.
+    Proof of completeness.  Let C satisfy every row.  Weights are those of
+    solve_equivariant_direct's proof: x^u xi_m has weight |u| - 1 and each
+    ansatz term weight 0, so dC(Y, Z) has weight |u| + |v| - 2.
 
-    The argument of solve_equivariant_direct then bounds the whole
-    identity on such a space.  Write dC(Y, Z) = C([Y, Z], .) -
-    [L_Y, C(Z, .)] + [L_Z, C(Y, .)].  For a translation T, equivariance
-    and the Jacobi identity give [L_T, dC(Y, Z)] = dC([T, Y], Z) +
-    dC(Y, [T, Z]), and dC has weight |u| + |v| - 2 at monomial fields
-    x^u xi_m, x^v xi_l.  By induction on |u| + |v|, dC vanishes on every
-    field pair iff it vanishes on the monomial pairs with |u|, |v| >= 2
-    and |u| + |v| <= p + 2: every other pair has an affine member, or a
-    translation-invariant defect of weight above p.  At p = 1 that set is
-    empty, so every map of the space is a cocycle; at p = 2 it is the
-    pairs of quadratic monomial fields.  The filter does not impose that
-    set, but a test checks every line it keeps at p = 2 on it, for n = 2
-    with k <= 6, n = 3 with k <= 5 and n = 4 with k <= 4, after checking
-    the input space against the direct solver.  On those cells each kept
-    line is a cocycle on every pair of polynomial fields, so the filter's
-    answer is exact there, not only sound.
+    1. Every ansatz vector is affine-equivariant, term by term
+       (solve_equivariant_direct, step 2): [L_A, C(Z, .)] = C([A, Z], .)
+       for every affine field A and every field Z.
+    2. Given the vanishing rows, C(A, .) = 0 on S_k for affine A, so by 1
+       dC(A, Z) = C([A, Z], .) - [L_A, C(Z, .)] + [L_Z, C(A, .)] = 0.  By
+       antisymmetry every pair with an affine member has zero defect.
+    3. Translation step.  1 says the Lie derivative of the cochain C along
+       an affine A is 0; it commutes with d, so for a translation T
+           [L_T, dC(Y, Z)] = dC([T, Y], Z) + dC(Y, [T, Z]).
+       Induct on |u| + |v| over monomial pairs.  A pair with |u| <= 1 or
+       |v| <= 1 has an affine member (2), and one with |u|, |v| >= 2 and
+       |u| + |v| <= p + 2 is a row.  Otherwise |u| + |v| > p + 2, and
+       [T, Y], [T, Z] are combinations of monomial fields one degree lower,
+       so the right side is 0 by induction: dC(Y, Z) is a
+       translation-invariant map S_k -> S_{k-p} of weight |u| + |v| - 2 > p,
+       hence 0 (solve_equivariant_direct, step 4).
 
-    Each pair (Y, Z) and basis map b gives one defect operator D_b of
-    cocycle_defects.  Its rows are read off the D_b's canonical forms on
-    S_k (_add_rows), so they span exactly the pair's conditions on S_k; a
-    pair whose defects all vanish adds none.
+    So dC vanishes on every monomial pair, hence on every pair of
+    polynomial fields.  Only vanishing on the affine fields enters the
+    proof; the quadratic generators' vanishing rows make the answer the
+    relative cocycles, as the classification wants.  At p <= 1 no pair is
+    drawn, so every map of the span that vanishes on sl(n+1) is a cocycle;
+    at p = 2 the pairs are those of quadratic monomial fields.  The tests
+    check 1 on every ansatz term and that the bound is tight at p = 2.
 
     Each basis map's rule F |-> C_b(F, .) is memoized for this call and,
-    through cocycle_defects, evaluated on the pairs' fields and on the
-    monomials of their brackets only: a cubic field met by several pairs,
-    or a monomial shared by several brackets, is built once per basis map,
-    and a vanishing bracket builds none.  The
-    pairs are drawn lazily: the loop stops as soon as the rank is full, and
-    no pair past the one that completes it is formed.
+    through cocycle_defects, evaluated on the generators, the pairs' fields
+    and the monomials of their brackets only, once each; a vanishing
+    bracket builds none.  Pairs are drawn only while the rank is below
+    full, so no pair past the one that completes it is formed.
     """
+    n, k, p = space.n, space.k, space.p
     _validate(n, k, p)
-    if not space.basis:
-        return SolutionSpace(n, k, p, [])
     rules = [cache(build_bilinear(c, n).operator_for_field) for c in space.basis]
     reducer = RowReducer(len(rules))
-    for defects in cocycle_defects(rules, cocycle_filter_pairs(n)):
+    _add_vanishing_rows(reducer, rules, sl_generators(n), k)
+    pairs = takewhile(lambda _: reducer.rank < len(rules), cocycle_filter_pairs(n, p))
+    for defects in cocycle_defects(rules, pairs):
         _add_rows(reducer, defects, k)
-        if reducer.rank == len(rules):
-            break
 
-    columns = list(zip(*space.vectors()))
     basis = [AnsatzCoefficients.from_vector(
                  k, p, full_indices(k, p),
-                 [sum(rat(c) * rat(b) for c, b in zip(combo, col)) for col in columns])
+                 [sum(c * b for c, b in zip(combo, col)) for col in zip(*space.vectors())])
              for combo in reducer.nullspace()]
     return SolutionSpace(n, k, p, basis)

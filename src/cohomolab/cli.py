@@ -181,7 +181,7 @@ def _dispatch(args) -> int:
         direct = solve_equivariant_direct(args.dim, args.order, args.delta)
         agree = space.same_span_as(direct)
         if args.cocycle:
-            space = impose_cocycle(space, args.dim, args.order, args.delta)
+            space = impose_cocycle(space)
         result = space.to_json()
         result["solvers_agree"] = agree
         result["cocycle_imposed"] = bool(args.cocycle)

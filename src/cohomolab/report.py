@@ -117,7 +117,7 @@ def cohomology_table(config: RunConfig) -> dict:
             cell: dict = {"k": k, "ell": ell, "p": p,
                           "matched_paper_case": matched_case(k, p)}
             try:
-                space = impose_cocycle(recurrence_solutions(n, k, p), n, k, p)
+                space = impose_cocycle(recurrence_solutions(n, k, p))
                 cell["dimension"] = space.dimension
                 cell["expected"] = expected_relative_dimension(k, ell)
                 cell["matches_expected"] = space.dimension == cell["expected"]

@@ -134,14 +134,14 @@ def test_criterion_05_explicit_solutions():
     # coefficient is forced by the quadratic-generator vanishing equation
     for n in (2, 3):
         for k in (2, 3, 4, 5):
-            line = impose_cocycle(recurrence_solutions(n, k, 1), n, k, 1)
+            line = impose_cocycle(recurrence_solutions(n, k, 1))
             assert line.dimension == 1
             c = line.basis[0].normalized()
             assert c.get("alpha", 2) == 1
             assert Fraction(c.get("alpha", 2), 2) == Fraction(1, 2)
             assert c.get("beta", 2) == Fraction(-(k - 1), n + 1)
     # degree drop two at (n, k) = (2, 3): (2, 9, 1, 2, -5) up to one scale
-    line = impose_cocycle(recurrence_solutions(2, 3, 2), 2, 3, 2)
+    line = impose_cocycle(recurrence_solutions(2, 3, 2))
     assert line.dimension == 1
     c = line.basis[0].normalized().scale(2)
     assert [c.get("alpha", 2), c.get("alpha", 3), c.get("beta", 2),

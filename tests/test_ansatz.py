@@ -25,7 +25,8 @@ from cohomolab.ansatz import (
     solve_equivariant_direct,
     sys4_residuals,
 )
-from cohomolab.cocycles import second_class_coefficients
+from cohomolab.cocycles import (bilinear_cocycle, cocycle_check, second_class_coefficients,
+                                vanishes_on_sl)
 from cohomolab.linalg import RowReducer, keyed_rows, rank_of
 from cohomolab.operators import (PolyDiffOp, commutator_sum, lie_derivative_op,
                                  monomials_up_to, unit_deriv, xi_simplex)
@@ -185,7 +186,7 @@ def test_direct_solver_discovers_affine_vanishing():
 
 def test_cocycle_line_matches_second_class_coefficients():
     # p=2, k=3, n=2: (2, 9, 1, 2, -5) up to one overall scale
-    space = impose_cocycle(recurrence_solutions(2, 3, 2), 2, 3, 2)
+    space = impose_cocycle(recurrence_solutions(2, 3, 2))
     assert space.dimension == 1
     c = space.basis[0].normalized().scale(2)
     assert c.get("alpha", 2) == 2
@@ -214,41 +215,42 @@ def test_cocycle_filter_builds_each_field_operator_once(monkeypatch):
         return original(self, X)
 
     monkeypatch.setattr(BilinearOp, "operator_for_field", counted)
-    space = impose_cocycle(recurrence_solutions(2, 3, 2), 2, 3, 2)
+    space = impose_cocycle(recurrence_solutions(2, 3, 2))
     assert space.to_json() == {
         "dimension": 1, "matched_paper_case": "c",
         "basis": [{"k": 3, "p": 2, "alpha": {"2": "-2/5", "3": "-9/5"},
                    "beta": {"2": "-1/5", "3": "-2/5"}, "gamma": {"2": "1"}}]}
-    # fields (cubic monomials and quadratic generators) and brackets [Y, Z]
-    # (x-degree 4 or 5) share one memo: no (basis map, field) is built twice
+    # fields (projective generators and quadratic monomials) and brackets
+    # [Y, Z] (x-degree 3) share one memo: no (basis map, field) is built twice
     assert all(count == 1 for count in builds.values())
-    assert any(_x_degree(X) <= 3 for _, X in builds)
-    assert any(_x_degree(X) >= 4 for _, X in builds)
+    assert any(_x_degree(X) <= 2 for _, X in builds)
+    assert any(_x_degree(X) == 3 for _, X in builds)
     # C(0, P) = 0: a vanishing bracket [Y, Z] builds no operator
     assert not any(X.is_zero() for _, X in builds)
 
 
 def test_cocycle_filter_adds_no_row_when_every_defect_vanishes(monkeypatch):
-    # the degree-drop-one line at n = 2, k = 3 is already a cocycle: every
-    # pair's defect operators vanish, so no row is fed and no operator meets a
-    # degree-k symbol (brackets of fields still apply Hamiltonian operators)
-    rows, applied = [], []
-    original, original_apply = RowReducer.add_row, PolyDiffOp.apply
+    # the degree-drop-one line at n = 2, k = 3 vanishes on sl(3), so its
+    # vanishing rows are all zero, and at p = 1 no field pair is drawn: no
+    # row is fed and no bracket of fields is taken
+    rows, drawn = [], []
+    original, original_defects = RowReducer.add_row, ansatz.cocycle_defects
 
     def recorded(self, row):
         rows.append(row)
         return original(self, row)
 
-    def recorded_apply(self, P):
-        applied.append(P)
-        return original_apply(self, P)
+    def recorded_defects(rules, pairs):
+        drawn.extend(pairs)
+        return original_defects(rules, drawn)
 
     space = recurrence_solutions(2, 3, 1)
     monkeypatch.setattr(RowReducer, "add_row", recorded)
-    monkeypatch.setattr(PolyDiffOp, "apply", recorded_apply)
-    assert impose_cocycle(space, 2, 3, 1).dimension == 1
-    assert rows == []
-    assert applied and not any(_xi_degree(P) == 3 for P in applied if not P.is_zero())
+    monkeypatch.setattr(ansatz, "cocycle_defects", recorded_defects)
+    kept = impose_cocycle(space)
+    assert rows == [] and drawn == []
+    monkeypatch.undo()
+    assert kept.same_span_as(space)
 
 
 def test_cocycle_defects_match_the_pointwise_identity():
@@ -284,36 +286,6 @@ def test_cocycle_defects_evaluate_no_rule_at_a_vanishing_bracket():
     [defects] = cocycle_defects([rule], [(xi(0), xi(1))])
     assert len(defects) == 1
     assert set(seen) == {xi(0), xi(1)}
-
-
-def _generator_pair_defects(space):
-    """The cocycle defects of space's basis maps at the filter's generator pairs."""
-    n = space.n
-    quadratic = set(sl_generators(n).quadratic)
-    pairs = [(G, Z) for G, Z in cocycle_filter_pairs(n) if G in quadratic]
-    assert len(pairs) == n * 2 * n
-    rules = [build_bilinear(c, n).operator_for_field for c in space.basis]
-    return [d for defects in cocycle_defects(rules, pairs) for d in defects]
-
-
-def test_cocycle_filter_generator_pairs_vanish_on_equivariant_spaces():
-    # impose_cocycle's docstring proves that each (quadratic generator, cubic)
-    # pair adds no row for an sl(n+1)-equivariant space vanishing on sl(n+1)
-    checked = 0
-    for n, kmax in ((2, 5), (3, 4)):
-        for k in range(kmax + 1):
-            for p in range(k + 1):
-                for d in _generator_pair_defects(recurrence_solutions(n, k, p)):
-                    assert d.symbol_map(k).is_zero()
-                    checked += 1
-    assert checked == 376
-
-
-def test_cocycle_filter_generator_pairs_catch_a_non_equivariant_line():
-    line = AnsatzCoefficients(3, 2, gamma={2: 1})
-    defects = _generator_pair_defects(SolutionSpace(2, 3, 2, [line]))
-    assert len(defects) == 8
-    assert not any(d.symbol_map(3).is_zero() for d in defects)
 
 
 def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
@@ -440,16 +412,74 @@ def test_surviving_filter_lines_are_cocycles_on_every_field_pair():
         pairs = _proved_cocycle_pairs(n, 2)
         for k in range(2, kmax + 1):
             line = recurrence_solutions(n, k, 1)
-            assert impose_cocycle(line, n, k, 1).same_span_as(line)
+            assert impose_cocycle(line).same_span_as(line)
             space = recurrence_solutions(n, k, 2)
             assert space.same_span_as(solve_equivariant_direct(n, k, 2))
-            kept = impose_cocycle(space, n, k, 2)
+            kept = impose_cocycle(space)
             rules = [build_bilinear(c, n).operator_for_field for c in kept.basis]
             for defects in cocycle_defects(rules, pairs):
                 assert all(d.symbol_map(k).is_zero() for d in defects)
             lines += kept.dimension
             pairs_checked += len(pairs)
     assert (lines, pairs_checked) == (12, 3027)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cocycle_filter_pairs_are_the_proved_pairs(n):
+    # each proved pair once, in ascending |u| + |v|; none for p <= 1
+    assert list(cocycle_filter_pairs(n, 0)) == list(cocycle_filter_pairs(n, 1)) == []
+    for p in range(5):
+        pairs = list(cocycle_filter_pairs(n, p))
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == set(_proved_cocycle_pairs(n, p))
+        totals = [_x_degree(Y) + _x_degree(Z) for Y, Z in pairs]
+        assert totals == sorted(totals)
+
+
+def test_cocycle_filter_needs_the_pairs_of_degree_p_plus_two(monkeypatch):
+    # the bound |u| + |v| <= p + 2 is tight at p = 2: without the pairs of
+    # quadratic fields the rows still hold on the cocycle line but no longer
+    # cut it out of the equivariant plane
+    original = ansatz.cocycle_filter_pairs
+    for n in (2, 3):
+        space = recurrence_solutions(n, 3, 2)
+        assert impose_cocycle(space).dimension == 1
+        monkeypatch.setattr(ansatz, "cocycle_filter_pairs", lambda n, p: (
+            (Y, Z) for Y, Z in original(n, p) if _x_degree(Y) + _x_degree(Z) != p + 2))
+        assert impose_cocycle(space).dimension == 2
+        monkeypatch.undo()
+
+
+def test_cocycle_filter_drops_cocycles_that_do_not_vanish_on_sl():
+    # the gamma1 line (alpha_2 = 1, p = 1) and the div line (beta_1, p = 0)
+    # are cocycles but do not vanish on sl(n+1): the vanishing rows cut each
+    # to dimension 0
+    for n in (2, 3):
+        for line in (AnsatzCoefficients(3, 1, alpha={2: 1}),
+                     AnsatzCoefficients(3, 0, beta={1: 1})):
+            c = bilinear_cocycle(n, line, "line")
+            assert cocycle_check(c, 3).holds and not vanishes_on_sl(c)
+            assert impose_cocycle(SolutionSpace(n, 3, line.p, [line])).dimension == 0
+
+
+@pytest.mark.parametrize("n, k, p", [(2, 2, 0), (2, 3, 1), (2, 2, 2), (2, 3, 2), (2, 3, 3),
+                                     (3, 3, 2)])
+def test_cocycle_filter_is_exact_on_any_ansatz_span(n, k, p):
+    # inputs need not be equivariant: on the whole ansatz span the filter
+    # returns the relative cocycles of the equivariant space, each
+    # single-term line survives iff it lies in that span, and every kept line
+    # vanishes on sl(n+1) and is a cocycle up to field degree 4
+    indices = full_indices(k, p)
+    units = [AnsatzCoefficients.from_vector(k, p, indices, [int(i == j) for j in indices])
+             for i in indices]
+    kept = impose_cocycle(SolutionSpace(n, k, p, units))
+    assert kept.same_span_as(impose_cocycle(recurrence_solutions(n, k, p)))
+    for unit in units:
+        in_span = rank_of(kept.vectors() + [unit.as_vector(indices)]) == kept.dimension
+        assert impose_cocycle(SolutionSpace(n, k, p, [unit])).dimension == in_span
+    for line in kept.basis:
+        c = bilinear_cocycle(n, line, "kept")
+        assert vanishes_on_sl(c) and cocycle_check(c, 4).holds
 
 
 def _row_digest(monkeypatch, solve) -> str:
@@ -474,22 +504,23 @@ def test_row_generators_feed_pinned_rows(monkeypatch):
     space = recurrence_solutions(2, 3, 2)
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(2, 3, 2)) == (
         "9dc2d5b53209de217b52e2ef2458ad47764a9828a7f410fd4ae95b2f268aa954")
-    assert _row_digest(monkeypatch, lambda: impose_cocycle(space, 2, 3, 2)) == (
-        "8678858971da7fa71e37b60b03640d762555439cf55bf4185aa3af0c8936a6b5")
-    # every filter defect at (3, 2) has x-order 0; at (4, 4) it has x-order 2
+    assert _row_digest(monkeypatch, lambda: impose_cocycle(space)) == (
+        "46386ef8a90858d839669fb4c1f653655b13fb4ecb6fad120d92cacf2f2af9b3")
+    # every pair defect of the filter at (3, 2) has x-order 0; at (4, 4) the
+    # first pair's defect has x-order 2 and already completes the rank
     top = recurrence_solutions(2, 4, 4)
-    assert _row_digest(monkeypatch, lambda: impose_cocycle(top, 2, 4, 4)) == (
-        "3276926f62990c1a2b73cc853bc7ee3a6b35d958a96b75a9b9075e328aadff3a")
+    assert _row_digest(monkeypatch, lambda: impose_cocycle(top)) == (
+        "5fc2c1f5d427bbda1381cafd9dd1aa22f987b83ed8e2a1a47940f6e5b9b08921")
 
 
 def test_row_generators_feed_pinned_rows_in_dimension_three(monkeypatch):
-    # n = 3 reaches what n = 2 cannot: xi3 in the canonical forms and the
-    # mixed x1x2x3 and skew x1^2x3 cubic fields of the cocycle filter
+    # n = 3 reaches what n = 2 cannot: xi3 in the canonical forms, and filter
+    # pairs of quadratic fields in three variables, such as x1x2 xi3 with x3^2 xi1
     space = recurrence_solutions(3, 3, 2)
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(3, 3, 2)) == (
         "3d0d020e31ef272a47060bd8cee000c33c14d988f897acdb85476f83f12ce0be")
-    assert _row_digest(monkeypatch, lambda: impose_cocycle(space, 3, 3, 2)) == (
-        "1d8b4f090a19176aba40738c762c82241bab6ad9eeba14707340e22ee00db4d6")
+    assert _row_digest(monkeypatch, lambda: impose_cocycle(space)) == (
+        "526e95c09e8f390c0fd012e1acd2fc381ab536f67ac28a506b878bf5d8a821df")
 
 
 def _rank(rows, ncols) -> int:
@@ -530,7 +561,7 @@ def test_both_row_generators_are_exact_on_each_call(monkeypatch, n):
     monkeypatch.setattr(ansatz, "_add_rows", checked)
     direct = solve_equivariant_direct(n, k, p)
     direct_calls = len(calls)
-    impose_cocycle(direct, n, k, p)
+    impose_cocycle(direct)
     assert 0 < direct_calls < len(calls)
     assert [c for c in calls if c[0] != c[1]] == []
 
@@ -538,7 +569,7 @@ def test_both_row_generators_are_exact_on_each_call(monkeypatch, n):
 def test_cocycle_general_second_class_coefficients():
     for n in (2, 3):
         for k in (3, 4, 5):
-            space = impose_cocycle(recurrence_solutions(n, k, 2), n, k, 2)
+            space = impose_cocycle(recurrence_solutions(n, k, 2))
             assert space.dimension == 1
             c = space.basis[0].normalized().scale(2)
             assert c.get("alpha", 2) == 2
@@ -551,7 +582,7 @@ def test_cocycle_general_second_class_coefficients():
 def test_cocycle_k_equals_p_two():
     # the k = p = 2 line keeps the same beta/gamma values with no alpha family
     for n in (2, 3):
-        space = impose_cocycle(recurrence_solutions(n, 2, 2), n, 2, 2)
+        space = impose_cocycle(recurrence_solutions(n, 2, 2))
         assert space.dimension == 1
         c = space.basis[0].normalized()
         assert c.get("beta", 2) == 1
@@ -561,14 +592,14 @@ def test_cocycle_k_equals_p_two():
 
 
 def test_cocycle_p_above_two_is_zero():
-    assert impose_cocycle(recurrence_solutions(2, 4, 3), 2, 4, 3).dimension == 0
-    assert impose_cocycle(recurrence_solutions(2, 5, 4), 2, 5, 4).dimension == 0
-    assert impose_cocycle(recurrence_solutions(3, 4, 4), 3, 4, 4).dimension == 0
+    assert impose_cocycle(recurrence_solutions(2, 4, 3)).dimension == 0
+    assert impose_cocycle(recurrence_solutions(2, 5, 4)).dimension == 0
+    assert impose_cocycle(recurrence_solutions(3, 4, 4)).dimension == 0
 
 
 def test_cocycle_solutions_satisfy_beta_doubling():
     for n, k in [(2, 3), (2, 4), (3, 3)]:
-        space = impose_cocycle(recurrence_solutions(n, k, 2), n, k, 2)
+        space = impose_cocycle(recurrence_solutions(n, k, 2))
         for c in space.basis:
             assert c.get("beta", 3) == 2 * c.get("beta", 2)
 
@@ -623,7 +654,7 @@ def test_cocycle_output_satisfies_identity_on_random_pairs():
     rng = random.Random(77)
     for n, k, p in [(2, 3, 2), (2, 2, 1), (3, 2, 2)]:
         ring = single_ring(n)
-        space = impose_cocycle(recurrence_solutions(n, k, p), n, k, p)
+        space = impose_cocycle(recurrence_solutions(n, k, p))
         for coeffs in space.basis:
             C = build_bilinear(coeffs, n)
             for _ in range(10):

@@ -205,7 +205,7 @@ def test_divergence_cocycle_coboundary_criterion():
 
 def test_solver_line_matches_builtin_c1_by_constant_ratio():
     for n, k in [(2, 2), (2, 3), (3, 2)]:
-        line = impose_cocycle(recurrence_solutions(n, k, 1), n, k, 1)
+        line = impose_cocycle(recurrence_solutions(n, k, 1))
         assert line.dimension == 1
         sc = bilinear_cocycle(n, line.basis[0].normalized(), "solver")
         res = class_proportionality(field_columns(sc, [], 3), builtin_c1(n, k))
@@ -220,7 +220,7 @@ def test_solver_line_matches_builtin_c1_by_constant_ratio():
 
 def test_solver_p2_line_matches_builtin_c2():
     for n, k in [(2, 3), (2, 2)]:
-        line = impose_cocycle(recurrence_solutions(n, k, 2), n, k, 2)
+        line = impose_cocycle(recurrence_solutions(n, k, 2))
         sc = bilinear_cocycle(n, line.basis[0], "solver")
         res = class_proportionality(field_columns(sc, [], 3), builtin_c2(n, k))
         assert res is not None
