@@ -578,7 +578,7 @@ def impose_cocycle(space: SolutionSpace) -> SolutionSpace:
     through cocycle_defects, evaluated on the generators, the pairs' fields
     and the monomials of their brackets only, once each; a vanishing
     bracket builds none.  Pairs are drawn only while the rank is below
-    full, so no pair past the one that completes it is formed.
+    full, so no defect past the pair that completes it is formed.
     """
     n, k, p = space.n, space.k, space.p
     _validate(n, k, p)
