@@ -413,10 +413,13 @@ def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
     [Y, Z] = sum_m c_m x^m gives r([Y, Z]) = sum_m c_m r(x^m) exactly, and
     the pairs (c_m, r(x^m)) are the commutator_sum's base (_monomial_terms,
     one memo per call).  A bracket of two monomial fields has at most two
-    terms; a vanishing bracket gives an empty base.  L_F =
-    lie_derivative_op(F) is memoized for this call; a rule that should
-    build each field's operator once is memoized by the caller.  Pairs are
-    formed only as the caller draws them.
+    terms; a vanishing bracket gives an empty base.  The bracket
+    schouten_bracket(Y, Z) applies the operator that L_Y is: hamiltonian_op
+    keeps it in Y's _ham slot, so each field is differentiated once, not
+    once per pair.  The L_F = lie_derivative_op(F) memo of this call so
+    saves only the vector-field check on a field met again.  A rule that
+    should build each field's operator once is memoized by the caller.
+    Pairs are formed only as the caller draws them.
     """
     lie = cache(lie_derivative_op)
     units: dict = {}

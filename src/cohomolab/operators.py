@@ -47,9 +47,11 @@ term budget is checked once per call, on the larger of the output's term
 count and its largest merged coefficient's term count; the second stands
 in for a check on every coefficient product.
 
-hamiltonian_op builds the Hamiltonian field of a symbol once, as an
-operator: lie_derivative_op is that field of a vector field, and
-symbols.schouten_bracket applies it.
+hamiltonian_op builds the Hamiltonian field of a symbol once per Poly
+object, as an operator kept in the Poly's _ham slot: lie_derivative_op is
+that field of a vector field, and symbols.schouten_bracket,
+symbols.hamiltonian_action and module_action apply it.  So a field met in
+many pairs is differentiated once, not once per bracket.
 
 Term differentiation lives in poly.diff_terms, shared with Poly.diff_multi
 and PolyDiffOp.apply.
@@ -553,7 +555,17 @@ def divergence_diffop(ring: Ring) -> PolyDiffOp:
 
 
 def hamiltonian_op(f: Poly) -> PolyDiffOp:
-    """The Hamiltonian field (df/dxi_i) d/dx^i - (df/dx^i) d/dxi_i of a symbol."""
+    """The Hamiltonian field (df/dxi_i) d/dx^i - (df/dx^i) d/dxi_i of a symbol.
+
+    The operator is built on the first call and kept in f's _ham slot, so
+    every later call on the same Poly object returns that same operator,
+    Leibniz table included: L_X and every bracket {X, .} share one build.
+    The slot lives as long as f.  Its cost is one operator of at most 2n
+    terms, each a derivative of f, plus whatever Leibniz table entries the
+    products that read it fill; a Poly never passed here pays one None.
+    """
+    if f._ham is not None:
+        return f._ham
     ring = f.ring
     if ring.doubled:
         raise StructureError("Hamiltonian fields are single-ring operators")
@@ -565,7 +577,8 @@ def hamiltonian_op(f: Poly) -> PolyDiffOp:
         cxi = f.diff(ring.x(i))
         if not cxi.is_zero():
             terms[unit_deriv(ring, ring.xi(i))] = -cxi
-    return PolyDiffOp(ring, terms, _clean=True)
+    f._ham = PolyDiffOp(ring, terms, _clean=True)
+    return f._ham
 
 
 def lie_derivative_op(X: Poly) -> PolyDiffOp:

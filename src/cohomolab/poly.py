@@ -206,13 +206,20 @@ def doubled_ring(n: int) -> Ring:
 
 
 class Poly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
 
-    __slots__ = ("ring", "terms", "_hash", "_tdeg")
+    Three slots are filled lazily and then kept for the object's life: _hash
+    (the structural hash), _tdeg (the total degree) and _ham (the Hamiltonian
+    operator, filled by operators.hamiltonian_op).  None of them enters
+    equality, hashing or the text form.
+    """
+
+    __slots__ = ("ring", "terms", "_hash", "_tdeg", "_ham")
 
     def __init__(self, ring: Ring, terms: dict[Exponent, Coeff], *, _clean: bool = False):
         self.ring = ring
         self._tdeg = None
+        self._ham = None
         if _clean:
             self.terms = terms
         else:

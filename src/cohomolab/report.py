@@ -273,6 +273,8 @@ def _random_symbol(rng, ring, k, max_x=3):
 
 def run_property_suite(seed: int = 2024, count: int = 100, n: int = 2) -> list[dict]:
     """The randomized exact-invariant suite; every instance must hold exactly."""
+    if n < 2:
+        raise StructureError(f"the property suite needs dimension >= 2, got {n}")
     if count < 1:
         raise StructureError("the property suite needs at least one instance")
     ring = single_ring(n)

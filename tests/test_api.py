@@ -6,6 +6,7 @@ from itertools import takewhile
 from pathlib import Path
 
 import cohomolab
+from cohomolab.symbols import schouten_bracket
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cohomolab"
@@ -94,3 +95,12 @@ def test_operators_keep_their_leibniz_table_in_a_slot():
     op.compose(op)
     assert op._table is not None
     assert not hasattr(op, "__dict__")
+
+
+def test_polys_keep_their_hamiltonian_operator_in_a_slot():
+    # a slot, not an instance dict, so a Poly never bracketed stays small
+    f = cohomolab.Poly.variable(cohomolab.single_ring(2), 2)
+    assert f._ham is None
+    assert schouten_bracket(f, f).is_zero()
+    assert f._ham is not None
+    assert not hasattr(f, "__dict__")

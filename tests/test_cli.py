@@ -183,6 +183,7 @@ CONFIG_ERRORS = {
     "negative-degree-bound": (["check-relation", "--dim", "2",
                                "--max-total-degree", "-3"], None),
     "zero-count": (["properties", "--dim", "2", "--count", "0"], None),
+    "properties-dimension-1": (["properties", "--dim", "1", "--count", "1"], None),
     "non-integer-term-budget": (["check-relation", "--dim", "2"], "abc"),
     "zero-term-budget": (["verify-cocycle", "--name", "c1", "--dim", "2", "--order", "2",
                           "--max-vf-degree", "2"], "0"),

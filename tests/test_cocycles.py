@@ -314,6 +314,22 @@ def test_cocycle_check_evaluates_each_unit_monomial_field_once():
     assert all(list(X.terms.values()) == [1] for X in seen)
 
 
+def test_cocycle_check_differentiates_each_field_once_not_once_per_pair(monkeypatch):
+    # 30 monomial fields of degree <= 2 at n = 3, each differentiated in its
+    # 2n variables once; one build per pair would make 6 * (30 + 435) calls
+    calls = []
+    diff = Poly.diff
+
+    def counting_diff(self, var):
+        calls.append(var)
+        return diff(self, var)
+
+    monkeypatch.setattr(Poly, "diff", counting_diff)
+    assert len(monomial_fields(3, 2)) == 30
+    assert cocycle_check(builtin_c2(3, 3), 2).holds
+    assert len(calls) == 2 * 3 * 30
+
+
 def test_weight_half_report_rebuilds_at_most_one_operator_per_monomial(monkeypatch):
     calls = []
     original = quantization.operator_from_symbol_values

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -15,6 +16,7 @@ from cohomolab.operators import (
     commutator_sum,
     divergence_diffop,
     euler_diffop,
+    hamiltonian_op,
     lie_derivative_op,
     module_action,
     monomials_up_to,
@@ -325,6 +327,68 @@ def test_a_repeated_commutator_sum_differentiates_nothing(monkeypatch):
     second = commutator_sum(pairs, base=[(1, B)])
     assert calls == []
     assert layout(second) == layout(first)
+
+
+def random_field(rng, ring):
+    """A sum of up to three monomial fields x^u xi_m with |u| <= 3."""
+    out = Poly.zero(ring)
+    for _ in range(rng.randint(1, 3)):
+        exp = [0] * ring.nvars
+        for _ in range(rng.randint(0, 3)):
+            exp[ring.x(rng.randrange(ring.n))] += 1
+        exp[ring.xi(rng.randrange(ring.n))] += 1
+        out = out + Poly.monomial(ring, tuple(exp), rng.randint(-5, 5) or 1)
+    return out
+
+
+def copy_poly(f):
+    """A copy of f with empty lazy slots."""
+    return Poly(f.ring, dict(f.terms))
+
+
+def test_filled_hamiltonian_slots_never_change_an_answer():
+    rng = random.Random(44)
+    for _ in range(20):
+        f = rng.choice((random_poly, random_field))(rng, R2)
+        g = random_poly(rng, R2)
+        text, rep, key = str(f), repr(f), hash(copy_poly(f))
+        H = hamiltonian_op(f)
+        assert f._ham is H
+        assert hamiltonian_op(f) is H
+        assert op_str(H) == op_str(hamiltonian_op(copy_poly(f)))
+        # a product fills H's Leibniz table, which the slot keeps
+        H.compose(random_op(rng, R2))
+        assert f == copy_poly(f) and copy_poly(f) == f
+        assert hash(f) == key
+        assert str(f) == text and repr(f) == rep
+        assert pickle.loads(pickle.dumps(f)) == f
+        assert str(pickle.loads(pickle.dumps(f))) == text
+        assert schouten_bracket(f, g) == schouten_bracket(copy_poly(f), g)
+        if f.xi_degree() == 1:
+            assert lie_derivative_op(f) is H
+            assert module_action(f, H) == module_action(copy_poly(f), H)
+
+
+def test_a_repeated_bracket_differentiates_nothing(monkeypatch):
+    calls = []
+    diff = Poly.diff
+
+    def counting_diff(self, var):
+        calls.append(var)
+        return diff(self, var)
+
+    monkeypatch.setattr(Poly, "diff", counting_diff)
+    rng = random.Random(45)
+    Y = random_field(rng, R2)
+    L_Y = lie_derivative_op(Y)
+    assert calls
+    calls.clear()
+    for _ in range(6):
+        Z = random_field(rng, R2)
+        assert schouten_bracket(Y, Z) == L_Y.apply(Z)
+    assert module_action(Y, L_Y).is_zero()
+    assert lie_derivative_op(Y) is L_Y
+    assert calls == []
 
 
 def _c2_line_and_symbols():
