@@ -416,7 +416,7 @@ def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
     terms; a vanishing bracket gives an empty base.  The bracket
     schouten_bracket(Y, Z) applies the operator that L_Y is: hamiltonian_op
     keeps it in Y's _ham slot, so each field is differentiated once, not
-    once per pair.  The L_F = lie_derivative_op(F) memo of this call so
+    once per pair.  So this call's memo of L_F = lie_derivative_op(F)
     saves only the vector-field check on a field met again.  A rule that
     should build each field's operator once is memoized by the caller.
     Pairs are formed only as the caller draws them.

@@ -7,7 +7,8 @@ X = X^i xi_i.  Its action on symbols is the Hamiltonian vector field
 
 which on degree-1 arguments reduces to the Lie bracket of vector fields.
 The bracket {f, g} is operators.hamiltonian_op(f) applied to g, the same
-kernel that builds L_X as an operator.
+kernel that builds L_X as an operator; for one Poly object f it is the same
+operator, built once.
 The module also provides the divergence of a field, the generators of the
 projective subalgebra sl(n+1, R) inside Vect(R^n), and the divergence-type
 multiplication cocycles attached to a closed polynomial 1-form.
