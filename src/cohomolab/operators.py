@@ -22,20 +22,19 @@ commutative.  So the commutator is exactly
 in the single and the doubled ring alike, and commutator never forms the
 products that would cancel.
 
-The expansion runs in one pass.  Every product of a left coefficient term,
-scaled by sign * binom, with a term of the right coefficient's derivative
-d^rho(a_mu) is added straight into one raw {derivative: {exponent:
-coefficient}} accumulator, and each Poly coefficient is built once at the
-end.  The two factors come from per-operator Leibniz tables, one lazily
-filled slot of each PolyDiffOp: per term, the derivatives d^rho(a_mu) that
-have been read with the operator as right operand, and the scaled terms
-sign * binom(pi, rho) p_pi read with it as left operand.  An entry is
-computed the first time a product reads it and kept for the operator's
-life, so the fields L_X and cocycle values that a cocycle check composes
-for pair after pair are differentiated and scaled once, not once per
-commutator.  The cost is memory held by long-lived operators; filling only
-what a product reads keeps one-shot operators near their bare size.  The
-products, and the order they are added in, do not depend on the tables.
+The expansion runs in one pass over pairs of monomial terms.  Each
+operator keeps, in one lazily filled slot, a flat Leibniz table: one entry
+(mu, e, c, |e|) per monomial term c x^e d^mu, and its largest |e|.  A left
+term c x^e d^pi and a right term c' x^e' d^mu contribute only for the
+subsets rho <= min(pi, e'), because d^rho(x^e') = 0 unless rho <= e'; a
+cache keyed by (pi, e', lowest order) lists exactly those, each with its
+factor binom(pi, rho) falling(e', rho).  Every product is added straight
+into one raw {derivative: {exponent: coefficient}} accumulator, and each
+Poly coefficient is built once at the end.  So a constant right operand
+costs its rho = 0 products and nothing else, and the fields L_X and
+cocycle values that a cocycle check composes for pair after pair are
+flattened once, not once per commutator.  The products do not depend on
+the tables or the cache.
 commutator_sum is the one defect kernel: it sums any number of
 commutators and a base linear combination of operators, sum_j c_j B_j, in
 one such accumulator.  Both row generators and the identity check pass a
@@ -72,7 +71,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from operator import add
+from operator import add, sub
 from typing import Iterable
 
 from .poly import (
@@ -152,16 +151,18 @@ def _sub_multi_indices(mu: Deriv):
 
 
 @lru_cache(maxsize=None)
-def _leibniz_subsets(mu: Deriv, lowest: int) -> tuple:
-    """Quadruples (nu, mu - nu, binom(mu, nu), |nu|) for nu <= mu with |nu| >= lowest.
+def _leibniz_survivors(mu: Deriv, e: Exponent, lowest: int) -> tuple:
+    """Triples (mu - s, e - s, binom(mu, s) falling(e, s)) for s <= min(mu, e), |s| >= lowest.
 
-    They are ordered by |nu|, so the Leibniz loop can stop scanning once |nu|
-    exceeds the degree of the coefficient being differentiated.
+    These are the subsets s of the Leibniz rule that survive against the
+    monomial x^e: d^s(x^e) = falling(e, s) x^(e - s), and it is 0 unless
+    s <= e, since d_i^(s_i) kills x_i^(e_i) once s_i > e_i.  They are
+    ordered by (|s|, s).
     """
-    subs = [(nu, tuple(m - s for m, s in zip(mu, nu)), multi_binom(mu, nu), sum(nu))
-            for nu in _sub_multi_indices(mu) if sum(nu) >= lowest]
-    subs.sort(key=lambda t: (t[3], t[0]))
-    return tuple(subs)
+    subs = sorted((sum(s), s) for s in _sub_multi_indices(tuple(map(min, mu, e)))
+                  if sum(s) >= lowest)
+    return tuple((tuple(map(sub, mu, s)), tuple(map(sub, e, s)),
+                  multi_binom(mu, s) * falling(e, s)) for _, s in subs)
 
 
 def _leibniz(acc: dict, left: "PolyDiffOp", right: "PolyDiffOp", lowest: int,
@@ -171,41 +172,42 @@ def _leibniz(acc: dict, left: "PolyDiffOp", right: "PolyDiffOp", lowest: int,
     acc maps a derivative multi-index to a {exponent: coefficient} dict.  For
     left terms f d^mu and right terms g d^nu this adds
     binom(mu, s) f d^s(g) d^(mu - s + nu) for every s <= mu with
-    |s| >= lowest, one product of terms at a time, and no intermediate Poly
-    is built.  The factors come from the two operators' Leibniz tables
-    (PolyDiffOp._leibniz_table): the term list of d^s(g) from the right
-    operand's, the terms of f scaled by sign * binom(mu, s) from the left
-    operand's.  An entry missing from a table is computed and stored the
-    first time a product reads it.
+    |s| >= lowest, one product of monomial terms at a time, and no
+    intermediate Poly is built.  Both operands are read as their flat
+    Leibniz tables (PolyDiffOp._leibniz_table), one entry per monomial term
+    c x^e d^mu.  A pair of terms expands over its survivors only
+    (_leibniz_survivors): the s <= min(mu, e_right), because d^s(x^e) = 0
+    unless s <= e.  So a left term with |mu| < lowest, a right term of
+    degree < lowest and a right operand of top degree < lowest add nothing
+    and are skipped whole.
     """
-    rights = right._leibniz_table()
-    for mu, f, _, _, scaled in left._leibniz_table():
-        subsets = _leibniz_subsets(mu, lowest)
-        for nu, g, gdeg, derivs, _ in rights:
-            for sub, rest, b, sub_total in subsets:
-                if sub_total > gdeg:
-                    break
-                dg = derivs.get(sub)
-                if dg is None:
-                    dg = derivs[sub] = diff_terms(g.terms.items(), sub)
-                if not dg:
-                    continue
-                fb = scaled.get((sub, sign))
-                if fb is None:
-                    b *= sign
-                    fb = scaled[sub, sign] = [(fe, fc * b) for fe, fc in f.terms.items()]
+    rights, top = right._leibniz_table()
+    if top < lowest:
+        return
+    for mu, fe, fc, _ in left._leibniz_table()[0]:
+        if sum(mu) < lowest:
+            continue
+        if sign < 0:
+            fc = -fc
+        for nu, ge, gc, gdeg in rights:
+            if gdeg < lowest:
+                continue
+            survivors = _leibniz_survivors(mu, ge, lowest)
+            if not survivors:
+                continue
+            c = fc * gc
+            for rest, ge_s, b in survivors:
                 key = tuple(map(add, rest, nu))
                 coeff = acc.get(key)
                 if coeff is None:
                     coeff = acc[key] = {}
-                for fe, fc in fb:
-                    for ge, gc in dg:
-                        e = tuple(map(add, fe, ge))
-                        s = coeff.get(e, 0) + fc * gc
-                        if s:
-                            coeff[e] = s
-                        else:
-                            del coeff[e]
+                e = tuple(map(add, fe, ge_s))
+                # most factors are 1, and c may be a Fraction
+                s = coeff.get(e, 0) + (c if b == 1 else c * b)
+                if s:
+                    coeff[e] = s
+                else:
+                    del coeff[e]
 
 
 def operator_from_sum(ring: Ring, acc: dict) -> "PolyDiffOp":
@@ -285,21 +287,17 @@ class PolyDiffOp:
     def order(self) -> int:
         return max((sum(mu) for mu in self.terms), default=0)
 
-    def _leibniz_table(self) -> list:
-        """Per term, (mu, coefficient, coefficient degree, derivs, scaled).
+    def _leibniz_table(self) -> tuple:
+        """(terms, top): one (mu, e, c, |e|) per monomial term c x^e d^mu, and the largest |e|.
 
-        derivs maps a multi-index s to the term list of d^s(coefficient), read
-        when this operator is the right operand of _leibniz; scaled maps
-        (s, sign) to the coefficient's terms times sign * binom(mu, s), read
-        when it is the left operand.  Both start empty and _leibniz fills an
-        entry the first time a product reads it, so an operator composed many
-        times (a cached L_X or cocycle value) differentiates and scales each
-        coefficient once, while a one-shot operator stores only what its one
-        product read.  The table lives as long as the operator.
+        The flat form in which _leibniz reads an operand, built on first use
+        and kept for the operator's life, so an operator composed many times
+        (a cached L_X or cocycle value) is flattened once.
         """
         if self._table is None:
-            self._table = [(mu, g, g.total_degree(), {}, {})
-                           for mu, g in self.terms.items()]
+            terms = [(mu, e, c, sum(e)) for mu, g in self.terms.items()
+                     for e, c in g.terms.items()]
+            self._table = terms, max((t[3] for t in terms), default=0)
         return self._table
 
     def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
@@ -359,7 +357,7 @@ class PolyDiffOp:
 
     def compose(self, other: "PolyDiffOp") -> "PolyDiffOp":
         """Normal form of self o other via the Leibniz expansion."""
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise StructureError("operator ring mismatch")
         acc: dict = {}
         _leibniz(acc, self, other, 0)
@@ -403,14 +401,15 @@ def commutator_sum(pairs: list[tuple[PolyDiffOp, PolyDiffOp]],
     for c, B in base:
         if ring is None:
             ring = B.ring
-        elif B.ring != ring:
+        elif B.ring is not ring and B.ring != ring:
             raise StructureError("operator ring mismatch")
         for mu, coeff in B.terms.items():
             add_scaled_terms(acc.setdefault(mu, {}), coeff.terms.items(), c)
     if ring is None:
         raise StructureError("an empty commutator sum needs a base operator")
     for P, A in pairs:
-        if P.ring != ring or A.ring != ring:
+        if ((P.ring is not ring and P.ring != ring)
+                or (A.ring is not ring and A.ring != ring)):
             raise StructureError("operator ring mismatch")
         _leibniz(acc, P, A, 1)
         _leibniz(acc, A, P, 1, sign=-1)
@@ -561,8 +560,8 @@ def hamiltonian_op(f: Poly) -> PolyDiffOp:
     every later call on the same Poly object returns that same operator,
     Leibniz table included: L_X and every bracket {X, .} share one build.
     The slot lives as long as f.  Its cost is one operator of at most 2n
-    terms, each a derivative of f, plus whatever Leibniz table entries the
-    products that read it fill; a Poly never passed here pays one None.
+    terms, each a derivative of f, plus its flat Leibniz table once a
+    product reads it; a Poly never passed here pays one None.
     """
     if f._ham is not None:
         return f._ham

@@ -97,9 +97,9 @@ def active_vars(mu: Exponent) -> tuple[tuple[int, int], ...]:
 def diff_terms(terms, multi: Exponent) -> list[tuple[Exponent, Coeff]]:
     """The (exponent, coefficient) pairs of d^multi(g), given those of g.
 
-    The one differentiation kernel, behind Poly.diff_multi, PolyDiffOp.apply
-    and the operators' Leibniz expansion.  Distinct surviving monomials stay
-    distinct, so nothing is merged; coefficients come back unnormalized.
+    The one differentiation kernel, behind Poly.diff_multi and
+    PolyDiffOp.apply.  Distinct surviving monomials stay distinct, so
+    nothing is merged; coefficients come back unnormalized.
     """
     active = active_vars(multi)
     if not active:

@@ -6,10 +6,9 @@ from itertools import product
 import pytest
 
 from cohomolab import operators
-from cohomolab.ansatz import build_bilinear
+from cohomolab.ansatz import ansatz_term_op, build_bilinear
 from cohomolab.cocycles import second_class_coefficients
-from cohomolab.poly import (Poly, ResourceLimitError, StructureError, diff_terms, doubled_ring,
-                            single_ring)
+from cohomolab.poly import Poly, ResourceLimitError, StructureError, doubled_ring, single_ring
 from cohomolab.operators import (
     PolyDiffOp,
     affine_equivariant_basis,
@@ -308,25 +307,96 @@ def test_composition_is_associative_on_reused_operands():
                 assert C.compose(AB) == C.compose(A).compose(B)
 
 
-def test_a_repeated_commutator_sum_differentiates_nothing(monkeypatch):
-    calls = []
-
-    def counting_diff_terms(terms, multi):
-        calls.append(multi)
-        return diff_terms(terms, multi)
-
-    monkeypatch.setattr(operators, "diff_terms", counting_diff_terms)
+def test_a_repeated_commutator_sum_differentiates_nothing():
+    # the kernel differentiates only when it lists the surviving subsets of
+    # a new pair of terms, so a second identical sum misses no survivor
+    # list, reuses every flat table and returns the same layout
     L = lie_derivative_op(x(0) * x(0) * xi(1) + x(1) * xi(0))
     rng = random.Random(43)
     A = fraction_op(rng, R2)
     B = PolyDiffOp(R2, {(1, 0, 1, 0): x(0) * x(1) * xi(1), (0, 0, 0, 1): x(1) * x(1)})
     pairs = [(L, A), (B, L)]
+    survivors = operators._leibniz_survivors
+    survivors.cache_clear()
     first = commutator_sum(pairs, base=[(1, B)])
-    assert calls
-    calls.clear()
+    misses = survivors.cache_info().misses
+    assert misses
+    tables = [op._table for op in (L, A, B)]
     second = commutator_sum(pairs, base=[(1, B)])
-    assert calls == []
+    assert survivors.cache_info().misses == misses
+    assert all(op._table is table for op, table in zip((L, A, B), tables))
     assert layout(second) == layout(first)
+
+
+def leibniz_reference(left, right, lowest, sign):
+    """sign * the Leibniz expansion over every s <= mu with |s| >= lowest, by definition."""
+    ring = left.ring
+    terms = {}
+    for mu, f in left.terms.items():
+        for nu, g in right.terms.items():
+            for s in product(*(range(m + 1) for m in mu)):
+                if sum(s) < lowest:
+                    continue
+                key = tuple(m - si + ni for m, si, ni in zip(mu, s, nu))
+                term = (f * g.diff_multi(s)).scale(sign * operators.multi_binom(mu, s))
+                terms[key] = terms.get(key, Poly.zero(ring)) + term
+    return PolyDiffOp(ring, terms)
+
+
+def oracle_op(rng, ring):
+    """Up to three terms with multi-term Fraction coefficients, zero-order terms
+    among them; one operator in four has constant coefficients only."""
+    constant = rng.random() < 0.25
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mu = [0] * ring.nvars
+        for _ in range(rng.choice((0, 1, 2, 3))):
+            mu[rng.randrange(ring.nvars)] += 1
+        c = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 6))
+        coeff = Poly.constant(ring, c) if constant else random_poly(rng, ring, 3).scale(c)
+        terms[tuple(mu)] = terms.get(tuple(mu), Poly.zero(ring)) + coeff
+    return PolyDiffOp(ring, terms)
+
+
+def test_leibniz_matches_the_definitional_expansion():
+    rng = random.Random(46)
+    for ring in (R2, R3, doubled_ring(2)):
+        for _ in range(25):
+            P, Q = oracle_op(rng, ring), oracle_op(rng, ring)
+            for left, right in ((P, Q), (Q, P), (P, P)):
+                for lowest, sign in product((0, 1), (1, -1)):
+                    acc = {}
+                    operators._leibniz(acc, left, right, lowest, sign)
+                    assert (operators.operator_from_sum(ring, acc)
+                            == leibniz_reference(left, right, lowest, sign))
+
+
+def test_constant_coefficient_products_list_only_the_empty_subset(monkeypatch):
+    # ansatz_term_op composes constant-coefficient contraction operators, so
+    # every pair of terms keeps s = 0 alone, with binomial 1
+    listed = []
+    survivors = operators._leibniz_survivors
+
+    def recording(mu, e, lowest):
+        out = survivors(mu, e, lowest)
+        listed.append((mu, e, out))
+        return out
+
+    monkeypatch.setattr(operators, "_leibniz_survivors", recording)
+    for kind, s in (("alpha", 1), ("beta", 2), ("gamma", 0)):
+        op = ansatz_term_op.__wrapped__(2, kind, s, 2)
+        assert not op.is_zero()
+    assert listed
+    for mu, e, out in listed:
+        assert not any(e)
+        assert out == ((mu, e, 1),)
+    # a commutator keeps only |s| >= 1, so a constant right operand is
+    # skipped whole and lists nothing
+    D = divergence_diffop(doubled_ring(2))
+    D2 = D.power(2)
+    before = len(listed)
+    assert D.commutator(D2).is_zero()
+    assert len(listed) == before
 
 
 def random_field(rng, ring):
