@@ -47,6 +47,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="json")
 
 
+def _add_div_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--a", help="divergence coefficient for --name div (default 1)")
+    parser.add_argument("--omega",
+                        help="comma-separated 1-form components for --name div (default 0)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cohomolab",
@@ -76,23 +82,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", choices=("c1", "c2", "div", "gamma1"), required=True)
     p.add_argument("--order", type=int, required=True, help="source symbol degree k")
     p.add_argument("--max-vf-degree", type=int, default=4)
-    p.add_argument("--a", default="1", help="divergence coefficient for --name div")
-    p.add_argument("--omega", default="",
-                   help="comma-separated 1-form components for --name div")
+    _add_div_options(p)
 
     p = sub.add_parser("coboundary-test", help="search for a cobounding operator")
     _add_common(p)
     p.add_argument("--name", choices=("c1", "c2", "div", "gamma1"), required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--max-vf-degree", type=int, default=3)
-    p.add_argument("--candidates", choices=("affine", "custom-file"), default="affine")
     p.add_argument("--candidates-file",
-                   help="for --candidates custom-file: one operator text form per line")
-    p.add_argument("--max-order", type=int, default=None,
-                   help="order bound for the affine-equivariant candidates only; "
-                        "rejected with --candidates custom-file")
-    p.add_argument("--a", default="1")
-    p.add_argument("--omega", default="")
+                   help="custom candidates, one operator text form per line "
+                        "(default: the affine-equivariant basis, complete at every order)")
+    _add_div_options(p)
 
     p = sub.add_parser("quantization-cocycle",
                        help="symbol projections of the density-operator sequence")
@@ -120,39 +120,29 @@ def _parse_omega(raw: str, n: int) -> list[Poly]:
     return [parse_poly(ring, s) for s in parts]
 
 
+_BUILTINS = {"c1": builtin_c1, "c2": builtin_c2, "gamma1": builtin_gamma1_flat}
+
+
 def _make_cocycle(args):
     n, k = args.dim, args.order
-    if args.name == "c1":
-        return builtin_c1(n, k)
-    if args.name == "c2":
-        return builtin_c2(n, k)
-    if args.name == "gamma1":
-        return builtin_gamma1_flat(n, k)
-    return builtin_div(n, k, rat(args.a), _parse_omega(args.omega, n))
+    if args.name != "div":
+        if args.a is not None or args.omega is not None:
+            raise StructureError(f"--a and --omega apply to --name div only, not {args.name}")
+        return _BUILTINS[args.name](n, k)
+    a = rat(1 if args.a is None else args.a)
+    return builtin_div(n, k, a, _parse_omega(args.omega or "", n))
 
 
 def _candidates(args, c):
-    if args.candidates == "custom-file":
-        if not args.candidates_file:
-            raise StructureError("--candidates custom-file needs --candidates-file")
-        if args.max_order is not None:
-            raise StructureError("--max-order bounds only the affine candidates, "
-                                 "not --candidates custom-file")
+    if args.candidates_file is not None:
         ring = single_ring(args.dim)
         with open(args.candidates_file) as fh:
             ops = [parse_op(ring, line.strip()) for line in fh if line.strip()]
         if not ops:
             raise StructureError(f"{args.candidates_file} holds no operator line")
         return ops, f"custom:{args.candidates_file}"
-    if args.candidates_file:
-        raise StructureError("--candidates-file needs --candidates custom-file")
-    least = 2 * (c.k - c.ell)
-    order = args.max_order if args.max_order is not None else max(least, 2)
-    if order < least:
-        raise StructureError(f"--max-order {order} is below 2(k - ell) = {least}, the order "
-                             "of the divergence power: the affine candidate space is empty")
-    return (affine_equivariant_basis(args.dim, c.k, c.ell, order),
-            f"affine-equivariant basis, order <= {order}")
+    return (affine_equivariant_basis(args.dim, c.k, c.ell),
+            f"affine-equivariant basis, order <= {max(2 * (c.k - c.ell), 2)}")
 
 
 def main(argv=None) -> int:

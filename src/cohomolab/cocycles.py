@@ -104,7 +104,7 @@ class IdentityCheck:
         return out
 
 
-def _nonzero_witness(defect: SymbolMap, n: int) -> tuple[Poly, Poly]:
+def _nonzero_witness(defect: SymbolMap, n: int) -> Poly:
     """A monomial symbol on which a nonzero defect map takes a nonzero value.
 
     Take v the lex-first xi-exponent among the entries, alpha the lex-first
@@ -117,8 +117,7 @@ def _nonzero_witness(defect: SymbolMap, n: int) -> tuple[Poly, Poly]:
     the first monomial with a nonzero value in lex order of (v, u).
     """
     v, alpha = min((v, alpha) for (v, _, alpha, _) in defect.entries)
-    P = Poly.monomial(single_ring(n), alpha + v)
-    return P, defect.apply(P)
+    return Poly.monomial(single_ring(n), alpha + v)
 
 
 def cocycle_check(c: OneCocycle, max_vf_degree: int = 4) -> IdentityCheck:
@@ -131,7 +130,8 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4) -> IdentityCheck:
     monomials, merge in one accumulator with one term-budget check; c is
     evaluated once per monomial field met.  The first failing pair in canonical order is
     reported with a monomial symbol on which the defect evaluates to
-    something nonzero.
+    something nonzero (_nonzero_witness), and the defect operator's value
+    there: the canonical form is faithful on S_k, so that is the map's value.
     """
     if max_vf_degree < 2:
         raise StructureError("the check needs fields of degree at least 2")
@@ -142,12 +142,12 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4) -> IdentityCheck:
     for checked, ((X, Y), [defect]) in enumerate(zip(pairs, defects), 1):
         sm = defect.symbol_map(c.k)
         if not sm.is_zero():
-            P, val = _nonzero_witness(sm, c.n)
+            P = _nonzero_witness(sm, c.n)
             return IdentityCheck(False, max_vf_degree, checked, {
                 "X": poly_str(X),
                 "Y": poly_str(Y),
                 "symbol": poly_str(P),
-                "defect_value": poly_str(val),
+                "defect_value": poly_str(defect.apply(P)),
             })
     return IdentityCheck(True, max_vf_degree, len(pairs))
 
@@ -240,9 +240,9 @@ def coboundary_solve(columns: FieldColumns,
     answer proves no witness exists in the span.
 
     For a cocycle vanishing on the affine fields, an empty answer against
-    affine_equivariant_basis of order >= 2(k - ell) is complete: a cobounding
-    B has X.B = c(X) = 0 for affine X, so on S_k it is c D^(k - ell), which
-    that basis spans, and "no-witness" proves the class nontrivial.
+    affine_equivariant_basis is complete: a cobounding B has X.B = c(X) = 0
+    for affine X, so on S_k it is c D^(k - ell), which that basis spans, and
+    "no-witness" proves the class nontrivial.
     """
     sol = _solve_on_fields(columns, [])
     witness = None if sol is None \

@@ -266,10 +266,6 @@ class PolyDiffOp:
         return PolyDiffOp(ring, {(0,) * ring.nvars: Poly.constant(ring, 1)}, _clean=True)
 
     @staticmethod
-    def single(ring: Ring, coeff: Poly, deriv: Deriv) -> "PolyDiffOp":
-        return PolyDiffOp(ring, {tuple(deriv): coeff})
-
-    @staticmethod
     def derivative(ring: Ring, var: int) -> "PolyDiffOp":
         return PolyDiffOp(ring, {unit_deriv(ring, var): Poly.constant(ring, 1)},
                           _clean=True)
@@ -433,10 +429,11 @@ class SymbolMap:
     def __init__(self, n: int, k: int, entries: dict):
         self.n = n
         self.k = k
-        self.entries = {key: c for key, c in entries.items() if c != 0}
+        self.entries = entries
 
     @staticmethod
     def from_operator(op: PolyDiffOp, k: int) -> "SymbolMap":
+        """The canonical form of op on S_k; an entry that sums to 0 is dropped."""
         ring = op.ring
         if ring.doubled:
             raise StructureError("symbol maps are single-ring objects")
@@ -467,29 +464,6 @@ class SymbolMap:
         if not isinstance(other, SymbolMap):
             return NotImplemented
         return (self.n, self.k) == (other.n, other.k) and self.entries == other.entries
-
-    def apply(self, p: Poly) -> Poly:
-        """Evaluate the map on a degree-k symbol (for spot checks).
-
-        The map is defined on degree-k symbols only, so a term of any other
-        xi-degree raises StructureError rather than reading as zero.
-        """
-        ring = p.ring
-        out = Poly.zero(ring)
-        for exp, c in p.terms.items():
-            u, v = exp[:self.n], exp[self.n:]
-            if sum(v) != self.k:
-                raise StructureError(
-                    f"symbol term of xi-degree {sum(v)} given to a degree-{self.k} symbol map")
-            for (vv, w, alpha, a), coeff in self.entries.items():
-                if vv != v:
-                    continue
-                fac = falling(u, alpha)
-                if fac == 0:
-                    continue
-                new_x = tuple(ui - al + ai for ui, al, ai in zip(u, alpha, a))
-                out = out + Poly.monomial(ring, new_x + w, rat(c) * rat(coeff) * fac)
-        return out
 
 
 def op_str(op: PolyDiffOp) -> str:
@@ -602,26 +576,25 @@ def module_action(X: Poly, A: PolyDiffOp) -> PolyDiffOp:
     return lie_derivative_op(X).commutator(A)
 
 
-def affine_equivariant_basis(n: int, k: int, ell: int, max_order: int) -> list[PolyDiffOp]:
-    """Basis of the affine-equivariant operators S_k -> S_ell of order <= max_order.
+def affine_equivariant_basis(n: int, k: int, ell: int) -> list[PolyDiffOp]:
+    """Basis of the affine-equivariant operators S_k -> S_ell: [D^(k - ell)], or [] if ell > k.
 
-    It is [D^(k - ell)] if 0 <= 2(k - ell) <= max_order, else [].  Proof:
-    translations act as d/dx^i, so an equivariant operator has x-constant
-    coefficients, a polynomial in xi, d_x (vectors under the linear fields)
-    and d_xi (covectors).  By the first fundamental theorem for gl(n), where
-    the Euler field forces as many vector as covector slots, it is then a
-    polynomial in E = xi_i d/dxi_i and D = d/dx^i d/dxi_i.  E is the scalar k
-    on S_k, so every equivariant map S_k -> S_ell is c D^(k - ell), and 0 if
-    ell > k.  A term xi^b d_x^alpha d_xi^beta of such a map has |beta| =
-    |b| + k - ell, and D^(k - ell) sends x_1^(k - ell) xi_1^k to a nonzero
-    x-free value, which needs a term with |alpha| = k - ell: so every
-    representative has order >= 2(k - ell), the order of D^(k - ell).
+    Proof: translations act as d/dx^i, so an equivariant operator has
+    x-constant coefficients, a polynomial in xi, d_x (vectors under the
+    linear fields) and d_xi (covectors).  By the first fundamental theorem
+    for gl(n), where the Euler field forces as many vector as covector
+    slots, it is then a polynomial in E = xi_i d/dxi_i and
+    D = d/dx^i d/dxi_i.  E is the scalar k on S_k, so every equivariant map
+    S_k -> S_ell is c D^(k - ell), and 0 if ell > k.  A term
+    xi^b d_x^alpha d_xi^beta of such a map has |beta| = |b| + k - ell, and
+    D^(k - ell) sends x_1^(k - ell) xi_1^k to a nonzero x-free value, which
+    needs a term with |alpha| = k - ell: so every representative has order
+    >= 2(k - ell), the order of D^(k - ell).  No bound on the order could
+    therefore shrink the basis without emptying it, and the basis is the
+    complete affine candidate space at every order.
     """
     if k < 0 or ell < 0:
         raise StructureError("symbol degrees must be nonnegative")
-    if max_order < 0:
-        raise StructureError("the operator order bound must be nonnegative")
-    drop = k - ell
-    if drop < 0 or 2 * drop > max_order:
+    if ell > k:
         return []
-    return [divergence_diffop(single_ring(n)).power(drop)]
+    return [divergence_diffop(single_ring(n)).power(k - ell)]

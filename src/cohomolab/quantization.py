@@ -12,9 +12,19 @@ principal symbol, and the connecting cocycle of the symbol filtration is
 
 an operator of order at most k-1 on degree-k input (top orders cancel).
 Its symbol projections are vector-field cocycles with operator values; the
-top projection is trivial exactly at the halfway weight, where the explicit
-splitting witness found by the coboundary solver lets the next projection
-be formed, reproducing the degree-two-lowering class.
+top projection is trivial exactly at the halfway weight, where the coboundary
+solver finds a splitting witness B, sigma_(k-1) gamma(X) = X.B.  The next
+projection is then the degree-(k-2) symbol of the connecting cocycle of the
+section tau' = tau o (1 - B).  By linearity of tau, and with
+X.B = L_X B - B L_X,
+
+    [L_X, tau'(P)] - tau'(L_X P)
+        = gamma(X)(P) - ([L_X, tau(BP)] - tau(B L_X P))
+        = gamma(X)(P) - gamma(X)(BP) - tau((X.B)P).
+
+gamma(X)(BP) has order <= k-2, so the degree-(k-1) symbol is
+sigma_(k-1) gamma(X)(P) - (X.B)P = 0, and the degree-(k-2) symbol
+reproduces the degree-two-lowering class.
 
 Closed form of the top projection.  Normal ordering is the standard
 (coefficients-left) symbol calculus, in which
@@ -170,15 +180,22 @@ def normal_order_section(P: Poly, weight) -> DensityOperator:
     return DensityOperator(n, weight, terms)
 
 
-def sequence_cocycle(X: Poly, P: Poly, weight) -> DensityOperator:
-    """The connecting cocycle value [L_X, tau(P)] - tau(L_X P); order <= k-1."""
+def sequence_cocycle(X: Poly, P: Poly, weight, splitting: PolyDiffOp) -> DensityOperator:
+    """The connecting cocycle value [L_X, tau'(P)] - tau'(L_X P); order <= k-1.
+
+    tau' = tau o (1 - B) for the splitting B: S_k -> S_(k-1); B = 0 gives the
+    normal-ordering section itself (module docstring).
+    """
     check_vector_field(X)
     k = P.xi_degree()
     if k is None:
         raise StructureError("the symbol argument must be xi-homogeneous")
+
+    def section(Q: Poly) -> DensityOperator:
+        return normal_order_section(Q - splitting.apply(Q), weight)
+
     L = weighted_lie_derivative(X, weight)
-    out = (L.commutator(normal_order_section(P, weight))
-           - normal_order_section(hamiltonian_action(X, P), weight))
+    out = L.commutator(section(P)) - section(hamiltonian_action(X, P))
     if P.terms and out.order > max(k - 1, 0):
         raise StructureError("top symbols failed to cancel in the sequence cocycle")
     return out
@@ -263,18 +280,19 @@ def quantization_top_cocycle(n: int, k: int, weight) -> OneCocycle:
 
 def quantization_projected_cocycle(n: int, k: int, weight,
                                    splitting: PolyDiffOp) -> OneCocycle:
-    """The next symbol projection after removing the top part with a splitting.
+    """The degree-(k-2) symbol of the connecting cocycle of tau' = tau o (1 - B).
 
-    The splitting witness B solves  sigma_(k-1) gamma(X) = X.B; subtracting
-    the corresponding coboundary of  P |-> tau(B(P))  pushes the cocycle
-    into operators of order <= k-2, whose top symbol is again a cocycle.
+    The splitting witness B solves  sigma_(k-1) gamma(X) = X.B, so the value
+    sequence_cocycle(X, P, weight, B) has order <= k-2 (module docstring),
+    and its top symbol is again a cocycle.  A B that leaves a degree-(k-1)
+    symbol is rejected.
 
     Each value is rebuilt from x^u xi^v with |u| at most the x-order of B
-    (1 for the witness c D), which bounds the x-order of P |-> value: as
-    B L_X = L_X B - X.B, the correction [L_X, tau(BP)] - tau(B L_X P) is
-    gamma(X)(BP) + tau((X.B)P), whose tau term has degree k-1 and no
-    degree-(k-2) symbol; and by the full-symbol formula in the module
-    docstring, sigma(gamma(X)(Q)) takes only xi-derivatives of Q (P or BP).
+    (1 for the witness c D), which bounds the x-order of P |-> value: the
+    value is gamma(X)(P) - gamma(X)(BP) - tau((X.B)P), whose tau term has
+    degree k-1 and no degree-(k-2) symbol; and by the full-symbol formula in
+    the module docstring, sigma(gamma(X)(Q)) takes only xi-derivatives of Q
+    (P or BP).
     """
     if k < 2:
         raise StructureError("the projected cocycle needs degree >= 2")
@@ -282,23 +300,13 @@ def quantization_projected_cocycle(n: int, k: int, weight,
     weight = rat(weight)
     x_order = max((sum(mu[:n]) for mu in splitting.terms), default=0)
 
-    def corrected(X: Poly, L: DensityOperator, P: Poly) -> DensityOperator:
-        gamma = sequence_cocycle(X, P, weight)
-        tau_BP = normal_order_section(splitting.apply(P), weight)
-        tau_BXP = normal_order_section(
-            splitting.apply(hamiltonian_action(X, P)), weight)
-        correction = L.commutator(tau_BP) - tau_BXP
-        out = gamma - correction
-        if P.terms and out.order > max(k - 2, 0):
-            raise StructureError("splitting witness failed to cancel the top symbol")
-        return out
-
     def rule(X: Poly) -> PolyDiffOp:
-        L = weighted_lie_derivative(X, weight)
-
         def value(u, v):
             P = Poly.monomial(ring, tuple(u) + tuple(v))
-            return corrected(X, L, P).principal_symbol(k - 2)
+            out = sequence_cocycle(X, P, weight, splitting)
+            if out.order > max(k - 2, 0):
+                raise StructureError("splitting witness failed to cancel the top symbol")
+            return out.principal_symbol(k - 2)
 
         return operator_from_symbol_values(n, k, k - 2, value, max_x_order=x_order)
 

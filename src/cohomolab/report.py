@@ -76,14 +76,14 @@ def certify_class(c: OneCocycle, max_vf_degree: int, reference: OneCocycle | Non
     """Identity check, coboundary result and class proportionality of c: S_k -> S_ell.
 
     The identity is checked on fields up to max_vf_degree.  Triviality is
-    decided against the affine-equivariant basis of order 2(k - ell), and the
+    decided against the affine-equivariant basis [D^(k - ell)], and the
     optional reference class is matched against c modulo that basis (None
     without a reference); both solve on fields up to min(max_vf_degree, 3),
     from one set of candidate and target columns.  For c vanishing on the
     affine fields "no-witness" proves the class nontrivial (coboundary_solve).
     """
     identity = cocycle_check(c, max_vf_degree)
-    basis = affine_equivariant_basis(c.n, c.k, c.ell, 2 * (c.k - c.ell))
+    basis = affine_equivariant_basis(c.n, c.k, c.ell)
     columns = field_columns(c, basis, min(max_vf_degree, 3))
     cob = coboundary_solve(columns, "affine-equivariant basis")
     prop = None if reference is None else class_proportionality(columns, reference)
@@ -247,11 +247,12 @@ def _random_field(rng, ring, max_x=3):
     return out
 
 
-def _random_op(rng, ring, max_order=2):
+def _random_op(rng, ring):
+    """One or two terms of order <= 2 with monomial coefficients of degree <= 2."""
     terms = {}
     for _ in range(rng.randint(1, 2)):
         mu = [0] * ring.nvars
-        for _ in range(rng.randint(0, max_order)):
+        for _ in range(rng.randint(0, 2)):
             mu[rng.randrange(ring.nvars)] += 1
         exp = [0] * ring.nvars
         for _ in range(rng.randint(0, 2)):

@@ -40,7 +40,7 @@ def affine_basis_by_elimination(n: int, k: int, ell: int,
                     continue
                 for b in xi_simplex(n, bdeg):
                     coeff = Poly.monomial(ring, (0,) * n + b)
-                    candidates.append(PolyDiffOp.single(ring, coeff, alpha + beta))
+                    candidates.append(PolyDiffOp(ring, {alpha + beta: coeff}))
 
     gens = sl_generators(n).affine()
     columns = []

@@ -97,7 +97,7 @@ def test_criterion_02_weyl_commutant():
             searched = affine_basis_by_elimination(n, k, ell, 4)
             assert len(searched) == 1
             assert searched[0].symbol_map(k) == D.power(k - ell).symbol_map(k)
-            assert affine_equivariant_basis(n, k, ell, 4) == searched
+            assert affine_equivariant_basis(n, k, ell) == searched
 
 
 @criterion(3, "recurrence and direct solvers agree for all n <= 3, p <= k <= 5")
@@ -152,10 +152,10 @@ def test_criterion_05_explicit_solutions():
 def test_criterion_06_nontriviality():
     for n in (2, 3):
         for k in (2, 3, 4):
-            basis1 = affine_equivariant_basis(n, k, k - 1, 2 + 2)
+            basis1 = affine_equivariant_basis(n, k, k - 1)
             res1 = coboundary_solve(field_columns(builtin_c1(n, k), basis1, 3))
             assert not res1.is_coboundary
-            basis2 = affine_equivariant_basis(n, k, k - 2, 4)
+            basis2 = affine_equivariant_basis(n, k, k - 2)
             res2 = coboundary_solve(field_columns(builtin_c2(n, k), basis2, 3))
             assert not res2.is_coboundary
 

@@ -83,7 +83,7 @@ def test_operator_for_field_matches_direct_evaluation():
 
 def test_bilinear_op_rejects_non_constant_coefficients_when_built():
     D2 = doubled_ring(2)
-    op = PolyDiffOp.single(D2, Poly.variable(D2, D2.y(0)), unit_deriv(D2, D2.x(0)))
+    op = PolyDiffOp(D2, {unit_deriv(D2, D2.x(0)): Poly.variable(D2, D2.y(0))})
     with pytest.raises(StructureError):
         BilinearOp(2, op)
 

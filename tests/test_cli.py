@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cohomolab.cli import main
+from cohomolab.cli import _build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,11 +88,10 @@ def test_coboundary_command_affine(capsys):
 
 
 def test_coboundary_command_large_order_bound(capsys):
-    # the affine basis is D^(k - ell) at every order bound, so a generous
-    # --max-order costs nothing and still gives the complete verdict
+    # the affine basis is D^(k - ell), complete at every order bound, so the
+    # default candidates give the complete verdict with no bound to choose
     code, out = run(capsys, ["coboundary-test", "--name", "c2", "--dim", "3",
-                             "--order", "3", "--max-vf-degree", "2",
-                             "--max-order", "40"])
+                             "--order", "3", "--max-vf-degree", "2"])
     assert code == 0
     result = last_json(out)["result"]
     assert result["verdict"] == "no-witness-in-candidate-space"
@@ -104,8 +104,7 @@ def test_coboundary_command_custom_file(tmp_path, capsys):
     path = tmp_path / "candidates.txt"
     path.write_text(op_str(divergence_diffop(single_ring(2))) + "\n")
     code, out = run(capsys, ["coboundary-test", "--name", "c1", "--dim", "2",
-                             "--order", "2", "--candidates", "custom-file",
-                             "--candidates-file", str(path)])
+                             "--order", "2", "--candidates-file", str(path)])
     assert code == 0
     assert last_json(out)["result"]["verdict"] == "no-witness-in-candidate-space"
 
@@ -132,11 +131,34 @@ def test_properties_stdout_is_one_json_document(capsys):
     assert all(check["passed"] for check in data["result"]["checks"])
 
 
+OPTION_INVENTORY = {
+    "check-relation": {"--dim", "--format", "--max-total-degree"},
+    "classify-equivariant": {"--dim", "--format", "--order", "--delta", "--cocycle"},
+    "cohomology-table": {"--dim", "--format", "--order", "--max-vf-degree"},
+    "verify-cocycle": {"--dim", "--format", "--name", "--order", "--max-vf-degree",
+                       "--a", "--omega"},
+    "coboundary-test": {"--dim", "--format", "--name", "--order", "--max-vf-degree",
+                        "--candidates-file", "--a", "--omega"},
+    "quantization-cocycle": {"--dim", "--format", "--order", "--lambda", "--max-vf-degree"},
+    "properties": {"--dim", "--format", "--seed", "--count"},
+}
+
+
+def test_option_inventory_is_pinned():
+    # every settable option of every subcommand, so that adding one shows up
+    # in review as an edit to this table
+    [subparsers] = [a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    found = {name: {opt for action in parser._actions for opt in action.option_strings
+                    if not isinstance(action, argparse._HelpAction)}
+             for name, parser in subparsers.choices.items()}
+    assert found == OPTION_INVENTORY
+
+
 CANDIDATE_FILES = {
     "garbage.txt": "garbage\n",
     "bad-exponent.txt": "(1) * dx1^a\n",
     "empty.txt": "\n",
-    "divergence.txt": "(1) * dx1 * dxi1 + (1) * dx2 * dxi2\n",
 }
 
 CONFIG_ERRORS = {
@@ -150,28 +172,21 @@ CONFIG_ERRORS = {
     "omega-without-coefficient": (["verify-cocycle", "--name", "div", "--dim", "2",
                                    "--order", "2", "--omega", "x2,0"], None),
     "missing-candidates-file": (["coboundary-test", "--name", "c1", "--dim", "2",
-                                 "--order", "2", "--candidates", "custom-file",
-                                 "--candidates-file", "{tmp}/missing.txt"], None),
+                                 "--order", "2", "--candidates-file", "{tmp}/missing.txt"], None),
     "garbage-candidate-line": (["coboundary-test", "--name", "c1", "--dim", "2",
-                                "--order", "2", "--candidates", "custom-file",
-                                "--candidates-file", "{tmp}/garbage.txt"], None),
+                                "--order", "2", "--candidates-file", "{tmp}/garbage.txt"], None),
     "bad-candidate-exponent": (["coboundary-test", "--name", "c1", "--dim", "2",
-                                "--order", "2", "--candidates", "custom-file",
-                                "--candidates-file", "{tmp}/bad-exponent.txt"], None),
+                                "--order", "2", "--candidates-file", "{tmp}/bad-exponent.txt"], None),
     "empty-candidates-file": (["coboundary-test", "--name", "c1", "--dim", "2",
-                               "--order", "2", "--candidates", "custom-file",
-                               "--candidates-file", "{tmp}/empty.txt"], None),
-    "candidates-file-without-custom": (["coboundary-test", "--name", "c1", "--dim", "2",
-                                        "--order", "2", "--candidates-file",
-                                        "{tmp}/divergence.txt"], None),
-    "max-order-with-custom-file": (["coboundary-test", "--name", "c1", "--dim", "2",
-                                    "--order", "2", "--candidates", "custom-file",
-                                    "--candidates-file", "{tmp}/divergence.txt",
-                                    "--max-order", "7"], None),
-    "max-order-below-divergence-power": (["coboundary-test", "--name", "c1", "--dim", "2",
-                                          "--order", "3", "--max-order", "1"], None),
-    "negative-max-order": (["coboundary-test", "--name", "c1", "--dim", "2",
-                            "--order", "2", "--max-order", "-1"], None),
+                               "--order", "2", "--candidates-file", "{tmp}/empty.txt"], None),
+    "a-without-div": (["verify-cocycle", "--name", "c1", "--dim", "2", "--order", "2",
+                       "--a", "5"], None),
+    "omega-without-div": (["verify-cocycle", "--name", "c1", "--dim", "2", "--order", "2",
+                           "--omega", "1*x2,1*x1"], None),
+    "div-options-on-c2-coboundary": (["coboundary-test", "--name", "c2", "--dim", "2",
+                                      "--order", "2", "--a", "1", "--omega", "0,0"], None),
+    "omega-on-gamma1-coboundary": (["coboundary-test", "--name", "gamma1", "--dim", "2",
+                                    "--order", "2", "--omega", ""], None),
     "affine-coboundary-fields": (["coboundary-test", "--name", "c1", "--dim", "2",
                                   "--order", "2", "--max-vf-degree", "1"], None),
     "negative-coboundary-degree": (["coboundary-test", "--name", "c1", "--dim", "2",

@@ -167,7 +167,7 @@ def test_shared_field_columns_give_the_same_answers():
     # equal those of the two solves on columns of their own
     for c, ref in ((builtin_c1(2, 2), builtin_c1(2, 2)),
                    (quantization_top_cocycle(2, 2, Fraction(1, 2)), builtin_c1(2, 2))):
-        basis = affine_equivariant_basis(2, c.k, c.ell, 2 * (c.k - c.ell))
+        basis = affine_equivariant_basis(2, c.k, c.ell)
         _, cob, prop = certify_class(c, 3, ref)
         expected = coboundary_solve(field_columns(c, basis, 3), "affine-equivariant basis")
         assert cob.to_json() == expected.to_json()
@@ -178,10 +178,10 @@ def test_nontriviality_of_invariant_cocycles():
     for n in (2, 3):
         ring = single_ring(n)
         for k in (2, 3, 4):
-            basis1 = affine_equivariant_basis(n, k, k - 1, 2)
+            basis1 = affine_equivariant_basis(n, k, k - 1)
             res1 = coboundary_solve(field_columns(builtin_c1(n, k), basis1, 3))
             assert not res1.is_coboundary
-            basis2 = affine_equivariant_basis(n, k, k - 2, 4)
+            basis2 = affine_equivariant_basis(n, k, k - 2)
             res2 = coboundary_solve(field_columns(builtin_c2(n, k), basis2, 3))
             assert not res2.is_coboundary
 
@@ -199,7 +199,7 @@ def test_divergence_cocycle_coboundary_criterion():
     assert res.witness == mult_f
     # a != 0: no witness within the affine-equivariant candidate space
     c_div = builtin_div(2, 2, 1, omega)
-    basis = affine_equivariant_basis(2, 2, 2, 2)
+    basis = affine_equivariant_basis(2, 2, 2)
     assert not coboundary_solve(field_columns(c_div, basis, 3)).is_coboundary
 
 

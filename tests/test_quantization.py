@@ -16,7 +16,8 @@ from cohomolab.cocycles import (
     monomial_fields,
 )
 from cohomolab import quantization
-from cohomolab.operators import divergence_diffop, monomials_up_to, op_str, xi_simplex
+from cohomolab.operators import (PolyDiffOp, affine_equivariant_basis, divergence_diffop,
+                                 monomials_up_to, op_str, xi_simplex)
 from cohomolab.poly import Poly, StructureError, single_ring
 from cohomolab.quantization import (
     DensityOperator,
@@ -79,11 +80,12 @@ def definitional_top_cocycle(n, k, weight):
     operator by operator_from_symbol_values.
     """
     ring = single_ring(n)
+    zero = PolyDiffOp.zero(ring)
 
     def rule(X):
         def value(u, v):
             P = Poly.monomial(ring, tuple(u) + tuple(v))
-            return sequence_cocycle(X, P, weight).principal_symbol(k - 1)
+            return sequence_cocycle(X, P, weight, zero).principal_symbol(k - 1)
 
         return operator_from_symbol_values(n, k, k - 1, value, max_x_order=2)
 
@@ -224,7 +226,7 @@ def test_sequence_cocycle_vanishes_for_affine_fields():
     P = Poly.monomial(R2, (1, 0, 2, 1))
     for lam in (0, Fraction(1, 2), Fraction(2, 3)):
         for G in fam.affine():
-            assert sequence_cocycle(G, P, lam).is_zero()
+            assert sequence_cocycle(G, P, lam, PolyDiffOp.zero(R2)).is_zero()
 
 
 def test_sequence_cocycle_order_drop():
@@ -236,7 +238,7 @@ def test_sequence_cocycle_order_drop():
         for _ in range(k):
             exp[2 + rng.randrange(2)] += 1
         P = Poly.monomial(R2, tuple(exp))
-        g = sequence_cocycle(X, P, Fraction(1, 3))
+        g = sequence_cocycle(X, P, Fraction(1, 3), PolyDiffOp.zero(R2))
         assert g.order <= k - 1
 
 
@@ -246,7 +248,7 @@ def test_sequence_cocycle_frozen_quadratic_value():
     # contraction value on the same input
     fam = sl_generators(2)
     P = xi(0) * xi(0)
-    g = sequence_cocycle(fam.quadratic[0], P, 0)
+    g = sequence_cocycle(fam.quadratic[0], P, 0, PolyDiffOp.zero(R2))
     assert g.principal_symbol(1) == xi(0).scale(-2)
     from cohomolab.cocycles import builtin_gamma1_flat
     hess = builtin_gamma1_flat(2, 2).evaluate(fam.quadratic[0]).apply(P)
@@ -307,6 +309,33 @@ def test_projected_cocycle_is_nontrivial():
         assert not coboundary_solve(columns).is_coboundary
         res = class_proportionality(columns, builtin_c2(2, k))
         assert res is not None and res[0] != 0
+
+
+def test_sequence_cocycle_with_a_splitting_is_the_two_commutator_formula():
+    # with the weight-1/2 witness B, sequence_cocycle is the connecting
+    # cocycle of tau' = tau o (1 - B); by linearity of tau that is
+    # gamma(X)(P) - ([L_X, tau(BP)] - tau(B L_X P)), written out here
+    lam = Fraction(1, 2)
+    for k in (2, 3):
+        top = quantization_top_cocycle(2, k, lam)
+        basis = affine_equivariant_basis(2, k, k - 1)
+        B = coboundary_solve(field_columns(top, basis, 3)).witness
+        symbols = [Poly.monomial(R2, u + v)
+                   for u in monomials_up_to(2, 2) for v in xi_simplex(2, k)]
+        for X in monomial_fields(2, 2):
+            L = weighted_lie_derivative(X, lam)
+            for P in symbols:
+                LP = hamiltonian_action(X, P)
+                two_commutators = (
+                    L.commutator(normal_order_section(P, lam))
+                    - normal_order_section(LP, lam)
+                    - (L.commutator(normal_order_section(B.apply(P), lam))
+                       - normal_order_section(B.apply(LP), lam)))
+                assert sequence_cocycle(X, P, lam, B) == two_commutators, (k, X, P)
+        # 2B leaves the top symbol -X.B, which the k-2 order check rejects
+        doubled = quantization_projected_cocycle(2, k, lam, B.scale(2))
+        with pytest.raises(StructureError, match="failed to cancel the top symbol"):
+            doubled.evaluate(sl_generators(2).quadratic[0])
 
 
 def test_class_independent_of_section_choice():
