@@ -44,10 +44,10 @@ from math import factorial
 from typing import Callable, Iterable, Iterator
 
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
-from .operators import (PolyDiffOp, commutator_sum, lie_derivative_op, operator_from_sum,
-                        unit_deriv, xi_simplex)
-from .poly import (Coeff, Poly, Ring, StructureError, add_scaled_terms, doubled_ring,
-                   norm_coeff, rat, rat_str, single_ring)
+from .operators import (PolyDiffOp, commutator_sum, hamiltonian_op, lie_derivative_op,
+                        operator_from_sum, unit_deriv, xi_simplex)
+from .poly import (Coeff, Poly, StructureError, add_scaled_terms, doubled_ring, norm_coeff,
+                   rat, rat_str, single_ring)
 from .symbols import GeneratorFamily, schouten_bracket, sl_generators
 
 AnsatzIndex = tuple[str, int]
@@ -137,25 +137,14 @@ def reduced_indices(k: int, p: int) -> list[AnsatzIndex]:
 # -- the bilinear operators ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _pair_contraction(ring: Ring, first: str, second: str) -> PolyDiffOp:
-    """One of the four contractions as a doubled-ring operator."""
-    blocks = {"x": 0, "xi": 1, "y": 2, "eta": 3}
-    n = ring.n
-    one = Poly.constant(ring, 1)
-    terms = {unit_deriv(ring, blocks[first] * n + i, blocks[second] * n + i): one
-             for i in range(n)}
-    return PolyDiffOp(ring, terms, _clean=True)
-
-
 def contraction_ops(n: int) -> dict[str, PolyDiffOp]:
+    """The four contractions as doubled-ring operators (blocks: x 0, xi 1, y 2, eta 3)."""
     ring = doubled_ring(n)
-    return {
-        "Dxxi": _pair_contraction(ring, "x", "xi"),
-        "Dyeta": _pair_contraction(ring, "y", "eta"),
-        "Dxeta": _pair_contraction(ring, "x", "eta"),
-        "Dyxi": _pair_contraction(ring, "y", "xi"),
-    }
+    one = Poly.constant(ring, 1)
+    return {name: PolyDiffOp(ring, {unit_deriv(ring, first * n + i, second * n + i): one
+                                    for i in range(n)}, _clean=True)
+            for name, first, second in (("Dxxi", 0, 1), ("Dyeta", 2, 3), ("Dxeta", 0, 3),
+                                        ("Dyxi", 2, 1))}
 
 
 @lru_cache(maxsize=None)
@@ -413,18 +402,23 @@ def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
     [Y, Z] = sum_m c_m x^m gives r([Y, Z]) = sum_m c_m r(x^m) exactly, and
     the pairs (c_m, r(x^m)) are the commutator_sum's base (_monomial_terms,
     one memo per call).  A bracket of two monomial fields has at most two
-    terms; a vanishing bracket gives an empty base.  The bracket
-    schouten_bracket(Y, Z) applies the operator that L_Y is: hamiltonian_op
-    keeps it in Y's _ham slot, so each field is differentiated once, not
-    once per pair.  So this call's memo of L_F = lie_derivative_op(F)
-    saves only the vector-field check on a field met again.  A rule that
+    terms; a vanishing bracket gives an empty base.  L_F is
+    hamiltonian_op(F), kept in F's _ham slot, and the bracket
+    schouten_bracket(Y, Z) applies that same L_Y, so each field is
+    differentiated once, not once per pair.
+
+    The pairs must be vector fields (xi-degree 1): the defect above is the
+    cocycle identity only for them, and hamiltonian_op, unlike
+    lie_derivative_op, does not check the degree.  Both callers satisfy
+    this, as both draw their pairs from field_monomials, whose fields are
+    x^u xi_m: impose_cocycle through cocycle_filter_pairs and
+    cocycles.cocycle_check through cocycles.monomial_fields.  A rule that
     should build each field's operator once is memoized by the caller.
     Pairs are formed only as the caller draws them.
     """
-    lie = cache(lie_derivative_op)
     units: dict = {}
     for Y, Z in pairs:
-        L_Y, L_Z = lie(Y), lie(Z)
+        L_Y, L_Z = hamiltonian_op(Y), hamiltonian_op(Z)
         bracket = _monomial_terms(schouten_bracket(Y, Z), units)
         yield [commutator_sum([(L_Z, r(Y)), (r(Z), L_Y)],
                               base=[(c, r(m)) for c, m in bracket])

@@ -46,13 +46,16 @@ class RowReducer:
         """Reduce a row against the current pivots (the row is not added).
 
         Every pivot column present in the row is eliminated, not merely the
-        leading one; pivot rows contain no other pivot columns, so one pass
-        over the initially present pivot columns suffices.
+        leading one.  A pivot row holds its own pivot column and no other
+        (add_row keeps this invariant), so eliminating one pivot column
+        neither adds nor changes an entry in another: each elimination
+        subtracts the row's original entry times its pivot row, the
+        eliminations commute, and one pass over the pivot columns present at
+        the start, in any order, gives the same exact row.
         """
         row = {c: v for c, v in row.items() if v != 0}
-        for hit in sorted(set(row) & self.pivot_rows.keys()):
-            if hit in row:
-                _eliminate(row, hit, self.pivot_rows[hit])
+        for hit in row.keys() & self.pivot_rows.keys():
+            _eliminate(row, hit, self.pivot_rows[hit])
         return row
 
     def add_row(self, row: Row) -> bool:

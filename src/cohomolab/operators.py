@@ -69,8 +69,8 @@ affine_equivariant_basis returns that closed form, with its proof.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import comb
+from itertools import combinations_with_replacement, product
+from math import comb, perm, prod
 from operator import add, sub
 from typing import Iterable
 
@@ -99,13 +99,8 @@ def _simplex(n: int, k: int) -> tuple[Exponent, ...]:
     """All exponent tuples in n variables of total degree k, lexicographic."""
     if k < 0:
         raise StructureError(f"symbol degree must be nonnegative, got {k}")
-    out = []
-    for combo in combinations_with_replacement(range(n), k):
-        exp = [0] * n
-        for i in combo:
-            exp[i] += 1
-        out.append(tuple(exp))
-    return tuple(sorted(out))
+    return tuple(sorted(tuple(map(combo.count, range(n)))
+                        for combo in combinations_with_replacement(range(n), k)))
 
 
 def xi_simplex(n: int, k: int) -> list[Exponent]:
@@ -123,31 +118,11 @@ def monomials_up_to(n: int, d: int) -> list[Exponent]:
 
 def falling(v: Exponent, beta: Exponent) -> int:
     """Product of falling factorials v_i (v_i - 1) ... (v_i - beta_i + 1)."""
-    out = 1
-    for vi, bi in zip(v, beta):
-        for step in range(bi):
-            out *= vi - step
-            if out == 0:
-                return 0
-    return out
+    return prod(map(perm, v, beta))
 
 
 def multi_binom(mu: Deriv, nu: Deriv) -> int:
-    out = 1
-    for m, s in zip(mu, nu):
-        out *= comb(m, s)
-    return out
-
-
-def _sub_multi_indices(mu: Deriv):
-    """All nu <= mu componentwise, including 0 and mu."""
-    if not mu:
-        yield ()
-        return
-    head, rest = mu[0], mu[1:]
-    for tail in _sub_multi_indices(rest):
-        for h in range(head + 1):
-            yield (h,) + tail
+    return prod(map(comb, mu, nu))
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +134,7 @@ def _leibniz_survivors(mu: Deriv, e: Exponent, lowest: int) -> tuple:
     s <= e, since d_i^(s_i) kills x_i^(e_i) once s_i > e_i.  They are
     ordered by (|s|, s).
     """
-    subs = sorted((sum(s), s) for s in _sub_multi_indices(tuple(map(min, mu, e)))
+    subs = sorted((sum(s), s) for s in product(*(range(m + 1) for m in map(min, mu, e)))
                   if sum(s) >= lowest)
     return tuple((tuple(map(sub, mu, s)), tuple(map(sub, e, s)),
                   multi_binom(mu, s) * falling(e, s)) for _, s in subs)
@@ -442,14 +417,12 @@ class SymbolMap:
         simplex = _simplex(n, k)
         for mu, coeff in op.terms.items():
             alpha, beta = mu[:n], mu[n:]
+            images = [(v, tuple(map(sub, v, beta)), fac) for v in simplex
+                      if (fac := falling(v, beta))]
             for exp, c in coeff.terms.items():
                 a, b = exp[:n], exp[n:]
-                for v in simplex:
-                    fac = falling(v, beta)
-                    if fac == 0:
-                        continue
-                    w = tuple(vi - bi + bbi for vi, bi, bbi in zip(v, beta, b))
-                    key = (v, w, alpha, a)
+                for v, v_beta, fac in images:
+                    key = (v, tuple(map(add, v_beta, b)), alpha, a)
                     s = entries.get(key, 0) + c * fac
                     if s == 0:
                         entries.pop(key, None)

@@ -19,6 +19,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import perm
 
 Coeff = int | Fraction
 Exponent = tuple[int, ...]
@@ -111,8 +112,7 @@ def diff_terms(terms, multi: Exponent) -> list[tuple[Exponent, Coeff]]:
             e = exp[var]
             if e < m:
                 break
-            for step in range(m):
-                c *= e - step
+            c *= perm(e, m)
             new[var] = e - m
         else:
             out.append((tuple(new), c))
@@ -208,17 +208,16 @@ def doubled_ring(n: int) -> Ring:
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients.
 
-    Three slots are filled lazily and then kept for the object's life: _hash
-    (the structural hash), _tdeg (the total degree) and _ham (the Hamiltonian
-    operator, filled by operators.hamiltonian_op).  None of them enters
-    equality, hashing or the text form.
+    Two slots are filled lazily and then kept for the object's life: _hash
+    (the structural hash) and _ham (the Hamiltonian operator, filled by
+    operators.hamiltonian_op).  Neither enters equality, hashing or the
+    text form.
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_tdeg", "_ham")
+    __slots__ = ("ring", "terms", "_hash", "_ham")
 
     def __init__(self, ring: Ring, terms: dict[Exponent, Coeff], *, _clean: bool = False):
         self.ring = ring
-        self._tdeg = None
         self._ham = None
         if _clean:
             self.terms = terms
@@ -273,9 +272,9 @@ class Poly:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
+        # hash(Fraction(m)) == hash(m), so an int and an equal Fraction hash alike
         if self._hash is None:
-            self._hash = hash((self.ring, frozenset(
-                (e, Fraction(c)) for e, c in self.terms.items())))
+            self._hash = hash((self.ring, frozenset(self.terms.items())))
         return self._hash
 
     def _check_same_ring(self, other: "Poly") -> None:
@@ -346,20 +345,16 @@ class Poly:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, var: int) -> "Poly":
-        """Exact formal partial derivative with respect to variable index var."""
+        """Exact formal partial derivative with respect to variable index var.
+
+        Distinct monomials stay distinct under d_var and c * e is nonzero,
+        so no two terms merge and none cancels.
+        """
         if not 0 <= var < self.ring.nvars:
             raise StructureError(f"unknown variable index {var}")
-        out: dict[Exponent, Coeff] = {}
-        for exp, c in self.terms.items():
-            e = exp[var]
-            if e:
-                key = exp[:var] + (e - 1,) + exp[var + 1:]
-                s = out.get(key, 0) + c * e
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = norm_coeff(s)
-        return Poly(self.ring, out, _clean=True)
+        return Poly(self.ring, {exp[:var] + (e - 1,) + exp[var + 1:]: norm_coeff(c * e)
+                                for exp, c in self.terms.items() if (e := exp[var])},
+                    _clean=True)
 
     def diff_multi(self, multi: Exponent) -> "Poly":
         """Iterated partial derivative d^multi, computed in one pass per term."""
@@ -385,9 +380,7 @@ class Poly:
         return None
 
     def total_degree(self) -> int:
-        if self._tdeg is None:
-            self._tdeg = max((sum(e) for e in self.terms), default=0)
-        return self._tdeg
+        return max(map(sum, self.terms), default=0)
 
     def restrict_diagonal(self) -> "Poly":
         """Substitute y := x, eta := xi; the result lives in the single ring."""

@@ -17,6 +17,7 @@ multiplication cocycles attached to a closed polynomial 1-form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .operators import hamiltonian_op
 from .poly import Poly, Ring, StructureError, check_vector_field, rat, single_ring
@@ -125,7 +126,7 @@ def one_form_primitive(omega: list[Poly], ring: Ring) -> Poly:
         for exp, c in w.terms.items():
             lifted = list(exp)
             lifted[ring.x(i)] += 1
-            f = f + Poly.monomial(ring, tuple(lifted), rat(c) * rat(f"1/{sum(exp) + 1}"))
+            f = f + Poly.monomial(ring, tuple(lifted), Fraction(c, sum(exp) + 1))
     for i in range(ring.n):
         if f.diff(ring.x(i)) != omega[i]:
             raise StructureError("primitive reconstruction failed")

@@ -402,26 +402,32 @@ def _proved_cocycle_pairs(n, p):
 
 def test_surviving_filter_lines_are_cocycles_on_every_field_pair():
     # every line the filter keeps at p = 2 lies in the direct solver's space,
-    # which is exactly the sl-equivariant maps vanishing on sl, and has zero
-    # defect on the proved pair set: so it is a cocycle on every pair of
-    # polynomial fields.  At p = 1 that set is empty and the filter keeps
-    # the whole space
+    # which is exactly the sl-equivariant maps vanishing on sl.  The filter
+    # imposes the pairs with |u| + |v| <= p + 2 = 4 itself, so the defects
+    # are checked on the first slice it never imposes: quadratic x cubic
+    # monomial fields, |u| + |v| = p + 3, where impose_cocycle's proof makes
+    # its induction step.  n = 4 is left out of that slice only for time
+    # (3200 pairs per cell, about 10 s); its cells keep the solver check.
+    # At p = 1 no pair is imposed and the filter keeps the whole space
     lines = pairs_checked = 0
     for n, kmax in ((2, 6), (3, 5), (4, 4)):
         assert _proved_cocycle_pairs(n, 1) == []
-        pairs = _proved_cocycle_pairs(n, 2)
+        pairs = [(Y, Z) for Y in field_monomials(n, xi_simplex(n, 2))
+                 for Z in field_monomials(n, xi_simplex(n, 3))]
         for k in range(2, kmax + 1):
             line = recurrence_solutions(n, k, 1)
             assert impose_cocycle(line).same_span_as(line)
             space = recurrence_solutions(n, k, 2)
             assert space.same_span_as(solve_equivariant_direct(n, k, 2))
+            if n == 4:
+                continue
             kept = impose_cocycle(space)
             rules = [build_bilinear(c, n).operator_for_field for c in kept.basis]
             for defects in cocycle_defects(rules, pairs):
                 assert all(d.symbol_map(k).is_zero() for d in defects)
             lines += kept.dimension
             pairs_checked += len(pairs)
-    assert (lines, pairs_checked) == (12, 3027)
+    assert (lines, pairs_checked) == (9, 2400)
 
 
 @pytest.mark.parametrize("n", [2, 3])

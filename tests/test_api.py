@@ -104,3 +104,38 @@ def test_polys_keep_their_hamiltonian_operator_in_a_slot():
     assert schouten_bracket(f, f).is_zero()
     assert f._ham is not None
     assert not hasattr(f, "__dict__")
+
+
+def _decorator_name(node: ast.expr) -> str | None:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_memo_inventory_is_pinned():
+    """Every memo in src/: functools caches on functions, cache(...) calls, lazy slots.
+
+    A memo costs memory and a lookup on every call, and pays only when the
+    same object comes back, so one added to src/ comes with its measured
+    hits and misses in CHANGES.md, and is added here.
+    """
+    decorated, calling, slots = set(), set(), {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                if any(_decorator_name(d) in {"cache", "lru_cache"}
+                       for d in node.decorator_list):
+                    decorated.add(node.name)
+                if any(isinstance(sub, ast.Call) and _decorator_name(sub) == "cache"
+                       for sub in ast.walk(node)):
+                    calling.add(node.name)
+            elif isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.Assign)
+                            and [t.id for t in stmt.targets] == ["__slots__"]):
+                        lazy = {e.value for e in stmt.value.elts if e.value.startswith("_")}
+                        if lazy:
+                            slots[node.name] = lazy
+    assert decorated == {"_simplex", "_leibniz_survivors", "active_vars", "single_ring",
+                         "doubled_ring", "ansatz_term_op"}
+    assert calling == {"solve_equivariant_direct", "impose_cocycle"}
+    assert slots == {"Poly": {"_hash", "_ham"}, "PolyDiffOp": {"_table"}}

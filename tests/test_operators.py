@@ -747,6 +747,22 @@ def test_simplex_enumeration():
     assert xi_simplex(2, 2) == [(0, 2), (1, 1), (2, 0)]
     assert len(xi_simplex(3, 5)) == 21
     assert len(monomials_up_to(2, 3)) == 10
+    for n, k in ((1, 3), (3, 4), (4, 3)):
+        assert xi_simplex(n, k) == [e for e in product(range(k + 1), repeat=n) if sum(e) == k]
+
+
+def test_counting_factors_match_their_products():
+    # falling and multi_binom against the products that define them, with
+    # beta_i > v_i (a zero factor) and nu_i > mu_i (a zero binomial) included
+    for v in product(range(4), repeat=2):
+        for beta in product(range(4), repeat=2):
+            expected = 1
+            for vi, bi in zip(v, beta):
+                for step in range(bi):
+                    expected *= vi - step
+            assert operators.falling(v, beta) == expected
+            assert operators.multi_binom(v, beta) == (
+                operators.falling(v, beta) // operators.falling(beta, beta))
 
 
 def test_simplex_rejects_negative_degree():

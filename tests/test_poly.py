@@ -243,3 +243,23 @@ def test_poly_str_roundtrip():
         for _ in range(20):
             p = random_poly(rng, ring, max_degree=4)
             assert parse_poly(ring, poly_str(p)) == p
+
+
+def test_an_integral_fraction_coefficient_hashes_as_its_int():
+    # hash((ring, frozenset(terms))) relies on hash(Fraction(m)) == hash(m)
+    exp = (1, 0, 0, 1)
+    as_fraction = Poly(R2, {exp: Fraction(6, 3)}, _clean=True)
+    as_int = Poly(R2, {exp: 2}, _clean=True)
+    assert as_fraction == as_int
+    assert hash(as_fraction) == hash(as_int)
+
+
+def test_hash_equals_the_formula_over_fraction_coefficients():
+    rng = random.Random(23)
+    kinds = set()
+    for i in range(200):
+        ring = (R2, D2, single_ring(3))[i % 3]
+        p = random_poly(rng, ring, max_degree=4)
+        kinds.update(map(type, p.terms.values()))
+        assert hash(p) == hash((ring, frozenset((e, Fraction(c)) for e, c in p.terms.items())))
+    assert kinds == {int, Fraction}
