@@ -126,12 +126,7 @@ def full_indices(k: int, p: int) -> list[AnsatzIndex]:
 
 def reduced_indices(k: int, p: int) -> list[AnsatzIndex]:
     """Indices surviving the affine-vanishing normalization (s >= 2)."""
-    out: list[AnsatzIndex] = []
-    if k != p:
-        out.extend(("alpha", s) for s in range(2, p + 2))
-    out.extend(("beta", s) for s in range(2, p + 2))
-    out.extend(("gamma", s) for s in range(2, p + 1))
-    return out
+    return [(kind, s) for kind, s in full_indices(k, p) if s >= 2]
 
 
 # -- the bilinear operators ---------------------------------------------------

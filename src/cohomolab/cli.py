@@ -62,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-relation",
                        help="commutation of the divergence with quadratic generators")
     _add_common(p)
-    p.add_argument("--max-total-degree", type=int, default=6)
 
     p = sub.add_parser("classify-equivariant",
                        help="solution space of the equivariant bilinear family")
@@ -141,8 +140,7 @@ def _candidates(args, c):
         if not ops:
             raise StructureError(f"{args.candidates_file} holds no operator line")
         return ops, f"custom:{args.candidates_file}"
-    return (affine_equivariant_basis(args.dim, c.k, c.ell),
-            f"affine-equivariant basis, order <= {max(2 * (c.k - c.ell), 2)}")
+    return affine_equivariant_basis(args.dim, c.k, c.ell), "affine-equivariant basis"
 
 
 def main(argv=None) -> int:
@@ -162,9 +160,9 @@ def _dispatch(args) -> int:
     command = args.command
 
     if command == "check-relation":
-        result = check_relation(args.dim, args.max_total_degree)
+        result = check_relation(args.dim)
         ok = result["holds"]
-        config = {"dim": args.dim, "max_total_degree": args.max_total_degree}
+        config = {"dim": args.dim}
 
     elif command == "classify-equivariant":
         space = recurrence_solutions(args.dim, args.order, args.delta)

@@ -224,10 +224,8 @@ def _solve_on_fields(columns: FieldColumns, references: list[OneCocycle]):
     None when the system has no solution.
     """
     ref_columns = [_column(map(ref.symbol_map, columns.fields)) for ref in references]
-    rows = keyed_rows(ref_columns + columns.candidate_columns + [columns.target])
-    ncols = len(ref_columns) + len(columns.candidate_columns)
-    rhs = [row.pop(ncols, 0) for row in rows]
-    return solve(rows, rhs, ncols)
+    unknowns = ref_columns + columns.candidate_columns
+    return solve(keyed_rows(unknowns + [columns.target]), len(unknowns))
 
 
 def coboundary_solve(columns: FieldColumns,

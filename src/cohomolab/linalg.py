@@ -133,22 +133,21 @@ def same_span(a: list[list[Coeff]], b: list[list[Coeff]]) -> bool:
     return rank_of(a + b) == ra
 
 
-def solve(rows: list[Row], rhs: list[Coeff], ncols: int) -> list[Coeff] | None:
-    """One exact solution of rows * v = rhs, or None if inconsistent.
+def solve(rows: list[Row], ncols: int) -> list[Coeff] | None:
+    """One exact solution v of an augmented system, or None if inconsistent.
 
-    Solved by eliminating the augmented system; among solution families the
-    one with all free variables set to 0 is returned (deterministic).  Pivot
-    rows are fully reduced, so each pivot variable is then minus its row's rhs.
+    Each row is one equation sum_(c < ncols) row[c] v_c = row[ncols], its
+    right-hand side in column ncols.  The system is inconsistent iff column
+    ncols becomes a pivot.  Among solution families the one with all free
+    variables set to 0 is returned (deterministic): pivot rows are fully
+    reduced, so each pivot variable is then its row's entry in column ncols.
     """
     aug = RowReducer(ncols + 1)
-    for row, b in zip(rows, rhs):
-        full = {c: v for c, v in row.items() if v != 0}
-        if b != 0:
-            full[ncols] = -b
-        aug.add_row(full)
+    for row in rows:
+        aug.add_row(row)
     if ncols in aug.pivot_rows:
         return None
     sol: list[Coeff] = [0] * ncols
     for lead, row in aug.pivot_rows.items():
-        sol[lead] = -row.get(ncols, 0)
+        sol[lead] = row.get(ncols, 0)
     return sol

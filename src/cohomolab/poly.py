@@ -160,18 +160,6 @@ class Ring:
         self._check_coord(i)
         return self.n + i
 
-    def y(self, i: int) -> int:
-        if not self.doubled:
-            raise StructureError("y variables exist only in the doubled ring")
-        self._check_coord(i)
-        return 2 * self.n + i
-
-    def eta(self, i: int) -> int:
-        if not self.doubled:
-            raise StructureError("eta variables exist only in the doubled ring")
-        self._check_coord(i)
-        return 3 * self.n + i
-
     def _check_coord(self, i: int) -> None:
         if not 0 <= i < self.n:
             raise StructureError(f"coordinate index {i} out of range for n={self.n}")
@@ -363,16 +351,13 @@ class Poly:
 
     # -- grading and slot moves ---------------------------------------------
 
-    def xi_degree_of_term(self, exp: Exponent) -> int:
-        n = self.ring.n
-        d = sum(exp[n:2 * n])
-        if self.ring.doubled:
-            d += sum(exp[3 * n:4 * n])
-        return d
-
     def xi_degree(self) -> int | None:
         """The xi-degree if xi-homogeneous (0 for the zero polynomial), else None."""
-        degs = {self.xi_degree_of_term(e) for e in self.terms}
+        n = self.ring.n
+        if self.ring.doubled:  # xi block n..2n and eta block 3n..4n
+            degs = {sum(e[n:2 * n]) + sum(e[3 * n:]) for e in self.terms}
+        else:
+            degs = {sum(e[n:]) for e in self.terms}
         if not degs:
             return 0
         if len(degs) == 1:

@@ -34,15 +34,7 @@ from cohomolab.poly import (Poly, ResourceLimitError, StructureError, doubled_ri
                             single_ring)
 from cohomolab.symbols import hamiltonian_action, schouten_bracket, sl_generators
 
-R2 = single_ring(2)
-
-
-def x(i, ring=R2):
-    return Poly.variable(ring, ring.x(i))
-
-
-def xi(i, ring=R2):
-    return Poly.variable(ring, ring.xi(i))
+from plane_ring import R2, x, xi
 
 
 def test_index_sets():
@@ -83,7 +75,7 @@ def test_operator_for_field_matches_direct_evaluation():
 
 def test_bilinear_op_rejects_non_constant_coefficients_when_built():
     D2 = doubled_ring(2)
-    op = PolyDiffOp(D2, {unit_deriv(D2, D2.x(0)): Poly.variable(D2, D2.y(0))})
+    op = PolyDiffOp(D2, {unit_deriv(D2, D2.x(0)): Poly.variable(D2, D2.var_index("y1"))})
     with pytest.raises(StructureError):
         BilinearOp(2, op)
 

@@ -24,7 +24,7 @@ def last_json(out):
 
 
 def test_check_relation_command(capsys):
-    code, out = run(capsys, ["check-relation", "--dim", "2", "--max-total-degree", "3"])
+    code, out = run(capsys, ["check-relation", "--dim", "2"])
     assert code == 0
     data = last_json(out)
     assert data["result"]["holds"] is True
@@ -132,7 +132,7 @@ def test_properties_stdout_is_one_json_document(capsys):
 
 
 OPTION_INVENTORY = {
-    "check-relation": {"--dim", "--format", "--max-total-degree"},
+    "check-relation": {"--dim", "--format"},
     "classify-equivariant": {"--dim", "--format", "--order", "--delta", "--cocycle"},
     "cohomology-table": {"--dim", "--format", "--order", "--max-vf-degree"},
     "verify-cocycle": {"--dim", "--format", "--name", "--order", "--max-vf-degree",
@@ -195,8 +195,6 @@ CONFIG_ERRORS = {
                                "--max-vf-degree", "-5"], None),
     "quantization-order-1": (["quantization-cocycle", "--dim", "2", "--order", "1"],
                              None),
-    "negative-degree-bound": (["check-relation", "--dim", "2",
-                               "--max-total-degree", "-3"], None),
     "zero-count": (["properties", "--dim", "2", "--count", "0"], None),
     "properties-dimension-1": (["properties", "--dim", "1", "--count", "1"], None),
     "non-integer-term-budget": (["check-relation", "--dim", "2"], "abc"),

@@ -29,15 +29,7 @@ from cohomolab.report import quantization_report
 from cohomolab.report import certify_class
 from cohomolab.symbols import one_form_primitive, schouten_bracket, sl_generators
 
-R2 = single_ring(2)
-
-
-def x(i, ring=R2):
-    return Poly.variable(ring, ring.x(i))
-
-
-def xi(i, ring=R2):
-    return Poly.variable(ring, ring.xi(i))
+from plane_ring import R2, x, xi
 
 
 def zero_form(ring):

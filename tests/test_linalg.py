@@ -47,19 +47,20 @@ def test_rank_and_span():
 
 
 def test_solve_consistent_system():
-    rows = [{0: 1, 1: 2}, {0: 1, 1: -1}]
-    sol = solve(rows, [Fraction(5), Fraction(-1)], 2)
+    # the right-hand side sits in column ncols = 2
+    rows = [{0: 1, 1: 2, 2: Fraction(5)}, {0: 1, 1: -1, 2: Fraction(-1)}]
+    sol = solve(rows, 2)
     assert sol == [1, 2]
 
 
 def test_solve_inconsistent_returns_none():
-    rows = [{0: 1}, {0: 1}]
-    assert solve(rows, [1, 2], 2) is None
+    rows = [{0: 1, 2: 1}, {0: 1, 2: 2}]
+    assert solve(rows, 2) is None
 
 
 def test_solve_underdetermined_picks_zero_free_vars():
-    rows = [{0: 1, 1: 1}]
-    sol = solve(rows, [3], 3)
+    rows = [{0: 1, 1: 1, 3: 3}]
+    sol = solve(rows, 3)
     assert sol is not None
     assert sol[0] + sol[1] == 3 and sol[2] == 0
 

@@ -26,17 +26,9 @@ from cohomolab.operators import (
 from cohomolab.symbols import schouten_bracket, sl_generators
 
 from affine_oracle import affine_basis_by_elimination
+from plane_ring import R2, x, xi
 
-R2 = single_ring(2)
 R3 = single_ring(3)
-
-
-def x(i, ring=R2):
-    return Poly.variable(ring, ring.x(i))
-
-
-def xi(i, ring=R2):
-    return Poly.variable(ring, ring.xi(i))
 
 
 def random_op(rng, ring, max_order=2, max_coeff_degree=2):

@@ -17,16 +17,9 @@ from cohomolab.poly import (
     single_ring,
 )
 
-R2 = single_ring(2)
+from plane_ring import R2, x, xi
+
 D2 = doubled_ring(2)
-
-
-def x(i, ring=R2):
-    return Poly.variable(ring, ring.x(i))
-
-
-def xi(i, ring=R2):
-    return Poly.variable(ring, ring.xi(i))
 
 
 def random_poly(rng, ring, max_degree=6, max_terms=5, coeff_bound=10**6):
@@ -205,18 +198,19 @@ def d_poly(rng):
 
 
 def test_restrict_diagonal_substitution():
-    p = Poly.variable(D2, D2.y(0)) * Poly.variable(D2, D2.eta(1))
+    p = Poly.variable(D2, D2.var_index("y1")) * Poly.variable(D2, D2.var_index("eta2"))
     assert p.restrict_diagonal() == x(0) * xi(1)
 
 
 def test_restrict_diagonal_merges_like_terms():
-    p = (Poly.variable(D2, D2.x(0)) * Poly.variable(D2, D2.eta(0))
-         + Poly.variable(D2, D2.y(0)) * Poly.variable(D2, D2.xi(0)))
+    p = (Poly.variable(D2, D2.x(0)) * Poly.variable(D2, D2.var_index("eta1"))
+         + Poly.variable(D2, D2.var_index("y1")) * Poly.variable(D2, D2.xi(0)))
     assert p.restrict_diagonal() == (x(0) * xi(0)).scale(2)
 
 
 def test_restrict_diagonal_kills_difference():
-    p = (Poly.variable(D2, D2.x(0)) - Poly.variable(D2, D2.y(0))) * Poly.variable(D2, D2.eta(0))
+    p = ((Poly.variable(D2, D2.x(0)) - Poly.variable(D2, D2.var_index("y1")))
+         * Poly.variable(D2, D2.var_index("eta1")))
     assert p.restrict_diagonal().is_zero()
 
 

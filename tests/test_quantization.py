@@ -31,15 +31,7 @@ from cohomolab.quantization import (
 from cohomolab.report import quantization_report
 from cohomolab.symbols import hamiltonian_action, schouten_bracket, sl_generators
 
-R2 = single_ring(2)
-
-
-def x(i, ring=R2):
-    return Poly.variable(ring, ring.x(i))
-
-
-def xi(i, ring=R2):
-    return Poly.variable(ring, ring.xi(i))
+from plane_ring import R2, x, xi
 
 
 def random_field(rng, ring, max_x=3):

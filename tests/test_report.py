@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from cohomolab.poly import StructureError
+from cohomolab import report
+from cohomolab.operators import PolyDiffOp, divergence_diffop, euler_diffop, module_action
+from cohomolab.poly import StructureError, parse_poly, single_ring
 from cohomolab.report import (
     RunConfig,
     check_relation,
@@ -12,6 +14,7 @@ from cohomolab.report import (
     run_property_suite,
     wrap_report,
 )
+from cohomolab.symbols import sl_generators
 
 
 def test_expected_pattern():
@@ -33,9 +36,33 @@ def test_run_config_validation():
 
 
 def test_check_relation_holds():
-    res = check_relation(2, 4)
+    res = check_relation(2)
     assert res["holds"]
-    assert all(g["normal_forms_equal"] for g in res["generators"])
+    assert all(g["normal_forms_equal"] and g["counterexample"] is None
+               for g in res["generators"])
+
+
+def test_check_relation_names_a_counterexample_when_it_fails(monkeypatch):
+    # with 2E in place of E the right side becomes (4E + n + 1) d_xi_i, so
+    # lhs - rhs = -2 E d_xi_i = -2 sum_j xi_j d_xi_j d_xi_i: its least
+    # (|mu|, mu) is d_xi1 d_xi2 for Q 1 and d_xi2^2 for Q 2
+    monkeypatch.setattr(report, "euler_diffop", lambda ring: euler_diffop(ring).scale(2))
+    res = check_relation(2)
+    assert not res["holds"]
+    ring = single_ring(2)
+    D = divergence_diffop(ring)
+    E2 = euler_diffop(ring).scale(2)
+    I = PolyDiffOp.identity(ring)
+    quadratic = sl_generators(2).quadratic
+    named = []
+    for i, g in enumerate(res["generators"]):
+        assert not g["normal_forms_equal"]
+        m = parse_poly(ring, g["counterexample"])
+        lhs = module_action(quadratic[i], D)
+        rhs = (E2.scale(2) + I.scale(3)).compose(PolyDiffOp.derivative(ring, ring.xi(i)))
+        assert lhs.apply(m) != rhs.apply(m)
+        named.append(m)
+    assert named == [parse_poly(ring, "1*xi1*xi2"), parse_poly(ring, "1*xi2^2")]
 
 
 def test_table_small_and_deterministic():

@@ -15,16 +15,9 @@ from cohomolab.symbols import (
     sl_generators,
 )
 
-R2 = single_ring(2)
+from plane_ring import R2, x, xi
+
 R3 = single_ring(3)
-
-
-def x(i, ring=R2):
-    return Poly.variable(ring, ring.x(i))
-
-
-def xi(i, ring=R2):
-    return Poly.variable(ring, ring.xi(i))
 
 
 def hamiltonian_oracle(X, p):
