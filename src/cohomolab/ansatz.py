@@ -51,6 +51,7 @@ from .poly import (Coeff, Poly, StructureError, add_scaled_terms, doubled_ring, 
 from .symbols import GeneratorFamily, schouten_bracket, sl_generators
 
 AnsatzIndex = tuple[str, int]
+FAMILIES = ("alpha", "beta", "gamma")
 
 
 @dataclass(frozen=True)
@@ -72,19 +73,17 @@ class AnsatzCoefficients:
     @staticmethod
     def from_vector(k: int, p: int, indices: list[AnsatzIndex],
                     vec: list[Coeff]) -> "AnsatzCoefficients":
-        data: dict[str, dict[int, Coeff]] = {"alpha": {}, "beta": {}, "gamma": {}}
+        data: dict[str, dict[int, Coeff]] = {kind: {} for kind in FAMILIES}
         for (kind, s), c in zip(indices, vec):
             if c != 0:
                 data[kind][s] = norm_coeff(c)
-        return AnsatzCoefficients(k, p, data["alpha"], data["beta"], data["gamma"])
+        return AnsatzCoefficients(k, p, **data)
 
     def scale(self, c) -> "AnsatzCoefficients":
         c = rat(c)
-        return AnsatzCoefficients(
-            self.k, self.p,
-            {s: norm_coeff(v * c) for s, v in self.alpha.items()},
-            {s: norm_coeff(v * c) for s, v in self.beta.items()},
-            {s: norm_coeff(v * c) for s, v in self.gamma.items()})
+        return AnsatzCoefficients(self.k, self.p, **{
+            kind: {s: norm_coeff(v * c) for s, v in getattr(self, kind).items()}
+            for kind in FAMILIES})
 
     def normalized(self) -> "AnsatzCoefficients":
         """Scale so the first nonzero coefficient in canonical order is 1."""
@@ -106,12 +105,9 @@ class AnsatzCoefficients:
         return self.normalized()
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k, "p": self.p,
-            "alpha": {str(s): rat_str(v) for s, v in sorted(self.alpha.items())},
-            "beta": {str(s): rat_str(v) for s, v in sorted(self.beta.items())},
-            "gamma": {str(s): rat_str(v) for s, v in sorted(self.gamma.items())},
-        }
+        return {"k": self.k, "p": self.p, **{
+            kind: {str(s): rat_str(v) for s, v in sorted(getattr(self, kind).items())}
+            for kind in FAMILIES}}
 
 
 def full_indices(k: int, p: int) -> list[AnsatzIndex]:

@@ -133,14 +133,17 @@ def _make_cocycle(args):
 
 
 def _candidates(args, c):
-    if args.candidates_file is not None:
-        ring = single_ring(args.dim)
-        with open(args.candidates_file) as fh:
+    if args.candidates_file is None:
+        return affine_equivariant_basis(args.dim, c.k, c.ell), "affine-equivariant basis"
+    ring = single_ring(args.dim)
+    try:
+        with open(args.candidates_file, encoding="utf-8") as fh:
             ops = [parse_op(ring, line.strip()) for line in fh if line.strip()]
-        if not ops:
-            raise StructureError(f"{args.candidates_file} holds no operator line")
-        return ops, f"custom:{args.candidates_file}"
-    return affine_equivariant_basis(args.dim, c.k, c.ell), "affine-equivariant basis"
+    except UnicodeDecodeError as exc:
+        raise StructureError(f"{args.candidates_file} is not UTF-8 text ({exc.reason})") from None
+    if not ops:
+        raise StructureError(f"{args.candidates_file} holds no operator line")
+    return ops, f"custom:{args.candidates_file}"
 
 
 def main(argv=None) -> int:
@@ -199,9 +202,10 @@ def _dispatch(args) -> int:
     elif command == "coboundary-test":
         c = _make_cocycle(args)
         candidates, desc = _candidates(args, c)
-        res = coboundary_solve(field_columns(c, candidates, args.max_vf_degree), desc)
+        res = coboundary_solve(field_columns(c, candidates, args.max_vf_degree))
         result = res.to_json()
         result["name"] = args.name
+        result["candidate_space"] = desc
         ok = True
         config = {"dim": args.dim, "order": args.order, "name": args.name,
                   "candidates": desc, "max_vf_degree": args.max_vf_degree}

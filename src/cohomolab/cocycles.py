@@ -161,7 +161,6 @@ def vanishes_on_sl(c: OneCocycle) -> bool:
 @dataclass
 class CoboundaryResult:
     witness: PolyDiffOp | None
-    candidate_description: str
     fields_checked: int
 
     @property
@@ -173,7 +172,6 @@ class CoboundaryResult:
             "verdict": "witness-found" if self.is_coboundary
                        else "no-witness-in-candidate-space",
             "witness": op_str(self.witness) if self.witness is not None else None,
-            "candidate_space": self.candidate_description,
             "fields_checked": self.fields_checked,
         }
 
@@ -228,8 +226,7 @@ def _solve_on_fields(columns: FieldColumns, references: list[OneCocycle]):
     return solve(keyed_rows(unknowns + [columns.target]), len(unknowns))
 
 
-def coboundary_solve(columns: FieldColumns,
-                     candidate_description: str = "custom") -> CoboundaryResult:
+def coboundary_solve(columns: FieldColumns) -> CoboundaryResult:
     """Solve c(X) = X.B for B in the span of the candidates, exactly.
 
     columns is field_columns(c, candidates, max_vf_degree): the system runs
@@ -245,7 +242,7 @@ def coboundary_solve(columns: FieldColumns,
     sol = _solve_on_fields(columns, [])
     witness = None if sol is None \
         else linear_combination(single_ring(columns.c.n), columns.candidates, sol)
-    return CoboundaryResult(witness, candidate_description, len(columns.fields))
+    return CoboundaryResult(witness, len(columns.fields))
 
 
 def class_proportionality(columns: FieldColumns, reference: OneCocycle):
@@ -267,9 +264,7 @@ def class_proportionality(columns: FieldColumns, reference: OneCocycle):
 # -- built-in cocycles ---------------------------------------------------------
 
 
-def _check_shape(n: int, k: int, min_k: int) -> None:
-    if n < 2:
-        raise StructureError("cocycles are defined for dimension >= 2")
+def _check_shape(k: int, min_k: int) -> None:
     if k < min_k:
         raise StructureError(f"this cocycle needs symbol degree >= {min_k}")
 
@@ -326,7 +321,7 @@ def builtin_gamma1_flat(n: int, k: int) -> OneCocycle:
     x-derivatives on X and two xi-derivatives on P, which is
     hessian_contraction_op term for term (module docstring).
     """
-    _check_shape(n, k, 2)
+    _check_shape(k, 2)
     return bilinear_cocycle(n, AnsatzCoefficients(k, 1, alpha={2: 2}), "gamma1")
 
 
@@ -342,7 +337,8 @@ def builtin_c1(n: int, k: int) -> OneCocycle:
     d_xi_i P in S_(k-1) (module docstring).  The two forms have the same
     canonical form on S_k, though their raw operators differ.
     """
-    _check_shape(n, k, 2)
+    _check_shape(k, 2)
+    single_ring(n)  # rejects n < 2 before the division by n + 1
     line = AnsatzCoefficients(k, 1, alpha={2: 2}, beta={2: Fraction(-2 * (k - 1), n + 1)})
     return bilinear_cocycle(n, line, "c1")
 
@@ -358,13 +354,13 @@ def second_class_coefficients(n: int, k: int) -> AnsatzCoefficients:
 
 def builtin_c2(n: int, k: int) -> OneCocycle:
     """The projectively invariant cocycle lowering the symbol degree by two."""
-    _check_shape(n, k, 2)
+    _check_shape(k, 2)
     return bilinear_cocycle(n, second_class_coefficients(n, k), "c2")
 
 
 def builtin_div(n: int, k: int, a, omega: list[Poly]) -> OneCocycle:
     """Multiplication by a div(X) + i_X omega, acting on degree-k symbols."""
-    _check_shape(n, k, 0)
+    _check_shape(k, 0)
     ring = single_ring(n)
     if not is_closed(omega, ring):
         raise StructureError("divergence cocycle requires a closed 1-form")

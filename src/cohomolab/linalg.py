@@ -121,7 +121,7 @@ def rank_of(vectors: list[list[Coeff]]) -> int:
         return 0
     red = RowReducer(len(vectors[0]))
     for v in vectors:
-        red.add_row({i: c for i, c in enumerate(v) if c != 0})
+        red.add_row(dict(enumerate(v)))
     return red.rank
 
 

@@ -365,19 +365,16 @@ def commutator_sum(pairs: list[tuple[PolyDiffOp, PolyDiffOp]],
     terms f g d^(mu + nu) of P o A and A o P are equal, so each commutator
     expands only the subsets of order at least 1.  Every product of terms
     lands in the same accumulator, and the term budget is checked once, on
-    the merged sum.
+    the merged sum.  pairs must not be empty: the ring is its first
+    operator's, and every operator must share it.
     """
-    ring = pairs[0][0].ring if pairs else None
+    ring = pairs[0][0].ring
     acc: dict = {}
     for c, B in base:
-        if ring is None:
-            ring = B.ring
-        elif B.ring is not ring and B.ring != ring:
+        if B.ring is not ring and B.ring != ring:
             raise StructureError("operator ring mismatch")
         for mu, coeff in B.terms.items():
             add_scaled_terms(acc.setdefault(mu, {}), coeff.terms.items(), c)
-    if ring is None:
-        raise StructureError("an empty commutator sum needs a base operator")
     for P, A in pairs:
         if ((P.ring is not ring and P.ring != ring)
                 or (A.ring is not ring and A.ring != ring)):

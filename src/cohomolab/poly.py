@@ -135,18 +135,20 @@ def add_scaled_terms(acc: dict, terms, c: Coeff) -> None:
 
 @dataclass(frozen=True)
 class Ring:
-    """Variable layout for a polynomial ring of dimension n.
+    """Variable layout for a polynomial ring of dimension n >= 2.
 
     Variable indices: x_i at i, xi_i at n+i, and in doubled mode y_i at
-    2n+i, eta_i at 3n+i (all 0-based internally, printed 1-based).
+    2n+i, eta_i at 3n+i (all 0-based internally, printed 1-based).  The
+    dimension floor is checked here only: a function taking a dimension
+    builds its ring before other work (n = 1 is out of scope).
     """
 
     n: int
     doubled: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise StructureError(f"dimension must be positive, got {self.n}")
+        if self.n < 2:
+            raise StructureError(f"dimension must be at least 2, got {self.n}")
 
     @property
     def nvars(self) -> int:

@@ -77,14 +77,43 @@ def certify_class(c: OneCocycle, max_vf_degree: int, reference: OneCocycle | Non
     The identity is checked on fields up to max_vf_degree.  Triviality is
     decided against the affine-equivariant basis [D^(k - ell)], and the
     optional reference class is matched against c modulo that basis (None
-    without a reference); both solve on fields up to min(max_vf_degree, 3),
-    from one set of candidate and target columns.  For c vanishing on the
-    affine fields "no-witness" proves the class nontrivial (coboundary_solve).
+    without a reference); both solve on fields up to
+    min(max_vf_degree, k - ell + 1), from one set of candidate and target
+    columns.  For c vanishing on the affine fields "no-witness" proves the
+    class nontrivial (coboundary_solve).
+
+    Both solves are complete once max_vf_degree >= k - ell + 1, for cocycles
+    c and ref that vanish on the affine fields.  Proof.  For a scalar mu
+    (0 in coboundary_solve) and B = b D^(k - ell) let
+    delta(X) = c(X) - mu ref(X) - X.B, so that (mu, b) solves the system on
+    a field set iff delta vanishes on it.  delta is a cocycle, as c and ref
+    are and X |-> X.B is a coboundary.  It vanishes on affine fields: c and
+    ref do, and D^(k - ell) is affine-equivariant
+    (operators.affine_equivariant_basis), so A.B = 0.  The cocycle identity
+    then gives, for affine A and every field Y,
+
+        delta([A, Y]) = [L_A, delta(Y)].
+
+    Suppose delta vanishes on every field of degree <= d, with
+    d >= k - ell + 1, and take a monomial field Y = x^u xi_m with
+    |u| = d + 1.  For a translation T the field [T, Y] has degree d, so
+    delta(Y) commutes with every L_T: it is translation-invariant.  With A
+    the Euler field x^i xi_i, for which [A, Y] is a multiple of Y, the same
+    identity says delta(Y) has Y's weight |u| - 1 = d under
+    x -> tx, xi -> xi/t.  A translation-invariant map S_k -> S_ell has
+    weight <= k - ell (ansatz.solve_equivariant_direct, step 4), so
+    delta(Y) = 0.  By induction delta vanishes on every monomial field,
+    hence on every polynomial field.  So the solutions on the fields of degree
+    <= k - ell + 1 are the solutions on all fields, and each solve returns
+    the same answer at every degree >= k - ell + 1: one solution set has
+    one fully reduced echelon form.  Below that, at max_vf_degree 2 with
+    k - ell = 2, a witness or scalar is checked on the fields of degree <= 2
+    only, and "no-witness" is still a proof.
     """
     identity = cocycle_check(c, max_vf_degree)
     basis = affine_equivariant_basis(c.n, c.k, c.ell)
-    columns = field_columns(c, basis, min(max_vf_degree, 3))
-    cob = coboundary_solve(columns, "affine-equivariant basis")
+    columns = field_columns(c, basis, min(max_vf_degree, c.k - c.ell + 1))
+    cob = coboundary_solve(columns)
     prop = None if reference is None else class_proportionality(columns, reference)
     return identity, cob, prop
 
@@ -158,9 +187,10 @@ def quantization_report(n: int, k: int, weight, max_vf_degree: int) -> dict:
     """Symbol projections of the density-operator sequence at one weight.
 
     The top projection S_k -> S_(k-1) is certified and matched against the
-    first class c1.  Where it is trivial, its splitting witness forms the
-    projected cocycle S_k -> S_(k-2), certified on fields up to
-    min(max_vf_degree, 3).
+    first class c1 (certify_class: its solves run on fields up to degree 2,
+    which is complete).  Where it is trivial, its splitting witness forms
+    the projected cocycle S_k -> S_(k-2), whose identity is checked on
+    fields up to min(max_vf_degree, 3), the degree its certificate needs.
     """
     if k < 2:
         raise StructureError("the quantization report needs --order >= 2")
@@ -272,8 +302,6 @@ def _random_symbol(rng, ring, k, max_x=3):
 
 def run_property_suite(seed: int = 2024, count: int = 100, n: int = 2) -> list[dict]:
     """The randomized exact-invariant suite; every instance must hold exactly."""
-    if n < 2:
-        raise StructureError(f"the property suite needs dimension >= 2, got {n}")
     if count < 1:
         raise StructureError("the property suite needs at least one instance")
     ring = single_ring(n)

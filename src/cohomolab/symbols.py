@@ -70,9 +70,7 @@ class GeneratorFamily:
 
 
 def sl_generators(n: int) -> GeneratorFamily:
-    """Generators of the projective action on R^n; requires n >= 2."""
-    if n < 2:
-        raise StructureError(f"projective generators need dimension >= 2, got {n}")
+    """Generators of the projective action on R^n; requires n >= 2 (poly.Ring)."""
     ring = single_ring(n)
     translations = tuple(Poly.variable(ring, ring.xi(i)) for i in range(n))
     linear = {
@@ -136,13 +134,12 @@ def one_form_primitive(omega: list[Poly], ring: Ring) -> Poly:
 def divergence_cocycle(a, omega: list[Poly], X: Poly) -> Poly:
     """The multiplication cocycle  X  |->  a div(X) + i_X omega  (xi-degree 0).
 
-    omega must be a closed polynomial 1-form given by its components; the
-    contraction reads the components X^i = dX/dxi_i off the degree-1 symbol.
+    omega must be a closed polynomial 1-form given by its components, which
+    cocycles.builtin_div checks once; divergence(X) checks that X is a
+    vector field.  The contraction reads the components X^i = dX/dxi_i off
+    the degree-1 symbol.
     """
-    check_vector_field(X)
     ring = X.ring
-    if not is_closed(omega, ring):
-        raise StructureError("divergence cocycle requires a closed 1-form")
     out = divergence(X).scale(rat(a))
     for i in range(ring.n):
         out = out + X.diff(ring.xi(i)) * omega[i]

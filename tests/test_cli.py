@@ -179,6 +179,8 @@ CONFIG_ERRORS = {
                                 "--order", "2", "--candidates-file", "{tmp}/bad-exponent.txt"], None),
     "empty-candidates-file": (["coboundary-test", "--name", "c1", "--dim", "2",
                                "--order", "2", "--candidates-file", "{tmp}/empty.txt"], None),
+    "non-utf8-candidates-file": (["coboundary-test", "--name", "c1", "--dim", "2", "--order",
+                                  "2", "--candidates-file", "{tmp}/non-utf8.txt"], None),
     "a-without-div": (["verify-cocycle", "--name", "c1", "--dim", "2", "--order", "2",
                        "--a", "5"], None),
     "omega-without-div": (["verify-cocycle", "--name", "c1", "--dim", "2", "--order", "2",
@@ -197,6 +199,9 @@ CONFIG_ERRORS = {
                              None),
     "zero-count": (["properties", "--dim", "2", "--count", "0"], None),
     "properties-dimension-1": (["properties", "--dim", "1", "--count", "1"], None),
+    # builtin_c1 divides by n + 1 once its ring accepts n
+    "c1-dimension-minus-1": (["verify-cocycle", "--name", "c1", "--dim", "-1",
+                              "--order", "2"], None),
     "non-integer-term-budget": (["check-relation", "--dim", "2"], "abc"),
     "zero-term-budget": (["verify-cocycle", "--name", "c1", "--dim", "2", "--order", "2",
                           "--max-vf-degree", "2"], "0"),
@@ -212,6 +217,7 @@ def test_configuration_errors_exit_2(case, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("COHOMOLAB_MAX_TERMS", budget)
     for name, text in CANDIDATE_FILES.items():
         (tmp_path / name).write_text(text)
+    (tmp_path / "non-utf8.txt").write_bytes(b"\xff\xfe")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("configuration error")

@@ -7,6 +7,7 @@ import pytest
 from cohomolab.ansatz import AnsatzCoefficients, build_bilinear
 from cohomolab.cocycles import (
     OneCocycle,
+    bilinear_cocycle,
     builtin_c1,
     builtin_c2,
     class_proportionality,
@@ -433,3 +434,25 @@ def test_three_dimensional_report_is_a_multiple_of_the_first_class(k, scalar):
     assert not report["top_symbol_trivial"]
     assert report["proportional_to_first_class"]
     assert report["first_class_scalar"] == str(scalar)
+
+
+# Field degrees of the closed-form check below: k + 1 where it runs in
+# seconds; (2, 4) stops at 4 and (3, 3) at 3, below their k + 1.
+PROJECTED_CLOSED_FORM_DEGREES = {(2, 2): 3, (2, 3): 4, (3, 2): 3, (2, 4): 4, (3, 3): 3}
+
+
+@pytest.mark.parametrize("n,k", sorted(PROJECTED_CLOSED_FORM_DEGREES))
+def test_weight_half_projected_cocycle_is_an_ansatz_line(n, k):
+    # at lambda = 1/2 the projected cocycle built from the coboundary_solve
+    # witness is the bilinear cocycle alpha = {3: -1, 2: -1/2},
+    # beta = {3: -1/2, 2: -1/4} (alpha drops out at k = p = 2): the same
+    # canonical form on every monomial field up to the named degree
+    half = Fraction(1, 2)
+    top = quantization_top_cocycle(n, k, half)
+    witness = coboundary_solve(field_columns(top, [divergence_diffop(single_ring(n))], 2)).witness
+    proj = quantization_projected_cocycle(n, k, half, witness)
+    line = bilinear_cocycle(n, AnsatzCoefficients(
+        k, 2, alpha={} if k == 2 else {3: -1, 2: Fraction(-1, 2)},
+        beta={3: Fraction(-1, 2), 2: Fraction(-1, 4)}), "closed form")
+    for X in monomial_fields(n, PROJECTED_CLOSED_FORM_DEGREES[n, k]):
+        assert proj.symbol_map(X) == line.symbol_map(X), (n, k, X)

@@ -1,12 +1,19 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from cohomolab import report
-from cohomolab.operators import PolyDiffOp, divergence_diffop, euler_diffop, module_action
+from cohomolab.ansatz import impose_cocycle, recurrence_solutions
+from cohomolab.cocycles import (bilinear_cocycle, builtin_c1, builtin_c2,
+                                class_proportionality, coboundary_solve, field_columns)
+from cohomolab.operators import (PolyDiffOp, affine_equivariant_basis, divergence_diffop,
+                                 euler_diffop, module_action)
 from cohomolab.poly import StructureError, parse_poly, single_ring
+from cohomolab.quantization import quantization_top_cocycle
 from cohomolab.report import (
     RunConfig,
+    certify_class,
     check_relation,
     cohomology_table,
     emit_report,
@@ -75,6 +82,52 @@ def test_table_small_and_deterministic():
     assert cells[(2, 1)] == 1
     assert cells[(2, 0)] == 1
     assert cells[(1, 0)] == 0
+
+
+def test_certificates_solve_at_the_derived_degree(monkeypatch):
+    # certify_class solves on fields up to min(max_vf_degree, k - ell + 1):
+    # degree 2 for the p = 1 witnesses and 3 for the p = 2 ones
+    seen = []
+    original = report.field_columns
+
+    def spy(c, candidates, max_vf_degree):
+        seen.append((c.k - c.ell, max_vf_degree))
+        return original(c, candidates, max_vf_degree)
+
+    monkeypatch.setattr(report, "field_columns", spy)
+    assert cohomology_table(RunConfig(2, 3, max_vf_degree=4))["all_match_expected"]
+    assert sorted(seen) == [(1, 2), (1, 2), (2, 3), (2, 3)]
+
+
+def _certified_classes():
+    """(c, reference) for the table witnesses and the top quantization cocycles."""
+    for n, top_k in ((2, 5), (3, 3)):
+        for k in range(2, top_k + 1):
+            for p, builtin in ((1, builtin_c1), (2, builtin_c2)):
+                space = impose_cocycle(recurrence_solutions(n, k, p))
+                assert space.dimension == 1
+                yield (bilinear_cocycle(n, space.basis[0].normalized(), "solver"),
+                       builtin(n, k))
+    for n, k in ((2, 2), (2, 3), (3, 2)):
+        for weight in (0, Fraction(1, 3), Fraction(1, 2), 1):
+            yield quantization_top_cocycle(n, k, weight), builtin_c1(n, k)
+
+
+def test_certificates_at_the_derived_degree_agree_with_degree_4(monkeypatch):
+    # the derived degree is complete (certify_class's proof), so the witness,
+    # the scalar and the verdicts equal those of the same solves on every
+    # field of degree <= 4; the identity check is not under test here
+    monkeypatch.setattr(report, "cocycle_check", lambda c, degree: None)
+    verdicts = set()
+    for c, ref in _certified_classes():
+        _, cob, prop = certify_class(c, 4, ref)
+        columns = field_columns(c, affine_equivariant_basis(c.n, c.k, c.ell), 4)
+        assert cob.witness == coboundary_solve(columns).witness, (c.name, c.n, c.k, c.ell)
+        assert prop == class_proportionality(columns, ref), (c.name, c.n, c.k, c.ell)
+        verdicts.add((cob.is_coboundary, prop is not None and prop[0] != 0))
+    # both answers occur: nontrivial multiples of the reference, and the
+    # weight-1/2 top cocycle, a coboundary
+    assert verdicts == {(False, True), (True, False)}
 
 
 def test_table_reports_resource_gaps(monkeypatch):
