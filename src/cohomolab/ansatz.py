@@ -10,7 +10,10 @@ two-point contractions
     Dxeta = d/dx^i d/deta_i   (cross contraction)
     Dyxi = d/dy^i d/dxi_i     (cross contraction)
 
-restricted to the diagonal y = x, eta = xi.  The candidate family is
+restricted to the diagonal y = x, eta = xi.  They act on single_ring(2n),
+the symbol ring of T*R^n x T*R^n = T*R^(2n), whose variables are x, y, xi,
+eta in that order (y_i is x_(n+i), eta_i is xi_(n+i)); its xi-degree is
+the total (xi, eta) degree.  The candidate family is
 
     C = sum_s  alpha_s / (s! (p-s+1)!)        Dxeta^s Dyeta^(p-s+1)
       + sum_s  beta_s  / ((s-1)! (p-s+1)!)    Dxxi Dxeta^(s-1) Dyeta^(p-s+1)
@@ -46,8 +49,8 @@ from typing import Callable, Iterable, Iterator
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
 from .operators import (PolyDiffOp, commutator_sum, hamiltonian_op, lie_derivative_op,
                         operator_from_sum, unit_deriv, xi_simplex)
-from .poly import (Coeff, Poly, StructureError, add_scaled_terms, doubled_ring, norm_coeff,
-                   rat, rat_str, single_ring)
+from .poly import (Coeff, Poly, StructureError, add_scaled_terms, norm_coeff, rat, rat_str,
+                   single_ring)
 from .symbols import GeneratorFamily, schouten_bracket, sl_generators
 
 AnsatzIndex = tuple[str, int]
@@ -129,18 +132,18 @@ def reduced_indices(k: int, p: int) -> list[AnsatzIndex]:
 
 
 def contraction_ops(n: int) -> dict[str, PolyDiffOp]:
-    """The four contractions as doubled-ring operators (blocks: x 0, xi 1, y 2, eta 3)."""
-    ring = doubled_ring(n)
+    """The four contractions as single_ring(2n) operators (blocks: x 0, y 1, xi 2, eta 3)."""
+    ring = single_ring(2 * n)
     one = Poly.constant(ring, 1)
     return {name: PolyDiffOp(ring, {unit_deriv(ring, first * n + i, second * n + i): one
                                     for i in range(n)}, _clean=True)
-            for name, first, second in (("Dxxi", 0, 1), ("Dyeta", 2, 3), ("Dxeta", 0, 3),
-                                        ("Dyxi", 2, 1))}
+            for name, first, second in (("Dxxi", 0, 2), ("Dyeta", 1, 3), ("Dxeta", 0, 3),
+                                        ("Dyxi", 1, 2))}
 
 
 @lru_cache(maxsize=None)
 def ansatz_term_op(n: int, kind: str, s: int, p: int) -> PolyDiffOp:
-    """The normalized doubled-ring operator attached to one ansatz index."""
+    """The normalized single_ring(2n) operator attached to one ansatz index."""
     ops = contraction_ops(n)
     if kind == "alpha":
         op = ops["Dxeta"].power(s).compose(ops["Dyeta"].power(p - s + 1))
@@ -159,17 +162,17 @@ def ansatz_term_op(n: int, kind: str, s: int, p: int) -> PolyDiffOp:
 
 
 class BilinearOp:
-    """A bilinear map S_1 (x) S_k -> S_{k-p}: doubled operator plus restriction.
+    """A bilinear map S_1 (x) S_k -> S_{k-p}: a single_ring(2n) operator plus restriction.
 
-    The doubled operator's coefficients must be constant, checked once here.
-    `parts` groups its terms c * dx^a dxi^b dy^g deta^h by the derivative
+    The operator's coefficients must be constant, checked once here.
+    `parts` groups its terms c * dx^a dy^g dxi^b deta^h by the derivative
     part (a, b) that lands on the field, once, in the operator's term
     order: one ((a, b), |a| + |b|, [((g, h), c), ...]) per distinct (a, b).
     """
 
     def __init__(self, n: int, op: PolyDiffOp):
-        if op.ring != doubled_ring(n):
-            raise StructureError("bilinear operators live in the doubled ring")
+        if op.ring != single_ring(2 * n):
+            raise StructureError(f"bilinear operators live in single_ring({2 * n})")
         self.n = n
         self.op = op
         const = (0,) * 4 * n
@@ -177,19 +180,32 @@ class BilinearOp:
         for mu, coeff in op.terms.items():
             if coeff.terms.keys() != {const}:
                 raise StructureError("bilinear operators need constant coefficients")
-            grouped.setdefault(mu[:2 * n], []).append((mu[2 * n:], coeff.terms[const]))
+            grouped.setdefault(mu[:n] + mu[2 * n:3 * n], []).append(
+                (mu[n:2 * n] + mu[3 * n:], coeff.terms[const]))
         self.parts = [(a_b, sum(a_b), rest) for a_b, rest in grouped.items()]
 
     def __call__(self, X: Poly, P: Poly) -> Poly:
-        return self.op.apply(
-            X.embed_first_slot() * P.embed_second_slot()).restrict_diagonal()
+        """C(X, P) by its definition, the reference operator_for_field is tested against.
+
+        X(x, xi) P(y, eta) is formed in single_ring(2n), the operator is
+        applied, and y := x, eta := xi restricts the value to single_ring(n).
+        """
+        n, ring = self.n, self.op.ring
+        pad = (0,) * n
+        first = Poly(ring, {e[:n] + pad + e[n:] + pad: c for e, c in X.terms.items()})
+        second = Poly(ring, {pad + e[:n] + pad + e[n:]: c for e, c in P.terms.items()})
+        out: dict = {}
+        for e, c in self.op.apply(first * second).terms.items():
+            key = tuple(a + b for a, b in zip(e[:n] + e[2 * n:3 * n], e[n:2 * n] + e[3 * n:]))
+            out[key] = out.get(key, 0) + c
+        return Poly(single_ring(n), out)
 
     def operator_for_field(self, X: Poly) -> PolyDiffOp:
-        """The single-ring operator P |-> C(X, P), for a fixed vector field.
+        """The single_ring(n) operator P |-> C(X, P), for a fixed vector field.
 
-        For a doubled term c * dx^a dxi^b dy^g deta^h the x and xi
+        For a term c * dx^a dy^g dxi^b deta^h the x and xi
         derivatives land on X and the y, eta derivatives pass to the symbol
-        slot, so the restriction is the single-ring operator
+        slot, so the restriction is the single_ring(n) operator
         (c * d^a d^b X) * dx^g dxi^h.  Each distinct part (a, b) takes one
         derivative d^a d^b X, whose terms, scaled by each c, are added raw
         into the coefficients of their (g, h); a part with |a| + |b| above
@@ -213,8 +229,7 @@ class BilinearOp:
 def build_bilinear(coeffs: AnsatzCoefficients, n: int) -> BilinearOp:
     """Assemble the candidate operator with the factorial normalizations."""
     k, p = coeffs.k, coeffs.p
-    ring = doubled_ring(n)
-    op = PolyDiffOp.zero(ring)
+    op = PolyDiffOp.zero(single_ring(2 * n))
     for kind, s in full_indices(k, p):
         c = coeffs.get(kind, s)
         if c != 0:

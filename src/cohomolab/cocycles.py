@@ -38,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from typing import Callable
 
 from .ansatz import AnsatzCoefficients, build_bilinear, cocycle_defects, field_monomials
@@ -51,7 +53,7 @@ from .operators import (
     op_str,
     unit_deriv,
 )
-from .poly import Poly, StructureError, poly_str, rat, rat_str, single_ring
+from .poly import Poly, StructureError, check_term_budget, poly_str, rat, rat_str, single_ring
 from .symbols import divergence, divergence_cocycle, is_closed, sl_generators
 
 
@@ -85,7 +87,12 @@ class OneCocycle:
 
 
 def monomial_fields(n: int, max_degree: int) -> list[Poly]:
-    """All monomial vector fields x^u xi_m with |u| <= max_degree, canonical order."""
+    """All monomial vector fields x^u xi_m with |u| <= max_degree, canonical order.
+
+    Their count n * C(n + max_degree, n) is checked against the term budget
+    before any is listed.
+    """
+    check_term_budget(n * comb(n + max_degree, n))
     return field_monomials(n, monomials_up_to(n, max_degree))
 
 
@@ -128,18 +135,19 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4) -> IdentityCheck:
     that ansatz.cocycle_defects forms for the rule c.evaluate, so both
     commutators and the bracket value, sum_m c_m c(x^m) over the bracket's
     monomials, merge in one accumulator with one term-budget check; c is
-    evaluated once per monomial field met.  The first failing pair in canonical order is
-    reported with a monomial symbol on which the defect evaluates to
-    something nonzero (_nonzero_witness), and the defect operator's value
-    there: the canonical form is faithful on S_k, so that is the map's value.
+    evaluated once per monomial field met.  The pairs are drawn lazily, in
+    the order of combinations over monomial_fields, so the check lists no
+    pair past the first failing one.  That pair is reported with a monomial
+    symbol on which the defect evaluates to something nonzero
+    (_nonzero_witness), and the defect operator's value there: the
+    canonical form is faithful on S_k, so that is the map's value.
     """
     if max_vf_degree < 2:
         raise StructureError("the check needs fields of degree at least 2")
 
     fields = monomial_fields(c.n, max_vf_degree)
-    pairs = [(X, Y) for i, X in enumerate(fields) for Y in fields[i + 1:]]
-    defects = cocycle_defects([c.evaluate], pairs)
-    for checked, ((X, Y), [defect]) in enumerate(zip(pairs, defects), 1):
+    defects = cocycle_defects([c.evaluate], combinations(fields, 2))
+    for checked, ((X, Y), [defect]) in enumerate(zip(combinations(fields, 2), defects), 1):
         sm = defect.symbol_map(c.k)
         if not sm.is_zero():
             P = _nonzero_witness(sm, c.n)
@@ -149,7 +157,7 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4) -> IdentityCheck:
                 "symbol": poly_str(P),
                 "defect_value": poly_str(defect.apply(P)),
             })
-    return IdentityCheck(True, max_vf_degree, len(pairs))
+    return IdentityCheck(True, max_vf_degree, comb(len(fields), 2))
 
 
 def vanishes_on_sl(c: OneCocycle) -> bool:

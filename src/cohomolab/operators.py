@@ -6,7 +6,9 @@ A PolyDiffOp is stored in normal form: a sparse sum of terms
 
 with all derivatives to the right of coefficients.  Composition re-expands
 through the Leibniz rule, so operator equality is decidable by comparing
-term maps.
+term maps.  The ring is any single_ring(m): the bilinear operators of
+ansatz live in single_ring(2n), whose variables are (x, y, xi, eta), and
+there the xi-degree is the total (xi, eta) degree.
 
 For P = sum p_pi d^pi and A = sum a_mu d^mu the Leibniz rule reads
 
@@ -19,8 +21,7 @@ commutative.  So the commutator is exactly
 
     [P, A] = (terms of P o A with |rho| >= 1) - (terms of A o P with |nu| >= 1),
 
-in the single and the doubled ring alike, and commutator never forms the
-products that would cancel.
+and commutator never forms the products that would cancel.
 
 The expansion runs in one pass over pairs of monomial terms.  Each
 operator keeps, in one lazily filled slot, a flat Leibniz table: one entry
@@ -406,10 +407,7 @@ class SymbolMap:
     @staticmethod
     def from_operator(op: PolyDiffOp, k: int) -> "SymbolMap":
         """The canonical form of op on S_k; an entry that sums to 0 is dropped."""
-        ring = op.ring
-        if ring.doubled:
-            raise StructureError("symbol maps are single-ring objects")
-        n = ring.n
+        n = op.ring.n
         entries: dict = {}
         simplex = _simplex(n, k)
         for mu, coeff in op.terms.items():
@@ -510,8 +508,6 @@ def hamiltonian_op(f: Poly) -> PolyDiffOp:
     if f._ham is not None:
         return f._ham
     ring = f.ring
-    if ring.doubled:
-        raise StructureError("Hamiltonian fields are single-ring operators")
     terms: dict[Deriv, Poly] = {}
     for i in range(ring.n):
         cx = f.diff(ring.xi(i))

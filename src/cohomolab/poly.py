@@ -1,9 +1,10 @@
 """Exact sparse polynomial ring in the cotangent variables (x, xi).
 
-A polynomial lives in one of two rings over the rationals:
-
-  single :  Q[x1..xn, xi1..xin]            (functions on T*R^n, fiberwise polynomial)
-  doubled:  Q[x, xi, y1..yn, eta1..etan]   (two-point calculus for bilinear operators)
+A polynomial lives in the ring Q[x1..xn, xi1..xin] of functions on T*R^n,
+fiberwise polynomial.  The two-point calculus of bilinear operators needs
+no second layout: T*R^n x T*R^n = T*R^(2n), so it runs in single_ring(2n),
+whose variables are x, y, xi, eta in that order (y_i is x_(n+i) and eta_i
+is xi_(n+i)), and whose xi-degree is the total (xi, eta) degree.
 
 Terms are stored sparsely as a map from exponent tuples to coefficients.
 Coefficients are exact rationals; integral values are normalized to Python
@@ -137,14 +138,12 @@ def add_scaled_terms(acc: dict, terms, c: Coeff) -> None:
 class Ring:
     """Variable layout for a polynomial ring of dimension n >= 2.
 
-    Variable indices: x_i at i, xi_i at n+i, and in doubled mode y_i at
-    2n+i, eta_i at 3n+i (all 0-based internally, printed 1-based).  The
-    dimension floor is checked here only: a function taking a dimension
-    builds its ring before other work (n = 1 is out of scope).
+    Variable indices: x_i at i and xi_i at n+i (0-based internally, printed
+    1-based).  The dimension floor is checked here only: a function taking
+    a dimension builds its ring before other work (n = 1 is out of scope).
     """
 
     n: int
-    doubled: bool = False
 
     def __post_init__(self):
         if self.n < 2:
@@ -152,7 +151,7 @@ class Ring:
 
     @property
     def nvars(self) -> int:
-        return 4 * self.n if self.doubled else 2 * self.n
+        return 2 * self.n
 
     def x(self, i: int) -> int:
         self._check_coord(i)
@@ -167,19 +166,15 @@ class Ring:
             raise StructureError(f"coordinate index {i} out of range for n={self.n}")
 
     def var_name(self, idx: int) -> str:
-        n = self.n
         if not 0 <= idx < self.nvars:
             raise StructureError(f"variable index {idx} out of range")
-        block, pos = divmod(idx, n)
-        prefix = ("x", "xi", "y", "eta")[block]
-        return f"{prefix}{pos + 1}"
+        block, pos = divmod(idx, self.n)
+        return f"{('x', 'xi')[block]}{pos + 1}"
 
     def var_index(self, name: str) -> int:
-        for prefix, block in (("eta", 3), ("xi", 1), ("x", 0), ("y", 2)):
+        for prefix, block in (("xi", 1), ("x", 0)):
             if name.startswith(prefix) and name[len(prefix):].isdigit():
                 pos = int(name[len(prefix):]) - 1
-                if block >= 2 and not self.doubled:
-                    raise StructureError(f"variable {name!r} needs the doubled ring")
                 self._check_coord(pos)
                 return block * self.n + pos
         raise StructureError(f"unknown variable {name!r}")
@@ -187,12 +182,7 @@ class Ring:
 
 @lru_cache(maxsize=None)
 def single_ring(n: int) -> Ring:
-    return Ring(n, False)
-
-
-@lru_cache(maxsize=None)
-def doubled_ring(n: int) -> Ring:
-    return Ring(n, True)
+    return Ring(n)
 
 
 class Poly:
@@ -351,15 +341,12 @@ class Poly:
         terms = diff_terms(self.terms.items(), multi)
         return Poly(self.ring, {e: norm_coeff(c) for e, c in terms}, _clean=True)
 
-    # -- grading and slot moves ---------------------------------------------
+    # -- grading -------------------------------------------------------------
 
     def xi_degree(self) -> int | None:
         """The xi-degree if xi-homogeneous (0 for the zero polynomial), else None."""
         n = self.ring.n
-        if self.ring.doubled:  # xi block n..2n and eta block 3n..4n
-            degs = {sum(e[n:2 * n]) + sum(e[3 * n:]) for e in self.terms}
-        else:
-            degs = {sum(e[n:]) for e in self.terms}
+        degs = {sum(e[n:]) for e in self.terms}
         if not degs:
             return 0
         if len(degs) == 1:
@@ -369,45 +356,13 @@ class Poly:
     def total_degree(self) -> int:
         return max(map(sum, self.terms), default=0)
 
-    def restrict_diagonal(self) -> "Poly":
-        """Substitute y := x, eta := xi; the result lives in the single ring."""
-        if not self.ring.doubled:
-            raise StructureError("restrict_diagonal expects a doubled-ring polynomial")
-        n2 = 2 * self.ring.n
-        target = single_ring(self.ring.n)
-        out: dict[Exponent, Coeff] = {}
-        for exp, c in self.terms.items():
-            key = tuple(exp[i] + exp[n2 + i] for i in range(n2))
-            s = out.get(key, 0) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = norm_coeff(s)
-        return Poly(target, out, _clean=True)
-
-    def embed_first_slot(self) -> "Poly":
-        """View a single-ring polynomial as a function of (x, xi) in the doubled ring."""
-        if self.ring.doubled:
-            raise StructureError("already doubled")
-        target = doubled_ring(self.ring.n)
-        pad = (0,) * (2 * self.ring.n)
-        return Poly(target, {exp + pad: c for exp, c in self.terms.items()}, _clean=True)
-
-    def embed_second_slot(self) -> "Poly":
-        """View a single-ring polynomial as a function of (y, eta) in the doubled ring."""
-        if self.ring.doubled:
-            raise StructureError("already doubled")
-        target = doubled_ring(self.ring.n)
-        pad = (0,) * (2 * self.ring.n)
-        return Poly(target, {pad + exp: c for exp, c in self.terms.items()}, _clean=True)
-
     # -- text form -----------------------------------------------------------
 
     def __str__(self) -> str:
         return poly_str(self)
 
     def __repr__(self) -> str:
-        return f"Poly({self.ring.n}{'d' if self.ring.doubled else ''}: {poly_str(self)})"
+        return f"Poly({self.ring.n}: {poly_str(self)})"
 
 
 def poly_str(p: Poly) -> str:
@@ -461,8 +416,6 @@ def parse_poly(ring: Ring, text: str) -> Poly:
 
 def check_vector_field(X: Poly) -> Poly:
     """Validate the degree-1 symbol identification of a vector field."""
-    if X.ring.doubled:
-        raise StructureError("vector fields live in the single ring")
     if not X.is_zero() and X.xi_degree() != 1:
         raise StructureError("a vector field symbol must have xi-degree exactly 1")
     return X

@@ -81,7 +81,7 @@ def _check_x_only(p: Poly) -> Poly:
 class DensityOperator:
     """A differential operator sum a_alpha(x) d^alpha on densities of one weight.
 
-    A thin view over an x-only PolyDiffOp on the single ring: the calculus is
+    A thin view over an x-only PolyDiffOp on single_ring(n): the calculus is
     the operator's, and the view adds only the weight and its own checks
     (length-n indices, xi-free coefficients, matching n and weight).
     """

@@ -189,8 +189,9 @@ def quantization_report(n: int, k: int, weight, max_vf_degree: int) -> dict:
     The top projection S_k -> S_(k-1) is certified and matched against the
     first class c1 (certify_class: its solves run on fields up to degree 2,
     which is complete).  Where it is trivial, its splitting witness forms
-    the projected cocycle S_k -> S_(k-2), whose identity is checked on
-    fields up to min(max_vf_degree, 3), the degree its certificate needs.
+    the projected cocycle S_k -> S_(k-2), which is certified the same way:
+    its identity is checked on fields up to max_vf_degree, the degree the
+    report states, and its solve runs at the degree certify_class derives.
     """
     if k < 2:
         raise StructureError("the quantization report needs --order >= 2")
@@ -209,7 +210,7 @@ def quantization_report(n: int, k: int, weight, max_vf_degree: int) -> dict:
     if cob.is_coboundary:
         out["splitting_witness"] = op_str(cob.witness)
         proj = quantization_projected_cocycle(n, k, weight, cob.witness)
-        proj_identity, proj_cob, _ = certify_class(proj, min(max_vf_degree, 3))
+        proj_identity, proj_cob, _ = certify_class(proj, max_vf_degree)
         out["projected_cocycle"] = {
             "identity_holds": proj_identity.holds,
             "nontrivial": not proj_cob.is_coboundary,

@@ -27,8 +27,6 @@ def schouten_bracket(f: Poly, g: Poly) -> Poly:
     """Canonical Poisson bracket on (x, xi), extending the vector-field bracket."""
     if f.ring is not g.ring and f.ring != g.ring:
         raise StructureError("bracket arguments must share a ring")
-    if f.ring.doubled:
-        raise StructureError("the bracket is defined on the single ring")
     return hamiltonian_op(f).apply(g)
 
 

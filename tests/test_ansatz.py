@@ -30,8 +30,7 @@ from cohomolab.cocycles import (bilinear_cocycle, cocycle_check, second_class_co
 from cohomolab.linalg import RowReducer, keyed_rows, rank_of
 from cohomolab.operators import (PolyDiffOp, commutator_sum, lie_derivative_op,
                                  monomials_up_to, unit_deriv, xi_simplex)
-from cohomolab.poly import (Poly, ResourceLimitError, StructureError, doubled_ring, rat_str,
-                            single_ring)
+from cohomolab.poly import Poly, ResourceLimitError, StructureError, rat_str, single_ring
 from cohomolab.symbols import hamiltonian_action, schouten_bracket, sl_generators
 
 from plane_ring import R2, x, xi
@@ -73,11 +72,30 @@ def test_operator_for_field_matches_direct_evaluation():
         assert C.operator_for_field(X).apply(P) == C(X, P)
 
 
+def test_bilinear_oracle_matches_hand_computed_values():
+    # C(X, P) by its definition: X(x, xi) P(y, eta) in single_ring(4), the
+    # contractions, then y := x, eta := xi.  At (k, p) = (2, 1):
+    # alpha_2 = 2 is Dxeta^2, d_x1^2 (x1^2 xi1) d_eta1^2 (eta1^2) = 2 xi1 * 2;
+    # beta_2 = 1 is Dxxi Dxeta, Dxxi X = 2 x1 and d_x1 (2 x1) d_eta1 (eta1^2)
+    # = 2 * 2 eta1; gamma_1 = 1 is Dyxi Dxeta, d_x1 (x1 xi1) d_eta1 (y1 eta1^2)
+    # = 2 xi1 y1 eta1, then d_y1 d_xi1 gives 2 eta1
+    X, P = x(0) * x(0) * xi(0), xi(0) * xi(0)
+    for coeffs in (AnsatzCoefficients(2, 1, alpha={2: 2}), AnsatzCoefficients(2, 1, beta={2: 1})):
+        assert build_bilinear(coeffs, 2)(X, P) == xi(0).scale(4)
+    C = build_bilinear(AnsatzCoefficients(2, 1, gamma={1: 1}), 2)
+    assert C(x(0) * xi(0), x(0) * xi(0) * xi(0)) == xi(0).scale(2)
+
+
 def test_bilinear_op_rejects_non_constant_coefficients_when_built():
-    D2 = doubled_ring(2)
-    op = PolyDiffOp(D2, {unit_deriv(D2, D2.x(0)): Poly.variable(D2, D2.var_index("y1"))})
+    R4 = single_ring(4)
+    op = PolyDiffOp(R4, {unit_deriv(R4, R4.x(0)): Poly.variable(R4, R4.x(2))})  # coefficient y1
     with pytest.raises(StructureError):
         BilinearOp(2, op)
+
+
+def test_bilinear_op_rejects_an_operator_outside_single_ring_2n():
+    with pytest.raises(StructureError):
+        BilinearOp(2, PolyDiffOp.identity(R2))
 
 
 def test_operator_for_field_skips_terms_above_the_field_degree(monkeypatch):

@@ -223,6 +223,14 @@ def test_configuration_errors_exit_2(case, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("configuration error")
 
 
+def test_a_huge_field_degree_reports_a_resource_limit(capsys):
+    # the field count 2 * C(10^8 + 2, 2) is checked before any field is listed
+    argv = ["verify-cocycle", "--dim", "2", "--name", "c2", "--order", "2",
+            "--max-vf-degree", "100000000"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("resource limit")
+
+
 def test_table_output_is_deterministic(capsys):
     argv = ["cohomology-table", "--dim", "2", "--order", "2", "--max-vf-degree", "2"]
     _, out1 = run(capsys, argv)

@@ -22,7 +22,7 @@ from cohomolab.cocycles import (
     vanishes_on_sl,
 )
 from cohomolab.operators import PolyDiffOp, affine_equivariant_basis, divergence_diffop, module_action
-from cohomolab.poly import Poly, StructureError, single_ring
+from cohomolab.poly import Poly, ResourceLimitError, StructureError, single_ring
 from cohomolab import quantization
 from cohomolab.quantization import quantization_projected_cocycle, quantization_top_cocycle
 from cohomolab.report import quantization_report
@@ -336,3 +336,11 @@ def test_weight_half_report_rebuilds_at_most_one_operator_per_monomial(monkeypat
     report = quantization_report(2, 2, Fraction(1, 2), 2)
     assert report["projected_cocycle"] == {"identity_holds": True, "nontrivial": True}
     assert 0 < len(calls) <= 20
+
+
+def test_monomial_fields_checks_the_field_count_against_the_budget(monkeypatch):
+    # 2 * C(12, 2) = 132 fields at degree 10, counted before any is listed
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "50")
+    with pytest.raises(ResourceLimitError):
+        monomial_fields(2, 10)
+    assert len(monomial_fields(2, 3)) == 2 * 10

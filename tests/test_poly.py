@@ -10,7 +10,6 @@ from cohomolab.poly import (
     Poly,
     StructureError,
     check_term_budget,
-    doubled_ring,
     parse_poly,
     poly_str,
     rat,
@@ -19,7 +18,7 @@ from cohomolab.poly import (
 
 from plane_ring import R2, x, xi
 
-D2 = doubled_ring(2)
+R4 = single_ring(4)
 
 
 def random_poly(rng, ring, max_degree=6, max_terms=5, coeff_bound=10**6):
@@ -193,39 +192,6 @@ def test_leibniz_rule(a, b, var):
     assert (a * b).diff(var) == a.diff(var) * b + a * b.diff(var)
 
 
-def d_poly(rng):
-    return random_poly(rng, D2, max_degree=4)
-
-
-def test_restrict_diagonal_substitution():
-    p = Poly.variable(D2, D2.var_index("y1")) * Poly.variable(D2, D2.var_index("eta2"))
-    assert p.restrict_diagonal() == x(0) * xi(1)
-
-
-def test_restrict_diagonal_merges_like_terms():
-    p = (Poly.variable(D2, D2.x(0)) * Poly.variable(D2, D2.var_index("eta1"))
-         + Poly.variable(D2, D2.var_index("y1")) * Poly.variable(D2, D2.xi(0)))
-    assert p.restrict_diagonal() == (x(0) * xi(0)).scale(2)
-
-
-def test_restrict_diagonal_kills_difference():
-    p = ((Poly.variable(D2, D2.x(0)) - Poly.variable(D2, D2.var_index("y1")))
-         * Poly.variable(D2, D2.var_index("eta1")))
-    assert p.restrict_diagonal().is_zero()
-
-
-def test_restrict_diagonal_requires_doubled():
-    with pytest.raises(StructureError):
-        x(0).restrict_diagonal()
-
-
-def test_restrict_diagonal_is_ring_homomorphism():
-    rng = random.Random(3)
-    for _ in range(25):
-        a, b = d_poly(rng), d_poly(rng)
-        assert (a * b).restrict_diagonal() == a.restrict_diagonal() * b.restrict_diagonal()
-
-
 def test_poly_str_canonical():
     p = xi(1).scale(rat("1/3")) + x(0) * x(0) * xi(1).scale(2) - x(0)
     assert poly_str(p) == "1/3*xi2 + -1*x1 + 2*x1^2*xi2"
@@ -233,7 +199,7 @@ def test_poly_str_canonical():
 
 def test_poly_str_roundtrip():
     rng = random.Random(5)
-    for ring in (R2, D2, single_ring(3)):
+    for ring in (R2, R4, single_ring(3)):
         for _ in range(20):
             p = random_poly(rng, ring, max_degree=4)
             assert parse_poly(ring, poly_str(p)) == p
@@ -252,7 +218,7 @@ def test_hash_equals_the_formula_over_fraction_coefficients():
     rng = random.Random(23)
     kinds = set()
     for i in range(200):
-        ring = (R2, D2, single_ring(3))[i % 3]
+        ring = (R2, R4, single_ring(3))[i % 3]
         p = random_poly(rng, ring, max_degree=4)
         kinds.update(map(type, p.terms.values()))
         assert hash(p) == hash((ring, frozenset((e, Fraction(c)) for e, c in p.terms.items())))

@@ -99,6 +99,23 @@ def test_certificates_solve_at_the_derived_degree(monkeypatch):
     assert sorted(seen) == [(1, 2), (1, 2), (2, 3), (2, 3)]
 
 
+def test_quantization_report_checks_both_identities_at_its_stated_degree(monkeypatch):
+    # the top and the projected cocycle are both checked on fields up to the
+    # max_vf_degree the report echoes
+    seen = []
+    original = report.cocycle_check
+
+    def spy(c, degree):
+        seen.append((c.k - c.ell, degree))
+        return original(c, degree)
+
+    monkeypatch.setattr(report, "cocycle_check", spy)
+    out = report.quantization_report(2, 3, Fraction(1, 2), 4)
+    assert out["max_vf_degree"] == 4
+    assert out["projected_cocycle"]["identity_holds"]
+    assert seen == [(1, 4), (2, 4)]
+
+
 def _certified_classes():
     """(c, reference) for the table witnesses and the top quantization cocycles."""
     for n, top_k in ((2, 5), (3, 3)):
