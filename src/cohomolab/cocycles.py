@@ -7,7 +7,8 @@ degree-k symbols to degree-ell symbols.  The cocycle identity
 
 is verified exactly: both sides are normalized and compared through the
 degree-k canonical form, over all pairs of monomial vector fields up to a
-configurable coefficient degree.  The coboundary solver looks for a witness
+configurable coefficient degree, or over a pair set proved complete for an
+ansatz line that vanishes on the affine fields (cocycle_check).  The coboundary solver looks for a witness
 B with c(X) = X.B inside a finite candidate space; for cocycles vanishing on
 the affine fields the affine-equivariant basis is a complete candidate
 space, because a cobounding operator would itself be affine-equivariant,
@@ -38,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, tee
 from math import comb
-from typing import Callable
+from typing import Callable, Iterable
 
 from .ansatz import AnsatzCoefficients, build_bilinear, cocycle_defects, field_monomials
 from .linalg import keyed_rows, solve
@@ -64,7 +65,8 @@ class OneCocycle:
     The rule must be linear: cocycle_check evaluates it on coefficient-1
     monomial fields only and takes its value at a bracket sum_m c_m x^m as
     sum_m c_m rule(x^m) (ansatz.cocycle_defects).  evaluate memoizes it by
-    the field.
+    the field.  coeffs is the ansatz line a cocycle of bilinear_cocycle
+    evaluates, and None for any other rule.
     """
 
     n: int
@@ -72,6 +74,7 @@ class OneCocycle:
     ell: int
     name: str
     rule: Callable[[Poly], PolyDiffOp]
+    coeffs: AnsatzCoefficients | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def evaluate(self, X: Poly) -> PolyDiffOp:
@@ -92,7 +95,8 @@ def monomial_fields(n: int, max_degree: int) -> list[Poly]:
     Their count n * C(n + max_degree, n) is checked against the term budget
     before any is listed.
     """
-    check_term_budget(n * comb(n + max_degree, n))
+    check_term_budget(n * comb(n + max_degree, n),
+                      f"monomial test fields (n = {n}, degree <= {max_degree})")
     return field_monomials(n, monomials_up_to(n, max_degree))
 
 
@@ -127,27 +131,47 @@ def _nonzero_witness(defect: SymbolMap, n: int) -> Poly:
     return Poly.monomial(single_ring(n), alpha + v)
 
 
-def cocycle_check(c: OneCocycle, max_vf_degree: int = 4) -> IdentityCheck:
-    """Verify the cocycle identity on all monomial field pairs up to a degree.
+def cocycle_check(c: OneCocycle, max_vf_degree: int = 4,
+                  pairs: Iterable[tuple[Poly, Poly]] | None = None) -> IdentityCheck:
+    """Verify the cocycle identity on a set of monomial field pairs.
+
+    The pairs default to every pair of monomial fields up to max_vf_degree,
+    in the order of combinations over monomial_fields: a bounded check, and
+    the one verify-cocycle reports.  A caller may pass a pair set it has
+    proved complete instead; max_vf_degree is then only the degree the
+    result states.
+
+    Complete pair sets.  For an ansatz line C with no s <= 1 coefficient,
+    every term differentiates the field at least twice (alpha_s and gamma_s
+    carry Dxeta^s, beta_s carries Dxxi Dxeta^(s-1)), so C vanishes on the
+    affine fields, and ansatz.impose_cocycle's proof makes
+    ansatz.cocycle_filter_pairs(n, p) complete: dC = 0 there gives dC = 0 on
+    every pair of polynomial fields.  Those pairs have |u|, |v| <= p, so the
+    default pairs at any degree >= max(2, p) contain them, and a pass there
+    is complete for such a line too.  report.certify_class passes the proved
+    set for those lines.
 
     Operator equality is exact equality of degree-k canonical forms.  Each
     pair's defect c([X, Y]) + [L_Y, c(X)] + [c(Y), L_X] is the one operator
     that ansatz.cocycle_defects forms for the rule c.evaluate, so both
     commutators and the bracket value, sum_m c_m c(x^m) over the bracket's
     monomials, merge in one accumulator with one term-budget check; c is
-    evaluated once per monomial field met.  The pairs are drawn lazily, in
-    the order of combinations over monomial_fields, so the check lists no
-    pair past the first failing one.  That pair is reported with a monomial
-    symbol on which the defect evaluates to something nonzero
-    (_nonzero_witness), and the defect operator's value there: the
-    canonical form is faithful on S_k, so that is the map's value.
+    evaluated once per monomial field met.  The pairs are drawn lazily, so
+    the check draws no pair past the first failing one.  That pair is
+    reported with a monomial symbol on which the defect evaluates to
+    something nonzero (_nonzero_witness), and the defect operator's value
+    there: the canonical form is faithful on S_k, so that is the map's
+    value.
     """
     if max_vf_degree < 2:
         raise StructureError("the check needs fields of degree at least 2")
 
-    fields = monomial_fields(c.n, max_vf_degree)
-    defects = cocycle_defects([c.evaluate], combinations(fields, 2))
-    for checked, ((X, Y), [defect]) in enumerate(zip(combinations(fields, 2), defects), 1):
+    if pairs is None:
+        pairs = combinations(monomial_fields(c.n, max_vf_degree), 2)
+    listed, drawn = tee(pairs)
+    checked = 0
+    for checked, ((X, Y), [defect]) in enumerate(
+            zip(listed, cocycle_defects([c.evaluate], drawn)), 1):
         sm = defect.symbol_map(c.k)
         if not sm.is_zero():
             P = _nonzero_witness(sm, c.n)
@@ -157,7 +181,7 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4) -> IdentityCheck:
                 "symbol": poly_str(P),
                 "defect_value": poly_str(defect.apply(P)),
             })
-    return IdentityCheck(True, max_vf_degree, comb(len(fields), 2))
+    return IdentityCheck(True, max_vf_degree, checked)
 
 
 def vanishes_on_sl(c: OneCocycle) -> bool:
@@ -384,7 +408,7 @@ def builtin_div(n: int, k: int, a, omega: list[Poly]) -> OneCocycle:
 def bilinear_cocycle(n: int, coeffs: AnsatzCoefficients, name: str) -> OneCocycle:
     """The cocycle X |-> C(X, .) of an ansatz coefficient family, S_k -> S_(k-p)."""
     return OneCocycle(n, coeffs.k, coeffs.k - coeffs.p, name,
-                      build_bilinear(coeffs, n).operator_for_field)
+                      build_bilinear(coeffs, n).operator_for_field, coeffs)
 
 
 # -- reporting ------------------------------------------------------------------

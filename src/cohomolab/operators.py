@@ -196,7 +196,8 @@ def operator_from_sum(ring: Ring, acc: dict) -> "PolyDiffOp":
     coefficient; the second stands in for the per-product checks that a
     Poly product would make.
     """
-    check_term_budget(max(len(acc), max(map(len, acc.values()), default=0)))
+    check_term_budget(max(len(acc), max(map(len, acc.values()), default=0)),
+                      "terms of an operator or of its largest coefficient")
     return PolyDiffOp(ring, {mu: Poly(ring, {e: norm_coeff(c) for e, c in terms.items()},
                                       _clean=True)
                              for mu, terms in acc.items() if terms}, _clean=True)
@@ -323,7 +324,7 @@ class PolyDiffOp:
                         acc.pop(key, None)
                     else:
                         acc[key] = s
-        check_term_budget(len(acc))
+        check_term_budget(len(acc), "terms of an operator's value")
         return Poly(self.ring,
                     {e: norm_coeff(c) for e, c in acc.items()}, _clean=True)
 

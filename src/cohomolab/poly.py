@@ -48,11 +48,12 @@ def _term_budget() -> int:
     return cap
 
 
-def check_term_budget(n_terms: int) -> None:
+def check_term_budget(n_terms: int, counted: str) -> None:
+    """Raise ResourceLimitError when n_terms exceeds the budget; counted names them."""
     cap = _term_budget()
     if n_terms > cap:
         raise ResourceLimitError(
-            f"term count {n_terms} exceeds COHOMOLAB_MAX_TERMS={cap}")
+            f"{n_terms} {counted} exceed COHOMOLAB_MAX_TERMS={cap}")
 
 
 def norm_coeff(c: Coeff) -> Coeff:
@@ -311,7 +312,7 @@ class Poly:
                     out.pop(key, None)
                 else:
                     out[key] = s
-        check_term_budget(len(out))
+        check_term_budget(len(out), "terms of a polynomial product")
         return Poly(self.ring, {e: norm_coeff(c) for e, c in out.items()}, _clean=True)
 
     def __pow__(self, k: int) -> "Poly":

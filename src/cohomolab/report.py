@@ -13,7 +13,13 @@ import random
 from dataclasses import dataclass
 
 from . import __version__
-from .ansatz import impose_cocycle, matched_case, recurrence_solutions
+from .ansatz import (
+    cocycle_filter_pairs,
+    full_indices,
+    impose_cocycle,
+    matched_case,
+    recurrence_solutions,
+)
 from .cocycles import (
     OneCocycle,
     bilinear_cocycle,
@@ -74,7 +80,14 @@ class RunConfig:
 def certify_class(c: OneCocycle, max_vf_degree: int, reference: OneCocycle | None = None):
     """Identity check, coboundary result and class proportionality of c: S_k -> S_ell.
 
-    The identity is checked on fields up to max_vf_degree.  Triviality is
+    The identity check takes one of two paths (_identity_pairs).  An ansatz
+    line with no s <= 1 coefficient, as every table witness and the top
+    quantization cocycle are, is checked on ansatz.cocycle_filter_pairs(n,
+    k - ell), which is complete for it (cocycles.cocycle_check); at
+    k - ell = 1 that set is empty.  Every other cocycle (div, the projected
+    quantization cocycle, custom rules, a line with an s <= 1 term) is
+    checked on every pair of monomial fields up to max_vf_degree, a bounded
+    check.  Either way the result states max_vf_degree.  Triviality is
     decided against the affine-equivariant basis [D^(k - ell)], and the
     optional reference class is matched against c modulo that basis (None
     without a reference); both solve on fields up to
@@ -110,12 +123,24 @@ def certify_class(c: OneCocycle, max_vf_degree: int, reference: OneCocycle | Non
     k - ell = 2, a witness or scalar is checked on the fields of degree <= 2
     only, and "no-witness" is still a proof.
     """
-    identity = cocycle_check(c, max_vf_degree)
+    identity = cocycle_check(c, max_vf_degree, _identity_pairs(c))
     basis = affine_equivariant_basis(c.n, c.k, c.ell)
     columns = field_columns(c, basis, min(max_vf_degree, c.k - c.ell + 1))
     cob = coboundary_solve(columns)
     prop = None if reference is None else class_proportionality(columns, reference)
     return identity, cob, prop
+
+
+def _identity_pairs(c: OneCocycle):
+    """cocycle_filter_pairs for an ansatz line with no s <= 1 coefficient, else None.
+
+    None makes cocycle_check draw every pair up to its degree.
+    """
+    line = c.coeffs
+    if line is None or any(line.get(kind, s) for kind, s in full_indices(line.k, line.p)
+                           if s < 2):
+        return None
+    return cocycle_filter_pairs(c.n, line.p)
 
 
 def expected_relative_dimension(k: int, ell: int) -> int:
@@ -130,10 +155,11 @@ def cohomology_table(config: RunConfig) -> dict:
     """Dimensions of the relative classification for all (k, ell) cells.
 
     Each nonzero cell carries a verified witness line: the solver output is
-    wrapped as a cocycle, its identity is checked at the configured field
-    degree, non-triviality is certified against the affine-equivariant
-    candidate space, and the class is matched against the corresponding
-    built-in cocycle.  Cells that blow the resource budget are reported as
+    wrapped as a cocycle, its identity is checked on a complete pair set
+    (certify_class), non-triviality is certified against the
+    affine-equivariant candidate space, and the class is matched against
+    the corresponding built-in cocycle.  The witness states the configured
+    field degree, which bounds its solves.  Cells that blow the resource budget are reported as
     explicit gaps instead of aborting the table.
     """
     n = config.n
@@ -187,11 +213,13 @@ def quantization_report(n: int, k: int, weight, max_vf_degree: int) -> dict:
     """Symbol projections of the density-operator sequence at one weight.
 
     The top projection S_k -> S_(k-1) is certified and matched against the
-    first class c1 (certify_class: its solves run on fields up to degree 2,
-    which is complete).  Where it is trivial, its splitting witness forms
-    the projected cocycle S_k -> S_(k-2), which is certified the same way:
-    its identity is checked on fields up to max_vf_degree, the degree the
-    report states, and its solve runs at the degree certify_class derives.
+    first class c1 (certify_class: it is an ansatz line with no s <= 1
+    coefficient, so its identity check is complete, and its solves run on
+    fields up to degree 2, which is complete).  Where it is trivial, its
+    splitting witness forms the projected cocycle S_k -> S_(k-2), which is
+    certified the same way, but with the bounded identity check: on fields
+    up to max_vf_degree, the degree the report states.  Its solve runs at
+    the degree certify_class derives.
     """
     if k < 2:
         raise StructureError("the quantization report needs --order >= 2")

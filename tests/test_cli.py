@@ -231,6 +231,16 @@ def test_a_huge_field_degree_reports_a_resource_limit(capsys):
     assert capsys.readouterr().err.startswith("resource limit")
 
 
+def test_a_resource_limit_names_what_it_counted(capsys, monkeypatch):
+    monkeypatch.delenv("COHOMOLAB_MAX_TERMS", raising=False)
+    argv = ["verify-cocycle", "--dim", "2", "--name", "c2", "--order", "2",
+            "--max-vf-degree", "100000000"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "resource limit: 10000000300000002 monomial test fields (n = 2, degree <= 100000000)"
+        " exceed COHOMOLAB_MAX_TERMS=2000000\n")
+
+
 def test_table_output_is_deterministic(capsys):
     argv = ["cohomology-table", "--dim", "2", "--order", "2", "--max-vf-degree", "2"]
     _, out1 = run(capsys, argv)

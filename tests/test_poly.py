@@ -158,7 +158,7 @@ def test_rat_normalizes_exact_inputs():
 def test_non_integer_term_budget_rejected(monkeypatch):
     monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "abc")
     with pytest.raises(StructureError):
-        check_term_budget(1)
+        check_term_budget(1, "terms")
 
 
 coeffs = st.integers(min_value=-(10**6), max_value=10**6)

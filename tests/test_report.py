@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from cohomolab import report
-from cohomolab.ansatz import impose_cocycle, recurrence_solutions
-from cohomolab.cocycles import (bilinear_cocycle, builtin_c1, builtin_c2,
-                                class_proportionality, coboundary_solve, field_columns)
+from cohomolab.ansatz import (FAMILIES, AnsatzCoefficients, impose_cocycle,
+                              recurrence_solutions)
+from cohomolab.cocycles import (bilinear_cocycle, builtin_c1, builtin_c2, builtin_gamma1_flat,
+                                class_proportionality, coboundary_solve, cocycle_check,
+                                field_columns)
 from cohomolab.operators import (PolyDiffOp, affine_equivariant_basis, divergence_diffop,
                                  euler_diffop, module_action)
 from cohomolab.poly import StructureError, parse_poly, single_ring
@@ -100,20 +102,24 @@ def test_certificates_solve_at_the_derived_degree(monkeypatch):
 
 
 def test_quantization_report_checks_both_identities_at_its_stated_degree(monkeypatch):
-    # the top and the projected cocycle are both checked on fields up to the
-    # max_vf_degree the report echoes
+    # the top cocycle, an ansatz line with no s <= 1 term, is checked on the
+    # proved pair set, which is complete (empty at p = 1); the projected
+    # cocycle is checked on every pair of the 30 monomial fields of degree
+    # <= 4, C(30, 2) = 435; both states the max_vf_degree the report echoes
     seen = []
     original = report.cocycle_check
 
-    def spy(c, degree):
-        seen.append((c.k - c.ell, degree))
-        return original(c, degree)
+    def spy(c, degree, pairs=None):
+        pairs = None if pairs is None else list(pairs)
+        result = original(c, degree, pairs)
+        seen.append((c.k - c.ell, degree, pairs, result.max_vf_degree, result.pairs_checked))
+        return result
 
     monkeypatch.setattr(report, "cocycle_check", spy)
     out = report.quantization_report(2, 3, Fraction(1, 2), 4)
     assert out["max_vf_degree"] == 4
     assert out["projected_cocycle"]["identity_holds"]
-    assert seen == [(1, 4), (2, 4)]
+    assert seen == [(1, 4, [], 4, 0), (2, 4, None, 4, 435)]
 
 
 def _certified_classes():
@@ -134,7 +140,7 @@ def test_certificates_at_the_derived_degree_agree_with_degree_4(monkeypatch):
     # the derived degree is complete (certify_class's proof), so the witness,
     # the scalar and the verdicts equal those of the same solves on every
     # field of degree <= 4; the identity check is not under test here
-    monkeypatch.setattr(report, "cocycle_check", lambda c, degree: None)
+    monkeypatch.setattr(report, "cocycle_check", lambda c, degree, pairs=None: None)
     verdicts = set()
     for c, ref in _certified_classes():
         _, cob, prop = certify_class(c, 4, ref)
@@ -145,6 +151,70 @@ def test_certificates_at_the_derived_degree_agree_with_degree_4(monkeypatch):
     # both answers occur: nontrivial multiples of the reference, and the
     # weight-1/2 top cocycle, a coboundary
     assert verdicts == {(False, True), (True, False)}
+
+
+def _shifted(line, kind, s, delta):
+    """The ansatz line with delta added to its (kind, s) coefficient."""
+    data = {family: dict(getattr(line, family)) for family in FAMILIES}
+    data[kind][s] = data[kind].get(s, 0) + delta
+    return AnsatzCoefficients(line.k, line.p, **data)
+
+
+def test_the_proved_identity_check_agrees_with_the_degree_3_loop():
+    # bound: the loop runs on every pair of monomial fields of degree <= 3;
+    # the certificate checks these lines (no s <= 1 term) on the proved set
+    cases = []
+    for n, top_k in ((2, 5), (3, 4)):
+        for k in range(2, top_k + 1):
+            for p in (1, 2):
+                space = impose_cocycle(recurrence_solutions(n, k, p))
+                cases.append(bilinear_cocycle(n, space.basis[0].normalized(), "solver"))
+    for n, k in ((2, 2), (3, 3)):
+        cases += [make(n, k) for make in (builtin_c1, builtin_c2, builtin_gamma1_flat)]
+    cases += [quantization_top_cocycle(2, 3, w) for w in (0, Fraction(1, 3), Fraction(1, 2), 1)]
+    # the c1 mutant is an affine-vanishing p = 1 line, so a cocycle, just
+    # not sl-relative
+    cases.append(bilinear_cocycle(
+        3, _shifted(builtin_c1(3, 3).coeffs, "beta", 2, Fraction(1, 7)), "c1-mutant"))
+    for c in cases:
+        assert c.coeffs is not None
+        assert certify_class(c, 3)[0].holds and cocycle_check(c, 3).holds, (c.name, c.n, c.k)
+
+    c2_mutant = bilinear_cocycle(
+        3, _shifted(builtin_c2(3, 3).coeffs, "beta", 3, Fraction(1, 7)), "c2-mutant")
+    proved, loop = certify_class(c2_mutant, 3)[0], cocycle_check(c2_mutant, 3)
+    assert not proved.holds and not loop.holds
+    assert (proved.pairs_checked, loop.pairs_checked) == (11, 368)
+
+
+def test_table_witness_checks_draw_the_proved_pairs(monkeypatch):
+    # at n = 3 the p = 2 witness is checked on the pairs of the 18 quadratic
+    # fields, C(18, 2) = 153, and the p = 1 witness on none
+    seen = []
+    original = report.cocycle_check
+
+    def spy(c, degree, pairs=None):
+        result = original(c, degree, pairs)
+        seen.append((c.k - c.ell, result.pairs_checked))
+        return result
+
+    monkeypatch.setattr(report, "cocycle_check", spy)
+    table = cohomology_table(RunConfig(3, 2, max_vf_degree=2))
+    assert table["all_match_expected"]
+    assert sorted(seen) == [(1, 0), (2, 153)]
+    assert all(e["witness"]["max_vf_degree"] == 2 for e in table["entries"] if "witness" in e)
+
+
+def test_a_line_with_an_s_le_1_term_takes_the_bounded_loop(monkeypatch):
+    # alpha_1 differentiates the field once, so the line need not vanish on
+    # the affine fields and the proved pair set is not known to be complete
+    def refuse(n, p):
+        raise AssertionError("the proved pair set was drawn")
+
+    monkeypatch.setattr(report, "cocycle_filter_pairs", refuse)
+    c = bilinear_cocycle(2, AnsatzCoefficients(2, 1, alpha={1: 1}), "alpha1")
+    identity = certify_class(c, 3)[0]
+    assert identity.to_json() == cocycle_check(c, 3).to_json()
 
 
 def test_table_reports_resource_gaps(monkeypatch):
