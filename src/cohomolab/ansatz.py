@@ -419,9 +419,9 @@ def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
     this, as both draw their pairs from field_monomials, whose fields are
     x^u xi_m: impose_cocycle through cocycle_filter_pairs, and
     cocycles.cocycle_check through cocycles.monomial_fields or, for the
-    lines report.certify_class proves complete, cocycle_filter_pairs.  A rule that
-    should build each field's operator once is memoized by the caller.
-    Pairs are formed only as the caller draws them.
+    lines report.certify_class proves complete, cocycle_filter_pairs.  A
+    rule that should build each field's operator once is memoized by the
+    caller.  Pairs are formed only as the caller draws them.
     """
     units: dict = {}
     for Y, Z in pairs:

@@ -8,11 +8,12 @@ degree-k symbols to degree-ell symbols.  The cocycle identity
 is verified exactly: both sides are normalized and compared through the
 degree-k canonical form, over all pairs of monomial vector fields up to a
 configurable coefficient degree, or over a pair set proved complete for an
-ansatz line that vanishes on the affine fields (cocycle_check).  The coboundary solver looks for a witness
-B with c(X) = X.B inside a finite candidate space; for cocycles vanishing on
-the affine fields the affine-equivariant basis is a complete candidate
-space, because a cobounding operator would itself be affine-equivariant,
-hence a multiple of the divergence power (coboundary_solve).
+ansatz line that vanishes on the affine fields (cocycle_check).  The
+coboundary solver looks for a witness B with c(X) = X.B inside a finite
+candidate space; for cocycles vanishing on the affine fields the
+affine-equivariant basis is a complete candidate space, because a
+cobounding operator would itself be affine-equivariant, hence a multiple
+of the divergence power (coboundary_solve).
 
 Every built-in cocycle but div is a line of the bilinear ansatz family
 (ansatz.py) and is evaluated by one constructor, bilinear_cocycle: c2, and
@@ -142,9 +143,9 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4,
     result states.
 
     Complete pair sets.  For an ansatz line C with no s <= 1 coefficient,
-    every term differentiates the field at least twice (alpha_s and gamma_s
-    carry Dxeta^s, beta_s carries Dxxi Dxeta^(s-1)), so C vanishes on the
-    affine fields, and ansatz.impose_cocycle's proof makes
+    every term differentiates the field at least twice in x (the alpha_s
+    and gamma_s terms carry Dxeta^s, the beta_s term Dxxi Dxeta^(s-1): s
+    x-derivatives each), so C vanishes on the affine fields, and ansatz.impose_cocycle's proof makes
     ansatz.cocycle_filter_pairs(n, p) complete: dC = 0 there gives dC = 0 on
     every pair of polynomial fields.  Those pairs have |u|, |v| <= p, so the
     default pairs at any degree >= max(2, p) contain them, and a pass there

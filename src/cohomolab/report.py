@@ -159,8 +159,8 @@ def cohomology_table(config: RunConfig) -> dict:
     (certify_class), non-triviality is certified against the
     affine-equivariant candidate space, and the class is matched against
     the corresponding built-in cocycle.  The witness states the configured
-    field degree, which bounds its solves.  Cells that blow the resource budget are reported as
-    explicit gaps instead of aborting the table.
+    field degree, which bounds its solves.  Cells that blow the resource
+    budget are reported as explicit gaps instead of aborting the table.
     """
     n = config.n
     entries = []
