@@ -138,7 +138,9 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4,
 
     The pairs default to every pair of monomial fields up to max_vf_degree,
     in the order of combinations over monomial_fields: a bounded check, and
-    the one verify-cocycle reports.  A caller may pass a pair set it has
+    the one verify-cocycle reports.  Their count C(F, 2) is checked against
+    the term budget before any pair is drawn, after monomial_fields has
+    checked the F fields.  A caller may pass a pair set it has
     proved complete instead; max_vf_degree is then only the degree the
     result states.
 
@@ -168,7 +170,10 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4,
         raise StructureError("the check needs fields of degree at least 2")
 
     if pairs is None:
-        pairs = combinations(monomial_fields(c.n, max_vf_degree), 2)
+        fields = monomial_fields(c.n, max_vf_degree)
+        check_term_budget(comb(len(fields), 2), "pairs of monomial test fields "
+                          f"(n = {c.n}, degree <= {max_vf_degree})")
+        pairs = combinations(fields, 2)
     listed, drawn = tee(pairs)
     checked = 0
     for checked, ((X, Y), [defect]) in enumerate(

@@ -287,7 +287,17 @@ class PolyDiffOp:
         return PolyDiffOp(self.ring, out, _clean=True)
 
     def __sub__(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        return self + other.scale(-1)
+        if self.ring != other.ring:
+            raise StructureError("operator ring mismatch")
+        out = dict(self.terms)
+        for mu, coeff in other.terms.items():
+            s = out.get(mu)
+            s = -coeff if s is None else s - coeff
+            if s.is_zero():
+                out.pop(mu, None)
+            else:
+                out[mu] = s
+        return PolyDiffOp(self.ring, out, _clean=True)
 
     def __neg__(self) -> "PolyDiffOp":
         return self.scale(-1)

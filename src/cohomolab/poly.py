@@ -281,7 +281,17 @@ class Poly:
         return Poly(self.ring, out, _clean=True)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check_same_ring(other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for exp, c in other.terms.items():
+            s = out.get(exp, 0) - c
+            if s == 0:
+                out.pop(exp, None)
+            else:
+                out[exp] = norm_coeff(s)
+        return Poly(self.ring, out, _clean=True)
 
     def __neg__(self) -> "Poly":
         return Poly(self.ring, {e: -c for e, c in self.terms.items()}, _clean=True)

@@ -26,6 +26,14 @@ gamma(X)(BP) has order <= k-2, so the degree-(k-1) symbol is
 sigma_(k-1) gamma(X)(P) - (X.B)P = 0, and the degree-(k-2) symbol
 reproduces the degree-two-lowering class.
 
+Each value [L_X, tau'(P)] - tau'(L_X P) has one piece that depends on the
+field alone, L_X, and one on the symbol alone, tau'(P); only tau'(L_X P)
+depends on both.  quantization_projected_cocycle builds L_X once per field,
+and tau'(x^u xi^v) once per monomial symbol, in a table that lives with the
+cocycle and is shared by all its fields.  That is exact, not an
+approximation: L_X and tau' are fixed linear maps with exact coefficients,
+so a shared operator is equal to the one a rebuild would produce.
+
 Closed form of the top projection.  Normal ordering is the standard
 (coefficients-left) symbol calculus, in which
 
@@ -56,6 +64,7 @@ as one operator build per field.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial, prod
 
 from .ansatz import AnsatzCoefficients
@@ -180,22 +189,28 @@ def normal_order_section(P: Poly, weight) -> DensityOperator:
     return DensityOperator(n, weight, terms)
 
 
-def sequence_cocycle(X: Poly, P: Poly, weight, splitting: PolyDiffOp) -> DensityOperator:
+def split_section(Q: Poly, splitting: PolyDiffOp, weight) -> DensityOperator:
+    """tau'(Q) = tau((1 - B)Q) for the splitting B; B = 0 gives tau itself."""
+    return normal_order_section(Q - splitting.apply(Q), weight)
+
+
+def sequence_cocycle(X: Poly, L: DensityOperator, P: Poly, section_P: DensityOperator,
+                     splitting: PolyDiffOp) -> DensityOperator:
     """The connecting cocycle value [L_X, tau'(P)] - tau'(L_X P); order <= k-1.
 
     tau' = tau o (1 - B) for the splitting B: S_k -> S_(k-1); B = 0 gives the
-    normal-ordering section itself (module docstring).
+    normal-ordering section itself (module docstring).  The caller passes the
+    pieces that do not depend on both arguments, built once where they vary:
+    L = weighted_lie_derivative(X, weight), one per field, and
+    section_P = split_section(P, splitting, weight), one per symbol.
+    tau'(L_X P) depends on both and is built here.
     """
     check_vector_field(X)
     k = P.xi_degree()
     if k is None:
         raise StructureError("the symbol argument must be xi-homogeneous")
-
-    def section(Q: Poly) -> DensityOperator:
-        return normal_order_section(Q - splitting.apply(Q), weight)
-
-    L = weighted_lie_derivative(X, weight)
-    out = L.commutator(section(P)) - section(hamiltonian_action(X, P))
+    out = (L.commutator(section_P)
+           - split_section(hamiltonian_action(X, P), splitting, L.weight))
     if P.terms and out.order > max(k - 1, 0):
         raise StructureError("top symbols failed to cancel in the sequence cocycle")
     return out
@@ -287,7 +302,13 @@ def quantization_projected_cocycle(n: int, k: int, weight,
     and its top symbol is again a cocycle.  A B that leaves a degree-(k-1)
     symbol is rejected.
 
-    Each value is rebuilt from x^u xi^v with |u| at most the x-order of B
+    The operator for X is rebuilt from its values on x^u xi^v, each
+    sequence_cocycle(X, L_X, P, tau'(P), B) with P = x^u xi^v.  L_X is built
+    once per field, and tau'(x^u xi^v) once per (u, v) in the table
+    monomial_section, which every field of this cocycle shares (module
+    docstring).
+
+    The values used have |u| at most the x-order of B
     (1 for the witness c D), which bounds the x-order of P |-> value: the
     value is gamma(X)(P) - gamma(X)(BP) - tau((X.B)P), whose tau term has
     degree k-1 and no degree-(k-2) symbol; and by the full-symbol formula in
@@ -300,10 +321,16 @@ def quantization_projected_cocycle(n: int, k: int, weight,
     weight = rat(weight)
     x_order = max((sum(mu[:n]) for mu in splitting.terms), default=0)
 
+    @cache
+    def monomial_section(u: Exponent, v: Exponent) -> DensityOperator:
+        return split_section(Poly.monomial(ring, u + v), splitting, weight)
+
     def rule(X: Poly) -> PolyDiffOp:
+        L = weighted_lie_derivative(X, weight)
+
         def value(u, v):
-            P = Poly.monomial(ring, tuple(u) + tuple(v))
-            out = sequence_cocycle(X, P, weight, splitting)
+            P = Poly.monomial(ring, u + v)
+            out = sequence_cocycle(X, L, P, monomial_section(u, v), splitting)
             if out.order > max(k - 2, 0):
                 raise StructureError("splitting witness failed to cancel the top symbol")
             return out.principal_symbol(k - 2)

@@ -241,6 +241,17 @@ def test_a_resource_limit_names_what_it_counted(capsys, monkeypatch):
         " exceed COHOMOLAB_MAX_TERMS=2000000\n")
 
 
+def test_a_resource_limit_on_the_pair_count_exits_at_once(capsys, monkeypatch):
+    # 3782 fields are under the default budget, their 7 149 871 pairs are not
+    monkeypatch.delenv("COHOMOLAB_MAX_TERMS", raising=False)
+    argv = ["verify-cocycle", "--dim", "2", "--name", "c2", "--order", "2",
+            "--max-vf-degree", "60"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "resource limit: 7149871 pairs of monomial test fields (n = 2, degree <= 60)"
+        " exceed COHOMOLAB_MAX_TERMS=2000000\n")
+
+
 def test_table_output_is_deterministic(capsys):
     argv = ["cohomology-table", "--dim", "2", "--order", "2", "--max-vf-degree", "2"]
     _, out1 = run(capsys, argv)

@@ -344,3 +344,18 @@ def test_monomial_fields_checks_the_field_count_against_the_budget(monkeypatch):
     with pytest.raises(ResourceLimitError):
         monomial_fields(2, 10)
     assert len(monomial_fields(2, 3)) == 2 * 10
+
+
+def test_cocycle_check_checks_the_pair_count_against_the_budget(monkeypatch):
+    # degree 2 at n = 2: 12 fields pass a budget of 12, their C(12, 2) = 66
+    # pairs do not, and the check stops before it evaluates the cocycle once
+    c = builtin_c1(2, 2)
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "12")
+    assert len(monomial_fields(2, 2)) == 12
+    with pytest.raises(ResourceLimitError, match=(
+            r"^66 pairs of monomial test fields \(n = 2, degree <= 2\) "
+            r"exceed COHOMOLAB_MAX_TERMS=12$")):
+        cocycle_check(c, 2)
+    assert not c._cache
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "66")
+    assert cocycle_check(c, 2).pairs_checked == 66

@@ -215,6 +215,22 @@ def fraction_op(rng, ring):
                              for mu, c in A.terms.items()})
 
 
+def test_subtraction_matches_adding_the_negation():
+    rng = random.Random(33)
+    for ring in (R2, R3):
+        for _ in range(100):
+            A, B = fraction_op(rng, ring), fraction_op(rng, ring)
+            diff = A - B
+            assert diff == A + (-B) == A + B.scale(-1)
+            assert all(c.terms for c in diff.terms.values())
+            assert (A + B) - A == B
+            assert not (A - A).terms
+    with pytest.raises(StructureError):
+        PolyDiffOp.identity(R2) - PolyDiffOp.identity(R3)
+    with pytest.raises(StructureError):
+        PolyDiffOp.zero(R2) - PolyDiffOp.zero(R3)
+
+
 def test_commutator_sum_matches_compose_reference():
     rng = random.Random(31)
     for ring in (R2, R3, single_ring(4)):

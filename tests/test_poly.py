@@ -124,6 +124,30 @@ def test_ring_mismatch_rejected():
         x(0) + Poly.variable(single_ring(3), 0)
 
 
+def _clean(p):
+    return all(c != 0 and (type(c) is int or c.denominator != 1) for c in p.terms.values())
+
+
+def test_subtraction_matches_adding_the_negation():
+    # the direct merge agrees with a + (-b) and a + b.scale(-1), cancels to
+    # no terms, and leaves normalized nonzero coefficients; low degrees make
+    # the two operands share exponents
+    rng = random.Random(32)
+    for ring in (R2, R4):
+        for _ in range(200):
+            a = random_poly(rng, ring, max_degree=2, coeff_bound=6)
+            b = random_poly(rng, ring, max_degree=2, coeff_bound=6)
+            diff = a - b
+            assert diff == a + (-b) == a + b.scale(-1)
+            assert _clean(diff)
+            assert (a + b) - a == b
+            assert not (a - a).terms
+    with pytest.raises(StructureError):
+        x(0) - Poly.variable(single_ring(3), 0)
+    with pytest.raises(StructureError):
+        Poly.zero(R2) - Poly.zero(R4)
+
+
 def test_float_coefficient_rejected():
     with pytest.raises(StructureError):
         Poly(R2, {(1, 0, 0, 0): 0.1})

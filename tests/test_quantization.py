@@ -27,6 +27,7 @@ from cohomolab.quantization import (
     quantization_projected_cocycle,
     quantization_top_cocycle,
     sequence_cocycle,
+    split_section,
     weighted_lie_derivative,
 )
 from cohomolab.report import quantization_report
@@ -76,9 +77,12 @@ def definitional_top_cocycle(n, k, weight):
     zero = PolyDiffOp.zero(ring)
 
     def rule(X):
+        L = weighted_lie_derivative(X, weight)
+
         def value(u, v):
-            P = Poly.monomial(ring, tuple(u) + tuple(v))
-            return sequence_cocycle(X, P, weight, zero).principal_symbol(k - 1)
+            P = Poly.monomial(ring, u + v)
+            tau_P = normal_order_section(P, weight)
+            return sequence_cocycle(X, L, P, tau_P, zero).principal_symbol(k - 1)
 
         return operator_from_symbol_values(n, k, k - 1, value, max_x_order=2)
 
@@ -219,7 +223,8 @@ def test_sequence_cocycle_vanishes_for_affine_fields():
     P = Poly.monomial(R2, (1, 0, 2, 1))
     for lam in (0, Fraction(1, 2), Fraction(2, 3)):
         for G in fam.affine():
-            assert sequence_cocycle(G, P, lam, PolyDiffOp.zero(R2)).is_zero()
+            L, tau_P = weighted_lie_derivative(G, lam), normal_order_section(P, lam)
+            assert sequence_cocycle(G, L, P, tau_P, PolyDiffOp.zero(R2)).is_zero()
 
 
 def test_sequence_cocycle_order_drop():
@@ -231,7 +236,9 @@ def test_sequence_cocycle_order_drop():
         for _ in range(k):
             exp[2 + rng.randrange(2)] += 1
         P = Poly.monomial(R2, tuple(exp))
-        g = sequence_cocycle(X, P, Fraction(1, 3), PolyDiffOp.zero(R2))
+        lam = Fraction(1, 3)
+        g = sequence_cocycle(X, weighted_lie_derivative(X, lam), P,
+                             normal_order_section(P, lam), PolyDiffOp.zero(R2))
         assert g.order <= k - 1
 
 
@@ -241,10 +248,12 @@ def test_sequence_cocycle_frozen_quadratic_value():
     # contraction value on the same input
     fam = sl_generators(2)
     P = xi(0) * xi(0)
-    g = sequence_cocycle(fam.quadratic[0], P, 0, PolyDiffOp.zero(R2))
+    X = fam.quadratic[0]
+    g = sequence_cocycle(X, weighted_lie_derivative(X, 0), P,
+                         normal_order_section(P, 0), PolyDiffOp.zero(R2))
     assert g.principal_symbol(1) == xi(0).scale(-2)
     from cohomolab.cocycles import builtin_gamma1_flat
-    hess = builtin_gamma1_flat(2, 2).evaluate(fam.quadratic[0]).apply(P)
+    hess = builtin_gamma1_flat(2, 2).evaluate(X).apply(P)
     assert hess == xi(0).scale(4)
     assert g.principal_symbol(1) == hess.scale(Fraction(-1, 2))
 
@@ -324,7 +333,8 @@ def test_sequence_cocycle_with_a_splitting_is_the_two_commutator_formula():
                     - normal_order_section(LP, lam)
                     - (L.commutator(normal_order_section(B.apply(P), lam))
                        - normal_order_section(B.apply(LP), lam)))
-                assert sequence_cocycle(X, P, lam, B) == two_commutators, (k, X, P)
+                value = sequence_cocycle(X, L, P, split_section(P, B, lam), B)
+                assert value == two_commutators, (k, X, P)
         # 2B leaves the top symbol -X.B, which the k-2 order check rejects
         doubled = quantization_projected_cocycle(2, k, lam, B.scale(2))
         with pytest.raises(StructureError, match="failed to cancel the top symbol"):
@@ -425,6 +435,32 @@ def test_projected_cocycle_values_have_the_witness_x_order(monkeypatch):
             for v in xi_simplex(n, k):
                 for u in monomials_up_to(n, 3):
                     assert value_fn(u, v) == op.apply(Poly.monomial(ring, u + v)), (n, k, X)
+
+
+def test_projected_cocycle_builds_one_lie_derivative_per_field_and_one_section_per_symbol(
+        monkeypatch):
+    # quantization_report(2, 2, 1/2, 2) evaluates the projected cocycle on 20
+    # monomial fields, each rebuilt from 18 values on x^u xi^v (|v| = 2,
+    # |u| <= 2): 360 sequence_cocycle calls over 18 distinct symbols.  L_X is
+    # built once per field (20, not 360), tau'(x^u xi^v) once per symbol (18)
+    # and tau'(L_X P) once per value (360), so 378 sections, not 720
+    counts = dict.fromkeys(("weighted_lie_derivative", "normal_order_section",
+                            "sequence_cocycle", "operator_from_symbol_values"), 0)
+
+    def counting(name):
+        original = getattr(quantization, name)
+
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return spy
+
+    for name in counts:
+        monkeypatch.setattr(quantization, name, counting(name))
+    out = quantization_report(2, 2, Fraction(1, 2), 2)
+    assert out["projected_cocycle"] == {"identity_holds": True, "nontrivial": True}
+    assert counts == {"weighted_lie_derivative": 20, "normal_order_section": 378,
+                      "sequence_cocycle": 360, "operator_from_symbol_values": 20}
 
 
 @pytest.mark.parametrize("k,scalar", [(2, Fraction(-1, 9)), (3, Fraction(-1, 12))])
