@@ -12,7 +12,6 @@ from .ansatz import (
     impose_cocycle,
     recurrence_solutions,
     solve_equivariant_direct,
-    sys4_residuals,
 )
 from .cocycles import (
     OneCocycle,
@@ -39,7 +38,6 @@ from .poly import (
 )
 from .quantization import quantization_projected_cocycle, quantization_top_cocycle
 from .report import RunConfig, cohomology_table, emit_report, quantization_report
-from .symbols import one_form_primitive
 
 # The API the README's "Python API" section documents.
 __all__ = [
@@ -62,7 +60,6 @@ __all__ = [
     "field_columns",
     "hessian_contraction_op",
     "impose_cocycle",
-    "one_form_primitive",
     "parse_poly",
     "poly_str",
     "quantization_projected_cocycle",
@@ -71,7 +68,6 @@ __all__ = [
     "recurrence_solutions",
     "single_ring",
     "solve_equivariant_direct",
-    "sys4_residuals",
     "trace_contraction_op",
     "vanishes_on_sl",
 ]

@@ -293,8 +293,9 @@ def recurrence_solutions(n: int, k: int, p: int) -> SolutionSpace:
         (s-1) beta_{s+1}  - (2k+n-p+s-1) beta_s  - gamma_s = 0
         (s-2) gamma_s     - (2k+n-p+s-1) gamma_{s-1}       = 0
 
-    The fourth recurrence of the original system is implied by these and is
-    checked separately (see sys4_residuals).
+    The fourth recurrence of the original system is implied by these;
+    tests/test_acceptance.py::test_criterion_09_redundant_recurrence checks
+    it on every solution for n = 2, 3 and k <= 5.
     """
     _validate(n, k, p)
     indices = reduced_indices(k, p)
@@ -317,19 +318,6 @@ def recurrence_solutions(n: int, k: int, p: int) -> SolutionSpace:
     basis = [AnsatzCoefficients.from_vector(k, p, indices, v)
              for v in nullspace(rows, len(indices))]
     return SolutionSpace(n, k, p, basis)
-
-
-def sys4_residuals(n: int, k: int, p: int,
-                   coeffs: AnsatzCoefficients) -> list[Coeff]:
-    """Values of the redundant fourth recurrence on a coefficient family."""
-    out = []
-    for s in range(2, p + 1):
-        val = ((k - p) * rat(coeffs.get("alpha", s + 1))
-               + (n + 1) * rat(coeffs.get("beta", s + 1))
-               + (p - s) * rat(coeffs.get("gamma", s + 1))
-               + (k - p + s) * rat(coeffs.get("gamma", s)))
-        out.append(norm_coeff(val))
-    return out
 
 
 def _validate(n: int, k: int, p: int) -> None:

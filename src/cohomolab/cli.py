@@ -33,7 +33,6 @@ from .report import (
     cohomology_table,
     emit_report,
     quantization_report,
-    run_property_suite,
     wrap_report,
 )
 
@@ -89,8 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--max-vf-degree", type=int, default=3)
     p.add_argument("--candidates-file",
-                   help="custom candidates, one operator text form per line "
-                        "(default: the affine-equivariant basis, complete at every order)")
+                   help="custom candidates, one operator text form per line (default: the "
+                        "affine-equivariant basis, which holds every witness of a cocycle "
+                        "vanishing on the affine fields: c1, c2, gamma1, not div)")
     _add_div_options(p)
 
     p = sub.add_parser("quantization-cocycle",
@@ -100,11 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="weight", default="0",
                    help="density weight as an exact fraction, e.g. 1/2")
     p.add_argument("--max-vf-degree", type=int, default=3)
-
-    p = sub.add_parser("properties", help="randomized exact invariant suite")
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--count", type=int, default=100)
 
     return ap
 
@@ -216,16 +211,6 @@ def _dispatch(args) -> int:
         ok = result["cocycle_identity_holds"]
         config = {"dim": args.dim, "order": args.order, "lambda": result["lambda"],
                   "max_vf_degree": args.max_vf_degree}
-
-    elif command == "properties":
-        checks = run_property_suite(args.seed, args.count, args.dim)
-        for check in checks:
-            status = "PASS" if check["passed"] else "FAIL"
-            print(f"{status} {check['name']} ({check['instances']} instances)",
-                  file=sys.stderr)
-        result = {"checks": checks, "seed": args.seed}
-        ok = all(c["passed"] for c in checks)
-        config = {"dim": args.dim, "seed": args.seed, "count": args.count}
 
     else:  # pragma: no cover
         raise StructureError(f"unknown command {command}")

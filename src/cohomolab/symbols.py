@@ -17,7 +17,6 @@ multiplication cocycles attached to a closed polynomial 1-form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .operators import hamiltonian_op
 from .poly import Poly, Ring, StructureError, check_vector_field, rat, single_ring
@@ -107,26 +106,6 @@ def is_closed(omega: list[Poly], ring: Ring) -> bool:
             if omega[i].diff(ring.x(j)) != omega[j].diff(ring.x(i)):
                 return False
     return True
-
-
-def one_form_primitive(omega: list[Poly], ring: Ring) -> Poly:
-    """A polynomial f with df = omega, via the radial homotopy formula.
-
-    Every closed polynomial 1-form on R^n is exact; for a monomial component
-    c x^a dx^i the homotopy integral contributes c x^(a+e_i) / (|a| + 1).
-    """
-    if not is_closed(omega, ring):
-        raise StructureError("the 1-form is not closed")
-    f = Poly.zero(ring)
-    for i, w in enumerate(omega):
-        for exp, c in w.terms.items():
-            lifted = list(exp)
-            lifted[ring.x(i)] += 1
-            f = f + Poly.monomial(ring, tuple(lifted), Fraction(c, sum(exp) + 1))
-    for i in range(ring.n):
-        if f.diff(ring.x(i)) != omega[i]:
-            raise StructureError("primitive reconstruction failed")
-    return f
 
 
 def divergence_cocycle(a, omega: list[Poly], X: Poly) -> Poly:

@@ -14,7 +14,6 @@ from cohomolab.ansatz import (
     impose_cocycle,
     recurrence_solutions,
     solve_equivariant_direct,
-    sys4_residuals,
 )
 from cohomolab.cocycles import (
     builtin_c1,
@@ -43,11 +42,12 @@ from cohomolab.report import (
     RunConfig,
     cohomology_table,
     expected_relative_dimension,
-    run_property_suite,
 )
 from cohomolab.symbols import sl_generators
 
 from affine_oracle import affine_basis_by_elimination
+from exact_helpers import sys4_residuals
+from property_suite import run_property_suite
 
 
 def criterion(num, description):

@@ -23,7 +23,6 @@ from cohomolab.ansatz import (
     recurrence_solutions,
     reduced_indices,
     solve_equivariant_direct,
-    sys4_residuals,
 )
 from cohomolab.cocycles import (bilinear_cocycle, cocycle_check, second_class_coefficients,
                                 vanishes_on_sl)
@@ -33,6 +32,7 @@ from cohomolab.operators import (PolyDiffOp, commutator_sum, lie_derivative_op,
 from cohomolab.poly import Poly, ResourceLimitError, StructureError, rat_str, single_ring
 from cohomolab.symbols import hamiltonian_action, schouten_bracket, sl_generators
 
+from exact_helpers import sys4_residuals
 from plane_ring import R2, x, xi
 
 

@@ -27,8 +27,9 @@ from cohomolab import quantization
 from cohomolab.quantization import quantization_projected_cocycle, quantization_top_cocycle
 from cohomolab.report import quantization_report
 from cohomolab.report import certify_class
-from cohomolab.symbols import one_form_primitive, schouten_bracket, sl_generators
+from cohomolab.symbols import schouten_bracket, sl_generators
 
+from exact_helpers import one_form_primitive
 from plane_ring import R2, x, xi
 
 

@@ -20,10 +20,11 @@ from cohomolab.report import (
     cohomology_table,
     emit_report,
     expected_relative_dimension,
-    run_property_suite,
     wrap_report,
 )
 from cohomolab.symbols import sl_generators
+
+from property_suite import run_property_suite
 
 
 def test_expected_pattern():

@@ -11,11 +11,11 @@ from cohomolab.symbols import (
     euler_field,
     hamiltonian_action,
     is_closed,
-    one_form_primitive,
     schouten_bracket,
     sl_generators,
 )
 
+from exact_helpers import one_form_primitive
 from plane_ring import R2, x, xi
 
 R3 = single_ring(3)
