@@ -14,9 +14,11 @@ from __future__ import annotations
 import random
 
 from cohomolab.operators import PolyDiffOp, divergence_diffop, euler_diffop, module_action
-from cohomolab.poly import Poly, single_ring
+from cohomolab.poly import Poly
 from cohomolab.quantization import normal_order_section
 from cohomolab.symbols import schouten_bracket
+
+from plane_ring import R2
 
 
 def _random_poly(rng, ring, max_degree=6, max_terms=4, coeff_bound=10**6):
@@ -65,9 +67,9 @@ def _random_symbol(rng, ring, k, max_x=3):
     return Poly.monomial(ring, tuple(exp), rng.randint(1, 9))
 
 
-def run_property_suite(seed: int = 2024, count: int = 100, n: int = 2) -> list[dict]:
-    """The randomized exact-invariant suite; every instance must hold exactly."""
-    ring = single_ring(n)
+def run_property_suite(seed: int, count: int) -> list[dict]:
+    """The randomized exact-invariant suite on the plane; every instance must hold exactly."""
+    ring = R2
     rng = random.Random(seed)
     results = []
 
