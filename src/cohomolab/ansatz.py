@@ -321,8 +321,7 @@ def recurrence_solutions(n: int, k: int, p: int) -> SolutionSpace:
 
 
 def _validate(n: int, k: int, p: int) -> None:
-    if n < 2:
-        raise StructureError("the classification needs dimension >= 2")
+    single_ring(n)  # rejects n < 2
     if not 0 <= p <= k:
         raise StructureError(f"need 0 <= p <= k, got p={p}, k={k}")
 

@@ -62,8 +62,7 @@ class RunConfig:
     max_vf_degree: int = 3
 
     def __post_init__(self):
-        if self.n < 2:
-            raise StructureError("configuration requires dimension >= 2")
+        single_ring(self.n)  # rejects n < 2
         if self.max_symbol_degree < 0:
             raise StructureError("the symbol degree bound must be nonnegative")
         if self.max_vf_degree < 2:

@@ -4,7 +4,9 @@ sys4_residuals evaluates the fourth recurrence of the original system, which
 ansatz.recurrence_solutions drops as implied by the other three; the tests
 check that it vanishes on every solution.  one_form_primitive integrates a
 closed polynomial 1-form, which gives the multiplication operator that
-cobounds the div cocycle with a = 0.
+cobounds the div cocycle with a = 0.  rebuild_with_next_order_check runs
+the operator reconstruction at a bound the caller has not proved, and checks
+the result one x-order above that bound.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from cohomolab.ansatz import AnsatzCoefficients
-from cohomolab.poly import Coeff, Poly, Ring, StructureError, norm_coeff, rat
+from cohomolab.operators import PolyDiffOp, xi_simplex
+from cohomolab.poly import Coeff, Poly, Ring, StructureError, norm_coeff, rat, single_ring
+from cohomolab.quantization import operator_from_symbol_values
 from cohomolab.symbols import is_closed
 
 
@@ -47,3 +51,19 @@ def one_form_primitive(omega: list[Poly], ring: Ring) -> Poly:
         if f.diff(ring.x(i)) != omega[i]:
             raise StructureError("primitive reconstruction failed")
     return f
+
+
+def rebuild_with_next_order_check(n: int, k: int, value_fn, bound: int) -> PolyDiffOp:
+    """operator_from_symbol_values at bound, checked on every |u| = bound + 1.
+
+    A term C d^beta of x-order bound + 1 is the first the rebuild misses, and
+    it adds beta! C to the value on x^beta, so this check catches a bound one
+    below the map's x-order (not a map with no terms of that order and some
+    above it).
+    """
+    op = operator_from_symbol_values(n, k, value_fn, bound)
+    ring = single_ring(n)
+    for v in xi_simplex(n, k):
+        for u in xi_simplex(n, bound + 1):
+            assert value_fn(u, v) == op.apply(Poly.monomial(ring, u + v)), (u, v)
+    return op

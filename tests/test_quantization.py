@@ -33,6 +33,7 @@ from cohomolab.quantization import (
 from cohomolab.report import quantization_report
 from cohomolab.symbols import hamiltonian_action, schouten_bracket, sl_generators
 
+from exact_helpers import rebuild_with_next_order_check
 from plane_ring import R2, x, xi
 
 
@@ -71,7 +72,7 @@ def definitional_top_cocycle(n, k, weight):
 
     The definition the closed form of quantization_top_cocycle replaces:
     principal symbols of sequence_cocycle on x^u xi^v, reassembled into an
-    operator by operator_from_symbol_values.
+    operator by operator_from_symbol_values at x-order 2 and checked at 3.
     """
     ring = single_ring(n)
     zero = PolyDiffOp.zero(ring)
@@ -84,7 +85,7 @@ def definitional_top_cocycle(n, k, weight):
             tau_P = normal_order_section(P, weight)
             return sequence_cocycle(X, L, P, tau_P, zero).principal_symbol(k - 1)
 
-        return operator_from_symbol_values(n, k, k - 1, value, max_x_order=2)
+        return rebuild_with_next_order_check(n, k, value, 2)
 
     return OneCocycle(n, k, k - 1, "definitional", rule)
 
@@ -356,7 +357,7 @@ def test_class_independent_of_section_choice():
                          - symmetrized_section(hamiltonian_action(X, P), lam))
                 return gamma.principal_symbol(k - 1)
 
-            return operator_from_symbol_values(2, k, k - 1, value, max_x_order=2)
+            return rebuild_with_next_order_check(2, k, value, 2)
 
         c_left = quantization_top_cocycle(2, k, lam)
         c_sym = OneCocycle(2, k, k - 1, "symmetrized", symmetrized_rule)
@@ -371,26 +372,16 @@ def test_reconstruction_rejects_truncated_order():
     def value(u, v):
         return D.apply(Poly.monomial(R2, tuple(u) + tuple(v)))
 
-    with pytest.raises(StructureError):
-        operator_from_symbol_values(2, 2, 1, value, max_x_order=0)
-    rebuilt = operator_from_symbol_values(2, 2, 1, value, max_x_order=1)
+    # D has x-order 1: a rebuild at a bound below that misses its terms
+    # (the precondition of operator_from_symbol_values); at 1 it is exact
+    truncated = operator_from_symbol_values(2, 2, value, max_x_order=0)
+    assert truncated.symbol_map(2) != D.symbol_map(2)
+    rebuilt = operator_from_symbol_values(2, 2, value, max_x_order=1)
     assert rebuilt.symbol_map(2) == D.symbol_map(2)
     # the rebuilt normal form is pinned, not only its action on S_2
     assert op_str(rebuilt) == (
         "(1*xi2) * dx2 * dxi2^2 + (1*xi1) * dx2 * dxi1 * dxi2"
         " + (1*xi2) * dx1 * dxi1 * dxi2 + (1*xi1) * dx1 * dxi1^2")
-
-
-@pytest.mark.parametrize("mixed", [False, True], ids=["wrong-degree", "inhomogeneous"])
-def test_reconstruction_rejects_values_outside_the_target_degree(mixed):
-    D = divergence_diffop(R2)
-
-    def value(u, v):
-        P = Poly.monomial(R2, tuple(u) + tuple(v))  # degree 2, not 1
-        return D.apply(P) + P if mixed else P
-
-    with pytest.raises(StructureError, match="target degree 1"):
-        operator_from_symbol_values(2, 2, 1, value, max_x_order=1)
 
 
 def test_projected_cocycle_values_are_pinned():
@@ -414,15 +405,16 @@ def test_projected_cocycle_values_have_the_witness_x_order(monkeypatch):
     # the values of the weight-1/2 projected cocycle have x-order at most that
     # of the witness -D/2, which is 1 (quantization_projected_cocycle's
     # docstring): each value is rebuilt at that bound, and the rebuilt
-    # operator reproduces the values on every x^u xi^v with |u| <= 3
+    # operator reproduces the values on every x^u xi^v with |u| <= 3.  Besides
+    # that proof, this is the bound's one guard: the rebuild does not re-check
     calls = []
 
-    def spy(n, k, ell, value_fn, max_x_order):
+    def spy(n, k, value_fn, max_x_order):
         calls.append((value_fn, max_x_order))
-        return operator_from_symbol_values(n, k, ell, value_fn, max_x_order)
+        return operator_from_symbol_values(n, k, value_fn, max_x_order)
 
     monkeypatch.setattr(quantization, "operator_from_symbol_values", spy)
-    for n, k, degree in [(2, 2, 3), (2, 3, 3), (3, 2, 2)]:
+    for n, k, degree in [(2, 2, 3), (2, 3, 3), (2, 4, 3), (3, 2, 2)]:
         ring = single_ring(n)
         top = quantization_top_cocycle(n, k, Fraction(1, 2))
         witness = coboundary_solve(field_columns(top, [divergence_diffop(ring)], 3)).witness
@@ -440,10 +432,11 @@ def test_projected_cocycle_values_have_the_witness_x_order(monkeypatch):
 def test_projected_cocycle_builds_one_lie_derivative_per_field_and_one_section_per_symbol(
         monkeypatch):
     # quantization_report(2, 2, 1/2, 2) evaluates the projected cocycle on 20
-    # monomial fields, each rebuilt from 18 values on x^u xi^v (|v| = 2,
-    # |u| <= 2): 360 sequence_cocycle calls over 18 distinct symbols.  L_X is
-    # built once per field (20, not 360), tau'(x^u xi^v) once per symbol (18)
-    # and tau'(L_X P) once per value (360), so 378 sections, not 720
+    # monomial fields, each rebuilt from 9 values on x^u xi^v (|v| = 2,
+    # |u| <= 1, the witness's x-order): 180 sequence_cocycle calls over 9
+    # distinct symbols.  L_X is built once per field (20, not 180),
+    # tau'(x^u xi^v) once per symbol (9) and tau'(L_X P) once per value
+    # (180), so 189 sections, not 360
     counts = dict.fromkeys(("weighted_lie_derivative", "normal_order_section",
                             "sequence_cocycle", "operator_from_symbol_values"), 0)
 
@@ -459,8 +452,8 @@ def test_projected_cocycle_builds_one_lie_derivative_per_field_and_one_section_p
         monkeypatch.setattr(quantization, name, counting(name))
     out = quantization_report(2, 2, Fraction(1, 2), 2)
     assert out["projected_cocycle"] == {"identity_holds": True, "nontrivial": True}
-    assert counts == {"weighted_lie_derivative": 20, "normal_order_section": 378,
-                      "sequence_cocycle": 360, "operator_from_symbol_values": 20}
+    assert counts == {"weighted_lie_derivative": 20, "normal_order_section": 189,
+                      "sequence_cocycle": 180, "operator_from_symbol_values": 20}
 
 
 @pytest.mark.parametrize("k,scalar", [(2, Fraction(-1, 9)), (3, Fraction(-1, 12))])
