@@ -405,8 +405,8 @@ def test_projected_cocycle_values_have_the_witness_x_order(monkeypatch):
     # the values of the weight-1/2 projected cocycle have x-order at most that
     # of the witness -D/2, which is 1 (quantization_projected_cocycle's
     # docstring): each value is rebuilt at that bound, and the rebuilt
-    # operator reproduces the values on every x^u xi^v with |u| <= 3.  Besides
-    # that proof, this is the bound's one guard: the rebuild does not re-check
+    # operator reproduces the values on every x^u xi^v with |u| <= 3.  The
+    # rebuild does not re-check, so besides the proof this is the bound's guard
     calls = []
 
     def spy(n, k, value_fn, max_x_order):
