@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Iterator
 
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
 from .operators import (PolyDiffOp, commutator_sum, hamiltonian_op, lie_derivative_op,
-                        operator_from_sum, unit_deriv, xi_simplex)
+                        linear_combination, operator_from_sum, unit_deriv, xi_simplex)
 from .poly import (Coeff, Poly, StructureError, add_scaled_terms, norm_coeff, rat, rat_str,
                    single_ring)
 from .symbols import GeneratorFamily, schouten_bracket, sl_generators
@@ -229,11 +229,10 @@ class BilinearOp:
 def build_bilinear(coeffs: AnsatzCoefficients, n: int) -> BilinearOp:
     """Assemble the candidate operator with the factorial normalizations."""
     k, p = coeffs.k, coeffs.p
-    op = PolyDiffOp.zero(single_ring(2 * n))
-    for kind, s in full_indices(k, p):
-        c = coeffs.get(kind, s)
-        if c != 0:
-            op = op + ansatz_term_op(n, kind, s, p).scale(c)
+    nonzero = [(kind, s) for kind, s in full_indices(k, p) if coeffs.get(kind, s) != 0]
+    op = linear_combination(single_ring(2 * n),
+                            [ansatz_term_op(n, kind, s, p) for kind, s in nonzero],
+                            coeffs.as_vector(nonzero))
     return BilinearOp(n, op)
 
 

@@ -54,7 +54,12 @@ symbols.hamiltonian_action and module_action apply it.  So a field met in
 many pairs is differentiated once, not once per bracket.
 
 Term differentiation lives in poly.diff_terms, shared with Poly.diff_multi
-and PolyDiffOp.apply.
+and PolyDiffOp.apply.  Sums and both text forms use the poly helpers too:
+PolyDiffOp + and - share one merge loop over Poly + and -;
+linear_combination and commutator_sum's base add a linear combination raw
+through one loop over poly.add_scaled_terms (_add_combination); op_str and
+parse_op write and read derivative factors with poly.monomial_factors and
+poly.parse_monomial, the codec of poly_str and parse_poly.
 
 Operators acting on the finite-dimensional xi-monomial slice of fixed degree
 k admit an exact canonical form (SymbolMap below): the xi-part becomes a
@@ -85,7 +90,9 @@ from .poly import (
     check_term_budget,
     check_vector_field,
     diff_terms,
+    monomial_factors,
     norm_coeff,
+    parse_monomial,
     parse_poly,
     poly_str,
     rat,
@@ -274,25 +281,19 @@ class PolyDiffOp:
         return self._table
 
     def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        if self.ring != other.ring:
-            raise StructureError("operator ring mismatch")
-        out = dict(self.terms)
-        for mu, coeff in other.terms.items():
-            s = out.get(mu)
-            s = coeff if s is None else s + coeff
-            if s.is_zero():
-                out.pop(mu, None)
-            else:
-                out[mu] = s
-        return PolyDiffOp(self.ring, out, _clean=True)
+        return self._merge(other, add)
 
     def __sub__(self, other: "PolyDiffOp") -> "PolyDiffOp":
+        return self._merge(other, sub)
+
+    def _merge(self, other: "PolyDiffOp", op) -> "PolyDiffOp":
+        """self op other for op = operator.add or operator.sub: Poly + or - per coefficient."""
         if self.ring != other.ring:
             raise StructureError("operator ring mismatch")
+        zero = Poly.zero(self.ring)
         out = dict(self.terms)
         for mu, coeff in other.terms.items():
-            s = out.get(mu)
-            s = -coeff if s is None else s - coeff
+            s = op(out.get(mu, zero), coeff)
             if s.is_zero():
                 out.pop(mu, None)
             else:
@@ -367,6 +368,19 @@ class PolyDiffOp:
         return f"PolyDiffOp({op_str(self)})"
 
 
+def _add_combination(acc: dict, ring: Ring, base: Iterable[tuple[Coeff, PolyDiffOp]]) -> None:
+    """Add sum_j c_j B_j raw into acc, {mu: {exponent: coefficient}}, for nonzero c_j.
+
+    The one accumulation of a linear combination of operators, shared by
+    commutator_sum's base and linear_combination.  Every B_j must be over ring.
+    """
+    for c, B in base:
+        if B.ring is not ring and B.ring != ring:
+            raise StructureError("operator ring mismatch")
+        for mu, coeff in B.terms.items():
+            add_scaled_terms(acc.setdefault(mu, {}), coeff.terms.items(), c)
+
+
 def commutator_sum(pairs: list[tuple[PolyDiffOp, PolyDiffOp]],
                    base: Iterable[tuple[Coeff, PolyDiffOp]] = ()) -> PolyDiffOp:
     """Normal form of sum_j c_j B_j + sum_i [P_i, A_i], in one accumulator.
@@ -382,11 +396,7 @@ def commutator_sum(pairs: list[tuple[PolyDiffOp, PolyDiffOp]],
     """
     ring = pairs[0][0].ring
     acc: dict = {}
-    for c, B in base:
-        if B.ring is not ring and B.ring != ring:
-            raise StructureError("operator ring mismatch")
-        for mu, coeff in B.terms.items():
-            add_scaled_terms(acc.setdefault(mu, {}), coeff.terms.items(), c)
+    _add_combination(acc, ring, base)
     for P, A in pairs:
         if ((P.ring is not ring and P.ring != ring)
                 or (A.ring is not ring and A.ring != ring)):
@@ -449,16 +459,9 @@ def op_str(op: PolyDiffOp) -> str:
     """Canonical operator text: '(coeff) * dx1 * dxi2^2' terms in derivative order."""
     if not op.terms:
         return "(0)"
-    parts = []
-    for mu in sorted(op.terms):
-        factors = [f"({poly_str(op.terms[mu])})"]
-        for idx, e in enumerate(mu):
-            if e == 0:
-                continue
-            name = "d" + op.ring.var_name(idx)
-            factors.append(name if e == 1 else f"{name}^{e}")
-        parts.append(" * ".join(factors))
-    return " + ".join(parts)
+    return " + ".join(" * ".join([f"({poly_str(op.terms[mu])})",
+                                  *monomial_factors(op.ring, mu, "d")])
+                      for mu in sorted(op.terms))
 
 
 def parse_op(ring: Ring, text: str) -> PolyDiffOp:
@@ -475,16 +478,8 @@ def parse_op(ring: Ring, text: str) -> PolyDiffOp:
         if close < 0:
             raise StructureError(f"no closing parenthesis in operator text {text!r}")
         coeff = parse_poly(ring, part[1:close])
-        mu = [0] * ring.nvars
-        for factor in part[close + 1:].split("*"):
-            factor = factor.strip()
-            if not factor:
-                continue
-            name, caret, e = factor.partition("^")
-            if not name.startswith("d") or (caret and not e.isdecimal()):
-                raise StructureError(f"bad derivative factor {factor!r}")
-            mu[ring.var_index(name[1:])] += int(e) if caret else 1
-        key = tuple(mu)
+        factors = [f.strip() for f in part[close + 1:].split("*")]
+        key = parse_monomial(ring, filter(None, factors), "d")
         prev = terms.get(key)
         terms[key] = coeff if prev is None else prev + coeff
     return PolyDiffOp(ring, terms)
@@ -538,12 +533,14 @@ def lie_derivative_op(X: Poly) -> PolyDiffOp:
 
 
 def linear_combination(ring: Ring, ops: list[PolyDiffOp], weights) -> PolyDiffOp:
-    """sum_j weights[j] * ops[j], skipping zero weights."""
-    out = PolyDiffOp.zero(ring)
-    for op, c in zip(ops, weights):
-        if c != 0:
-            out = out + op.scale(c)
-    return out
+    """sum_j weights[j] * ops[j], in one raw accumulator; a zero weight adds nothing.
+
+    Each weight is read by poly.rat, and the sum becomes an operator through
+    operator_from_sum, under one term-budget check.
+    """
+    acc: dict = {}
+    _add_combination(acc, ring, [(c, op) for op, w in zip(ops, weights) if (c := rat(w))])
+    return operator_from_sum(ring, acc)
 
 
 def module_action(X: Poly, A: PolyDiffOp) -> PolyDiffOp:

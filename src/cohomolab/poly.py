@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import perm
+from operator import add, sub
+from typing import Iterable
 
 Coeff = int | Fraction
 Exponent = tuple[int, ...]
@@ -124,8 +126,11 @@ def diff_terms(terms, multi: Exponent) -> list[tuple[Exponent, Coeff]]:
 def add_scaled_terms(acc: dict, terms, c: Coeff) -> None:
     """Add c * v into acc[e] for each (e, v) of terms; a sum that reaches 0 is dropped.
 
-    The raw accumulation shared by commutator_sum's base and
-    BilinearOp.operator_for_field; coefficients stay unnormalized.
+    c must be nonzero: c = 0 makes the sum 0 at a key not yet in acc, and
+    its deletion raises KeyError.  The raw accumulation shared by
+    operators._add_combination (commutator_sum's base and
+    linear_combination) and BilinearOp.operator_for_field; coefficients
+    stay unnormalized.
     """
     for e, v in terms:
         s = acc.get(e, 0) + c * v
@@ -172,13 +177,14 @@ class Ring:
         block, pos = divmod(idx, self.n)
         return f"{('x', 'xi')[block]}{pos + 1}"
 
-    def var_index(self, name: str) -> int:
+    def var_index(self, name: str) -> int | None:
+        """The index of the variable var_name calls name, or None if there is none."""
         for prefix, block in (("xi", 1), ("x", 0)):
-            if name.startswith(prefix) and name[len(prefix):].isdigit():
+            if name.startswith(prefix) and name[len(prefix):].isdecimal():
                 pos = int(name[len(prefix):]) - 1
-                self._check_coord(pos)
-                return block * self.n + pos
-        raise StructureError(f"unknown variable {name!r}")
+                if 0 <= pos < self.n:
+                    return block * self.n + pos
+        return None
 
 
 @lru_cache(maxsize=None)
@@ -266,27 +272,21 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check_same_ring(other)
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, 0) + c
-            if s == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = norm_coeff(s)
-        return Poly(self.ring, out, _clean=True)
+        return self._merge(other, add)
 
     def __sub__(self, other: "Poly") -> "Poly":
+        return self._merge(other, sub)
+
+    def _merge(self, other: "Poly", op) -> "Poly":
+        """self op other for op = operator.add or operator.sub, one term of other at a time."""
         self._check_same_ring(other)
         if not other.terms:
             return self
+        if not self.terms and op is add:
+            return other
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = out.get(exp, 0) - c
+            s = op(out.get(exp, 0), c)
             if s == 0:
                 out.pop(exp, None)
             else:
@@ -376,6 +376,35 @@ class Poly:
         return f"Poly({self.ring.n}: {poly_str(self)})"
 
 
+def monomial_factors(ring: Ring, exp: Exponent, prefix: str = "") -> list[str]:
+    """The factors 'name' or 'name^e' of the monomial exp, each name after prefix.
+
+    The one writer of monomials: poly_str joins them with '*' after the
+    coefficient, op_str with ' * ' after '(coefficient)' and prefix 'd',
+    as in 'dx1 * dxi2^2'.  parse_monomial reads them back.
+    """
+    return [prefix + ring.var_name(idx) + (f"^{e}" if e > 1 else "")
+            for idx, e in enumerate(exp) if e]
+
+
+def parse_monomial(ring: Ring, factors: Iterable[str], prefix: str = "") -> Exponent:
+    """The exponent of the product of factors as monomial_factors writes them; repeats add up.
+
+    The one reader of monomials.  A factor that is not prefix and a variable
+    of ring, with an optional decimal exponent after '^', raises
+    StructureError naming it.
+    """
+    exp = [0] * ring.nvars
+    for f in factors:
+        name, caret, e = f.partition("^")
+        var = ring.var_index(name[len(prefix):]) if name.startswith(prefix) else None
+        if var is None or (caret and not e.isdecimal()):
+            raise StructureError(f"bad factor {f!r}: expected {prefix}x<i> or {prefix}xi<i>"
+                                 f" with 1 <= i <= {ring.n}, then optionally ^<exponent>")
+        exp[var] += int(e) if caret else 1
+    return tuple(exp)
+
+
 def poly_str(p: Poly) -> str:
     """Canonical text form: terms in lexicographic exponent order.
 
@@ -384,45 +413,22 @@ def poly_str(p: Poly) -> str:
     """
     if not p.terms:
         return "0"
-    parts = []
-    for exp in sorted(p.terms):
-        c = p.terms[exp]
-        factors = [rat_str(c)]
-        for idx, e in enumerate(exp):
-            if e == 0:
-                continue
-            name = p.ring.var_name(idx)
-            factors.append(name if e == 1 else f"{name}^{e}")
-        parts.append("*".join(factors))
-    return " + ".join(parts)
+    return " + ".join("*".join([rat_str(p.terms[exp]), *monomial_factors(p.ring, exp)])
+                      for exp in sorted(p.terms))
 
 
 def parse_poly(ring: Ring, text: str) -> Poly:
     """Parse the canonical text form produced by poly_str."""
-    text = text.strip()
-    if text == "0":
-        return Poly.zero(ring)
-    terms: dict[Exponent, Coeff] = {}
-    for part in text.split(" + "):
+    out = Poly.zero(ring)
+    for part in text.strip().split(" + "):
         factors = part.strip().split("*")
         try:
             coeff = rat(factors[0])
         except StructureError:
             raise StructureError("each term starts with its coefficient, as in "
                                  f"'1*x2': got {part.strip()!r}") from None
-        exp = [0] * ring.nvars
-        for f in factors[1:]:
-            name, caret, e = f.partition("^")
-            if caret and not e.isdecimal():
-                raise StructureError(f"bad exponent in {f!r}")
-            exp[ring.var_index(name)] += int(e) if caret else 1
-        key = tuple(exp)
-        prev = terms.get(key, 0) + coeff
-        if prev == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = norm_coeff(prev)
-    return Poly(ring, terms, _clean=True)
+        out = out + Poly.monomial(ring, parse_monomial(ring, factors[1:]), coeff)
+    return out
 
 
 def check_vector_field(X: Poly) -> Poly:

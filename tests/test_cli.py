@@ -173,6 +173,9 @@ def test_option_inventory_is_pinned():
 CANDIDATE_FILES = {
     "garbage.txt": "garbage\n",
     "bad-exponent.txt": "(1) * dx1^a\n",
+    "derivative-without-d.txt": "(1) * x1\n",
+    "unknown-variable.txt": "(1*x1) * dy1\n",
+    "coordinate-out-of-range.txt": "(1*x3) * dx1\n",
     "empty.txt": "\n",
 }
 
@@ -192,6 +195,15 @@ CONFIG_ERRORS = {
                                 "--order", "2", "--candidates-file", "{tmp}/garbage.txt"], None),
     "bad-candidate-exponent": (["coboundary-test", "--name", "c1", "--dim", "2",
                                 "--order", "2", "--candidates-file", "{tmp}/bad-exponent.txt"], None),
+    "derivative-without-d": (["coboundary-test", "--name", "c1", "--dim", "2", "--order",
+                              "2", "--candidates-file", "{tmp}/derivative-without-d.txt"], None),
+    "unknown-candidate-variable": (["coboundary-test", "--name", "c1", "--dim", "2", "--order",
+                                    "2", "--candidates-file", "{tmp}/unknown-variable.txt"], None),
+    "candidate-coordinate-out-of-range": (["coboundary-test", "--name", "c1", "--dim", "2",
+                                           "--order", "2", "--candidates-file",
+                                           "{tmp}/coordinate-out-of-range.txt"], None),
+    "unknown-omega-variable": (["verify-cocycle", "--name", "div", "--dim", "2",
+                                "--order", "2", "--omega", "1*y1,0"], None),
     "empty-candidates-file": (["coboundary-test", "--name", "c1", "--dim", "2",
                                "--order", "2", "--candidates-file", "{tmp}/empty.txt"], None),
     "non-utf8-candidates-file": (["coboundary-test", "--name", "c1", "--dim", "2", "--order",

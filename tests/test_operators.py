@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -17,6 +18,7 @@ from cohomolab.operators import (
     euler_diffop,
     hamiltonian_op,
     lie_derivative_op,
+    linear_combination,
     module_action,
     monomials_up_to,
     op_str,
@@ -246,6 +248,22 @@ def test_commutator_sum_matches_compose_reference():
         # [I, I] = 0 leaves the base alone
         base, I = fraction_op(rng, ring), PolyDiffOp.identity(ring)
         assert commutator_sum([(I, I)], base=[(1, base)]) == base
+
+
+def test_linear_combination_matches_scaled_sums():
+    rng = random.Random(34)
+    for ring in (R2, R3):
+        for _ in range(30):
+            ops = [fraction_op(rng, ring) for _ in range(rng.randint(1, 4))]
+            weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in ops]
+            reference = PolyDiffOp.zero(ring)
+            for op, c in zip(ops, weights):
+                reference = reference + op.scale(c)
+            assert linear_combination(ring, ops, weights) == reference
+    # a zero weight adds nothing, also on a term that no other operand has
+    A, B = PolyDiffOp.identity(R2), divergence_diffop(R2)
+    assert linear_combination(R2, [A, B], [0, 1]) == B
+    assert linear_combination(R2, [A, -A], [1, 1]).is_zero()
 
 
 def test_commutator_sum_cancels_to_zero():
@@ -749,6 +767,13 @@ def test_op_str_roundtrip():
         A = random_op(rng, R2)
         assert parse_op(R2, op_str(A)) == A
     assert parse_op(R2, op_str(PolyDiffOp.zero(R2))).is_zero()
+
+
+def test_a_malformed_factor_is_named():
+    for text, factor in (("(1) * dx1^a", "dx1^a"), ("(1) * x1", "x1"), ("(1*x1) * dy1", "dy1"),
+                         ("(1*x3) * dx1", "x3"), ("(1*x1^a) * dx1", "x1^a")):
+        with pytest.raises(StructureError, match=re.escape(f"bad factor {factor!r}")):
+            parse_op(R2, text)
 
 
 def test_simplex_enumeration():
