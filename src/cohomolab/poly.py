@@ -133,7 +133,8 @@ def add_scaled_terms(acc: dict, terms, c: Coeff) -> None:
     stay unnormalized.
     """
     for e, v in terms:
-        s = acc.get(e, 0) + c * v
+        s = acc.get(e)
+        s = c * v if s is None else s + c * v
         if s:
             acc[e] = s
         else:

@@ -204,6 +204,9 @@ CONFIG_ERRORS = {
                                            "{tmp}/coordinate-out-of-range.txt"], None),
     "unknown-omega-variable": (["verify-cocycle", "--name", "div", "--dim", "2",
                                 "--order", "2", "--omega", "1*y1,0"], None),
+    # a superscript digit is a digit to str.isdigit but not to int()
+    "superscript-omega-index": (["verify-cocycle", "--name", "div", "--dim", "2",
+                                 "--order", "2", "--omega", "1*x\u00b2,0"], None),
     "empty-candidates-file": (["coboundary-test", "--name", "c1", "--dim", "2",
                                "--order", "2", "--candidates-file", "{tmp}/empty.txt"], None),
     "non-utf8-candidates-file": (["coboundary-test", "--name", "c1", "--dim", "2", "--order",
