@@ -184,22 +184,6 @@ class BilinearOp:
                 (mu[n:2 * n] + mu[3 * n:], coeff.terms[const]))
         self.parts = [(a_b, sum(a_b), rest) for a_b, rest in grouped.items()]
 
-    def __call__(self, X: Poly, P: Poly) -> Poly:
-        """C(X, P) by its definition, the reference operator_for_field is tested against.
-
-        X(x, xi) P(y, eta) is formed in single_ring(2n), the operator is
-        applied, and y := x, eta := xi restricts the value to single_ring(n).
-        """
-        n, ring = self.n, self.op.ring
-        pad = (0,) * n
-        first = Poly(ring, {e[:n] + pad + e[n:] + pad: c for e, c in X.terms.items()})
-        second = Poly(ring, {pad + e[:n] + pad + e[n:]: c for e, c in P.terms.items()})
-        out: dict = {}
-        for e, c in self.op.apply(first * second).terms.items():
-            key = tuple(a + b for a, b in zip(e[:n] + e[2 * n:3 * n], e[n:2 * n] + e[3 * n:]))
-            out[key] = out.get(key, 0) + c
-        return Poly(single_ring(n), out)
-
     def operator_for_field(self, X: Poly) -> PolyDiffOp:
         """The single_ring(n) operator P |-> C(X, P), for a fixed vector field.
 
@@ -380,8 +364,9 @@ def _monomial_terms(F: Poly, memo: dict) -> list[tuple[Coeff, Poly]]:
 
 
 def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
-                    pairs: Iterable[tuple[Poly, Poly]]) -> Iterator[list[PolyDiffOp]]:
-    """The cocycle defect operators of each rule, one list per field pair.
+                    pairs: Iterable[tuple[Poly, Poly]]
+                    ) -> Iterator[tuple[Poly, Poly, list[PolyDiffOp]]]:
+    """(Y, Z, the cocycle defect operators of each rule) for each field pair (Y, Z).
 
     For a pair (Y, Z) and a rule r : X |-> r(X), a linear map from vector
     fields to operators, the defect of the identity
@@ -413,9 +398,9 @@ def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
     for Y, Z in pairs:
         L_Y, L_Z = hamiltonian_op(Y), hamiltonian_op(Z)
         bracket = _monomial_terms(schouten_bracket(Y, Z), units)
-        yield [commutator_sum([(L_Z, r(Y)), (r(Z), L_Y)],
-                              base=[(c, r(m)) for c, m in bracket])
-               for r in rules]
+        yield Y, Z, [commutator_sum([(L_Z, r(Y)), (r(Z), L_Y)],
+                                    base=[(c, r(m)) for c, m in bracket])
+                     for r in rules]
 
 
 def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
@@ -576,7 +561,7 @@ def impose_cocycle(space: SolutionSpace) -> SolutionSpace:
     reducer = RowReducer(len(rules))
     _add_vanishing_rows(reducer, rules, sl_generators(n), k)
     pairs = takewhile(lambda _: reducer.rank < len(rules), cocycle_filter_pairs(n, p))
-    for defects in cocycle_defects(rules, pairs):
+    for _, _, defects in cocycle_defects(rules, pairs):
         _add_rows(reducer, defects, k)
 
     basis = [AnsatzCoefficients.from_vector(

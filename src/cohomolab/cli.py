@@ -25,7 +25,7 @@ from .cocycles import (
 # Unused here; the benchmark's tracer asserts that this module binds it.
 from .cocycles import cocycle_check  # noqa: F401
 from .operators import affine_equivariant_basis, parse_op
-from .poly import (Poly, ResourceLimitError, StructureError, parse_poly, rat,
+from .poly import (Poly, ResourceLimitError, StructureError, parse_poly, poly_str, rat,
                    rat_str, single_ring)
 from .report import (
     RunConfig,
@@ -118,13 +118,20 @@ _BUILTINS = {"c1": builtin_c1, "c2": builtin_c2, "gamma1": builtin_gamma1_flat}
 
 
 def _make_cocycle(args):
+    """The cocycle --name selects, and the config echo of verify-cocycle and coboundary-test.
+
+    A div run echoes its a (rat_str) and its omega components (poly_str) too.
+    """
     n, k = args.dim, args.order
+    config = {"dim": n, "order": k, "name": args.name, "max_vf_degree": args.max_vf_degree}
     if args.name != "div":
         if args.a is not None or args.omega is not None:
             raise StructureError(f"--a and --omega apply to --name div only, not {args.name}")
-        return _BUILTINS[args.name](n, k)
+        return _BUILTINS[args.name](n, k), config
     a = rat(1 if args.a is None else args.a)
-    return builtin_div(n, k, a, _parse_omega(args.omega or "", n))
+    omega = _parse_omega(args.omega or "", n)
+    config.update(a=rat_str(a), omega=[poly_str(w) for w in omega])
+    return builtin_div(n, k, a, omega), config
 
 
 def _candidates(args, c):
@@ -187,23 +194,20 @@ def _dispatch(args) -> int:
         config = cfg.to_json()
 
     elif command == "verify-cocycle":
-        c = _make_cocycle(args)
+        c, config = _make_cocycle(args)
         report = build_report(c, args.max_vf_degree)
         result = report.to_json()
         ok = report.identity.holds
-        config = {"dim": args.dim, "order": args.order, "name": args.name,
-                  "max_vf_degree": args.max_vf_degree}
 
     elif command == "coboundary-test":
-        c = _make_cocycle(args)
+        c, config = _make_cocycle(args)
         candidates, desc = _candidates(args, c)
         res = coboundary_solve(field_columns(c, candidates, args.max_vf_degree))
         result = res.to_json()
         result["name"] = args.name
         result["candidate_space"] = desc
         ok = True
-        config = {"dim": args.dim, "order": args.order, "name": args.name,
-                  "candidates": desc, "max_vf_degree": args.max_vf_degree}
+        config["candidates"] = desc
 
     elif command == "quantization-cocycle":
         result = quantization_report(args.dim, args.order, args.weight,

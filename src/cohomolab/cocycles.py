@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, tee
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterable
 
@@ -174,10 +174,8 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4,
         check_term_budget(comb(len(fields), 2), "pairs of monomial test fields "
                           f"(n = {c.n}, degree <= {max_vf_degree})")
         pairs = combinations(fields, 2)
-    listed, drawn = tee(pairs)
     checked = 0
-    for checked, ((X, Y), [defect]) in enumerate(
-            zip(listed, cocycle_defects([c.evaluate], drawn)), 1):
+    for checked, (X, Y, [defect]) in enumerate(cocycle_defects([c.evaluate], pairs), 1):
         sm = defect.symbol_map(c.k)
         if not sm.is_zero():
             P = _nonzero_witness(sm, c.n)

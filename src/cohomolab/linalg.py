@@ -109,28 +109,28 @@ def keyed_rows(columns: list[dict]) -> list[Row]:
     return [rows[key] for key in sorted(rows)]
 
 
-def nullspace(rows: list[Row], ncols: int) -> list[list[Coeff]]:
+def _reduced(rows: list[Row], ncols: int) -> RowReducer:
+    """A RowReducer over ncols columns fed rows in order: the one row-list reduction."""
     red = RowReducer(ncols)
     for row in rows:
         red.add_row(row)
-    return red.nullspace()
+    return red
 
 
-def rank_of(vectors: list[list[Coeff]]) -> int:
-    if not vectors:
-        return 0
-    red = RowReducer(len(vectors[0]))
-    for v in vectors:
-        red.add_row(dict(enumerate(v)))
-    return red.rank
+def nullspace(rows: list[Row], ncols: int) -> list[list[Coeff]]:
+    return _reduced(rows, ncols).nullspace()
 
 
 def same_span(a: list[list[Coeff]], b: list[list[Coeff]]) -> bool:
-    """Exact equality of the spans of two lists of coordinate vectors."""
-    ra, rb = rank_of(a), rank_of(b)
-    if ra != rb:
-        return False
-    return rank_of(a + b) == ra
+    """Exact equality of the spans of two lists of coordinate vectors.
+
+    Each list is reduced once and the pivot rows are compared: RowReducer
+    keeps the fully reduced echelon form with leading-column pivots, which
+    is unique for a given row space (keyed_rows), so two eliminations decide.
+    """
+    forms = [_reduced([dict(enumerate(v)) for v in vs], len(vs[0]) if vs else 0).pivot_rows
+             for vs in (a, b)]
+    return forms[0] == forms[1]
 
 
 def solve(rows: list[Row], ncols: int) -> list[Coeff] | None:
@@ -142,9 +142,7 @@ def solve(rows: list[Row], ncols: int) -> list[Coeff] | None:
     variables set to 0 is returned (deterministic): pivot rows are fully
     reduced, so each pivot variable is then its row's entry in column ncols.
     """
-    aug = RowReducer(ncols + 1)
-    for row in rows:
-        aug.add_row(row)
+    aug = _reduced(rows, ncols + 1)
     if ncols in aug.pivot_rows:
         return None
     sol: list[Coeff] = [0] * ncols

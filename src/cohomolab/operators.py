@@ -87,6 +87,7 @@ from .poly import (
     Ring,
     StructureError,
     add_scaled_terms,
+    check_same_ring,
     check_term_budget,
     check_vector_field,
     diff_terms,
@@ -233,8 +234,7 @@ class PolyDiffOp:
             for mu, coeff in terms.items():
                 if len(mu) != ring.nvars or any(e < 0 for e in mu):
                     raise StructureError(f"bad derivative multi-index {mu}")
-                if coeff.ring != ring:
-                    raise StructureError("coefficient ring mismatch")
+                check_same_ring(ring, coeff.ring)
                 if not coeff.is_zero():
                     clean[tuple(mu)] = coeff
             self.terms = clean
@@ -288,8 +288,7 @@ class PolyDiffOp:
 
     def _merge(self, other: "PolyDiffOp", op) -> "PolyDiffOp":
         """self op other for op = operator.add or operator.sub: Poly + or - per coefficient."""
-        if self.ring != other.ring:
-            raise StructureError("operator ring mismatch")
+        check_same_ring(self.ring, other.ring)
         zero = Poly.zero(self.ring)
         out = dict(self.terms)
         for mu, coeff in other.terms.items():
@@ -321,8 +320,7 @@ class PolyDiffOp:
         product polynomial.  The term budget is checked once, on the merged
         sum, as compose and commutator do.
         """
-        if p.ring is not self.ring and p.ring != self.ring:
-            raise StructureError("operand ring mismatch")
+        check_same_ring(self.ring, p.ring)
         acc: dict[Exponent, Coeff] = {}
         pterms = p.terms.items()
         for mu, coeff in self.terms.items():
@@ -341,8 +339,7 @@ class PolyDiffOp:
 
     def compose(self, other: "PolyDiffOp") -> "PolyDiffOp":
         """Normal form of self o other via the Leibniz expansion."""
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise StructureError("operator ring mismatch")
+        check_same_ring(self.ring, other.ring)
         acc: dict = {}
         _leibniz(acc, self, other, 0)
         return operator_from_sum(self.ring, acc)
@@ -375,8 +372,7 @@ def _add_combination(acc: dict, ring: Ring, base: Iterable[tuple[Coeff, PolyDiff
     commutator_sum's base and linear_combination.  Every B_j must be over ring.
     """
     for c, B in base:
-        if B.ring is not ring and B.ring != ring:
-            raise StructureError("operator ring mismatch")
+        check_same_ring(ring, B.ring)
         for mu, coeff in B.terms.items():
             add_scaled_terms(acc.setdefault(mu, {}), coeff.terms.items(), c)
 
@@ -398,9 +394,8 @@ def commutator_sum(pairs: list[tuple[PolyDiffOp, PolyDiffOp]],
     acc: dict = {}
     _add_combination(acc, ring, base)
     for P, A in pairs:
-        if ((P.ring is not ring and P.ring != ring)
-                or (A.ring is not ring and A.ring != ring)):
-            raise StructureError("operator ring mismatch")
+        check_same_ring(ring, P.ring)
+        check_same_ring(ring, A.ring)
         _leibniz(acc, P, A, 1)
         _leibniz(acc, A, P, 1, sign=-1)
     return operator_from_sum(ring, acc)
@@ -544,9 +539,10 @@ def linear_combination(ring: Ring, ops: list[PolyDiffOp], weights) -> PolyDiffOp
 
 
 def module_action(X: Poly, A: PolyDiffOp) -> PolyDiffOp:
-    """The vector-field action X.A = L_X o A - A o L_X on operators."""
-    if X.ring != A.ring:
-        raise StructureError("ring mismatch in module action")
+    """The vector-field action X.A = L_X o A - A o L_X on operators.
+
+    commutator_sum checks that A shares X's ring.
+    """
     return lie_derivative_op(X).commutator(A)
 
 

@@ -193,6 +193,16 @@ def single_ring(n: int) -> Ring:
     return Ring(n)
 
 
+def check_same_ring(ring: Ring, other: Ring) -> None:
+    """Raise StructureError naming both rings unless two operands share one.
+
+    The one operand-ring check of Poly, PolyDiffOp and the symbol brackets;
+    single_ring returns one object per n, so the common case is an identity test.
+    """
+    if ring is not other and ring != other:
+        raise StructureError(f"ring mismatch: {ring} vs {other}")
+
+
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients.
 
@@ -265,11 +275,6 @@ class Poly:
             self._hash = hash((self.ring, frozenset(self.terms.items())))
         return self._hash
 
-    def _check_same_ring(self, other: "Poly") -> None:
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise StructureError(
-                f"ring mismatch: {self.ring} vs {other.ring}")
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -280,7 +285,7 @@ class Poly:
 
     def _merge(self, other: "Poly", op) -> "Poly":
         """self op other for op = operator.add or operator.sub, one term of other at a time."""
-        self._check_same_ring(other)
+        check_same_ring(self.ring, other.ring)
         if not other.terms:
             return self
         if not self.terms and op is add:
@@ -308,7 +313,7 @@ class Poly:
                     _clean=True)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._check_same_ring(other)
+        check_same_ring(self.ring, other.ring)
         if not self.terms or not other.terms:
             return Poly.zero(self.ring)
         a, b = self.terms, other.terms

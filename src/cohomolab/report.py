@@ -290,25 +290,21 @@ def emit_report(payload: dict, fmt: str = "json") -> str:
     raise StructureError(f"unknown report format {fmt!r}")
 
 
-def _render_text(value, lines: list[str], depth: int) -> None:
+def _render_text(value: dict | list, lines: list[str], depth: int) -> None:
+    """Append one line per entry of value, labelled 'key:' (sorted keys) or '-' (list items).
+
+    A scalar follows its label on the line; a nested dict or list gets the
+    label alone and its entries one level deeper.
+    """
     pad = "  " * depth
-    if isinstance(value, dict):
-        for key in sorted(value):
-            sub = value[key]
-            if isinstance(sub, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                _render_text(sub, lines, depth + 1)
-            else:
-                lines.append(f"{pad}{key}: {sub}")
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}-")
-                _render_text(item, lines, depth + 1)
-            else:
-                lines.append(f"{pad}- {item}")
-    else:
-        lines.append(f"{pad}{value}")
+    entries = ([(f"{key}:", value[key]) for key in sorted(value)] if isinstance(value, dict)
+               else [("-", item) for item in value])
+    for label, sub in entries:
+        if isinstance(sub, (dict, list)):
+            lines.append(f"{pad}{label}")
+            _render_text(sub, lines, depth + 1)
+        else:
+            lines.append(f"{pad}{label} {sub}")
 
 
 def wrap_report(config_echo: dict, result: dict, timings_ms: dict) -> dict:

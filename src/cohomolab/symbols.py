@@ -19,13 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .operators import hamiltonian_op
-from .poly import Poly, Ring, StructureError, check_vector_field, rat, single_ring
+from .poly import (Poly, Ring, StructureError, check_same_ring, check_vector_field, rat,
+                   single_ring)
 
 
 def schouten_bracket(f: Poly, g: Poly) -> Poly:
-    """Canonical Poisson bracket on (x, xi), extending the vector-field bracket."""
-    if f.ring is not g.ring and f.ring != g.ring:
-        raise StructureError("bracket arguments must share a ring")
+    """Canonical Poisson bracket on (x, xi), extending the vector-field bracket.
+
+    PolyDiffOp.apply checks that g shares f's ring.
+    """
     return hamiltonian_op(f).apply(g)
 
 
@@ -92,8 +94,7 @@ def _check_one_form(omega: list[Poly], ring: Ring) -> None:
     if len(omega) != ring.n:
         raise StructureError(f"a 1-form on R^{ring.n} needs {ring.n} components")
     for w in omega:
-        if w.ring != ring:
-            raise StructureError("1-form components must live in the same ring")
+        check_same_ring(ring, w.ring)
         if not w.is_zero() and w.xi_degree() != 0:
             raise StructureError("1-form components must be xi-free")
 

@@ -6,14 +6,17 @@ check that it vanishes on every solution.  one_form_primitive integrates a
 closed polynomial 1-form, which gives the multiplication operator that
 cobounds the div cocycle with a = 0.  rebuild_with_next_order_check runs
 the operator reconstruction at a bound the caller has not proved, and checks
-the result one x-order above that bound.
+the result one x-order above that bound.  rank_of is the rank of a list of
+coordinate vectors, and bilinear_value is C(X, P) by its definition, the
+reference BilinearOp.operator_for_field is tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from cohomolab.ansatz import AnsatzCoefficients
+from cohomolab.ansatz import AnsatzCoefficients, BilinearOp
+from cohomolab.linalg import RowReducer
 from cohomolab.operators import PolyDiffOp, xi_simplex
 from cohomolab.poly import Coeff, Poly, Ring, StructureError, norm_coeff, rat, single_ring
 from cohomolab.quantization import operator_from_symbol_values
@@ -67,3 +70,29 @@ def rebuild_with_next_order_check(n: int, k: int, value_fn, bound: int) -> PolyD
         for u in xi_simplex(n, bound + 1):
             assert value_fn(u, v) == op.apply(Poly.monomial(ring, u + v)), (u, v)
     return op
+
+
+def rank_of(vectors: list[list[Coeff]]) -> int:
+    if not vectors:
+        return 0
+    red = RowReducer(len(vectors[0]))
+    for v in vectors:
+        red.add_row(dict(enumerate(v)))
+    return red.rank
+
+
+def bilinear_value(C: BilinearOp, X: Poly, P: Poly) -> Poly:
+    """C(X, P) by its definition, the reference operator_for_field is tested against.
+
+    X(x, xi) P(y, eta) is formed in single_ring(2n), the operator is
+    applied, and y := x, eta := xi restricts the value to single_ring(n).
+    """
+    n, ring = C.n, C.op.ring
+    pad = (0,) * n
+    first = Poly(ring, {e[:n] + pad + e[n:] + pad: c for e, c in X.terms.items()})
+    second = Poly(ring, {pad + e[:n] + pad + e[n:]: c for e, c in P.terms.items()})
+    out: dict = {}
+    for e, c in C.op.apply(first * second).terms.items():
+        key = tuple(a + b for a, b in zip(e[:n] + e[2 * n:3 * n], e[n:2 * n] + e[3 * n:]))
+        out[key] = out.get(key, 0) + c
+    return Poly(single_ring(n), out)

@@ -130,6 +130,28 @@ def test_coboundary_command_div_with_a_primitive_candidate(tmp_path, capsys):
     assert last_json(out)["result"]["verdict"] == "witness-found"
 
 
+DIV_RUN = ["--name", "div", "--dim", "2", "--order", "1", "--max-vf-degree", "2"]
+
+
+@pytest.mark.parametrize("command", ["verify-cocycle", "coboundary-test"])
+@pytest.mark.parametrize("first,second,key", [
+    (["--a", "0", "--omega", "1*x2,1*x1"], ["--a", "1", "--omega", "1*x2,1*x1"], "a"),
+    (["--a", "0", "--omega", "1*x2,1*x1"], ["--a", "0", "--omega", "1*x1,1*x2"], "omega"),
+], ids=["a", "omega"])
+def test_div_configs_record_a_and_omega(command, first, second, key, capsys):
+    # X |-> a div(X) + i_X omega depends on both inputs, so two div runs that
+    # differ in one of them echo different configs
+    configs = [last_json(run(capsys, [command, *DIV_RUN, *extra])[1])["config"]
+               for extra in (first, second)]
+    assert configs[0]["a"] == "0" and configs[0]["omega"] == ["1*x2", "1*x1"]
+    assert configs[0] != configs[1]
+    assert {k for k in configs[0] if configs[0][k] != configs[1][k]} == {key}
+    # a built-in cocycle's config echoes neither
+    c1 = last_json(run(capsys, [command, "--name", "c1", "--dim", "2", "--order", "2",
+                                "--max-vf-degree", "2"])[1])["config"]
+    assert configs[0].keys() ^ c1.keys() == {"a", "omega"}
+
+
 def test_quantization_command_half(capsys):
     code, out = run(capsys, ["quantization-cocycle", "--dim", "2", "--order", "2",
                              "--lambda", "1/2", "--max-vf-degree", "2"])

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from cohomolab.linalg import RowReducer, keyed_rows, nullspace, rank_of, same_span, solve
+from cohomolab.linalg import RowReducer, keyed_rows, nullspace, same_span, solve
+
+from exact_helpers import rank_of
 
 
 def test_nullspace_of_simple_system():
@@ -44,6 +46,17 @@ def test_rank_and_span():
     assert not same_span(a, [[1, 0, 0]])
     assert rank_of(a + [[2, 3, 5]]) == 2
     assert rank_of(a + [[0, 0, 1]]) == 3
+    # same_span compares the fully reduced echelon forms of the two lists
+    r1, r2 = [1, 0, Fraction(1, 2)], [0, 3, 1]
+    both = [r1, r2, [1, 3, Fraction(3, 2)]]  # the third row is r1 + r2
+    zero = [0, 0, 0]
+    assert same_span(a, a[::-1])
+    assert same_span(both, [r1, r2, [2, -3, 0]])  # r1 + r2 replaced by 2 r1 - r2
+    assert same_span(a, a + [zero])
+    assert same_span([], [])
+    assert same_span([], [zero]) and same_span([zero, zero], [])
+    assert not same_span(a, [[1, 0, 0], [0, 1, 0]])  # rank 2 each, different planes
+    assert not same_span(both, a)
 
 
 def test_solve_consistent_system():

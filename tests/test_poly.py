@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohomolab.operators import PolyDiffOp, linear_combination, module_action
 from cohomolab.poly import (
     Poly,
     StructureError,
@@ -15,6 +16,7 @@ from cohomolab.poly import (
     rat,
     single_ring,
 )
+from cohomolab.symbols import is_closed, schouten_bracket
 
 from plane_ring import R2, x, xi
 
@@ -120,8 +122,30 @@ def test_unknown_variable_rejected():
 
 
 def test_ring_mismatch_rejected():
-    with pytest.raises(StructureError):
-        x(0) + Poly.variable(single_ring(3), 0)
+    # every operand-ring check is poly.check_same_ring, whose message names both rings
+    R3 = single_ring(3)
+    P3 = Poly.variable(R3, 0)
+    A2, A3 = PolyDiffOp.derivative(R2, 0), PolyDiffOp.derivative(R3, 0)
+    entry_points = {
+        "Poly +": lambda: x(0) + P3,
+        "Poly -": lambda: x(0) - P3,
+        "Poly *": lambda: x(0) * P3,
+        "PolyDiffOp +": lambda: A2 + A3,
+        "PolyDiffOp -": lambda: A2 - A3,
+        "compose": lambda: A2.compose(A3),
+        "apply": lambda: A2.apply(P3),
+        "commutator": lambda: A2.commutator(A3),
+        "linear_combination": lambda: linear_combination(R2, [A2, A3], [1, 1]),
+        "module_action": lambda: module_action(xi(0), A3),
+        "schouten_bracket": lambda: schouten_bracket(xi(0), P3),
+        "is_closed": lambda: is_closed([x(0), P3], R2),
+        "PolyDiffOp coefficient": lambda: PolyDiffOp(R2, {(1, 0, 0, 0): P3}),
+    }
+    named_both = {"ring mismatch: Ring(n=2) vs Ring(n=3)", "ring mismatch: Ring(n=3) vs Ring(n=2)"}
+    for name, call in entry_points.items():
+        with pytest.raises(StructureError) as caught:
+            call()
+        assert str(caught.value) in named_both, name
 
 
 def _clean(p):

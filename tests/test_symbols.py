@@ -3,7 +3,6 @@ import random
 import pytest
 
 from cohomolab.cocycles import builtin_div
-from cohomolab.linalg import rank_of
 from cohomolab.operators import divergence_diffop, euler_diffop, lie_derivative_op
 from cohomolab.poly import Poly, StructureError, rat, single_ring
 from cohomolab.symbols import (
@@ -15,7 +14,7 @@ from cohomolab.symbols import (
     sl_generators,
 )
 
-from exact_helpers import one_form_primitive
+from exact_helpers import one_form_primitive, rank_of
 from plane_ring import R2, x, xi
 
 R3 = single_ring(3)
