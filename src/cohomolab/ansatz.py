@@ -21,6 +21,12 @@ the total (xi, eta) degree.  The candidate family is
 
 with the alpha family dropped when k = p (those terms apply p+1 eta
 derivatives to an eta-degree-k argument and die on the relevant subspace).
+Each denominator is a! b! for the term's powers a of Dxeta and b of Dyeta.
+ansatz_term_op is the integer contraction product and term_norm its factor
+1/(a! b!), the one place it lives.  A line's integer form (integer_form) is
+the integer combination of those products times one rational scale;
+build_bilinear applies the scale, while the two solvers keep the operators
+integral and apply each unknown's scale once per row entry (_add_rows).
 
 Two independent solvers compute the equivariant subspace: one solves the
 closed-form recurrence system for the coefficients, the other imposes the
@@ -43,14 +49,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, takewhile
-from math import factorial
+from math import comb, factorial, lcm
 from typing import Callable, Iterable, Iterator
 
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
 from .operators import (PolyDiffOp, commutator_sum, hamiltonian_op, lie_derivative_op,
                         linear_combination, operator_from_sum, unit_deriv, xi_simplex)
-from .poly import (Coeff, Poly, StructureError, add_scaled_terms, norm_coeff, rat, rat_str,
-                   single_ring)
+from .poly import (Coeff, Poly, StructureError, add_scaled_terms, check_term_budget, norm_coeff,
+                   rat, rat_str, single_ring)
 from .symbols import GeneratorFamily, schouten_bracket, sl_generators
 
 AnsatzIndex = tuple[str, int]
@@ -141,24 +147,42 @@ def contraction_ops(n: int) -> dict[str, PolyDiffOp]:
                                         ("Dyxi", 1, 2))}
 
 
+def _term_factors(kind: str, s: int, p: int) -> tuple[str | None, int, int]:
+    """(the leading Dxxi or Dyxi or None, the power of Dxeta, the power of Dyeta) of one index."""
+    if kind == "alpha":
+        return None, s, p - s + 1
+    if kind == "beta":
+        return "Dxxi", s - 1, p - s + 1
+    if kind == "gamma":
+        return "Dyxi", s, p - s
+    raise StructureError(f"unknown ansatz family {kind!r}")
+
+
+def term_norm(kind: str, s: int, p: int) -> Coeff:
+    """The normalization 1/(a! b!) of one ansatz index, a and b its powers of Dxeta and Dyeta."""
+    _, a, b = _term_factors(kind, s, p)
+    return norm_coeff(Fraction(1, factorial(a) * factorial(b)))
+
+
 @lru_cache(maxsize=None)
 def ansatz_term_op(n: int, kind: str, s: int, p: int) -> PolyDiffOp:
-    """The normalized single_ring(2n) operator attached to one ansatz index."""
+    """The integer contraction product of one ansatz index, before its term_norm.
+
+    Its terms are the derivatives dx^c dy^d deta^(c + d) with |c| = a and
+    |d| = b, each times d/dx^i d/dxi_i (lead Dxxi) or d/dy^i d/dxi_i (lead
+    Dyxi) for one i.  They are all distinct, so there are m(a) m(b) of them,
+    n times as many with a lead, where m(d) = C(n + d - 1, d).  That count is
+    checked against the term budget before anything is composed, so a large
+    n fails at once instead of filling memory.
+    """
+    lead, a, b = _term_factors(kind, s, p)
+    check_term_budget((n if lead else 1) * comb(n + a - 1, a) * comb(n + b - 1, b),
+                      f"terms of the ansatz term {kind}_{s} (n = {n}, p = {p})")
     ops = contraction_ops(n)
-    if kind == "alpha":
-        op = ops["Dxeta"].power(s).compose(ops["Dyeta"].power(p - s + 1))
-        norm = Fraction(1, factorial(s) * factorial(p - s + 1))
-    elif kind == "beta":
-        op = ops["Dxxi"].compose(ops["Dxeta"].power(s - 1)).compose(
-            ops["Dyeta"].power(p - s + 1))
-        norm = Fraction(1, factorial(s - 1) * factorial(p - s + 1))
-    elif kind == "gamma":
-        op = ops["Dyxi"].compose(ops["Dxeta"].power(s)).compose(
-            ops["Dyeta"].power(p - s))
-        norm = Fraction(1, factorial(s) * factorial(p - s))
-    else:
-        raise StructureError(f"unknown ansatz family {kind!r}")
-    return op.scale(norm)
+    op = ops["Dxeta"].power(a)
+    if lead:
+        op = ops[lead].compose(op)
+    return op.compose(ops["Dyeta"].power(b))
 
 
 class BilinearOp:
@@ -210,14 +234,27 @@ class BilinearOp:
         return operator_from_sum(single_ring(self.n), acc)
 
 
-def build_bilinear(coeffs: AnsatzCoefficients, n: int) -> BilinearOp:
-    """Assemble the candidate operator with the factorial normalizations."""
+def integer_form(coeffs: AnsatzCoefficients, n: int) -> tuple[PolyDiffOp, Coeff]:
+    """An integer-coefficient operator B and a scale: the candidate operator is scale * B.
+
+    The weights coeff * term_norm of the nonzero indices are multiplied by
+    the lcm D of their denominators, B is the sum of those integer weights
+    times the ansatz_term_ops, and scale = 1/D, an int when D = 1.
+    """
     k, p = coeffs.k, coeffs.p
     nonzero = [(kind, s) for kind, s in full_indices(k, p) if coeffs.get(kind, s) != 0]
+    weights = [Fraction(coeffs.get(kind, s)) * term_norm(kind, s, p) for kind, s in nonzero]
+    D = lcm(*(w.denominator for w in weights))
     op = linear_combination(single_ring(2 * n),
                             [ansatz_term_op(n, kind, s, p) for kind, s in nonzero],
-                            coeffs.as_vector(nonzero))
-    return BilinearOp(n, op)
+                            [w.numerator * (D // w.denominator) for w in weights])
+    return op, norm_coeff(Fraction(1, D))
+
+
+def build_bilinear(coeffs: AnsatzCoefficients, n: int) -> BilinearOp:
+    """The candidate operator with its factorial normalizations: integer_form times its scale."""
+    op, scale = integer_form(coeffs, n)
+    return BilinearOp(n, op.scale(scale))
 
 
 # -- solution spaces ----------------------------------------------------------
@@ -323,29 +360,36 @@ def field_monomials(n: int, shapes: list[tuple[int, ...]]) -> list[Poly]:
     return out
 
 
-def _add_rows(reducer: RowReducer, ops: list[PolyDiffOp], k: int) -> None:
-    """Add one row per key of the canonical forms of ops on S_k.
+def _add_rows(reducer: RowReducer, ops: list[PolyDiffOp], scales: list[Coeff], k: int) -> None:
+    """Add one row per key of the canonical forms of scales[j] * ops[j] on S_k.
 
-    ops[j] is the operator of unknown j, so each row is one SymbolMap
-    entry's coefficients across the unknowns; both solvers feed their rows
-    here.  The rows are exact on S_k: SymbolMap is faithful on S_k and
-    from_operator is linear, so sum_j c_j ops[j] vanishes on S_k iff every
-    row vanishes at c.
+    ops[j] * scales[j] is the operator of unknown j, so each row is one
+    SymbolMap entry's coefficients across the unknowns; both solvers feed
+    their rows here.  The scale is applied once per entry and a scale of 1
+    not at all.  The rows are exact on S_k: SymbolMap is faithful on S_k
+    and from_operator is linear, so sum_j c_j scales[j] ops[j] vanishes on
+    S_k iff every row vanishes at c.
     """
-    for row in keyed_rows([op.symbol_map(k).entries for op in ops]):
+    columns = []
+    for op, scale in zip(ops, scales):
+        entries = op.symbol_map(k).entries
+        if scale != 1:
+            entries = {key: norm_coeff(v * scale) for key, v in entries.items()}
+        columns.append(entries)
+    for row in keyed_rows(columns):
         reducer.add_row(row)
 
 
 def _add_vanishing_rows(reducer: RowReducer, rules: list[Callable[[Poly], PolyDiffOp]],
-                        fam: GeneratorFamily, k: int) -> None:
+                        scales: list[Coeff], fam: GeneratorFamily, k: int) -> None:
     """Add the rows of C(G, .) = 0 on S_k for every projective generator G.
 
-    rules[j] is the rule F |-> C_j(F, .) of unknown j.  The generators span
-    sl(n+1), so the rows hold at c iff sum_j c_j C_j vanishes on sl(n+1).
-    Both solvers start from these rows.
+    scales[j] * rules[j] is the rule F |-> C_j(F, .) of unknown j.  The
+    generators span sl(n+1), so the rows hold at c iff sum_j c_j C_j
+    vanishes on sl(n+1).  Both solvers start from these rows.
     """
     for G in fam.all():
-        _add_rows(reducer, [r(G) for r in rules], k)
+        _add_rows(reducer, [r(G) for r in rules], scales, k)
 
 
 def _monomial_terms(F: Poly, memo: dict) -> list[tuple[Coeff, Poly]]:
@@ -466,14 +510,24 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     so each term's rule F |-> C_t(F, .), memoized by the field F, is built
     on generators and monomial fields only, once each; a vanishing bracket
     gives an empty combination.
+
+    The rules are integral: the rule of term t is that of
+    ansatz_term_op(t), and its normalization term_norm(t) is applied once
+    per row entry (_add_rows).  This is exact.  The rule value, the
+    defect commutator_sum and its SymbolMap are each linear in the rule,
+    and every product in one defect has exactly one rule factor, so scaling
+    the rule by a nonzero constant scales every entry and keeps every
+    cancellation: the rows are those of the normalized terms, in the same
+    order, and every term count, so every term-budget check, is unchanged.
     """
     _validate(n, k, p)
     indices = full_indices(k, p)
     rules = [cache(BilinearOp(n, ansatz_term_op(n, kind, s, p)).operator_for_field)
              for kind, s in indices]
+    scales = [term_norm(kind, s, p) for kind, s in indices]
     fam = sl_generators(n)
     reducer = RowReducer(len(indices))
-    _add_vanishing_rows(reducer, rules, fam, k)
+    _add_vanishing_rows(reducer, rules, scales, fam, k)
 
     X = fam.quadratic[0]
     L_X = lie_derivative_op(X)
@@ -482,7 +536,7 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
         bracket = _monomial_terms(schouten_bracket(X, Y), units)
         _add_rows(reducer, [commutator_sum([(L_X, r(Y))],
                                            base=[(-c, r(m)) for c, m in bracket])
-                            for r in rules], k)
+                            for r in rules], scales, k)
 
     basis = [AnsatzCoefficients.from_vector(k, p, indices, v)
              for v in reducer.nullspace()]
@@ -554,15 +608,26 @@ def impose_cocycle(space: SolutionSpace) -> SolutionSpace:
     and the monomials of their brackets only, once each; a vanishing
     bracket builds none.  Pairs are drawn only while the rank is below
     full, so no defect past the pair that completes it is formed.
+
+    The rules are integral: each basis map's rule is that of its
+    integer_form, and its scale is applied once per row entry (_add_rows).
+    This is exact for the reason given in solve_equivariant_direct: the
+    rule value, the defect commutator_sum and its SymbolMap are linear in
+    the rule, every product in one defect has exactly one rule factor, so
+    a nonzero scale scales every entry and keeps every cancellation, and
+    the rows, their order and every term count are those of the rational
+    rules.
     """
     n, k, p = space.n, space.k, space.p
     _validate(n, k, p)
-    rules = [cache(build_bilinear(c, n).operator_for_field) for c in space.basis]
+    forms = [integer_form(c, n) for c in space.basis]
+    rules = [cache(BilinearOp(n, op).operator_for_field) for op, _ in forms]
+    scales = [scale for _, scale in forms]
     reducer = RowReducer(len(rules))
-    _add_vanishing_rows(reducer, rules, sl_generators(n), k)
+    _add_vanishing_rows(reducer, rules, scales, sl_generators(n), k)
     pairs = takewhile(lambda _: reducer.rank < len(rules), cocycle_filter_pairs(n, p))
     for _, _, defects in cocycle_defects(rules, pairs):
-        _add_rows(reducer, defects, k)
+        _add_rows(reducer, defects, scales, k)
 
     basis = [AnsatzCoefficients.from_vector(
                  k, p, full_indices(k, p),

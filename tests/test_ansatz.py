@@ -19,15 +19,17 @@ from cohomolab.ansatz import (
     field_monomials,
     full_indices,
     impose_cocycle,
+    integer_form,
     matched_case,
     recurrence_solutions,
     reduced_indices,
     solve_equivariant_direct,
+    term_norm,
 )
 from cohomolab.cocycles import (bilinear_cocycle, cocycle_check, second_class_coefficients,
                                 vanishes_on_sl)
 from cohomolab.linalg import RowReducer, keyed_rows
-from cohomolab.operators import (PolyDiffOp, commutator_sum, lie_derivative_op,
+from cohomolab.operators import (PolyDiffOp, commutator_sum, lie_derivative_op, linear_combination,
                                  monomials_up_to, unit_deriv, xi_simplex)
 from cohomolab.poly import Poly, ResourceLimitError, StructureError, rat_str, single_ring
 from cohomolab.symbols import hamiltonian_action, schouten_bracket, sl_generators
@@ -48,7 +50,7 @@ def test_alpha_term_normalization():
     # p=1, s=2 carries 1/(2! 0!) = 1/2 times the squared cross contraction
     ops = contraction_ops(2)
     expected = ops["Dxeta"].power(2).scale(Fraction(1, 2))
-    assert ansatz_term_op(2, "alpha", 2, 1) == expected
+    assert ansatz_term_op(2, "alpha", 2, 1).scale(term_norm("alpha", 2, 1)) == expected
 
 
 def test_zero_coefficients_give_zero_map():
@@ -569,11 +571,11 @@ def test_both_row_generators_are_exact_on_each_call(monkeypatch, n):
     calls = []
     original = ansatz._add_rows
 
-    def checked(reducer, ops, degree):
+    def checked(reducer, ops, scales, degree):
         assert degree == k
         exact = keyed_rows([op.symbol_map(k).entries for op in ops])
         calls.append((_rank(_sampled_rows(ops, k), len(ops)), _rank(exact, len(ops))))
-        return original(reducer, ops, degree)
+        return original(reducer, ops, scales, degree)
 
     monkeypatch.setattr(ansatz, "_add_rows", checked)
     direct = solve_equivariant_direct(n, k, p)
@@ -581,6 +583,89 @@ def test_both_row_generators_are_exact_on_each_call(monkeypatch, n):
     impose_cocycle(direct)
     assert 0 < direct_calls < len(calls)
     assert [c for c in calls if c[0] != c[1]] == []
+
+
+def _rational_form(coeffs, n):
+    """The candidate operator as a sum of the normalized terms, with scale 1."""
+    k, p = coeffs.k, coeffs.p
+    nonzero = [(kind, s) for kind, s in full_indices(k, p) if coeffs.get(kind, s) != 0]
+    return linear_combination(
+        single_ring(2 * n),
+        [ansatz_term_op(n, kind, s, p).scale(term_norm(kind, s, p)) for kind, s in nonzero],
+        coeffs.as_vector(nonzero)), 1
+
+
+def _solver_rows(monkeypatch):
+    """Every row RowReducer.add_row receives from both solvers, n = 2, 3 and
+    k <= 4 at every p, with impose_cocycle on the recurrence spaces; and every
+    coefficient of every rule value they build."""
+    rows, values = [], []
+    add_row, for_field = RowReducer.add_row, BilinearOp.operator_for_field
+
+    def recording_row(self, row):
+        rows.append(list(row.items()))
+        return add_row(self, row)
+
+    def recording_value(self, X):
+        op = for_field(self, X)
+        values.extend(c for coeff in op.terms.values() for c in coeff.terms.values())
+        return op
+
+    monkeypatch.setattr(RowReducer, "add_row", recording_row)
+    monkeypatch.setattr(BilinearOp, "operator_for_field", recording_value)
+    for n in (2, 3):
+        for k in range(1, 5):
+            for p in range(k + 1):
+                solve_equivariant_direct(n, k, p)
+                impose_cocycle(recurrence_solutions(n, k, p))
+    monkeypatch.undo()
+    return rows, values
+
+
+def test_integer_rules_feed_the_rows_of_the_rational_rules(monkeypatch):
+    # each unknown's rule is integral and its scale is applied once per row
+    # entry; the rows must equal those of the rational rules (scale 1),
+    # entry for entry and in order, so a scale dropped or applied twice
+    # shows.  The rational rows carry fractions, so the scales are not all 1
+    rows, values = _solver_rows(monkeypatch)
+    assert values and all(type(c) is int for c in values)
+    # the direct solver's unknowns are the terms, impose_cocycle's the lines
+    monkeypatch.setattr(ansatz, "ansatz_term_op", lambda n, kind, s, p: ansatz_term_op(
+        n, kind, s, p).scale(term_norm(kind, s, p)))
+    monkeypatch.setattr(ansatz, "term_norm", lambda kind, s, p: 1)
+    monkeypatch.setattr(ansatz, "integer_form", _rational_form)
+    rational, rational_values = _solver_rows(monkeypatch)
+    assert rows == rational
+    assert [[(j, type(c)) for j, c in row] for row in rows] == \
+        [[(j, type(c)) for j, c in row] for row in rational]
+    assert any(type(c) is Fraction for row in rows for _, c in row)
+    assert any(type(c) is Fraction for c in rational_values)
+
+
+def test_integer_form_times_its_scale_is_the_candidate_operator():
+    for coeffs in (AnsatzCoefficients(3, 2, alpha={2: 1, 3: 5}, beta={2: Fraction(1, 2)},
+                                      gamma={2: -3}),
+                   AnsatzCoefficients(2, 2, beta={1: Fraction(-2, 7)}),
+                   AnsatzCoefficients(3, 1)):
+        op, scale = integer_form(coeffs, 2)
+        assert all(type(c) is int for coeff in op.terms.values() for c in coeff.terms.values())
+        assert type(scale) is int or scale.numerator == 1
+        assert build_bilinear(coeffs, 2).op == op.scale(scale) == _rational_form(coeffs, 2)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ansatz_term_size_is_checked_before_composing(monkeypatch, n):
+    # the count m(a) m(b), n times that with a lead, is the composed term
+    # count: with the budget one below it, the check fires and names it
+    for p in range(6):
+        for kind, s in full_indices(p + 1, p):
+            size = len(ansatz_term_op(n, kind, s, p).terms)
+            monkeypatch.setenv("COHOMOLAB_MAX_TERMS", str(size - 1))
+            with pytest.raises(ResourceLimitError) as err:
+                ansatz_term_op.__wrapped__(n, kind, s, p)
+            assert str(err.value) == (f"{size} terms of the ansatz term {kind}_{s}"
+                                      f" (n = {n}, p = {p}) exceed COHOMOLAB_MAX_TERMS={size - 1}")
+            monkeypatch.delenv("COHOMOLAB_MAX_TERMS")
 
 
 def test_cocycle_general_second_class_coefficients():

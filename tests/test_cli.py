@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from cohomolab.ansatz import ansatz_term_op
 from cohomolab.cli import _build_parser, main
+from cohomolab.operators import PolyDiffOp
 
 from exact_helpers import one_form_primitive
 from plane_ring import R2, x
@@ -300,6 +302,31 @@ def test_a_resource_limit_on_the_pair_count_exits_at_once(capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "resource limit: 7149871 pairs of monomial test fields (n = 2, degree <= 60)"
         " exceed COHOMOLAB_MAX_TERMS=2000000\n")
+
+
+def test_an_ansatz_term_over_the_budget_is_refused_before_composing(capsys, monkeypatch):
+    # alpha_0 at n = 3, p = 2 is Dyeta^3, with C(5, 3) = 10 terms: over a
+    # budget of 9 it is refused on its count, and nothing is composed
+    composed = []
+    compose = PolyDiffOp.compose
+    monkeypatch.setattr(PolyDiffOp, "compose",
+                        lambda self, other: composed.append(1) or compose(self, other))
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "9")
+    ansatz_term_op.cache_clear()
+    assert main(["classify-equivariant", "--dim", "3", "--order", "3", "--delta", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "resource limit: 10 terms of the ansatz term alpha_0 (n = 3, p = 2)"
+        " exceed COHOMOLAB_MAX_TERMS=9\n")
+    assert composed == []
+
+
+def test_a_resource_limit_in_the_cocycle_filter(capsys, monkeypatch):
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "20")
+    argv = ["classify-equivariant", "--dim", "2", "--order", "3", "--delta", "2", "--cocycle"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "resource limit: 24 terms of an operator or of its largest coefficient"
+        " exceed COHOMOLAB_MAX_TERMS=20\n")
 
 
 def test_table_output_is_deterministic(capsys):
