@@ -25,8 +25,8 @@ Each denominator is a! b! for the term's powers a of Dxeta and b of Dyeta.
 ansatz_term_op is the integer contraction product and term_norm its factor
 1/(a! b!), the one place it lives.  A line's integer form (integer_form) is
 the integer combination of those products times one rational scale;
-build_bilinear applies the scale, while the two solvers keep the operators
-integral and apply each unknown's scale once per row entry (_add_rows).
+build_bilinear applies the scale.  The two solvers feed integer rows and
+apply each unknown's scale once, to the nullspace (_scaled_nullspace).
 
 Two independent solvers compute the equivariant subspace: one solves the
 closed-form recurrence system for the coefficients, the other imposes the
@@ -57,7 +57,7 @@ from .operators import (PolyDiffOp, commutator_sum, hamiltonian_op, lie_derivati
                         linear_combination, operator_from_sum, unit_deriv, xi_simplex)
 from .poly import (Coeff, Poly, StructureError, add_scaled_terms, check_term_budget, norm_coeff,
                    rat, rat_str, single_ring)
-from .symbols import GeneratorFamily, schouten_bracket, sl_generators
+from .symbols import schouten_bracket, sl_generators
 
 AnsatzIndex = tuple[str, int]
 FAMILIES = ("alpha", "beta", "gamma")
@@ -72,6 +72,15 @@ class AnsatzCoefficients:
     alpha: dict[int, Coeff] = field(default_factory=dict)
     beta: dict[int, Coeff] = field(default_factory=dict)
     gamma: dict[int, Coeff] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not 0 <= self.p <= self.k:
+            raise StructureError(f"need 0 <= p <= k, got p={self.p}, k={self.k}")
+        legal = full_indices(self.p + 1, self.p)  # alpha too: its terms vanish on S_k at k = p
+        for kind in FAMILIES:
+            for s in getattr(self, kind):
+                if (kind, s) not in legal:
+                    raise StructureError(f"{kind}_{s} is not an ansatz index for p = {self.p}")
 
     def get(self, kind: str, s: int) -> Coeff:
         return getattr(self, kind).get(s, 0)
@@ -278,6 +287,15 @@ class SolutionSpace:
     p: int
     basis: list[AnsatzCoefficients]
 
+    def __post_init__(self):
+        """Reject a line of another (k, p) and a dependent basis (a zero line is one)."""
+        for line in self.basis:
+            if (line.k, line.p) != (self.k, self.p):
+                raise StructureError(f"a line with (k, p) = ({line.k}, {line.p}) in a space"
+                                     f" with (k, p) = ({self.k}, {self.p})")
+        if nullspace(keyed_rows([dict(enumerate(v)) for v in self.vectors()]), self.dimension):
+            raise StructureError("the basis of a solution space must be linearly independent")
+
     @property
     def dimension(self) -> int:
         return len(self.basis)
@@ -342,8 +360,7 @@ def recurrence_solutions(n: int, k: int, p: int) -> SolutionSpace:
 
 def _validate(n: int, k: int, p: int) -> None:
     single_ring(n)  # rejects n < 2
-    if not 0 <= p <= k:
-        raise StructureError(f"need 0 <= p <= k, got p={p}, k={k}")
+    AnsatzCoefficients(k, p)  # rejects p outside 0..k
 
 
 # -- direct solver -------------------------------------------------------------
@@ -360,36 +377,55 @@ def field_monomials(n: int, shapes: list[tuple[int, ...]]) -> list[Poly]:
     return out
 
 
-def _add_rows(reducer: RowReducer, ops: list[PolyDiffOp], scales: list[Coeff], k: int) -> None:
-    """Add one row per key of the canonical forms of scales[j] * ops[j] on S_k.
+def _add_rows(reducer: RowReducer, ops: list[PolyDiffOp], k: int) -> None:
+    """Add one row per key of the canonical forms of ops[j] on S_k.
 
-    ops[j] * scales[j] is the operator of unknown j, so each row is one
-    SymbolMap entry's coefficients across the unknowns; both solvers feed
-    their rows here.  The scale is applied once per entry and a scale of 1
-    not at all.  The rows are exact on S_k: SymbolMap is faithful on S_k
-    and from_operator is linear, so sum_j c_j scales[j] ops[j] vanishes on
-    S_k iff every row vanishes at c.
+    ops[j] is the operator of unknown j, so each row is one SymbolMap
+    entry's coefficients across the unknowns; both solvers feed their rows
+    here.  The rows are exact on S_k: SymbolMap is faithful on S_k and
+    from_operator is linear, so sum_j c_j ops[j] vanishes on S_k iff every
+    row vanishes at c.
     """
-    columns = []
-    for op, scale in zip(ops, scales):
-        entries = op.symbol_map(k).entries
-        if scale != 1:
-            entries = {key: norm_coeff(v * scale) for key, v in entries.items()}
-        columns.append(entries)
-    for row in keyed_rows(columns):
+    for row in keyed_rows([op.symbol_map(k).entries for op in ops]):
         reducer.add_row(row)
 
 
-def _add_vanishing_rows(reducer: RowReducer, rules: list[Callable[[Poly], PolyDiffOp]],
-                        scales: list[Coeff], fam: GeneratorFamily, k: int) -> None:
-    """Add the rows of C(G, .) = 0 on S_k for every projective generator G.
+def _vanishing_system(n: int, k: int, forms: list[tuple[PolyDiffOp, Coeff]]
+                      ) -> tuple[list[Callable[[Poly], PolyDiffOp]], RowReducer]:
+    """The rules of the unknowns and a RowReducer holding their vanishing rows.
 
-    scales[j] * rules[j] is the rule F |-> C_j(F, .) of unknown j.  The
-    generators span sl(n+1), so the rows hold at c iff sum_j c_j C_j
-    vanishes on sl(n+1).  Both solvers start from these rows.
+    forms[j] = (B_j, s_j) is unknown j's integer operator and scale, its
+    operator s_j B_j.  The rule F |-> B_j(F, .) is memoized for this call,
+    and the rows of sum_j v_j B_j(G, .) = 0 on S_k are added for every
+    projective generator G; they span sl(n+1), so the rows hold at v iff
+    sum_j v_j B_j vanishes on sl(n+1).  Both solvers start from these rows
+    and read their basis through _scaled_nullspace.
     """
-    for G in fam.all():
-        _add_rows(reducer, [r(G) for r in rules], scales, k)
+    rules = [cache(BilinearOp(n, op).operator_for_field) for op, _ in forms]
+    reducer = RowReducer(len(forms))
+    for G in sl_generators(n).all():
+        _add_rows(reducer, [r(G) for r in rules], k)
+    return rules, reducer
+
+
+def _scaled_nullspace(reducer: RowReducer, scales: list[Coeff]) -> list[list[Coeff]]:
+    """The nullspace of the scaled system, read from the reducer of the integer one.
+
+    The reducer holds the rows of the integer operators B_j, the unknowns
+    are those of the operators s_j B_j.  Each row entry is linear in its
+    unknown's operator (its rule value, defect and SymbolMap are), so the
+    scaled system is the integer one with column j multiplied by s_j != 0.
+    Scaling a column by a nonzero constant keeps every linear relation
+    among the columns, and a pivot column is one that is no combination of
+    the columns before it, so the rank and the pivot columns are kept, and
+    with them the pairs impose_cocycle draws.  The scaled nullspace is
+    {(v_j / s_j) : v in the integer nullspace}, and its canonical vector
+    for a free column f, the one with c_f = 1, is c_j = v_j s_f / s_j for
+    the reducer's canonical vector v of f (v_f = 1).
+    """
+    free = [f for f in range(reducer.ncols) if f not in reducer.pivot_rows]
+    return [[norm_coeff(Fraction(v) * scales[f] / s) for v, s in zip(vec, scales)]
+            for f, vec in zip(free, reducer.nullspace())]
 
 
 def _monomial_terms(F: Poly, memo: dict) -> list[tuple[Coeff, Poly]]:
@@ -459,7 +495,7 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
 
     Rows are imposed exactly on S_k (_add_rows) on a finite field set that
     is proved complete below: the vanishing rows on every projective
-    generator G (_add_vanishing_rows, shared with impose_cocycle), and the
+    generator G (_vanishing_system, shared with impose_cocycle), and the
     equivariance rows E(X, Y) for the one generator
     X = Xbar_1 = x^1 (x^j xi_j) against every monomial field Y = x^u xi_m
     with 2 <= |u| <= p.  So the returned space is exactly the true one;
@@ -509,37 +545,26 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     sum_m -c_m C_t(x^m, .) over the bracket's monomials (_monomial_terms),
     so each term's rule F |-> C_t(F, .), memoized by the field F, is built
     on generators and monomial fields only, once each; a vanishing bracket
-    gives an empty combination.
-
-    The rules are integral: the rule of term t is that of
-    ansatz_term_op(t), and its normalization term_norm(t) is applied once
-    per row entry (_add_rows).  This is exact.  The rule value, the
-    defect commutator_sum and its SymbolMap are each linear in the rule,
-    and every product in one defect has exactly one rule factor, so scaling
-    the rule by a nonzero constant scales every entry and keeps every
-    cancellation: the rows are those of the normalized terms, in the same
-    order, and every term count, so every term-budget check, is unchanged.
+    gives an empty combination.  The rule of term t is that of the integer
+    ansatz_term_op(t); its term_norm(t) is applied once, to the nullspace
+    (_scaled_nullspace).
     """
     _validate(n, k, p)
     indices = full_indices(k, p)
-    rules = [cache(BilinearOp(n, ansatz_term_op(n, kind, s, p)).operator_for_field)
-             for kind, s in indices]
-    scales = [term_norm(kind, s, p) for kind, s in indices]
-    fam = sl_generators(n)
-    reducer = RowReducer(len(indices))
-    _add_vanishing_rows(reducer, rules, scales, fam, k)
+    forms = [(ansatz_term_op(n, kind, s, p), term_norm(kind, s, p)) for kind, s in indices]
+    rules, reducer = _vanishing_system(n, k, forms)
 
-    X = fam.quadratic[0]
+    X = sl_generators(n).quadratic[0]
     L_X = lie_derivative_op(X)
     units: dict = {}
     for Y in field_monomials(n, [u for d in range(2, p + 1) for u in xi_simplex(n, d)]):
         bracket = _monomial_terms(schouten_bracket(X, Y), units)
         _add_rows(reducer, [commutator_sum([(L_X, r(Y))],
                                            base=[(-c, r(m)) for c, m in bracket])
-                            for r in rules], scales, k)
+                            for r in rules], k)
 
     basis = [AnsatzCoefficients.from_vector(k, p, indices, v)
-             for v in reducer.nullspace()]
+             for v in _scaled_nullspace(reducer, [scale for _, scale in forms])]
     return SolutionSpace(n, k, p, basis)
 
 
@@ -569,7 +594,7 @@ def impose_cocycle(space: SolutionSpace) -> SolutionSpace:
 
     Two row sets are imposed, each exactly on S_k (_add_rows): the
     vanishing rows C(G, .) = 0 for every projective generator G
-    (_add_vanishing_rows, shared with solve_equivariant_direct), and the
+    (_vanishing_system, shared with solve_equivariant_direct), and the
     rows dC(Y, Z) = 0 on the pairs of cocycle_filter_pairs, the monomial
     pairs x^u xi_m, x^v xi_l with |u|, |v| >= 2 and |u| + |v| <= p + 2.
     Every row is necessary, and the set is proved complete below.
@@ -607,30 +632,21 @@ def impose_cocycle(space: SolutionSpace) -> SolutionSpace:
     through cocycle_defects, evaluated on the generators, the pairs' fields
     and the monomials of their brackets only, once each; a vanishing
     bracket builds none.  Pairs are drawn only while the rank is below
-    full, so no defect past the pair that completes it is formed.
-
-    The rules are integral: each basis map's rule is that of its
-    integer_form, and its scale is applied once per row entry (_add_rows).
-    This is exact for the reason given in solve_equivariant_direct: the
-    rule value, the defect commutator_sum and its SymbolMap are linear in
-    the rule, every product in one defect has exactly one rule factor, so
-    a nonzero scale scales every entry and keeps every cancellation, and
-    the rows, their order and every term count are those of the rational
-    rules.
+    full, so no defect past the pair that completes it is formed.  The
+    rule of a basis map is that of its integer_form; its scale is applied
+    once, to the nullspace (_scaled_nullspace), which keeps the rank, so the
+    pairs drawn are those of the scaled rules.
     """
     n, k, p = space.n, space.k, space.p
     _validate(n, k, p)
     forms = [integer_form(c, n) for c in space.basis]
-    rules = [cache(BilinearOp(n, op).operator_for_field) for op, _ in forms]
-    scales = [scale for _, scale in forms]
-    reducer = RowReducer(len(rules))
-    _add_vanishing_rows(reducer, rules, scales, sl_generators(n), k)
+    rules, reducer = _vanishing_system(n, k, forms)
     pairs = takewhile(lambda _: reducer.rank < len(rules), cocycle_filter_pairs(n, p))
     for _, _, defects in cocycle_defects(rules, pairs):
-        _add_rows(reducer, defects, scales, k)
+        _add_rows(reducer, defects, k)
 
     basis = [AnsatzCoefficients.from_vector(
                  k, p, full_indices(k, p),
                  [sum(c * b for c, b in zip(combo, col)) for col in zip(*space.vectors())])
-             for combo in reducer.nullspace()]
+             for combo in _scaled_nullspace(reducer, [scale for _, scale in forms])]
     return SolutionSpace(n, k, p, basis)

@@ -90,14 +90,20 @@ class OneCocycle:
         return self.evaluate(X).symbol_map(self.k)
 
 
+def _field_count(n: int, max_degree: int) -> int:
+    """The number n * C(n + max_degree, n) of monomial_fields, checked against the term budget."""
+    count = n * comb(n + max_degree, n)
+    check_term_budget(count, f"monomial test fields (n = {n}, degree <= {max_degree})")
+    return count
+
+
 def monomial_fields(n: int, max_degree: int) -> list[Poly]:
     """All monomial vector fields x^u xi_m with |u| <= max_degree, canonical order.
 
-    Their count n * C(n + max_degree, n) is checked against the term budget
-    before any is listed.
+    Their count (_field_count) is checked against the term budget before any
+    is listed.
     """
-    check_term_budget(n * comb(n + max_degree, n),
-                      f"monomial test fields (n = {n}, degree <= {max_degree})")
+    _field_count(n, max_degree)
     return field_monomials(n, monomials_up_to(n, max_degree))
 
 
@@ -138,9 +144,9 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4,
 
     The pairs default to every pair of monomial fields up to max_vf_degree,
     in the order of combinations over monomial_fields: a bounded check, and
-    the one verify-cocycle reports.  Their count C(F, 2) is checked against
-    the term budget before any pair is drawn, after monomial_fields has
-    checked the F fields.  A caller may pass a pair set it has
+    the one verify-cocycle reports.  The field count F and then the pair
+    count C(F, 2) are checked against the term budget before any field is
+    built (_field_count).  A caller may pass a pair set it has
     proved complete instead; max_vf_degree is then only the degree the
     result states.
 
@@ -170,10 +176,9 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4,
         raise StructureError("the check needs fields of degree at least 2")
 
     if pairs is None:
-        fields = monomial_fields(c.n, max_vf_degree)
-        check_term_budget(comb(len(fields), 2), "pairs of monomial test fields "
-                          f"(n = {c.n}, degree <= {max_vf_degree})")
-        pairs = combinations(fields, 2)
+        check_term_budget(comb(_field_count(c.n, max_vf_degree), 2), "pairs of monomial test"
+                          f" fields (n = {c.n}, degree <= {max_vf_degree})")
+        pairs = combinations(monomial_fields(c.n, max_vf_degree), 2)
     checked = 0
     for checked, (X, Y, [defect]) in enumerate(cocycle_defects([c.evaluate], pairs), 1):
         sm = defect.symbol_map(c.k)

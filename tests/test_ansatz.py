@@ -100,6 +100,38 @@ def test_bilinear_op_rejects_an_operator_outside_single_ring_2n():
         BilinearOp(2, PolyDiffOp.identity(R2))
 
 
+def test_ansatz_coefficients_reject_a_shape_or_index_out_of_range():
+    # alpha_0..p+1, beta_1..p+1 and gamma_0..p for 0 <= p <= k; an index
+    # outside its range would be read as 0 by the solvers and cocycle_check,
+    # and printed by to_json
+    for bad in ({"k": 2, "p": 3}, {"k": 2, "p": -1}, {"k": 3, "p": 2, "alpha": {7: 1}},
+                {"k": 3, "p": 2, "alpha": {-1: 1}}, {"k": 3, "p": 2, "beta": {0: 1}},
+                {"k": 3, "p": 2, "beta": {4: 1}}, {"k": 3, "p": 2, "gamma": {3: 1}}):
+        with pytest.raises(StructureError):
+            AnsatzCoefficients(**bad)
+    with pytest.raises(StructureError, match="alpha_7 is not an ansatz index for p = 2"):
+        AnsatzCoefficients(3, 2, alpha={7: 1})
+    # every family's end points are legal, and alpha at k = p too: those
+    # terms vanish on S_k, and quantization_top_cocycle(n, 1, .) builds one
+    AnsatzCoefficients(3, 2, alpha={0: 1, 3: 1}, beta={1: 1, 3: 1}, gamma={0: 1, 2: 1})
+    AnsatzCoefficients(1, 1, alpha={2: -1}, beta={2: Fraction(-1, 2)})
+
+
+def test_solution_space_rejects_a_line_of_another_shape_or_a_dependent_basis():
+    # impose_cocycle would read each of these wrong: a (3, 2) line through
+    # the indices of (3, 1), a doubled basis whose cocycles span dimension 1
+    # as dimension 3, and a zero line as a one-dimensional cocycle space
+    with pytest.raises(StructureError, match=r"\(k, p\) = \(3, 2\) in a space"):
+        SolutionSpace(2, 3, 1, [second_class_coefficients(2, 3)])
+    basis = recurrence_solutions(2, 3, 2).basis
+    assert impose_cocycle(SolutionSpace(2, 3, 2, basis)).dimension == 1
+    for dependent in (basis + basis, [AnsatzCoefficients(3, 2)],
+                      basis + [basis[0].scale(Fraction(-3, 5))]):
+        with pytest.raises(StructureError, match="linearly independent"):
+            SolutionSpace(2, 3, 2, dependent)
+    assert SolutionSpace(2, 3, 2, []).dimension == 0
+
+
 def test_operator_for_field_skips_terms_above_the_field_degree(monkeypatch):
     # the c2 line at n = 2, k = 3, whose terms have x-order 2 to 4, against
     # the translation xi1 (total degree 1, so no derivative is taken), the
@@ -241,23 +273,30 @@ def test_cocycle_filter_builds_each_field_operator_once(monkeypatch):
     assert not any(X.is_zero() for _, X in builds)
 
 
+def _recording_reducer(record):
+    """A RowReducer that passes every row it is fed to record first."""
+
+    class Recording(RowReducer):
+        def add_row(self, row):
+            record(row)
+            return super().add_row(row)
+
+    return Recording
+
+
 def test_cocycle_filter_adds_no_row_when_every_defect_vanishes(monkeypatch):
     # the degree-drop-one line at n = 2, k = 3 vanishes on sl(3), so its
     # vanishing rows are all zero, and at p = 1 no field pair is drawn: no
     # row is fed and no bracket of fields is taken
     rows, drawn = [], []
-    original, original_defects = RowReducer.add_row, ansatz.cocycle_defects
-
-    def recorded(self, row):
-        rows.append(row)
-        return original(self, row)
+    original_defects = ansatz.cocycle_defects
 
     def recorded_defects(rules, pairs):
         drawn.extend(pairs)
         return original_defects(rules, drawn)
 
     space = recurrence_solutions(2, 3, 1)
-    monkeypatch.setattr(RowReducer, "add_row", recorded)
+    monkeypatch.setattr(ansatz, "RowReducer", _recording_reducer(rows.append))
     monkeypatch.setattr(ansatz, "cocycle_defects", recorded_defects)
     kept = impose_cocycle(space)
     assert rows == [] and drawn == []
@@ -502,16 +541,14 @@ def test_cocycle_filter_is_exact_on_any_ansatz_span(n, k, p):
 
 
 def _row_digest(monkeypatch, solve) -> str:
-    """SHA-256 over every row fed to RowReducer.add_row during solve(), in order."""
+    """SHA-256 over every row fed to the solvers' RowReducers during solve(), in order."""
     digest = hashlib.sha256()
-    original = RowReducer.add_row
 
-    def hashed(self, row):
+    def hashed(row):
         digest.update(repr([(j, rat_str(c)) for j, c in sorted(row.items())]).encode())
         digest.update(b"\n")
-        return original(self, row)
 
-    monkeypatch.setattr(RowReducer, "add_row", hashed)
+    monkeypatch.setattr(ansatz, "RowReducer", _recording_reducer(hashed))
     solve()
     monkeypatch.undo()
     return digest.hexdigest()
@@ -519,17 +556,18 @@ def _row_digest(monkeypatch, solve) -> str:
 
 def test_row_generators_feed_pinned_rows(monkeypatch):
     # the rows themselves, not just the answers, are pinned: a change to the
-    # operator kernels or the row generators must reproduce them exactly
+    # operator kernels or the row generators must reproduce them exactly.
+    # They are the integer rows, before any unknown's scale
     space = recurrence_solutions(2, 3, 2)
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(2, 3, 2)) == (
-        "9dc2d5b53209de217b52e2ef2458ad47764a9828a7f410fd4ae95b2f268aa954")
+        "5a4de17393bdc4b3e08060e9472b71c7af00e927555c1fb2a7324c89511262f5")
     assert _row_digest(monkeypatch, lambda: impose_cocycle(space)) == (
-        "46386ef8a90858d839669fb4c1f653655b13fb4ecb6fad120d92cacf2f2af9b3")
+        "9a1648ffee4dcf0341b3489a619ad6f3e9d18f7402f360031b1dfa11ed447175")
     # every pair defect of the filter at (3, 2) has x-order 0; at (4, 4) the
     # first pair's defect has x-order 2 and already completes the rank
     top = recurrence_solutions(2, 4, 4)
     assert _row_digest(monkeypatch, lambda: impose_cocycle(top)) == (
-        "5fc2c1f5d427bbda1381cafd9dd1aa22f987b83ed8e2a1a47940f6e5b9b08921")
+        "42708a9bd1a1fec55697a224c4721e3cbe99e833a41a286b9317fb1d2f68557c")
 
 
 def test_row_generators_feed_pinned_rows_in_dimension_three(monkeypatch):
@@ -537,9 +575,9 @@ def test_row_generators_feed_pinned_rows_in_dimension_three(monkeypatch):
     # pairs of quadratic fields in three variables, such as x1x2 xi3 with x3^2 xi1
     space = recurrence_solutions(3, 3, 2)
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(3, 3, 2)) == (
-        "3d0d020e31ef272a47060bd8cee000c33c14d988f897acdb85476f83f12ce0be")
+        "ce74af5a41cd3abc88a37bfce6be1145c4052edc766bc92b2a27e7f3649f1e64")
     assert _row_digest(monkeypatch, lambda: impose_cocycle(space)) == (
-        "526e95c09e8f390c0fd012e1acd2fc381ab536f67ac28a506b878bf5d8a821df")
+        "e8812d256980b6aaf7dbce8324bcd22f5bcb56f5d6deef3aeb6d5c0d8dd046c9")
 
 
 def _rank(rows, ncols) -> int:
@@ -571,11 +609,11 @@ def test_both_row_generators_are_exact_on_each_call(monkeypatch, n):
     calls = []
     original = ansatz._add_rows
 
-    def checked(reducer, ops, scales, degree):
+    def checked(reducer, ops, degree):
         assert degree == k
         exact = keyed_rows([op.symbol_map(k).entries for op in ops])
         calls.append((_rank(_sampled_rows(ops, k), len(ops)), _rank(exact, len(ops))))
-        return original(reducer, ops, scales, degree)
+        return original(reducer, ops, degree)
 
     monkeypatch.setattr(ansatz, "_add_rows", checked)
     direct = solve_equivariant_direct(n, k, p)
@@ -595,50 +633,46 @@ def _rational_form(coeffs, n):
         coeffs.as_vector(nonzero)), 1
 
 
-def _solver_rows(monkeypatch):
-    """Every row RowReducer.add_row receives from both solvers, n = 2, 3 and
-    k <= 4 at every p, with impose_cocycle on the recurrence spaces; and every
-    coefficient of every rule value they build."""
-    rows, values = [], []
-    add_row, for_field = RowReducer.add_row, BilinearOp.operator_for_field
-
-    def recording_row(self, row):
-        rows.append(list(row.items()))
-        return add_row(self, row)
+def _solver_runs(monkeypatch):
+    """Both solvers at n = 2, 3 and k <= 4 at every p, with impose_cocycle on the
+    recurrence spaces: every row their RowReducers receive, every coefficient
+    of every rule value they build, and the to_json of every space they return."""
+    rows, values, bases = [], [], []
+    for_field = BilinearOp.operator_for_field
 
     def recording_value(self, X):
         op = for_field(self, X)
         values.extend(c for coeff in op.terms.values() for c in coeff.terms.values())
         return op
 
-    monkeypatch.setattr(RowReducer, "add_row", recording_row)
+    monkeypatch.setattr(ansatz, "RowReducer", _recording_reducer(rows.append))
     monkeypatch.setattr(BilinearOp, "operator_for_field", recording_value)
     for n in (2, 3):
         for k in range(1, 5):
             for p in range(k + 1):
-                solve_equivariant_direct(n, k, p)
-                impose_cocycle(recurrence_solutions(n, k, p))
+                bases.append(solve_equivariant_direct(n, k, p).to_json())
+                bases.append(impose_cocycle(recurrence_solutions(n, k, p)).to_json())
     monkeypatch.undo()
-    return rows, values
+    return rows, values, bases
 
 
 def test_integer_rules_feed_the_rows_of_the_rational_rules(monkeypatch):
-    # each unknown's rule is integral and its scale is applied once per row
-    # entry; the rows must equal those of the rational rules (scale 1),
-    # entry for entry and in order, so a scale dropped or applied twice
-    # shows.  The rational rows carry fractions, so the scales are not all 1
-    rows, values = _solver_rows(monkeypatch)
+    # each unknown's rule is integral, so every row is an integer vector, and
+    # its scale is applied once, to the nullspace; the bases must equal those
+    # of the rational rules (scale 1), so a rescale dropped, inverted or
+    # missing its free column's scale shows.  The rational rows carry
+    # fractions, so the scales are not all 1
+    rows, values, bases = _solver_runs(monkeypatch)
+    assert rows and all(type(c) is int for row in rows for c in row.values())
     assert values and all(type(c) is int for c in values)
     # the direct solver's unknowns are the terms, impose_cocycle's the lines
     monkeypatch.setattr(ansatz, "ansatz_term_op", lambda n, kind, s, p: ansatz_term_op(
         n, kind, s, p).scale(term_norm(kind, s, p)))
     monkeypatch.setattr(ansatz, "term_norm", lambda kind, s, p: 1)
     monkeypatch.setattr(ansatz, "integer_form", _rational_form)
-    rational, rational_values = _solver_rows(monkeypatch)
-    assert rows == rational
-    assert [[(j, type(c)) for j, c in row] for row in rows] == \
-        [[(j, type(c)) for j, c in row] for row in rational]
-    assert any(type(c) is Fraction for row in rows for _, c in row)
+    rational_rows, rational_values, rational_bases = _solver_runs(monkeypatch)
+    assert bases == rational_bases
+    assert any(type(c) is Fraction for row in rational_rows for c in row.values())
     assert any(type(c) is Fraction for c in rational_values)
 
 

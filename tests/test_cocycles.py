@@ -23,7 +23,7 @@ from cohomolab.cocycles import (
 )
 from cohomolab.operators import PolyDiffOp, affine_equivariant_basis, divergence_diffop, module_action
 from cohomolab.poly import Poly, ResourceLimitError, StructureError, single_ring
-from cohomolab import quantization
+from cohomolab import cocycles, quantization
 from cohomolab.quantization import quantization_projected_cocycle, quantization_top_cocycle
 from cohomolab.report import quantization_report
 from cohomolab.report import certify_class
@@ -360,3 +360,19 @@ def test_cocycle_check_checks_the_pair_count_against_the_budget(monkeypatch):
     assert not c._cache
     monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "66")
     assert cocycle_check(c, 2).pairs_checked == 66
+
+
+def test_a_refused_pair_count_builds_no_field(monkeypatch):
+    # 3782 fields at degree 60 pass the default budget and their 7 149 871
+    # pairs do not: the pair count is refused from the closed-form field
+    # count, before a single field is built
+    c = builtin_c1(2, 2)
+    monkeypatch.delenv("COHOMOLAB_MAX_TERMS", raising=False)
+    built, original = [], cocycles.field_monomials
+    monkeypatch.setattr(cocycles, "field_monomials",
+                        lambda n, shapes: built.append(n) or original(n, shapes))
+    with pytest.raises(ResourceLimitError, match=r"^7149871 pairs of monomial test fields"):
+        cocycle_check(c, 60)
+    assert built == [] and not c._cache
+    # an admitted check builds its fields through the spied path
+    assert cocycle_check(c, 2).holds and built == [2]

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 from code_lines import count_code_lines
 
 SAMPLE = '''"""Module docstring,
@@ -28,3 +30,29 @@ not a docstring"""
 def test_counts_code_lines_outside_docstrings_and_comments():
     # import; class; both lines of TEXT; both lines of the def; both of the return
     assert count_code_lines(SAMPLE) == 8
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# The code lines of every file under src/, as `python tests/code_lines.py src`
+# prints them.  A change that grows or shrinks src/ updates this table, so its
+# diff shows where; the total is the measure of "net lines of src/".
+CODE_LINES = {
+    "cohomolab/__init__.py": 62,
+    "cohomolab/__main__.py": 4,
+    "cohomolab/ansatz.py": 269,
+    "cohomolab/cli.py": 178,
+    "cohomolab/cocycles.py": 213,
+    "cohomolab/linalg.py": 74,
+    "cohomolab/operators.py": 291,
+    "cohomolab/poly.py": 278,
+    "cohomolab/quantization.py": 146,
+    "cohomolab/report.py": 195,
+    "cohomolab/symbols.py": 63,
+}
+
+
+def test_src_code_lines_are_pinned_per_file():
+    counted = {path.relative_to(SRC).as_posix(): count_code_lines(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.rglob("*.py"))}
+    assert counted == CODE_LINES
