@@ -42,25 +42,21 @@ class RowReducer:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def reduce_row(self, row: Row) -> Row:
-        """Reduce a row against the current pivots (the row is not added).
-
-        Every pivot column present in the row is eliminated, not merely the
-        leading one.  A pivot row holds its own pivot column and no other
-        (add_row keeps this invariant), so eliminating one pivot column
-        neither adds nor changes an entry in another: each elimination
-        subtracts the row's original entry times its pivot row, the
-        eliminations commute, and one pass over the pivot columns present at
-        the start, in any order, gives the same exact row.
-        """
-        row = {c: v for c, v in row.items() if v != 0}
-        for hit in row.keys() & self.pivot_rows.keys():
-            _eliminate(row, hit, self.pivot_rows[hit])
-        return row
-
     def add_row(self, row: Row) -> bool:
-        """Add a constraint row; returns True if it increased the rank."""
-        red = self.reduce_row(row)
+        """Add a constraint row; returns True if it increased the rank.
+
+        The row is first reduced against the current pivots: every pivot
+        column present in it is eliminated, not merely the leading one.  A
+        pivot row holds its own pivot column and no other (this method keeps
+        that invariant), so eliminating one pivot column neither adds nor
+        changes an entry in another: each elimination subtracts the row's
+        original entry times its pivot row, the eliminations commute, and
+        one pass over the pivot columns present at the start, in any order,
+        gives the same exact row.
+        """
+        red = {c: v for c, v in row.items() if v != 0}
+        for hit in red.keys() & self.pivot_rows.keys():
+            _eliminate(red, hit, self.pivot_rows[hit])
         if not red:
             return False
         lead = min(red)

@@ -56,8 +56,9 @@ many pairs is differentiated once, not once per bracket.
 Term differentiation lives in poly.diff_terms, shared with Poly.diff_multi
 and PolyDiffOp.apply.  Sums and both text forms use the poly helpers too:
 PolyDiffOp + and - share one merge loop over Poly + and -;
-linear_combination and commutator_sum's base add a linear combination raw
-through one loop over poly.add_scaled_terms (_add_combination); op_str and
+linear_combination (and so PolyDiffOp.scale, its one-term case) and
+commutator_sum's base add a linear combination raw through one loop over
+poly.add_scaled_terms (_add_combination); op_str and
 parse_op write and read derivative factors with poly.monomial_factors and
 poly.parse_monomial, the codec of poly_str and parse_poly.
 
@@ -303,12 +304,8 @@ class PolyDiffOp:
         return self.scale(-1)
 
     def scale(self, c) -> "PolyDiffOp":
-        c = rat(c)
-        if c == 0:
-            return PolyDiffOp.zero(self.ring)
-        return PolyDiffOp(self.ring,
-                          {mu: coeff.scale(c) for mu, coeff in self.terms.items()},
-                          _clean=True)
+        """c * self, as the one-term linear_combination."""
+        return linear_combination(self.ring, [self], [c])
 
     # -- action and composition ----------------------------------------------
 

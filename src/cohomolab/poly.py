@@ -68,20 +68,21 @@ def norm_coeff(c: Coeff) -> Coeff:
 
 
 def rat(value) -> Coeff:
-    """Parse an exact rational from an int, Fraction, or 'num/den' string."""
+    """Parse an exact rational from an int, Fraction, or 'num/den' string.
+
+    The one reader of exact coefficients: a plain int passes as it is, a
+    bool is refused, and any other int, Fraction (subclasses too) or string
+    goes through one Fraction parse, normalized by norm_coeff.
+    """
     if type(value) is int:
         return value
-    if type(value) is Fraction:
-        return norm_coeff(value)
     if isinstance(value, bool):
         raise StructureError("boolean is not a rational coefficient")
-    if isinstance(value, (int, Fraction)):
-        return norm_coeff(Fraction(value))
-    if isinstance(value, str):
+    if isinstance(value, (int, Fraction, str)):
         try:
             return norm_coeff(Fraction(value))
         except (ValueError, ZeroDivisionError):
-            raise StructureError(f"not an exact rational: {value!r}") from None
+            pass
     raise StructureError(f"not an exact rational: {value!r}")
 
 
@@ -128,6 +129,7 @@ def add_scaled_terms(acc: dict, terms, c: Coeff) -> None:
 
     c must be nonzero: c = 0 makes the sum 0 at a key not yet in acc, and
     its deletion raises KeyError.  The raw accumulation shared by
+    Poly.__mul__ (one call per term of the shorter factor),
     operators._add_combination (commutator_sum's base and
     linear_combination) and BilinearOp.operator_for_field; coefficients
     stay unnormalized.
@@ -321,13 +323,7 @@ class Poly:
             a, b = b, a
         out: dict[Exponent, Coeff] = {}
         for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(i + j for i, j in zip(ea, eb))
-                s = out.get(key, 0) + ca * cb
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            add_scaled_terms(out, [(tuple(map(add, ea, eb)), cb) for eb, cb in b.items()], ca)
         check_term_budget(len(out), "terms of a polynomial product")
         return Poly(self.ring, {e: norm_coeff(c) for e, c in out.items()}, _clean=True)
 

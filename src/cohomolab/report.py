@@ -143,11 +143,9 @@ def _identity_pairs(c: OneCocycle):
 
 
 def expected_relative_dimension(k: int, ell: int) -> int:
-    if k - ell == 2:
-        return 1
-    if k - ell == 1 and ell != 0:
-        return 1
-    return 0
+    """The paper's dimension for (k, ell): 1 at p = k - ell = 2 or in case (b), else 0."""
+    p = k - ell
+    return int(p == 2 or matched_case(k, p) == "b")
 
 
 def cohomology_table(config: RunConfig) -> dict:

@@ -43,11 +43,11 @@ CODE_LINES = {
     "cohomolab/ansatz.py": 269,
     "cohomolab/cli.py": 178,
     "cohomolab/cocycles.py": 213,
-    "cohomolab/linalg.py": 74,
-    "cohomolab/operators.py": 291,
-    "cohomolab/poly.py": 278,
+    "cohomolab/linalg.py": 71,
+    "cohomolab/operators.py": 286,
+    "cohomolab/poly.py": 268,
     "cohomolab/quantization.py": 146,
-    "cohomolab/report.py": 195,
+    "cohomolab/report.py": 192,
     "cohomolab/symbols.py": 63,
 }
 

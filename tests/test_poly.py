@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -198,7 +199,20 @@ def test_rat_normalizes_exact_inputs():
     assert rat(Fraction(-2, 4)) == Fraction(-1, 2)
     assert rat("3/6") == Fraction(1, 2)
     assert rat("-4/2") == -2 and type(rat("-4/2")) is int
-    for bad in (True, False, 0.5, None):
+
+    class Int(int):
+        pass
+
+    class Frac(Fraction):
+        pass
+
+    # subclasses go through the one Fraction parse and come back plain
+    assert rat(Int(7)) == 7 and type(rat(Int(7))) is int
+    assert rat(Frac(6, 3)) == 2 and type(rat(Frac(6, 3))) is int
+    assert rat(Frac(1, 3)) == Fraction(1, 3) and type(rat(Frac(1, 3))) is Fraction
+    with pytest.raises(StructureError, match="boolean is not a rational coefficient"):
+        rat(True)
+    for bad in (True, False, 0.5, None, Decimal("1"), "x/2", "1/0"):
         with pytest.raises(StructureError):
             rat(bad)
 

@@ -34,6 +34,9 @@ def test_expected_pattern():
     assert expected_relative_dimension(2, 0) == 1
     assert expected_relative_dimension(4, 4) == 0
     assert expected_relative_dimension(5, 1) == 0
+    assert expected_relative_dimension(3, 0) == 0  # case (d), p = k = 3
+    assert expected_relative_dimension(0, 0) == 0
+    assert type(expected_relative_dimension(3, 1)) is int  # printed as 1, not true
 
 
 def test_run_config_validation():
