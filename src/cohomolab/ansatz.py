@@ -50,7 +50,8 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, takewhile
 from math import comb, factorial, lcm
-from typing import Callable, Iterable, Iterator
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
 from .operators import (PolyDiffOp, commutator_sum, hamiltonian_op, lie_derivative_op,
@@ -65,22 +66,31 @@ FAMILIES = ("alpha", "beta", "gamma")
 
 @dataclass(frozen=True)
 class AnsatzCoefficients:
-    """Coefficient arrays of the bilinear candidate family for given (k, p)."""
+    """Coefficient arrays of the bilinear candidate family for given (k, p).
+
+    Each family is a read-only map from index to nonzero exact coefficient:
+    every value is read by poly.rat and zeros are dropped, so a zero entry
+    and no entry make equal lines.
+    """
 
     k: int
     p: int
-    alpha: dict[int, Coeff] = field(default_factory=dict)
-    beta: dict[int, Coeff] = field(default_factory=dict)
-    gamma: dict[int, Coeff] = field(default_factory=dict)
+    alpha: Mapping[int, Coeff] = field(default_factory=dict)
+    beta: Mapping[int, Coeff] = field(default_factory=dict)
+    gamma: Mapping[int, Coeff] = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0 <= self.p <= self.k:
             raise StructureError(f"need 0 <= p <= k, got p={self.p}, k={self.k}")
         legal = full_indices(self.p + 1, self.p)  # alpha too: its terms vanish on S_k at k = p
         for kind in FAMILIES:
-            for s in getattr(self, kind):
+            values = {}
+            for s, v in getattr(self, kind).items():
                 if (kind, s) not in legal:
                     raise StructureError(f"{kind}_{s} is not an ansatz index for p = {self.p}")
+                if v := rat(v):
+                    values[s] = v
+            object.__setattr__(self, kind, MappingProxyType(values))
 
     def get(self, kind: str, s: int) -> Coeff:
         return getattr(self, kind).get(s, 0)
@@ -93,14 +103,13 @@ class AnsatzCoefficients:
                     vec: list[Coeff]) -> "AnsatzCoefficients":
         data: dict[str, dict[int, Coeff]] = {kind: {} for kind in FAMILIES}
         for (kind, s), c in zip(indices, vec):
-            if c != 0:
-                data[kind][s] = norm_coeff(c)
+            data[kind][s] = c
         return AnsatzCoefficients(k, p, **data)
 
     def scale(self, c) -> "AnsatzCoefficients":
         c = rat(c)
         return AnsatzCoefficients(self.k, self.p, **{
-            kind: {s: norm_coeff(v * c) for s, v in getattr(self, kind).items()}
+            kind: {s: v * c for s, v in getattr(self, kind).items()}
             for kind in FAMILIES})
 
     def normalized(self) -> "AnsatzCoefficients":
@@ -280,15 +289,18 @@ def matched_case(k: int, p: int) -> str:
     return "c"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionSpace:
+    """An immutable space of ansatz lines; a basis given as a list is stored as a tuple."""
+
     n: int
     k: int
     p: int
-    basis: list[AnsatzCoefficients]
+    basis: tuple[AnsatzCoefficients, ...]
 
     def __post_init__(self):
         """Reject a line of another (k, p) and a dependent basis (a zero line is one)."""
+        object.__setattr__(self, "basis", tuple(self.basis))
         for line in self.basis:
             if (line.k, line.p) != (self.k, self.p):
                 raise StructureError(f"a line with (k, p) = ({line.k}, {line.p}) in a space"

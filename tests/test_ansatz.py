@@ -8,6 +8,7 @@ import pytest
 
 from cohomolab import ansatz
 from cohomolab.ansatz import (
+    FAMILIES,
     AnsatzCoefficients,
     BilinearOp,
     SolutionSpace,
@@ -126,10 +127,49 @@ def test_solution_space_rejects_a_line_of_another_shape_or_a_dependent_basis():
     basis = recurrence_solutions(2, 3, 2).basis
     assert impose_cocycle(SolutionSpace(2, 3, 2, basis)).dimension == 1
     for dependent in (basis + basis, [AnsatzCoefficients(3, 2)],
-                      basis + [basis[0].scale(Fraction(-3, 5))]):
+                      [*basis, basis[0].scale(Fraction(-3, 5))]):
         with pytest.raises(StructureError, match="linearly independent"):
             SolutionSpace(2, 3, 2, dependent)
     assert SolutionSpace(2, 3, 2, []).dimension == 0
+
+
+def test_solution_spaces_and_ansatz_lines_are_read_only():
+    # the checks of SolutionSpace and AnsatzCoefficients hold at construction,
+    # so neither may change after it: a dependent basis or an illegal index
+    # slipped in later would reach impose_cocycle and to_json unchecked
+    space = recurrence_solutions(2, 3, 2)
+    assert type(space.basis) is tuple and space.dimension == 2
+    line = space.basis[0]
+    with pytest.raises(AttributeError):
+        space.basis.append(line.scale(2))
+    with pytest.raises(AttributeError):
+        space.basis = (line, line.scale(2))
+    for kind in FAMILIES:
+        with pytest.raises(TypeError):
+            getattr(line, kind)[99] = 7
+    with pytest.raises(AttributeError):
+        line.alpha = {99: 7}
+    assert space.dimension == 2 and 99 not in line.alpha
+    # the call form of a line built from another line's families still works
+    gamma = {s: v + 1 for s, v in line.gamma.items()}
+    assert AnsatzCoefficients(3, 2, line.alpha, line.beta, gamma).gamma == gamma
+
+
+def test_ansatz_coefficients_are_exact_and_drop_zeros():
+    for bad in (0.5, True, "half", None):
+        with pytest.raises(StructureError):
+            AnsatzCoefficients(3, 1, alpha={2: bad})
+    half = AnsatzCoefficients(3, 1, alpha={2: "1/2"}, beta={2: Fraction(4, 2)})
+    assert half.alpha[2] == Fraction(1, 2)
+    assert half.beta[2] == 2 and type(half.beta[2]) is int
+    assert half.to_json() == {"k": 3, "p": 1, "alpha": {"2": "1/2"}, "beta": {"2": "2"},
+                              "gamma": {}}
+    zero = AnsatzCoefficients(3, 1, alpha={2: 0}, gamma={0: Fraction(0)})
+    assert zero == AnsatzCoefficients(3, 1)
+    assert zero.to_json() == {"k": 3, "p": 1, "alpha": {}, "beta": {}, "gamma": {}}
+    assert half.scale(0) == zero
+    assert AnsatzCoefficients.from_vector(3, 1, [("alpha", 2), ("beta", 2)],
+                                          [Fraction(3, 1), 0]).to_json()["alpha"] == {"2": "3"}
 
 
 def test_operator_for_field_skips_terms_above_the_field_degree(monkeypatch):

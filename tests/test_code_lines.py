@@ -40,7 +40,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CODE_LINES = {
     "cohomolab/__init__.py": 62,
     "cohomolab/__main__.py": 4,
-    "cohomolab/ansatz.py": 269,
+    "cohomolab/ansatz.py": 274,
     "cohomolab/cli.py": 178,
     "cohomolab/cocycles.py": 213,
     "cohomolab/linalg.py": 71,
