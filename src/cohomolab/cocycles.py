@@ -115,11 +115,8 @@ class IdentityCheck:
     counterexample: dict | None = None
 
     def to_json(self) -> dict:
-        out = {"holds": self.holds, "max_vf_degree": self.max_vf_degree,
-               "pairs_checked": self.pairs_checked}
-        if self.counterexample:
-            out["counterexample"] = self.counterexample
-        return out
+        """The fields by name, leaving out a None counterexample (never an empty dict)."""
+        return {name: value for name, value in vars(self).items() if value is not None}
 
 
 def _nonzero_witness(defect: SymbolMap, n: int) -> Poly:

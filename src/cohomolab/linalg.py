@@ -133,15 +133,14 @@ def solve(rows: list[Row], ncols: int) -> list[Coeff] | None:
     """One exact solution v of an augmented system, or None if inconsistent.
 
     Each row is one equation sum_(c < ncols) row[c] v_c = row[ncols], its
-    right-hand side in column ncols.  The system is inconsistent iff column
-    ncols becomes a pivot.  Among solution families the one with all free
-    variables set to 0 is returned (deterministic): pivot rows are fully
-    reduced, so each pivot variable is then its row's entry in column ncols.
+    right-hand side in column ncols.  So v solves the system iff (v, -1)
+    lies in the kernel of the augmented rows, and the system is
+    inconsistent iff column ncols becomes a pivot.  Otherwise ncols is the
+    last free column, and its nullspace vector, the last one, is (-v0, 1),
+    where v0 is the solution with every other free variable set to 0; v0 is
+    returned (deterministic).
     """
     aug = _reduced(rows, ncols + 1)
     if ncols in aug.pivot_rows:
         return None
-    sol: list[Coeff] = [0] * ncols
-    for lead, row in aug.pivot_rows.items():
-        sol[lead] = row.get(ncols, 0)
-    return sol
+    return [-c for c in aug.nullspace()[-1][:ncols]]

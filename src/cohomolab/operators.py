@@ -459,9 +459,11 @@ def op_str(op: PolyDiffOp) -> str:
 def parse_op(ring: Ring, text: str) -> PolyDiffOp:
     """Parse the canonical operator text form produced by op_str.
 
-    Malformed text raises StructureError.
+    Malformed text raises StructureError.  Each term is added raw into one
+    {mu: {exponent: coefficient}} accumulator, so a repeated derivative sums
+    and a term that cancels leaves nothing; operator_from_sum builds the operator.
     """
-    terms: dict[Deriv, Poly] = {}
+    acc: dict = {}
     for part in text.split(" + ("):
         part = part.strip()
         if not part.startswith("("):
@@ -472,9 +474,8 @@ def parse_op(ring: Ring, text: str) -> PolyDiffOp:
         coeff = parse_poly(ring, part[1:close])
         factors = [f.strip() for f in part[close + 1:].split("*")]
         key = parse_monomial(ring, filter(None, factors), "d")
-        prev = terms.get(key)
-        terms[key] = coeff if prev is None else prev + coeff
-    return PolyDiffOp(ring, terms)
+        add_scaled_terms(acc.setdefault(key, {}), coeff.terms.items(), 1)
+    return operator_from_sum(ring, acc)
 
 
 # -- standard operators ------------------------------------------------------

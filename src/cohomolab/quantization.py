@@ -178,15 +178,17 @@ def weighted_lie_derivative(X: Poly, weight) -> DensityOperator:
 
 
 def normal_order_section(P: Poly, weight) -> DensityOperator:
-    """tau: replace each xi-monomial by the derivative monomial, coefficients left."""
+    """tau: replace each xi-monomial by the derivative monomial, coefficients left.
+
+    P's terms are grouped by xi-exponent in one raw dict; P's exponents are
+    distinct, so no two terms of a group merge.
+    """
     n = P.ring.n
-    terms: dict[Exponent, Poly] = {}
+    groups: dict[Exponent, dict] = {}
     for exp, c in P.terms.items():
-        u, v = exp[:n], exp[n:]
-        coeff = Poly.monomial(P.ring, u + (0,) * n, c)
-        prev = terms.get(v)
-        terms[v] = coeff if prev is None else prev + coeff
-    return DensityOperator(n, weight, terms)
+        groups.setdefault(exp[n:], {})[exp[:n] + (0,) * n] = c
+    return DensityOperator(n, weight, {v: Poly(P.ring, g, _clean=True)
+                                       for v, g in groups.items()})
 
 
 def split_section(Q: Poly, splitting: PolyDiffOp, weight) -> DensityOperator:

@@ -38,15 +38,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # prints them.  A change that grows or shrinks src/ updates this table, so its
 # diff shows where; the total is the measure of "net lines of src/".
 CODE_LINES = {
-    "cohomolab/__init__.py": 62,
+    "cohomolab/__init__.py": 34,
     "cohomolab/__main__.py": 4,
     "cohomolab/ansatz.py": 274,
     "cohomolab/cli.py": 178,
-    "cohomolab/cocycles.py": 213,
-    "cohomolab/linalg.py": 71,
-    "cohomolab/operators.py": 286,
+    "cohomolab/cocycles.py": 209,
+    "cohomolab/linalg.py": 68,
+    "cohomolab/operators.py": 285,
     "cohomolab/poly.py": 268,
-    "cohomolab/quantization.py": 146,
+    "cohomolab/quantization.py": 144,
     "cohomolab/report.py": 192,
     "cohomolab/symbols.py": 63,
 }

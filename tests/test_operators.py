@@ -767,6 +767,11 @@ def test_op_str_roundtrip():
         A = random_op(rng, R2)
         assert parse_op(R2, op_str(A)) == A
     assert parse_op(R2, op_str(PolyDiffOp.zero(R2))).is_zero()
+    # a repeated derivative sums, and a pair of terms that cancel leaves nothing
+    assert op_str(parse_op(R2, "(1*x1) * dx1 + (1*x2 + 2*x1) * dx1")) == "(1*x2 + 3*x1) * dx1"
+    assert parse_op(R2, "(1*x1) * dxi2 + (-1*x1) * dxi2 + (1) * dx1") == PolyDiffOp.derivative(
+        R2, R2.x(0))
+    assert parse_op(R2, "(1*x2) * dx1 + (-1*x2) * dx1").is_zero()
 
 
 def test_a_malformed_factor_is_named():

@@ -171,6 +171,11 @@ def test_normal_order_examples():
         2, 0, {(1, 1): Poly.constant(R2, 1)})
     assert normal_order_section(x(0) * xi(0) ** 2, 0) == DensityOperator(
         2, 0, {(2, 0): x(0)})
+    # two x-monomials on one xi-exponent share one coefficient
+    P = x(0) * xi(0) * xi(1) + Poly.constant(R2, 3) * x(1) ** 2 * xi(0) * xi(1) + xi(1)
+    assert normal_order_section(P, Fraction(1, 2)) == DensityOperator(
+        2, Fraction(1, 2), {(1, 1): x(0) + Poly.constant(R2, 3) * x(1) ** 2,
+                            (0, 1): Poly.constant(R2, 1)})
 
 
 def test_sections_are_sections_and_linear():
