@@ -70,7 +70,7 @@ class AnsatzCoefficients:
 
     Each family is a read-only map from index to nonzero exact coefficient:
     every value is read by poly.rat and zeros are dropped, so a zero entry
-    and no entry make equal lines.
+    and no entry make equal lines, with equal hashes.  k and p must be ints.
     """
 
     k: int
@@ -80,6 +80,8 @@ class AnsatzCoefficients:
     gamma: Mapping[int, Coeff] = field(default_factory=dict)
 
     def __post_init__(self):
+        if type(self.k) is not int or type(self.p) is not int:
+            raise StructureError(f"k and p must be integers, got k={self.k!r}, p={self.p!r}")
         if not 0 <= self.p <= self.k:
             raise StructureError(f"need 0 <= p <= k, got p={self.p}, k={self.k}")
         legal = full_indices(self.p + 1, self.p)  # alpha too: its terms vanish on S_k at k = p
@@ -91,6 +93,10 @@ class AnsatzCoefficients:
                 if v := rat(v):
                     values[s] = v
             object.__setattr__(self, kind, MappingProxyType(values))
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.p,
+                     *(frozenset(getattr(self, kind).items()) for kind in FAMILIES)))
 
     def get(self, kind: str, s: int) -> Coeff:
         return getattr(self, kind).get(s, 0)

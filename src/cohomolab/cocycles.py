@@ -55,7 +55,8 @@ from .operators import (
     op_str,
     unit_deriv,
 )
-from .poly import Poly, StructureError, check_term_budget, poly_str, rat, rat_str, single_ring
+from .poly import (Poly, StructureError, check_term_budget, check_vector_field, poly_str, rat,
+                   rat_str, single_ring)
 from .symbols import divergence, divergence_cocycle, is_closed, sl_generators
 
 
@@ -145,7 +146,8 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4,
     count C(F, 2) are checked against the term budget before any field is
     built (_field_count).  A caller may pass a pair set it has
     proved complete instead; max_vf_degree is then only the degree the
-    result states.
+    result states, and each member is checked to be a vector field
+    (poly.check_vector_field) as its pair is drawn.
 
     Complete pair sets.  For an ansatz line C with no s <= 1 coefficient,
     every term differentiates the field at least twice in x (the alpha_s
@@ -176,6 +178,8 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4,
         check_term_budget(comb(_field_count(c.n, max_vf_degree), 2), "pairs of monomial test"
                           f" fields (n = {c.n}, degree <= {max_vf_degree})")
         pairs = combinations(monomial_fields(c.n, max_vf_degree), 2)
+    else:
+        pairs = ((check_vector_field(X), check_vector_field(Y)) for X, Y in pairs)
     checked = 0
     for checked, (X, Y, [defect]) in enumerate(cocycle_defects([c.evaluate], pairs), 1):
         sm = defect.symbol_map(c.k)

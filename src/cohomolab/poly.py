@@ -150,13 +150,14 @@ class Ring:
     Variable indices: x_i at i and xi_i at n+i (0-based internally, printed
     1-based).  The dimension floor is checked here only: a function taking
     a dimension builds its ring before other work (n = 1 is out of scope).
+    A dimension that is not an int (2.0, True) is refused too.
     """
 
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise StructureError(f"dimension must be at least 2, got {self.n}")
+        if type(self.n) is not int or self.n < 2:
+            raise StructureError(f"dimension must be an integer of at least 2, got {self.n!r}")
 
     @property
     def nvars(self) -> int:
@@ -190,8 +191,9 @@ class Ring:
         return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def single_ring(n: int) -> Ring:
+    """The one Ring of dimension n; typed, so 2.0 misses Ring(2) and reaches Ring's check."""
     return Ring(n)
 
 

@@ -107,9 +107,16 @@ def test_ansatz_coefficients_reject_a_shape_or_index_out_of_range():
     # and printed by to_json
     for bad in ({"k": 2, "p": 3}, {"k": 2, "p": -1}, {"k": 3, "p": 2, "alpha": {7: 1}},
                 {"k": 3, "p": 2, "alpha": {-1: 1}}, {"k": 3, "p": 2, "beta": {0: 1}},
-                {"k": 3, "p": 2, "beta": {4: 1}}, {"k": 3, "p": 2, "gamma": {3: 1}}):
+                {"k": 3, "p": 2, "beta": {4: 1}}, {"k": 3, "p": 2, "gamma": {3: 1}},
+                {"k": 3.0, "p": 2}, {"k": 3, "p": 2.0}):
         with pytest.raises(StructureError):
             AnsatzCoefficients(**bad)
+    # floats never enter the ring: neither a dimension nor a degree, even
+    # after single_ring(2) has cached the ring that 2.0 compares equal to
+    single_ring(2)
+    for n, k in ((2.0, 3), (3, 3.0)):
+        with pytest.raises(StructureError, match="must be integers|must be an integer"):
+            recurrence_solutions(n, k, 2)
     with pytest.raises(StructureError, match="alpha_7 is not an ansatz index for p = 2"):
         AnsatzCoefficients(3, 2, alpha={7: 1})
     # every family's end points are legal, and alpha at k = p too: those
@@ -150,6 +157,9 @@ def test_solution_spaces_and_ansatz_lines_are_read_only():
     with pytest.raises(AttributeError):
         line.alpha = {99: 7}
     assert space.dimension == 2 and 99 not in line.alpha
+    # frozen and hashable: an equal space built again hashes alike
+    assert hash(space) == hash(recurrence_solutions(2, 3, 2))
+    assert len({space, SolutionSpace(2, 3, 2, list(space.basis))}) == 1
     # the call form of a line built from another line's families still works
     gamma = {s: v + 1 for s, v in line.gamma.items()}
     assert AnsatzCoefficients(3, 2, line.alpha, line.beta, gamma).gamma == gamma
@@ -166,6 +176,10 @@ def test_ansatz_coefficients_are_exact_and_drop_zeros():
                               "gamma": {}}
     zero = AnsatzCoefficients(3, 1, alpha={2: 0}, gamma={0: Fraction(0)})
     assert zero == AnsatzCoefficients(3, 1)
+    # hashing agrees with ==: a zero entry and no entry, a text and a Fraction
+    assert hash(zero) == hash(AnsatzCoefficients(3, 1))
+    assert hash(half) == hash(AnsatzCoefficients(3, 1, alpha={2: Fraction(1, 2)}, beta={2: 2}))
+    assert len({zero, AnsatzCoefficients(3, 1), half}) == 2
     assert zero.to_json() == {"k": 3, "p": 1, "alpha": {}, "beta": {}, "gamma": {}}
     assert half.scale(0) == zero
     assert AnsatzCoefficients.from_vector(3, 1, [("alpha", 2), ("beta", 2)],

@@ -84,6 +84,19 @@ def test_non_cocycle_yields_counterexample():
     assert defect == parse_poly(R2, chk.counterexample["defect_value"])
 
 
+def test_given_pairs_must_be_vector_fields():
+    # a passed pair set is checked member by member as it is drawn: an
+    # xi-degree-0 member (a function) or an xi-degree-2 member is no vector
+    # field, and neither gets a vacuous pass or a meaningless counterexample
+    c = builtin_c1(2, 2)
+    field = x(1) ** 2 * xi(0)
+    for bad in (x(0) ** 2 * x(1), x(1) ** 2 * xi(0) * xi(1)):
+        for pair in ((bad, field), (field, bad)):
+            with pytest.raises(StructureError, match="xi-degree exactly 1"):
+                cocycle_check(c, 2, pairs=[(field, field), pair])
+    assert cocycle_check(c, 2, pairs=[(field, x(0) * xi(1)), (Poly.zero(R2), field)]).holds
+
+
 def test_mutated_c2_counterexample_frozen():
     # c2's coefficient line at n=3, k=3 with gamma_2 moved off by one
     good = second_class_coefficients(3, 3)

@@ -40,9 +40,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CODE_LINES = {
     "cohomolab/__init__.py": 34,
     "cohomolab/__main__.py": 4,
-    "cohomolab/ansatz.py": 274,
+    "cohomolab/ansatz.py": 279,
     "cohomolab/cli.py": 178,
-    "cohomolab/cocycles.py": 209,
+    "cohomolab/cocycles.py": 212,
     "cohomolab/linalg.py": 68,
     "cohomolab/operators.py": 285,
     "cohomolab/poly.py": 268,

@@ -46,6 +46,10 @@ def test_run_config_validation():
         RunConfig(2, -1)
     with pytest.raises(StructureError):
         RunConfig(2, 2, max_vf_degree=1)
+    # a float dimension misses the cached Ring(2) and is refused, not read as 2
+    single_ring(2)
+    with pytest.raises(StructureError, match="dimension must be an integer"):
+        cohomology_table(RunConfig(2.0, 2, 2))
 
 
 def test_check_relation_holds():
