@@ -56,8 +56,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
 from .operators import (PolyDiffOp, commutator_sum, hamiltonian_op, lie_derivative_op,
                         linear_combination, operator_from_sum, unit_deriv, xi_simplex)
-from .poly import (Coeff, Poly, StructureError, add_scaled_terms, check_term_budget, norm_coeff,
-                   rat, rat_str, single_ring)
+from .poly import (Coeff, Poly, StructureError, add_scaled_terms, check_int, check_term_budget,
+                   norm_coeff, rat, rat_str, single_ring)
 from .symbols import schouten_bracket, sl_generators
 
 AnsatzIndex = tuple[str, int]
@@ -80,15 +80,12 @@ class AnsatzCoefficients:
     gamma: Mapping[int, Coeff] = field(default_factory=dict)
 
     def __post_init__(self):
-        if type(self.k) is not int or type(self.p) is not int:
-            raise StructureError(f"k and p must be integers, got k={self.k!r}, p={self.p!r}")
-        if not 0 <= self.p <= self.k:
-            raise StructureError(f"need 0 <= p <= k, got p={self.p}, k={self.k}")
+        check_int(self.k, check_int(self.p, 0, "degree drop p"), "symbol degree k")
         legal = full_indices(self.p + 1, self.p)  # alpha too: its terms vanish on S_k at k = p
         for kind in FAMILIES:
             values = {}
             for s, v in getattr(self, kind).items():
-                if (kind, s) not in legal:
+                if type(s) is not int or (kind, s) not in legal:
                     raise StructureError(f"{kind}_{s} is not an ansatz index for p = {self.p}")
                 if v := rat(v):
                     values[s] = v

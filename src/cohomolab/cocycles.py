@@ -55,8 +55,8 @@ from .operators import (
     op_str,
     unit_deriv,
 )
-from .poly import (Poly, StructureError, check_term_budget, check_vector_field, poly_str, rat,
-                   rat_str, single_ring)
+from .poly import (Poly, StructureError, check_int, check_term_budget, check_vector_field,
+                   poly_str, rat, rat_str, single_ring)
 from .symbols import divergence, divergence_cocycle, is_closed, sl_generators
 
 
@@ -171,8 +171,7 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int = 4,
     there: the canonical form is faithful on S_k, so that is the map's
     value.
     """
-    if max_vf_degree < 2:
-        raise StructureError("the check needs fields of degree at least 2")
+    check_int(max_vf_degree, 2, "the vector-field degree bound")
 
     if pairs is None:
         check_term_budget(comb(_field_count(c.n, max_vf_degree), 2), "pairs of monomial test"
@@ -248,8 +247,7 @@ def field_columns(c: OneCocycle, candidates: list[PolyDiffOp],
     (c1 does) would otherwise be cobounded by zero.  Each field contributes
     one row per entry of the degree-k canonical forms involved.
     """
-    if max_vf_degree < 2:
-        raise StructureError("coboundary verdicts need fields of degree at least 2")
+    check_int(max_vf_degree, 2, "the vector-field degree bound")
     fields = monomial_fields(c.n, max_vf_degree)
     candidate_columns = [_column(module_action(X, B).symbol_map(c.k) for X in fields)
                          for B in candidates]
@@ -306,11 +304,6 @@ def class_proportionality(columns: FieldColumns, reference: OneCocycle):
 # -- built-in cocycles ---------------------------------------------------------
 
 
-def _check_shape(k: int, min_k: int) -> None:
-    if k < min_k:
-        raise StructureError(f"this cocycle needs symbol degree >= {min_k}")
-
-
 def hessian_contraction_op(X: Poly) -> PolyDiffOp:
     """P |-> sum (d_i d_j X) d_xi_i d_xi_j, contraction with the field's Hessian.
 
@@ -363,7 +356,7 @@ def builtin_gamma1_flat(n: int, k: int) -> OneCocycle:
     x-derivatives on X and two xi-derivatives on P, which is
     hessian_contraction_op term for term (module docstring).
     """
-    _check_shape(k, 2)
+    check_int(k, 2, "the symbol degree")
     return bilinear_cocycle(n, AnsatzCoefficients(k, 1, alpha={2: 2}), "gamma1")
 
 
@@ -379,7 +372,7 @@ def builtin_c1(n: int, k: int) -> OneCocycle:
     d_xi_i P in S_(k-1) (module docstring).  The two forms have the same
     canonical form on S_k, though their raw operators differ.
     """
-    _check_shape(k, 2)
+    check_int(k, 2, "the symbol degree")
     single_ring(n)  # rejects n < 2 before the division by n + 1
     line = AnsatzCoefficients(k, 1, alpha={2: 2}, beta={2: Fraction(-2 * (k - 1), n + 1)})
     return bilinear_cocycle(n, line, "c1")
@@ -396,13 +389,13 @@ def second_class_coefficients(n: int, k: int) -> AnsatzCoefficients:
 
 def builtin_c2(n: int, k: int) -> OneCocycle:
     """The projectively invariant cocycle lowering the symbol degree by two."""
-    _check_shape(k, 2)
+    check_int(k, 2, "the symbol degree")
     return bilinear_cocycle(n, second_class_coefficients(n, k), "c2")
 
 
 def builtin_div(n: int, k: int, a, omega: list[Poly]) -> OneCocycle:
     """Multiplication by a div(X) + i_X omega, acting on degree-k symbols."""
-    _check_shape(k, 0)
+    check_int(k, 0, "the symbol degree")
     ring = single_ring(n)
     if not is_closed(omega, ring):
         raise StructureError("divergence cocycle requires a closed 1-form")

@@ -88,6 +88,7 @@ from .poly import (
     Ring,
     StructureError,
     add_scaled_terms,
+    check_int,
     check_same_ring,
     check_term_budget,
     check_vector_field,
@@ -104,13 +105,15 @@ from .poly import (
 Deriv = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _simplex(n: int, k: int) -> tuple[Exponent, ...]:
-    """All exponent tuples in n variables of total degree k, lexicographic."""
-    if k < 0:
-        raise StructureError(f"symbol degree must be nonnegative, got {k}")
-    return tuple(sorted(tuple(map(combo.count, range(n)))
-                        for combo in combinations_with_replacement(range(n), k)))
+    """All exponent tuples in n variables of total degree k, lexicographic.
+
+    The cache is typed, so a float or bool k misses the int entry it
+    compares equal to and reaches the check.
+    """
+    combos = combinations_with_replacement(range(n), check_int(k, 0, "the symbol degree"))
+    return tuple(sorted(tuple(map(combo.count, range(n))) for combo in combos))
 
 
 def xi_simplex(n: int, k: int) -> list[Exponent]:
@@ -346,10 +349,8 @@ class PolyDiffOp:
         return commutator_sum([(self, other)])
 
     def power(self, k: int) -> "PolyDiffOp":
-        if k < 0:
-            raise StructureError("negative power")
         out = PolyDiffOp.identity(self.ring)
-        for _ in range(k):
+        for _ in range(check_int(k, 0, "the power")):
             out = out.compose(self)
         return out
 
@@ -561,8 +562,6 @@ def affine_equivariant_basis(n: int, k: int, ell: int) -> list[PolyDiffOp]:
     therefore shrink the basis without emptying it, and the basis is the
     complete affine candidate space at every order.
     """
-    if k < 0 or ell < 0:
-        raise StructureError("symbol degrees must be nonnegative")
-    if ell > k:
+    if check_int(ell, 0, "the target degree ell") > check_int(k, 0, "the symbol degree k"):
         return []
     return [divergence_diffop(single_ring(n)).power(k - ell)]

@@ -36,18 +36,28 @@ class ResourceLimitError(RuntimeError):
     """Raised when an operation would exceed the configured term budget."""
 
 
+def check_int(value, least: int, what: str) -> int:
+    """Return value if it is an int of at least least; what names it in the error.
+
+    The one check of an integer parameter (a dimension, a degree, a degree
+    bound, a power or the term budget).  A bool, float or string is refused
+    even where it compares equal to an int, so it never reaches a cache
+    keyed by the int or a range().
+    """
+    if type(value) is not int or value < least:
+        raise StructureError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
 def _term_budget() -> int:
     raw = os.environ.get("COHOMOLAB_MAX_TERMS", "")
     if not raw:
         return 2_000_000
     try:
-        cap = int(raw)
+        raw = int(raw)
     except ValueError:
-        cap = 0
-    if cap < 1:
-        raise StructureError(
-            f"COHOMOLAB_MAX_TERMS must be a positive integer, got {raw!r}")
-    return cap
+        pass
+    return check_int(raw, 1, "COHOMOLAB_MAX_TERMS")
 
 
 def check_term_budget(n_terms: int, counted: str) -> None:
@@ -156,8 +166,7 @@ class Ring:
     n: int
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 2:
-            raise StructureError(f"dimension must be an integer of at least 2, got {self.n!r}")
+        check_int(self.n, 2, "dimension")
 
     @property
     def nvars(self) -> int:
@@ -330,10 +339,8 @@ class Poly:
         return Poly(self.ring, {e: norm_coeff(c) for e, c in out.items()}, _clean=True)
 
     def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise StructureError("negative power")
         out = Poly.constant(self.ring, 1)
-        for _ in range(k):
+        for _ in range(check_int(k, 0, "the power")):
             out = out * self
         return out
 

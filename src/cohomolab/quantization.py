@@ -74,6 +74,7 @@ from .poly import (
     Exponent,
     Poly,
     StructureError,
+    check_int,
     check_vector_field,
     rat,
     single_ring,
@@ -268,8 +269,7 @@ def quantization_top_cocycle(n: int, k: int, weight) -> OneCocycle:
     iff they agree on the monomial fields of degree <= k + 1, which the tests
     check.
     """
-    if k < 1:
-        raise StructureError("the quantization cocycle needs degree >= 1")
+    check_int(k, 1, "the symbol degree")
     return bilinear_cocycle(
         n, AnsatzCoefficients(k, 1, alpha={2: -1}, beta={2: -rat(weight)}),
         f"sigma{k - 1}-quantization")
@@ -299,8 +299,7 @@ def quantization_projected_cocycle(n: int, k: int, weight,
     bound with no second pass: the operator has no term above it, so the
     values on |u| <= x-order of B determine it exactly.
     """
-    if k < 2:
-        raise StructureError("the projected cocycle needs degree >= 2")
+    check_int(k, 2, "the symbol degree")
     ring = single_ring(n)
     weight = rat(weight)
     x_order = max((sum(mu[:n]) for mu in splitting.terms), default=0)

@@ -41,6 +41,7 @@ from .poly import (
     Poly,
     ResourceLimitError,
     StructureError,
+    check_int,
     poly_str,
     rat,
     rat_str,
@@ -63,10 +64,8 @@ class RunConfig:
 
     def __post_init__(self):
         single_ring(self.n)  # rejects n < 2
-        if self.max_symbol_degree < 0:
-            raise StructureError("the symbol degree bound must be nonnegative")
-        if self.max_vf_degree < 2:
-            raise StructureError("the vector-field degree bound must be at least 2")
+        check_int(self.max_symbol_degree, 0, "the symbol degree bound")
+        check_int(self.max_vf_degree, 2, "the vector-field degree bound")
 
     def to_json(self) -> dict:
         return {
@@ -218,8 +217,7 @@ def quantization_report(n: int, k: int, weight, max_vf_degree: int) -> dict:
     up to max_vf_degree, the degree the report states.  Its solve runs at
     the degree certify_class derives.
     """
-    if k < 2:
-        raise StructureError("the quantization report needs --order >= 2")
+    check_int(k, 2, "the symbol degree")
     weight = rat(weight)
     identity, cob, prop = certify_class(quantization_top_cocycle(n, k, weight),
                                         max_vf_degree, builtin_c1(n, k))

@@ -40,14 +40,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CODE_LINES = {
     "cohomolab/__init__.py": 34,
     "cohomolab/__main__.py": 4,
-    "cohomolab/ansatz.py": 279,
+    "cohomolab/ansatz.py": 276,
     "cohomolab/cli.py": 178,
-    "cohomolab/cocycles.py": 212,
+    "cohomolab/cocycles.py": 207,
     "cohomolab/linalg.py": 68,
-    "cohomolab/operators.py": 285,
-    "cohomolab/poly.py": 268,
-    "cohomolab/quantization.py": 144,
-    "cohomolab/report.py": 192,
+    "cohomolab/operators.py": 280,
+    "cohomolab/poly.py": 266,
+    "cohomolab/quantization.py": 143,
+    "cohomolab/report.py": 190,
     "cohomolab/symbols.py": 63,
 }
 
