@@ -119,6 +119,11 @@ def test_ansatz_coefficients_reject_a_shape_or_index_out_of_range():
             recurrence_solutions(n, k, 2)
     with pytest.raises(StructureError, match="alpha_7 is not an ansatz index for p = 2"):
         AnsatzCoefficients(3, 2, alpha={7: 1})
+    # an index equal to a legal int is still refused: to_json would print
+    # "2.0" or "True" for it
+    for bad in (2.0, True):
+        with pytest.raises(StructureError, match=f"alpha_{bad} is not an ansatz index for p = 1"):
+            AnsatzCoefficients(3, 1, alpha={bad: 1})
     # every family's end points are legal, and alpha at k = p too: those
     # terms vanish on S_k, and quantization_top_cocycle(n, 1, .) builds one
     AnsatzCoefficients(3, 2, alpha={0: 1, 3: 1}, beta={1: 1, 3: 1}, gamma={0: 1, 2: 1})

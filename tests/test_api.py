@@ -1,11 +1,20 @@
-"""The package's public API: what it exports, and no test-only code in src/."""
+"""The package's public API: what it exports, how it refuses a bad integer, no test-only code."""
 
 import ast
 import re
 from itertools import takewhile
 from pathlib import Path
 
+import pytest
+
 import cohomolab
+from cohomolab.ansatz import AnsatzCoefficients
+from cohomolab.cocycles import (build_report, builtin_c1, builtin_c2, builtin_div,
+                                builtin_gamma1_flat, cocycle_check, field_columns)
+from cohomolab.operators import PolyDiffOp, affine_equivariant_basis, divergence_diffop, xi_simplex
+from cohomolab.poly import Poly, StructureError, single_ring
+from cohomolab.quantization import quantization_projected_cocycle, quantization_top_cocycle
+from cohomolab.report import RunConfig, cohomology_table, quantization_report
 from cohomolab.symbols import schouten_bracket
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -158,3 +167,56 @@ def test_memo_inventory_is_pinned():
                          "ansatz_term_op", "monomial_section"}
     assert calling == {"_vanishing_system"}
     assert slots == {"Poly": {"_hash", "_ham"}, "PolyDiffOp": {"_table"}}
+
+
+R2 = single_ring(2)
+
+# Every integer parameter of the API: its call, its floor and the name the
+# error gives it.  Each goes through poly.check_int.
+INT_PARAMETERS = {
+    "single_ring": (single_ring, 2, "dimension"),
+    "Poly.__pow__": (lambda v: Poly.variable(R2, 0) ** v, 0, "the power"),
+    "xi_simplex": (lambda v: xi_simplex(2, v), 0, "the symbol degree"),
+    "symbol_map": (lambda v: PolyDiffOp.identity(R2).symbol_map(v), 0, "the symbol degree"),
+    "PolyDiffOp.power": (lambda v: divergence_diffop(R2).power(v), 0, "the power"),
+    "affine_equivariant_basis.k": (lambda v: affine_equivariant_basis(2, v, 0), 0,
+                                   "the symbol degree k"),
+    "affine_equivariant_basis.ell": (lambda v: affine_equivariant_basis(2, 3, v), 0,
+                                     "the target degree ell"),
+    "AnsatzCoefficients.p": (lambda v: AnsatzCoefficients(3, v), 0, "degree drop p"),
+    "AnsatzCoefficients.k": (lambda v: AnsatzCoefficients(v, 1), 1, "symbol degree k"),
+    "cocycle_check": (lambda v: cocycle_check(builtin_c1(2, 2), v), 2,
+                      "the vector-field degree bound"),
+    "field_columns": (lambda v: field_columns(builtin_c1(2, 2), [], v), 2,
+                      "the vector-field degree bound"),
+    "builtin_gamma1_flat": (lambda v: builtin_gamma1_flat(2, v), 2, "the symbol degree"),
+    "builtin_c1": (lambda v: builtin_c1(2, v), 2, "the symbol degree"),
+    "builtin_c2": (lambda v: builtin_c2(2, v), 2, "the symbol degree"),
+    # at a float degree this report once printed "source_degree": 2.0
+    "builtin_div": (lambda v: build_report(builtin_div(2, v, 1, [Poly.zero(R2)] * 2), 2), 0,
+                    "the symbol degree"),
+    "quantization_top_cocycle": (lambda v: quantization_top_cocycle(2, v, 0), 1,
+                                 "the symbol degree"),
+    "quantization_projected_cocycle": (
+        lambda v: quantization_projected_cocycle(2, v, 0, divergence_diffop(R2)), 2,
+        "the symbol degree"),
+    "quantization_report": (lambda v: quantization_report(2, v, 0, 2), 2, "the symbol degree"),
+    "RunConfig.n": (lambda v: cohomology_table(RunConfig(v, 2, 2)), 2, "dimension"),
+    # at True this table once printed "max_symbol_degree": true
+    "RunConfig.max_symbol_degree": (lambda v: cohomology_table(RunConfig(2, v, 2)), 0,
+                                    "the symbol degree bound"),
+    "RunConfig.max_vf_degree": (lambda v: cohomology_table(RunConfig(2, 2, v)), 2,
+                                "the vector-field degree bound"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INT_PARAMETERS))
+def test_every_integer_parameter_refuses_a_non_int_or_a_value_below_its_floor(site):
+    # the int at the floor runs first, so a cache keyed by it (single_ring,
+    # _simplex) is warm when the bool, float or string that equals it arrives
+    call, floor, name = INT_PARAMETERS[site]
+    call(floor)
+    for bad in (2.0, True, "3", floor - 1):
+        with pytest.raises(StructureError, match=re.escape(
+                f"{name} must be an integer of at least {floor}, got {bad!r}")):
+            call(bad)

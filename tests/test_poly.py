@@ -218,9 +218,11 @@ def test_rat_normalizes_exact_inputs():
 
 
 def test_non_integer_term_budget_rejected(monkeypatch):
-    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "abc")
-    with pytest.raises(StructureError):
-        check_term_budget(1, "terms")
+    for raw in ("abc", "0", "-5"):
+        monkeypatch.setenv("COHOMOLAB_MAX_TERMS", raw)
+        with pytest.raises(StructureError, match="^COHOMOLAB_MAX_TERMS must be an integer"
+                                                 " of at least 1, got "):
+            check_term_budget(1, "terms")
 
 
 coeffs = st.integers(min_value=-(10**6), max_value=10**6)

@@ -50,6 +50,11 @@ def test_run_config_validation():
     single_ring(2)
     with pytest.raises(StructureError, match="dimension must be an integer"):
         cohomology_table(RunConfig(2.0, 2, 2))
+    # nor is a non-int degree bound, which range() would refuse or read as 1
+    with pytest.raises(StructureError, match="the symbol degree bound must be an integer"):
+        cohomology_table(RunConfig(2, True, 2))
+    with pytest.raises(StructureError, match="the vector-field degree bound must be an integer"):
+        cohomology_table(RunConfig(2, 2, 2.0))
 
 
 def test_check_relation_holds():
