@@ -39,10 +39,9 @@ class ResourceLimitError(RuntimeError):
 def check_int(value, least: int, what: str) -> int:
     """Return value if it is an int of at least least; what names it in the error.
 
-    The one check of an integer parameter (a dimension, a degree, a degree
-    bound, a power or the term budget).  A bool, float or string is refused
-    even where it compares equal to an int, so it never reaches a cache
-    keyed by the int or a range().
+    The one check of an integer parameter: a dimension, a degree, a degree
+    bound, a power or the term budget.  A bool, float or string is refused
+    even where it compares equal to an int.
     """
     if type(value) is not int or value < least:
         raise StructureError(f"{what} must be an integer of at least {least}, got {value!r}")
