@@ -562,6 +562,7 @@ def affine_equivariant_basis(n: int, k: int, ell: int) -> list[PolyDiffOp]:
     therefore shrink the basis without emptying it, and the basis is the
     complete affine candidate space at every order.
     """
+    ring = single_ring(n)  # checked before the empty answer too
     if check_int(ell, 0, "the target degree ell") > check_int(k, 0, "the symbol degree k"):
         return []
-    return [divergence_diffop(single_ring(n)).power(k - ell)]
+    return [divergence_diffop(ring).power(k - ell)]

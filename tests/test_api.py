@@ -183,6 +183,8 @@ INT_PARAMETERS = {
                                    "the symbol degree k"),
     "affine_equivariant_basis.ell": (lambda v: affine_equivariant_basis(2, 3, v), 0,
                                      "the target degree ell"),
+    # ell > k, where the answer is empty whatever the dimension
+    "affine_equivariant_basis.n": (lambda v: affine_equivariant_basis(v, 0, 1), 2, "dimension"),
     "AnsatzCoefficients.p": (lambda v: AnsatzCoefficients(3, v), 0, "degree drop p"),
     "AnsatzCoefficients.k": (lambda v: AnsatzCoefficients(v, 1), 1, "symbol degree k"),
     "cocycle_check": (lambda v: cocycle_check(builtin_c1(2, 2), v), 2,

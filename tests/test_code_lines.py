@@ -44,7 +44,7 @@ CODE_LINES = {
     "cohomolab/cli.py": 178,
     "cohomolab/cocycles.py": 207,
     "cohomolab/linalg.py": 68,
-    "cohomolab/operators.py": 280,
+    "cohomolab/operators.py": 281,
     "cohomolab/poly.py": 266,
     "cohomolab/quantization.py": 143,
     "cohomolab/report.py": 190,
