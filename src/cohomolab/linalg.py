@@ -10,20 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Coeff, norm_coeff
+from .poly import Coeff, add_scaled_terms, norm_coeff
 
 Row = dict[int, Coeff]
-
-
-def _eliminate(row: Row, col: int, pivot: Row) -> None:
-    """Subtract row[col] times the pivot row (pivot[col] == 1) from row, in place."""
-    factor = row[col]
-    for c, v in pivot.items():
-        s = row.get(c, 0) - factor * v
-        if s == 0:
-            row.pop(c, None)
-        else:
-            row[c] = norm_coeff(s)
 
 
 class RowReducer:
@@ -31,7 +20,9 @@ class RowReducer:
 
     Maintains a reduced set of rows, one per pivot column.  Feeding rows one
     at a time lets callers interleave constraint generation with reduction
-    and observe the rank as it grows.
+    and observe the rank as it grows.  Each elimination step is
+    poly.add_scaled_terms, so a pivot-row entry may be an integral Fraction
+    equal to an int; nullspace normalizes every entry it returns.
     """
 
     def __init__(self, ncols: int):
@@ -56,7 +47,7 @@ class RowReducer:
         """
         red = {c: v for c, v in row.items() if v != 0}
         for hit in red.keys() & self.pivot_rows.keys():
-            _eliminate(red, hit, self.pivot_rows[hit])
+            add_scaled_terms(red, self.pivot_rows[hit].items(), -red[hit])
         if not red:
             return False
         lead = min(red)
@@ -65,7 +56,7 @@ class RowReducer:
         # keep earlier pivot rows fully reduced against the new one
         for prow in self.pivot_rows.values():
             if lead in prow:
-                _eliminate(prow, lead, red)
+                add_scaled_terms(prow, red.items(), -prow[lead])
         self.pivot_rows[lead] = red
         return True
 

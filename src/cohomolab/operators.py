@@ -236,11 +236,10 @@ class PolyDiffOp:
         else:
             clean: dict[Deriv, Poly] = {}
             for mu, coeff in terms.items():
-                if len(mu) != ring.nvars or any(e < 0 for e in mu):
-                    raise StructureError(f"bad derivative multi-index {mu}")
+                mu = ring.exponent(mu)
                 check_same_ring(ring, coeff.ring)
                 if not coeff.is_zero():
-                    clean[tuple(mu)] = coeff
+                    clean[mu] = coeff
             self.terms = clean
 
     # -- constructors -------------------------------------------------------

@@ -140,8 +140,9 @@ def add_scaled_terms(acc: dict, terms, c: Coeff) -> None:
     its deletion raises KeyError.  The raw accumulation shared by
     Poly.__mul__ (one call per term of the shorter factor),
     operators._add_combination (commutator_sum's base and
-    linear_combination) and BilinearOp.operator_for_field; coefficients
-    stay unnormalized.
+    linear_combination), BilinearOp.operator_for_field and the
+    elimination step of linalg.RowReducer.add_row; coefficients stay
+    unnormalized.
     """
     for e, v in terms:
         s = acc.get(e)
@@ -182,6 +183,19 @@ class Ring:
     def _check_coord(self, i: int) -> None:
         if not 0 <= i < self.n:
             raise StructureError(f"coordinate index {i} out of range for n={self.n}")
+
+    def exponent(self, exp) -> Exponent:
+        """tuple(exp), if it is nvars ints of at least 0.
+
+        The one check of an exponent or a derivative multi-index, behind the
+        Poly and PolyDiffOp constructors; a bool or float entry is refused
+        even where it equals an int.
+        """
+        exp = tuple(exp)
+        if len(exp) != self.nvars or not all(type(e) is int and e >= 0 for e in exp):
+            raise StructureError(
+                f"multi-index {exp!r} must be {self.nvars} integers of at least 0")
+        return exp
 
     def var_name(self, idx: int) -> str:
         if not 0 <= idx < self.nvars:
@@ -232,19 +246,11 @@ class Poly:
         if _clean:
             self.terms = terms
         else:
-            nv = ring.nvars
             clean: dict[Exponent, Coeff] = {}
             for exp, c in terms.items():
-                if len(exp) != nv:
-                    raise StructureError(
-                        f"exponent {exp} has length {len(exp)}, ring has {nv} variables")
-                if any(e < 0 for e in exp):
-                    raise StructureError(f"negative exponent in {exp}")
-                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                    raise StructureError(f"not an exact rational coefficient: {c!r}")
-                c = norm_coeff(c)
-                if c != 0:
-                    clean[tuple(exp)] = c
+                exp, c = ring.exponent(exp), rat(c)
+                if c:
+                    clean[exp] = c
             self.terms = clean
         self._hash = None
 
@@ -256,10 +262,7 @@ class Poly:
 
     @staticmethod
     def constant(ring: Ring, c) -> "Poly":
-        c = rat(c)
-        if c == 0:
-            return Poly.zero(ring)
-        return Poly(ring, {(0,) * ring.nvars: c}, _clean=True)
+        return Poly(ring, {(0,) * ring.nvars: c})
 
     @staticmethod
     def variable(ring: Ring, idx: int) -> "Poly":
@@ -269,7 +272,7 @@ class Poly:
 
     @staticmethod
     def monomial(ring: Ring, exp: Exponent, c=1) -> "Poly":
-        return Poly(ring, {tuple(exp): rat(c)})
+        return Poly(ring, {tuple(exp): c})
 
     # -- structural --------------------------------------------------------
 

@@ -93,21 +93,20 @@ class DensityOperator:
 
     A thin view over an x-only PolyDiffOp on single_ring(n): the calculus is
     the operator's, and the view adds only the weight and its own checks
-    (length-n indices, xi-free coefficients, matching n and weight).
+    (xi-free coefficients, matching n and weight).  A length-n index alpha
+    becomes the derivative index alpha + (0,) * n, so an index of another
+    length fails the operator's multi-index check.
     """
 
     __slots__ = ("n", "weight", "op")
 
     def __init__(self, n: int, weight, terms: dict[Exponent, Poly]):
-        pad = (0,) * n
-        for alpha, coeff in terms.items():
-            if len(alpha) != n:
-                raise StructureError(f"bad derivative index {alpha}")
+        ring = single_ring(n)
+        for coeff in terms.values():
             _check_x_only(coeff)
         self.n = n
         self.weight = rat(weight)
-        self.op = PolyDiffOp(single_ring(n),
-                             {tuple(alpha) + pad: c for alpha, c in terms.items()})
+        self.op = PolyDiffOp(ring, {tuple(alpha) + (0,) * n: c for alpha, c in terms.items()})
 
     def _like(self, op: PolyDiffOp) -> "DensityOperator":
         out = object.__new__(DensityOperator)

@@ -43,10 +43,10 @@ CODE_LINES = {
     "cohomolab/ansatz.py": 276,
     "cohomolab/cli.py": 178,
     "cohomolab/cocycles.py": 207,
-    "cohomolab/linalg.py": 68,
-    "cohomolab/operators.py": 281,
-    "cohomolab/poly.py": 266,
-    "cohomolab/quantization.py": 143,
+    "cohomolab/linalg.py": 60,
+    "cohomolab/operators.py": 280,
+    "cohomolab/poly.py": 261,
+    "cohomolab/quantization.py": 140,
     "cohomolab/report.py": 190,
     "cohomolab/symbols.py": 63,
 }
