@@ -92,8 +92,12 @@ class OneCocycle:
 
 
 def _field_count(n: int, max_degree: int) -> int:
-    """The number n * C(n + max_degree, n) of monomial_fields, checked against the term budget."""
-    count = n * comb(n + max_degree, n)
+    """The number n * C(n + max_degree, n) of monomial_fields, checked against the term budget.
+
+    The dimension and the degree are checked before comb sees them.
+    """
+    single_ring(n)
+    count = n * comb(n + check_int(max_degree, 0, "the vector-field degree bound"), n)
     check_term_budget(count, f"monomial test fields (n = {n}, degree <= {max_degree})")
     return count
 

@@ -109,9 +109,10 @@ Deriv = tuple[int, ...]
 def _simplex(n: int, k: int) -> tuple[Exponent, ...]:
     """All exponent tuples in n variables of total degree k, lexicographic.
 
-    The cache is typed, so a float or bool k misses the int entry it
-    compares equal to and reaches the check.
+    The cache is typed, so a float or bool n or k misses the int entry it
+    compares equal to and reaches the check: single_ring(n) checks n.
     """
+    single_ring(n)
     combos = combinations_with_replacement(range(n), check_int(k, 0, "the symbol degree"))
     return tuple(sorted(tuple(map(combo.count, range(n))) for combo in combos))
 
@@ -124,7 +125,7 @@ def xi_simplex(n: int, k: int) -> list[Exponent]:
 def monomials_up_to(n: int, d: int) -> list[Exponent]:
     """All exponent tuples in n variables of total degree <= d, lexicographic."""
     out: list[Exponent] = []
-    for k in range(d + 1):
+    for k in range(check_int(d, 0, "the degree bound") + 1):
         out.extend(_simplex(n, k))
     return sorted(out)
 
@@ -219,7 +220,7 @@ def unit_deriv(ring: Ring, *variables: int) -> Deriv:
     """The multi-index of d_v1 d_v2 ... over all ring variables; repeats add up."""
     mu = [0] * ring.nvars
     for var in variables:
-        mu[var] += 1
+        mu[ring.var(var)] += 1
     return tuple(mu)
 
 

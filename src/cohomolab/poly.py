@@ -184,6 +184,17 @@ class Ring:
         if not 0 <= i < self.n:
             raise StructureError(f"coordinate index {i} out of range for n={self.n}")
 
+    def var(self, idx: int) -> int:
+        """idx, if it is an int naming one of the nvars variables.
+
+        The one check of a variable index; a bool is refused, as check_int
+        refuses one.
+        """
+        if type(idx) is not int or not 0 <= idx < self.nvars:
+            raise StructureError(f"variable index must be an integer from 0 to {self.nvars - 1},"
+                                 f" got {idx!r}")
+        return idx
+
     def exponent(self, exp) -> Exponent:
         """tuple(exp), if it is nvars ints of at least 0.
 
@@ -198,9 +209,7 @@ class Ring:
         return exp
 
     def var_name(self, idx: int) -> str:
-        if not 0 <= idx < self.nvars:
-            raise StructureError(f"variable index {idx} out of range")
-        block, pos = divmod(idx, self.n)
+        block, pos = divmod(self.var(idx), self.n)
         return f"{('x', 'xi')[block]}{pos + 1}"
 
     def var_index(self, name: str) -> int | None:
@@ -267,7 +276,7 @@ class Poly:
     @staticmethod
     def variable(ring: Ring, idx: int) -> "Poly":
         exp = [0] * ring.nvars
-        exp[idx] = 1
+        exp[ring.var(idx)] = 1
         return Poly(ring, {tuple(exp): 1}, _clean=True)
 
     @staticmethod
@@ -354,8 +363,7 @@ class Poly:
         Distinct monomials stay distinct under d_var and c * e is nonzero,
         so no two terms merge and none cancels.
         """
-        if not 0 <= var < self.ring.nvars:
-            raise StructureError(f"unknown variable index {var}")
+        self.ring.var(var)
         return Poly(self.ring, {exp[:var] + (e - 1,) + exp[var + 1:]: norm_coeff(c * e)
                                 for exp, c in self.terms.items() if (e := exp[var])},
                     _clean=True)

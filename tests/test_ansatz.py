@@ -648,10 +648,11 @@ def _rank(rows, ncols) -> int:
 
 def _sampled_rows(ops, k):
     """The rows of ops applied to x^u xi^v, for every xi^v of degree k and
-    every |u| up to the largest x-order among the ops' terms."""
+    every |u| up to the largest x-order among the ops' terms (no rows when
+    every op is zero)."""
     ring = ops[0].ring
     n = ring.n
-    r = max((sum(mu[:n]) for op in ops for mu in op.terms), default=-1)
+    r = max((sum(mu[:n]) for op in ops for mu in op.terms), default=0)
     return [row for u in monomials_up_to(n, r) for v in xi_simplex(n, k)
             for row in keyed_rows([op.apply(Poly.monomial(ring, u + v)).terms
                                    for op in ops])]

@@ -10,10 +10,13 @@ import pytest
 import cohomolab
 from cohomolab.ansatz import AnsatzCoefficients
 from cohomolab.cocycles import (build_report, builtin_c1, builtin_c2, builtin_div,
-                                builtin_gamma1_flat, cocycle_check, field_columns)
-from cohomolab.operators import PolyDiffOp, affine_equivariant_basis, divergence_diffop, xi_simplex
+                                builtin_gamma1_flat, cocycle_check, field_columns,
+                                monomial_fields)
+from cohomolab.operators import (PolyDiffOp, affine_equivariant_basis, divergence_diffop,
+                                 monomials_up_to, xi_simplex)
 from cohomolab.poly import Poly, StructureError, single_ring
-from cohomolab.quantization import quantization_projected_cocycle, quantization_top_cocycle
+from cohomolab.quantization import (DensityOperator, quantization_projected_cocycle,
+                                    quantization_top_cocycle)
 from cohomolab.report import RunConfig, cohomology_table, quantization_report
 from cohomolab.symbols import schouten_bracket
 
@@ -177,6 +180,12 @@ INT_PARAMETERS = {
     "single_ring": (single_ring, 2, "dimension"),
     "Poly.__pow__": (lambda v: Poly.variable(R2, 0) ** v, 0, "the power"),
     "xi_simplex": (lambda v: xi_simplex(2, v), 0, "the symbol degree"),
+    "xi_simplex.n": (lambda v: xi_simplex(v, 2), 2, "dimension"),
+    "monomials_up_to.n": (lambda v: monomials_up_to(v, 2), 2, "dimension"),
+    "monomials_up_to.d": (lambda v: monomials_up_to(2, v), 0, "the degree bound"),
+    "monomial_fields.n": (lambda v: monomial_fields(v, 2), 2, "dimension"),
+    "monomial_fields.d": (lambda v: monomial_fields(2, v), 0, "the vector-field degree bound"),
+    "DensityOperator.n": (lambda v: DensityOperator(v, 0, {}), 2, "dimension"),
     "symbol_map": (lambda v: PolyDiffOp.identity(R2).symbol_map(v), 0, "the symbol degree"),
     "PolyDiffOp.power": (lambda v: divergence_diffop(R2).power(v), 0, "the power"),
     "affine_equivariant_basis.k": (lambda v: affine_equivariant_basis(2, v, 0), 0,
@@ -222,3 +231,22 @@ def test_every_integer_parameter_refuses_a_non_int_or_a_value_below_its_floor(si
         with pytest.raises(StructureError, match=re.escape(
                 f"{name} must be an integer of at least {floor}, got {bad!r}")):
             call(bad)
+
+
+# A float, a bool, a fraction, a wrong length and a negative entry: each is
+# refused by Ring.exponent, so none becomes a Poly or PolyDiffOp key.
+BAD_EXPONENTS = [(2.0, 0, 0, 1), (True, 0, 0, 1), (0.5, 0, 0, 1), (1, 0, 0), (-1, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("exp", BAD_EXPONENTS, ids=repr)
+def test_every_exponent_and_derivative_index_is_nvars_ints_of_at_least_0(exp):
+    one = Poly.constant(R2, 1)
+    # DensityOperator takes length-n indices and pads each with n zeros
+    alpha = exp[:2] if len(exp) == 4 else exp
+    for shown, call in ((exp, lambda: Poly(R2, {exp: 1})),
+                        (exp, lambda: Poly.monomial(R2, exp)),
+                        (exp, lambda: PolyDiffOp(R2, {exp: one})),
+                        (alpha + (0, 0), lambda: DensityOperator(2, 0, {alpha: one}))):
+        with pytest.raises(StructureError, match=re.escape(
+                f"multi-index {shown!r} must be 4 integers of at least 0")):
+            call()

@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -337,3 +339,71 @@ def test_table_output_is_deterministic(capsys):
     r2 = last_json(out2)
     assert r1["result"] == r2["result"]
     assert json.dumps(r1["result"], sort_keys=True) == json.dumps(r2["result"], sort_keys=True)
+
+
+# The README's CLI examples, each with the SHA-256 of json.dumps(obj, sort_keys=True)
+# for its report's config and its result.  A change that keeps every report
+# byte for byte keeps these; the candidates file is primitive.txt in the
+# working directory, as the README writes it, so its config reads
+# "custom:primitive.txt".
+README_REPORTS = {
+    "check-relation --dim 2": (
+        "fb89d6bb2e2912d46e176a1b4a2c311312a957670ba3675a34707049899fbaad",
+        "a4068f81a3c9948ba6a0a96cc423ff3623c0bf7e10879ebb0a3c104b16bc7491"),
+    "classify-equivariant --dim 2 --order 3 --delta 2 --cocycle": (
+        "5ad358b5e7bf94a07322ceb61edd7e7a1622f883c9ac5f2b2aa1e90e01e3de65",
+        "4470035ca62a7eee3ae1a43ba4c35a613882f63fc179487721eb5978c0f1b528"),
+    "cohomology-table --dim 2 --order 5": (
+        "9088507efcb3a658363580bc999c54232a2492a09444da8bd3572f3a7a2fb1c7",
+        "92ae1048af80e30c234e2b16a2d1e89ae8fd7dd63f39110a6d4f0b17543502cb"),
+    "cohomology-table --dim 3 --order 5": (
+        "8e5d40333e5211a344fffc0e73a097e5fb1718f10d2a10c0d9906d91c8a95207",
+        "d5c316b02152ccd473d450446078dd714866495d49f34690307068025960bf0f"),
+    "verify-cocycle --name c1 --dim 2 --order 3 --max-vf-degree 4": (
+        "50ea4024813aa1c7af6f3f2182d78df16e1d15b2f135f6ea65df55bb7862668e",
+        "316101dd139808ccd856d135202b2b4796ab02e1d3f6d43101d318b6f74daee8"),
+    'verify-cocycle --name div --dim 2 --order 2 --a 1 --omega "1*x2,1*x1"': (
+        "ff5a4ef79f7c7fa7bc1131c59d0f8c820d4253abfe5a4d9aa20d59cf0e46f439",
+        "e93acdcc06b97d9f2ba2fc36d40b2297cfc9b973d8f05ca233c4b479ddf3457c"),
+    "coboundary-test --name c2 --dim 2 --order 3": (
+        "23ea440a7b39a67bd39c1a9572520e8096d1b3f834310499f7f8f6ef2f258956",
+        "e8a89ec100e67c65a545e3eb53ebdfd456d25e00efcc21456fbe60d7bd78ea2c"),
+    'coboundary-test --name div --dim 2 --order 1 --a 0 --omega "1*x2,1*x1"'
+    " --max-vf-degree 2": (
+        "e56d2deb0562dc5ae24e33b4e21dd403d204054b015fd38d4c2da2e76616c85e",
+        "3d339ad15306cf36990e2bdf4e759a6011f65afd90395d1f11cfad5778ea694c"),
+    'coboundary-test --name div --dim 2 --order 1 --a 0 --omega "1*x2,1*x1"'
+    " --max-vf-degree 2 --candidates-file primitive.txt": (
+        "dc5818fb63f9f471fb77ca12038c2a0288ba10bc17810901cc76126034d4b0a3",
+        "fa7f297aeb0d72d98ee8911ecf6e9c03a131aa02609207b2e649a36e5ede11e4"),
+    "quantization-cocycle --dim 2 --order 2 --lambda 0": (
+        "be1889cebed761905e2071f9cab5a5280510d4e3b983d3b0cb4eef4fe0e67ea5",
+        "e3a0363eef81a75555a701723450d4d1f3f37dabc303512514195fc56d979579"),
+    "quantization-cocycle --dim 2 --order 2 --lambda 1/4": (
+        "2e4a9724de9d14245fdc19b53ecbf6068f59c61878b017cda318ec350c5bf508",
+        "fddd41f8858489efe95a916d995b1f439bb80f01d411cb98a437422ed3b54782"),
+    "quantization-cocycle --dim 2 --order 2 --lambda 1/3": (
+        "c6f159f4262f00662e7fc66e222deb661e681c425105613f680aebc4c40ed773",
+        "2e7b6aa478d5c0b8305e3c40c349cbc9c3aec95020512d9f60f200e846ed698a"),
+    "quantization-cocycle --dim 2 --order 2 --lambda 1/2": (
+        "91ca44e044b8990500c3de666387fc89fc5409776d043654b31c6612e3f17da2",
+        "d24cc64fb4032c1a73b17bf61ca24de494b7e5d9e11bf3eb90e5795b9ac1698c"),
+    "quantization-cocycle --dim 2 --order 2 --lambda 2/3": (
+        "9643f3b107ab4d84c385db2df6d3349937223f19a26fe7687bdaa7cb9042abcd",
+        "4b1eb65e1f0da6756ba8c6b7bf4e49af684192a629ea559cf06e08fe839072fc"),
+    "quantization-cocycle --dim 2 --order 2 --lambda 1": (
+        "e17fbf2a2cd41d2a130180ce135f5652c0730dd566bbe2af5890963433c83935",
+        "8392195d52c5d610b99c78a21d65f17cc74d5623a3d5b010ba9e4bbc717dbf34"),
+}
+
+
+@pytest.mark.parametrize("example", sorted(README_REPORTS))
+def test_readme_examples_report_pinned_config_and_result(example, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "primitive.txt").write_text("(1*x1*x2)\n")
+    code, out = run(capsys, shlex.split(example))
+    assert code == 0
+    report = json.loads(out)
+    digests = tuple(hashlib.sha256(json.dumps(report[key], sort_keys=True).encode()).hexdigest()
+                    for key in ("config", "result"))
+    assert digests == README_REPORTS[example]

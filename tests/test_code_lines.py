@@ -42,10 +42,10 @@ CODE_LINES = {
     "cohomolab/__main__.py": 4,
     "cohomolab/ansatz.py": 276,
     "cohomolab/cli.py": 178,
-    "cohomolab/cocycles.py": 207,
+    "cohomolab/cocycles.py": 208,
     "cohomolab/linalg.py": 60,
-    "cohomolab/operators.py": 280,
-    "cohomolab/poly.py": 261,
+    "cohomolab/operators.py": 281,
+    "cohomolab/poly.py": 263,
     "cohomolab/quantization.py": 140,
     "cohomolab/report.py": 190,
     "cohomolab/symbols.py": 63,

@@ -88,6 +88,22 @@ def test_row_with_nonleading_pivot_column():
         assert not (set(prow) - {lead}) & set(red.pivot_rows)
 
 
+def test_integral_fraction_pivot_entries_leave_ints_in_nullspace_and_span():
+    # (2, 1, 7) becomes the pivot row (1, 1/2, 7/2); clearing column 1 with
+    # (0, 1, 1) leaves the entry 7/2 - 1/2 = Fraction(3, 1), which nullspace
+    # returns as the int -3 and same_span equates with 3
+    rows = [[2, 1, 7], [0, 1, 1]]
+    red = RowReducer(3)
+    for row in rows:
+        red.add_row(dict(enumerate(row)))
+    assert red.pivot_rows == {0: {0: 1, 2: 3}, 1: {1: 1, 2: 1}}
+    basis = nullspace([dict(enumerate(row)) for row in rows], 3)
+    assert basis == [[-3, -1, 1]]
+    assert all(type(c) is int for c in basis[0])
+    assert same_span(rows, [[1, 0, 3], [0, 1, 1]])
+    assert same_span(basis, [[-3, -1, 1]])
+
+
 def test_nullspace_orthogonal_on_sparse_systems():
     rng = random.Random(100)
     for _ in range(50):

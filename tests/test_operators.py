@@ -785,7 +785,7 @@ def test_simplex_enumeration():
     assert xi_simplex(2, 2) == [(0, 2), (1, 1), (2, 0)]
     assert len(xi_simplex(3, 5)) == 21
     assert len(monomials_up_to(2, 3)) == 10
-    for n, k in ((1, 3), (3, 4), (4, 3)):
+    for n, k in ((2, 5), (3, 4), (4, 3)):
         assert xi_simplex(n, k) == [e for e in product(range(k + 1), repeat=n) if sum(e) == k]
 
 

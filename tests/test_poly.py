@@ -1,4 +1,5 @@
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomolab.operators import PolyDiffOp, linear_combination, module_action
+from cohomolab.operators import PolyDiffOp, linear_combination, module_action, unit_deriv
 from cohomolab.poly import (
     Poly,
     StructureError,
@@ -118,8 +119,18 @@ def test_mixed_second_derivative():
 
 
 def test_unknown_variable_rejected():
-    with pytest.raises(StructureError):
-        x(0).diff(17)
+    # every variable index goes through Ring.var, which refuses a non-int too
+    for bad, call in ((17, lambda: x(0).diff(17)),
+                      (-1, lambda: x(0).diff(-1)),
+                      (1.0, lambda: x(0).diff(1.0)),
+                      (-1, lambda: Poly.variable(R2, -1)),
+                      (7, lambda: Poly.variable(R2, 7)),
+                      (True, lambda: Poly.variable(R2, True)),
+                      (4, lambda: unit_deriv(R2, 0, 4)),
+                      (4, lambda: R2.var_name(4))):
+        with pytest.raises(StructureError, match=re.escape(
+                f"variable index must be an integer from 0 to 3, got {bad!r}")):
+            call()
 
 
 def test_ring_mismatch_rejected():
@@ -176,6 +187,19 @@ def test_subtraction_matches_adding_the_negation():
 def test_float_coefficient_rejected():
     with pytest.raises(StructureError):
         Poly(R2, {(1, 0, 0, 0): 0.1})
+
+
+def test_every_poly_constructor_reads_its_coefficient_with_rat():
+    e = (1, 0, 0, 1)
+    half = Poly(R2, {e: "1/2"})
+    assert half == Poly.monomial(R2, e, "1/2") == Poly.monomial(R2, e, Fraction(1, 2))
+    assert Poly(R2, {e: Fraction(4, 2)}).terms == {e: 2}
+    assert type(Poly.constant(R2, "4/2").terms[(0, 0, 0, 0)]) is int
+    for bad in (0.5, True, "1/0"):
+        for call in (lambda: Poly(R2, {e: bad}), lambda: Poly.monomial(R2, e, bad),
+                     lambda: Poly.constant(R2, bad)):
+            with pytest.raises(StructureError):
+                call()
 
 
 def test_malformed_rational_text_rejected():
