@@ -54,13 +54,15 @@ symbols.hamiltonian_action and module_action apply it.  So a field met in
 many pairs is differentiated once, not once per bracket.
 
 Term differentiation lives in poly.diff_terms, shared with Poly.diff_multi
-and PolyDiffOp.apply.  Sums and both text forms use the poly helpers too:
-PolyDiffOp + and - share one merge loop over Poly + and -;
-linear_combination (and so PolyDiffOp.scale, its one-term case) and
-commutator_sum's base add a linear combination raw through one loop over
-poly.add_scaled_terms (_add_combination); op_str and
-parse_op write and read derivative factors with poly.monomial_factors and
-poly.parse_monomial, the codec of poly_str and parse_poly.
+and PolyDiffOp.apply.  Every sum outside _leibniz goes through one sparse
+accumulator, poly.add_scaled_terms: linear_combination (and so
+PolyDiffOp + and -, and PolyDiffOp.scale, its one-term case) and
+commutator_sum's base add a linear combination raw through one loop over it
+(_add_combination); apply adds its products through poly.add_product, the
+raw product behind Poly.__mul__; SymbolMap.from_operator and parse_op add
+their terms through it too.  op_str and parse_op write and read derivative
+factors with poly.monomial_factors and poly.parse_monomial, the codec of
+poly_str and parse_poly.
 
 Operators acting on the finite-dimensional xi-monomial slice of fixed degree
 k admit an exact canonical form (SymbolMap below): the xi-part becomes a
@@ -87,6 +89,7 @@ from .poly import (
     Poly,
     Ring,
     StructureError,
+    add_product,
     add_scaled_terms,
     check_int,
     check_same_ring,
@@ -169,6 +172,11 @@ def _leibniz(acc: dict, left: "PolyDiffOp", right: "PolyDiffOp", lowest: int,
     unless s <= e.  So a left term with |mu| < lowest, a right term of
     degree < lowest and a right operand of top degree < lowest add nothing
     and are skipped whole.
+
+    It keeps its own add-and-drop loop, the one outside
+    poly.add_scaled_terms: each product lands at its own derivative key,
+    so a shared call here would cost one call per product, on the hottest
+    loop of the package.
     """
     rights, top = right._leibniz_table()
     if top < lowest:
@@ -285,23 +293,10 @@ class PolyDiffOp:
         return self._table
 
     def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        return self._merge(other, add)
+        return linear_combination(self.ring, [self, other], [1, 1])
 
     def __sub__(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        return self._merge(other, sub)
-
-    def _merge(self, other: "PolyDiffOp", op) -> "PolyDiffOp":
-        """self op other for op = operator.add or operator.sub: Poly + or - per coefficient."""
-        check_same_ring(self.ring, other.ring)
-        zero = Poly.zero(self.ring)
-        out = dict(self.terms)
-        for mu, coeff in other.terms.items():
-            s = op(out.get(mu, zero), coeff)
-            if s.is_zero():
-                out.pop(mu, None)
-            else:
-                out[mu] = s
-        return PolyDiffOp(self.ring, out, _clean=True)
+        return linear_combination(self.ring, [self, other], [1, -1])
 
     def __neg__(self) -> "PolyDiffOp":
         return self.scale(-1)
@@ -315,24 +310,16 @@ class PolyDiffOp:
     def apply(self, p: Poly) -> Poly:
         """Apply the operator to p: the sum of a_mu * d^mu(p) over its terms, in one pass.
 
-        The terms of each d^mu(p) (poly.diff_terms) are multiplied term by
-        term into a single accumulator, with no intermediate derivative or
-        product polynomial.  The term budget is checked once, on the merged
-        sum, as compose and commutator do.
+        The terms of each d^mu(p) (poly.diff_terms) are multiplied by a_mu
+        straight into a single accumulator (poly.add_product), with no
+        intermediate derivative or product polynomial.  The term budget is
+        checked once, on the merged sum, as compose and commutator do.
         """
         check_same_ring(self.ring, p.ring)
         acc: dict[Exponent, Coeff] = {}
         pterms = p.terms.items()
         for mu, coeff in self.terms.items():
-            cterms = coeff.terms.items()
-            for exp, c in diff_terms(pterms, mu):
-                for ce, cc in cterms:
-                    key = tuple(map(add, ce, exp))
-                    s = acc.get(key, 0) + cc * c
-                    if s == 0:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = s
+            add_product(acc, coeff.terms.items(), diff_terms(pterms, mu))
         check_term_budget(len(acc), "terms of an operator's value")
         return Poly(self.ring,
                     {e: norm_coeff(c) for e, c in acc.items()}, _clean=True)
@@ -430,14 +417,9 @@ class SymbolMap:
                       if (fac := falling(v, beta))]
             for exp, c in coeff.terms.items():
                 a, b = exp[:n], exp[n:]
-                for v, v_beta, fac in images:
-                    key = (v, tuple(map(add, v_beta, b)), alpha, a)
-                    s = entries.get(key, 0) + c * fac
-                    if s == 0:
-                        entries.pop(key, None)
-                    else:
-                        entries[key] = norm_coeff(s)
-        return SymbolMap(n, k, entries)
+                add_scaled_terms(entries, [((v, tuple(map(add, v_beta, b)), alpha, a), fac)
+                                           for v, v_beta, fac in images], c)
+        return SymbolMap(n, k, {key: norm_coeff(c) for key, c in entries.items()})
 
     def is_zero(self) -> bool:
         return not self.entries

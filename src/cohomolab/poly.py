@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import perm
-from operator import add, sub
+from operator import add
 from typing import Iterable
 
 Coeff = int | Fraction
@@ -112,9 +112,9 @@ def active_vars(mu: Exponent) -> tuple[tuple[int, int], ...]:
 def diff_terms(terms, multi: Exponent) -> list[tuple[Exponent, Coeff]]:
     """The (exponent, coefficient) pairs of d^multi(g), given those of g.
 
-    The one differentiation kernel, behind Poly.diff_multi and
-    PolyDiffOp.apply.  Distinct surviving monomials stay distinct, so
-    nothing is merged; coefficients come back unnormalized.
+    The one differentiation kernel, behind Poly.diff_multi (and so
+    Poly.diff) and PolyDiffOp.apply.  Distinct surviving monomials stay
+    distinct, so nothing is merged; coefficients come back unnormalized.
     """
     active = active_vars(multi)
     if not active:
@@ -137,12 +137,13 @@ def add_scaled_terms(acc: dict, terms, c: Coeff) -> None:
     """Add c * v into acc[e] for each (e, v) of terms; a sum that reaches 0 is dropped.
 
     c must be nonzero: c = 0 makes the sum 0 at a key not yet in acc, and
-    its deletion raises KeyError.  The raw accumulation shared by
-    Poly.__mul__ (one call per term of the shorter factor),
-    operators._add_combination (commutator_sum's base and
-    linear_combination), BilinearOp.operator_for_field and the
-    elimination step of linalg.RowReducer.add_row; coefficients stay
-    unnormalized.
+    its deletion raises KeyError.  The one sparse accumulator, outside
+    operators._leibniz: Poly + and - (Poly._merge), add_product (so
+    Poly.__mul__ and PolyDiffOp.apply), operators._add_combination
+    (commutator_sum's base and linear_combination, so PolyDiffOp + and -
+    and scale), parse_op, SymbolMap.from_operator,
+    BilinearOp.operator_for_field and the elimination step of
+    linalg.RowReducer.add_row.  Coefficients stay unnormalized.
     """
     for e, v in terms:
         s = acc.get(e)
@@ -151,6 +152,20 @@ def add_scaled_terms(acc: dict, terms, c: Coeff) -> None:
             acc[e] = s
         else:
             del acc[e]
+
+
+def add_product(acc: dict, a, b) -> None:
+    """Add the product of two term lists a and b, (exponent, coefficient) pairs, into acc.
+
+    The one raw product, behind Poly.__mul__ and PolyDiffOp.apply: one
+    add_scaled_terms call per term of the shorter list, with the other
+    shifted by that term's exponent.  Both lists must have a length and be
+    iterable twice; coefficients stay unnormalized.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    for ea, ca in a:
+        add_scaled_terms(acc, [(tuple(map(add, ea, eb)), cb) for eb, cb in b], ca)
 
 
 @dataclass(frozen=True)
@@ -181,8 +196,9 @@ class Ring:
         return self.n + i
 
     def _check_coord(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise StructureError(f"coordinate index {i} out of range for n={self.n}")
+        if type(i) is not int or not 0 <= i < self.n:
+            raise StructureError(f"coordinate index must be an integer from 0 to {self.n - 1},"
+                                 f" got {i!r}")
 
     def var(self, idx: int) -> int:
         """idx, if it is an int naming one of the nvars variables.
@@ -302,29 +318,24 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        return self._merge(other, add)
+        return self._merge(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self._merge(other, sub)
+        return self._merge(other, -1)
 
-    def _merge(self, other: "Poly", op) -> "Poly":
-        """self op other for op = operator.add or operator.sub, one term of other at a time."""
+    def _merge(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other for sign = 1 or -1, through add_scaled_terms."""
         check_same_ring(self.ring, other.ring)
         if not other.terms:
             return self
-        if not self.terms and op is add:
+        if not self.terms and sign == 1:
             return other
         out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = op(out.get(exp, 0), c)
-            if s == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = norm_coeff(s)
-        return Poly(self.ring, out, _clean=True)
+        add_scaled_terms(out, other.terms.items(), sign)
+        return Poly(self.ring, {e: norm_coeff(c) for e, c in out.items()}, _clean=True)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()}, _clean=True)
+        return self.scale(-1)
 
     def scale(self, c) -> "Poly":
         c = rat(c)
@@ -340,12 +351,8 @@ class Poly:
         check_same_ring(self.ring, other.ring)
         if not self.terms or not other.terms:
             return Poly.zero(self.ring)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
         out: dict[Exponent, Coeff] = {}
-        for ea, ca in a.items():
-            add_scaled_terms(out, [(tuple(map(add, ea, eb)), cb) for eb, cb in b.items()], ca)
+        add_product(out, self.terms.items(), other.terms.items())
         check_term_budget(len(out), "terms of a polynomial product")
         return Poly(self.ring, {e: norm_coeff(c) for e, c in out.items()}, _clean=True)
 
@@ -360,13 +367,11 @@ class Poly:
     def diff(self, var: int) -> "Poly":
         """Exact formal partial derivative with respect to variable index var.
 
-        Distinct monomials stay distinct under d_var and c * e is nonzero,
-        so no two terms merge and none cancels.
+        The case of diff_multi at the unit multi-index of var.
         """
-        self.ring.var(var)
-        return Poly(self.ring, {exp[:var] + (e - 1,) + exp[var + 1:]: norm_coeff(c * e)
-                                for exp, c in self.terms.items() if (e := exp[var])},
-                    _clean=True)
+        multi = [0] * self.ring.nvars
+        multi[self.ring.var(var)] = 1
+        return self.diff_multi(tuple(multi))
 
     def diff_multi(self, multi: Exponent) -> "Poly":
         """Iterated partial derivative d^multi, computed in one pass per term."""

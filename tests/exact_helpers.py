@@ -8,7 +8,8 @@ cobounds the div cocycle with a = 0.  rebuild_with_next_order_check runs
 the operator reconstruction at a bound the caller has not proved, and checks
 the result one x-order above that bound.  rank_of is the rank of a list of
 coordinate vectors, and bilinear_value is C(X, P) by its definition, the
-reference BilinearOp.operator_for_field is tested against.
+reference BilinearOp.operator_for_field is tested against.  normalized is
+the form every stored coefficient takes: nonzero, and an int when integral.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from cohomolab.operators import PolyDiffOp, xi_simplex
 from cohomolab.poly import Coeff, Poly, Ring, StructureError, norm_coeff, rat, single_ring
 from cohomolab.quantization import operator_from_symbol_values
 from cohomolab.symbols import is_closed
+
+
+def normalized(coeffs) -> bool:
+    """Whether every coefficient is nonzero, and an int when it is integral."""
+    return all(c != 0 and (type(c) is int or c.denominator != 1) for c in coeffs)
 
 
 def sys4_residuals(n: int, k: int, p: int,

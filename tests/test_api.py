@@ -172,6 +172,30 @@ def test_memo_inventory_is_pinned():
     assert slots == {"Poly": {"_hash", "_ham"}, "PolyDiffOp": {"_table"}}
 
 
+def _deletes_a_key(node: ast.AST) -> bool:
+    """Whether node is `del d[k]` or a call `d.pop(k...)` with an argument."""
+    if isinstance(node, ast.Delete):
+        return any(isinstance(t, ast.Subscript) for t in node.targets)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pop" and bool(node.args))
+
+
+def test_sparse_accumulators_are_pinned():
+    """Every src/ function that deletes a dict key: the sparse accumulators.
+
+    "Add c * v at a key and drop the key when the sum reaches 0" has one
+    implementation, poly.add_scaled_terms, and operators._leibniz keeps its
+    own loop over nested keys on the hottest path.  Any other sum goes
+    through add_scaled_terms.
+    """
+    deleting = {node.name
+                for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef)
+                and any(_deletes_a_key(sub) for sub in ast.walk(node))}
+    assert deleting == {"add_scaled_terms", "_leibniz"}
+
+
 R2 = single_ring(2)
 
 # Every integer parameter of the API: its call, its floor and the name the

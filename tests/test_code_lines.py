@@ -44,8 +44,8 @@ CODE_LINES = {
     "cohomolab/cli.py": 178,
     "cohomolab/cocycles.py": 208,
     "cohomolab/linalg.py": 60,
-    "cohomolab/operators.py": 281,
-    "cohomolab/poly.py": 263,
+    "cohomolab/operators.py": 258,
+    "cohomolab/poly.py": 259,
     "cohomolab/quantization.py": 140,
     "cohomolab/report.py": 190,
     "cohomolab/symbols.py": 63,

@@ -28,6 +28,7 @@ from cohomolab.operators import (
 from cohomolab.symbols import schouten_bracket, sl_generators
 
 from affine_oracle import affine_basis_by_elimination
+from exact_helpers import normalized
 from plane_ring import R2, x, xi
 
 R3 = single_ring(3)
@@ -105,8 +106,19 @@ def test_apply_cancels_across_terms():
                     p = p + Poly.monomial(ring, tuple(exp), Fraction(rng.randint(1, 9), 4))
                 assert apply_reference(A, p).is_zero()
                 assert A.apply(p).is_zero()
+                # on xi-degree k + 1, E - k is the identity: (k + 1) c - k c
+                # merges to c, normalized
+                q = Poly.monomial(ring, (0,) * ring.n + (k + 1,) + (0,) * (ring.n - 1),
+                                  Fraction(rng.randint(1, 9), 4))
+                value = A.apply(p + q)
+                assert value == q and normalized(value.terms.values())
     A = PolyDiffOp(R2, {(1, 0, 0, 0): x(0), (0, 1, 0, 0): -x(1)})
     assert A.apply(x(0) * x(1)).is_zero()
+    # two halves merge into the int 1
+    half = Poly.constant(R2, Fraction(1, 2))
+    B = PolyDiffOp(R2, {(1, 0, 0, 0): half, (0, 1, 0, 0): half})
+    value = B.apply((x(0) + x(1)) * xi(0))
+    assert value == xi(0) and normalized(value.terms.values())
 
 
 def test_apply_respects_term_budget(monkeypatch):
@@ -224,7 +236,8 @@ def test_subtraction_matches_adding_the_negation():
             A, B = fraction_op(rng, ring), fraction_op(rng, ring)
             diff = A - B
             assert diff == A + (-B) == A + B.scale(-1)
-            assert all(c.terms for c in diff.terms.values())
+            assert all(c.terms and normalized(c.terms.values())
+                       for op in (diff, A + B) for c in op.terms.values())
             assert (A + B) - A == B
             assert not (A - A).terms
     with pytest.raises(StructureError):
@@ -560,6 +573,15 @@ def test_commutator_sum_respects_merged_coefficient_budget(monkeypatch):
     I = PolyDiffOp.identity(R2)
     with pytest.raises(ResourceLimitError):
         commutator_sum([(I, I)], base=[(1, a)])
+    # an operator sum is built through the same check: P + a and P - a have
+    # three operator terms
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "3")
+    assert len((P + a).terms) == len((P - a).terms) == 3
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "2")
+    with pytest.raises(ResourceLimitError):
+        P + a
+    with pytest.raises(ResourceLimitError):
+        P - a
 
 
 def test_negative_power_is_rejected():
@@ -698,6 +720,18 @@ def test_symbol_map_identifies_euler_with_scalar():
     for k in (0, 1, 2, 3):
         assert E.symbol_map(k) == I.scale(k).symbol_map(k)
     assert E.symbol_map(2) != I.symbol_map(2)
+
+
+def test_symbol_map_drops_cancelled_entries_and_normalizes():
+    # xi1 d_xi1 and xi2 d_xi2 both fix xi1 xi2, so on S_2 their difference
+    # has no v = (1, 1) entry; half of it has the int entries 1 and -1
+    A = PolyDiffOp(R2, {(0, 0, 1, 0): xi(0), (0, 0, 0, 1): -xi(1)})
+    zero = (0, 0)
+    assert A.symbol_map(2).entries == {((2, 0), (2, 0), zero, zero): 2,
+                                       ((0, 2), (0, 2), zero, zero): -2}
+    half = A.scale(Fraction(1, 2)).symbol_map(2).entries
+    assert half == {((2, 0), (2, 0), zero, zero): 1, ((0, 2), (0, 2), zero, zero): -1}
+    assert normalized(half.values())
 
 
 def test_symbol_map_detects_degree_contract():

@@ -20,6 +20,7 @@ from cohomolab.poly import (
 )
 from cohomolab.symbols import is_closed, schouten_bracket
 
+from exact_helpers import normalized
 from plane_ring import R2, x, xi
 
 R4 = single_ring(4)
@@ -133,6 +134,19 @@ def test_unknown_variable_rejected():
             call()
 
 
+
+def test_coordinate_index_rejected():
+    # Ring.x and Ring.xi take a coordinate index, an int from 0 to n - 1;
+    # a bool or a float is refused even where it equals one
+    for bad, call in ((True, lambda: R2.xi(True)),
+                      (1.0, lambda: R2.x(1.0)),
+                      (2, lambda: R2.x(2)),
+                      (-1, lambda: R2.xi(-1))):
+        with pytest.raises(StructureError, match=re.escape(
+                f"coordinate index must be an integer from 0 to 1, got {bad!r}")):
+            call()
+
+
 def test_ring_mismatch_rejected():
     # every operand-ring check is poly.check_same_ring, whose message names both rings
     R3 = single_ring(3)
@@ -160,10 +174,6 @@ def test_ring_mismatch_rejected():
         assert str(caught.value) in named_both, name
 
 
-def _clean(p):
-    return all(c != 0 and (type(c) is int or c.denominator != 1) for c in p.terms.values())
-
-
 def test_subtraction_matches_adding_the_negation():
     # the direct merge agrees with a + (-b) and a + b.scale(-1), cancels to
     # no terms, and leaves normalized nonzero coefficients; low degrees make
@@ -175,7 +185,7 @@ def test_subtraction_matches_adding_the_negation():
             b = random_poly(rng, ring, max_degree=2, coeff_bound=6)
             diff = a - b
             assert diff == a + (-b) == a + b.scale(-1)
-            assert _clean(diff)
+            assert normalized(diff.terms.values())
             assert (a + b) - a == b
             assert not (a - a).terms
     with pytest.raises(StructureError):
