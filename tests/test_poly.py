@@ -134,7 +134,6 @@ def test_unknown_variable_rejected():
             call()
 
 
-
 def test_coordinate_index_rejected():
     # Ring.x and Ring.xi take a coordinate index, an int from 0 to n - 1;
     # a bool or a float is refused even where it equals one
