@@ -57,7 +57,7 @@ from .linalg import RowReducer, keyed_rows, nullspace, same_span
 from .operators import (PolyDiffOp, commutator_sum, hamiltonian_op, lie_derivative_op,
                         linear_combination, operator_from_sum, unit_deriv, xi_simplex)
 from .poly import (Coeff, Poly, StructureError, add_scaled_terms, check_int, check_term_budget,
-                   norm_coeff, rat, rat_str, single_ring)
+                   diff_terms, norm_coeff, rat, rat_str, single_ring)
 from .symbols import schouten_bracket, sl_generators
 
 AnsatzIndex = tuple[str, int]
@@ -236,9 +236,10 @@ class BilinearOp:
         derivatives land on X and the y, eta derivatives pass to the symbol
         slot, so the restriction is the single_ring(n) operator
         (c * d^a d^b X) * dx^g dxi^h.  Each distinct part (a, b) takes one
-        derivative d^a d^b X, whose terms, scaled by each c, are added raw
-        into the coefficients of their (g, h); a part with |a| + |b| above
-        the total degree of X has d^a d^b X = 0 and is skipped.  The sum
+        derivative d^a d^b X, as raw terms from poly.diff_terms, whose
+        terms, scaled by each c, are added raw into the coefficients of
+        their (g, h); a part with |a| + |b| above the total degree of X has
+        d^a d^b X = 0 and is skipped.  The sum
         becomes an operator through operators.operator_from_sum, as in
         compose, under the same term-budget check.
         """
@@ -247,7 +248,7 @@ class BilinearOp:
         for a_b, order, rest in self.parts:
             if order > degree:
                 continue
-            dX = X.diff_multi(a_b).terms.items()
+            dX = diff_terms(X.terms.items(), a_b)
             if not dX:
                 continue
             for g_h, c in rest:

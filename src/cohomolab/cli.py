@@ -148,12 +148,24 @@ def _candidates(args, c):
     return ops, f"custom:{args.candidates_file}"
 
 
+# The names poly.check_int gives the integer options, so that an error names the flag.
+_FLAGS = {"dimension": "--dim", "the symbol degree": "--order", "symbol degree k": "--order",
+          "the symbol degree bound": "--order", "degree drop p": "--delta",
+          "the vector-field degree bound": "--max-vf-degree"}
+
+
+def _config_message(exc: Exception) -> str:
+    """The text of exc, with a check_int parameter name replaced by its option."""
+    what, sep, rest = str(exc).partition(" must be an integer of at least ")
+    return f"{_FLAGS.get(what, what)}{sep}{rest}"
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (StructureError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(f"configuration error: {_config_message(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

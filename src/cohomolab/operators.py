@@ -25,20 +25,25 @@ and commutator never forms the products that would cancel.
 
 The expansion runs in one pass over pairs of monomial terms.  Each
 operator keeps, in one lazily filled slot, a flat Leibniz table: one entry
-(mu, e, c, |e|) per monomial term c x^e d^mu, and its largest |e|.  A left
-term c x^e d^pi and a right term c' x^e' d^mu contribute only for the
-subsets rho <= min(pi, e'), because d^rho(x^e') = 0 unless rho <= e'; a
-cache keyed by (pi, e', lowest order) lists exactly those, each with its
-factor binom(pi, rho) falling(e', rho).  Every product is added straight
-into one raw {derivative: {exponent: coefficient}} accumulator, and each
-Poly coefficient is built once at the end.  So a constant right operand
-costs its rho = 0 products and nothing else, and the fields L_X and
-cocycle values that a cocycle check composes for pair after pair are
-flattened once, not once per commutator.  The products do not depend on
-the tables or the cache.
+(mu, e, c, |e|, support of mu, support of e) per monomial term c x^e d^mu,
+each support a bitmask of the variables with a nonzero entry, and its
+largest |e|.  A left term c x^e d^pi and a right term c' x^e' d^mu
+contribute only for the subsets rho <= min(pi, e'), because
+d^rho(x^e') = 0 unless rho <= e'; a cache keyed by (pi, e', lowest order)
+lists exactly those, each with its factor binom(pi, rho) falling(e', rho).
+At lowest order >= 1 a pair whose pi and e' share no variable has only
+rho = 0 below that bound, so one AND of the two supports skips it before
+the cache is read.  Every product is added straight into one raw
+{derivative: {exponent: coefficient}} accumulator, and each Poly
+coefficient is built once at the end.  So a constant right operand costs
+its rho = 0 products and nothing else, and the fields L_X and cocycle
+values that a cocycle check composes for pair after pair are flattened
+once, not once per commutator.  The products do not depend on the tables,
+the supports or the cache.
 commutator_sum is the one defect kernel: it sums any number of
 commutators and a base linear combination of operators, sum_j c_j B_j, in
-one such accumulator.  Both row generators and the identity check pass a
+one such accumulator; a commutator with a zero operand adds nothing and is
+skipped.  Both row generators and the identity check pass a
 rule's value at a field bracket as that combination over the bracket's
 monomials, so a rule is evaluated on monomial fields only.  The pair loop
 over it is ansatz.cocycle_defects, shared by cocycle_check and the cocycle
@@ -53,8 +58,9 @@ that field of a vector field, and symbols.schouten_bracket,
 symbols.hamiltonian_action and module_action apply it.  So a field met in
 many pairs is differentiated once, not once per bracket.
 
-Term differentiation lives in poly.diff_terms, shared with Poly.diff_multi
-and PolyDiffOp.apply.  Every sum outside _leibniz goes through one sparse
+Term differentiation lives in poly.diff_terms, shared with Poly.diff_multi,
+PolyDiffOp.apply (which skips a term whose derivative of p is 0) and
+ansatz.BilinearOp.operator_for_field.  Every sum outside _leibniz goes through one sparse
 accumulator, poly.add_scaled_terms: linear_combination (and so
 PolyDiffOp + and -, and PolyDiffOp.scale, its one-term case) and
 commutator_sum's base add a linear combination raw through one loop over it
@@ -138,6 +144,18 @@ def falling(v: Exponent, beta: Exponent) -> int:
     return prod(map(perm, v, beta))
 
 
+@lru_cache(maxsize=None, typed=True)
+def _symbol_images(n: int, k: int, beta: Exponent) -> tuple:
+    """Triples (v, v - beta, falling(v, beta)) for the v of _simplex(n, k) with falling != 0.
+
+    d_xi^beta(xi^v) = falling(v, beta) xi^(v - beta) on S_k, the xi-part of
+    SymbolMap.from_operator.  Typed like _simplex, so a float or bool n or
+    k reaches _simplex's check.
+    """
+    return tuple((v, tuple(map(sub, v, beta)), fac) for v in _simplex(n, k)
+                 if (fac := falling(v, beta)))
+
+
 def multi_binom(mu: Deriv, nu: Deriv) -> int:
     return prod(map(comb, mu, nu))
 
@@ -157,6 +175,11 @@ def _leibniz_survivors(mu: Deriv, e: Exponent, lowest: int) -> tuple:
                   multi_binom(mu, s) * falling(e, s)) for _, s in subs)
 
 
+def _support(e: Exponent) -> int:
+    """The bitmask of the variables with a nonzero entry in e."""
+    return sum(1 << i for i, m in enumerate(e) if m)
+
+
 def _leibniz(acc: dict, left: "PolyDiffOp", right: "PolyDiffOp", lowest: int,
              sign: int = 1) -> None:
     """Add sign * (left o right) into the raw accumulator acc, by the Leibniz rule.
@@ -171,7 +194,10 @@ def _leibniz(acc: dict, left: "PolyDiffOp", right: "PolyDiffOp", lowest: int,
     (_leibniz_survivors): the s <= min(mu, e_right), because d^s(x^e) = 0
     unless s <= e.  So a left term with |mu| < lowest, a right term of
     degree < lowest and a right operand of top degree < lowest add nothing
-    and are skipped whole.
+    and are skipped whole.  At lowest >= 1 a pair whose mu and e_right
+    share no variable has min(mu, e_right) = 0 and no survivor; the AND of
+    the two support bitmasks in the tables finds it before the survivor
+    cache is read.
 
     It keeps its own add-and-drop loop, the one outside
     poly.add_scaled_terms: each product lands at its own derivative key,
@@ -181,13 +207,13 @@ def _leibniz(acc: dict, left: "PolyDiffOp", right: "PolyDiffOp", lowest: int,
     rights, top = right._leibniz_table()
     if top < lowest:
         return
-    for mu, fe, fc, _ in left._leibniz_table()[0]:
+    for mu, fe, fc, _, mu_vars, _ in left._leibniz_table()[0]:
         if sum(mu) < lowest:
             continue
         if sign < 0:
             fc = -fc
-        for nu, ge, gc, gdeg in rights:
-            if gdeg < lowest:
+        for nu, ge, gc, gdeg, _, e_vars in rights:
+            if gdeg < lowest or lowest and not mu_vars & e_vars:
                 continue
             survivors = _leibniz_survivors(mu, ge, lowest)
             if not survivors:
@@ -280,15 +306,17 @@ class PolyDiffOp:
         return max((sum(mu) for mu in self.terms), default=0)
 
     def _leibniz_table(self) -> tuple:
-        """(terms, top): one (mu, e, c, |e|) per monomial term c x^e d^mu, and the largest |e|.
+        """(terms, top): one entry per monomial term c x^e d^mu, and the largest |e|.
 
-        The flat form in which _leibniz reads an operand, built on first use
-        and kept for the operator's life, so an operator composed many times
-        (a cached L_X or cocycle value) is flattened once.
+        An entry is (mu, e, c, |e|, _support(mu), _support(e)).  The flat
+        form in which _leibniz reads an operand, built on first use and
+        kept for the operator's life, so an operator composed many times
+        (a cached L_X or cocycle value) is flattened once, supports
+        included.
         """
         if self._table is None:
-            terms = [(mu, e, c, sum(e)) for mu, g in self.terms.items()
-                     for e, c in g.terms.items()]
+            terms = [(mu, e, c, sum(e), _support(mu), _support(e))
+                     for mu, g in self.terms.items() for e, c in g.terms.items()]
             self._table = terms, max((t[3] for t in terms), default=0)
         return self._table
 
@@ -312,14 +340,16 @@ class PolyDiffOp:
 
         The terms of each d^mu(p) (poly.diff_terms) are multiplied by a_mu
         straight into a single accumulator (poly.add_product), with no
-        intermediate derivative or product polynomial.  The term budget is
-        checked once, on the merged sum, as compose and commutator do.
+        intermediate derivative or product polynomial; a term with
+        d^mu(p) = 0 is skipped.  The term budget is checked once, on the
+        merged sum, as compose and commutator do.
         """
         check_same_ring(self.ring, p.ring)
         acc: dict[Exponent, Coeff] = {}
         pterms = p.terms.items()
         for mu, coeff in self.terms.items():
-            add_product(acc, coeff.terms.items(), diff_terms(pterms, mu))
+            if dp := diff_terms(pterms, mu):
+                add_product(acc, coeff.terms.items(), dp)
         check_term_budget(len(acc), "terms of an operator's value")
         return Poly(self.ring,
                     {e: norm_coeff(c) for e, c in acc.items()}, _clean=True)
@@ -370,7 +400,8 @@ def commutator_sum(pairs: list[tuple[PolyDiffOp, PolyDiffOp]],
     coefficient term of each B_j is scaled by c_j and added raw, so a
     combination that cancels leaves nothing behind.  The subset-0 Leibniz
     terms f g d^(mu + nu) of P o A and A o P are equal, so each commutator
-    expands only the subsets of order at least 1.  Every product of terms
+    expands only the subsets of order at least 1, and a commutator with a
+    zero operand, checked for its ring, is skipped.  Every product of terms
     lands in the same accumulator, and the term budget is checked once, on
     the merged sum.  pairs must not be empty: the ring is its first
     operator's, and every operator must share it.
@@ -381,8 +412,9 @@ def commutator_sum(pairs: list[tuple[PolyDiffOp, PolyDiffOp]],
     for P, A in pairs:
         check_same_ring(ring, P.ring)
         check_same_ring(ring, A.ring)
-        _leibniz(acc, P, A, 1)
-        _leibniz(acc, A, P, 1, sign=-1)
+        if P.terms and A.terms:
+            _leibniz(acc, P, A, 1)
+            _leibniz(acc, A, P, 1, sign=-1)
     return operator_from_sum(ring, acc)
 
 
@@ -407,14 +439,24 @@ class SymbolMap:
 
     @staticmethod
     def from_operator(op: PolyDiffOp, k: int) -> "SymbolMap":
-        """The canonical form of op on S_k; an entry that sums to 0 is dropped."""
+        """The canonical form of op on S_k; an entry that sums to 0 is dropped.
+
+        Each derivative part d_xi^beta reads its images on S_k, the
+        (v, v - beta, falling(v, beta)) with falling != 0, from one table,
+        _symbol_images(n, k, beta), built once per (n, k, beta); a part
+        with no image adds nothing.  The zero operator is the empty map,
+        after the same degree check.
+        """
         n = op.ring.n
+        if not op.terms:
+            _simplex(n, k)  # the degree check _symbol_images makes on a nonzero operator
+            return SymbolMap(n, k, {})
         entries: dict = {}
-        simplex = _simplex(n, k)
         for mu, coeff in op.terms.items():
             alpha, beta = mu[:n], mu[n:]
-            images = [(v, tuple(map(sub, v, beta)), fac) for v in simplex
-                      if (fac := falling(v, beta))]
+            images = _symbol_images(n, k, beta)
+            if not images:
+                continue
             for exp, c in coeff.terms.items():
                 a, b = exp[:n], exp[n:]
                 add_scaled_terms(entries, [((v, tuple(map(add, v_beta, b)), alpha, a), fac)

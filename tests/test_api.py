@@ -166,8 +166,8 @@ def test_memo_inventory_is_pinned():
                         lazy = {e.value for e in stmt.value.elts if e.value.startswith("_")}
                         if lazy:
                             slots[node.name] = lazy
-    assert decorated == {"_simplex", "_leibniz_survivors", "active_vars", "single_ring",
-                         "ansatz_term_op", "monomial_section"}
+    assert decorated == {"_simplex", "_symbol_images", "_leibniz_survivors", "active_vars",
+                         "single_ring", "ansatz_term_op", "monomial_section"}
     assert calling == {"_vanishing_system"}
     assert slots == {"Poly": {"_hash", "_ham"}, "PolyDiffOp": {"_table"}}
 

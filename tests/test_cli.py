@@ -277,6 +277,31 @@ def test_configuration_errors_exit_2(case, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("configuration error")
 
 
+# One case per integer option, and each name poly.check_int gives it: the
+# error names the option the user typed, not the parameter behind it.
+FLAG_ERRORS = {
+    "dim": (["check-relation", "--dim", "1"], "--dim must be an integer of at least 2, got 1"),
+    "order": (["quantization-cocycle", "--dim", "2", "--order", "1", "--lambda", "0"],
+              "--order must be an integer of at least 2, got 1"),
+    "order-table": (["cohomology-table", "--dim", "2", "--order", "-1"],
+                    "--order must be an integer of at least 0, got -1"),
+    "order-below-delta": (["classify-equivariant", "--dim", "2", "--order", "3", "--delta", "5"],
+                          "--order must be an integer of at least 5, got 3"),
+    "delta": (["classify-equivariant", "--dim", "2", "--order", "3", "--delta", "-1"],
+              "--delta must be an integer of at least 0, got -1"),
+    "max-vf-degree": (["verify-cocycle", "--dim", "2", "--name", "c2", "--order", "2",
+                       "--max-vf-degree", "1"],
+                      "--max-vf-degree must be an integer of at least 2, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_ERRORS))
+def test_a_configuration_error_names_the_flag(case, capsys):
+    argv, message = FLAG_ERRORS[case]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+
+
 def test_a_huge_field_degree_reports_a_resource_limit(capsys):
     # the field count 2 * C(10^8 + 2, 2) is checked before any field is listed
     argv = ["verify-cocycle", "--dim", "2", "--name", "c2", "--order", "2",

@@ -41,10 +41,10 @@ CODE_LINES = {
     "cohomolab/__init__.py": 34,
     "cohomolab/__main__.py": 4,
     "cohomolab/ansatz.py": 276,
-    "cohomolab/cli.py": 178,
+    "cohomolab/cli.py": 184,
     "cohomolab/cocycles.py": 208,
     "cohomolab/linalg.py": 60,
-    "cohomolab/operators.py": 258,
+    "cohomolab/operators.py": 269,
     "cohomolab/poly.py": 259,
     "cohomolab/quantization.py": 140,
     "cohomolab/report.py": 190,
