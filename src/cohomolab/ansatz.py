@@ -239,9 +239,9 @@ class BilinearOp:
         derivative d^a d^b X, as raw terms from poly.diff_terms, whose
         terms, scaled by each c, are added raw into the coefficients of
         their (g, h); a part with |a| + |b| above the total degree of X has
-        d^a d^b X = 0 and is skipped.  The sum
-        becomes an operator through operators.operator_from_sum, as in
-        compose, under the same term-budget check.
+        d^a d^b X = 0 and is skipped.  The sum becomes an operator through
+        operators.operator_from_sum, as in compose, under the same
+        term-budget check.
         """
         degree = X.total_degree()
         acc: dict[tuple, dict] = {}

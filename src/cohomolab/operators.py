@@ -31,9 +31,9 @@ largest |e|.  A left term c x^e d^pi and a right term c' x^e' d^mu
 contribute only for the subsets rho <= min(pi, e'), because
 d^rho(x^e') = 0 unless rho <= e'; a cache keyed by (pi, e', lowest order)
 lists exactly those, each with its factor binom(pi, rho) falling(e', rho).
-At lowest order >= 1 a pair whose pi and e' share no variable has only
-rho = 0 below that bound, so one AND of the two supports skips it before
-the cache is read.  Every product is added straight into one raw
+At lowest order >= 1 a pair whose pi and e' share no variable has
+min(pi, e') = 0 and so no subset to expand; one AND of the two supports
+skips it before the cache is read.  Every product is added straight into one raw
 {derivative: {exponent: coefficient}} accumulator, and each Poly
 coefficient is built once at the end.  So a constant right operand costs
 its rho = 0 products and nothing else, and the fields L_X and cocycle
@@ -43,14 +43,14 @@ the supports or the cache.
 commutator_sum is the one defect kernel: it sums any number of
 commutators and a base linear combination of operators, sum_j c_j B_j, in
 one such accumulator; a commutator with a zero operand adds nothing and is
-skipped.  Both row generators and the identity check pass a
-rule's value at a field bracket as that combination over the bracket's
-monomials, so a rule is evaluated on monomial fields only.  The pair loop
-over it is ansatz.cocycle_defects, shared by cocycle_check and the cocycle
-filter; the direct solver calls it once per equivariance defect.  The
-term budget is checked once per call, on the larger of the output's term
-count and its largest merged coefficient's term count; the second stands
-in for a check on every coefficient product.
+skipped.  Both row generators and the identity check pass a rule's value
+at a field bracket as that combination over the bracket's monomials, so a
+rule is evaluated on monomial fields only.  The pair loop over it is
+ansatz.cocycle_defects, shared by cocycle_check and the cocycle filter;
+the direct solver calls it once per equivariance defect.  The term budget
+is checked once per call, on the larger of the output's term count and
+its largest merged coefficient's term count; the second stands in for a
+check on every coefficient product.
 
 hamiltonian_op builds the Hamiltonian field of a symbol once per Poly
 object, as an operator kept in the Poly's _ham slot: lie_derivative_op is
@@ -60,15 +60,15 @@ many pairs is differentiated once, not once per bracket.
 
 Term differentiation lives in poly.diff_terms, shared with Poly.diff_multi,
 PolyDiffOp.apply (which skips a term whose derivative of p is 0) and
-ansatz.BilinearOp.operator_for_field.  Every sum outside _leibniz goes through one sparse
-accumulator, poly.add_scaled_terms: linear_combination (and so
-PolyDiffOp + and -, and PolyDiffOp.scale, its one-term case) and
-commutator_sum's base add a linear combination raw through one loop over it
-(_add_combination); apply adds its products through poly.add_product, the
-raw product behind Poly.__mul__; SymbolMap.from_operator and parse_op add
-their terms through it too.  op_str and parse_op write and read derivative
-factors with poly.monomial_factors and poly.parse_monomial, the codec of
-poly_str and parse_poly.
+ansatz.BilinearOp.operator_for_field.  Every sum outside _leibniz goes
+through one sparse accumulator, poly.add_scaled_terms: linear_combination
+(and so PolyDiffOp + and -, and PolyDiffOp.scale, its one-term case) and
+commutator_sum's base add a linear combination raw through one loop over
+it (_add_combination); apply adds its products through poly.add_product,
+the raw product behind Poly.__mul__; SymbolMap.from_operator and parse_op
+add their terms through it too.  op_str and parse_op write and read
+derivative factors with poly.monomial_factors and poly.parse_monomial, the
+codec of poly_str and parse_poly.
 
 Operators acting on the finite-dimensional xi-monomial slice of fixed degree
 k admit an exact canonical form (SymbolMap below): the xi-part becomes a
@@ -443,9 +443,8 @@ class SymbolMap:
 
         Each derivative part d_xi^beta reads its images on S_k, the
         (v, v - beta, falling(v, beta)) with falling != 0, from one table,
-        _symbol_images(n, k, beta), built once per (n, k, beta); a part
-        with no image adds nothing.  The zero operator is the empty map,
-        after the same degree check.
+        _symbol_images(n, k, beta), built once per (n, k, beta).  The zero
+        operator is the empty map, after the same degree check.
         """
         n = op.ring.n
         if not op.terms:
@@ -455,8 +454,6 @@ class SymbolMap:
         for mu, coeff in op.terms.items():
             alpha, beta = mu[:n], mu[n:]
             images = _symbol_images(n, k, beta)
-            if not images:
-                continue
             for exp, c in coeff.terms.items():
                 a, b = exp[:n], exp[n:]
                 add_scaled_terms(entries, [((v, tuple(map(add, v_beta, b)), alpha, a), fac)

@@ -113,8 +113,9 @@ def diff_terms(terms, multi: Exponent) -> list[tuple[Exponent, Coeff]]:
     """The (exponent, coefficient) pairs of d^multi(g), given those of g.
 
     The one differentiation kernel, behind Poly.diff_multi (and so
-    Poly.diff), PolyDiffOp.apply and ansatz.BilinearOp.operator_for_field.  Distinct surviving monomials stay
-    distinct, so nothing is merged; coefficients come back unnormalized.
+    Poly.diff), PolyDiffOp.apply and ansatz.BilinearOp.operator_for_field.
+    Distinct surviving monomials stay distinct, so nothing is merged;
+    coefficients come back unnormalized.
     """
     active = active_vars(multi)
     if not active:

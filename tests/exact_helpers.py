@@ -10,11 +10,17 @@ the result one x-order above that bound.  rank_of is the rank of a list of
 coordinate vectors, and bilinear_value is C(X, P) by its definition, the
 reference BilinearOp.operator_for_field is tested against.  normalized is
 the form every stored coefficient takes: nonzero, and an int when integral.
+leibniz_reference is the Leibniz rule summed over every s <= mu, with no
+survivor cache and no support test, and symbol_map_reference the canonical
+form on S_k with falling(v, beta) computed term by term, with no image
+table: the definitions the operator kernels' fast paths are tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import comb, perm, prod
 
 from cohomolab.ansatz import AnsatzCoefficients, BilinearOp
 from cohomolab.linalg import RowReducer
@@ -102,3 +108,46 @@ def bilinear_value(C: BilinearOp, X: Poly, P: Poly) -> Poly:
         key = tuple(a + b for a, b in zip(e[:n] + e[2 * n:3 * n], e[n:2 * n] + e[3 * n:]))
         out[key] = out.get(key, 0) + c
     return Poly(single_ring(n), out)
+
+
+def leibniz_reference(left: PolyDiffOp, right: PolyDiffOp, lowest: int = 0,
+                      sign: int = 1) -> PolyDiffOp:
+    """sign * the Leibniz expansion over every s <= mu with |s| >= lowest, by definition.
+
+    For left terms f d^mu and right terms g d^nu it sums
+    binom(mu, s) f d^s(g) d^(mu - s + nu) over every s <= mu, whether or
+    not d^s(g) is 0.  At lowest = 0 and sign = 1 this is left o right.
+    """
+    ring = left.ring
+    terms = {}
+    for mu, f in left.terms.items():
+        for nu, g in right.terms.items():
+            for s in product(*(range(m + 1) for m in mu)):
+                if sum(s) < lowest:
+                    continue
+                key = tuple(m - si + ni for m, si, ni in zip(mu, s, nu))
+                term = (f * g.diff_multi(s)).scale(sign * prod(map(comb, mu, s)))
+                terms[key] = terms.get(key, Poly.zero(ring)) + term
+    return PolyDiffOp(ring, terms)
+
+
+def symbol_map_reference(op: PolyDiffOp, k: int) -> dict:
+    """The entries of op's SymbolMap on S_k, with falling(v, beta) computed for every term.
+
+    A term c x^a xi^b dx^alpha dxi^beta sends x^u xi^v to
+    c falling(v, beta) x^a d^alpha(x^u) xi^(v - beta + b), so it adds
+    c falling(v, beta) at the key (v, v - beta + b, alpha, a) for every v
+    of degree k; the keys whose sum is 0 are dropped.
+    """
+    n = op.ring.n
+    entries: dict = {}
+    for mu, coeff in op.terms.items():
+        alpha, beta = mu[:n], mu[n:]
+        for exp, c in coeff.terms.items():
+            a, b = exp[:n], exp[n:]
+            for v in xi_simplex(n, k):
+                fac = prod(perm(vi, bi) for vi, bi in zip(v, beta))
+                if fac:
+                    key = (v, tuple(vi - bi + ei for vi, bi, ei in zip(v, beta, b)), alpha, a)
+                    entries[key] = entries.get(key, 0) + c * fac
+    return {key: c for key, c in entries.items() if c}

@@ -211,6 +211,8 @@ INT_PARAMETERS = {
     "monomial_fields.d": (lambda v: monomial_fields(2, v), 0, "the vector-field degree bound"),
     "DensityOperator.n": (lambda v: DensityOperator(v, 0, {}), 2, "dimension"),
     "symbol_map": (lambda v: PolyDiffOp.identity(R2).symbol_map(v), 0, "the symbol degree"),
+    # the zero operator reads no image table, and checks the degree itself
+    "symbol_map.zero": (lambda v: PolyDiffOp.zero(R2).symbol_map(v), 0, "the symbol degree"),
     "PolyDiffOp.power": (lambda v: divergence_diffop(R2).power(v), 0, "the power"),
     "affine_equivariant_basis.k": (lambda v: affine_equivariant_basis(2, v, 0), 0,
                                    "the symbol degree k"),
@@ -255,6 +257,18 @@ def test_every_integer_parameter_refuses_a_non_int_or_a_value_below_its_floor(si
         with pytest.raises(StructureError, match=re.escape(
                 f"{name} must be an integer of at least {floor}, got {bad!r}")):
             call(bad)
+
+
+def test_a_filled_image_table_still_refuses_a_float_or_bool_degree():
+    # SymbolMap.from_operator's image table is typed like _simplex: the int
+    # entries 2 and 1 fill it, and 2.0 and True, which compare equal to
+    # them, still reach the degree check
+    D = divergence_diffop(R2)
+    for k, bad in ((2, 2.0), (1, True)):
+        assert not D.symbol_map(k).is_zero()
+        with pytest.raises(StructureError, match=re.escape(
+                f"the symbol degree must be an integer of at least 0, got {bad!r}")):
+            D.symbol_map(bad)
 
 
 # A float, a bool, a fraction, a wrong length and a negative entry: each is

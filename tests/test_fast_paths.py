@@ -1,0 +1,157 @@
+"""The exact fast paths of the operator kernels, against their definitions.
+
+_leibniz skips a term pair whose derivative and exponent supports are
+disjoint, commutator_sum a commutator with a zero operand, apply a term
+whose derivative of p is 0, SymbolMap.from_operator reads its xi-images from
+a table, and BilinearOp.operator_for_field differentiates the field raw.
+Each answer must equal the definition's: exact_helpers.leibniz_reference,
+the Leibniz sum over every s <= mu, and exact_helpers.symbol_map_reference,
+the canonical form with falling(v, beta) computed term by term.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cohomolab import operators
+from cohomolab.ansatz import AnsatzCoefficients, build_bilinear
+from cohomolab.cocycles import second_class_coefficients
+from cohomolab.operators import PolyDiffOp, commutator_sum, lie_derivative_op
+from cohomolab.poly import Poly, StructureError, single_ring
+
+from exact_helpers import bilinear_value, leibniz_reference, symbol_map_reference
+from plane_ring import R2, x, xi
+from property_suite import _random_field, _random_op, _random_poly, _random_symbol
+
+R3 = single_ring(3)
+
+
+def commutator_reference(P, A):
+    return leibniz_reference(P, A) - leibniz_reference(A, P)
+
+
+def apply_reference(A, p):
+    """A.apply(p) as the d^0 part of A o p: only s = mu leaves no derivative."""
+    ring = A.ring
+    composed = leibniz_reference(A, PolyDiffOp(ring, {(0,) * ring.nvars: p}))
+    return composed.terms.get((0,) * ring.nvars, Poly.zero(ring))
+
+
+def field_operator_reference(C, X):
+    """C(X, .) by its definition.
+
+    Each term c dx^a dy^g dxi^b deta^h of C's operator adds c d^a d^b X at
+    dx^g dxi^h.
+    """
+    n = C.n
+    terms = {}
+    for mu, coeff in C.op.terms.items():
+        a_b, g_h = mu[:n] + mu[2 * n:3 * n], mu[n:2 * n] + mu[3 * n:]
+        term = X.diff_multi(a_b).scale(coeff.terms[(0,) * 4 * n])
+        terms[g_h] = terms.get(g_h, Poly.zero(X.ring)) + term
+    return PolyDiffOp(X.ring, terms)
+
+
+def test_compose_and_commutator_sum_match_the_leibniz_definition():
+    rng = random.Random(4401)
+    for ring in (R2, R3):
+        for _ in range(60):
+            P, A, B = (_random_op(rng, ring) for _ in range(3))
+            L = lie_derivative_op(_random_field(rng, ring))
+            assert P.compose(A) == leibniz_reference(P, A)
+            assert L.compose(A) == leibniz_reference(L, A)
+            c = rng.randint(-3, 3) or 1
+            expected = B.scale(c) + commutator_reference(P, A) + commutator_reference(L, P)
+            assert commutator_sum([(P, A), (L, P)], base=[(c, B)]) == expected
+
+
+def test_apply_matches_the_leibniz_definition():
+    rng = random.Random(4402)
+    for ring in (R2, R3):
+        for _ in range(60):
+            A = _random_op(rng, ring)
+            p = _random_poly(rng, ring, max_degree=4)
+            assert A.apply(p) == apply_reference(A, p)
+    # d_x2^2 and d_x1 kill x2 xi1, and only d_xi1 leaves it nonzero; all
+    # three kill xi2
+    A = PolyDiffOp(R2, {(0, 2, 0, 0): x(0), (1, 0, 0, 0): xi(1), (0, 0, 1, 0): x(1)})
+    p = x(1) * xi(0)
+    assert A.apply(p) == apply_reference(A, p) == x(1) * x(1)
+    assert A.apply(xi(1)).is_zero() and apply_reference(A, xi(1)).is_zero()
+
+
+def test_symbol_map_matches_the_falling_factorial_definition():
+    rng = random.Random(4403)
+    for ring in (R2, R3):
+        for _ in range(60):
+            A = _random_op(rng, ring)
+            for k in range(5):
+                assert A.symbol_map(k).entries == symbol_map_reference(A, k)
+
+
+def test_operator_for_field_matches_its_definition():
+    rng = random.Random(4404)
+    lines = [(2, second_class_coefficients(2, 3)), (3, second_class_coefficients(3, 4)),
+             (2, AnsatzCoefficients(3, 1, alpha={1: 1, 2: Fraction(1, 2)}, gamma={1: -3}))]
+    for n, coeffs in lines:
+        C = build_bilinear(coeffs, n)
+        ring = single_ring(n)
+        for _ in range(15):
+            X = _random_field(rng, ring)
+            op = C.operator_for_field(X)
+            assert op == field_operator_reference(C, X)
+            P = _random_symbol(rng, ring, coeffs.k)
+            assert op.apply(P) == bilinear_value(C, X, P)
+
+
+def test_disjoint_supports_read_no_survivors(monkeypatch):
+    # d_x1 and x2 d_x1 share no variable between derivative and exponent,
+    # so they commute, and a commutator never asks for their survivors
+    asked = []
+    survivors = operators._leibniz_survivors
+
+    def recording(mu, e, lowest):
+        asked.append((mu, e, lowest))
+        return survivors(mu, e, lowest)
+
+    monkeypatch.setattr(operators, "_leibniz_survivors", recording)
+    D1 = PolyDiffOp.derivative(R2, 0)
+    A = PolyDiffOp(R2, {(1, 0, 0, 0): x(1)})
+    assert D1.commutator(A).is_zero() and commutator_reference(D1, A).is_zero()
+    assert not asked
+    # composition keeps s = 0, so the survivors are still read there
+    assert D1.compose(A) == leibniz_reference(D1, A) == PolyDiffOp(R2, {(2, 0, 0, 0): x(1)})
+    assert asked == [((1, 0, 0, 0), (0, 1, 0, 0), 0)]
+    # d_x1 + d_x2 against x2 d_x1: only the d_x2 term meets x2
+    asked.clear()
+    P = PolyDiffOp(R2, {(1, 0, 0, 0): Poly.constant(R2, 1), (0, 1, 0, 0): Poly.constant(R2, 1)})
+    assert P.commutator(A) == commutator_reference(P, A) == D1
+    assert asked == [((0, 1, 0, 0), (0, 1, 0, 0), 1)]
+
+
+def test_a_zero_operand_adds_nothing_on_either_side():
+    rng = random.Random(4405)
+    Z = PolyDiffOp.zero(R2)
+    for _ in range(20):
+        A, B = _random_op(rng, R2), _random_op(rng, R2)
+        for pair in ((Z, A), (A, Z), (Z, Z)):
+            assert commutator_sum([pair], base=[(2, B)]) == B.scale(2)
+            assert commutator_sum([pair, (A, B)]) == commutator_reference(A, B)
+        assert Z.compose(A).is_zero() and A.compose(Z).is_zero()
+        assert Z.apply(_random_poly(rng, R2)).is_zero()
+    # the ring check comes before the skip
+    for pair in ((PolyDiffOp.zero(R3), Z), (Z, PolyDiffOp.zero(R3))):
+        with pytest.raises(StructureError):
+            commutator_sum([pair])
+
+
+def test_a_derivative_that_kills_all_of_s_k_adds_no_entry():
+    # falling(v, (3, 0)) = 0 for every v of degree 2, and falling(v, (1, 2)) too
+    for beta in ((3, 0), (1, 2)):
+        D = PolyDiffOp(R2, {(0, 0) + beta: x(0) * xi(1)})
+        assert D.symbol_map(2).is_zero() and symbol_map_reference(D, 2) == {}
+        A = D + PolyDiffOp(R2, {(1, 0, 0, 1): xi(0)})
+        assert A.symbol_map(2).entries == symbol_map_reference(A, 2) != {}
+        assert D.symbol_map(3).entries == symbol_map_reference(D, 3) != {}
+    assert PolyDiffOp.zero(R2).symbol_map(2).is_zero()

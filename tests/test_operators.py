@@ -28,7 +28,7 @@ from cohomolab.operators import (
 from cohomolab.symbols import schouten_bracket, sl_generators
 
 from affine_oracle import affine_basis_by_elimination
-from exact_helpers import normalized
+from exact_helpers import leibniz_reference, normalized
 from plane_ring import R2, x, xi
 
 R3 = single_ring(3)
@@ -367,21 +367,6 @@ def test_a_repeated_commutator_sum_differentiates_nothing():
     assert survivors.cache_info().misses == misses
     assert all(op._table is table for op, table in zip((L, A, B), tables))
     assert layout(second) == layout(first)
-
-
-def leibniz_reference(left, right, lowest, sign):
-    """sign * the Leibniz expansion over every s <= mu with |s| >= lowest, by definition."""
-    ring = left.ring
-    terms = {}
-    for mu, f in left.terms.items():
-        for nu, g in right.terms.items():
-            for s in product(*(range(m + 1) for m in mu)):
-                if sum(s) < lowest:
-                    continue
-                key = tuple(m - si + ni for m, si, ni in zip(mu, s, nu))
-                term = (f * g.diff_multi(s)).scale(sign * operators.multi_binom(mu, s))
-                terms[key] = terms.get(key, Poly.zero(ring)) + term
-    return PolyDiffOp(ring, terms)
 
 
 def oracle_op(rng, ring):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -228,6 +229,15 @@ def test_a_line_with_an_s_le_1_term_takes_the_bounded_loop(monkeypatch):
     c = bilinear_cocycle(2, AnsatzCoefficients(2, 1, alpha={1: 1}), "alpha1")
     identity = certify_class(c, 3)[0]
     assert identity.to_json() == cocycle_check(c, 3).to_json()
+
+
+def test_the_field_degree_3_table_is_pinned():
+    # no benchmark job runs at field degree 3, where the cocycle checks
+    # compose the most operator pairs; this is the SHA-256 of the report's
+    # text from before the Leibniz support test and the symbol-image table
+    text = emit_report(cohomology_table(RunConfig(3, 4, max_vf_degree=3)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2bb1421d379a0fee188db52faf40ea6ff4b919a671ad902760491ad5cfd59427")
 
 
 def test_table_reports_resource_gaps(monkeypatch):
