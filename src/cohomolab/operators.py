@@ -33,8 +33,8 @@ d^rho(x^e') = 0 unless rho <= e'; a cache keyed by (pi, e', lowest order)
 lists exactly those, each with its factor binom(pi, rho) falling(e', rho).
 At lowest order >= 1 a pair whose pi and e' share no variable has
 min(pi, e') = 0 and so no subset to expand; one AND of the two supports
-skips it before the cache is read.  Every product is added straight into one raw
-{derivative: {exponent: coefficient}} accumulator, and each Poly
+skips it before the cache is read.  Every product is added straight into
+one raw {derivative: {exponent: coefficient}} accumulator, and each Poly
 coefficient is built once at the end.  So a constant right operand costs
 its rho = 0 products and nothing else, and the fields L_X and cocycle
 values that a cocycle check composes for pair after pair are flattened
@@ -443,8 +443,9 @@ class SymbolMap:
 
         Each derivative part d_xi^beta reads its images on S_k, the
         (v, v - beta, falling(v, beta)) with falling != 0, from one table,
-        _symbol_images(n, k, beta), built once per (n, k, beta).  The zero
-        operator is the empty map, after the same degree check.
+        _symbol_images(n, k, beta), built once per (n, k, beta); a part
+        with no image on S_k (|beta| > k) is skipped.  The zero operator is
+        the empty map, after the same degree check.
         """
         n = op.ring.n
         if not op.terms:
@@ -454,6 +455,8 @@ class SymbolMap:
         for mu, coeff in op.terms.items():
             alpha, beta = mu[:n], mu[n:]
             images = _symbol_images(n, k, beta)
+            if not images:
+                continue
             for exp, c in coeff.terms.items():
                 a, b = exp[:n], exp[n:]
                 add_scaled_terms(entries, [((v, tuple(map(add, v_beta, b)), alpha, a), fac)

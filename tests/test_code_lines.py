@@ -44,7 +44,7 @@ CODE_LINES = {
     "cohomolab/cli.py": 184,
     "cohomolab/cocycles.py": 208,
     "cohomolab/linalg.py": 60,
-    "cohomolab/operators.py": 267,
+    "cohomolab/operators.py": 269,
     "cohomolab/poly.py": 259,
     "cohomolab/quantization.py": 140,
     "cohomolab/report.py": 190,
