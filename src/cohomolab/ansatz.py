@@ -55,9 +55,9 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
 from .operators import (PolyDiffOp, commutator_sum, hamiltonian_op, lie_derivative_op,
-                        linear_combination, operator_from_sum, unit_deriv, xi_simplex)
+                        linear_combination, operator_from_sum, xi_simplex)
 from .poly import (Coeff, Poly, StructureError, add_scaled_terms, check_int, check_term_budget,
-                   diff_terms, norm_coeff, rat, rat_str, single_ring)
+                   diff_terms, norm_coeff, rat, rat_str, single_ring, unit_deriv)
 from .symbols import schouten_bracket, sl_generators
 
 AnsatzIndex = tuple[str, int]
@@ -387,9 +387,7 @@ def field_monomials(n: int, shapes: list[tuple[int, ...]]) -> list[Poly]:
     out = []
     for u in shapes:
         for m in range(n):
-            exp = list(u) + [0] * n
-            exp[n + m] = 1
-            out.append(Poly.monomial(ring, tuple(exp)))
+            out.append(Poly.monomial(ring, tuple(u) + unit_deriv(ring, ring.xi(m))[n:]))
     return out
 
 

@@ -53,10 +53,9 @@ from .operators import (
     module_action,
     monomials_up_to,
     op_str,
-    unit_deriv,
 )
 from .poly import (Poly, StructureError, check_int, check_term_budget, check_vector_field,
-                   poly_str, rat, rat_str, single_ring)
+                   poly_str, rat, rat_str, single_ring, unit_deriv)
 from .symbols import divergence, divergence_cocycle, is_closed, sl_generators
 
 
@@ -140,7 +139,7 @@ def _nonzero_witness(defect: SymbolMap, n: int) -> Poly:
     return Poly.monomial(single_ring(n), alpha + v)
 
 
-def cocycle_check(c: OneCocycle, max_vf_degree: int = 4,
+def cocycle_check(c: OneCocycle, max_vf_degree: int,
                   pairs: Iterable[tuple[Poly, Poly]] | None = None) -> IdentityCheck:
     """Verify the cocycle identity on a set of monomial field pairs.
 
@@ -441,6 +440,6 @@ class CocycleReport:
         }
 
 
-def build_report(c: OneCocycle, max_vf_degree: int = 4) -> CocycleReport:
+def build_report(c: OneCocycle, max_vf_degree: int) -> CocycleReport:
     identity = cocycle_check(c, max_vf_degree)
     return CocycleReport(c.name, c.n, c.k, c.ell, identity, vanishes_on_sl(c))

@@ -32,13 +32,13 @@ contribute only for the subsets rho <= min(pi, e'), because
 d^rho(x^e') = 0 unless rho <= e'; a cache keyed by (pi, e', lowest order)
 lists exactly those, each with its factor binom(pi, rho) falling(e', rho).
 At lowest order >= 1 a pair whose pi and e' share no variable has
-min(pi, e') = 0 and so no subset to expand; one AND of the two supports
-skips it before the cache is read.  Every product is added straight into
-one raw {derivative: {exponent: coefficient}} accumulator, and each Poly
-coefficient is built once at the end.  So a constant right operand costs
-its rho = 0 products and nothing else, and the fields L_X and cocycle
-values that a cocycle check composes for pair after pair are flattened
-once, not once per commutator.  The products do not depend on the tables,
+min(pi, e') = 0 and so no subset to expand; one AND of the two supports,
+the only per-pair skip test, passes it by before the cache is read.  Every
+product is added straight into one raw {derivative: {exponent:
+coefficient}} accumulator, and each Poly coefficient is built once at the
+end.  So a constant right operand costs its rho = 0 products and nothing
+else, and the fields L_X and cocycle values that a cocycle check composes
+for pair after pair are flattened once, not once per commutator.  The products do not depend on the tables,
 the supports or the cache.
 commutator_sum is the one defect kernel: it sums any number of
 commutators and a base linear combination of operators, sum_j c_j B_j, in
@@ -109,6 +109,7 @@ from .poly import (
     poly_str,
     rat,
     single_ring,
+    unit_deriv,
 )
 
 Deriv = tuple[int, ...]
@@ -192,12 +193,15 @@ def _leibniz(acc: dict, left: "PolyDiffOp", right: "PolyDiffOp", lowest: int,
     Leibniz tables (PolyDiffOp._leibniz_table), one entry per monomial term
     c x^e d^mu.  A pair of terms expands over its survivors only
     (_leibniz_survivors): the s <= min(mu, e_right), because d^s(x^e) = 0
-    unless s <= e.  So a left term with |mu| < lowest, a right term of
-    degree < lowest and a right operand of top degree < lowest add nothing
-    and are skipped whole.  At lowest >= 1 a pair whose mu and e_right
-    share no variable has min(mu, e_right) = 0 and no survivor; the AND of
-    the two support bitmasks in the tables finds it before the survivor
-    cache is read.
+    unless s <= e.  A left term with |mu| < lowest and a right operand of
+    top degree < lowest add nothing and are skipped whole.  At lowest >= 1
+    a pair whose mu and e_right share no variable has min(mu, e_right) = 0
+    and no survivor; the AND of the two support bitmasks in the tables is
+    the one skip test per pair, made before the survivor cache is read.  It
+    skips a right term of degree 0 too, whose support is 0.  A pair that
+    passes it at lowest 0 or 1 has a survivor (the empty subset at 0, s =
+    e_i for a shared variable i at 1), and a survivor list that is empty at
+    any lowest adds nothing.
 
     It keeps its own add-and-drop loop, the one outside
     poly.add_scaled_terms: each product lands at its own derivative key,
@@ -212,14 +216,11 @@ def _leibniz(acc: dict, left: "PolyDiffOp", right: "PolyDiffOp", lowest: int,
             continue
         if sign < 0:
             fc = -fc
-        for nu, ge, gc, gdeg, _, e_vars in rights:
-            if gdeg < lowest or lowest and not mu_vars & e_vars:
-                continue
-            survivors = _leibniz_survivors(mu, ge, lowest)
-            if not survivors:
+        for nu, ge, gc, _, _, e_vars in rights:
+            if lowest and not mu_vars & e_vars:
                 continue
             c = fc * gc
-            for rest, ge_s, b in survivors:
+            for rest, ge_s, b in _leibniz_survivors(mu, ge, lowest):
                 key = tuple(map(add, rest, nu))
                 coeff = acc.get(key)
                 if coeff is None:
@@ -248,14 +249,6 @@ def operator_from_sum(ring: Ring, acc: dict) -> "PolyDiffOp":
     return PolyDiffOp(ring, {mu: Poly(ring, {e: norm_coeff(c) for e, c in terms.items()},
                                       _clean=True)
                              for mu, terms in acc.items() if terms}, _clean=True)
-
-
-def unit_deriv(ring: Ring, *variables: int) -> Deriv:
-    """The multi-index of d_v1 d_v2 ... over all ring variables; repeats add up."""
-    mu = [0] * ring.nvars
-    for var in variables:
-        mu[ring.var(var)] += 1
-    return tuple(mu)
 
 
 class PolyDiffOp:

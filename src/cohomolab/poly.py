@@ -12,6 +12,11 @@ ints so that the common integer case stays on the fast arithmetic path
 (Fraction(2) == 2 and hash(Fraction(2)) == hash(2), so dict semantics are
 unaffected).  The zero polynomial has an empty term map; equality and
 hashing are structural.
+
+unit_deriv is the one builder of a unit multi-index e_i over the 2n
+variables: Poly.variable's exponent, Poly.diff's derivative, the
+derivatives of the standard operators, and the x half or xi half of e_i
+that the density operators and the monomial fields take from it.
 """
 
 from __future__ import annotations
@@ -245,6 +250,20 @@ def single_ring(n: int) -> Ring:
     return Ring(n)
 
 
+def unit_deriv(ring: Ring, *variables: int) -> Exponent:
+    """The multi-index of d_v1 d_v2 ... over all ring variables; repeats add up.
+
+    The one builder of a unit multi-index e_i (and of a sum of them): the
+    exponent of Poly.variable, the derivative of Poly.diff and of the
+    standard operators, and the x or xi half that ansatz.field_monomials and
+    quantization.weighted_lie_derivative read off it.
+    """
+    mu = [0] * ring.nvars
+    for var in variables:
+        mu[ring.var(var)] += 1
+    return tuple(mu)
+
+
 def check_same_ring(ring: Ring, other: Ring) -> None:
     """Raise StructureError naming both rings unless two operands share one.
 
@@ -292,9 +311,7 @@ class Poly:
 
     @staticmethod
     def variable(ring: Ring, idx: int) -> "Poly":
-        exp = [0] * ring.nvars
-        exp[ring.var(idx)] = 1
-        return Poly(ring, {tuple(exp): 1}, _clean=True)
+        return Poly(ring, {unit_deriv(ring, idx): 1}, _clean=True)
 
     @staticmethod
     def monomial(ring: Ring, exp: Exponent, c=1) -> "Poly":
@@ -370,9 +387,7 @@ class Poly:
 
         The case of diff_multi at the unit multi-index of var.
         """
-        multi = [0] * self.ring.nvars
-        multi[self.ring.var(var)] = 1
-        return self.diff_multi(tuple(multi))
+        return self.diff_multi(unit_deriv(self.ring, var))
 
     def diff_multi(self, multi: Exponent) -> "Poly":
         """Iterated partial derivative d^multi, computed in one pass per term."""

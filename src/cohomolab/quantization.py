@@ -78,6 +78,7 @@ from .poly import (
     check_vector_field,
     rat,
     single_ring,
+    unit_deriv,
 )
 from .symbols import divergence, hamiltonian_action
 
@@ -170,9 +171,9 @@ class DensityOperator:
 def weighted_lie_derivative(X: Poly, weight) -> DensityOperator:
     """L_X = X^i d_i + weight * div(X) on densities of the given weight."""
     check_vector_field(X)
-    n = X.ring.n
-    terms = {tuple(int(j == i) for j in range(n)): X.diff(X.ring.xi(i))
-             for i in range(n)}
+    ring = X.ring
+    n = ring.n
+    terms = {unit_deriv(ring, ring.x(i))[:n]: X.diff(ring.xi(i)) for i in range(n)}
     terms[(0,) * n] = divergence(X).scale(rat(weight))
     return DensityOperator(n, weight, terms)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .operators import hamiltonian_op
+from .operators import divergence_diffop, hamiltonian_op
 from .poly import (Poly, Ring, StructureError, check_same_ring, check_vector_field, rat,
                    single_ring)
 
@@ -38,13 +38,13 @@ def hamiltonian_action(X: Poly, p: Poly) -> Poly:
 
 
 def divergence(X: Poly) -> Poly:
-    """div X = dX^i/dx^i for the flat volume form; a xi-free polynomial."""
-    check_vector_field(X)
-    ring = X.ring
-    out = Poly.zero(ring)
-    for i in range(ring.n):
-        out = out + X.diff(ring.x(i)).diff(ring.xi(i))
-    return out
+    """div X = dX^i/dx^i for the flat volume form; a xi-free polynomial.
+
+    On the degree-1 symbol X = X^i xi_i, d/dxi_i reads off X^i, so
+    div X = D X for the divergence operator D = (d/dx^i)(d/dxi_i)
+    (operators.divergence_diffop): one contraction, stated once.
+    """
+    return divergence_diffop(X.ring).apply(check_vector_field(X))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,9 @@ leibniz_reference is the Leibniz rule summed over every s <= mu, with no
 survivor cache and no support test, and symbol_map_reference the canonical
 form on S_k with falling(v, beta) computed term by term, with no image
 table: the definitions the operator kernels' fast paths are tested against.
+divergence_reference is sum_i d_(x_i) d_(xi_i) p, built with Poly.diff and
++, the definition symbols.divergence (the divergence operator D applied to
+a field) is tested against.
 """
 
 from __future__ import annotations
@@ -151,3 +154,15 @@ def symbol_map_reference(op: PolyDiffOp, k: int) -> dict:
                     key = (v, tuple(vi - bi + ei for vi, bi, ei in zip(v, beta, b)), alpha, a)
                     entries[key] = entries.get(key, 0) + c * fac
     return {key: c for key, c in entries.items() if c}
+
+
+def divergence_reference(p: Poly) -> Poly:
+    """sum_i d_(x_i) d_(xi_i) p, one Poly.diff pair and one Poly + per coordinate.
+
+    On a field X = X^i xi_i this is div X = dX^i/dx^i.
+    """
+    ring = p.ring
+    out = Poly.zero(ring)
+    for i in range(ring.n):
+        out = out + p.diff(ring.x(i)).diff(ring.xi(i))
+    return out

@@ -276,6 +276,17 @@ def test_solver_agreement_spot():
         assert r.same_span_as(d)
 
 
+def test_same_span_as_is_false_across_shapes():
+    # spaces of different (n, k, p) are never the same span, even where
+    # their coefficient vectors are
+    space = recurrence_solutions(2, 3, 1)
+    assert space.same_span_as(SolutionSpace(2, 3, 1, space.basis))
+    assert not space.same_span_as(SolutionSpace(3, 3, 1, space.basis))
+    assert not space.same_span_as(recurrence_solutions(3, 3, 1))
+    assert not space.same_span_as(recurrence_solutions(2, 4, 1))
+    assert not space.same_span_as(recurrence_solutions(2, 3, 2))
+
+
 def test_direct_solver_discovers_affine_vanishing():
     # the s < 2 coefficients are unknowns of the direct solver and must
     # come out zero on every solution

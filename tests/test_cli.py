@@ -156,6 +156,37 @@ def test_div_configs_record_a_and_omega(command, first, second, key, capsys):
     assert configs[0].keys() ^ c1.keys() == {"a", "omega"}
 
 
+def test_div_without_omega_uses_the_zero_form(capsys):
+    code, out = run(capsys, ["verify-cocycle", *DIV_RUN])
+    assert code == 0
+    report = last_json(out)
+    assert report["config"]["a"] == "1" and report["config"]["omega"] == ["0", "0"]
+    assert report["result"]["cocycle_identity"]["holds"] is True
+
+
+@pytest.mark.parametrize("omega,message", [
+    ("1*x2", "--omega needs 2 comma-separated components"),
+    ("1*xi1,1*x1", "1-form components must be xi-free"),
+], ids=["one-component", "xi-component"])
+def test_a_bad_omega_is_a_configuration_error(omega, message, capsys):
+    assert main(["verify-cocycle", *DIV_RUN, "--omega", omega]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_classify_display_scaling_off_degree_drop_two(capsys):
+    # at p = 1 display_normalized anchors the first nonzero coefficient
+    # (alpha_2 = 1), not beta_2; the digests are of json.dumps(..., sort_keys=True)
+    code, out = run(capsys, ["classify-equivariant", "--dim", "2", "--order", "3",
+                             "--delta", "1"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["result"]["coefficients"] == [["1", "-2/3"]]
+    digests = tuple(hashlib.sha256(json.dumps(report[key], sort_keys=True).encode()).hexdigest()
+                    for key in ("config", "result"))
+    assert digests == ("c6b9b528e2e2ad3d28501af9b72bfb7bee2243dd0534f507da83ffd19726421b",
+                       "de7a94ab7169ef2ff538c791fdc5326a332fdc78a5de653df5a39dab07589187")
+
+
 def test_quantization_command_half(capsys):
     code, out = run(capsys, ["quantization-cocycle", "--dim", "2", "--order", "2",
                              "--lambda", "1/2", "--max-vf-degree", "2"])

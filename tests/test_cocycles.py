@@ -236,6 +236,22 @@ def test_solver_p2_line_matches_builtin_c2():
         assert mu != 0 and witness.is_zero()
 
 
+def test_class_proportionality_refuses_cocycles_of_another_shape():
+    # c1 maps S_3 -> S_2 and c2 maps S_3 -> S_1: no scalar relates their classes
+    columns = field_columns(builtin_c1(2, 3), affine_equivariant_basis(2, 3, 2), 3)
+    with pytest.raises(StructureError, match="cocycle shapes differ"):
+        class_proportionality(columns, builtin_c2(2, 3))
+
+
+def test_class_proportionality_is_none_off_the_reference_class():
+    # the line gamma_2 = 1 at (n, k, p) = (2, 3, 2) fails the cocycle identity,
+    # so no mu and affine witness B make it mu c2 + X.B on the fields up to degree 3
+    line = bilinear_cocycle(2, AnsatzCoefficients(3, 2, gamma={2: 1}), "gamma2")
+    assert not cocycle_check(line, 3).holds
+    columns = field_columns(line, affine_equivariant_basis(2, 3, 1), 3)
+    assert class_proportionality(columns, builtin_c2(2, 3)) is None
+
+
 def test_report_structure():
     rep = build_report(builtin_c1(2, 2), 3)
     data = rep.to_json()

@@ -40,15 +40,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CODE_LINES = {
     "cohomolab/__init__.py": 34,
     "cohomolab/__main__.py": 4,
-    "cohomolab/ansatz.py": 276,
-    "cohomolab/cli.py": 184,
-    "cohomolab/cocycles.py": 208,
+    "cohomolab/ansatz.py": 274,
+    "cohomolab/cli.py": 182,
+    "cohomolab/cocycles.py": 207,
     "cohomolab/linalg.py": 60,
-    "cohomolab/operators.py": 269,
-    "cohomolab/poly.py": 259,
-    "cohomolab/quantization.py": 140,
+    "cohomolab/operators.py": 262,
+    "cohomolab/poly.py": 260,
+    "cohomolab/quantization.py": 141,
     "cohomolab/report.py": 190,
-    "cohomolab/symbols.py": 63,
+    "cohomolab/symbols.py": 58,
 }
 
 

@@ -248,6 +248,13 @@ def test_sequence_cocycle_order_drop():
         assert g.order <= k - 1
 
 
+def test_sequence_cocycle_refuses_a_symbol_of_mixed_xi_degree():
+    # the order bound k - 1 needs one symbol degree k: xi1 + xi1 xi2 has two
+    X, P, zero = x(0) * xi(1), xi(0) + xi(0) * xi(1), PolyDiffOp.zero(R2)
+    with pytest.raises(StructureError, match="must be xi-homogeneous"):
+        sequence_cocycle(X, weighted_lie_derivative(X, 0), P, split_section(P, zero, 0), zero)
+
+
 def test_sequence_cocycle_frozen_quadratic_value():
     # n=2, k=2, weight 0: the top symbol on the first quadratic generator
     # applied to xi1^2 is -2 xi1, which is -1/2 times the Hessian

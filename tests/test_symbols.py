@@ -6,6 +6,7 @@ from cohomolab.cocycles import builtin_div
 from cohomolab.operators import divergence_diffop, euler_diffop, lie_derivative_op
 from cohomolab.poly import Poly, StructureError, rat, single_ring
 from cohomolab.symbols import (
+    divergence,
     divergence_cocycle,
     euler_field,
     hamiltonian_action,
@@ -14,7 +15,8 @@ from cohomolab.symbols import (
     sl_generators,
 )
 
-from exact_helpers import one_form_primitive, rank_of
+from exact_helpers import divergence_reference, one_form_primitive, rank_of
+from property_suite import _random_field
 from plane_ring import R2, x, xi
 
 R3 = single_ring(3)
@@ -126,6 +128,22 @@ def test_div_on_constant_coefficients():
 
 def test_div_example():
     assert divergence_diffop(R2).apply(x(0) * xi(0) * xi(0)) == xi(0).scale(2)
+
+
+def test_divergence_is_the_divergence_operator_on_a_field():
+    # div X = D X: the contraction d_(x_i) d_(xi_i), checked against the
+    # definition on seeded fields of the property suite and on the zero field
+    rng = random.Random(45)
+    for ring in (R2, R3, single_ring(4)):
+        zero = Poly.zero(ring)
+        assert divergence(zero) == divergence_reference(zero) == zero
+        for _ in range(20):
+            X = _random_field(rng, ring)
+            div = divergence(X)
+            assert div == divergence_reference(X)
+            assert div.xi_degree() == 0
+    with pytest.raises(StructureError, match="xi-degree exactly 1"):
+        divergence(xi(0) * xi(1))
 
 
 def test_euler_div_commutator_on_monomials():
