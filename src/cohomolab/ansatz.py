@@ -40,7 +40,12 @@ computation.
 
 cocycle_defects is the one home of the cocycle defect: the filter
 impose_cocycle and the identity check cocycles.cocycle_check both loop
-over it.
+over it.  The rule of every solver unknown and of every ansatz-line
+cocycle is BilinearOp.operator_for_field, which takes only the field
+derivatives that survive (_lower_indices).
+build_bilinear and the two drivers impose_cocycle and
+solve_equivariant_direct read the term budget once per call tree
+(poly.budget_scope).
 """
 
 from __future__ import annotations
@@ -48,16 +53,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations, takewhile
-from math import comb, factorial, lcm
+from itertools import combinations, product, takewhile
+from math import comb, factorial, lcm, perm, prod
+from operator import sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
 from .operators import (PolyDiffOp, commutator_sum, hamiltonian_op, lie_derivative_op,
                         linear_combination, operator_from_sum, xi_simplex)
-from .poly import (Coeff, Poly, StructureError, add_scaled_terms, check_int, check_term_budget,
-                   diff_terms, norm_coeff, rat, rat_str, single_ring, unit_deriv)
+from .poly import (Coeff, Exponent, Poly, StructureError, add_scaled_terms, budget_scope,
+                   check_int, check_term_budget, check_vector_field, norm_coeff, rat, rat_str,
+                   single_ring, unit_deriv)
 from .symbols import schouten_bracket, sl_generators
 
 AnsatzIndex = tuple[str, int]
@@ -212,7 +219,7 @@ class BilinearOp:
     The operator's coefficients must be constant, checked once here.
     `parts` groups its terms c * dx^a dy^g dxi^b deta^h by the derivative
     part (a, b) that lands on the field, once, in the operator's term
-    order: one ((a, b), |a| + |b|, [((g, h), c), ...]) per distinct (a, b).
+    order: parts[(a, b)] = [((g, h), c), ...].
     """
 
     def __init__(self, n: int, op: PolyDiffOp):
@@ -221,39 +228,52 @@ class BilinearOp:
         self.n = n
         self.op = op
         const = (0,) * 4 * n
-        grouped: dict[tuple, list] = {}
+        self.parts: dict[tuple, list] = {}
         for mu, coeff in op.terms.items():
             if coeff.terms.keys() != {const}:
                 raise StructureError("bilinear operators need constant coefficients")
-            grouped.setdefault(mu[:n] + mu[2 * n:3 * n], []).append(
+            self.parts.setdefault(mu[:n] + mu[2 * n:3 * n], []).append(
                 (mu[n:2 * n] + mu[3 * n:], coeff.terms[const]))
-        self.parts = [(a_b, sum(a_b), rest) for a_b, rest in grouped.items()]
 
     def operator_for_field(self, X: Poly) -> PolyDiffOp:
         """The single_ring(n) operator P |-> C(X, P), for a fixed vector field.
 
-        For a term c * dx^a dy^g dxi^b deta^h the x and xi
-        derivatives land on X and the y, eta derivatives pass to the symbol
-        slot, so the restriction is the single_ring(n) operator
-        (c * d^a d^b X) * dx^g dxi^h.  Each distinct part (a, b) takes one
-        derivative d^a d^b X, as raw terms from poly.diff_terms, whose
-        terms, scaled by each c, are added raw into the coefficients of
-        their (g, h); a part with |a| + |b| above the total degree of X has
-        d^a d^b X = 0 and is skipped.  The sum becomes an operator through
-        operators.operator_from_sum, as in compose, under the same
+        X must be a vector field (poly.check_vector_field).  For a term
+        c * dx^a dy^g dxi^b deta^h the x and xi derivatives land on X and
+        the y, eta derivatives pass to the symbol slot, so the restriction
+        is the single_ring(n) operator (c * d^a d^b X) * dx^g dxi^h.  Only
+        the derivatives that survive are taken: d^s x^e is
+        falling(e, s) x^(e - s) for s <= e and 0 otherwise, so each term
+        c_e x^e of X adds c_e falling(e, s) x^(e - s), scaled by each c of
+        the part s, into the raw coefficient of its (g, h), for every
+        s <= e that is a part (_lower_indices).  No part whose derivative
+        kills the field is differentiated.  The sum becomes an operator
+        through operators.operator_from_sum, as in compose, under the same
         term-budget check.
         """
-        degree = X.total_degree()
+        parts = self.parts
         acc: dict[tuple, dict] = {}
-        for a_b, order, rest in self.parts:
-            if order > degree:
-                continue
-            dX = diff_terms(X.terms.items(), a_b)
-            if not dX:
-                continue
-            for g_h, c in rest:
-                add_scaled_terms(acc.setdefault(g_h, {}), dX, c)
+        for e, c_e in check_vector_field(X).terms.items():
+            for s, rest, falling in _lower_indices(e):
+                part = parts.get(s)
+                if part is not None:
+                    term = ((rest, c_e * falling),)
+                    for g_h, c in part:
+                        add_scaled_terms(acc.setdefault(g_h, {}), term, c)
         return operator_from_sum(single_ring(self.n), acc)
+
+
+@lru_cache(maxsize=None)
+def _lower_indices(e: Exponent) -> tuple[tuple[Exponent, Exponent, int], ...]:
+    """(s, e - s, falling(e, s)) for every s <= e.
+
+    falling(e, s) = prod_i e_i! / (e_i - s_i)!, so d^s x^e is
+    falling(e, s) x^(e - s); every other s has d^s x^e = 0.  Keyed by the
+    exponent alone, so one table serves every operator; an s that is no
+    part of an operator is one failed lookup in its parts.
+    """
+    return tuple((s, tuple(map(sub, e, s)), prod(map(perm, e, s)))
+                 for s in product(*(range(m + 1) for m in e)))
 
 
 def integer_form(coeffs: AnsatzCoefficients, n: int) -> tuple[PolyDiffOp, Coeff]:
@@ -273,6 +293,7 @@ def integer_form(coeffs: AnsatzCoefficients, n: int) -> tuple[PolyDiffOp, Coeff]
     return op, norm_coeff(Fraction(1, D))
 
 
+@budget_scope
 def build_bilinear(coeffs: AnsatzCoefficients, n: int) -> BilinearOp:
     """The candidate operator with its factorial normalizations: integer_form times its scale."""
     op, scale = integer_form(coeffs, n)
@@ -497,6 +518,7 @@ def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
                      for r in rules]
 
 
+@budget_scope
 def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     """Classify the equivariant family by imposing the defining identities.
 
@@ -595,6 +617,7 @@ def cocycle_filter_pairs(n: int, p: int) -> Iterator[tuple[Poly, Poly]]:
         yield from ((Y, Z) for (d, Y), (e, Z) in combinations(fields, 2) if d + e == total)
 
 
+@budget_scope
 def impose_cocycle(space: SolutionSpace) -> SolutionSpace:
     """The relative cocycles in the span of a space of ansatz maps.
 

@@ -54,8 +54,8 @@ from .operators import (
     monomials_up_to,
     op_str,
 )
-from .poly import (Poly, StructureError, check_int, check_term_budget, check_vector_field,
-                   poly_str, rat, rat_str, single_ring, unit_deriv)
+from .poly import (Poly, StructureError, budget_scope, check_int, check_term_budget,
+                   check_vector_field, poly_str, rat, rat_str, single_ring, unit_deriv)
 from .symbols import divergence, divergence_cocycle, is_closed, sl_generators
 
 
@@ -139,6 +139,7 @@ def _nonzero_witness(defect: SymbolMap, n: int) -> Poly:
     return Poly.monomial(single_ring(n), alpha + v)
 
 
+@budget_scope
 def cocycle_check(c: OneCocycle, max_vf_degree: int,
                   pairs: Iterable[tuple[Poly, Poly]] | None = None) -> IdentityCheck:
     """Verify the cocycle identity on a set of monomial field pairs.
@@ -196,6 +197,7 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int,
     return IdentityCheck(True, max_vf_degree, checked)
 
 
+@budget_scope
 def vanishes_on_sl(c: OneCocycle) -> bool:
     """True iff the cocycle kills every projective generator."""
     fam = sl_generators(c.n)
@@ -242,6 +244,7 @@ def _column(symbol_maps) -> dict:
             for key, v in sm.entries.items()}
 
 
+@budget_scope
 def field_columns(c: OneCocycle, candidates: list[PolyDiffOp],
                   max_vf_degree: int) -> FieldColumns:
     """Candidate and target columns on all monomial fields up to max_vf_degree.
@@ -440,6 +443,7 @@ class CocycleReport:
         }
 
 
+@budget_scope
 def build_report(c: OneCocycle, max_vf_degree: int) -> CocycleReport:
     identity = cocycle_check(c, max_vf_degree)
     return CocycleReport(c.name, c.n, c.k, c.ell, identity, vanishes_on_sl(c))

@@ -50,7 +50,8 @@ ansatz.cocycle_defects, shared by cocycle_check and the cocycle filter;
 the direct solver calls it once per equivariance defect.  The term budget
 is checked once per call, on the larger of the output's term count and
 its largest merged coefficient's term count; the second stands in for a
-check on every coefficient product.
+check on every coefficient product.  That check compares against the
+budget its driver read once (poly.budget_scope), not the environment.
 
 hamiltonian_op builds the Hamiltonian field of a symbol once per Poly
 object, as an operator kept in the Poly's _ham slot: lie_derivative_op is
@@ -58,9 +59,11 @@ that field of a vector field, and symbols.schouten_bracket,
 symbols.hamiltonian_action and module_action apply it.  So a field met in
 many pairs is differentiated once, not once per bracket.
 
-Term differentiation lives in poly.diff_terms, shared with Poly.diff_multi,
-PolyDiffOp.apply (which skips a term whose derivative of p is 0) and
-ansatz.BilinearOp.operator_for_field.  Every sum outside _leibniz goes
+Term differentiation lives in poly.diff_terms, shared with Poly.diff_multi
+and PolyDiffOp.apply (which skips a term whose derivative of p is 0).
+ansatz.BilinearOp.operator_for_field takes only the field derivatives that
+survive, read from a table of the multi-indices below each field exponent,
+and builds through operator_from_sum.  Every sum outside _leibniz goes
 through one sparse accumulator, poly.add_scaled_terms: linear_combination
 (and so PolyDiffOp + and -, and PolyDiffOp.scale, its one-term case) and
 commutator_sum's base add a linear combination raw through one loop over

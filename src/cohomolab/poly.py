@@ -17,14 +17,29 @@ unit_deriv is the one builder of a unit multi-index e_i over the 2n
 variables: Poly.variable's exponent, Poly.diff's derivative, the
 derivatives of the standard operators, and the x half or xi half of e_i
 that the density operators and the monomial fields take from it.
+
+The term budget COHOMOLAB_MAX_TERMS caps intermediate term counts, and
+_term_budget is the one reader of the environment.  check_term_budget
+compares against the budget of the running call tree, held in one
+ContextVar: budget_scope wraps a driver that loops over kernels, reads the
+budget once at its outermost call and resets it when that call ends, so a
+nested driver reuses the value.  Outside every scope check_term_budget
+reads the environment itself.  A change to the environment made during a
+scoped call takes effect at the next outermost call.  The scoped drivers:
+
+    ansatz.build_bilinear, ansatz.impose_cocycle,
+    ansatz.solve_equivariant_direct, cocycles.build_report,
+    cocycles.cocycle_check, cocycles.field_columns, cocycles.vanishes_on_sl,
+    report.check_relation, report.cohomology_table, report.quantization_report
 """
 
 from __future__ import annotations
 
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import perm
 from operator import add
 from typing import Iterable
@@ -64,9 +79,34 @@ def _term_budget() -> int:
     return check_int(raw, 1, "COHOMOLAB_MAX_TERMS")
 
 
+_scoped_budget: ContextVar[int | None] = ContextVar("term_budget", default=None)
+
+
+def budget_scope(driver):
+    """driver, with the term budget read once per outermost call (module docstring).
+
+    A StructureError for a malformed budget is raised as the outermost
+    driver is entered.
+    """
+    @wraps(driver)
+    def scoped(*args, **kwargs):
+        if _scoped_budget.get() is not None:
+            return driver(*args, **kwargs)
+        token = _scoped_budget.set(_term_budget())
+        try:
+            return driver(*args, **kwargs)
+        finally:
+            _scoped_budget.reset(token)
+    return scoped
+
+
 def check_term_budget(n_terms: int, counted: str) -> None:
-    """Raise ResourceLimitError when n_terms exceeds the budget; counted names them."""
-    cap = _term_budget()
+    """Raise ResourceLimitError when n_terms exceeds the budget; counted names them.
+
+    The budget is the running scope's, or, outside every scope, the
+    environment's (module docstring).
+    """
+    cap = _scoped_budget.get() or _term_budget()
     if n_terms > cap:
         raise ResourceLimitError(
             f"{n_terms} {counted} exceed COHOMOLAB_MAX_TERMS={cap}")
@@ -117,8 +157,8 @@ def active_vars(mu: Exponent) -> tuple[tuple[int, int], ...]:
 def diff_terms(terms, multi: Exponent) -> list[tuple[Exponent, Coeff]]:
     """The (exponent, coefficient) pairs of d^multi(g), given those of g.
 
-    The one differentiation kernel, behind Poly.diff_multi (and so
-    Poly.diff), PolyDiffOp.apply and ansatz.BilinearOp.operator_for_field.
+    The one differentiation kernel of a polynomial, behind Poly.diff_multi
+    (and so Poly.diff) and PolyDiffOp.apply.
     Distinct surviving monomials stay distinct, so nothing is merged;
     coefficients come back unnormalized.
     """

@@ -41,6 +41,7 @@ from .poly import (
     Poly,
     ResourceLimitError,
     StructureError,
+    budget_scope,
     check_int,
     poly_str,
     rat,
@@ -147,6 +148,7 @@ def expected_relative_dimension(k: int, ell: int) -> int:
     return int(p == 2 or matched_case(k, p) == "b")
 
 
+@budget_scope
 def cohomology_table(config: RunConfig) -> dict:
     """Dimensions of the relative classification for all (k, ell) cells.
 
@@ -205,6 +207,7 @@ def _witness_verdict(n, k, p, space, config) -> dict:
     }
 
 
+@budget_scope
 def quantization_report(n: int, k: int, weight, max_vf_degree: int) -> dict:
     """Symbol projections of the density-operator sequence at one weight.
 
@@ -241,6 +244,7 @@ def quantization_report(n: int, k: int, weight, max_vf_degree: int) -> dict:
     return out
 
 
+@budget_scope
 def check_relation(n: int) -> dict:
     """Exact verification of the quadratic-generator commutation relation.
 

@@ -27,8 +27,8 @@ from cohomolab.ansatz import (
     solve_equivariant_direct,
     term_norm,
 )
-from cohomolab.cocycles import (bilinear_cocycle, cocycle_check, second_class_coefficients,
-                                vanishes_on_sl)
+from cohomolab.cocycles import (bilinear_cocycle, builtin_c1, cocycle_check,
+                                second_class_coefficients, vanishes_on_sl)
 from cohomolab.linalg import RowReducer, keyed_rows
 from cohomolab.operators import (PolyDiffOp, commutator_sum, lie_derivative_op, linear_combination,
                                  monomials_up_to, unit_deriv, xi_simplex)
@@ -192,31 +192,76 @@ def test_ansatz_coefficients_are_exact_and_drop_zeros():
 
 
 def test_operator_for_field_skips_terms_above_the_field_degree(monkeypatch):
-    # the c2 line at n = 2, k = 3, whose terms have x-order 2 to 4, against
-    # the translation xi1 (total degree 1, so no derivative is taken), the
-    # linear field x1 xi2 and the quadratic field x1 x2 xi1; the field is
-    # differentiated once per distinct (a, b) part, not once per term
+    # the c2 line at n = 2, k = 3, whose parts have order 2 to 4, against
+    # the translation xi1 (total degree 1), the linear field x1 xi2 and the
+    # quadratic field x1 x2 xi1: on a monomial field x^e exactly the parts
+    # s <= e are differentiated, each term of such a part adds d^s x^e once,
+    # and no part whose derivative kills the field is read at all
     C = build_bilinear(second_class_coefficients(2, 3), 2)
-    orders = [order for _, order, _ in C.parts]
-    assert len({a_b for a_b, _, _ in C.parts}) == len(C.parts)
-    assert sum(len(rest) for _, _, rest in C.parts) == len(C.op.terms)
-    calls = []
-    original = ansatz.diff_terms
+    assert sum(map(len, C.parts.values())) == len(C.op.terms)
+    top = max(map(sum, C.parts))
+    assert top == 4
+    read, added = [], []
 
-    def recorded(terms, multi):
-        calls.append(multi)
-        return original(terms, multi)
+    class ReadParts(dict):
+        def get(self, key, default=None):
+            if key in self:
+                read.append(key)
+            return super().get(key, default)
 
-    monkeypatch.setattr(ansatz, "diff_terms", recorded)
+        def __getitem__(self, key):
+            read.append(key)
+            return super().__getitem__(key)
+
+        def __iter__(self):
+            read.extend(self.keys())
+            return super().__iter__()
+
+        def items(self):
+            read.extend(self.keys())
+            return super().items()
+
+    parts = dict(C.parts)
+    C.parts = ReadParts(parts)
+    original = ansatz.add_scaled_terms
+
+    def recorded(acc, terms, c):
+        added.append(list(terms))
+        return original(acc, terms, c)
+
+    monkeypatch.setattr(ansatz, "add_scaled_terms", recorded)
+    met = []
     for X in (xi(0), x(0) * xi(1), x(0) * x(1) * xi(0)):
-        degree = X.total_degree()
-        assert max(orders) > degree
-        calls.clear()
+        [e] = X.terms
+        assert top > X.total_degree()
+        surviving = [s for s in parts if all(a <= b for a, b in zip(s, e))]
+        met.append(sorted(surviving))
+        read.clear()
+        added.clear()
         op = C.operator_for_field(X)
-        assert all(sum(multi) <= degree for multi in calls)
-        assert len(calls) == len(set(calls)) == sum(order <= degree for order in orders)
+        assert sorted(read) == sorted(surviving)
+        assert len(added) == sum(len(parts[s]) for s in surviving)
+        assert all(len(terms) == 1 and terms[0][1] != 0 for terms in added)
+        assert ({terms[0][0] for terms in added}
+                == {tuple(b - a for a, b in zip(s, e)) for s in surviving})
         P = x(0) * x(1) * x(1) * xi(0) * xi(0) * xi(1)
         assert op.apply(P) == bilinear_value(C, X, P)
+    # every part takes two x-derivatives, so only the quadratic field meets
+    # any: d_x1 d_x2 and d_x1 d_x2 d_xi1
+    assert met == [[], [], [(1, 1, 0, 0), (1, 1, 1, 0)]]
+
+
+def test_operator_for_field_refuses_a_symbol_that_is_not_a_vector_field():
+    # x1^2 xi1 xi2 once gave (-8/3*xi2) * dxi1 + (2*xi1*xi2) * dxi1^2 and
+    # x1^2 gave (2) * dxi1^2, where lie_derivative_op and divergence refuse both
+    c = builtin_c1(2, 3)
+    for P in (x(0) * x(0) * xi(0) * xi(1), x(0) * x(0)):
+        with pytest.raises(StructureError, match="^a vector field symbol must have xi-degree"
+                                                 " exactly 1$"):
+            c.evaluate(P)
+        with pytest.raises(StructureError, match="xi-degree exactly 1"):
+            lie_derivative_op(P)
+    assert c.evaluate(Poly.zero(R2)).is_zero()
 
 
 def test_operator_for_field_respects_the_term_budget(monkeypatch):

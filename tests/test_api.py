@@ -167,9 +167,42 @@ def test_memo_inventory_is_pinned():
                         if lazy:
                             slots[node.name] = lazy
     assert decorated == {"_simplex", "_symbol_images", "_leibniz_survivors", "active_vars",
-                         "single_ring", "ansatz_term_op", "monomial_section"}
+                         "single_ring", "ansatz_term_op", "monomial_section", "_lower_indices"}
     assert calling == {"_vanishing_system"}
     assert slots == {"Poly": {"_hash", "_ham"}, "PolyDiffOp": {"_table"}}
+
+
+def _reads_the_environment(node: ast.AST) -> bool:
+    """Whether node names os.environ, os.getenv or an environ or getenv imported from os."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in {"environ", "getenv"}
+    return isinstance(node, ast.Name) and node.id in {"environ", "getenv"}
+
+
+def test_the_environment_is_read_once_and_the_budget_scopes_are_listed():
+    """os.environ is read in poly._term_budget only, and budget_scope wraps the listed drivers.
+
+    The poly docstring lists the drivers that read COHOMOLAB_MAX_TERMS once
+    per call tree; a driver scoped or unscoped without that list changing
+    fails here.
+    """
+    readers, scoped = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for sub in ast.walk(node):
+                    inside.setdefault(id(sub), node.name)
+                if any(_decorator_name(d) == "budget_scope" for d in node.decorator_list):
+                    scoped.add(f"{path.stem}.{node.name}")
+        readers += [f"{path.stem}.{inside.get(id(node))}" for node in ast.walk(tree)
+                    if _reads_the_environment(node)]
+    assert readers == ["poly._term_budget"]
+    listed = re.findall(r"\b(\w+\.\w+)\b",
+                        cohomolab.poly.__doc__.split("The scoped drivers:")[1])
+    assert len(set(listed)) == len(listed)
+    assert scoped == set(listed)
 
 
 def _deletes_a_key(node: ast.AST) -> bool:

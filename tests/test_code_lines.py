@@ -40,14 +40,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CODE_LINES = {
     "cohomolab/__init__.py": 34,
     "cohomolab/__main__.py": 4,
-    "cohomolab/ansatz.py": 274,
+    "cohomolab/ansatz.py": 281,
     "cohomolab/cli.py": 182,
-    "cohomolab/cocycles.py": 207,
+    "cohomolab/cocycles.py": 211,
     "cohomolab/linalg.py": 60,
     "cohomolab/operators.py": 262,
-    "cohomolab/poly.py": 260,
+    "cohomolab/poly.py": 273,
     "cohomolab/quantization.py": 141,
-    "cohomolab/report.py": 190,
+    "cohomolab/report.py": 194,
     "cohomolab/symbols.py": 58,
 }
 

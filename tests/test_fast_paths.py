@@ -3,7 +3,9 @@
 _leibniz skips a term pair whose derivative and exponent supports are
 disjoint, commutator_sum a commutator with a zero operand, apply a term
 whose derivative of p is 0, SymbolMap.from_operator reads its xi-images from
-a table, and BilinearOp.operator_for_field differentiates the field raw.
+a table, and BilinearOp.operator_for_field takes only the field
+derivatives that survive, by looking up the parts s <= e of each field
+term x^e.
 Each answer must equal the definition's: exact_helpers.leibniz_reference,
 the Leibniz sum over every s <= mu, and exact_helpers.symbol_map_reference,
 the canonical form with falling(v, beta) computed term by term.
@@ -103,6 +105,48 @@ def test_operator_for_field_matches_its_definition():
             assert op == field_operator_reference(C, X)
             P = _random_symbol(rng, ring, coeffs.k)
             assert op.apply(P) == bilinear_value(C, X, P)
+
+
+def _fraction_field(rng, ring, degrees):
+    """A sum of monomial fields x^u xi_m with |u| in degrees, each with a Fraction coefficient."""
+    X = Poly.zero(ring)
+    for d in degrees:
+        exp = [0] * ring.nvars
+        for _ in range(d):
+            exp[ring.x(rng.randrange(ring.n))] += 1
+        exp[ring.xi(rng.randrange(ring.n))] += 1
+        X = X + Poly.monomial(ring, tuple(exp), Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                                         rng.randint(2, 7)))
+    return X
+
+
+def test_operator_for_field_part_lookup_matches_its_definition():
+    # the part lookup on fields of several terms with Fraction coefficients,
+    # on the zero field and on fields whose degree is above every part order,
+    # at n = 2 and 3; the c1 line has the beta part Dxxi Dxeta, which
+    # takes a xi-derivative of the field
+    rng = random.Random(4406)
+    lines = [(2, second_class_coefficients(2, 3)), (3, second_class_coefficients(3, 3)),
+             (2, AnsatzCoefficients(3, 1, alpha={2: 2}, beta={2: Fraction(-4, 3)})),
+             (3, AnsatzCoefficients(2, 1, alpha={1: 1, 2: Fraction(1, 2)}, gamma={0: 2}))]
+    for n, coeffs in lines:
+        C = build_bilinear(coeffs, n)
+        top = max(map(sum, C.parts))
+        ring = single_ring(n)
+        zero = Poly.zero(ring)
+        assert C.operator_for_field(zero).is_zero()
+        assert field_operator_reference(C, zero).is_zero()
+        for _ in range(8):
+            X = _fraction_field(rng, ring, [rng.randint(0, 3) for _ in range(rng.randint(2, 4))])
+            assert len(X.terms) >= 2
+            assert C.operator_for_field(X) == field_operator_reference(C, X)
+            high = _fraction_field(rng, ring, [top + rng.randint(0, 2)
+                                               for _ in range(rng.randint(1, 3))])
+            assert high.total_degree() > top
+            op = C.operator_for_field(high)
+            assert op == field_operator_reference(C, high)
+            P = _random_symbol(rng, ring, coeffs.k)
+            assert op.apply(P) == bilinear_value(C, high, P)
 
 
 def test_disjoint_supports_read_no_survivors(monkeypatch):

@@ -8,16 +8,25 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomolab.operators import PolyDiffOp, linear_combination, module_action, unit_deriv
+from cohomolab import poly
+from cohomolab.ansatz import (build_bilinear, impose_cocycle, recurrence_solutions,
+                              solve_equivariant_direct)
+from cohomolab.cocycles import (build_report, builtin_c1, cocycle_check, field_columns,
+                                second_class_coefficients, vanishes_on_sl)
+from cohomolab.operators import (PolyDiffOp, divergence_diffop, linear_combination, module_action,
+                                 unit_deriv)
 from cohomolab.poly import (
     Poly,
+    ResourceLimitError,
     StructureError,
+    budget_scope,
     check_term_budget,
     parse_poly,
     poly_str,
     rat,
     single_ring,
 )
+from cohomolab.report import RunConfig, check_relation, cohomology_table, quantization_report
 from cohomolab.symbols import is_closed, schouten_bracket
 
 from exact_helpers import normalized
@@ -256,6 +265,135 @@ def test_non_integer_term_budget_rejected(monkeypatch):
         with pytest.raises(StructureError, match="^COHOMOLAB_MAX_TERMS must be an integer"
                                                  " of at least 1, got "):
             check_term_budget(1, "terms")
+
+
+def scoped_driver_names() -> list[str]:
+    """The module.function names the poly docstring lists as scoped drivers."""
+    return re.findall(r"\b(\w+\.\w+)\b", poly.__doc__.split("The scoped drivers:")[1])
+
+
+C1 = builtin_c1(2, 2)
+C2_SPACE = recurrence_solutions(2, 2, 2)
+C2_LINE = second_class_coefficients(2, 2)
+
+# One call of each scoped driver, on inputs built beforehand.
+SCOPED_CALLS = {
+    "ansatz.build_bilinear": lambda: build_bilinear(C2_LINE, 2),
+    "ansatz.impose_cocycle": lambda: impose_cocycle(C2_SPACE),
+    "ansatz.solve_equivariant_direct": lambda: solve_equivariant_direct(2, 2, 2),
+    "cocycles.build_report": lambda: build_report(C1, 2),
+    "cocycles.cocycle_check": lambda: cocycle_check(C1, 2),
+    "cocycles.field_columns": lambda: field_columns(C1, [divergence_diffop(R2)], 2),
+    "cocycles.vanishes_on_sl": lambda: vanishes_on_sl(C1),
+    "report.check_relation": lambda: check_relation(2),
+    "report.cohomology_table": lambda: cohomology_table(RunConfig(2, 2, 2)),
+    "report.quantization_report": lambda: quantization_report(2, 2, Fraction(1, 2), 2),
+}
+
+
+@pytest.fixture
+def budget_reads(monkeypatch):
+    """The list of values poly._term_budget returns, one entry per read."""
+    reads = []
+    original = poly._term_budget
+
+    def counted():
+        reads.append(original())
+        return reads[-1]
+
+    monkeypatch.setattr(poly, "_term_budget", counted)
+    monkeypatch.delenv("COHOMOLAB_MAX_TERMS", raising=False)
+    return reads
+
+
+def test_the_scoped_drivers_are_the_listed_ones():
+    assert sorted(SCOPED_CALLS) == sorted(scoped_driver_names())
+
+
+@pytest.mark.parametrize("driver", sorted(SCOPED_CALLS))
+def test_a_scoped_driver_reads_the_budget_once_per_outermost_call(driver, budget_reads):
+    # every check the call makes compares against the value read as it was
+    # entered; the scope ends with the call, so a second call reads again
+    SCOPED_CALLS[driver]()
+    assert budget_reads == [2_000_000]
+    assert poly._scoped_budget.get() is None
+    SCOPED_CALLS[driver]()
+    assert budget_reads == [2_000_000] * 2
+
+
+@budget_scope
+def _inner(n_terms):
+    check_term_budget(n_terms, "inner terms")
+    return poly._scoped_budget.get()
+
+
+@budget_scope
+def _outer(n_terms, entered):
+    entered.append(True)
+    check_term_budget(n_terms, "outer terms")
+    return [_inner(n_terms), _inner(n_terms)]
+
+
+def test_a_nested_driver_reuses_the_outer_read(budget_reads):
+    assert _outer(1, []) == [2_000_000, 2_000_000]
+    assert budget_reads == [2_000_000]
+    # build_report nests cocycle_check and vanishes_on_sl, and the table nests
+    # impose_cocycle, build_bilinear, cocycle_check and field_columns
+    budget_reads.clear()
+    build_report(C1, 2)
+    cohomology_table(RunConfig(2, 3, 2))
+    assert budget_reads == [2_000_000] * 2
+    # a driver alone opens its own scope
+    budget_reads.clear()
+    assert _inner(1) == 2_000_000 and budget_reads == [2_000_000]
+
+
+def test_a_value_set_between_two_calls_takes_effect_in_the_second(budget_reads, monkeypatch):
+    # cocycle_check at degree 2 walks C(12, 2) = 66 pairs
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "66")
+    assert _outer(66, []) == [66, 66]
+    assert cocycle_check(C1, 2).holds
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "65")
+    with pytest.raises(ResourceLimitError, match="^66 pairs of monomial test fields"
+                                                 r" \(n = 2, degree <= 2\) exceed"
+                                                 " COHOMOLAB_MAX_TERMS=65$"):
+        cocycle_check(C1, 2)
+    with pytest.raises(ResourceLimitError, match="^66 outer terms exceed COHOMOLAB_MAX_TERMS=65$"):
+        _outer(66, [])
+    assert budget_reads == [66, 66, 65, 65]
+
+
+def test_a_malformed_budget_is_refused_as_the_driver_is_entered(budget_reads, monkeypatch):
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "abc")
+    entered = []
+    for call in (lambda: _outer(1, entered), lambda: cocycle_check(C1, 2),
+                 lambda: cohomology_table(RunConfig(2, 2, 2))):
+        with pytest.raises(StructureError, match="^COHOMOLAB_MAX_TERMS must be an integer"
+                                                 " of at least 1, got 'abc'$"):
+            call()
+    assert entered == []
+    assert poly._scoped_budget.get() is None
+
+
+def test_the_budget_is_read_again_after_a_resource_limit(budget_reads, monkeypatch):
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "1")
+    with pytest.raises(ResourceLimitError, match="^2 outer terms exceed COHOMOLAB_MAX_TERMS=1$"):
+        _outer(2, [])
+    assert poly._scoped_budget.get() is None
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "2")
+    assert _outer(2, []) == [2, 2]
+    monkeypatch.delenv("COHOMOLAB_MAX_TERMS")
+    assert build_report(C1, 2).identity.holds
+    assert budget_reads == [1, 2, 2_000_000]
+
+
+def test_outside_every_scope_each_check_reads_the_budget(budget_reads, monkeypatch):
+    check_term_budget(1, "terms")
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "3")
+    check_term_budget(3, "terms")
+    with pytest.raises(ResourceLimitError, match="^4 terms exceed COHOMOLAB_MAX_TERMS=3$"):
+        check_term_budget(4, "terms")
+    assert budget_reads == [2_000_000, 3, 3]
 
 
 coeffs = st.integers(min_value=-(10**6), max_value=10**6)
