@@ -248,8 +248,8 @@ class BilinearOp:
         the part s, into the raw coefficient of its (g, h), for every
         s <= e that is a part (_lower_indices).  No part whose derivative
         kills the field is differentiated.  The sum becomes an operator
-        through operators.operator_from_sum, as in compose, under the same
-        term-budget check.
+        through operators.operator_from_sum, as in linear_combination,
+        under the term-budget check of compose.
         """
         parts = self.parts
         acc: dict[tuple, dict] = {}

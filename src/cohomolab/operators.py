@@ -25,21 +25,33 @@ and commutator never forms the products that would cancel.
 
 The expansion runs in one pass over pairs of monomial terms.  Each
 operator keeps, in one lazily filled slot, a flat Leibniz table: one entry
-(mu, e, c, |e|, support of mu, support of e) per monomial term c x^e d^mu,
-each support a bitmask of the variables with a nonzero entry, and its
-largest |e|.  A left term c x^e d^pi and a right term c' x^e' d^mu
+per monomial term c x^e d^mu, holding mu and e as packed keys, mu shifted
+past the exponent fields, c, |mu| and the supports of mu and e, each
+support a bitmask of the variables with a nonzero entry; the table also
+keeps the largest |e| and the flat (packed key, c) list of the terms.  A
+packed key holds a multi-index of m = ring.nvars entries in W = _WIDTH = 16
+bits each, e_i << (W i), and a term's key is (mu << W m) | e; packing and
+decoding are interned (_pack, _unpack), so each distinct tuple is packed
+once and each key decoded once per process.  An entry of 2^(W - 1) or more
+is refused with ResourceLimitError when it is packed, so a sum of two
+entries stays below 2^W and never carries into the next field.
+A left term c x^e d^pi and a right term c' x^e' d^mu
 contribute only for the subsets rho <= min(pi, e'), because
-d^rho(x^e') = 0 unless rho <= e'; a cache keyed by (pi, e', lowest order)
-lists exactly those, each with its factor binom(pi, rho) falling(e', rho).
+d^rho(x^e') = 0 unless rho <= e'; a cache keyed by (pi, e', lowest order,
+m), both packed, lists exactly those, each as the packed offset of
+(pi - rho, e' - rho) and its factor binom(pi, rho) falling(e', rho).  So
+each product's key is e + (mu << W m) + offset: two integer adds.
 At lowest order >= 1 a pair whose pi and e' share no variable has
 min(pi, e') = 0 and so no subset to expand; one AND of the two supports,
 the only per-pair skip test, passes it by before the cache is read.  Every
-product is added straight into one raw {derivative: {exponent:
-coefficient}} accumulator, and each Poly coefficient is built once at the
-end.  So a constant right operand costs its rho = 0 products and nothing
-else, and the fields L_X and cocycle values that a cocycle check composes
-for pair after pair are flattened once, not once per commutator.  The products do not depend on the tables,
-the supports or the cache.
+product is added straight into one flat {packed key: coefficient}
+accumulator, and one decode step (_operator_from_packed) groups it by
+derivative, unpacks it and builds each Poly coefficient once.  So a
+constant right operand costs its rho = 0 products and nothing else, and
+the fields L_X and cocycle values that a cocycle check composes for pair
+after pair are flattened and packed once, not once per commutator.  The
+products do not depend on the tables, the supports or the cache, and no
+packed key leaves this module.
 commutator_sum is the one defect kernel: it sums any number of
 commutators and a base linear combination of operators, sum_j c_j B_j, in
 one such accumulator; a commutator with a zero operand adds nothing and is
@@ -48,9 +60,9 @@ at a field bracket as that combination over the bracket's monomials, so a
 rule is evaluated on monomial fields only.  The pair loop over it is
 ansatz.cocycle_defects, shared by cocycle_check and the cocycle filter;
 the direct solver calls it once per equivariance defect.  The term budget
-is checked once per call, on the larger of the output's term count and
-its largest merged coefficient's term count; the second stands in for a
-check on every coefficient product.  That check compares against the
+is checked once per call, on the larger of the output's surviving
+derivatives and its largest merged coefficient's term count; the second
+stands in for a check on every coefficient product.  That check compares against the
 budget its driver read once (poly.budget_scope), not the environment.
 
 hamiltonian_op builds the Hamiltonian field of a symbol once per Poly
@@ -65,9 +77,9 @@ ansatz.BilinearOp.operator_for_field takes only the field derivatives that
 survive, read from a table of the multi-indices below each field exponent,
 and builds through operator_from_sum.  Every sum outside _leibniz goes
 through one sparse accumulator, poly.add_scaled_terms: linear_combination
-(and so PolyDiffOp + and -, and PolyDiffOp.scale, its one-term case) and
-commutator_sum's base add a linear combination raw through one loop over
-it (_add_combination); apply adds its products through poly.add_product,
+(and so PolyDiffOp + and -, and PolyDiffOp.scale, its one-term case) adds
+each coefficient raw into a tuple-keyed accumulator, commutator_sum's base
+adds each operator's flat packed term list in one call; apply adds its products through poly.add_product,
 the raw product behind Poly.__mul__; SymbolMap.from_operator and parse_op
 add their terms through it too.  op_str and parse_op write and read
 derivative factors with poly.monomial_factors and poly.parse_monomial, the
@@ -96,6 +108,7 @@ from .poly import (
     Coeff,
     Exponent,
     Poly,
+    ResourceLimitError,
     Ring,
     StructureError,
     add_product,
@@ -164,19 +177,50 @@ def multi_binom(mu: Deriv, nu: Deriv) -> int:
     return prod(map(comb, mu, nu))
 
 
-@lru_cache(maxsize=None)
-def _leibniz_survivors(mu: Deriv, e: Exponent, lowest: int) -> tuple:
-    """Triples (mu - s, e - s, binom(mu, s) falling(e, s)) for s <= min(mu, e), |s| >= lowest.
+_WIDTH = 16
 
-    These are the subsets s of the Leibniz rule that survive against the
-    monomial x^e: d^s(x^e) = falling(e, s) x^(e - s), and it is 0 unless
-    s <= e, since d_i^(s_i) kills x_i^(e_i) once s_i > e_i.  They are
-    ordered by (|s|, s).
+
+@lru_cache(maxsize=None)
+def _pack(e: Exponent) -> int:
+    """sum_i e_i << (_WIDTH i): the packed key of an exponent or derivative, interned.
+
+    An entry of 2^(_WIDTH - 1) or more raises ResourceLimitError naming the
+    width, so a sum of two packed keys never carries from one field into
+    the next.  Each distinct tuple is packed once per process.
     """
-    subs = sorted((sum(s), s) for s in product(*(range(m + 1) for m in map(min, mu, e)))
+    if any(v >> (_WIDTH - 1) for v in e):
+        raise ResourceLimitError(f"multi-index {e} has an entry of at least 2^{_WIDTH - 1},"
+                                 f" past the packed width of {_WIDTH} bits per variable")
+    return sum(v << (_WIDTH * i) for i, v in enumerate(e))
+
+
+@lru_cache(maxsize=None)
+def _unpack(key: int, m: int) -> Exponent:
+    """The m-tuple that _pack packs to key, its fields read as _WIDTH-bit ints; interned."""
+    mask = (1 << _WIDTH) - 1
+    return tuple((key >> (_WIDTH * i)) & mask for i in range(m))
+
+
+@lru_cache(maxsize=None)
+def _leibniz_survivors(mu: int, e: int, lowest: int, m: int) -> tuple:
+    """Pairs (offset, binom(mu, s) falling(e, s)) for s <= min(mu, e), |s| >= lowest.
+
+    mu and e are packed m-tuples (_pack), and offset is the packed key of
+    (mu - s, e - s): _pack(mu - s) << (_WIDTH m) plus _pack(e - s).  These
+    are the subsets s of the Leibniz rule that survive against the monomial
+    x^e: d^s(x^e) = falling(e, s) x^(e - s), and it is 0 unless s <= e,
+    since d_i^(s_i) kills x_i^(e_i) once s_i > e_i.  They are ordered by
+    (|s|, s).
+    """
+    mu_t, e_t = _unpack(mu, m), _unpack(e, m)
+    subs = sorted((sum(s), s) for s in product(*(range(k + 1) for k in map(min, mu_t, e_t)))
                   if sum(s) >= lowest)
-    return tuple((tuple(map(sub, mu, s)), tuple(map(sub, e, s)),
-                  multi_binom(mu, s) * falling(e, s)) for _, s in subs)
+    out = []
+    for _, s in subs:
+        packed = _pack(s)  # s <= mu and s <= e, so no field borrows
+        out.append((((mu - packed) << (_WIDTH * m)) + e - packed,
+                    multi_binom(mu_t, s) * falling(e_t, s)))
+    return tuple(out)
 
 
 def _support(e: Exponent) -> int:
@@ -186,17 +230,21 @@ def _support(e: Exponent) -> int:
 
 def _leibniz(acc: dict, left: "PolyDiffOp", right: "PolyDiffOp", lowest: int,
              sign: int = 1) -> None:
-    """Add sign * (left o right) into the raw accumulator acc, by the Leibniz rule.
+    """Add sign * (left o right) into the flat packed accumulator acc, by the Leibniz rule.
 
-    acc maps a derivative multi-index to a {exponent: coefficient} dict.  For
-    left terms f d^mu and right terms g d^nu this adds
+    acc maps a packed key (derivative << _WIDTH m) | exponent, m the number
+    of ring variables, to a coefficient; _operator_from_packed decodes it.
+    For left terms f d^mu and right terms g d^nu this adds
     binom(mu, s) f d^s(g) d^(mu - s + nu) for every s <= mu with
     |s| >= lowest, one product of monomial terms at a time, and no
     intermediate Poly is built.  Both operands are read as their flat
     Leibniz tables (PolyDiffOp._leibniz_table), one entry per monomial term
     c x^e d^mu.  A pair of terms expands over its survivors only
     (_leibniz_survivors): the s <= min(mu, e_right), because d^s(x^e) = 0
-    unless s <= e.  A left term with |mu| < lowest and a right operand of
+    unless s <= e.  Each survivor's key is the left exponent plus the
+    shifted right derivative, one sum per pair, plus the survivor's packed
+    offset: every entry is below 2^(_WIDTH - 1) (_pack), so no sum carries.
+    A left term with |mu| < lowest and a right operand of
     top degree < lowest add nothing and are skipped whole.  At lowest >= 1
     a pair whose mu and e_right share no variable has min(mu, e_right) = 0
     and no survivor; the AND of the two support bitmasks in the tables is
@@ -207,40 +255,63 @@ def _leibniz(acc: dict, left: "PolyDiffOp", right: "PolyDiffOp", lowest: int,
     any lowest adds nothing.
 
     It keeps its own add-and-drop loop, the one outside
-    poly.add_scaled_terms: each product lands at its own derivative key,
-    so a shared call here would cost one call per product, on the hottest
-    loop of the package.
+    poly.add_scaled_terms: each product lands at its own key, so a shared
+    call here would cost one call per product, on the hottest loop of the
+    package.
     """
-    rights, top = right._leibniz_table()
+    rights, top, _ = right._leibniz_table()
     if top < lowest:
         return
-    for mu, fe, fc, _, mu_vars, _ in left._leibniz_table()[0]:
-        if sum(mu) < lowest:
+    m = left.ring.nvars
+    for mu, fe, _, fc, order, mu_vars, _ in left._leibniz_table()[0]:
+        if order < lowest:
             continue
         if sign < 0:
             fc = -fc
-        for nu, ge, gc, _, _, e_vars in rights:
+        for _, ge, nu_shifted, gc, _, _, e_vars in rights:
             if lowest and not mu_vars & e_vars:
                 continue
             c = fc * gc
-            for rest, ge_s, b in _leibniz_survivors(mu, ge, lowest):
-                key = tuple(map(add, rest, nu))
-                coeff = acc.get(key)
-                if coeff is None:
-                    coeff = acc[key] = {}
-                e = tuple(map(add, fe, ge_s))
+            pair = fe + nu_shifted
+            for offset, b in _leibniz_survivors(mu, ge, lowest, m):
+                key = pair + offset
                 # most factors are 1, and c may be a Fraction
-                s = coeff.get(e, 0) + (c if b == 1 else c * b)
+                s = acc.get(key, 0) + (c if b == 1 else c * b)
                 if s:
-                    coeff[e] = s
+                    acc[key] = s
                 else:
-                    del coeff[e]
+                    del acc[key]
+
+
+def _operator_from_packed(ring: Ring, acc: dict) -> "PolyDiffOp":
+    """The operator of a flat packed accumulator {key: coefficient}, after one budget check.
+
+    The one decode step of compose and commutator_sum: one pass groups the
+    keys by derivative, unpacks each exponent and normalizes each
+    coefficient, and then each Poly is built once.  The term budget is
+    checked on the larger of the number of surviving derivatives and the
+    term count of the largest surviving coefficient, as operator_from_sum
+    checks a tuple accumulator.
+    """
+    m = ring.nvars
+    shift = _WIDTH * m
+    mask = (1 << shift) - 1
+    grouped: dict = {}
+    for key, c in acc.items():
+        terms = grouped.get(key >> shift)
+        if terms is None:
+            terms = grouped[key >> shift] = {}
+        terms[_unpack(key & mask, m)] = norm_coeff(c)
+    check_term_budget(max(len(grouped), max(map(len, grouped.values()), default=0)),
+                      "terms of an operator or of its largest coefficient")
+    return PolyDiffOp(ring, {_unpack(mu, m): Poly(ring, terms, _clean=True)
+                             for mu, terms in grouped.items()}, _clean=True)
 
 
 def operator_from_sum(ring: Ring, acc: dict) -> "PolyDiffOp":
     """The operator of a raw accumulator {mu: {exponent: coefficient}}, after one budget check.
 
-    The last step of compose, commutator_sum and
+    The last step of linear_combination, parse_op and
     ansatz.BilinearOp.operator_for_field: the coefficients are normalized
     and empty ones dropped.  The term-budget check is on the larger of the
     operator's term count and the term count of its largest merged
@@ -302,18 +373,30 @@ class PolyDiffOp:
         return max((sum(mu) for mu in self.terms), default=0)
 
     def _leibniz_table(self) -> tuple:
-        """(terms, top): one entry per monomial term c x^e d^mu, and the largest |e|.
+        """(entries, top, flat): the operator as _leibniz and commutator_sum read it.
 
-        An entry is (mu, e, c, |e|, _support(mu), _support(e)).  The flat
-        form in which _leibniz reads an operand, built on first use and
-        kept for the operator's life, so an operator composed many times
-        (a cached L_X or cocycle value) is flattened once, supports
-        included.
+        One entry per monomial term c x^e d^mu: (_pack(mu), _pack(e),
+        _pack(mu) << (_WIDTH m), c, |mu|, _support(mu), _support(e)), m the
+        number of ring variables; top is the largest |e|, and flat the
+        (packed key, c) list of the terms, the key as in _leibniz.  Built on
+        first use and kept for the operator's life, so an operator composed
+        or summed many times (a cached L_X, cocycle value or rule value) is
+        flattened and packed once, supports included.  An entry past the
+        packed width raises ResourceLimitError (_pack).
         """
         if self._table is None:
-            terms = [(mu, e, c, sum(e), _support(mu), _support(e))
-                     for mu, g in self.terms.items() for e, c in g.terms.items()]
-            self._table = terms, max((t[3] for t in terms), default=0)
+            shift = _WIDTH * self.ring.nvars
+            entries = []
+            top = 0
+            for mu, g in self.terms.items():
+                packed_mu = _pack(mu)
+                mu_shifted = packed_mu << shift
+                order, mu_vars = sum(mu), _support(mu)
+                for e, c in g.terms.items():
+                    entries.append((packed_mu, _pack(e), mu_shifted, c, order, mu_vars,
+                                    _support(e)))
+                    top = max(top, sum(e))
+            self._table = entries, top, [(t[2] + t[1], t[3]) for t in entries]
         return self._table
 
     def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
@@ -355,7 +438,7 @@ class PolyDiffOp:
         check_same_ring(self.ring, other.ring)
         acc: dict = {}
         _leibniz(acc, self, other, 0)
-        return operator_from_sum(self.ring, acc)
+        return _operator_from_packed(self.ring, acc)
 
     def commutator(self, other: "PolyDiffOp") -> "PolyDiffOp":
         """Normal form of self o other - other o self, without the cancelling products."""
@@ -376,42 +459,37 @@ class PolyDiffOp:
         return f"PolyDiffOp({op_str(self)})"
 
 
-def _add_combination(acc: dict, ring: Ring, base: Iterable[tuple[Coeff, PolyDiffOp]]) -> None:
-    """Add sum_j c_j B_j raw into acc, {mu: {exponent: coefficient}}, for nonzero c_j.
-
-    The one accumulation of a linear combination of operators, shared by
-    commutator_sum's base and linear_combination.  Every B_j must be over ring.
-    """
-    for c, B in base:
-        check_same_ring(ring, B.ring)
-        for mu, coeff in B.terms.items():
-            add_scaled_terms(acc.setdefault(mu, {}), coeff.terms.items(), c)
-
-
 def commutator_sum(pairs: list[tuple[PolyDiffOp, PolyDiffOp]],
                    base: Iterable[tuple[Coeff, PolyDiffOp]] = ()) -> PolyDiffOp:
-    """Normal form of sum_j c_j B_j + sum_i [P_i, A_i], in one accumulator.
+    """Normal form of sum_j c_j B_j + sum_i [P_i, A_i], in one flat packed accumulator.
 
-    base is a linear combination of operators, (c_j, B_j) pairs; each
-    coefficient term of each B_j is scaled by c_j and added raw, so a
-    combination that cancels leaves nothing behind.  The subset-0 Leibniz
-    terms f g d^(mu + nu) of P o A and A o P are equal, so each commutator
-    expands only the subsets of order at least 1, and a commutator with a
-    zero operand, checked for its ring, is skipped.  Every product of terms
-    lands in the same accumulator, and the term budget is checked once, on
-    the merged sum.  pairs must not be empty: the ring is its first
-    operator's, and every operator must share it.
+    base is a linear combination of operators, (c_j, B_j) pairs with c_j
+    nonzero; each B_j adds its flat packed term list (PolyDiffOp.
+    _leibniz_table) scaled by c_j through one poly.add_scaled_terms call, so
+    a combination that cancels leaves nothing behind, and a rule value met
+    on pair after pair is packed once.  The subset-0 Leibniz terms
+    f g d^(mu + nu) of P o A and A o P are equal, so each commutator
+    expands only the subsets of order at least 1 (_leibniz), and a
+    commutator with a zero operand, checked for its ring, is skipped.
+    Every product of terms lands in the same accumulator, and
+    _operator_from_packed decodes it in one pass, under one term-budget
+    check on the surviving derivatives and the largest surviving
+    coefficient: a derivative all of whose terms cancel is not counted.
+    pairs must not be empty: the ring is its first operator's, and every
+    operator must share it.
     """
     ring = pairs[0][0].ring
     acc: dict = {}
-    _add_combination(acc, ring, base)
+    for c, B in base:
+        check_same_ring(ring, B.ring)
+        add_scaled_terms(acc, B._leibniz_table()[2], c)
     for P, A in pairs:
         check_same_ring(ring, P.ring)
         check_same_ring(ring, A.ring)
         if P.terms and A.terms:
             _leibniz(acc, P, A, 1)
             _leibniz(acc, A, P, 1, sign=-1)
-    return operator_from_sum(ring, acc)
+    return _operator_from_packed(ring, acc)
 
 
 class SymbolMap:
@@ -549,11 +627,18 @@ def lie_derivative_op(X: Poly) -> PolyDiffOp:
 def linear_combination(ring: Ring, ops: list[PolyDiffOp], weights) -> PolyDiffOp:
     """sum_j weights[j] * ops[j], in one raw accumulator; a zero weight adds nothing.
 
-    Each weight is read by poly.rat, and the sum becomes an operator through
-    operator_from_sum, under one term-budget check.
+    Each weight is read by poly.rat, each coefficient of each operator is
+    added raw into a {mu: {exponent: coefficient}} accumulator through
+    poly.add_scaled_terms, and the sum becomes an operator through
+    operator_from_sum, under one term-budget check.  A one-shot sum reads
+    no Leibniz table, so nothing is packed.
     """
     acc: dict = {}
-    _add_combination(acc, ring, [(c, op) for op, w in zip(ops, weights) if (c := rat(w))])
+    for op, w in zip(ops, weights):
+        if c := rat(w):
+            check_same_ring(ring, op.ring)
+            for mu, coeff in op.terms.items():
+                add_scaled_terms(acc.setdefault(mu, {}), coeff.terms.items(), c)
     return operator_from_sum(ring, acc)
 
 

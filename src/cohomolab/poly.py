@@ -185,11 +185,12 @@ def add_scaled_terms(acc: dict, terms, c: Coeff) -> None:
     c must be nonzero: c = 0 makes the sum 0 at a key not yet in acc, and
     its deletion raises KeyError.  The one sparse accumulator, outside
     operators._leibniz: Poly + and - (Poly._merge), add_product (so
-    Poly.__mul__ and PolyDiffOp.apply), operators._add_combination
-    (commutator_sum's base and linear_combination, so PolyDiffOp + and -
-    and scale), parse_op, SymbolMap.from_operator,
-    BilinearOp.operator_for_field and the elimination step of
-    linalg.RowReducer.add_row.  Coefficients stay unnormalized.
+    Poly.__mul__ and PolyDiffOp.apply), operators.linear_combination (so
+    PolyDiffOp + and - and scale), commutator_sum's base (one call per
+    operator, over its flat packed term list), parse_op,
+    SymbolMap.from_operator, BilinearOp.operator_for_field and the
+    elimination step of linalg.RowReducer.add_row.  Coefficients stay
+    unnormalized.
     """
     for e, v in terms:
         s = acc.get(e)
@@ -514,7 +515,13 @@ def parse_poly(ring: Ring, text: str) -> Poly:
 
 
 def check_vector_field(X: Poly) -> Poly:
-    """Validate the degree-1 symbol identification of a vector field."""
-    if not X.is_zero() and X.xi_degree() != 1:
-        raise StructureError("a vector field symbol must have xi-degree exactly 1")
+    """Validate the degree-1 symbol identification of a vector field.
+
+    One loop over the terms, stopped at the first of xi-degree other than 1;
+    the zero field passes.
+    """
+    n = X.ring.n
+    for e in X.terms:
+        if sum(e[n:]) != 1:
+            raise StructureError("a vector field symbol must have xi-degree exactly 1")
     return X

@@ -254,8 +254,9 @@ def test_operator_for_field_skips_terms_above_the_field_degree(monkeypatch):
 def test_operator_for_field_refuses_a_symbol_that_is_not_a_vector_field():
     # x1^2 xi1 xi2 once gave (-8/3*xi2) * dxi1 + (2*xi1*xi2) * dxi1^2 and
     # x1^2 gave (2) * dxi1^2, where lie_derivative_op and divergence refuse both
+    # a field with a degree-1 term beside a degree-2 term is refused too
     c = builtin_c1(2, 3)
-    for P in (x(0) * x(0) * xi(0) * xi(1), x(0) * x(0)):
+    for P in (x(0) * x(0) * xi(0) * xi(1), x(0) * x(0), x(0) * xi(0) + xi(0) * xi(1)):
         with pytest.raises(StructureError, match="^a vector field symbol must have xi-degree"
                                                  " exactly 1$"):
             c.evaluate(P)
@@ -266,7 +267,7 @@ def test_operator_for_field_refuses_a_symbol_that_is_not_a_vector_field():
 
 def test_operator_for_field_respects_the_term_budget(monkeypatch):
     # the field's operator is built by operators.operator_from_sum, as in
-    # compose, so it meets the same term-budget check
+    # linear_combination, so it meets the term-budget check of compose
     C = build_bilinear(second_class_coefficients(2, 3), 2)
     X = x(0) * x(1) * xi(0)
     op = C.operator_for_field(X)

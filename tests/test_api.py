@@ -167,7 +167,8 @@ def test_memo_inventory_is_pinned():
                         if lazy:
                             slots[node.name] = lazy
     assert decorated == {"_simplex", "_symbol_images", "_leibniz_survivors", "active_vars",
-                         "single_ring", "ansatz_term_op", "monomial_section", "_lower_indices"}
+                         "single_ring", "ansatz_term_op", "monomial_section", "_lower_indices",
+                         "_pack", "_unpack"}
     assert calling == {"_vanishing_system"}
     assert slots == {"Poly": {"_hash", "_ham"}, "PolyDiffOp": {"_table"}}
 
@@ -218,7 +219,7 @@ def test_sparse_accumulators_are_pinned():
 
     "Add c * v at a key and drop the key when the sum reaches 0" has one
     implementation, poly.add_scaled_terms, and operators._leibniz keeps its
-    own loop over nested keys on the hottest path.  Any other sum goes
+    own loop over packed keys on the hottest path.  Any other sum goes
     through add_scaled_terms.
     """
     deleting = {node.name

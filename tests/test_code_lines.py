@@ -44,8 +44,8 @@ CODE_LINES = {
     "cohomolab/cli.py": 182,
     "cohomolab/cocycles.py": 211,
     "cohomolab/linalg.py": 60,
-    "cohomolab/operators.py": 262,
-    "cohomolab/poly.py": 273,
+    "cohomolab/operators.py": 301,
+    "cohomolab/poly.py": 275,
     "cohomolab/quantization.py": 141,
     "cohomolab/report.py": 194,
     "cohomolab/symbols.py": 58,

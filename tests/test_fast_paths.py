@@ -5,7 +5,9 @@ disjoint, commutator_sum a commutator with a zero operand, apply a term
 whose derivative of p is 0, SymbolMap.from_operator reads its xi-images from
 a table, and BilinearOp.operator_for_field takes only the field
 derivatives that survive, by looking up the parts s <= e of each field
-term x^e.
+term x^e.  compose and commutator_sum add every product at a packed integer
+key, _WIDTH bits per variable, and refuse an entry that could carry from
+one field into the next.
 Each answer must equal the definition's: exact_helpers.leibniz_reference,
 the Leibniz sum over every s <= mu, and exact_helpers.symbol_map_reference,
 the canonical form with falling(v, beta) computed term by term.
@@ -13,6 +15,8 @@ the canonical form with falling(v, beta) computed term by term.
 
 import random
 from fractions import Fraction
+from math import comb
+from operator import add
 
 import pytest
 
@@ -20,7 +24,7 @@ from cohomolab import operators
 from cohomolab.ansatz import AnsatzCoefficients, build_bilinear
 from cohomolab.cocycles import second_class_coefficients
 from cohomolab.operators import PolyDiffOp, commutator_sum, lie_derivative_op
-from cohomolab.poly import Poly, StructureError, single_ring
+from cohomolab.poly import Poly, ResourceLimitError, StructureError, single_ring
 
 from exact_helpers import bilinear_value, leibniz_reference, symbol_map_reference
 from plane_ring import R2, x, xi
@@ -155,9 +159,10 @@ def test_disjoint_supports_read_no_survivors(monkeypatch):
     asked = []
     survivors = operators._leibniz_survivors
 
-    def recording(mu, e, lowest):
-        asked.append((mu, e, lowest))
-        return survivors(mu, e, lowest)
+    def recording(mu, e, lowest, m):
+        # the survivors are keyed by packed multi-indices: record them as tuples
+        asked.append((operators._unpack(mu, m), operators._unpack(e, m), lowest))
+        return survivors(mu, e, lowest, m)
 
     monkeypatch.setattr(operators, "_leibniz_survivors", recording)
     D1 = PolyDiffOp.derivative(R2, 0)
@@ -199,3 +204,102 @@ def test_a_derivative_that_kills_all_of_s_k_adds_no_entry():
         assert A.symbol_map(2).entries == symbol_map_reference(A, 2) != {}
         assert D.symbol_map(3).entries == symbol_map_reference(D, 3) != {}
     assert PolyDiffOp.zero(R2).symbol_map(2).is_zero()
+
+
+def monomial_op(ring, terms):
+    """The operator sum c x^e d^mu over (mu, e, c) triples."""
+    return PolyDiffOp(ring, {mu: Poly.monomial(ring, e, c) for mu, e, c in terms})
+
+
+def test_entries_at_the_packed_width_compose_and_commute_exactly():
+    # the largest packable entry, in exponents and derivatives: sums of two
+    # reach 2^W - 2 in a field, and nothing carries into the next.
+    # leibniz_reference sums comb(mu, s) over every s <= mu, too slow at a
+    # derivative entry of 2^(W - 1) - 1, so its left operands keep small
+    # derivatives, and the products with H on the left are written out
+    # term by term from the Leibniz rule
+    top = 2 ** (operators._WIDTH - 1) - 1
+    P = monomial_op(R2, [((1, 0, 0, 0), (top, 0, 0, 1), 1),
+                         ((0, 0, 0, 2), (0, 2, top, 0), Fraction(3, 2))])
+    A = monomial_op(R2, [((0, 0, 0, 1), (0, 1, 0, top), -2),
+                         ((1, 0, 0, 0), (1, 0, 0, 0), 1)])
+    H = monomial_op(R2, [((0, top, 0, top), (top, 2, top, 0), 1)])
+    ops = {"P": P, "A": A, "H": H}
+    reference = {(left, right): leibniz_reference(ops[left], ops[right])
+                 for left in "PA" for right in "PAH"}
+    for (left, right), composed in reference.items():
+        assert ops[left].compose(ops[right]) == composed
+        if right != "H":
+            assert ops[left].commutator(ops[right]) == composed - reference[right, left]
+    assert P.compose(P).terms[(2, 0, 0, 0)] == Poly.monomial(R2, (2 * top, 0, 0, 2))
+    assert A.compose(A).terms[(0, 0, 0, 2)] == Poly.monomial(R2, (0, 2, 0, 2 * top), 4)
+    pair = comb(top, 2)
+    assert H.compose(H) == monomial_op(R2, [
+        ((0, 2 * top, 0, 2 * top), (2 * top, 4, 2 * top, 0), 1),
+        ((0, 2 * top - 1, 0, 2 * top), (2 * top, 3, 2 * top, 0), 2 * top),
+        ((0, 2 * top - 2, 0, 2 * top), (2 * top, 2, 2 * top, 0), 2 * pair)])
+    H_P = monomial_op(R2, [
+        ((1, top, 0, top), (2 * top, 2, top, 1), 1),
+        ((1, top, 0, top - 1), (2 * top, 2, top, 0), top),
+        ((0, top, 0, top + 2), (top, 4, 2 * top, 0), Fraction(3, 2)),
+        ((0, top - 1, 0, top + 2), (top, 3, 2 * top, 0), 3 * top),
+        ((0, top - 2, 0, top + 2), (top, 2, 2 * top, 0), 3 * pair)])
+    assert H.compose(P) == H_P
+    assert H.commutator(P) == H_P - reference["P", "H"]
+    assert commutator_sum([(P, A), (H, P)], base=[(2, P), (-1, H)]) == (
+        P.scale(2) - H + reference["P", "A"] - reference["A", "P"] + H_P - reference["P", "H"])
+
+
+def test_an_entry_past_the_packed_width_is_refused():
+    width = operators._WIDTH
+    past = 2 ** (width - 1)
+    I = PolyDiffOp.identity(R2)
+    high_exponent = monomial_op(R2, [((1, 0, 0, 0), (0, past, 0, 0), 1)])
+    high_derivative = monomial_op(R2, [((0, 0, past, 0), (1, 0, 0, 0), 1)])
+    for op in (high_exponent, high_derivative):
+        for run in (lambda: op.compose(I), lambda: I.compose(op),
+                    lambda: op.commutator(high_exponent), lambda: commutator_sum([(I, I)], [(1, op)])):
+            with pytest.raises(ResourceLimitError, match=f"packed width of {width} bits"):
+                run()
+    # a product whose entries reach past the width is exact, and refused
+    # when it is composed again: x2^k d_xi1^k o x2^k d_xi1^k = x2^2k d_xi1^2k,
+    # since d_xi1 does not touch x2
+    below = monomial_op(R2, [((0, 0, past - 1, 0), (0, past - 1, 0, 0), 1)])
+    square = below.compose(below)
+    assert square == monomial_op(R2, [((0, 0, 2 * past - 2, 0), (0, 2 * past - 2, 0, 0), 1)])
+    with pytest.raises(ResourceLimitError, match=f"packed width of {width} bits"):
+        square.compose(I)
+
+
+def test_packing_round_trips_and_a_sum_of_keys_never_carries():
+    rng = random.Random(4701)
+    top = 2 ** (operators._WIDTH - 1) - 1
+    for m in (4, 6, 8):
+        for _ in range(40):
+            t, u = (tuple(rng.choice((0, 1, rng.randint(0, top), top)) for _ in range(m))
+                    for _ in range(2))
+            assert operators._unpack(operators._pack(t), m) == t
+            assert (operators._unpack(operators._pack(t) + operators._pack(u), m)
+                    == tuple(map(add, t, u)))
+
+
+def test_derivatives_that_cancel_are_not_counted_by_the_term_budget(monkeypatch):
+    P = monomial_op(R2, [((1, 0, 0, 0), (0, 1, 0, 1), 1), ((0, 0, 1, 0), (2, 0, 0, 0), 3)])
+    A = monomial_op(R2, [((0, 1, 0, 0), (1, 0, 1, 0), 1), ((0, 0, 0, 1), (0, 2, 0, 0), -1)])
+    bracket = P.commutator(A)
+    assert len(bracket.terms) > 1
+    assert max(len(c.terms) for c in bracket.terms.values()) >= 1
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "1")
+    # every derivative key of the sum cancels: the zero operator, under a
+    # budget of one term
+    assert commutator_sum([(P, A)], base=[(-1, bracket)]).is_zero()
+    assert commutator_sum([(P, A), (A, P)]).is_zero()
+    B = monomial_op(R2, [((1, 0, 0, 0), (0, 1, 0, 0), 1), ((0, 1, 0, 0), (1, 0, 0, 0), 2),
+                         ((0, 0, 1, 0), (0, 0, 0, 0), 5)])
+    assert commutator_sum([(P, A)], base=[(-1, bracket), (1, B), (-1, B)]).is_zero()
+    # one surviving derivative of one term is within the budget, two are not
+    one = monomial_op(R2, [((1, 0, 0, 0), (0, 1, 0, 0), 1)])
+    assert commutator_sum([(P, A)], base=[(-1, bracket), (1, B), (-1, B), (1, one)]) == one
+    two = monomial_op(R2, [((0, 1, 0, 0), (1, 0, 0, 0), 2)])
+    with pytest.raises(ResourceLimitError, match="^2 terms of an operator or of its largest"):
+        commutator_sum([(P, A)], base=[(-1, bracket), (1, one), (1, two)])

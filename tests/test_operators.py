@@ -323,8 +323,10 @@ def test_filled_leibniz_tables_never_change_an_answer():
                         filled, reference = {}, {}
                         operators._leibniz(filled, P, Q, lowest, sign)
                         operators._leibniz(reference, fresh(P), fresh(Q), lowest, sign)
-                        assert ([(key, list(c.items())) for key, c in filled.items()]
-                                == [(key, list(c.items())) for key, c in reference.items()])
+                        # the flat packed accumulators, and what they decode to
+                        assert list(filled.items()) == list(reference.items())
+                        assert (layout(operators._operator_from_packed(P.ring, filled))
+                                == layout(operators._operator_from_packed(P.ring, reference)))
             for op, text in zip((A, B, C), texts):
                 assert op._table is not None
                 assert op == fresh(op) and fresh(op) == op
@@ -390,19 +392,21 @@ def test_leibniz_matches_the_definitional_expansion():
                 for lowest, sign in product((0, 1), (1, -1)):
                     acc = {}
                     operators._leibniz(acc, left, right, lowest, sign)
-                    assert (operators.operator_from_sum(ring, acc)
+                    assert (operators._operator_from_packed(ring, acc)
                             == leibniz_reference(left, right, lowest, sign))
 
 
 def test_constant_coefficient_products_list_only_the_empty_subset(monkeypatch):
     # ansatz_term_op composes constant-coefficient contraction operators, so
     # every pair of terms keeps s = 0 alone, with binomial 1
+    # with packed keys: the offset of (mu - 0, e - 0) is the packed mu shifted
+    # past the exponent fields, plus the packed e
     listed = []
     survivors = operators._leibniz_survivors
 
-    def recording(mu, e, lowest):
-        out = survivors(mu, e, lowest)
-        listed.append((mu, e, out))
+    def recording(mu, e, lowest, m):
+        out = survivors(mu, e, lowest, m)
+        listed.append((mu, e, m, out))
         return out
 
     monkeypatch.setattr(operators, "_leibniz_survivors", recording)
@@ -410,9 +414,9 @@ def test_constant_coefficient_products_list_only_the_empty_subset(monkeypatch):
         op = ansatz_term_op.__wrapped__(2, kind, s, 2)
         assert not op.is_zero()
     assert listed
-    for mu, e, out in listed:
-        assert not any(e)
-        assert out == ((mu, e, 1),)
+    for mu, e, m, out in listed:
+        assert not any(operators._unpack(e, m))
+        assert out == (((mu << (operators._WIDTH * m)) + e, 1),)
     # a commutator keeps only |s| >= 1, so a constant right operand is
     # skipped whole and lists nothing
     D = divergence_diffop(single_ring(4))
