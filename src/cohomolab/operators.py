@@ -62,8 +62,9 @@ ansatz.cocycle_defects, shared by cocycle_check and the cocycle filter;
 the direct solver calls it once per equivariance defect.  The term budget
 is checked once per call, on the larger of the output's surviving
 derivatives and its largest merged coefficient's term count; the second
-stands in for a check on every coefficient product.  That check compares against the
-budget its driver read once (poly.budget_scope), not the environment.
+stands in for a check on every coefficient product.  That check compares
+against the budget its driver read once (poly.budget_scope), not the
+environment.
 
 hamiltonian_op builds the Hamiltonian field of a symbol once per Poly
 object, as an operator kept in the Poly's _ham slot: lie_derivative_op is
@@ -78,10 +79,11 @@ survive, read from a table of the multi-indices below each field exponent,
 and builds through operator_from_sum.  Every sum outside _leibniz goes
 through one sparse accumulator, poly.add_scaled_terms: linear_combination
 (and so PolyDiffOp + and -, and PolyDiffOp.scale, its one-term case) adds
-each coefficient raw into a tuple-keyed accumulator, commutator_sum's base
-adds each operator's flat packed term list in one call; apply adds its products through poly.add_product,
-the raw product behind Poly.__mul__; SymbolMap.from_operator and parse_op
-add their terms through it too.  op_str and parse_op write and read
+each coefficient raw into a tuple-keyed accumulator, and commutator_sum's
+base adds each operator's flat packed term list in one call; apply adds
+its products through poly.add_product, the raw product behind
+Poly.__mul__; SymbolMap.from_operator and parse_op add their terms
+through it too.  op_str and parse_op write and read
 derivative factors with poly.monomial_factors and poly.parse_monomial, the
 codec of poly_str and parse_poly.
 

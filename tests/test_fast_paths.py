@@ -258,7 +258,8 @@ def test_an_entry_past_the_packed_width_is_refused():
     high_derivative = monomial_op(R2, [((0, 0, past, 0), (1, 0, 0, 0), 1)])
     for op in (high_exponent, high_derivative):
         for run in (lambda: op.compose(I), lambda: I.compose(op),
-                    lambda: op.commutator(high_exponent), lambda: commutator_sum([(I, I)], [(1, op)])):
+                    lambda: op.commutator(high_exponent),
+                    lambda: commutator_sum([(I, I)], [(1, op)])):
             with pytest.raises(ResourceLimitError, match=f"packed width of {width} bits"):
                 run()
     # a product whose entries reach past the width is exact, and refused
