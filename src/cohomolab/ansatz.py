@@ -62,7 +62,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
 from .operators import (PolyDiffOp, commutator_sum, hamiltonian_op, lie_derivative_op,
                         linear_combination, operator_from_sum, xi_simplex)
-from .poly import (Coeff, Exponent, Poly, StructureError, add_scaled_terms, budget_scope,
+from .poly import (Coeff, Exponent, Poly, Ring, StructureError, add_scaled_terms, budget_scope,
                    check_int, check_term_budget, check_vector_field, norm_coeff, rat, rat_str,
                    single_ring, unit_deriv)
 from .symbols import schouten_bracket, sl_generators
@@ -403,13 +403,29 @@ def _validate(n: int, k: int, p: int) -> None:
 # -- direct solver -------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _unit_monomial(ring: Ring, e: Exponent) -> Poly:
+    """The coefficient-1 monomial x^e of ring, one Poly per (ring, e) per process.
+
+    The intern table of the monomial fields and of the bracket monomials
+    (field_monomials, _monomial_terms).  A field's L_X (hamiltonian_op's
+    _ham slot), its Leibniz table and its hash are kept on the object, so
+    each is built once per process.  Callers pass a checked exponent.
+    """
+    return Poly(ring, {e: 1}, _clean=True)
+
+
 def field_monomials(n: int, shapes: list[tuple[int, ...]]) -> list[Poly]:
+    """The monomial fields x^u xi_m for u in shapes and m = 0..n-1, in that order.
+
+    Each is the one interned Poly of its exponent (_unit_monomial), checked
+    by Ring.exponent before the lookup, so every call returns the same
+    objects and a field is differentiated once per process.  The fields are
+    shared and must not be mutated.
+    """
     ring = single_ring(n)
-    out = []
-    for u in shapes:
-        for m in range(n):
-            out.append(Poly.monomial(ring, tuple(u) + unit_deriv(ring, ring.xi(m))[n:]))
-    return out
+    return [_unit_monomial(ring, ring.exponent(tuple(u) + unit_deriv(ring, ring.xi(m))[n:]))
+            for u in shapes for m in range(n)]
 
 
 def _add_rows(reducer: RowReducer, ops: list[PolyDiffOp], k: int) -> None:
@@ -463,19 +479,16 @@ def _scaled_nullspace(reducer: RowReducer, scales: list[Coeff]) -> list[list[Coe
             for f, vec in zip(free, reducer.nullspace())]
 
 
-def _monomial_terms(F: Poly, memo: dict) -> list[tuple[Coeff, Poly]]:
-    """F = sum_m c_m x^m as its (c_m, x^m) pairs, each x^m a coefficient-1 monomial.
+def _monomial_terms(F: Poly) -> list[tuple[Coeff, Poly]]:
+    """F = sum_m c_m x^m as its (c_m, x^m) pairs, each x^m the interned monomial.
 
-    memo maps an exponent m to the one Poly x^m built for it, so a rule
-    memoized by its field meets one key per monomial, hashed once.
+    x^m comes from _unit_monomial, the table of field_monomials, so a rule
+    memoized by its field meets one key per monomial per process, hashed
+    once, and a monomial that is also a test field is that field.  F's keys
+    are clean exponents, so they go to the table unchecked.
     """
-    out = []
-    for e, c in F.terms.items():
-        unit = memo.get(e)
-        if unit is None:
-            unit = memo[e] = Poly(F.ring, {e: 1}, _clean=True)
-        out.append((c, unit))
-    return out
+    ring = F.ring
+    return [(c, _unit_monomial(ring, e)) for e, c in F.terms.items()]
 
 
 def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
@@ -492,12 +505,13 @@ def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
     formed as one commutator_sum; r is a cocycle on the pairs iff every D_r
     is zero.  The rule is evaluated on monomial fields only: r is linear, so
     [Y, Z] = sum_m c_m x^m gives r([Y, Z]) = sum_m c_m r(x^m) exactly, and
-    the pairs (c_m, r(x^m)) are the commutator_sum's base (_monomial_terms,
-    one memo per call).  A bracket of two monomial fields has at most two
-    terms; a vanishing bracket gives an empty base.  L_F is
+    the pairs (c_m, r(x^m)) are the commutator_sum's base, each x^m the
+    interned monomial of _monomial_terms.  A bracket of two monomial fields
+    has at most two terms; a vanishing bracket gives an empty base.  L_F is
     hamiltonian_op(F), kept in F's _ham slot, and the bracket
     schouten_bracket(Y, Z) applies that same L_Y, so each field is
-    differentiated once, not once per pair.
+    differentiated once, not once per pair; the fields of field_monomials
+    are interned, so once per process.
 
     The pairs must be vector fields (xi-degree 1): the defect above is the
     cocycle identity only for them, and hamiltonian_op, unlike
@@ -509,10 +523,9 @@ def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
     rule that should build each field's operator once is memoized by the
     caller.  Pairs are formed only as the caller draws them.
     """
-    units: dict = {}
     for Y, Z in pairs:
         L_Y, L_Z = hamiltonian_op(Y), hamiltonian_op(Z)
-        bracket = _monomial_terms(schouten_bracket(Y, Z), units)
+        bracket = _monomial_terms(schouten_bracket(Y, Z))
         yield Y, Z, [commutator_sum([(L_Z, r(Y)), (r(Z), L_Y)],
                                     base=[(c, r(m)) for c, m in bracket])
                      for r in rules]
@@ -592,9 +605,8 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
 
     X = sl_generators(n).quadratic[0]
     L_X = lie_derivative_op(X)
-    units: dict = {}
     for Y in field_monomials(n, [u for d in range(2, p + 1) for u in xi_simplex(n, d)]):
-        bracket = _monomial_terms(schouten_bracket(X, Y), units)
+        bracket = _monomial_terms(schouten_bracket(X, Y))
         _add_rows(reducer, [commutator_sum([(L_X, r(Y))],
                                            base=[(-c, r(m)) for c, m in bracket])
                             for r in rules], k)

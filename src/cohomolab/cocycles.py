@@ -105,7 +105,8 @@ def monomial_fields(n: int, max_degree: int) -> list[Poly]:
     """All monomial vector fields x^u xi_m with |u| <= max_degree, canonical order.
 
     Their count (_field_count) is checked against the term budget before any
-    is listed.
+    is listed.  They are field_monomials' interned objects, the same on
+    every call, so they must not be mutated.
     """
     _field_count(n, max_degree)
     return field_monomials(n, monomials_up_to(n, max_degree))

@@ -70,7 +70,11 @@ hamiltonian_op builds the Hamiltonian field of a symbol once per Poly
 object, as an operator kept in the Poly's _ham slot: lie_derivative_op is
 that field of a vector field, and symbols.schouten_bracket,
 symbols.hamiltonian_action and module_action apply it.  So a field met in
-many pairs is differentiated once, not once per bracket.
+many pairs is differentiated once, not once per bracket.  The test fields
+are one object each per process: the monomial fields and bracket
+monomials come from one intern table (ansatz.field_monomials) and the
+sl(n+1) generators from one family per n (symbols.sl_generators), so each
+of their L_X is built once per process, not once per call.
 
 Term differentiation lives in poly.diff_terms, shared with Poly.diff_multi
 and PolyDiffOp.apply (which skips a term whose derivative of p is 0).
@@ -316,11 +320,13 @@ def operator_from_sum(ring: Ring, acc: dict) -> "PolyDiffOp":
     The last step of linear_combination, parse_op and
     ansatz.BilinearOp.operator_for_field: the coefficients are normalized
     and empty ones dropped.  The term-budget check is on the larger of the
-    operator's term count and the term count of its largest merged
-    coefficient; the second stands in for the per-product checks that a
-    Poly product would make.
+    operator's surviving term count (its non-empty coefficients, as
+    _operator_from_packed counts them) and the term count of its largest
+    merged coefficient; the second stands in for the per-product checks
+    that a Poly product would make.
     """
-    check_term_budget(max(len(acc), max(map(len, acc.values()), default=0)),
+    check_term_budget(max(sum(1 for terms in acc.values() if terms),
+                          max(map(len, acc.values()), default=0)),
                       "terms of an operator or of its largest coefficient")
     return PolyDiffOp(ring, {mu: Poly(ring, {e: norm_coeff(c) for e, c in terms.items()},
                                       _clean=True)

@@ -17,6 +17,9 @@ multiplication cocycles attached to a closed polynomial 1-form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .operators import divergence_diffop, hamiltonian_op
 from .poly import (Poly, Ring, StructureError, check_same_ring, check_vector_field, rat,
@@ -54,11 +57,15 @@ class GeneratorFamily:
     translations[i]      X_i   = xi_i
     linear[(i, j)]       X_ij  = x^i xi_j
     quadratic[i]         Xbar_i = x^i (x^j xi_j)
+
+    sl_generators returns one family per n, shared by every caller: linear
+    is a read-only mapping, all() and affine() return new lists, and the
+    Polys must not be mutated.
     """
 
     n: int
     translations: tuple[Poly, ...]
-    linear: dict[tuple[int, int], Poly]
+    linear: Mapping[tuple[int, int], Poly]
     quadratic: tuple[Poly, ...]
 
     def all(self) -> list[Poly]:
@@ -68,14 +75,21 @@ class GeneratorFamily:
         return list(self.translations) + [self.linear[k] for k in sorted(self.linear)]
 
 
+@lru_cache(maxsize=None, typed=True)
 def sl_generators(n: int) -> GeneratorFamily:
-    """Generators of the projective action on R^n; requires n >= 2 (poly.Ring)."""
+    """Generators of the projective action on R^n; requires n >= 2 (poly.Ring).
+
+    One family per n per process, so each generator's L_X (hamiltonian_op's
+    _ham slot), Leibniz table and hash are built once.  The cache is typed
+    like operators._simplex, so a float or bool n misses the int entry it
+    compares equal to and reaches single_ring's check.
+    """
     ring = single_ring(n)
     translations = tuple(Poly.variable(ring, ring.xi(i)) for i in range(n))
-    linear = {
+    linear = MappingProxyType({
         (i, j): Poly.variable(ring, ring.x(i)) * Poly.variable(ring, ring.xi(j))
         for i in range(n) for j in range(n)
-    }
+    })
     E = euler_field(n)
     quadratic = tuple(Poly.variable(ring, ring.x(i)) * E for i in range(n))
     return GeneratorFamily(n, translations, linear, quadratic)

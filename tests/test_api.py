@@ -168,7 +168,7 @@ def test_memo_inventory_is_pinned():
                             slots[node.name] = lazy
     assert decorated == {"_simplex", "_symbol_images", "_leibniz_survivors", "active_vars",
                          "single_ring", "ansatz_term_op", "monomial_section", "_lower_indices",
-                         "_pack", "_unpack"}
+                         "_pack", "_unpack", "_unit_monomial", "sl_generators"}
     assert calling == {"_vanishing_system"}
     assert slots == {"Poly": {"_hash", "_ham"}, "PolyDiffOp": {"_table"}}
 

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cohomolab.ansatz import AnsatzCoefficients, impose_cocycle, recurrence_solutions
+from cohomolab.ansatz import (AnsatzCoefficients, field_monomials, impose_cocycle,
+                              recurrence_solutions)
 from cohomolab.cocycles import (
     OneCocycle,
     bilinear_cocycle,
@@ -21,9 +22,10 @@ from cohomolab.cocycles import (
     trace_contraction_op,
     vanishes_on_sl,
 )
-from cohomolab.operators import PolyDiffOp, affine_equivariant_basis, divergence_diffop, module_action
+from cohomolab.operators import (PolyDiffOp, affine_equivariant_basis, divergence_diffop,
+                                 module_action, monomials_up_to)
 from cohomolab.poly import Poly, ResourceLimitError, StructureError, single_ring
-from cohomolab import cocycles, quantization
+from cohomolab import ansatz, cocycles, quantization
 from cohomolab.quantization import quantization_projected_cocycle, quantization_top_cocycle
 from cohomolab.report import quantization_report
 from cohomolab.report import certify_class
@@ -339,8 +341,11 @@ def test_cocycle_check_evaluates_each_unit_monomial_field_once():
 
 
 def test_cocycle_check_differentiates_each_field_once_not_once_per_pair(monkeypatch):
-    # 30 monomial fields of degree <= 2 at n = 3, each differentiated in its
-    # 2n variables once; one build per pair would make 6 * (30 + 435) calls
+    # 30 monomial fields of degree <= 2 at n = 3, one interned object each:
+    # with the intern table cleared, the first check differentiates each in
+    # its 2n variables once (one build per pair would make 6 * (30 + 435)
+    # calls), and a check of another cocycle over the same fields none
+    ansatz._unit_monomial.cache_clear()
     calls = []
     diff = Poly.diff
 
@@ -351,6 +356,8 @@ def test_cocycle_check_differentiates_each_field_once_not_once_per_pair(monkeypa
     monkeypatch.setattr(Poly, "diff", counting_diff)
     assert len(monomial_fields(3, 2)) == 30
     assert cocycle_check(builtin_c2(3, 3), 2).holds
+    assert len(calls) == 2 * 3 * 30
+    assert cocycle_check(builtin_c1(3, 3), 2).holds
     assert len(calls) == 2 * 3 * 30
 
 
@@ -366,6 +373,19 @@ def test_weight_half_report_rebuilds_at_most_one_operator_per_monomial(monkeypat
     report = quantization_report(2, 2, Fraction(1, 2), 2)
     assert report["projected_cocycle"] == {"identity_holds": True, "nontrivial": True}
     assert 0 < len(calls) <= 20
+
+
+@pytest.mark.parametrize("n, degree", [(2, 3), (3, 2), (4, 1)])
+def test_monomial_fields_are_one_interned_object_each(n, degree):
+    # repeated calls of monomial_fields and field_monomials return the same
+    # objects, each equal to a fresh coefficient-1 monomial
+    fields = monomial_fields(n, degree)
+    assert all(F is G for F, G in zip(fields, monomial_fields(n, degree), strict=True))
+    shapes = monomials_up_to(n, degree)
+    assert all(F is G for F, G in zip(fields, field_monomials(n, shapes), strict=True))
+    ring = single_ring(n)
+    assert fields == [Poly.monomial(ring, u + tuple(int(i == m) for i in range(n)))
+                      for u in shapes for m in range(n)]
 
 
 def test_monomial_fields_checks_the_field_count_against_the_budget(monkeypatch):

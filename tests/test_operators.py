@@ -570,6 +570,21 @@ def test_commutator_sum_respects_merged_coefficient_budget(monkeypatch):
         P - a
 
 
+def test_an_operator_sum_counts_only_its_surviving_derivatives(monkeypatch):
+    # P - P cancels at both derivatives, so under a budget of 1 it is the
+    # zero operator, as the packed decode of commutator_sum gives it; P + P
+    # keeps two derivatives with one-term coefficients and is refused
+    P = parse_op(R2, "(1*x2) * dx1 + (1*x1) * dx2")
+    I = PolyDiffOp.identity(R2)
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "1")
+    assert (P - P) == commutator_sum([(I, I)], base=[(1, P), (-1, P)]) == PolyDiffOp.zero(R2)
+    assert linear_combination(R2, [P, P], [1, -1]).is_zero()
+    with pytest.raises(ResourceLimitError, match=r"^2 terms of an operator"):
+        P + P
+    with pytest.raises(ResourceLimitError, match=r"^2 terms of an operator"):
+        commutator_sum([(I, I)], base=[(1, P), (1, P)])
+
+
 def test_negative_power_is_rejected():
     D = PolyDiffOp.derivative(R2, 0)
     assert D.power(0) == PolyDiffOp.identity(R2)

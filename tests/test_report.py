@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cohomolab import report
+from cohomolab import ansatz, report
 from cohomolab.ansatz import (FAMILIES, AnsatzCoefficients, impose_cocycle,
                               recurrence_solutions)
 from cohomolab.cocycles import (bilinear_cocycle, builtin_c1, builtin_c2, builtin_gamma1_flat,
@@ -12,7 +12,7 @@ from cohomolab.cocycles import (bilinear_cocycle, builtin_c1, builtin_c2, builti
                                 field_columns)
 from cohomolab.operators import (PolyDiffOp, affine_equivariant_basis, divergence_diffop,
                                  euler_diffop, module_action)
-from cohomolab.poly import StructureError, parse_poly, single_ring
+from cohomolab.poly import Poly, StructureError, parse_poly, single_ring
 from cohomolab.quantization import quantization_top_cocycle
 from cohomolab.report import (
     RunConfig,
@@ -231,13 +231,31 @@ def test_a_line_with_an_s_le_1_term_takes_the_bounded_loop(monkeypatch):
     assert identity.to_json() == cocycle_check(c, 3).to_json()
 
 
-def test_the_field_degree_3_table_is_pinned():
+def test_the_field_degree_3_table_is_pinned(monkeypatch):
     # no benchmark job runs at field degree 3, where the cocycle checks
     # compose the most operator pairs; this is the SHA-256 of the report's
-    # text from before the Leibniz support test and the symbol-image table
+    # text from before the Leibniz support test and the symbol-image table.
+    # The table shares the interned monomial fields and the sl(n+1)
+    # generators among its checks; after it every one still equals its
+    # fresh build, hash included, so no check mutated a shared Poly
+    interned, original = {}, ansatz._unit_monomial
+
+    def spy(ring, e):
+        interned[ring, e] = original(ring, e)
+        return interned[ring, e]
+
+    monkeypatch.setattr(ansatz, "_unit_monomial", spy)
     text = emit_report(cohomology_table(RunConfig(3, 4, max_vf_degree=3)))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "2bb1421d379a0fee188db52faf40ea6ff4b919a671ad902760491ad5cfd59427")
+    assert len(interned) > 100
+    for (ring, e), F in interned.items():
+        fresh = Poly.monomial(ring, e)
+        assert F == fresh and hash(F) == hash(fresh)
+    for n in (2, 3):
+        shared, fresh = sl_generators(n), sl_generators.__wrapped__(n)
+        assert shared.all() == fresh.all()
+        assert list(map(hash, shared.all())) == list(map(hash, fresh.all()))
 
 
 def test_table_reports_resource_gaps(monkeypatch):

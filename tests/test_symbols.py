@@ -164,11 +164,21 @@ def test_sl_generator_counts():
     assert len(fam.linear) == 4
     assert len(fam.quadratic) == 2
     assert fam.quadratic[0] == x(0) * (x(0) * xi(0) + x(1) * xi(1))
+    # one shared family per n: its linear map is read-only, its lists are
+    # new on every call, and it equals a fresh build
+    assert sl_generators(2) is fam
+    with pytest.raises(TypeError):
+        fam.linear[(0, 0)] = xi(0)
+    assert fam.all() is not fam.all() and fam.affine() is not fam.affine()
+    assert fam.all() == sl_generators.__wrapped__(2).all()
 
 
-def test_sl_generators_require_dim_2():
+@pytest.mark.parametrize("n", [1, 2.0, True])
+def test_sl_generators_require_dim_2(n):
+    # 2.0 and True compare equal to the cached int entry and are still refused
+    sl_generators(2)
     with pytest.raises(StructureError):
-        sl_generators(1)
+        sl_generators(n)
 
 
 def monomial_coords(polys, ring):
