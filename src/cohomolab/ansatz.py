@@ -619,13 +619,22 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
 def cocycle_filter_pairs(n: int, p: int) -> Iterator[tuple[Poly, Poly]]:
     """The field pairs impose_cocycle imposes the cocycle identity on, in order.
 
-    Every unordered pair of monomial fields (x^u xi_m, x^v xi_l) with
-    |u|, |v| >= 2 and |u| + |v| <= p + 2, drawn lazily in ascending
-    |u| + |v|; none for p <= 1.  Within one |u| + |v| the pairs come in
-    the order of combinations over the fields sorted by degree.
+    None for p <= 1.  For p >= 2 the quadratic block, |u| = |v| = 2, is the
+    two pairs (x1^2 xi1, x1 x2 xi1) and (x1^2 xi1, x2^2 xi2), which generate
+    every pair of quadratic fields under gl(n) (impose_cocycle, step 3), so
+    the block is 2 pairs at every n.  Then every unordered pair of monomial
+    fields (x^u xi_m, x^v xi_l) with |u|, |v| >= 2 and
+    5 <= |u| + |v| <= p + 2, drawn lazily in ascending |u| + |v|; within
+    one |u| + |v| the pairs come in the order of combinations over the
+    fields sorted by degree.  Every field is field_monomials' interned one.
     """
+    if p < 2:
+        return
+    x1x1, x1x2, x2x2 = (field_monomials(n, [u + (0,) * (n - 2)])
+                        for u in ((2, 0), (1, 1), (0, 2)))
+    yield from ((x1x1[0], x1x2[0]), (x1x1[0], x2x2[1]))
     fields = [(d, Y) for d in range(2, p + 1) for Y in field_monomials(n, xi_simplex(n, d))]
-    for total in range(4, p + 3):
+    for total in range(5, p + 3):
         yield from ((Y, Z) for (d, Y), (e, Z) in combinations(fields, 2) if d + e == total)
 
 
@@ -644,9 +653,10 @@ def impose_cocycle(space: SolutionSpace) -> SolutionSpace:
     Two row sets are imposed, each exactly on S_k (_add_rows): the
     vanishing rows C(G, .) = 0 for every projective generator G
     (_vanishing_system, shared with solve_equivariant_direct), and the
-    rows dC(Y, Z) = 0 on the pairs of cocycle_filter_pairs, the monomial
-    pairs x^u xi_m, x^v xi_l with |u|, |v| >= 2 and |u| + |v| <= p + 2.
-    Every row is necessary, and the set is proved complete below.
+    rows dC(Y, Z) = 0 on the pairs of cocycle_filter_pairs: the two
+    quadratic pairs (x1^2 xi1, x1 x2 xi1) and (x1^2 xi1, x2^2 xi2), and the
+    monomial pairs x^u xi_m, x^v xi_l with |u|, |v| >= 2 and
+    5 <= |u| + |v| <= p + 2.  The set is proved complete below.
 
     Proof of completeness.  Let C satisfy every row.  Weights are those of
     solve_equivariant_direct's proof: x^u xi_m has weight |u| - 1 and each
@@ -654,16 +664,45 @@ def impose_cocycle(space: SolutionSpace) -> SolutionSpace:
 
     1. Every ansatz vector is affine-equivariant, term by term
        (solve_equivariant_direct, step 2): [L_A, C(Z, .)] = C([A, Z], .)
-       for every affine field A and every field Z.
+       for every affine field A and every field Z.  So the Lie derivative
+       of the cochain C along A is 0; it commutes with d, so
+           [L_A, dC(Y, Z)] = dC([A, Y], Z) + dC(Y, [A, Z]).
     2. Given the vanishing rows, C(A, .) = 0 on S_k for affine A, so by 1
        dC(A, Z) = C([A, Z], .) - [L_A, C(Z, .)] + [L_Z, C(A, .)] = 0.  By
        antisymmetry every pair with an affine member has zero defect.
-    3. Translation step.  1 says the Lie derivative of the cochain C along
-       an affine A is 0; it commutes with d, so for a translation T
+    3. Quadratic block.  Let V2 be the span of the quadratic fields x^u xi_m,
+       |u| = 2, and E_ij = x^i xi_j, which span gl(n) and act on the
+       exterior square of V2 by E.(Y ^ Z) = [E, Y] ^ Z + Y ^ [E, Z].
+       a. Submodule.  L_E preserves S_k and S_{k-p}, so by 1's identity
+          the w with dC(w) = 0 on S_k form a gl(n)-submodule W; this holds
+          for every C of the span, cocycle or not.  The two quadratic rows
+          put both pairs in W.
+       b. Closure.  At n = 2 and 3 the exact gl(n)-closure of the two pairs
+          is the whole exterior square, of dimension 15 and 153.  Neither
+          pair generates it alone.
+       c. Permutations.  A permutation matrix is an element of GL+(n)
+          times a diagonal sign matrix, which scales each monomial pair, a
+          weight vector of the diagonal E_ii, by +-1; so W is stable under
+          the permutations of the coordinates.  So b at n = 3, on the
+          gl(3) of the first three coordinates, puts in W every monomial
+          pair that uses at most three coordinates, for every n >= 3.
+       d. Index reduction.  A pair (Y, Z) = (x^u xi_m, x^v xi_l) has six
+          slots: two x-slots and the xi-slot of each field.  If it uses
+          four coordinates or more, one of them fills exactly one slot,
+          and by antisymmetry that slot is the xi-slot of Z or an x-slot
+          of Y.  If it is l, then for any used a != m, l
+              Y ^ Z = -E_al.(Y ^ x^v xi_a);
+          if it is x_b in u, then for any used a != b not in v
+              Y ^ Z = E_ba.(x^(u - e_b + e_a) xi_m ^ Z) / (u_a + 1).
+          Each right-hand pair uses one coordinate fewer, so by induction
+          from c every monomial pair lies in W.
+       So dC = 0 on every pair of quadratic fields.
+    4. Translation step.  For a translation T, 1 gives
            [L_T, dC(Y, Z)] = dC([T, Y], Z) + dC(Y, [T, Z]).
        Induct on |u| + |v| over monomial pairs.  A pair with |u| <= 1 or
-       |v| <= 1 has an affine member (2), and one with |u|, |v| >= 2 and
-       |u| + |v| <= p + 2 is a row.  Otherwise |u| + |v| > p + 2, and
+       |v| <= 1 has an affine member (2), one with |u| = |v| = 2 is
+       covered by 3, and one with |u|, |v| >= 2 and
+       5 <= |u| + |v| <= p + 2 is a row.  Otherwise |u| + |v| > p + 2, and
        [T, Y], [T, Z] are combinations of monomial fields one degree lower,
        so the right side is 0 by induction: dC(Y, Z) is a
        translation-invariant map S_k -> S_{k-p} of weight |u| + |v| - 2 > p,
@@ -674,8 +713,10 @@ def impose_cocycle(space: SolutionSpace) -> SolutionSpace:
     proof; the quadratic generators' vanishing rows make the answer the
     relative cocycles, as the classification wants.  At p <= 1 no pair is
     drawn, so every map of the span that vanishes on sl(n+1) is a cocycle;
-    at p = 2 the pairs are those of quadratic monomial fields.  The tests
-    check 1 on every ansatz term and that the bound is tight at p = 2.
+    at p = 2 the two quadratic pairs are all.  The tests check 1 on every
+    ansatz term, 1's identity on S_k and the moves of d on the kernels,
+    the closures of b (and that of n = 4), that either pair alone fails,
+    and that the bound is tight at p = 2.
 
     Each basis map's rule F |-> C_b(F, .) is memoized for this call and,
     through cocycle_defects, evaluated on the generators, the pairs' fields

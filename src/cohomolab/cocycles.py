@@ -157,12 +157,14 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int,
     Complete pair sets.  For an ansatz line C with no s <= 1 coefficient,
     every term differentiates the field at least twice in x (the alpha_s
     and gamma_s terms carry Dxeta^s, the beta_s term Dxxi Dxeta^(s-1): s
-    x-derivatives each), so C vanishes on the affine fields, and ansatz.impose_cocycle's proof makes
-    ansatz.cocycle_filter_pairs(n, p) complete: dC = 0 there gives dC = 0 on
-    every pair of polynomial fields.  Those pairs have |u|, |v| <= p, so the
-    default pairs at any degree >= max(2, p) contain them, and a pass there
-    is complete for such a line too.  report.certify_class passes the proved
-    set for those lines.
+    x-derivatives each), so C vanishes on the affine fields, and
+    ansatz.impose_cocycle's proof makes ansatz.cocycle_filter_pairs(n, p)
+    complete: dC = 0 there gives dC = 0 on every pair of polynomial fields.
+    Its quadratic block is two pairs, which generate every pair of
+    quadratic fields under gl(n) (that proof, step 3).  Those pairs have
+    |u|, |v| <= p, so the default pairs at any degree >= max(2, p) contain
+    them, and a pass there is complete for such a line too.
+    report.certify_class passes the proved set for those lines.
 
     Operator equality is exact equality of degree-k canonical forms.  Each
     pair's defect c([X, Y]) + [L_Y, c(X)] + [c(Y), L_X] is the one operator

@@ -298,7 +298,15 @@ def _operator_from_packed(ring: Ring, acc: dict) -> "PolyDiffOp":
     checked on the larger of the number of surviving derivatives and the
     term count of the largest surviving coefficient, as operator_from_sum
     checks a tuple accumulator.
+
+    An empty accumulator, a sum that cancelled, is the zero operator at
+    once, with no grouping pass and no budget check: zero terms never
+    exceed a budget, which is at least 1.  So outside every budget scope a
+    zero result no longer reads COHOMOLAB_MAX_TERMS; every scoped driver
+    still refuses a malformed value as it is entered (poly.budget_scope).
     """
+    if not acc:
+        return PolyDiffOp.zero(ring)
     m = ring.nvars
     shift = _WIDTH * m
     mask = (1 << shift) - 1

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -35,6 +37,7 @@ from cohomolab.operators import (PolyDiffOp, commutator_sum, lie_derivative_op, 
 from cohomolab.poly import Poly, ResourceLimitError, StructureError, rat_str, single_ring
 from cohomolab.symbols import hamiltonian_action, schouten_bracket, sl_generators
 
+import gl_closure
 from exact_helpers import bilinear_value, rank_of, sys4_residuals
 from plane_ring import R2, x, xi
 
@@ -561,8 +564,9 @@ def test_direct_solver_needs_the_fields_of_degree_p(monkeypatch):
 
 def _proved_cocycle_pairs(n, p):
     """The monomial field pairs (x^u xi_m, x^v xi_l), |u|, |v| >= 2 and
-    |u| + |v| <= p + 2, on which impose_cocycle's docstring proves the
-    cocycle identity complete; each unordered pair once."""
+    |u| + |v| <= p + 2, each unordered pair once: the rows of
+    impose_cocycle's proof with the whole quadratic block, which the two
+    quadratic pairs of cocycle_filter_pairs generate (step 3)."""
     fields = [(d, Y) for d in range(2, p + 1) for Y in field_monomials(n, xi_simplex(n, d))]
     return [(Y, Z) for i, (d, Y) in enumerate(fields) for e, Z in fields[i + 1:]
             if d + e <= p + 2]
@@ -570,11 +574,11 @@ def _proved_cocycle_pairs(n, p):
 
 def test_surviving_filter_lines_are_cocycles_on_every_field_pair():
     # every line the filter keeps at p = 2 lies in the direct solver's space,
-    # which is exactly the sl-equivariant maps vanishing on sl.  The filter
-    # imposes the pairs with |u| + |v| <= p + 2 = 4 itself, so the defects
-    # are checked on the first slice it never imposes: quadratic x cubic
-    # monomial fields, |u| + |v| = p + 3, where impose_cocycle's proof makes
-    # its induction step.  n = 4 is left out of that slice only for time
+    # which is exactly the sl-equivariant maps vanishing on sl.  At p = 2
+    # the filter imposes the two pairs that generate the quadratic block,
+    # |u| + |v| = p + 2 = 4, so the defects are checked on the first slice
+    # no row reaches: quadratic x cubic monomial fields, |u| + |v| = p + 3,
+    # where impose_cocycle's proof makes its induction step.  n = 4 is left out of that slice only for time
     # (3200 pairs per cell, about 10 s); its cells keep the solver check.
     # At p = 1 no pair is imposed and the filter keeps the whole space
     lines = pairs_checked = 0
@@ -598,16 +602,33 @@ def test_surviving_filter_lines_are_cocycles_on_every_field_pair():
     assert (lines, pairs_checked) == (9, 2400)
 
 
+def _quadratic_generator_pairs(n):
+    """(x1^2 xi1, x1 x2 xi1) and (x1^2 xi1, x2^2 xi2), built fresh."""
+    ring = single_ring(n)
+
+    def field(u, m):
+        return Poly.monomial(ring, u + (0,) * (n - 2) + unit_deriv(ring, ring.xi(m))[n:])
+
+    return [(field((2, 0), 0), field((1, 1), 0)), (field((2, 0), 0), field((0, 2), 1))]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_cocycle_filter_pairs_are_the_proved_pairs(n):
-    # each proved pair once, in ascending |u| + |v|; none for p <= 1
+    # the two quadratic generator pairs, then each proved pair with
+    # |u| + |v| >= 5 once, in ascending |u| + |v| and, within one total,
+    # in the order of the proved list; none for p <= 1.  Every field is
+    # the interned one
     assert list(cocycle_filter_pairs(n, 0)) == list(cocycle_filter_pairs(n, 1)) == []
-    for p in range(5):
+    interned = set(map(id, field_monomials(n, [u for d in range(2, 5)
+                                               for u in xi_simplex(n, d)])))
+    for p in range(2, 5):
         pairs = list(cocycle_filter_pairs(n, p))
-        assert len(pairs) == len(set(pairs))
-        assert set(pairs) == set(_proved_cocycle_pairs(n, p))
-        totals = [_x_degree(Y) + _x_degree(Z) for Y, Z in pairs]
-        assert totals == sorted(totals)
+        proved = _proved_cocycle_pairs(n, p)
+        assert pairs == _quadratic_generator_pairs(n) + [
+            (Y, Z) for total in range(5, p + 3) for Y, Z in proved
+            if _x_degree(Y) + _x_degree(Z) == total]
+        assert {id(F) for pair in pairs for F in pair} <= interned
+    assert len(list(cocycle_filter_pairs(n, 2))) == 2
 
 
 def test_cocycle_filter_needs_the_pairs_of_degree_p_plus_two(monkeypatch):
@@ -622,6 +643,128 @@ def test_cocycle_filter_needs_the_pairs_of_degree_p_plus_two(monkeypatch):
             (Y, Z) for Y, Z in original(n, p) if _x_degree(Y) + _x_degree(Z) != p + 2))
         assert impose_cocycle(space).dimension == 2
         monkeypatch.undo()
+
+
+def _quadratic_block(n):
+    """The quadratic fields by exponent, and every pair of them as a wedge key."""
+    fields = {next(iter(Y.terms)): Y for Y in field_monomials(n, xi_simplex(n, 2))}
+    return fields, list(combinations(sorted(fields), 2))
+
+
+def _c2_mutant(n, k):
+    """The c2 line with beta_3 + 1/7: equivariant, not a cocycle."""
+    line = second_class_coefficients(n, k)
+    return AnsatzCoefficients(k, 2, alpha=line.alpha, gamma=line.gamma,
+                              beta={**line.beta, 3: line.beta[3] + Fraction(1, 7)})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_quadratic_pair_defects_form_a_gl_submodule(n):
+    # impose_cocycle's step 3a: for every linear field A and every pair w of
+    # quadratic fields, [L_A, dC(w)] = dC(A.w) on S_k, on the cocycle line and
+    # on the c2 mutant alike; the mutant's defects are not all zero, so the
+    # identity is met with both sides nonzero
+    k = 3
+    fields, keys = _quadratic_block(n)
+    for line, cocycle in ((second_class_coefficients(n, k), True), (_c2_mutant(n, k), False)):
+        rule = cache(build_bilinear(line, n).operator_for_field)
+
+        @cache
+        def defect(key):
+            return next(cocycle_defects([rule], [tuple(fields[e] for e in key)]))[2][0]
+
+        assert all(defect(key).symbol_map(k).is_zero() for key in keys) == cocycle
+        for A in sl_generators(n).linear.values():
+            L_A = lie_derivative_op(A)
+            for key in keys:
+                moved = [(-c, defect(image)) for image, c in gl_closure.act(A, {key: 1}).items()]
+                assert commutator_sum([(L_A, defect(key))], base=moved).symbol_map(k).is_zero()
+
+
+def _reduction_move(n, key):
+    """impose_cocycle's step 3d for a monomial pair using four coordinates or more:
+    (E, w, scale) with key = scale * E.w and w a pair using one coordinate fewer."""
+    (u, m), (v, l) = ((e[:n], e[n:].index(1)) for e in key)
+    slots = Counter([m, l] + [i for w in (u, v) for i in range(n) for _ in range(w[i])])
+    once = min(i for i in slots if slots[i] == 1)
+    swap = once == m or (once not in (m, l) and v[once] == 1)
+    (u, m), (v, l) = ((v, l), (u, m)) if swap else ((u, m), (v, l))
+    sign = -1 if swap else 1
+
+    def field(x, i):
+        return tuple(x) + tuple(int(j == i) for j in range(n))
+
+    linear = sl_generators(n).linear
+    if once == l:
+        a = min(set(slots) - {m, l})
+        return linear[a, l], (field(u, m), field(v, a)), -sign
+    b = once
+    a = min(set(slots) - {b} - {i for i in range(n) if v[i]})
+    shifted = [e + (i == a) - (i == b) for i, e in enumerate(u)]
+    return linear[b, a], (field(shifted, m), field(v, l)), Fraction(sign, u[a] + 1)
+
+
+@pytest.mark.parametrize("n, reduced", [(4, 258), (5, 1545)])
+def test_index_reduction_moves_are_exact(n, reduced):
+    # impose_cocycle's step 3d: every pair of quadratic fields that uses four
+    # coordinates or more is a nonzero multiple of E_ab acting on a pair that
+    # uses one coordinate fewer, exactly as the proof's two moves state
+    def used(key):
+        return {i for e in key for i in range(n) if e[i] or e[n + i]}
+
+    _, keys = _quadratic_block(n)
+    wide = [key for key in keys if len(used(key)) >= 4]
+    for key in wide:
+        E, (Y, Z), scale = _reduction_move(n, key)
+        w = gl_closure.wedge(*(Poly.monomial(E.ring, e) for e in (Y, Z)))
+        [smaller] = w
+        assert used(smaller) < used(key) and len(used(smaller)) == len(used(key)) - 1
+        image = gl_closure.act(E, w)
+        assert {e: scale * c for e, c in image.items()} == {key: 1}, key
+    assert len(wide) == reduced
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_two_quadratic_pairs_generate_the_block(n):
+    # impose_cocycle's step 3b at n = 2 and 3, and n = 4 as a cross-check of
+    # 3c and 3d: the gl(n)-closure of the filter's two quadratic pairs is
+    # every pair of quadratic fields
+    fields, keys = _quadratic_block(n)
+    generators = list(cocycle_filter_pairs(n, 2))
+    assert generators == _quadratic_generator_pairs(n)
+    assert gl_closure.rank(gl_closure.closure(n, generators)) == len(keys) == comb(len(fields), 2)
+
+
+def test_neither_quadratic_pair_nor_a_weaker_list_generates_the_block():
+    # mutants of the pair list at n = 2, where the block has 15 pairs: each
+    # pair alone, and either pair replaced by (x1^2 xi1, x1^2 xi2)
+    first, second = _quadratic_generator_pairs(2)
+    other = (first[0], Poly.monomial(R2, (2, 0, 0, 1)))
+    ranks = [gl_closure.rank(gl_closure.closure(2, pairs))
+             for pairs in ([first], [second], [first, other], [other, second])]
+    assert ranks == [9, 6, 14, 11]
+
+
+def test_the_two_quadratic_pairs_filter_as_the_whole_block(monkeypatch):
+    # impose_cocycle on the two pairs equals impose_cocycle on every pair of
+    # quadratic fields, for every cell, and every kept line passes the
+    # identity check on every pair of quadratic fields
+    cells = [(n, k, p) for n, kmax in ((2, 6), (3, 5), (4, 4))
+             for k in range(kmax + 1) for p in range(k + 1)]
+    ours = {cell: impose_cocycle(recurrence_solutions(*cell)) for cell in cells}
+    monkeypatch.setattr(ansatz, "cocycle_filter_pairs", _proved_cocycle_pairs)
+    assert {cell: space.to_json() for cell, space in ours.items()} == {
+        cell: impose_cocycle(recurrence_solutions(*cell)).to_json() for cell in cells}
+    monkeypatch.undo()
+    lines = 0
+    for (n, k, p), space in ours.items():
+        block = _proved_cocycle_pairs(n, 2)
+        for line in space.basis:
+            check = cocycle_check(bilinear_cocycle(n, line, "kept"), 2, block)
+            assert check.holds and check.pairs_checked == len(block)
+            lines += 1
+    # one line per cell with p = 1 or 2 and k >= 2
+    assert lines == 2 * (5 + 4 + 3)
 
 
 def test_cocycle_filter_drops_cocycles_that_do_not_vanish_on_sl():
@@ -678,22 +821,23 @@ def test_row_generators_feed_pinned_rows(monkeypatch):
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(2, 3, 2)) == (
         "5a4de17393bdc4b3e08060e9472b71c7af00e927555c1fb2a7324c89511262f5")
     assert _row_digest(monkeypatch, lambda: impose_cocycle(space)) == (
-        "9a1648ffee4dcf0341b3489a619ad6f3e9d18f7402f360031b1dfa11ed447175")
+        "d6f2fead8d8b262c8bf68a6c2dd420e3beea1e921d01426e307e2e703b9577bb")
     # every pair defect of the filter at (3, 2) has x-order 0; at (4, 4) the
     # first pair's defect has x-order 2 and already completes the rank
     top = recurrence_solutions(2, 4, 4)
     assert _row_digest(monkeypatch, lambda: impose_cocycle(top)) == (
-        "42708a9bd1a1fec55697a224c4721e3cbe99e833a41a286b9317fb1d2f68557c")
+        "110dde7643d18e1ef725596eadf4abfbc52df7b65aaaa0624d4723d7472f3a0c")
 
 
 def test_row_generators_feed_pinned_rows_in_dimension_three(monkeypatch):
-    # n = 3 reaches what n = 2 cannot: xi3 in the canonical forms, and filter
-    # pairs of quadratic fields in three variables, such as x1x2 xi3 with x3^2 xi1
+    # n = 3 reaches what n = 2 cannot: xi3 in the canonical forms.  The
+    # filter's two quadratic pairs use x1 and x2 only, at every n, and
+    # generate the pairs in three variables, such as x1x2 xi3 with x3^2 xi1
     space = recurrence_solutions(3, 3, 2)
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(3, 3, 2)) == (
         "ce74af5a41cd3abc88a37bfce6be1145c4052edc766bc92b2a27e7f3649f1e64")
     assert _row_digest(monkeypatch, lambda: impose_cocycle(space)) == (
-        "e8812d256980b6aaf7dbce8324bcd22f5bcb56f5d6deef3aeb6d5c0d8dd046c9")
+        "6864040cc32b7f6120753cc55aeb64b56776e9f2a23f8fda5ef7b519330cea0b")
 
 
 def _rank(rows, ncols) -> int:

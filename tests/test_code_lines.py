@@ -40,11 +40,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CODE_LINES = {
     "cohomolab/__init__.py": 34,
     "cohomolab/__main__.py": 4,
-    "cohomolab/ansatz.py": 274,
+    "cohomolab/ansatz.py": 279,
     "cohomolab/cli.py": 182,
     "cohomolab/cocycles.py": 211,
     "cohomolab/linalg.py": 60,
-    "cohomolab/operators.py": 302,
+    "cohomolab/operators.py": 304,
     "cohomolab/poly.py": 275,
     "cohomolab/quantization.py": 141,
     "cohomolab/report.py": 194,
