@@ -585,6 +585,19 @@ def test_an_operator_sum_counts_only_its_surviving_derivatives(monkeypatch):
         commutator_sum([(I, I)], base=[(1, P), (1, P)])
 
 
+def test_a_cancelled_packed_sum_is_zero_before_any_budget_is_read(monkeypatch):
+    # an empty packed accumulator decodes to the zero operator with no budget
+    # check, so outside every scope a malformed budget is not read there; a
+    # scoped driver still refuses it as it is entered (tests/test_poly.py)
+    P = parse_op(R2, "(1*x2) * dx1 + (1*x1) * dx2")
+    I = PolyDiffOp.identity(R2)
+    monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "abc")
+    assert commutator_sum([(I, I)], base=[(1, P), (-1, P)]) == PolyDiffOp.zero(R2)
+    assert P.commutator(PolyDiffOp.identity(R2)).is_zero()
+    with pytest.raises(StructureError, match="^COHOMOLAB_MAX_TERMS must be an integer"):
+        commutator_sum([(I, I)], base=[(1, P)])
+
+
 def test_negative_power_is_rejected():
     D = PolyDiffOp.derivative(R2, 0)
     assert D.power(0) == PolyDiffOp.identity(R2)
