@@ -84,10 +84,10 @@ def certify_class(c: OneCocycle, max_vf_degree: int, reference: OneCocycle | Non
     quantization cocycle are, is checked on ansatz.cocycle_filter_pairs(n,
     k - ell), which is complete for it (cocycles.cocycle_check); at
     k - ell = 1 that set is empty, and at k - ell = 2 it is the two pairs
-    that generate every pair of quadratic fields under gl(n), at every n.  Every other cocycle (div, the projected
-    quantization cocycle, custom rules, a line with an s <= 1 term) is
-    checked on every pair of monomial fields up to max_vf_degree, a bounded
-    check.  Either way the result states max_vf_degree.  Triviality is
+    that generate every pair of quadratic fields under gl(n), at every n.
+    Every other cocycle (div, the projected quantization cocycle, custom
+    rules, a line with an s <= 1 term) is checked on every pair of monomial
+    fields up to max_vf_degree, a bounded check.  Either way the result states max_vf_degree.  Triviality is
     decided against the affine-equivariant basis [D^(k - ell)], and the
     optional reference class is matched against c modulo that basis (None
     without a reference); both solve on fields up to
