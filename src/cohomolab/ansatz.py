@@ -447,15 +447,33 @@ def _vanishing_system(n: int, k: int, forms: list[tuple[PolyDiffOp, Coeff]]
 
     forms[j] = (B_j, s_j) is unknown j's integer operator and scale, its
     operator s_j B_j.  The rule F |-> B_j(F, .) is memoized for this call,
-    and the rows of sum_j v_j B_j(G, .) = 0 on S_k are added for every
-    projective generator G; they span sl(n+1), so the rows hold at v iff
-    sum_j v_j B_j vanishes on sl(n+1).  Both solvers start from these rows
-    and read their basis through _scaled_nullspace.
+    and the rows of sum_j v_j B_j(G, .) = 0 on S_k are added for the one
+    generator G = Xbar_1 = x^1 (x^j xi_j).  They hold at v iff
+    C = sum_j v_j B_j vanishes on sl(n+1), by the lemma below.  Both
+    solvers start from these rows and read their basis through
+    _scaled_nullspace.
+
+    Lemma.  For every coefficient vector, C(Xbar_1, .) = 0 on S_k implies
+    C(G, .) = 0 on S_k for every G in sl(n+1).  Every ansatz term is a
+    constant-coefficient, gl(n)-invariant contraction, so for every affine
+    field A and every field G, [L_A, C(G, .)] = C([A, G], .)
+    (solve_equivariant_direct, step 2).  L_A preserves S_k, so the G with
+    C(G, .) = 0 on S_k form a subspace W stable under [A, .] for every
+    affine A.  Xbar_1 in W then reaches every generator:
+        [x^a xi_1, Xbar_1] = Xbar_a,
+        [xi_j, Xbar_a] = delta_ja E + x^a xi_j   (E = x^j xi_j),
+    which summed over a = j is (n + 1) E, so E and with it every linear
+    field x^a xi_j lies in W, and [xi_k, x^a xi_j] = delta_ka xi_j gives
+    the translations.  So the rows of Xbar_1 and the rows of every
+    generator cut out the same nullspace, and the RowReducer holds the
+    same reduced echelon form, rank and pivots.  cocycles.vanishes_on_sl
+    checks every generator, as it checks cocycles that are not
+    affine-equivariant, such as div.
     """
     rules = [cache(BilinearOp(n, op).operator_for_field) for op, _ in forms]
     reducer = RowReducer(len(forms))
-    for G in sl_generators(n).all():
-        _add_rows(reducer, [r(G) for r in rules], k)
+    G = sl_generators(n).quadratic[0]
+    _add_rows(reducer, [r(G) for r in rules], k)
     return rules, reducer
 
 
@@ -543,19 +561,19 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
                     for every X in sl(n+1) and every polynomial field Y.
 
     Rows are imposed exactly on S_k (_add_rows) on a finite field set that
-    is proved complete below: the vanishing rows on every projective
-    generator G (_vanishing_system, shared with impose_cocycle), and the
-    equivariance rows E(X, Y) for the one generator
-    X = Xbar_1 = x^1 (x^j xi_j) against every monomial field Y = x^u xi_m
-    with 2 <= |u| <= p.  So the returned space is exactly the true one;
-    for p <= 1 there is no equivariance row at all.
+    is proved complete below: the vanishing rows on the one generator
+    X = Xbar_1 = x^1 (x^j xi_j), which give vanishing on all of sl(n+1)
+    (_vanishing_system and its lemma, shared with impose_cocycle), and the
+    equivariance rows E(X, Y) for that same X against every monomial
+    field Y = x^u xi_m with 2 <= |u| <= p.  So the returned space is
+    exactly the true one; for p <= 1 there is no equivariance row at all.
 
-    Proof of completeness.  The vanishing rows give C = 0 on the span of the
-    generators, all of sl(n+1).  Under x -> tx, xi -> xi/t a field x^u xi_m
-    has weight |u| - 1, L_F raises weight by that of the field F, and each
-    ansatz term has weight 0 (every contraction pairs a d/dx with a d/dxi).
-    So E(X, Y) has weight |u| for a quadratic X, of weight 1.  Fix
-    X = Xbar_1.
+    Proof of completeness.  The vanishing rows give C = 0 on all of
+    sl(n+1) (_vanishing_system's lemma).  Under x -> tx, xi -> xi/t a
+    field x^u xi_m has weight |u| - 1, L_F raises weight by that of the
+    field F, and each ansatz term has weight 0 (every contraction pairs a
+    d/dx with a d/dxi).  So E(X, Y) has weight |u| for a quadratic X, of
+    weight 1.  Fix X = Xbar_1.
 
     1. Rows with |u| <= 1 follow from the vanishing rows: Y and [X, Y] lie
        in sl(n+1), so C(Y, .) = C([X, Y], .) = 0 on S_k, and L_X preserves
@@ -577,9 +595,10 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
        |u| > p is 0.  By induction on |u|, starting from 1 and the rows
        with 2 <= |u| <= p, E(X, .) vanishes on every monomial field, hence
        on every polynomial field.
-    5. One generator suffices.  3's identity holds for the linear field
-       A = x^i xi_1, and [A, Xbar_1] = Xbar_i.  So E(Xbar_1, .) = 0 gives
-       E(Xbar_i, .) = 0 for every i, which with 2 covers all of sl(n+1).
+    5. One generator suffices, as in _vanishing_system's lemma.  3's
+       identity holds for the linear field A = x^i xi_1, and
+       [A, Xbar_1] = Xbar_i.  So E(Xbar_1, .) = 0 gives E(Xbar_i, .) = 0
+       for every i, which with 2 covers all of sl(n+1).
 
     The tests check the ingredients: 2 on every ansatz term, the bracket of
     5 for n = 2, 3, 4, and that the bound of 4 is tight (dropping the
@@ -593,7 +612,7 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     time.  As there, C_t([X, Y], .) enters as the linear combination
     sum_m -c_m C_t(x^m, .) over the bracket's monomials (_monomial_terms),
     so each term's rule F |-> C_t(F, .), memoized by the field F, is built
-    on generators and monomial fields only, once each; a vanishing bracket
+    on Xbar_1 and monomial fields only, once each; a vanishing bracket
     gives an empty combination.  The rule of term t is that of the integer
     ansatz_term_op(t); its term_norm(t) is applied once, to the nullspace
     (_scaled_nullspace).
@@ -651,12 +670,13 @@ def impose_cocycle(space: SolutionSpace) -> SolutionSpace:
     equivariant, nor vanish on sl(n+1).
 
     Two row sets are imposed, each exactly on S_k (_add_rows): the
-    vanishing rows C(G, .) = 0 for every projective generator G
-    (_vanishing_system, shared with solve_equivariant_direct), and the
-    rows dC(Y, Z) = 0 on the pairs of cocycle_filter_pairs: the two
-    quadratic pairs (x1^2 xi1, x1 x2 xi1) and (x1^2 xi1, x2^2 xi2), and the
-    monomial pairs x^u xi_m, x^v xi_l with |u|, |v| >= 2 and
-    5 <= |u| + |v| <= p + 2.  The set is proved complete below.
+    vanishing rows C(Xbar_1, .) = 0, which give C = 0 on all of sl(n+1)
+    for every ansatz vector (_vanishing_system and its lemma, shared with
+    solve_equivariant_direct), and the rows dC(Y, Z) = 0 on the pairs of
+    cocycle_filter_pairs: the two quadratic pairs (x1^2 xi1, x1 x2 xi1)
+    and (x1^2 xi1, x2^2 xi2), and the monomial pairs x^u xi_m, x^v xi_l
+    with |u|, |v| >= 2 and 5 <= |u| + |v| <= p + 2.  The set is proved
+    complete below.
 
     Proof of completeness.  Let C satisfy every row.  Weights are those of
     solve_equivariant_direct's proof: x^u xi_m has weight |u| - 1 and each
@@ -667,7 +687,8 @@ def impose_cocycle(space: SolutionSpace) -> SolutionSpace:
        for every affine field A and every field Z.  So the Lie derivative
        of the cochain C along A is 0; it commutes with d, so
            [L_A, dC(Y, Z)] = dC([A, Y], Z) + dC(Y, [A, Z]).
-    2. Given the vanishing rows, C(A, .) = 0 on S_k for affine A, so by 1
+    2. Given the vanishing rows, C(A, .) = 0 on S_k for affine A
+       (_vanishing_system's lemma), so by 1
        dC(A, Z) = C([A, Z], .) - [L_A, C(Z, .)] + [L_Z, C(A, .)] = 0.  By
        antisymmetry every pair with an affine member has zero defect.
     3. Quadratic block.  Let V2 be the span of the quadratic fields x^u xi_m,
@@ -710,18 +731,19 @@ def impose_cocycle(space: SolutionSpace) -> SolutionSpace:
 
     So dC vanishes on every monomial pair, hence on every pair of
     polynomial fields.  Only vanishing on the affine fields enters the
-    proof; the quadratic generators' vanishing rows make the answer the
-    relative cocycles, as the classification wants.  At p <= 1 no pair is
-    drawn, so every map of the span that vanishes on sl(n+1) is a cocycle;
-    at p = 2 the two quadratic pairs are all.  The tests check 1 on every
-    ansatz term, 1's identity on S_k and the moves of d on the kernels,
-    the closures of b (and that of n = 4), that either pair alone fails,
-    and that the bound is tight at p = 2.
+    proof; that the rows of Xbar_1 give vanishing on all of sl(n+1), the
+    quadratic generators included (_vanishing_system's lemma), makes the
+    answer the relative cocycles, as the classification wants.  At p <= 1
+    no pair is drawn, so every map of the span that vanishes on sl(n+1) is
+    a cocycle; at p = 2 the two quadratic pairs are all.  The tests check
+    1 on every ansatz term, 1's identity on S_k and the moves of d on the
+    kernels, the closures of b (and that of n = 4), that either pair alone
+    fails, and that the bound is tight at p = 2.
 
     Each basis map's rule F |-> C_b(F, .) is memoized for this call and,
-    through cocycle_defects, evaluated on the generators, the pairs' fields
-    and the monomials of their brackets only, once each; a vanishing
-    bracket builds none.  Pairs are drawn only while the rank is below
+    through cocycle_defects, evaluated on Xbar_1, the pairs' fields and
+    the monomials of their brackets only, once each; a vanishing bracket
+    builds none.  Pairs are drawn only while the rank is below
     full, so no defect past the pair that completes it is formed.  The
     rule of a basis map is that of its integer_form; its scale is applied
     once, to the nullspace (_scaled_nullspace), which keeps the rank, so the

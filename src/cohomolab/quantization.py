@@ -69,18 +69,10 @@ from math import factorial, prod
 
 from .ansatz import AnsatzCoefficients
 from .cocycles import OneCocycle, bilinear_cocycle
-from .operators import PolyDiffOp, monomials_up_to, multi_binom, op_str, xi_simplex
-from .poly import (
-    Exponent,
-    Poly,
-    StructureError,
-    check_int,
-    check_vector_field,
-    rat,
-    single_ring,
-    unit_deriv,
-)
-from .symbols import divergence, hamiltonian_action
+from .operators import (PolyDiffOp, divergence_diffop, lie_derivative_op, monomials_up_to,
+                        multi_binom, op_str, xi_simplex)
+from .poly import Exponent, Poly, StructureError, check_int, rat, single_ring
+from .symbols import hamiltonian_action
 
 
 def _check_x_only(p: Poly) -> Poly:
@@ -169,12 +161,17 @@ class DensityOperator:
 
 
 def weighted_lie_derivative(X: Poly, weight) -> DensityOperator:
-    """L_X = X^i d_i + weight * div(X) on densities of the given weight."""
-    check_vector_field(X)
+    """L_X = X^i d_i + weight * div(X) on densities of the given weight.
+
+    The transport part X^i d_i is the x-derivative half of lie_derivative_op(X),
+    the field's one Hamiltonian operator (hamiltonian_op's _ham slot), which
+    also checks that X is a vector field; div X = D X applies the divergence
+    operator D (operators.divergence_diffop) to the checked field.
+    """
     ring = X.ring
     n = ring.n
-    terms = {unit_deriv(ring, ring.x(i))[:n]: X.diff(ring.xi(i)) for i in range(n)}
-    terms[(0,) * n] = divergence(X).scale(rat(weight))
+    terms = {mu[:n]: c for mu, c in lie_derivative_op(X).terms.items() if not any(mu[n:])}
+    terms[(0,) * n] = divergence_diffop(ring).apply(X).scale(rat(weight))
     return DensityOperator(n, weight, terms)
 
 
@@ -207,7 +204,7 @@ def sequence_cocycle(X: Poly, L: DensityOperator, P: Poly, section_P: DensityOpe
     L = weighted_lie_derivative(X, weight), one per field, and
     section_P = split_section(P, splitting, weight), one per symbol.
     tau'(L_X P) depends on both and is built here.  X is checked once, by
-    hamiltonian_action (weighted_lie_derivative checked it when L was built).
+    hamiltonian_action (lie_derivative_op checked it when L was built).
     """
     k = P.xi_degree()
     if k is None:

@@ -87,10 +87,11 @@ def certify_class(c: OneCocycle, max_vf_degree: int, reference: OneCocycle | Non
     that generate every pair of quadratic fields under gl(n), at every n.
     Every other cocycle (div, the projected quantization cocycle, custom
     rules, a line with an s <= 1 term) is checked on every pair of monomial
-    fields up to max_vf_degree, a bounded check.  Either way the result states max_vf_degree.  Triviality is
-    decided against the affine-equivariant basis [D^(k - ell)], and the
-    optional reference class is matched against c modulo that basis (None
-    without a reference); both solve on fields up to
+    fields up to max_vf_degree, a bounded check.  Either way the result
+    states max_vf_degree.  Triviality is decided against the
+    affine-equivariant basis [D^(k - ell)], and the optional reference
+    class is matched against c modulo that basis (None without a
+    reference); both solve on fields up to
     min(max_vf_degree, k - ell + 1), from one set of candidate and target
     columns.  For c vanishing on the affine fields "no-witness" proves the
     class nontrivial (coboundary_solve).

@@ -15,6 +15,12 @@ its weight spaces: closure() splits each generator into its weight parts
 RowReducer per weight, and feeds every new basis vector's images under the
 off-diagonal E_ij to the reducer of their weight until none adds rank.  The
 diagonal acts on a weight vector by a scalar, so it adds nothing.
+
+affine_closure() is the same closure on fields rather than pairs, under the
+whole affine algebra aff(n): the translations xi_i and the linear fields
+x^i xi_j, acting by the bracket.  A bracket with an affine field keeps the
+degree or lowers it by one, so the closure of fields of degree <= D is
+finite-dimensional and one RowReducer over their exponents holds it.
 """
 
 from __future__ import annotations
@@ -92,3 +98,25 @@ def closure(n: int, pairs) -> dict[tuple[int, ...], RowReducer]:
 
 def rank(reducers: dict[tuple[int, ...], RowReducer]) -> int:
     return sum(r.rank for r in reducers.values())
+
+
+def affine_closure(n: int, fields) -> RowReducer:
+    """The span of the fields closed under [A, .] for every affine field A.
+
+    One RowReducer, its columns the monomial exponents in the order met;
+    its rank is the dimension of the closure.  Every new basis vector's
+    brackets with the affine generators are fed back until none adds rank.
+    """
+    movers = sl_generators(n).affine()
+    reducer = RowReducer(0)
+    columns: dict = {}
+
+    def added(Y: Poly) -> bool:
+        return reducer.add_row({columns.setdefault(e, len(columns)): c
+                                for e, c in Y.terms.items()})
+
+    todo = [Y for Y in fields if added(Y)]
+    while todo:
+        Y = todo.pop()
+        todo += [image for A in movers if added(image := schouten_bracket(A, Y))]
+    return reducer

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -35,7 +36,7 @@ from cohomolab.linalg import RowReducer, keyed_rows
 from cohomolab.operators import (PolyDiffOp, commutator_sum, lie_derivative_op, linear_combination,
                                  monomials_up_to, unit_deriv, xi_simplex)
 from cohomolab.poly import Poly, ResourceLimitError, StructureError, rat_str, single_ring
-from cohomolab.symbols import hamiltonian_action, schouten_bracket, sl_generators
+from cohomolab.symbols import euler_field, hamiltonian_action, schouten_bracket, sl_generators
 
 import gl_closure
 from exact_helpers import bilinear_value, rank_of, sys4_residuals
@@ -504,11 +505,12 @@ def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
     assert all(len(key) == 1 and count == 1 for key, count in defects.items())
     assert len({key[0][0] for key in defects}) == 1
     assert len(defects) == 1 * 6 * len(full_indices(k, 2)) == 60
-    # the generators are no test fields, but the vanishing rows build each
-    # one's operator once per term
+    # the generators are no test fields; the vanishing rows and the
+    # equivariance rows share one generator, Xbar_1, whose operator is built
+    # once per term, and no rule is built on any other generator
     generators = set(sl_generators(2).all())
-    generator_builds = [count for (_, X), count in builds.items() if X in generators]
-    assert len(generator_builds) == len(generators) * len(full_indices(k, 2))
+    generator_builds = Counter(X for _, X in builds if X in generators)
+    assert generator_builds == {sl_generators(2).quadratic[0]: len(full_indices(k, 2))}
     # generators, test fields and brackets [X, Y] share one memo
     assert all(count == 1 for count in builds.values())
     # C(0, P) = 0: a vanishing bracket [X, Y] builds no operator
@@ -541,10 +543,88 @@ def test_affine_fields_are_equivariant_term_by_term():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_linear_fields_carry_the_first_quadratic_generator_to_the_others(n):
-    # step 5 of solve_equivariant_direct's proof: [x^i xi_1, Xbar_1] = Xbar_i
+    # step 5 of solve_equivariant_direct's proof: [x^i xi_1, Xbar_1] = Xbar_i;
+    # and the other brackets of _vanishing_system's lemma:
+    # [xi_j, Xbar_a] = delta_ja E + x^a xi_j, summed over a = j to (n + 1) E,
+    # and [xi_m, x^a xi_j] = delta_ma xi_j
     fam = sl_generators(n)
+    E, zero = euler_field(n), Poly.zero(single_ring(n))
     for i in range(n):
         assert schouten_bracket(fam.linear[(i, 0)], fam.quadratic[0]) == fam.quadratic[i]
+        for j in range(n):
+            assert schouten_bracket(fam.translations[j], fam.quadratic[i]) == (
+                fam.linear[i, j] + (E if i == j else zero))
+            for m in range(n):
+                assert schouten_bracket(fam.translations[m], fam.linear[i, j]) == (
+                    fam.translations[j] if m == i else zero)
+    assert sum((schouten_bracket(fam.translations[j], fam.quadratic[j]) for j in range(n)),
+               zero) == E.scale(n + 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_first_quadratic_generator_spans_sl_under_the_affine_fields(n):
+    # _vanishing_system's lemma on the real bracket: the closure of Xbar_1
+    # under the affine fields is all of sl(n+1), of dimension (n+1)^2 - 1
+    fam = sl_generators(n)
+    xbar = fam.quadratic
+    rank = gl_closure.affine_closure(n, [xbar[0]]).rank
+    assert rank == (n + 1) ** 2 - 1 == {2: 8, 3: 15, 4: 24}[n]
+    assert gl_closure.affine_closure(n, [xbar[0]] + fam.all()).rank == rank
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_no_affine_field_spans_sl_under_the_affine_fields(n):
+    # the mutants of the lemma's generator: a translation, an off-diagonal
+    # and a diagonal linear field, and the Euler field; x1 xi1 reaches all of
+    # aff(n), of dimension n^2 + n, and no further
+    fam = sl_generators(n)
+    ranks = [gl_closure.affine_closure(n, [Y]).rank
+             for Y in (fam.translations[0], fam.linear[0, 1], euler_field(n), fam.linear[0, 0])]
+    assert ranks == [n, n * n + n - 1, n + 1, n * n + n]
+    assert gl_closure.affine_closure(n, fam.affine()).rank == n * n + n
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_vanishing_rows_of_xbar1_reduce_as_those_of_every_generator(n):
+    # the lemma as the solvers see it: for the direct solver's term forms and
+    # for impose_cocycle's forms of the recurrence spaces and of the whole
+    # ansatz span, the RowReducer after Xbar_1's rows holds the same reduced
+    # echelon form as after the rows of all (n+1)^2 - 1 generators
+    generators = sl_generators(n).all()
+    ranks = []
+    for k in range(1, 5):
+        for p in range(k + 1):
+            indices = full_indices(k, p)
+            units = [AnsatzCoefficients.from_vector(k, p, indices, [int(i == j) for j in indices])
+                     for i in indices]
+            for forms in ([(ansatz_term_op(n, kind, s, p), term_norm(kind, s, p))
+                           for kind, s in indices],
+                          [integer_form(c, n) for c in recurrence_solutions(n, k, p).basis],
+                          [integer_form(c, n) for c in units]):
+                rules, reducer = ansatz._vanishing_system(n, k, forms)
+                every = RowReducer(len(forms))
+                for G in generators:
+                    ansatz._add_rows(every, [r(G) for r in rules], k)
+                assert reducer.pivot_rows == every.pivot_rows, (k, p)
+                ranks.append(reducer.rank)
+    assert len(ranks) == 3 * 14 and max(ranks) > 0 and 0 in ranks
+
+
+def test_vanishing_rows_on_an_affine_field_alone_are_too_weak(monkeypatch):
+    # the rows have teeth: put on x1 xi1, which spans aff(2) but no
+    # quadratic generator, they let through maps that do not vanish on sl(3)
+    fam = sl_generators(2)
+    weak = dataclasses.replace(fam, quadratic=(fam.linear[0, 0],))
+    indices = full_indices(3, 2)
+    whole = SolutionSpace(2, 3, 2, [
+        AnsatzCoefficients.from_vector(3, 2, indices, [int(i == j) for j in indices])
+        for i in indices])
+    monkeypatch.setattr(ansatz, "sl_generators", lambda n: weak)
+    assert impose_cocycle(whole).dimension == 2
+    assert solve_equivariant_direct(2, 2, 1).dimension == 2
+    monkeypatch.undo()
+    assert impose_cocycle(whole).dimension == 1
+    assert solve_equivariant_direct(2, 2, 1).dimension == 1
 
 
 def test_direct_solver_needs_the_fields_of_degree_p(monkeypatch):
@@ -816,10 +896,11 @@ def _row_digest(monkeypatch, solve) -> str:
 def test_row_generators_feed_pinned_rows(monkeypatch):
     # the rows themselves, not just the answers, are pinned: a change to the
     # operator kernels or the row generators must reproduce them exactly.
-    # They are the integer rows, before any unknown's scale
+    # They are the integer rows, before any unknown's scale; the vanishing
+    # rows are those of Xbar_1 alone
     space = recurrence_solutions(2, 3, 2)
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(2, 3, 2)) == (
-        "5a4de17393bdc4b3e08060e9472b71c7af00e927555c1fb2a7324c89511262f5")
+        "6f2ed27414fc634bcc4e92a518215242c4033d58504ed6a27aea472692d6d33b")
     assert _row_digest(monkeypatch, lambda: impose_cocycle(space)) == (
         "d6f2fead8d8b262c8bf68a6c2dd420e3beea1e921d01426e307e2e703b9577bb")
     # every pair defect of the filter at (3, 2) has x-order 0; at (4, 4) the
@@ -835,7 +916,7 @@ def test_row_generators_feed_pinned_rows_in_dimension_three(monkeypatch):
     # generate the pairs in three variables, such as x1x2 xi3 with x3^2 xi1
     space = recurrence_solutions(3, 3, 2)
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(3, 3, 2)) == (
-        "ce74af5a41cd3abc88a37bfce6be1145c4052edc766bc92b2a27e7f3649f1e64")
+        "ce8460df8326715e423ff547e8e2f6172b693fab6108cfbd05325f1cf64c2ffb")
     assert _row_digest(monkeypatch, lambda: impose_cocycle(space)) == (
         "6864040cc32b7f6120753cc55aeb64b56776e9f2a23f8fda5ef7b519330cea0b")
 

@@ -46,7 +46,7 @@ CODE_LINES = {
     "cohomolab/linalg.py": 60,
     "cohomolab/operators.py": 304,
     "cohomolab/poly.py": 275,
-    "cohomolab/quantization.py": 141,
+    "cohomolab/quantization.py": 132,
     "cohomolab/report.py": 194,
     "cohomolab/symbols.py": 62,
 }

@@ -33,7 +33,7 @@ from cohomolab.quantization import (
 from cohomolab.report import quantization_report
 from cohomolab.symbols import hamiltonian_action, schouten_bracket, sl_generators
 
-from exact_helpers import rebuild_with_next_order_check
+from exact_helpers import divergence_reference, rebuild_with_next_order_check
 from plane_ring import R2, x, xi
 
 
@@ -132,6 +132,27 @@ def test_dilation_lie_derivative_weight_one():
     L = weighted_lie_derivative(x(0) * xi(0), 1)
     expected = DensityOperator(2, 1, {(1, 0): x(0), (0, 0): Poly.constant(R2, 1)})
     assert L == expected
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lie_derivative_is_transport_plus_weighted_divergence(n):
+    # the definition L_X = X^i d_i + lambda div X, with div X from the
+    # reference divergence, on every monomial field of degree <= 3
+    ring = single_ring(n)
+    fields = monomial_fields(n, 3)
+    assert len(fields) == n * {2: 10, 3: 20}[n]
+    for lam in (0, Fraction(1, 2), Fraction(-3, 7)):
+        for X in fields:
+            terms = {tuple(int(j == i) for j in range(n)): X.diff(ring.xi(i)) for i in range(n)}
+            terms[(0,) * n] = divergence_reference(X).scale(lam)
+            assert weighted_lie_derivative(X, lam) == DensityOperator(n, lam, terms), (X, lam)
+
+
+def test_lie_derivative_refuses_a_symbol_that_is_not_a_vector_field():
+    for P in (x(0), xi(0) * xi(1), xi(0) + x(1) * xi(0) * xi(1), Poly.constant(R2, 1)):
+        with pytest.raises(StructureError,
+                           match="^a vector field symbol must have xi-degree exactly 1$"):
+            weighted_lie_derivative(P, Fraction(1, 2))
 
 
 def test_weight_zero_matches_symbol_action_on_functions():
