@@ -566,10 +566,9 @@ def test_the_first_quadratic_generator_spans_sl_under_the_affine_fields(n):
     # _vanishing_system's lemma on the real bracket: the closure of Xbar_1
     # under the affine fields is all of sl(n+1), of dimension (n+1)^2 - 1
     fam = sl_generators(n)
-    xbar = fam.quadratic
-    rank = gl_closure.affine_closure(n, [xbar[0]]).rank
+    rank = gl_closure.affine_closure(n, [fam.quadratic[0]]).rank
     assert rank == (n + 1) ** 2 - 1 == {2: 8, 3: 15, 4: 24}[n]
-    assert gl_closure.affine_closure(n, [xbar[0]] + fam.all()).rank == rank
+    assert gl_closure.affine_closure(n, [fam.quadratic[0]] + fam.all()).rank == rank
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
