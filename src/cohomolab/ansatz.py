@@ -537,9 +537,10 @@ def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
     this, as both draw their pairs from field_monomials, whose fields are
     x^u xi_m: impose_cocycle through cocycle_filter_pairs, and
     cocycles.cocycle_check through cocycles.monomial_fields or, for the
-    lines report.certify_class proves complete, cocycle_filter_pairs.  A
-    rule that should build each field's operator once is memoized by the
-    caller.  Pairs are formed only as the caller draws them.
+    affine-natural cocycles report.certify_class checks, through
+    cocycle_filter_pairs, which is complete for them.  A rule that should
+    build each field's operator once is memoized by the caller.  Pairs are
+    formed only as the caller draws them.
     """
     for Y, Z in pairs:
         L_Y, L_Z = hamiltonian_op(Y), hamiltonian_op(Z)

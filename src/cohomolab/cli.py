@@ -21,12 +21,13 @@ from .cocycles import (
     builtin_gamma1_flat,
     coboundary_solve,
     field_columns,
+    monomial_fields,
 )
 # Unused here; the benchmark's tracer asserts that this module binds it.
 from .cocycles import cocycle_check  # noqa: F401
 from .operators import affine_equivariant_basis, parse_op
-from .poly import (Poly, ResourceLimitError, StructureError, parse_poly, poly_str, rat,
-                   rat_str, single_ring)
+from .poly import (Poly, ResourceLimitError, StructureError, check_int, parse_poly, poly_str,
+                   rat, rat_str, single_ring)
 from .report import (
     RunConfig,
     check_relation,
@@ -214,7 +215,8 @@ def _dispatch(args) -> int:
     elif command == "coboundary-test":
         c, config = _make_cocycle(args)
         candidates, desc = _candidates(args, c)
-        res = coboundary_solve(field_columns(c, candidates, args.max_vf_degree))
+        degree = check_int(args.max_vf_degree, 2, "the vector-field degree bound")
+        res = coboundary_solve(field_columns(c, candidates, monomial_fields(args.dim, degree)))
         result = res.to_json()
         result["name"] = args.name
         result["candidate_space"] = desc

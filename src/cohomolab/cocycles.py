@@ -7,13 +7,13 @@ degree-k symbols to degree-ell symbols.  The cocycle identity
 
 is verified exactly: both sides are normalized and compared through the
 degree-k canonical form, over all pairs of monomial vector fields up to a
-configurable coefficient degree, or over a pair set proved complete for an
-ansatz line that vanishes on the affine fields (cocycle_check).  The
-coboundary solver looks for a witness B with c(X) = X.B inside a finite
-candidate space; for cocycles vanishing on the affine fields the
-affine-equivariant basis is a complete candidate space, because a
-cobounding operator would itself be affine-equivariant, hence a multiple
-of the divergence power (coboundary_solve).
+configurable coefficient degree, or over a pair set proved complete for a
+cochain that vanishes on the affine fields and is affine-equivariant
+(cocycle_check).  The coboundary solver looks for a witness B with
+c(X) = X.B inside a finite candidate space; for cocycles vanishing on the
+affine fields the affine-equivariant basis is a complete candidate space,
+because a cobounding operator would itself be affine-equivariant, hence a
+multiple of the divergence power (coboundary_solve).
 
 Every built-in cocycle but div is a line of the bilinear ansatz family
 (ansatz.py) and is evaluated by one constructor, bilinear_cocycle: c2, and
@@ -44,7 +44,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterable
 
-from .ansatz import AnsatzCoefficients, build_bilinear, cocycle_defects, field_monomials
+from .ansatz import FAMILIES, AnsatzCoefficients, build_bilinear, cocycle_defects, field_monomials
 from .linalg import keyed_rows, solve
 from .operators import (
     PolyDiffOp,
@@ -68,6 +68,13 @@ class OneCocycle:
     sum_m c_m rule(x^m) (ansatz.cocycle_defects).  evaluate memoizes it by
     the field.  coeffs is the ansatz line a cocycle of bilinear_cocycle
     evaluates, and None for any other rule.
+
+    affine_natural marks a proof, not an option: the rule vanishes on the
+    affine fields A and is affine-equivariant, [L_A, c(X)] = c([A, X]).
+    Only two constructors set it, each from its own proof:
+    bilinear_cocycle for a line with no s <= 1 coefficient, and
+    quantization.quantization_projected_cocycle for an affine-equivariant
+    splitting.  report.certify_class refuses a cocycle without it.
     """
 
     n: int
@@ -76,6 +83,7 @@ class OneCocycle:
     name: str
     rule: Callable[[Poly], PolyDiffOp]
     coeffs: AnsatzCoefficients | None = None
+    affine_natural: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
 
     def evaluate(self, X: Poly) -> PolyDiffOp:
@@ -154,17 +162,22 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int,
     result states, and each member is checked to be a vector field
     (poly.check_vector_field) as its pair is drawn.
 
-    Complete pair sets.  For an ansatz line C with no s <= 1 coefficient,
-    every term differentiates the field at least twice in x (the alpha_s
-    and gamma_s terms carry Dxeta^s, the beta_s term Dxxi Dxeta^(s-1): s
-    x-derivatives each), so C vanishes on the affine fields, and
-    ansatz.impose_cocycle's proof makes ansatz.cocycle_filter_pairs(n, p)
-    complete: dC = 0 there gives dC = 0 on every pair of polynomial fields.
-    Its quadratic block is two pairs, which generate every pair of
-    quadratic fields under gl(n) (that proof, step 3).  Those pairs have
-    |u|, |v| <= p, so the default pairs at any degree >= max(2, p) contain
-    them, and a pass there is complete for such a line too.
-    report.certify_class passes the proved set for those lines.
+    Complete pair sets.  ansatz.impose_cocycle's proof uses only that the
+    cochain C vanishes on the affine fields and is affine-equivariant, the
+    two facts OneCocycle.affine_natural marks.  For such a C it makes
+    ansatz.cocycle_filter_pairs(n, p) complete: dC = 0 there gives dC = 0
+    on every pair of polynomial fields.  An ansatz line with no s <= 1
+    coefficient is one: every term differentiates the field at least twice
+    in x (the alpha_s and gamma_s terms carry Dxeta^s, the beta_s term
+    Dxxi Dxeta^(s-1): s x-derivatives each), and every term is
+    affine-equivariant (ansatz.solve_equivariant_direct, step 2).  So is
+    the projected quantization cocycle of an affine-equivariant splitting
+    (quantization.quantization_projected_cocycle).  The quadratic block is
+    two pairs, which generate every pair of quadratic fields under gl(n)
+    (impose_cocycle's proof, step 3).  Those pairs have |u|, |v| <= p, so
+    the default pairs at any degree >= max(2, p) contain them, and a pass
+    there is complete for such a cochain too.  report.certify_class passes
+    the proved set.
 
     Operator equality is exact equality of degree-k canonical forms.  Each
     pair's defect c([X, Y]) + [L_Y, c(X)] + [c(Y), L_X] is the one operator
@@ -227,7 +240,7 @@ class CoboundaryResult:
 
 @dataclass
 class FieldColumns:
-    """The columns of c(X) = X.B on every monomial field up to a degree.
+    """The columns of c(X) = X.B on a list of fields.
 
     candidate_columns[j] and target map (field index, canonical-form key) to
     the entries of X.B_j and of c(X).  Built by field_columns; one set of
@@ -249,15 +262,16 @@ def _column(symbol_maps) -> dict:
 
 @budget_scope
 def field_columns(c: OneCocycle, candidates: list[PolyDiffOp],
-                  max_vf_degree: int) -> FieldColumns:
-    """Candidate and target columns on all monomial fields up to max_vf_degree.
+                  fields: list[Poly]) -> FieldColumns:
+    """Candidate and target columns on the given fields.
 
-    The degree must be at least 2: a cocycle vanishing on the affine fields
-    (c1 does) would otherwise be cobounded by zero.  Each field contributes
-    one row per entry of the degree-k canonical forms involved.
+    The caller chooses the fields and proves what they cover:
+    monomial_fields(n, d) for every field up to degree d (coboundary-test,
+    which refuses d < 2: a cocycle vanishing on the affine fields, as c1
+    does, would otherwise be cobounded by zero), or the one field
+    x1^D xi1 of report.certify_class.  Each field contributes one row per
+    entry of the degree-k canonical forms involved.
     """
-    check_int(max_vf_degree, 2, "the vector-field degree bound")
-    fields = monomial_fields(c.n, max_vf_degree)
     candidate_columns = [_column(module_action(X, B).symbol_map(c.k) for X in fields)
                          for B in candidates]
     return FieldColumns(c, candidates, fields, candidate_columns,
@@ -278,10 +292,10 @@ def _solve_on_fields(columns: FieldColumns, references: list[OneCocycle]):
 def coboundary_solve(columns: FieldColumns) -> CoboundaryResult:
     """Solve c(X) = X.B for B in the span of the candidates, exactly.
 
-    columns is field_columns(c, candidates, max_vf_degree): the system runs
-    over every monomial field up to that degree, so a returned witness
-    satisfies the coboundary equation on that whole family, and an empty
-    answer proves no witness exists in the span.
+    columns is field_columns(c, candidates, fields): the system runs over
+    those fields, so a returned witness satisfies the coboundary equation
+    on each of them, and an empty answer proves no witness exists in the
+    span.
 
     For a cocycle vanishing on the affine fields, an empty answer against
     affine_equivariant_basis is complete: a cobounding B has X.B = c(X) = 0
@@ -297,7 +311,7 @@ def coboundary_solve(columns: FieldColumns) -> CoboundaryResult:
 def class_proportionality(columns: FieldColumns, reference: OneCocycle):
     """Exact scalar mu and witness B with c(X) = mu ref(X) + X.B, or None.
 
-    columns is field_columns(c, candidates, max_vf_degree).  Solvability says
+    columns is field_columns(c, candidates, fields).  Solvability says
     the two cocycles represent proportional cohomology classes relative to
     the candidate coboundary space.
     """
@@ -418,9 +432,14 @@ def builtin_div(n: int, k: int, a, omega: list[Poly]) -> OneCocycle:
 
 
 def bilinear_cocycle(n: int, coeffs: AnsatzCoefficients, name: str) -> OneCocycle:
-    """The cocycle X |-> C(X, .) of an ansatz coefficient family, S_k -> S_(k-p)."""
+    """The cocycle X |-> C(X, .) of an ansatz coefficient family, S_k -> S_(k-p).
+
+    It is marked affine_natural iff the line has no s <= 1 coefficient
+    (cocycle_check, "Complete pair sets").
+    """
+    natural = all(s >= 2 for kind in FAMILIES for s in getattr(coeffs, kind))
     return OneCocycle(n, coeffs.k, coeffs.k - coeffs.p, name,
-                      build_bilinear(coeffs, n).operator_for_field, coeffs)
+                      build_bilinear(coeffs, n).operator_for_field, coeffs, natural)
 
 
 # -- reporting ------------------------------------------------------------------

@@ -69,10 +69,10 @@ from math import factorial, prod
 
 from .ansatz import AnsatzCoefficients
 from .cocycles import OneCocycle, bilinear_cocycle
-from .operators import (PolyDiffOp, divergence_diffop, lie_derivative_op, monomials_up_to,
-                        multi_binom, op_str, xi_simplex)
+from .operators import (PolyDiffOp, divergence_diffop, lie_derivative_op, module_action,
+                        monomials_up_to, multi_binom, op_str, xi_simplex)
 from .poly import Exponent, Poly, StructureError, check_int, rat, single_ring
-from .symbols import hamiltonian_action
+from .symbols import hamiltonian_action, sl_generators
 
 
 def _check_x_only(p: Poly) -> Poly:
@@ -295,6 +295,22 @@ def quantization_projected_cocycle(n: int, k: int, weight,
     (P or BP).  That proof is why operator_from_symbol_values runs at this
     bound with no second pass: the operator has no term above it, so the
     values on |u| <= x-order of B determine it exactly.
+
+    The cocycle is marked affine_natural (cocycles.OneCocycle) when
+    module_action(A, B) = 0 for every affine generator A, as for the
+    witness c D; report.certify_class then checks it on the proved pairs.
+    Proof.  For an affine field A, d^a A = 0 at |a| >= 2 and div A is
+    constant, so the full-symbol formula in the module docstring gives
+    gamma(A) = 0: tau commutes with L_A, [L_A, tau(P)] = tau(L_A P).  As
+    A.B = [L_A, B] = 0, tau' = tau o (1 - B) commutes with L_A too, so the
+    connecting cocycle Gamma'(X) = [L_X, tau'(.)] - tau'(L_X .) has
+    Gamma'(A) = 0.  Gamma' is the coboundary of tau', so
+    Gamma'([A, X]) = A.Gamma'(X) - X.Gamma'(A) = [L_A, Gamma'(X)], and
+    taking the degree-(k-2) symbol of an operator of order <= k-2 commutes
+    with [L_A, .].  Hence gamma'(A) = 0 and [L_A, gamma'(X)] = gamma'([A, X])
+    for the projected cocycle gamma', the two facts ansatz.impose_cocycle's
+    completeness proof uses; so that proof covers the identity check of
+    gamma' on ansatz.cocycle_filter_pairs as well (cocycles.cocycle_check).
     """
     check_int(k, 2, "the symbol degree")
     ring = single_ring(n)
@@ -317,4 +333,5 @@ def quantization_projected_cocycle(n: int, k: int, weight,
 
         return operator_from_symbol_values(n, k, value, max_x_order=x_order)
 
-    return OneCocycle(n, k, k - 2, f"sigma{k - 2}-quantization", rule)
+    natural = all(module_action(A, splitting).is_zero() for A in sl_generators(n).affine())
+    return OneCocycle(n, k, k - 2, f"sigma{k - 2}-quantization", rule, affine_natural=natural)

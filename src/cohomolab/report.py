@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import __version__
 from .ansatz import (
     cocycle_filter_pairs,
-    full_indices,
+    field_monomials,
     impose_cocycle,
     matched_case,
     recurrence_solutions,
@@ -79,69 +79,78 @@ class RunConfig:
 def certify_class(c: OneCocycle, max_vf_degree: int, reference: OneCocycle | None = None):
     """Identity check, coboundary result and class proportionality of c: S_k -> S_ell.
 
-    The identity check takes one of two paths (_identity_pairs).  An ansatz
-    line with no s <= 1 coefficient, as every table witness and the top
-    quantization cocycle are, is checked on ansatz.cocycle_filter_pairs(n,
-    k - ell), which is complete for it (cocycles.cocycle_check); at
+    c, and the reference if given, must be marked affine_natural
+    (OneCocycle): each vanishes on the affine fields and is
+    affine-equivariant.  Every table witness, c1, c2, gamma1, the top
+    quantization cocycle and the projected one of an affine-equivariant
+    splitting are; any other cocycle (div, a custom rule, a line with an
+    s <= 1 term) is refused with StructureError, as nothing below holds
+    for it.
+
+    The identity check runs on ansatz.cocycle_filter_pairs(n, k - ell),
+    which is complete for such a cocycle (cocycles.cocycle_check); at
     k - ell = 1 that set is empty, and at k - ell = 2 it is the two pairs
     that generate every pair of quadratic fields under gl(n), at every n.
-    Every other cocycle (div, the projected quantization cocycle, custom
-    rules, a line with an s <= 1 term) is checked on every pair of monomial
-    fields up to max_vf_degree, a bounded check.  Either way the result
-    states max_vf_degree.  Triviality is decided against the
+    The result states max_vf_degree.  Triviality is decided against the
     affine-equivariant basis [D^(k - ell)], and the optional reference
     class is matched against c modulo that basis (None without a
-    reference); both solve on fields up to
-    min(max_vf_degree, k - ell + 1), from one set of candidate and target
-    columns.  For c vanishing on the affine fields "no-witness" proves the
-    class nontrivial (coboundary_solve).
+    reference).  Both solve on the one field x1^D xi1, with
+    D = min(max_vf_degree, k - ell + 1), from one set of candidate and
+    target columns.  For c vanishing on the affine fields "no-witness"
+    proves the class nontrivial (coboundary_solve).
 
-    Both solves are complete once max_vf_degree >= k - ell + 1, for cocycles
-    c and ref that vanish on the affine fields.  Proof.  For a scalar mu
-    (0 in coboundary_solve) and B = b D^(k - ell) let
+    Proof that the one field decides both solves.  For a scalar mu (0 in
+    coboundary_solve) and B = b D^(k - ell) let
     delta(X) = c(X) - mu ref(X) - X.B, so that (mu, b) solves the system on
-    a field set iff delta vanishes on it.  delta is a cocycle, as c and ref
-    are and X |-> X.B is a coboundary.  It vanishes on affine fields: c and
-    ref do, and D^(k - ell) is affine-equivariant
-    (operators.affine_equivariant_basis), so A.B = 0.  The cocycle identity
-    then gives, for affine A and every field Y,
+    a field set iff delta vanishes on it.
 
-        delta([A, Y]) = [L_A, delta(Y)].
+    1. delta is affine-equivariant: c and ref are, and so is X |-> X.B,
+       because D^(k - ell) is affine-invariant
+       (operators.affine_equivariant_basis): A.B = 0 gives
+       A.(X.B) = [A, X].B.  So [L_A, delta(Y)] = delta([A, Y]) for every
+       affine field A and every field Y.
+    2. L_A preserves S_k and S_ell, so the fields Y with delta(Y) = 0 on
+       S_k form a subspace stable under [A, .] for every affine A (the
+       argument of ansatz._vanishing_system's lemma).
+    3. x1^D xi1 generates every field of degree <= D under the affine
+       fields, for every n >= 2 and D >= 1.  Under gl(n) the fields of
+       degree D are the sum of two non-isomorphic irreducibles (Weyl): the
+       divergence-free fields, and the multiples f E of the Euler field
+       E = x^j xi_j, a stable complement since div(f E) = (D - 1 + n) f.
+       x1^D xi1 has a nonzero part in each: its divergence D x1^(D - 1) is
+       not 0, and it is no multiple of E.  So its gl(n)-span is every field
+       of degree D, and the translations, [xi_i, .] = d_i, carry degree D
+       onto degree D - 1.
+    4. So delta vanishes on x1^D xi1 iff it vanishes on every field of
+       degree <= D: the one-field systems have the solution sets of the
+       systems on all of those fields.
+    5. Suppose delta vanishes on every field of degree <= d, with
+       d >= k - ell + 1, and take a monomial field Y = x^u xi_m with
+       |u| = d + 1.  For a translation T the field [T, Y] has degree d, so
+       by 1 delta(Y) commutes with every L_T: it is translation-invariant.
+       With A the Euler field, for which [A, Y] is a multiple of Y, 1 says
+       that delta(Y) has Y's weight |u| - 1 = d under x -> tx, xi -> xi/t.
+       A translation-invariant map S_k -> S_ell has weight <= k - ell
+       (ansatz.solve_equivariant_direct, step 4), so delta(Y) = 0.  By
+       induction delta vanishes on every monomial field, hence on every
+       polynomial field.
 
-    Suppose delta vanishes on every field of degree <= d, with
-    d >= k - ell + 1, and take a monomial field Y = x^u xi_m with
-    |u| = d + 1.  For a translation T the field [T, Y] has degree d, so
-    delta(Y) commutes with every L_T: it is translation-invariant.  With A
-    the Euler field x^i xi_i, for which [A, Y] is a multiple of Y, the same
-    identity says delta(Y) has Y's weight |u| - 1 = d under
-    x -> tx, xi -> xi/t.  A translation-invariant map S_k -> S_ell has
-    weight <= k - ell (ansatz.solve_equivariant_direct, step 4), so
-    delta(Y) = 0.  By induction delta vanishes on every monomial field,
-    hence on every polynomial field.  So the solutions on the fields of degree
-    <= k - ell + 1 are the solutions on all fields, and each solve returns
-    the same answer at every degree >= k - ell + 1: one solution set has
-    one fully reduced echelon form.  Below that, at max_vf_degree 2 with
-    k - ell = 2, a witness or scalar is checked on the fields of degree <= 2
-    only, and "no-witness" is still a proof.
+    So once max_vf_degree >= k - ell + 1 the one-field solutions are the
+    solutions on all fields, and each solve returns the same answer at
+    every such degree: one solution set has one fully reduced echelon
+    form.  Below that, at max_vf_degree 2 with k - ell = 2, a witness or
+    scalar is proved on the fields of degree <= 2 only, and "no-witness"
+    is still a proof.
     """
-    identity = cocycle_check(c, max_vf_degree, _identity_pairs(c))
-    basis = affine_equivariant_basis(c.n, c.k, c.ell)
-    columns = field_columns(c, basis, min(max_vf_degree, c.k - c.ell + 1))
-    cob = coboundary_solve(columns)
-    prop = None if reference is None else class_proportionality(columns, reference)
-    return identity, cob, prop
-
-
-def _identity_pairs(c: OneCocycle):
-    """cocycle_filter_pairs for an ansatz line with no s <= 1 coefficient, else None.
-
-    None makes cocycle_check draw every pair up to its degree.
-    """
-    line = c.coeffs
-    if line is None or any(line.get(kind, s) for kind, s in full_indices(line.k, line.p)
-                           if s < 2):
-        return None
-    return cocycle_filter_pairs(c.n, line.p)
+    for cocycle in (c, reference):
+        if cocycle is not None and not cocycle.affine_natural:
+            raise StructureError(f"certify_class needs an affine-natural cocycle, and "
+                                 f"{cocycle.name} is not marked affine_natural")
+    identity = cocycle_check(c, max_vf_degree, cocycle_filter_pairs(c.n, c.k - c.ell))
+    field = field_monomials(c.n, [(min(max_vf_degree, c.k - c.ell + 1),) + (0,) * (c.n - 1)])
+    columns = field_columns(c, affine_equivariant_basis(c.n, c.k, c.ell), field[:1])
+    return identity, coboundary_solve(columns), (
+        None if reference is None else class_proportionality(columns, reference))
 
 
 def expected_relative_dimension(k: int, ell: int) -> int:
@@ -158,9 +167,11 @@ def cohomology_table(config: RunConfig) -> dict:
     wrapped as a cocycle, its identity is checked on a complete pair set
     (certify_class), non-triviality is certified against the
     affine-equivariant candidate space, and the class is matched against
-    the corresponding built-in cocycle.  The witness states the configured
-    field degree, which bounds its solves.  Cells that blow the resource
-    budget are reported as explicit gaps instead of aborting the table.
+    the corresponding built-in cocycle, both on the one field x1^D xi1,
+    D = min(max_vf_degree, p + 1), which decides them as all fields of
+    degree <= D would.  The witness states the configured field degree.
+    Cells that blow the resource budget are reported as explicit gaps
+    instead of aborting the table.
     """
     n = config.n
     entries = []
@@ -216,11 +227,13 @@ def quantization_report(n: int, k: int, weight, max_vf_degree: int) -> dict:
     The top projection S_k -> S_(k-1) is certified and matched against the
     first class c1 (certify_class: it is an ansatz line with no s <= 1
     coefficient, so its identity check is complete, and its solves run on
-    fields up to degree 2, which is complete).  Where it is trivial, its
-    splitting witness forms the projected cocycle S_k -> S_(k-2), which is
-    certified the same way, but with the bounded identity check: on fields
-    up to max_vf_degree, the degree the report states.  Its solve runs at
-    the degree certify_class derives.
+    the one field x1^2 xi1, which is complete).  Where it is trivial, its
+    splitting witness c D is affine-equivariant, so the projected cocycle
+    S_k -> S_(k-2) it forms is affine-natural
+    (quantization_projected_cocycle) and is certified the same way: its
+    identity on the two proved quadratic pairs, which is complete, and its
+    solve on x1^D xi1, D = min(max_vf_degree, 3).  The report states
+    max_vf_degree.
     """
     check_int(k, 2, "the symbol degree")
     weight = rat(weight)

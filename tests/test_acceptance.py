@@ -24,6 +24,7 @@ from cohomolab.cocycles import (
     coboundary_solve,
     cocycle_check,
     field_columns,
+    monomial_fields,
 )
 from cohomolab.operators import (
     PolyDiffOp,
@@ -153,10 +154,10 @@ def test_criterion_06_nontriviality():
     for n in (2, 3):
         for k in (2, 3, 4):
             basis1 = affine_equivariant_basis(n, k, k - 1)
-            res1 = coboundary_solve(field_columns(builtin_c1(n, k), basis1, 3))
+            res1 = coboundary_solve(field_columns(builtin_c1(n, k), basis1, monomial_fields(n, 3)))
             assert not res1.is_coboundary
             basis2 = affine_equivariant_basis(n, k, k - 2)
-            res2 = coboundary_solve(field_columns(builtin_c2(n, k), basis2, 3))
+            res2 = coboundary_solve(field_columns(builtin_c2(n, k), basis2, monomial_fields(n, 3)))
             assert not res2.is_coboundary
 
 
@@ -180,18 +181,20 @@ def test_criterion_08_quantization_sequence():
     D = divergence_diffop(single_ring(n))
     for k in (2, 3):
         for lam in (0, 1, Fraction(1, 3)):
-            columns = field_columns(quantization_top_cocycle(n, k, lam), [D], 3)
+            columns = field_columns(quantization_top_cocycle(n, k, lam), [D],
+                                    monomial_fields(n, 3))
             res = coboundary_solve(columns)
             assert not res.is_coboundary
             prop = class_proportionality(columns, builtin_c1(n, k))
             assert prop is not None and prop[0] != 0
         c_half = quantization_top_cocycle(n, k, Fraction(1, 2))
-        res = coboundary_solve(field_columns(c_half, [D], 3))
+        res = coboundary_solve(field_columns(c_half, [D], monomial_fields(n, 3)))
         assert res.is_coboundary
         assert res.witness == D.scale(Fraction(-1, 2))
         projected = quantization_projected_cocycle(n, k, Fraction(1, 2), res.witness)
         assert cocycle_check(projected, 3).holds
-        assert not coboundary_solve(field_columns(projected, [D.power(2)], 3)).is_coboundary
+        assert not coboundary_solve(field_columns(projected, [D.power(2)],
+                                                  monomial_fields(n, 3))).is_coboundary
 
 
 @criterion(9, "the fourth recurrence is implied by the first three")

@@ -10,8 +10,7 @@ import pytest
 import cohomolab
 from cohomolab.ansatz import AnsatzCoefficients
 from cohomolab.cocycles import (build_report, builtin_c1, builtin_c2, builtin_div,
-                                builtin_gamma1_flat, cocycle_check, field_columns,
-                                monomial_fields)
+                                builtin_gamma1_flat, cocycle_check, monomial_fields)
 from cohomolab.operators import (PolyDiffOp, affine_equivariant_basis, divergence_diffop,
                                  monomials_up_to, xi_simplex)
 from cohomolab.poly import Poly, StructureError, single_ring
@@ -257,8 +256,6 @@ INT_PARAMETERS = {
     "AnsatzCoefficients.p": (lambda v: AnsatzCoefficients(3, v), 0, "degree drop p"),
     "AnsatzCoefficients.k": (lambda v: AnsatzCoefficients(v, 1), 1, "symbol degree k"),
     "cocycle_check": (lambda v: cocycle_check(builtin_c1(2, 2), v), 2,
-                      "the vector-field degree bound"),
-    "field_columns": (lambda v: field_columns(builtin_c1(2, 2), [], v), 2,
                       "the vector-field degree bound"),
     "builtin_gamma1_flat": (lambda v: builtin_gamma1_flat(2, v), 2, "the symbol degree"),
     "builtin_c1": (lambda v: builtin_c1(2, v), 2, "the symbol degree"),

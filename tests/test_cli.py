@@ -323,6 +323,10 @@ FLAG_ERRORS = {
     "max-vf-degree": (["verify-cocycle", "--dim", "2", "--name", "c2", "--order", "2",
                        "--max-vf-degree", "1"],
                       "--max-vf-degree must be an integer of at least 2, got 1"),
+    # coboundary-test checks the degree itself: field_columns takes a field list
+    "max-vf-degree-coboundary": (["coboundary-test", "--dim", "2", "--name", "c1", "--order",
+                                  "2", "--max-vf-degree", "1"],
+                                 "--max-vf-degree must be an integer of at least 2, got 1"),
 }
 
 

@@ -166,22 +166,24 @@ def test_constructed_coboundary_detected():
     D = divergence_diffop(R2)
     c = OneCocycle(2, 2, 1, "bdry",
                    lambda X: module_action(X, D))
-    res = coboundary_solve(field_columns(c, [D], 3))
+    res = coboundary_solve(field_columns(c, [D], monomial_fields(2, 3)))
     assert res.is_coboundary and res.witness == D
 
 
 def test_shared_field_columns_give_the_same_answers():
-    # certify_class solves both systems on one set of columns, at the
-    # derived degree k - ell + 1; its answers equal those of the two solves
-    # on columns of their own at that degree
+    # certify_class solves both systems on one set of columns, on the one
+    # field x1^(k - ell + 1) xi1; its answers equal those of the two solves
+    # on columns of their own on every field of that degree
     for c, ref in ((builtin_c1(2, 2), builtin_c1(2, 2)),
                    (quantization_top_cocycle(2, 2, Fraction(1, 2)), builtin_c1(2, 2))):
         basis = affine_equivariant_basis(2, c.k, c.ell)
         _, cob, prop = certify_class(c, 3, ref)
-        degree = c.k - c.ell + 1
-        expected = coboundary_solve(field_columns(c, basis, degree))
-        assert cob.to_json() == expected.to_json()
-        assert prop == class_proportionality(field_columns(c, basis, degree), ref)
+        columns = field_columns(c, basis, monomial_fields(2, c.k - c.ell + 1))
+        expected = coboundary_solve(columns)
+        assert cob.fields_checked == 1 and expected.fields_checked == 12
+        assert cob.witness == expected.witness
+        assert cob.to_json() == {**expected.to_json(), "fields_checked": 1}
+        assert prop == class_proportionality(columns, ref)
 
 
 def test_nontriviality_of_invariant_cocycles():
@@ -189,10 +191,10 @@ def test_nontriviality_of_invariant_cocycles():
         ring = single_ring(n)
         for k in (2, 3, 4):
             basis1 = affine_equivariant_basis(n, k, k - 1)
-            res1 = coboundary_solve(field_columns(builtin_c1(n, k), basis1, 3))
+            res1 = coboundary_solve(field_columns(builtin_c1(n, k), basis1, monomial_fields(n, 3)))
             assert not res1.is_coboundary
             basis2 = affine_equivariant_basis(n, k, k - 2)
-            res2 = coboundary_solve(field_columns(builtin_c2(n, k), basis2, 3))
+            res2 = coboundary_solve(field_columns(builtin_c2(n, k), basis2, monomial_fields(n, 3)))
             assert not res2.is_coboundary
 
 
@@ -204,13 +206,13 @@ def test_divergence_cocycle_coboundary_criterion():
     f = one_form_primitive(omega, ring)
     mult_f = PolyDiffOp(ring, {(0, 0, 0, 0): f})
     candidates = [mult_f, PolyDiffOp.identity(ring)]
-    res = coboundary_solve(field_columns(c_exact, candidates, 3))
+    res = coboundary_solve(field_columns(c_exact, candidates, monomial_fields(2, 3)))
     assert res.is_coboundary
     assert res.witness == mult_f
     # a != 0: no witness within the affine-equivariant candidate space
     c_div = builtin_div(2, 2, 1, omega)
     basis = affine_equivariant_basis(2, 2, 2)
-    assert not coboundary_solve(field_columns(c_div, basis, 3)).is_coboundary
+    assert not coboundary_solve(field_columns(c_div, basis, monomial_fields(2, 3))).is_coboundary
 
 
 def test_solver_line_matches_builtin_c1_by_constant_ratio():
@@ -218,7 +220,8 @@ def test_solver_line_matches_builtin_c1_by_constant_ratio():
         line = impose_cocycle(recurrence_solutions(n, k, 1))
         assert line.dimension == 1
         sc = bilinear_cocycle(n, line.basis[0].normalized(), "solver")
-        res = class_proportionality(field_columns(sc, [], 3), builtin_c1(n, k))
+        res = class_proportionality(field_columns(sc, [], monomial_fields(n, 3)),
+                                    builtin_c1(n, k))
         assert res is not None
         mu, witness = res
         assert mu == Fraction(1, 2)
@@ -232,7 +235,8 @@ def test_solver_p2_line_matches_builtin_c2():
     for n, k in [(2, 3), (2, 2)]:
         line = impose_cocycle(recurrence_solutions(n, k, 2))
         sc = bilinear_cocycle(n, line.basis[0], "solver")
-        res = class_proportionality(field_columns(sc, [], 3), builtin_c2(n, k))
+        res = class_proportionality(field_columns(sc, [], monomial_fields(n, 3)),
+                                    builtin_c2(n, k))
         assert res is not None
         mu, witness = res
         assert mu != 0 and witness.is_zero()
@@ -240,7 +244,8 @@ def test_solver_p2_line_matches_builtin_c2():
 
 def test_class_proportionality_refuses_cocycles_of_another_shape():
     # c1 maps S_3 -> S_2 and c2 maps S_3 -> S_1: no scalar relates their classes
-    columns = field_columns(builtin_c1(2, 3), affine_equivariant_basis(2, 3, 2), 3)
+    columns = field_columns(builtin_c1(2, 3), affine_equivariant_basis(2, 3, 2),
+                            monomial_fields(2, 3))
     with pytest.raises(StructureError, match="cocycle shapes differ"):
         class_proportionality(columns, builtin_c2(2, 3))
 
@@ -250,7 +255,7 @@ def test_class_proportionality_is_none_off_the_reference_class():
     # so no mu and affine witness B make it mu c2 + X.B on the fields up to degree 3
     line = bilinear_cocycle(2, AnsatzCoefficients(3, 2, gamma={2: 1}), "gamma2")
     assert not cocycle_check(line, 3).holds
-    columns = field_columns(line, affine_equivariant_basis(2, 3, 1), 3)
+    columns = field_columns(line, affine_equivariant_basis(2, 3, 1), monomial_fields(2, 3))
     assert class_proportionality(columns, builtin_c2(2, 3)) is None
 
 
@@ -307,7 +312,8 @@ def test_every_builtin_rule_is_linear_on_bracket_fields():
     # S_k) on every bracket of two degree <= 2 monomial fields and on the
     # quadratic generators
     top = quantization_top_cocycle(2, 2, Fraction(1, 2))
-    witness = coboundary_solve(field_columns(top, [divergence_diffop(R2)], 3)).witness
+    witness = coboundary_solve(field_columns(top, [divergence_diffop(R2)],
+                                             monomial_fields(2, 3))).witness
     rules = [builtin_c1(2, 2), builtin_c2(2, 2), builtin_gamma1_flat(2, 2),
              builtin_div(2, 2, Fraction(2, 3), _omega(R2)), top,
              quantization_projected_cocycle(2, 2, Fraction(1, 2), witness)]

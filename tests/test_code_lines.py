@@ -41,13 +41,13 @@ CODE_LINES = {
     "cohomolab/__init__.py": 34,
     "cohomolab/__main__.py": 4,
     "cohomolab/ansatz.py": 279,
-    "cohomolab/cli.py": 182,
+    "cohomolab/cli.py": 184,
     "cohomolab/cocycles.py": 211,
     "cohomolab/linalg.py": 60,
     "cohomolab/operators.py": 304,
     "cohomolab/poly.py": 275,
-    "cohomolab/quantization.py": 132,
-    "cohomolab/report.py": 194,
+    "cohomolab/quantization.py": 133,
+    "cohomolab/report.py": 191,
     "cohomolab/symbols.py": 62,
 }
 

@@ -5,7 +5,7 @@ import pytest
 from cohomolab.ansatz import field_monomials
 from cohomolab.symbols import euler_field, sl_generators
 
-from gl_closure import act, closure, rank, wedge
+from gl_closure import act, affine_closure, closure, rank, wedge
 
 
 def test_wedge_is_antisymmetric_and_bilinear():
@@ -37,3 +37,16 @@ def test_the_linear_fields_split_into_two_adjoint_copies():
     assert rank(closure(2, [(linear[0, 0], E)])) == 3
     assert rank(closure(2, [(euler_field(2), E)])) == 3
     assert rank(closure(2, [(linear[0, 0], E), (linear[1, 1], E)])) == 6
+
+
+@pytest.mark.parametrize("n,top", [(2, 5), (3, 5), (4, 3), (5, 3)])
+def test_one_field_generates_every_field_up_to_its_degree_under_the_affine_fields(n, top):
+    # report.certify_class's proof, step 3: x1^D xi1 has a nonzero part in
+    # both gl(n)-irreducibles of the degree-D fields, so its affine closure
+    # is all n * C(n + D, D) fields of degree <= D; the divergence-free
+    # x1^D xi2 lies in one of them and falls short
+    for D in range(1, top + 1):
+        x1_xi1, x1_xi2 = field_monomials(n, [(D,) + (0,) * (n - 1)])[:2]
+        fields = n * comb(n + D, D)
+        assert affine_closure(n, [x1_xi1]).rank == fields, (n, D)
+        assert affine_closure(n, [x1_xi2]).rank < fields, (n, D)

@@ -12,7 +12,7 @@ from cohomolab import poly
 from cohomolab.ansatz import (build_bilinear, impose_cocycle, recurrence_solutions,
                               solve_equivariant_direct)
 from cohomolab.cocycles import (build_report, builtin_c1, cocycle_check, field_columns,
-                                second_class_coefficients, vanishes_on_sl)
+                                monomial_fields, second_class_coefficients, vanishes_on_sl)
 from cohomolab.operators import (PolyDiffOp, divergence_diffop, linear_combination, module_action,
                                  unit_deriv)
 from cohomolab.poly import (
@@ -273,6 +273,7 @@ def scoped_driver_names() -> list[str]:
 
 
 C1 = builtin_c1(2, 2)
+FIELDS_2 = monomial_fields(2, 2)
 C2_SPACE = recurrence_solutions(2, 2, 2)
 C2_LINE = second_class_coefficients(2, 2)
 
@@ -283,7 +284,7 @@ SCOPED_CALLS = {
     "ansatz.solve_equivariant_direct": lambda: solve_equivariant_direct(2, 2, 2),
     "cocycles.build_report": lambda: build_report(C1, 2),
     "cocycles.cocycle_check": lambda: cocycle_check(C1, 2),
-    "cocycles.field_columns": lambda: field_columns(C1, [divergence_diffop(R2)], 2),
+    "cocycles.field_columns": lambda: field_columns(C1, [divergence_diffop(R2)], FIELDS_2),
     "cocycles.vanishes_on_sl": lambda: vanishes_on_sl(C1),
     "report.check_relation": lambda: check_relation(2),
     "report.cohomology_table": lambda: cohomology_table(RunConfig(2, 2, 2)),

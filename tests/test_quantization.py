@@ -305,7 +305,7 @@ def test_top_cocycle_nontrivial_away_from_half():
     for k in (2, 3):
         for lam in (0, 1, Fraction(1, 3)):
             c = quantization_top_cocycle(2, k, lam)
-            assert not coboundary_solve(field_columns(c, [D], 3)).is_coboundary
+            assert not coboundary_solve(field_columns(c, [D], monomial_fields(2, 3))).is_coboundary
 
 
 def test_top_cocycle_proportional_to_first_class():
@@ -318,7 +318,8 @@ def test_top_cocycle_proportional_to_first_class():
     for k in (2, 3):
         for lam in (0, 1, Fraction(1, 3)):
             c = quantization_top_cocycle(2, k, lam)
-            res = class_proportionality(field_columns(c, [D], 3), builtin_c1(2, k))
+            res = class_proportionality(field_columns(c, [D], monomial_fields(2, 3)),
+                                        builtin_c1(2, k))
             assert res is not None
             mu, _ = res
             assert mu == frozen[(k, lam)]
@@ -329,7 +330,7 @@ def test_half_weight_splits_with_explicit_witness():
     D = divergence_diffop(R2)
     for k in (2, 3):
         c = quantization_top_cocycle(2, k, Fraction(1, 2))
-        res = coboundary_solve(field_columns(c, [D], 3))
+        res = coboundary_solve(field_columns(c, [D], monomial_fields(2, 3)))
         assert res.is_coboundary
         assert res.witness == D.scale(Fraction(-1, 2))
 
@@ -338,10 +339,10 @@ def test_projected_cocycle_is_nontrivial():
     D = divergence_diffop(R2)
     for k in (2, 3):
         top = quantization_top_cocycle(2, k, Fraction(1, 2))
-        witness = coboundary_solve(field_columns(top, [D], 3)).witness
+        witness = coboundary_solve(field_columns(top, [D], monomial_fields(2, 3))).witness
         proj = quantization_projected_cocycle(2, k, Fraction(1, 2), witness)
         assert cocycle_check(proj, 3).holds
-        columns = field_columns(proj, [D.power(2)], 3)
+        columns = field_columns(proj, [D.power(2)], monomial_fields(2, 3))
         assert not coboundary_solve(columns).is_coboundary
         res = class_proportionality(columns, builtin_c2(2, k))
         assert res is not None and res[0] != 0
@@ -355,7 +356,7 @@ def test_sequence_cocycle_with_a_splitting_is_the_two_commutator_formula():
     for k in (2, 3):
         top = quantization_top_cocycle(2, k, lam)
         basis = affine_equivariant_basis(2, k, k - 1)
-        B = coboundary_solve(field_columns(top, basis, 3)).witness
+        B = coboundary_solve(field_columns(top, basis, monomial_fields(2, 3))).witness
         symbols = [Poly.monomial(R2, u + v)
                    for u in monomials_up_to(2, 2) for v in xi_simplex(2, k)]
         for X in monomial_fields(2, 2):
@@ -396,7 +397,7 @@ def test_class_independent_of_section_choice():
         c_sym = OneCocycle(2, k, k - 1, "symmetrized", symmetrized_rule)
         diff = OneCocycle(2, k, k - 1, "section-diff",
                           lambda X: c_left.evaluate(X) - c_sym.evaluate(X))
-        assert coboundary_solve(field_columns(diff, [D], 3)).is_coboundary
+        assert coboundary_solve(field_columns(diff, [D], monomial_fields(2, 3))).is_coboundary
 
 
 def test_reconstruction_rejects_truncated_order():
@@ -425,7 +426,7 @@ def test_projected_cocycle_values_are_pinned():
     digest = hashlib.sha256()
     for k in (2, 3):
         top = quantization_top_cocycle(2, k, Fraction(1, 2))
-        witness = coboundary_solve(field_columns(top, [D], 3)).witness
+        witness = coboundary_solve(field_columns(top, [D], monomial_fields(2, 3))).witness
         proj = quantization_projected_cocycle(2, k, Fraction(1, 2), witness)
         for X in monomial_fields(2, 3):
             digest.update(op_str(proj.evaluate(X)).encode())
@@ -450,7 +451,8 @@ def test_projected_cocycle_values_have_the_witness_x_order(monkeypatch):
     for n, k, degree in [(2, 2, 3), (2, 3, 3), (2, 4, 3), (3, 2, 2)]:
         ring = single_ring(n)
         top = quantization_top_cocycle(n, k, Fraction(1, 2))
-        witness = coboundary_solve(field_columns(top, [divergence_diffop(ring)], 3)).witness
+        witness = coboundary_solve(field_columns(top, [divergence_diffop(ring)],
+                                                 monomial_fields(n, 3))).witness
         proj = quantization_projected_cocycle(n, k, Fraction(1, 2), witness)
         for X in monomial_fields(n, degree):
             calls.clear()
@@ -464,12 +466,14 @@ def test_projected_cocycle_values_have_the_witness_x_order(monkeypatch):
 
 def test_projected_cocycle_builds_one_lie_derivative_per_field_and_one_section_per_symbol(
         monkeypatch):
-    # quantization_report(2, 2, 1/2, 2) evaluates the projected cocycle on 20
-    # monomial fields, each rebuilt from 9 values on x^u xi^v (|v| = 2,
-    # |u| <= 1, the witness's x-order): 180 sequence_cocycle calls over 9
-    # distinct symbols.  L_X is built once per field (20, not 180),
-    # tau'(x^u xi^v) once per symbol (9) and tau'(L_X P) once per value
-    # (180), so 189 sections, not 360
+    # quantization_report(2, 2, 1/2, 2) evaluates the projected cocycle on 4
+    # monomial fields: x1^2 xi1, x1 x2 xi1 and x2^2 xi2 of the two proved
+    # pairs, and the bracket monomial x1^2 x2 xi1 (the other bracket is 0);
+    # its solve reads x1^2 xi1 again, from the cache.  Each is rebuilt from 9
+    # values on x^u xi^v (|v| = 2, |u| <= 1, the witness's x-order): 36
+    # sequence_cocycle calls over 9 distinct symbols.  L_X is built once per
+    # field (4, not 36), tau'(x^u xi^v) once per symbol (9) and tau'(L_X P)
+    # once per value (36), so 45 sections, not 72
     counts = dict.fromkeys(("weighted_lie_derivative", "normal_order_section",
                             "sequence_cocycle", "operator_from_symbol_values"), 0)
 
@@ -485,8 +489,8 @@ def test_projected_cocycle_builds_one_lie_derivative_per_field_and_one_section_p
         monkeypatch.setattr(quantization, name, counting(name))
     out = quantization_report(2, 2, Fraction(1, 2), 2)
     assert out["projected_cocycle"] == {"identity_holds": True, "nontrivial": True}
-    assert counts == {"weighted_lie_derivative": 20, "normal_order_section": 189,
-                      "sequence_cocycle": 180, "operator_from_symbol_values": 20}
+    assert counts == {"weighted_lie_derivative": 4, "normal_order_section": 45,
+                      "sequence_cocycle": 36, "operator_from_symbol_values": 4}
 
 
 @pytest.mark.parametrize("k,scalar", [(2, Fraction(-1, 9)), (3, Fraction(-1, 12))])
@@ -511,7 +515,8 @@ def test_weight_half_projected_cocycle_is_an_ansatz_line(n, k):
     # canonical form on every monomial field up to the named degree
     half = Fraction(1, 2)
     top = quantization_top_cocycle(n, k, half)
-    witness = coboundary_solve(field_columns(top, [divergence_diffop(single_ring(n))], 2)).witness
+    witness = coboundary_solve(field_columns(top, [divergence_diffop(single_ring(n))],
+                                             monomial_fields(n, 2))).witness
     proj = quantization_projected_cocycle(n, k, half, witness)
     line = bilinear_cocycle(n, AnsatzCoefficients(
         k, 2, alpha={} if k == 2 else {3: -1, 2: Fraction(-1, 2)},

@@ -1,19 +1,21 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from cohomolab import ansatz, report
-from cohomolab.ansatz import (FAMILIES, AnsatzCoefficients, impose_cocycle,
-                              recurrence_solutions)
-from cohomolab.cocycles import (bilinear_cocycle, builtin_c1, builtin_c2, builtin_gamma1_flat,
-                                class_proportionality, coboundary_solve, cocycle_check,
-                                field_columns)
+from cohomolab.ansatz import (FAMILIES, AnsatzCoefficients, cocycle_filter_pairs,
+                              field_monomials, impose_cocycle, recurrence_solutions)
+from cohomolab.cocycles import (bilinear_cocycle, builtin_c1, builtin_c2, builtin_div,
+                                builtin_gamma1_flat, class_proportionality, coboundary_solve,
+                                cocycle_check, field_columns, monomial_fields)
 from cohomolab.operators import (PolyDiffOp, affine_equivariant_basis, divergence_diffop,
                                  euler_diffop, module_action)
-from cohomolab.poly import Poly, StructureError, parse_poly, single_ring
-from cohomolab.quantization import quantization_top_cocycle
+from cohomolab.poly import Poly, StructureError, parse_poly, poly_str, single_ring
+from cohomolab.quantization import quantization_projected_cocycle, quantization_top_cocycle
 from cohomolab.report import (
     RunConfig,
     certify_class,
@@ -25,6 +27,7 @@ from cohomolab.report import (
 )
 from cohomolab.symbols import sl_generators
 
+from plane_ring import R2, x
 from property_suite import run_property_suite
 
 
@@ -101,30 +104,36 @@ def test_table_small_and_deterministic():
 
 
 def test_certificates_solve_at_the_derived_degree(monkeypatch):
-    # certify_class solves on fields up to min(max_vf_degree, k - ell + 1):
-    # degree 2 for the p = 1 witnesses and 3 for the p = 2 ones
+    # certify_class solves on the one field x1^D xi1, D = min(max_vf_degree,
+    # k - ell + 1): x1^2 xi1 for the p = 1 witnesses and x1^3 xi1 for the
+    # p = 2 ones, each the interned monomial field
     seen = []
     original = report.field_columns
 
-    def spy(c, candidates, max_vf_degree):
-        seen.append((c.k - c.ell, max_vf_degree))
-        return original(c, candidates, max_vf_degree)
+    def spy(c, candidates, fields):
+        seen.append((c.k - c.ell, fields))
+        return original(c, candidates, fields)
 
     monkeypatch.setattr(report, "field_columns", spy)
     assert cohomology_table(RunConfig(2, 3, max_vf_degree=4))["all_match_expected"]
-    assert sorted(seen) == [(1, 2), (1, 2), (2, 3), (2, 3)]
+    [x1x1] = field_monomials(2, [(2, 0)])[:1]
+    [x1x1x1] = field_monomials(2, [(3, 0)])[:1]
+    assert [poly_str(F) for F in (x1x1, x1x1x1)] == ["1*x1^2*xi1", "1*x1^3*xi1"]
+    assert sorted(seen, key=lambda entry: entry[0]) == [
+        (1, [x1x1]), (1, [x1x1]), (2, [x1x1x1]), (2, [x1x1x1])]
+    assert all(fields[0] is (x1x1, x1x1x1)[p - 1] for p, fields in seen)
 
 
 def test_quantization_report_checks_both_identities_at_its_stated_degree(monkeypatch):
-    # the top cocycle, an ansatz line with no s <= 1 term, is checked on the
-    # proved pair set, which is complete (empty at p = 1); the projected
-    # cocycle is checked on every pair of the 30 monomial fields of degree
-    # <= 4, C(30, 2) = 435; both states the max_vf_degree the report echoes
+    # both cocycles are affine-natural, so each is checked on the proved pair
+    # set, which is complete: empty for the top cocycle (p = 1), and the two
+    # quadratic pairs for the projected one (p = 2); both state the
+    # max_vf_degree the report echoes
     seen = []
     original = report.cocycle_check
 
-    def spy(c, degree, pairs=None):
-        pairs = None if pairs is None else list(pairs)
+    def spy(c, degree, pairs):
+        pairs = list(pairs)
         result = original(c, degree, pairs)
         seen.append((c.k - c.ell, degree, pairs, result.max_vf_degree, result.pairs_checked))
         return result
@@ -133,7 +142,10 @@ def test_quantization_report_checks_both_identities_at_its_stated_degree(monkeyp
     out = report.quantization_report(2, 3, Fraction(1, 2), 4)
     assert out["max_vf_degree"] == 4
     assert out["projected_cocycle"]["identity_holds"]
-    assert seen == [(1, 4, [], 4, 0), (2, 4, None, 4, 435)]
+    quadratic = list(cocycle_filter_pairs(2, 2))
+    assert [(poly_str(Y), poly_str(Z)) for Y, Z in quadratic] == [
+        ("1*x1^2*xi1", "1*x1*x2*xi1"), ("1*x1^2*xi1", "1*x2^2*xi2")]
+    assert seen == [(1, 4, [], 4, 0), (2, 4, quadratic, 4, 2)]
 
 
 def _certified_classes():
@@ -158,7 +170,8 @@ def test_certificates_at_the_derived_degree_agree_with_degree_4(monkeypatch):
     verdicts = set()
     for c, ref in _certified_classes():
         _, cob, prop = certify_class(c, 4, ref)
-        columns = field_columns(c, affine_equivariant_basis(c.n, c.k, c.ell), 4)
+        columns = field_columns(c, affine_equivariant_basis(c.n, c.k, c.ell),
+                                monomial_fields(c.n, 4))
         assert cob.witness == coboundary_solve(columns).witness, (c.name, c.n, c.k, c.ell)
         assert prop == class_proportionality(columns, ref), (c.name, c.n, c.k, c.ell)
         verdicts.add((cob.is_coboundary, prop is not None and prop[0] != 0))
@@ -186,16 +199,17 @@ def test_the_proved_identity_check_agrees_with_the_degree_3_loop():
     for n, k in ((2, 2), (3, 3)):
         cases += [make(n, k) for make in (builtin_c1, builtin_c2, builtin_gamma1_flat)]
     cases += [quantization_top_cocycle(2, 3, w) for w in (0, Fraction(1, 3), Fraction(1, 2), 1)]
+    # the weight-1/2 projected cocycles, affine-natural with the witness c D
+    cases += [c for c, ref in _one_field_grid() if ref is None]
     # the c1 mutant is an affine-vanishing p = 1 line, so a cocycle, just
     # not sl-relative
     cases.append(bilinear_cocycle(
         3, _shifted(builtin_c1(3, 3).coeffs, "beta", 2, Fraction(1, 7)), "c1-mutant"))
     for c in cases:
-        assert c.coeffs is not None
+        assert c.affine_natural
         assert certify_class(c, 3)[0].holds and cocycle_check(c, 3).holds, (c.name, c.n, c.k)
 
-    c2_mutant = bilinear_cocycle(
-        3, _shifted(builtin_c2(3, 3).coeffs, "beta", 3, Fraction(1, 7)), "c2-mutant")
+    c2_mutant = _c2_mutant()
     proved, loop = certify_class(c2_mutant, 3)[0], cocycle_check(c2_mutant, 3)
     assert not proved.holds and not loop.holds
     # the mutant fails on the first of the two quadratic pairs
@@ -221,16 +235,94 @@ def test_table_witness_checks_draw_the_proved_pairs(monkeypatch):
     assert all(e["witness"]["max_vf_degree"] == 2 for e in table["entries"] if "witness" in e)
 
 
-def test_a_line_with_an_s_le_1_term_takes_the_bounded_loop(monkeypatch):
-    # alpha_1 differentiates the field once, so the line need not vanish on
-    # the affine fields and the proved pair set is not known to be complete
-    def refuse(n, p):
-        raise AssertionError("the proved pair set was drawn")
+def _half_witness(n, k):
+    """The splitting witness c D of the weight-1/2 top quantization cocycle."""
+    return certify_class(quantization_top_cocycle(n, k, Fraction(1, 2)), 2)[1].witness
 
+
+def test_the_marker_is_set_on_the_proved_cocycles():
+    # bilinear_cocycle sets it for a line with no s <= 1 term, and the
+    # projected cocycle for a splitting that every affine field fixes, as c D
+    B = _half_witness(2, 3)
+    assert B == divergence_diffop(R2).scale(Fraction(-1, 2))
+    marked = [builtin_c1(2, 3), builtin_c2(2, 3), builtin_gamma1_flat(2, 3),
+              quantization_top_cocycle(2, 3, Fraction(1, 3)),
+              quantization_projected_cocycle(2, 3, Fraction(1, 2), B),
+              *(c for c, _ in _certified_classes())]
+    assert all(c.affine_natural is True for c in marked)
+
+
+def test_a_cocycle_without_the_marker_is_refused(monkeypatch):
+    # div, the alpha_1 line (alpha_1 differentiates the field once, so it
+    # need not vanish on the affine fields) and the projected cocycle of the
+    # splitting x1 D, which the translation d_1 moves, are not marked; each
+    # is refused by name, as cocycle or as reference, before a pair is
+    # drawn or a field evaluated
+    def refuse(*args):
+        raise AssertionError("certify_class went past its refusal")
+
+    x1_B = PolyDiffOp(R2, {mu: x(0) * f for mu, f in _half_witness(2, 3).terms.items()})
+    alpha1 = bilinear_cocycle(2, AnsatzCoefficients(2, 1, alpha={1: 1}), "alpha1")
+    cases = [(builtin_div(2, 2, 1, [Poly.zero(R2)] * 2), None), (alpha1, None),
+             (quantization_projected_cocycle(2, 3, Fraction(1, 2), x1_B), None),
+             (builtin_c1(2, 2), alpha1)]
     monkeypatch.setattr(report, "cocycle_filter_pairs", refuse)
-    c = bilinear_cocycle(2, AnsatzCoefficients(2, 1, alpha={1: 1}), "alpha1")
-    identity = certify_class(c, 3)[0]
-    assert identity.to_json() == cocycle_check(c, 3).to_json()
+    monkeypatch.setattr(report, "field_columns", refuse)
+    for c, ref in cases:
+        named = c if ref is None else ref
+        assert named.affine_natural is False
+        with pytest.raises(StructureError, match=re.escape(
+                f"certify_class needs an affine-natural cocycle, and {named.name} is not"
+                " marked affine_natural")):
+            certify_class(c, 3, ref)
+        assert c._cache == {}
+
+
+def _c2_mutant():
+    """c2 at (3, 3) with 1/7 added to beta_3: affine-natural, but no cocycle."""
+    return bilinear_cocycle(
+        3, _shifted(builtin_c2(3, 3).coeffs, "beta", 3, Fraction(1, 7)), "c2-mutant")
+
+
+@cache
+def _one_field_grid():
+    """(c, reference or None): c1, c2 and gamma1, the table witnesses, the top
+    cocycle at four weights, the weight-1/2 projected cocycle at (n, k) in
+    {2, 3}^2, and the c2 mutant."""
+    grid = list(_certified_classes())
+    for n in (2, 3):
+        for k in (2, 3):
+            grid += [(builtin_c1(n, k), builtin_c1(n, k)), (builtin_c2(n, k), builtin_c2(n, k)),
+                     (builtin_gamma1_flat(n, k), builtin_c1(n, k)),
+                     (quantization_projected_cocycle(n, k, Fraction(1, 2), _half_witness(n, k)),
+                      None)]
+    return grid + [(_c2_mutant(), builtin_c2(3, 3))]
+
+
+@pytest.mark.parametrize("max_vf_degree", [2, 3])
+def test_one_field_gives_the_answers_of_every_field_up_to_its_degree(max_vf_degree,
+                                                                     monkeypatch):
+    # certify_class's proof, steps 1-4: delta vanishes on x1^D xi1 iff it
+    # vanishes on every field of degree <= D, so the witness, the scalar and
+    # "no-witness" equal those of the solves on monomial_fields(n, D), in
+    # the complete case (D = k - ell + 1) and the bounded one (D = 2 < 3)
+    # alike; the identity check is not under test here
+    monkeypatch.setattr(report, "cocycle_check", lambda c, degree, pairs: None)
+    verdicts = set()
+    for c, ref in _one_field_grid():
+        _, cob, prop = certify_class(c, max_vf_degree, ref)
+        fields = monomial_fields(c.n, min(max_vf_degree, c.k - c.ell + 1))
+        columns = field_columns(c, affine_equivariant_basis(c.n, c.k, c.ell), fields)
+        where = (c.name, c.n, c.k, c.ell)
+        assert cob.fields_checked == 1, where
+        assert cob.witness == coboundary_solve(columns).witness, where
+        if ref is not None:
+            assert prop == class_proportionality(columns, ref), where
+        verdicts.add((cob.is_coboundary, None if prop is None else prop[0] != 0))
+    # every answer occurs: a witness (the weight-1/2 top cocycle), none with
+    # a nonzero scalar (the table witnesses), and none with no scalar (the
+    # projected cocycles, which have no reference)
+    assert {(True, False), (False, True), (False, None)} <= verdicts
 
 
 def test_the_field_degree_3_table_is_pinned(monkeypatch):
@@ -260,6 +352,29 @@ def test_the_field_degree_3_table_is_pinned(monkeypatch):
         shared, fresh = sl_generators(n), sl_generators.__wrapped__(n)
         assert shared.all() == fresh.all()
         assert list(map(hash, shared.all())) == list(map(hash, fresh.all()))
+
+
+# SHA-256 of emit_report for payloads no benchmark job computes, taken from
+# the every-field solves: the one-field certificates must keep them byte for
+# byte.  (kind, args, sha256)
+LARGE_REPORT_PINS = [
+    ("table", (5, 4, 3), "70109d902c46d32a799763d40768840060688fb3ff427ac1a667057541e20034"),
+    ("table", (6, 4, 3), "358ea7304c98f4cd1d75e4b0516039f80baae9f462503e9ec172328d1c3beb6a"),
+    ("quantization", (3, 3, Fraction(1, 2), 3),
+     "2fb48fca1bf6fc30c41bf4a32c284c79619dc3770dfa40af3d40d55599933f21"),
+    ("quantization", (4, 3, Fraction(1, 2), 3),
+     "6c9e34a97a53d03f836ad6d23cfff80a6f76bc57f1101f42bd5a50b7dac32084"),
+]
+
+
+@pytest.mark.parametrize("kind,args,digest", LARGE_REPORT_PINS,
+                         ids=["-".join(map(str, (kind, *args)))
+                              for kind, args, _ in LARGE_REPORT_PINS])
+def test_the_large_tables_and_quantization_reports_are_pinned(kind, args, digest):
+    n, k, *rest = args
+    payload = (cohomology_table(RunConfig(n, k, max_vf_degree=rest[0])) if kind == "table"
+               else report.quantization_report(n, k, *rest))
+    assert hashlib.sha256(emit_report(payload).encode()).hexdigest() == digest
 
 
 def test_table_reports_resource_gaps(monkeypatch):
