@@ -565,9 +565,10 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     is proved complete below: the vanishing rows on the one generator
     X = Xbar_1 = x^1 (x^j xi_j), which give vanishing on all of sl(n+1)
     (_vanishing_system and its lemma, shared with impose_cocycle), and the
-    equivariance rows E(X, Y) for that same X against every monomial
-    field Y = x^u xi_m with 2 <= |u| <= p.  So the returned space is
-    exactly the true one; for p <= 1 there is no equivariance row at all.
+    equivariance rows E(X, Y) for that same X against the two degree-p
+    fields Y_1 = x_n^p xi_1 and Y_n = x_n^p xi_n (step 6).  So the
+    returned space is exactly the true one; for p <= 1 there is no
+    equivariance row at all.
 
     Proof of completeness.  The vanishing rows give C = 0 on all of
     sl(n+1) (_vanishing_system's lemma).  Under x -> tx, xi -> xi/t a
@@ -593,17 +594,42 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     4. Weight bound.  A translation-invariant map S_k -> S_{k-p} has
        constant x-coefficients, and its term with d_x^alpha has weight
        p - |alpha| <= p.  So a translation-invariant E(X, Y) of weight
-       |u| > p is 0.  By induction on |u|, starting from 1 and the rows
-       with 2 <= |u| <= p, E(X, .) vanishes on every monomial field, hence
+       |u| > p is 0.  By induction on |u|, starting from every field of
+       degree <= p (6), E(X, .) vanishes on every monomial field, hence
        on every polynomial field.
     5. One generator suffices, as in _vanishing_system's lemma.  3's
        identity holds for the linear field A = x^i xi_1, and
        [A, Xbar_1] = Xbar_i.  So E(Xbar_1, .) = 0 gives E(Xbar_i, .) = 0
        for every i, which with 2 covers all of sl(n+1).
+    6. Two fields suffice.  Let h be spanned by the translations xi_i and
+       the linear fields x^i xi_j with j != 1, a subalgebra.  For j != 1,
+       [x^i xi_j, Xbar_1] = 0, and [xi_i, Xbar_1] is affine, so by 3's
+       identity and 2, W = {Y : E(X, Y) = 0 on S_k} is stable under
+       [A, .] for every A in h; by 1 it holds the affine fields.  So W
+       holds every field of degree <= p once Y_1 and Y_n generate the
+       degree-p fields under the linear fields of h, which keep the degree:
+       (a) [xi_i, x^u xi_m] = u_i x^(u - e_i) xi_m, so the translations
+           carry the degree-p fields onto every lower degree.
+       (b) N = S^p (x) span(xi_2 .. xi_n) is stable under the linear
+           fields of h.  On the quotient S^p xi_1 they act by the
+           derivations x_i d_j, j >= 2, which take x_n^p to every
+           degree-p monomial.  So Y_1 gives every degree-p field modulo N.
+       (c) Grade N by the power a of x_1.  gl(n-1) on the coordinates
+           2..n keeps each grade, and x^1 xi_j (j >= 2) maps grade a onto
+           grade a + 1.  Grade 0 is the degree-p fields in the
+           coordinates 2..n: for n = 2 the line x_2^p xi_2, for n >= 3 two
+           non-isomorphic gl(n-1)-irreducibles, the divergence-free fields
+           and the Euler multiples (report.certify_class, step 3).  Y_n
+           has a nonzero part in each (its divergence p x_n^(p-1) is not
+           0, and it is no Euler multiple), so, gl(n-1) acting completely
+           reducibly, it generates grade 0, and with the raisers all of N.
 
     The tests check the ingredients: 2 on every ansatz term, the bracket of
-    5 for n = 2, 3, 4, and that the bound of 4 is tight (dropping the
-    degree-p fields enlarges the space).
+    5 for n = 2, 3, 4, and 6 on the real bracket: h and X bracket to 0 or
+    an affine field, the affine fields with Y_1 and Y_n close under h to
+    every field of degree <= p while either field alone falls short, and
+    the field set is tight (the degree-(p-1) pair, or no rows, changes
+    the spaces).
 
     Per field Y and ansatz term t, the defect operator E_t(X, Y) is formed
     once, as one commutator_sum; since {X, g} = L_X g for a vector field
@@ -625,7 +651,7 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
 
     X = sl_generators(n).quadratic[0]
     L_X = lie_derivative_op(X)
-    for Y in field_monomials(n, [u for d in range(2, p + 1) for u in xi_simplex(n, d)]):
+    for Y in (field_monomials(n, [(0,) * (n - 1) + (p,)])[::n - 1] if p >= 2 else []):
         bracket = _monomial_terms(schouten_bracket(X, Y))
         _add_rows(reducer, [commutator_sum([(L_X, r(Y))],
                                            base=[(-c, r(m)) for c, m in bracket])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cache
 
 from .ansatz import (impose_cocycle, recurrence_solutions, reduced_indices,
                      solve_equivariant_direct)
@@ -53,6 +54,7 @@ def _add_div_options(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated 1-form components for --name div (default 0)")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cohomolab",

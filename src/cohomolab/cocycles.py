@@ -74,7 +74,10 @@ class OneCocycle:
     Only two constructors set it, each from its own proof:
     bilinear_cocycle for a line with no s <= 1 coefficient, and
     quantization.quantization_projected_cocycle for an affine-equivariant
-    splitting.  report.certify_class refuses a cocycle without it.
+    splitting.  It is no constructor argument (init=False), so
+    OneCocycle(..., affine_natural=True) raises TypeError and a rule built
+    elsewhere starts unmarked; report.certify_class refuses a cocycle
+    without it.
     """
 
     n: int
@@ -83,7 +86,7 @@ class OneCocycle:
     name: str
     rule: Callable[[Poly], PolyDiffOp]
     coeffs: AnsatzCoefficients | None = None
-    affine_natural: bool = False
+    affine_natural: bool = field(default=False, init=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def evaluate(self, X: Poly) -> PolyDiffOp:
@@ -437,9 +440,10 @@ def bilinear_cocycle(n: int, coeffs: AnsatzCoefficients, name: str) -> OneCocycl
     It is marked affine_natural iff the line has no s <= 1 coefficient
     (cocycle_check, "Complete pair sets").
     """
-    natural = all(s >= 2 for kind in FAMILIES for s in getattr(coeffs, kind))
-    return OneCocycle(n, coeffs.k, coeffs.k - coeffs.p, name,
-                      build_bilinear(coeffs, n).operator_for_field, coeffs, natural)
+    c = OneCocycle(n, coeffs.k, coeffs.k - coeffs.p, name,
+                   build_bilinear(coeffs, n).operator_for_field, coeffs)
+    c.affine_natural = all(s >= 2 for kind in FAMILIES for s in getattr(coeffs, kind))
+    return c
 
 
 # -- reporting ------------------------------------------------------------------

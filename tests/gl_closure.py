@@ -16,11 +16,12 @@ RowReducer per weight, and feeds every new basis vector's images under the
 off-diagonal E_ij to the reducer of their weight until none adds rank.  The
 diagonal acts on a weight vector by a scalar, so it adds nothing.
 
-affine_closure() is the same closure on fields rather than pairs, under the
-whole affine algebra aff(n): the translations xi_i and the linear fields
-x^i xi_j, acting by the bracket.  A bracket with an affine field keeps the
-degree or lowers it by one, so the closure of fields of degree <= D is
-finite-dimensional and one RowReducer over their exponents holds it.
+field_closure() is the same closure on fields rather than pairs, under a
+list of affine fields (the movers), acting by the bracket.  A bracket with
+an affine field keeps the degree or lowers it by one, so the closure of
+fields of degree <= D is finite-dimensional and one RowReducer over their
+exponents holds it.  affine_closure() takes the whole affine algebra
+aff(n) as movers: the translations xi_i and the linear fields x^i xi_j.
 """
 
 from __future__ import annotations
@@ -100,14 +101,13 @@ def rank(reducers: dict[tuple[int, ...], RowReducer]) -> int:
     return sum(r.rank for r in reducers.values())
 
 
-def affine_closure(n: int, fields) -> RowReducer:
-    """The span of the fields closed under [A, .] for every affine field A.
+def field_closure(movers, fields) -> RowReducer:
+    """The span of the fields closed under [A, .] for every affine field A in movers.
 
     One RowReducer, its columns the monomial exponents in the order met;
     its rank is the dimension of the closure.  Every new basis vector's
-    brackets with the affine generators are fed back until none adds rank.
+    brackets with the movers are fed back until none adds rank.
     """
-    movers = sl_generators(n).affine()
     reducer = RowReducer(0)
     columns: dict = {}
 
@@ -120,3 +120,8 @@ def affine_closure(n: int, fields) -> RowReducer:
         Y = todo.pop()
         todo += [image for A in movers if added(image := schouten_bracket(A, Y))]
     return reducer
+
+
+def affine_closure(n: int, fields) -> RowReducer:
+    """The span of the fields closed under [A, .] for every affine field A."""
+    return field_closure(sl_generators(n).affine(), fields)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -467,8 +468,11 @@ def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
     original = ansatz.schouten_bracket
     original_build = BilinearOp.operator_for_field
 
+    bracketed = []
+
     def counted(f, g):
         calls[(f, g)] += 1
+        bracketed.append((id(f), id(g)))
         return original(f, g)
 
     def counted_build(self, X):
@@ -499,12 +503,14 @@ def test_direct_solver_shares_generator_brackets_and_operators(monkeypatch):
                     if not g.is_zero() and _xi_degree(g) == k]
     assert not symbol_calls
     # one defect operator [L_X, C_t(Y)] - C_t([X, Y]), a single commutator,
-    # per quadratic generator X (Xbar_1 only), test field Y (the monomial
-    # fields of degree 2 = p: 3 x-shapes times 2 components) and ansatz term
-    # t (10)
+    # per quadratic generator X (Xbar_1 only), test field Y (the two fields
+    # x2^p xi1 and x2^p xi2 of step 6, p = 2, each the interned one, in that
+    # order) and ansatz term t (10)
     assert all(len(key) == 1 and count == 1 for key, count in defects.items())
     assert len({key[0][0] for key in defects}) == 1
-    assert len(defects) == 1 * 6 * len(full_indices(k, 2)) == 60
+    assert len(defects) == 1 * 2 * len(full_indices(k, 2)) == 20
+    X = sl_generators(2).quadratic[0]
+    assert bracketed == [(id(X), id(Y)) for Y in field_monomials(2, [(0, 2)])]
     # the generators are no test fields; the vanishing rows and the
     # equivariance rows share one generator, Xbar_1, whose operator is built
     # once per term, and no rule is built on any other generator
@@ -627,18 +633,25 @@ def test_vanishing_rows_on_an_affine_field_alone_are_too_weak(monkeypatch):
 
 
 def test_direct_solver_needs_the_fields_of_degree_p(monkeypatch):
-    # step 4's bound |u| <= p is tight: without the degree-p fields the rows
-    # still hold on the true space but no longer cut it out
+    # step 4's bound |u| <= p is tight, and step 6's pair has teeth: with the
+    # degree-(p - 1) pair x_n^(p-1) xi_1, x_n^(p-1) xi_n in place of the
+    # degree-p one, or with no equivariance row at all, the rows still hold
+    # on the true space but no longer cut it out, on each of the 37 cells
+    # with p >= 2 of the pinned grid at n <= 4
     original = ansatz.field_monomials
-    for n in (2, 3):
-        for k in range(2, 6):
-            for p in range(2, k + 1):
-                monkeypatch.setattr(ansatz, "field_monomials", lambda n, shapes, p=p:
-                                    original(n, [u for u in shapes if sum(u) != p]))
-                short = solve_equivariant_direct(n, k, p).vectors()
-                true = recurrence_solutions(n, k, p).vectors()
-                assert len(short) > len(true)
-                assert rank_of(short + true) == len(short)
+    mutants = [lambda n, shapes: original(n, [u[:-1] + (u[-1] - 1,) for u in shapes]),
+               lambda n, shapes: original(n, [])]
+    cells = [(n, k, p) for n, kmax in ((2, 7), (3, 5), (4, 4))
+             for k in range(2, kmax + 1) for p in range(2, k + 1)]
+    assert len(cells) == 37
+    for n, k, p in cells:
+        true = recurrence_solutions(n, k, p).vectors()
+        for mutant in mutants:
+            monkeypatch.setattr(ansatz, "field_monomials", mutant)
+            short = solve_equivariant_direct(n, k, p).vectors()
+            monkeypatch.undo()
+            assert len(short) > len(true), (n, k, p)
+            assert rank_of(short + true) == len(short)
 
 
 def _proved_cocycle_pairs(n, p):
@@ -896,10 +909,11 @@ def test_row_generators_feed_pinned_rows(monkeypatch):
     # the rows themselves, not just the answers, are pinned: a change to the
     # operator kernels or the row generators must reproduce them exactly.
     # They are the integer rows, before any unknown's scale; the vanishing
-    # rows are those of Xbar_1 alone
+    # rows are those of Xbar_1 alone, and its equivariance rows are those
+    # against x2^2 xi1 and x2^2 xi2 alone
     space = recurrence_solutions(2, 3, 2)
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(2, 3, 2)) == (
-        "6f2ed27414fc634bcc4e92a518215242c4033d58504ed6a27aea472692d6d33b")
+        "2952d616585f90bd44f533a182d926ec47377f184844d4234b4bf7f1481e5b14")
     assert _row_digest(monkeypatch, lambda: impose_cocycle(space)) == (
         "d6f2fead8d8b262c8bf68a6c2dd420e3beea1e921d01426e307e2e703b9577bb")
     # every pair defect of the filter at (3, 2) has x-order 0; at (4, 4) the
@@ -915,9 +929,27 @@ def test_row_generators_feed_pinned_rows_in_dimension_three(monkeypatch):
     # generate the pairs in three variables, such as x1x2 xi3 with x3^2 xi1
     space = recurrence_solutions(3, 3, 2)
     assert _row_digest(monkeypatch, lambda: solve_equivariant_direct(3, 3, 2)) == (
-        "ce8460df8326715e423ff547e8e2f6172b693fab6108cfbd05325f1cf64c2ffb")
+        "82eb4f1709ea7da3552e660eac0ab942c9f9b3dcf7569e7c6f1f18817b0cf524")
     assert _row_digest(monkeypatch, lambda: impose_cocycle(space)) == (
         "6864040cc32b7f6120753cc55aeb64b56776e9f2a23f8fda5ef7b519330cea0b")
+
+
+def test_the_direct_solver_grid_is_pinned():
+    # every cell with n = 2, k <= 7; n = 3, k <= 5; n = 4, k <= 4 and
+    # n = 5, k <= 3, every p: the SHA-256 of each direct space's to_json and
+    # its agreement with the recurrence, as computed when the solver
+    # imposed the equivariance rows of every monomial field of degree
+    # 2..p.  The two fields of step 6 must give these bytes exactly
+    grid = {}
+    for n, kmax in ((2, 7), (3, 5), (4, 4), (5, 3)):
+        for k in range(kmax + 1):
+            for p in range(k + 1):
+                space = solve_equivariant_direct(n, k, p)
+                grid[f"{n},{k},{p}"] = [space.to_json(),
+                                        space.same_span_as(recurrence_solutions(n, k, p))]
+    assert len(grid) == 82 and all(agrees for _, agrees in grid.values())
+    assert hashlib.sha256(json.dumps(grid, sort_keys=True).encode()).hexdigest() == (
+        "a755c7fcbe63709a221e250c47fd02f439b384e335ad7a6d52f8a4b104e6e68e")
 
 
 def _rank(rows, ncols) -> int:

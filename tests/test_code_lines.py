@@ -41,12 +41,12 @@ CODE_LINES = {
     "cohomolab/__init__.py": 34,
     "cohomolab/__main__.py": 4,
     "cohomolab/ansatz.py": 279,
-    "cohomolab/cli.py": 184,
-    "cohomolab/cocycles.py": 211,
+    "cohomolab/cli.py": 186,
+    "cohomolab/cocycles.py": 212,
     "cohomolab/linalg.py": 60,
     "cohomolab/operators.py": 304,
     "cohomolab/poly.py": 275,
-    "cohomolab/quantization.py": 133,
+    "cohomolab/quantization.py": 135,
     "cohomolab/report.py": 191,
     "cohomolab/symbols.py": 62,
 }

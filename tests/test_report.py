@@ -9,9 +9,9 @@ import pytest
 from cohomolab import ansatz, report
 from cohomolab.ansatz import (FAMILIES, AnsatzCoefficients, cocycle_filter_pairs,
                               field_monomials, impose_cocycle, recurrence_solutions)
-from cohomolab.cocycles import (bilinear_cocycle, builtin_c1, builtin_c2, builtin_div,
-                                builtin_gamma1_flat, class_proportionality, coboundary_solve,
-                                cocycle_check, field_columns, monomial_fields)
+from cohomolab.cocycles import (OneCocycle, bilinear_cocycle, builtin_c1, builtin_c2,
+                                builtin_div, builtin_gamma1_flat, class_proportionality,
+                                coboundary_solve, cocycle_check, field_columns, monomial_fields)
 from cohomolab.operators import (PolyDiffOp, affine_equivariant_basis, divergence_diffop,
                                  euler_diffop, module_action)
 from cohomolab.poly import Poly, StructureError, parse_poly, poly_str, single_ring
@@ -25,7 +25,7 @@ from cohomolab.report import (
     expected_relative_dimension,
     wrap_report,
 )
-from cohomolab.symbols import sl_generators
+from cohomolab.symbols import divergence, sl_generators
 
 from plane_ring import R2, x
 from property_suite import run_property_suite
@@ -276,6 +276,22 @@ def test_a_cocycle_without_the_marker_is_refused(monkeypatch):
                 " marked affine_natural")):
             certify_class(c, 3, ref)
         assert c._cache == {}
+
+
+def test_the_marker_is_no_constructor_argument():
+    # X |-> x1 div X is no cocycle (the degree-3 loop fails it) and, marked,
+    # would pass the proved identity check on the 0 pairs of p = 0; a caller
+    # cannot mark it, and unmarked it is refused by name
+    def x1_div(X):
+        return PolyDiffOp(R2, {(0,) * R2.nvars: x(0) * divergence(X)})
+
+    with pytest.raises(TypeError, match="affine_natural"):
+        OneCocycle(2, 2, 2, "x1div", x1_div, affine_natural=True)
+    c = OneCocycle(2, 2, 2, "x1div", x1_div)
+    assert c.affine_natural is False
+    assert not cocycle_check(c, 3).holds
+    with pytest.raises(StructureError, match="x1div is not marked affine_natural"):
+        certify_class(c, 3)
 
 
 def _c2_mutant():
