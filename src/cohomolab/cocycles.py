@@ -74,9 +74,11 @@ class OneCocycle:
     Only two constructors set it, each from its own proof:
     bilinear_cocycle for a line with no s <= 1 coefficient, and
     quantization.quantization_projected_cocycle for an affine-equivariant
-    splitting.  It is no constructor argument (init=False), so
-    OneCocycle(..., affine_natural=True) raises TypeError and a rule built
-    elsewhere starts unmarked; report.certify_class refuses a cocycle
+    splitting.  It is no constructor argument and no writable attribute,
+    but a read-only property over a slot only they set: so
+    OneCocycle(..., affine_natural=True) raises TypeError,
+    c.affine_natural = True raises AttributeError, and a rule built
+    elsewhere stays unmarked; report.certify_class refuses a cocycle
     without it.
     """
 
@@ -86,8 +88,12 @@ class OneCocycle:
     name: str
     rule: Callable[[Poly], PolyDiffOp]
     coeffs: AnsatzCoefficients | None = None
-    affine_natural: bool = field(default=False, init=False)
+    _natural: bool = field(default=False, init=False)
     _cache: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def affine_natural(self) -> bool:
+        return self._natural
 
     def evaluate(self, X: Poly) -> PolyDiffOp:
         key = X
@@ -442,7 +448,7 @@ def bilinear_cocycle(n: int, coeffs: AnsatzCoefficients, name: str) -> OneCocycl
     """
     c = OneCocycle(n, coeffs.k, coeffs.k - coeffs.p, name,
                    build_bilinear(coeffs, n).operator_for_field, coeffs)
-    c.affine_natural = all(s >= 2 for kind in FAMILIES for s in getattr(coeffs, kind))
+    c._natural = all(s >= 2 for kind in FAMILIES for s in getattr(coeffs, kind))
     return c
 
 

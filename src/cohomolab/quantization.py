@@ -334,6 +334,6 @@ def quantization_projected_cocycle(n: int, k: int, weight,
         return operator_from_symbol_values(n, k, value, max_x_order=x_order)
 
     c = OneCocycle(n, k, k - 2, f"sigma{k - 2}-quantization", rule)
-    c.affine_natural = all(module_action(A, splitting).is_zero()
-                           for A in sl_generators(n).affine())
+    c._natural = all(module_action(A, splitting).is_zero()
+                     for A in sl_generators(n).affine())
     return c

@@ -42,7 +42,7 @@ CODE_LINES = {
     "cohomolab/__main__.py": 4,
     "cohomolab/ansatz.py": 279,
     "cohomolab/cli.py": 186,
-    "cohomolab/cocycles.py": 212,
+    "cohomolab/cocycles.py": 215,
     "cohomolab/linalg.py": 60,
     "cohomolab/operators.py": 304,
     "cohomolab/poly.py": 275,

@@ -281,13 +281,16 @@ def test_a_cocycle_without_the_marker_is_refused(monkeypatch):
 def test_the_marker_is_no_constructor_argument():
     # X |-> x1 div X is no cocycle (the degree-3 loop fails it) and, marked,
     # would pass the proved identity check on the 0 pairs of p = 0; a caller
-    # cannot mark it, and unmarked it is refused by name
+    # can mark it neither when building it nor after, and unmarked it is
+    # refused by name
     def x1_div(X):
         return PolyDiffOp(R2, {(0,) * R2.nvars: x(0) * divergence(X)})
 
     with pytest.raises(TypeError, match="affine_natural"):
         OneCocycle(2, 2, 2, "x1div", x1_div, affine_natural=True)
     c = OneCocycle(2, 2, 2, "x1div", x1_div)
+    with pytest.raises(AttributeError):
+        c.affine_natural = True
     assert c.affine_natural is False
     assert not cocycle_check(c, 3).holds
     with pytest.raises(StructureError, match="x1div is not marked affine_natural"):
