@@ -536,11 +536,13 @@ def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
     lie_derivative_op, does not check the degree.  Both callers satisfy
     this, as both draw their pairs from field_monomials, whose fields are
     x^u xi_m: impose_cocycle through cocycle_filter_pairs, and
-    cocycles.cocycle_check through cocycles.monomial_fields or, for the
-    affine-natural cocycles report.certify_class checks, through
-    cocycle_filter_pairs, which is complete for them.  A rule that should
-    build each field's operator once is memoized by the caller.  Pairs are
-    formed only as the caller draws them.
+    cocycles.cocycle_check, one pair at a time, through
+    cocycles.monomial_fields or, for the affine-natural cocycles
+    report.certify_class checks, through cocycle_filter_pairs, which is
+    complete for them (which pairs it passes: "Pairs with an affine
+    member" in its docstring).  A rule that should build each field's
+    operator once is memoized by the caller.  Pairs are formed only as the
+    caller draws them.
     """
     for Y, Z in pairs:
         L_Y, L_Z = hamiltonian_op(Y), hamiltonian_op(Z)

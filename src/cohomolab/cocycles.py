@@ -131,6 +131,13 @@ def monomial_fields(n: int, max_degree: int) -> list[Poly]:
 
 @dataclass
 class IdentityCheck:
+    """The verdict of cocycle_check on the pairs it covered.
+
+    pairs_checked counts the pairs drawn, up to and including the first
+    failing one: each was evaluated or, for an affine-natural cocycle,
+    settled by the proof in cocycle_check ("Pairs with an affine member").
+    """
+
     holds: bool
     max_vf_degree: int
     pairs_checked: int
@@ -188,17 +195,31 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int,
     there is complete for such a cochain too.  report.certify_class passes
     the proved set.
 
+    Pairs with an affine member.  For an affine-natural c the defect of a
+    pair with an affine member A (total_degree() <= 2: every term has
+    |u| <= 1) is zero on S_k, and is not formed.  That is steps 1-2 of
+    impose_cocycle's proof, which use only the two marked facts: c(A) = 0
+    on S_k and [L_A, c(Z)] = c([A, Z]), so dc(A, Z) = c([A, Z]) -
+    [L_A, c(Z)] + [L_Z, c(A)] = 0, and dc(Z, A) = 0 by antisymmetry.
+    pairs_checked counts the pairs covered, each evaluated or settled so:
+    a pass reports every pair drawn, C(F, 2) by default, and a failing
+    pair, which by this has no affine member, keeps its index in the draw
+    order.  A passed member is checked to be a vector field before its
+    degree is read.  An unmarked cocycle (div, a custom rule, a line with
+    an s <= 1 term) has every pair evaluated; cocycle_filter_pairs has no
+    pair with an affine member, so on it nothing is settled.
+
     Operator equality is exact equality of degree-k canonical forms.  Each
     pair's defect c([X, Y]) + [L_Y, c(X)] + [c(Y), L_X] is the one operator
     that ansatz.cocycle_defects forms for the rule c.evaluate, so both
     commutators and the bracket value, sum_m c_m c(x^m) over the bracket's
     monomials, merge in one accumulator with one term-budget check; c is
-    evaluated once per monomial field met.  The pairs are drawn lazily, so
-    the check draws no pair past the first failing one.  That pair is
-    reported with a monomial symbol on which the defect evaluates to
-    something nonzero (_nonzero_witness), and the defect operator's value
-    there: the canonical form is faithful on S_k, so that is the map's
-    value.
+    evaluated once per monomial field of an evaluated pair.  The pairs are
+    drawn lazily, so the check draws no pair past the first failing one.
+    That pair is reported with a monomial symbol on which the defect
+    evaluates to something nonzero (_nonzero_witness), and the defect
+    operator's value there: the canonical form is faithful on S_k, so that
+    is the map's value.
     """
     check_int(max_vf_degree, 2, "the vector-field degree bound")
 
@@ -209,7 +230,10 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int,
     else:
         pairs = ((check_vector_field(X), check_vector_field(Y)) for X, Y in pairs)
     checked = 0
-    for checked, (X, Y, [defect]) in enumerate(cocycle_defects([c.evaluate], pairs), 1):
+    for checked, (X, Y) in enumerate(pairs, 1):
+        if c.affine_natural and min(X.total_degree(), Y.total_degree()) <= 2:
+            continue
+        [(_, _, [defect])] = cocycle_defects([c.evaluate], [(X, Y)])
         sm = defect.symbol_map(c.k)
         if not sm.is_zero():
             P = _nonzero_witness(sm, c.n)

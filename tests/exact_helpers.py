@@ -16,21 +16,27 @@ form on S_k with falling(v, beta) computed term by term, with no image
 table: the definitions the operator kernels' fast paths are tested against.
 divergence_reference is sum_i d_(x_i) d_(xi_i) p, built with Poly.diff and
 +, the definition symbols.divergence (the divergence operator D applied to
-a field) is tested against.
+a field) is tested against.  every_pair_check is the bounded identity check
+with no pair settled: the defect of every pair of monomial fields, the
+reference cocycles.cocycle_check is tested against.  x1_div_rule is
+X |-> x1 div X, no cocycle and nonzero on the affine fields: a rule the
+affine-natural marker must not be given.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, perm, prod
 
-from cohomolab.ansatz import AnsatzCoefficients, BilinearOp
+from cohomolab.ansatz import AnsatzCoefficients, BilinearOp, cocycle_defects
+from cohomolab.cocycles import OneCocycle, _nonzero_witness, monomial_fields
 from cohomolab.linalg import RowReducer
 from cohomolab.operators import PolyDiffOp, xi_simplex
-from cohomolab.poly import Coeff, Poly, Ring, StructureError, norm_coeff, rat, single_ring
+from cohomolab.poly import (Coeff, Poly, Ring, StructureError, norm_coeff, poly_str, rat,
+                            single_ring)
 from cohomolab.quantization import operator_from_symbol_values
-from cohomolab.symbols import is_closed
+from cohomolab.symbols import divergence, is_closed
 
 
 def normalized(coeffs) -> bool:
@@ -166,3 +172,31 @@ def divergence_reference(p: Poly) -> Poly:
     for i in range(ring.n):
         out = out + p.diff(ring.x(i)).diff(ring.xi(i))
     return out
+
+
+def every_pair_check(c: OneCocycle, max_vf_degree: int) -> dict:
+    """cocycle_check(c, max_vf_degree).to_json() with every pair's defect formed.
+
+    The pairs are combinations over monomial_fields, in order, each defect
+    formed by ansatz.cocycle_defects whatever the cocycle's marker; the
+    first defect nonzero on S_k is reported with its 1-based index, its
+    witness symbol and the defect's value there, and a pass with the count
+    of every pair.
+    """
+    pairs = combinations(monomial_fields(c.n, max_vf_degree), 2)
+    checked = 0
+    for checked, (X, Y, [defect]) in enumerate(cocycle_defects([c.evaluate], pairs), 1):
+        sm = defect.symbol_map(c.k)
+        if not sm.is_zero():
+            P = _nonzero_witness(sm, c.n)
+            return {"holds": False, "max_vf_degree": max_vf_degree, "pairs_checked": checked,
+                    "counterexample": {"X": poly_str(X), "Y": poly_str(Y),
+                                       "symbol": poly_str(P),
+                                       "defect_value": poly_str(defect.apply(P))}}
+    return {"holds": True, "max_vf_degree": max_vf_degree, "pairs_checked": checked}
+
+
+def x1_div_rule(ring: Ring):
+    """X |-> x1 div X on ring: no cocycle, and nonzero on the affine fields."""
+    x1 = Poly.variable(ring, ring.x(0))
+    return lambda X: PolyDiffOp(ring, {(0,) * ring.nvars: x1 * divergence(X)})

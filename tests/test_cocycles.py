@@ -1,8 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from cohomolab.ansatz import (AnsatzCoefficients, field_monomials, impose_cocycle,
+from cohomolab.ansatz import (FAMILIES, AnsatzCoefficients, field_monomials, impose_cocycle,
                               recurrence_solutions)
 from cohomolab.cocycles import (
     OneCocycle,
@@ -24,14 +25,14 @@ from cohomolab.cocycles import (
 )
 from cohomolab.operators import (PolyDiffOp, affine_equivariant_basis, divergence_diffop,
                                  module_action, monomials_up_to)
-from cohomolab.poly import Poly, ResourceLimitError, StructureError, single_ring
+from cohomolab.poly import Poly, ResourceLimitError, StructureError, parse_poly, single_ring
 from cohomolab import ansatz, cocycles, quantization
 from cohomolab.quantization import quantization_projected_cocycle, quantization_top_cocycle
 from cohomolab.report import quantization_report
 from cohomolab.report import certify_class
 from cohomolab.symbols import schouten_bracket, sl_generators
 
-from exact_helpers import one_form_primitive
+from exact_helpers import every_pair_check, one_form_primitive, x1_div_rule
 from plane_ring import R2, x, xi
 
 
@@ -148,7 +149,7 @@ def test_off_ratio_c1_line_is_a_cocycle_that_survives_sl():
     # c1's line at n=3, k=2 has beta_2 = -2(k-1)/(n+1) = -1/2.
     off = AnsatzCoefficients(2, 1, alpha={2: 2}, beta={2: Fraction(-1, 2) + Fraction(1, 7)})
     c = bilinear_cocycle(3, off, "c1")
-    assert cocycle_check(c, 3).holds
+    assert every_pair_check(c, 3)["holds"]
     assert not vanishes_on_sl(c)
 
 
@@ -286,23 +287,24 @@ def test_builtin_full_sweep_small_degree():
         ring = single_ring(n)
         omega = _omega(ring)
         for k in (2, 3, 4, 5):
-            assert cocycle_check(builtin_c1(n, k), 2).holds
-            assert cocycle_check(builtin_c2(n, k), 2).holds
-            assert cocycle_check(builtin_gamma1_flat(n, k), 2).holds
-            assert cocycle_check(builtin_div(n, k, 1, omega), 2).holds
+            assert every_pair_check(builtin_c1(n, k), 2)["holds"]
+            assert every_pair_check(builtin_c2(n, k), 2)["holds"]
+            assert every_pair_check(builtin_gamma1_flat(n, k), 2)["holds"]
+            assert every_pair_check(builtin_div(n, k, 1, omega), 2)["holds"]
 
 
 def test_builtin_full_sweep_quartic_fields():
     # every built-in passes the identity with quartic test fields for both
-    # dimensions and every symbol degree up to five; this is the heavyweight
-    # invariant of the module and takes around a minute
+    # dimensions and every symbol degree up to five, every pair's defect
+    # formed whatever the marker; this is the heavyweight invariant of the
+    # module
     for n in (2, 3):
         ring = single_ring(n)
         omega = _omega(ring)
         for k in (2, 3, 4, 5):
             for c in (builtin_c1(n, k), builtin_c2(n, k),
                       builtin_gamma1_flat(n, k), builtin_div(n, k, 1, omega)):
-                assert cocycle_check(c, 4).holds, (n, k, c.name)
+                assert every_pair_check(c, 4)["holds"], (n, k, c.name)
 
 
 def test_every_builtin_rule_is_linear_on_bracket_fields():
@@ -347,11 +349,13 @@ def test_cocycle_check_evaluates_each_unit_monomial_field_once():
 
 
 def test_cocycle_check_differentiates_each_field_once_not_once_per_pair(monkeypatch):
-    # 30 monomial fields of degree <= 2 at n = 3, one interned object each:
-    # with the intern table cleared, the first check differentiates each in
-    # its 2n variables once (one build per pair would make 6 * (30 + 435)
-    # calls), and a check of another cocycle over the same fields none
-    ansatz._unit_monomial.cache_clear()
+    # 30 monomial fields of degree <= 2 at n = 3, one interned object each,
+    # 12 of them affine: with the intern table cleared, a check of an
+    # unmarked rule differentiates each of the 30 in its 2n variables once
+    # (one build per pair would make 6 * (30 + 435) calls); c2, marked,
+    # forms no defect of a pair with an affine member, so it differentiates
+    # only the 18 quadratic fields; and a check of another cocycle over the
+    # same fields differentiates none
     calls = []
     diff = Poly.diff
 
@@ -360,11 +364,74 @@ def test_cocycle_check_differentiates_each_field_once_not_once_per_pair(monkeypa
         return diff(self, var)
 
     monkeypatch.setattr(Poly, "diff", counting_diff)
+    c2 = builtin_c2(3, 3)
+    unmarked = OneCocycle(3, 3, 1, "c2-rule", c2.rule)
+    assert c2.affine_natural and not unmarked.affine_natural
     assert len(monomial_fields(3, 2)) == 30
-    assert cocycle_check(builtin_c2(3, 3), 2).holds
-    assert len(calls) == 2 * 3 * 30
+    for c, fields in ((unmarked, 30), (c2, 18)):
+        ansatz._unit_monomial.cache_clear()
+        calls.clear()
+        assert cocycle_check(c, 2).to_json() == {"holds": True, "max_vf_degree": 2,
+                                                 "pairs_checked": 435}
+        assert len(calls) == 2 * 3 * fields
     assert cocycle_check(builtin_c1(3, 3), 2).holds
-    assert len(calls) == 2 * 3 * 30
+    assert len(calls) == 2 * 3 * 18
+
+
+def _lemma_cases(n):
+    """(c, whether c is a cocycle), all affine-natural: c1, c2 and gamma1 at
+    k <= 4; at k = 2 and 3 the top quantization cocycle at weights 1/3 and
+    1/2, and the weight-1/2 projected cocycle, whose marker a runtime test
+    of its witness -D/2 sets; and the c2 lines with gamma_2 + 1 and
+    beta_3 + 1/7 at k = 3 and 4."""
+    cases = [(make(n, k), True) for k in (2, 3, 4)
+             for make in (builtin_c1, builtin_c2, builtin_gamma1_flat)]
+    half, witness = Fraction(1, 2), divergence_diffop(single_ring(n)).scale(Fraction(-1, 2))
+    for k in (2, 3):
+        cases += [(quantization_top_cocycle(n, k, w), True) for w in (Fraction(1, 3), half)]
+        cases.append((quantization_projected_cocycle(n, k, half, witness), True))
+    for k in (3, 4):
+        line = second_class_coefficients(n, k)
+        for kind, s, delta in (("gamma", 2, 1), ("beta", 3, Fraction(1, 7))):
+            data = {family: dict(getattr(line, family)) for family in FAMILIES}
+            data[kind][s] = data[kind].get(s, 0) + delta
+            cases.append((bilinear_cocycle(n, AnsatzCoefficients(k, 2, **data), "mutant"), False))
+    return cases
+
+
+@pytest.mark.parametrize("n, degree", [(2, 3), (3, 2)])
+def test_a_pair_with_an_affine_member_has_zero_defect_for_a_marked_cocycle(n, degree):
+    # impose_cocycle's steps 1-2, which cocycle_check uses to skip these
+    # pairs, on the defects cocycle_defects forms: every pair with a member
+    # of total degree <= 2 has zero defect on S_k, for the cocycles and for
+    # the two mutants, which fail only on pairs of two non-affine fields
+    fields = monomial_fields(n, degree)
+    for c, cocycle in _lemma_cases(n):
+        assert c.affine_natural
+        zero = {(X, Y): defect.symbol_map(c.k).is_zero()
+                for X, Y, [defect] in ansatz.cocycle_defects([c.evaluate],
+                                                             combinations(fields, 2))}
+        assert all(ok for (X, Y), ok in zero.items()
+                   if min(X.total_degree(), Y.total_degree()) <= 2), (c.name, c.k)
+        assert all(zero.values()) == cocycle, (c.name, c.k)
+
+
+@pytest.mark.parametrize("n, degree", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_cocycle_check_reports_what_the_every_pair_loop_reports(n, degree):
+    # byte for byte, marked or not: the pass count, or the failing pair,
+    # its index in the draw order, its symbol and value, of the loop that
+    # forms every defect; the unmarked cases are div and X |-> x1 div X,
+    # which is no cocycle
+    ring = single_ring(n)
+    x1_div = OneCocycle(n, 3, 3, "x1div", x1_div_rule(ring))
+    cases = [c for c, _ in _lemma_cases(n) if c.k == 3]
+    cases += [builtin_div(n, 3, 1, _omega(ring)), x1_div]
+    for c in cases:
+        assert cocycle_check(c, degree).to_json() == every_pair_check(c, degree), c.name
+    # x1 div X fails on a pair with an affine member: the marker, which it
+    # cannot carry, is what lets the check skip those pairs
+    failing = cocycle_check(x1_div, degree).counterexample
+    assert min(parse_poly(ring, failing[m]).total_degree() for m in "XY") <= 2
 
 
 def test_weight_half_report_rebuilds_at_most_one_operator_per_monomial(monkeypatch):

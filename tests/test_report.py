@@ -25,8 +25,9 @@ from cohomolab.report import (
     expected_relative_dimension,
     wrap_report,
 )
-from cohomolab.symbols import divergence, sl_generators
+from cohomolab.symbols import sl_generators
 
+from exact_helpers import every_pair_check, x1_div_rule
 from plane_ring import R2, x
 from property_suite import run_property_suite
 
@@ -188,8 +189,9 @@ def _shifted(line, kind, s, delta):
 
 
 def test_the_proved_identity_check_agrees_with_the_degree_3_loop():
-    # bound: the loop runs on every pair of monomial fields of degree <= 3;
-    # the certificate checks these lines (no s <= 1 term) on the proved set
+    # bound: the loop forms the defect of every pair of monomial fields of
+    # degree <= 3, trusting no marker; the certificate checks these lines
+    # (no s <= 1 term) on the proved set
     cases = []
     for n, top_k in ((2, 5), (3, 4)):
         for k in range(2, top_k + 1):
@@ -207,11 +209,13 @@ def test_the_proved_identity_check_agrees_with_the_degree_3_loop():
         3, _shifted(builtin_c1(3, 3).coeffs, "beta", 2, Fraction(1, 7)), "c1-mutant"))
     for c in cases:
         assert c.affine_natural
-        assert certify_class(c, 3)[0].holds and cocycle_check(c, 3).holds, (c.name, c.n, c.k)
+        assert certify_class(c, 3)[0].holds, (c.name, c.n, c.k)
+        assert every_pair_check(c, 3)["holds"], (c.name, c.n, c.k)
 
     c2_mutant = _c2_mutant()
     proved, loop = certify_class(c2_mutant, 3)[0], cocycle_check(c2_mutant, 3)
     assert not proved.holds and not loop.holds
+    assert loop.to_json() == every_pair_check(c2_mutant, 3)
     # the mutant fails on the first of the two quadratic pairs
     assert (proved.pairs_checked, loop.pairs_checked) == (1, 368)
 
@@ -283,12 +287,9 @@ def test_the_marker_is_no_constructor_argument():
     # would pass the proved identity check on the 0 pairs of p = 0; a caller
     # can mark it neither when building it nor after, and unmarked it is
     # refused by name
-    def x1_div(X):
-        return PolyDiffOp(R2, {(0,) * R2.nvars: x(0) * divergence(X)})
-
     with pytest.raises(TypeError, match="affine_natural"):
-        OneCocycle(2, 2, 2, "x1div", x1_div, affine_natural=True)
-    c = OneCocycle(2, 2, 2, "x1div", x1_div)
+        OneCocycle(2, 2, 2, "x1div", x1_div_rule(R2), affine_natural=True)
+    c = OneCocycle(2, 2, 2, "x1div", x1_div_rule(R2))
     with pytest.raises(AttributeError):
         c.affine_natural = True
     assert c.affine_natural is False
