@@ -24,9 +24,13 @@ derivatives to an eta-degree-k argument and die on the relevant subspace).
 Each denominator is a! b! for the term's powers a of Dxeta and b of Dyeta.
 ansatz_term_op is the integer contraction product and term_norm its factor
 1/(a! b!), the one place it lives.  A line's integer form (integer_form) is
-the integer combination of those products times one rational scale;
-build_bilinear applies the scale.  The two solvers feed integer rows and
-apply each unknown's scale once, to the nullspace (_scaled_nullspace).
+the integer combination of those products times one rational scale.  The
+single_ring(2n) operator is built by ansatz_term_op and integer_form only,
+and is not kept: BilinearOp regroups it into parts by the derivative that
+lands on the field, each constant multiplied by the scale once.
+build_bilinear passes a line's scale; the two solvers pass 1, feed integer
+rows and apply each unknown's scale once, to the nullspace
+(_scaled_nullspace).
 
 Two independent solvers compute the equivariant subspace: one solves the
 closed-form recurrence system for the coefficients, the other imposes the
@@ -54,13 +58,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, product, takewhile
-from math import comb, factorial, lcm, perm, prod
+from math import comb, factorial, lcm
 from operator import sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
-from .operators import (PolyDiffOp, commutator_sum, hamiltonian_op, lie_derivative_op,
+from .operators import (PolyDiffOp, commutator_sum, falling, hamiltonian_op, lie_derivative_op,
                         linear_combination, operator_from_sum, xi_simplex)
 from .poly import (Coeff, Exponent, Poly, Ring, StructureError, add_scaled_terms, budget_scope,
                    check_int, check_term_budget, check_vector_field, norm_coeff, rat, rat_str,
@@ -214,26 +218,28 @@ def ansatz_term_op(n: int, kind: str, s: int, p: int) -> PolyDiffOp:
 
 
 class BilinearOp:
-    """A bilinear map S_1 (x) S_k -> S_{k-p}: a single_ring(2n) operator plus restriction.
+    """A bilinear map S_1 (x) S_k -> S_{k-p}: scale times a single_ring(2n) operator, restricted.
 
-    The operator's coefficients must be constant, checked once here.
-    `parts` groups its terms c * dx^a dy^g dxi^b deta^h by the derivative
-    part (a, b) that lands on the field, once, in the operator's term
-    order: parts[(a, b)] = [((g, h), c), ...].
+    The operator's coefficients must be constant, checked once here, and
+    the operator is not kept.  `parts` groups its terms
+    c * dx^a dy^g dxi^b deta^h by the derivative part (a, b) that lands on
+    the field, once, in the operator's term order, each constant
+    multiplied by the scale once: parts[(a, b)] = [((g, h), scale * c), ...].
+    build_bilinear passes a line's integer form and its scale, and the
+    solvers (_vanishing_system) an unknown's integer operator and 1.
     """
 
-    def __init__(self, n: int, op: PolyDiffOp):
+    def __init__(self, n: int, op: PolyDiffOp, scale: Coeff):
         if op.ring != single_ring(2 * n):
             raise StructureError(f"bilinear operators live in single_ring({2 * n})")
         self.n = n
-        self.op = op
         const = (0,) * 4 * n
         self.parts: dict[tuple, list] = {}
         for mu, coeff in op.terms.items():
             if coeff.terms.keys() != {const}:
                 raise StructureError("bilinear operators need constant coefficients")
             self.parts.setdefault(mu[:n] + mu[2 * n:3 * n], []).append(
-                (mu[n:2 * n] + mu[3 * n:], coeff.terms[const]))
+                (mu[n:2 * n] + mu[3 * n:], norm_coeff(coeff.terms[const] * scale)))
 
     def operator_for_field(self, X: Poly) -> PolyDiffOp:
         """The single_ring(n) operator P |-> C(X, P), for a fixed vector field.
@@ -254,10 +260,10 @@ class BilinearOp:
         parts = self.parts
         acc: dict[tuple, dict] = {}
         for e, c_e in check_vector_field(X).terms.items():
-            for s, rest, falling in _lower_indices(e):
+            for s, rest, fac in _lower_indices(e):
                 part = parts.get(s)
                 if part is not None:
-                    term = ((rest, c_e * falling),)
+                    term = ((rest, c_e * fac),)
                     for g_h, c in part:
                         add_scaled_terms(acc.setdefault(g_h, {}), term, c)
         return operator_from_sum(single_ring(self.n), acc)
@@ -267,12 +273,12 @@ class BilinearOp:
 def _lower_indices(e: Exponent) -> tuple[tuple[Exponent, Exponent, int], ...]:
     """(s, e - s, falling(e, s)) for every s <= e.
 
-    falling(e, s) = prod_i e_i! / (e_i - s_i)!, so d^s x^e is
-    falling(e, s) x^(e - s); every other s has d^s x^e = 0.  Keyed by the
-    exponent alone, so one table serves every operator; an s that is no
-    part of an operator is one failed lookup in its parts.
+    falling(e, s) = prod_i e_i! / (e_i - s_i)! (operators.falling), so
+    d^s x^e is falling(e, s) x^(e - s); every other s has d^s x^e = 0.
+    Keyed by the exponent alone, so one table serves every operator; an s
+    that is no part of an operator is one failed lookup in its parts.
     """
-    return tuple((s, tuple(map(sub, e, s)), prod(map(perm, e, s)))
+    return tuple((s, tuple(map(sub, e, s)), falling(e, s))
                  for s in product(*(range(m + 1) for m in e)))
 
 
@@ -281,7 +287,9 @@ def integer_form(coeffs: AnsatzCoefficients, n: int) -> tuple[PolyDiffOp, Coeff]
 
     The weights coeff * term_norm of the nonzero indices are multiplied by
     the lcm D of their denominators, B is the sum of those integer weights
-    times the ansatz_term_ops, and scale = 1/D, an int when D = 1.
+    times the ansatz_term_ops, and scale = 1/D, an int when D = 1.  B is
+    the one single_ring(2n) operator of a line; BilinearOp regroups it and
+    applies the scale, and keeps neither.
     """
     k, p = coeffs.k, coeffs.p
     nonzero = [(kind, s) for kind, s in full_indices(k, p) if coeffs.get(kind, s) != 0]
@@ -295,9 +303,12 @@ def integer_form(coeffs: AnsatzCoefficients, n: int) -> tuple[PolyDiffOp, Coeff]
 
 @budget_scope
 def build_bilinear(coeffs: AnsatzCoefficients, n: int) -> BilinearOp:
-    """The candidate operator with its factorial normalizations: integer_form times its scale."""
-    op, scale = integer_form(coeffs, n)
-    return BilinearOp(n, op.scale(scale))
+    """The candidate map with its factorial normalizations: integer_form, its scale on the parts.
+
+    No scaled copy of the integer operator is formed: BilinearOp multiplies
+    each part constant by the scale.
+    """
+    return BilinearOp(n, *integer_form(coeffs, n))
 
 
 # -- solution spaces ----------------------------------------------------------
@@ -446,9 +457,10 @@ def _vanishing_system(n: int, k: int, forms: list[tuple[PolyDiffOp, Coeff]]
     """The rules of the unknowns and a RowReducer holding their vanishing rows.
 
     forms[j] = (B_j, s_j) is unknown j's integer operator and scale, its
-    operator s_j B_j.  The rule F |-> B_j(F, .) is memoized for this call,
-    and the rows of sum_j v_j B_j(G, .) = 0 on S_k are added for the one
-    generator G = Xbar_1 = x^1 (x^j xi_j).  They hold at v iff
+    operator s_j B_j.  The rule F |-> B_j(F, .), a BilinearOp of scale 1,
+    so that the rows stay integer, is memoized for this call, and the rows
+    of sum_j v_j B_j(G, .) = 0 on S_k are added for the one generator
+    G = Xbar_1 = x^1 (x^j xi_j).  They hold at v iff
     C = sum_j v_j B_j vanishes on sl(n+1), by the lemma below.  Both
     solvers start from these rows and read their basis through
     _scaled_nullspace.
@@ -470,7 +482,7 @@ def _vanishing_system(n: int, k: int, forms: list[tuple[PolyDiffOp, Coeff]]
     checks every generator, as it checks cocycles that are not
     affine-equivariant, such as div.
     """
-    rules = [cache(BilinearOp(n, op).operator_for_field) for op, _ in forms]
+    rules = [cache(BilinearOp(n, op, 1).operator_for_field) for op, _ in forms]
     reducer = RowReducer(len(forms))
     G = sl_generators(n).quadratic[0]
     _add_rows(reducer, [r(G) for r in rules], k)

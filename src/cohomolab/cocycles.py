@@ -66,8 +66,7 @@ class OneCocycle:
     The rule must be linear: cocycle_check evaluates it on coefficient-1
     monomial fields only and takes its value at a bracket sum_m c_m x^m as
     sum_m c_m rule(x^m) (ansatz.cocycle_defects).  evaluate memoizes it by
-    the field.  coeffs is the ansatz line a cocycle of bilinear_cocycle
-    evaluates, and None for any other rule.
+    the field.
 
     affine_natural marks a proof, not an option: the rule vanishes on the
     affine fields A and is affine-equivariant, [L_A, c(X)] = c([A, X]).
@@ -87,7 +86,6 @@ class OneCocycle:
     ell: int
     name: str
     rule: Callable[[Poly], PolyDiffOp]
-    coeffs: AnsatzCoefficients | None = None
     _natural: bool = field(default=False, init=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -471,7 +469,7 @@ def bilinear_cocycle(n: int, coeffs: AnsatzCoefficients, name: str) -> OneCocycl
     (cocycle_check, "Complete pair sets").
     """
     c = OneCocycle(n, coeffs.k, coeffs.k - coeffs.p, name,
-                   build_bilinear(coeffs, n).operator_for_field, coeffs)
+                   build_bilinear(coeffs, n).operator_for_field)
     c._natural = all(s >= 2 for kind in FAMILIES for s in getattr(coeffs, kind))
     return c
 

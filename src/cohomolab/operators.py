@@ -26,15 +26,15 @@ and commutator never forms the products that would cancel.
 The expansion runs in one pass over pairs of monomial terms.  Each
 operator keeps, in one lazily filled slot, a flat Leibniz table: one entry
 per monomial term c x^e d^mu, holding mu and e as packed keys, mu shifted
-past the exponent fields, c, |mu| and the supports of mu and e, each
-support a bitmask of the variables with a nonzero entry; the table also
-keeps the largest |e| and the flat (packed key, c) list of the terms.  A
-packed key holds a multi-index of m = ring.nvars entries in W = _WIDTH = 16
-bits each, e_i << (W i), and a term's key is (mu << W m) | e; packing and
-decoding are interned (_pack, _unpack), so each distinct tuple is packed
-once and each key decoded once per process.  An entry of 2^(W - 1) or more
-is refused with ResourceLimitError when it is packed, so a sum of two
-entries stays below 2^W and never carries into the next field.
+past the exponent fields, c and the supports of mu and e, each support a
+bitmask of the variables with a nonzero entry; the table also keeps the
+flat (packed key, c) list of the terms.  A packed key holds a multi-index
+of m = ring.nvars entries in W = _WIDTH = 16 bits each, e_i << (W i), and
+a term's key is (mu << W m) | e; packing and decoding are interned
+(_pack, _unpack), so each distinct tuple is packed once and each key
+decoded once per process.  An entry of 2^(W - 1) or more is refused with
+ResourceLimitError when it is packed, so a sum of two entries stays below
+2^W and never carries into the next field.
 A left term c x^e d^pi and a right term c' x^e' d^mu
 contribute only for the subsets rho <= min(pi, e'), because
 d^rho(x^e') = 0 unless rho <= e'; a cache keyed by (pi, e', lowest order,
@@ -43,8 +43,10 @@ m), both packed, lists exactly those, each as the packed offset of
 each product's key is e + (mu << W m) + offset: two integer adds.
 At lowest order >= 1 a pair whose pi and e' share no variable has
 min(pi, e') = 0 and so no subset to expand; one AND of the two supports,
-the only per-pair skip test, passes it by before the cache is read.  Every
-product is added straight into one flat {packed key: coefficient}
+the only skip test, passes it by before the cache is read.  A left term
+with pi = 0 and a right term with e' = 0 have an empty support, so at
+lowest order >= 1 every pair with one of them is passed by the same way.
+Every product is added straight into one flat {packed key: coefficient}
 accumulator, and one decode step (_operator_from_packed) groups it by
 derivative, unpacks it and builds each Poly coefficient once.  So a
 constant right operand costs its rho = 0 products and nothing else, and
@@ -250,31 +252,26 @@ def _leibniz(acc: dict, left: "PolyDiffOp", right: "PolyDiffOp", lowest: int,
     unless s <= e.  Each survivor's key is the left exponent plus the
     shifted right derivative, one sum per pair, plus the survivor's packed
     offset: every entry is below 2^(_WIDTH - 1) (_pack), so no sum carries.
-    A left term with |mu| < lowest and a right operand of
-    top degree < lowest add nothing and are skipped whole.  At lowest >= 1
-    a pair whose mu and e_right share no variable has min(mu, e_right) = 0
-    and no survivor; the AND of the two support bitmasks in the tables is
-    the one skip test per pair, made before the survivor cache is read.  It
-    skips a right term of degree 0 too, whose support is 0.  A pair that
-    passes it at lowest 0 or 1 has a survivor (the empty subset at 0, s =
-    e_i for a shared variable i at 1), and a survivor list that is empty at
-    any lowest adds nothing.
+    At lowest >= 1 a pair whose mu and e_right share no variable has
+    min(mu, e_right) = 0 and no survivor; the AND of the two support
+    bitmasks in the tables is the one skip test, made per pair before the
+    survivor cache is read.  It skips every pair with a left term of order
+    0 or a right term of degree 0, whose support is 0, so no operand or
+    term has a test of its own.  A pair that passes it at lowest 0 or 1 has
+    a survivor (the empty subset at 0, s = e_i for a shared variable i at
+    1), and a survivor list that is empty at any lowest adds nothing.
 
     It keeps its own add-and-drop loop, the one outside
     poly.add_scaled_terms: each product lands at its own key, so a shared
     call here would cost one call per product, on the hottest loop of the
     package.
     """
-    rights, top, _ = right._leibniz_table()
-    if top < lowest:
-        return
+    rights = right._leibniz_table()[0]
     m = left.ring.nvars
-    for mu, fe, _, fc, order, mu_vars, _ in left._leibniz_table()[0]:
-        if order < lowest:
-            continue
+    for mu, fe, _, fc, mu_vars, _ in left._leibniz_table()[0]:
         if sign < 0:
             fc = -fc
-        for _, ge, nu_shifted, gc, _, _, e_vars in rights:
+        for _, ge, nu_shifted, gc, _, e_vars in rights:
             if lowest and not mu_vars & e_vars:
                 continue
             c = fc * gc
@@ -389,30 +386,26 @@ class PolyDiffOp:
         return max((sum(mu) for mu in self.terms), default=0)
 
     def _leibniz_table(self) -> tuple:
-        """(entries, top, flat): the operator as _leibniz and commutator_sum read it.
+        """(entries, flat): the operator as _leibniz and commutator_sum read it.
 
         One entry per monomial term c x^e d^mu: (_pack(mu), _pack(e),
-        _pack(mu) << (_WIDTH m), c, |mu|, _support(mu), _support(e)), m the
-        number of ring variables; top is the largest |e|, and flat the
-        (packed key, c) list of the terms, the key as in _leibniz.  Built on
-        first use and kept for the operator's life, so an operator composed
-        or summed many times (a cached L_X, cocycle value or rule value) is
-        flattened and packed once, supports included.  An entry past the
-        packed width raises ResourceLimitError (_pack).
+        _pack(mu) << (_WIDTH m), c, _support(mu), _support(e)), m the number
+        of ring variables, and flat the (packed key, c) list of the terms,
+        the key as in _leibniz.  Built on first use and kept for the
+        operator's life, so an operator composed or summed many times (a
+        cached L_X, cocycle value or rule value) is flattened and packed
+        once, supports included.  An entry past the packed width raises
+        ResourceLimitError (_pack).
         """
         if self._table is None:
             shift = _WIDTH * self.ring.nvars
             entries = []
-            top = 0
             for mu, g in self.terms.items():
                 packed_mu = _pack(mu)
-                mu_shifted = packed_mu << shift
-                order, mu_vars = sum(mu), _support(mu)
+                mu_shifted, mu_vars = packed_mu << shift, _support(mu)
                 for e, c in g.terms.items():
-                    entries.append((packed_mu, _pack(e), mu_shifted, c, order, mu_vars,
-                                    _support(e)))
-                    top = max(top, sum(e))
-            self._table = entries, top, [(t[2] + t[1], t[3]) for t in entries]
+                    entries.append((packed_mu, _pack(e), mu_shifted, c, mu_vars, _support(e)))
+            self._table = entries, [(t[2] + t[1], t[3]) for t in entries]
         return self._table
 
     def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
@@ -498,7 +491,7 @@ def commutator_sum(pairs: list[tuple[PolyDiffOp, PolyDiffOp]],
     acc: dict = {}
     for c, B in base:
         check_same_ring(ring, B.ring)
-        add_scaled_terms(acc, B._leibniz_table()[2], c)
+        add_scaled_terms(acc, B._leibniz_table()[1], c)
     for P, A in pairs:
         check_same_ring(ring, P.ring)
         check_same_ring(ring, A.ring)

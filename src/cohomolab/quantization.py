@@ -69,10 +69,10 @@ from math import factorial, prod
 
 from .ansatz import AnsatzCoefficients
 from .cocycles import OneCocycle, bilinear_cocycle
-from .operators import (PolyDiffOp, divergence_diffop, lie_derivative_op, module_action,
-                        monomials_up_to, multi_binom, op_str, xi_simplex)
+from .operators import (PolyDiffOp, lie_derivative_op, module_action, monomials_up_to,
+                        multi_binom, op_str, xi_simplex)
 from .poly import Exponent, Poly, StructureError, check_int, rat, single_ring
-from .symbols import hamiltonian_action, sl_generators
+from .symbols import divergence, hamiltonian_action, sl_generators
 
 
 def _check_x_only(p: Poly) -> Poly:
@@ -165,13 +165,11 @@ def weighted_lie_derivative(X: Poly, weight) -> DensityOperator:
 
     The transport part X^i d_i is the x-derivative half of lie_derivative_op(X),
     the field's one Hamiltonian operator (hamiltonian_op's _ham slot), which
-    also checks that X is a vector field; div X = D X applies the divergence
-    operator D (operators.divergence_diffop) to the checked field.
+    also checks that X is a vector field; div X is symbols.divergence(X).
     """
-    ring = X.ring
-    n = ring.n
+    n = X.ring.n
     terms = {mu[:n]: c for mu, c in lie_derivative_op(X).terms.items() if not any(mu[n:])}
-    terms[(0,) * n] = divergence_diffop(ring).apply(X).scale(rat(weight))
+    terms[(0,) * n] = divergence(X).scale(rat(weight))
     return DensityOperator(n, weight, terms)
 
 

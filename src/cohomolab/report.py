@@ -60,8 +60,8 @@ from .symbols import schouten_bracket  # noqa: F401
 @dataclass
 class RunConfig:
     n: int
-    max_symbol_degree: int = 5
-    max_vf_degree: int = 3
+    max_symbol_degree: int
+    max_vf_degree: int
 
     def __post_init__(self):
         single_ring(self.n)  # rejects n < 2

@@ -7,8 +7,13 @@ closed polynomial 1-form, which gives the multiplication operator that
 cobounds the div cocycle with a = 0.  rebuild_with_next_order_check runs
 the operator reconstruction at a bound the caller has not proved, and checks
 the result one x-order above that bound.  rank_of is the rank of a list of
-coordinate vectors, and bilinear_value is C(X, P) by its definition, the
-reference BilinearOp.operator_for_field is tested against.  normalized is
+coordinate vectors.  line_operator is the single_ring(2n) operator of an
+ansatz line by its definition, sum coeff * term_norm * ansatz_term_op,
+independent of integer_form's lcm and scale; regrouped_parts groups its
+terms as BilinearOp.parts does, and bilinear_value is C(X, P) by its
+definition: the references build_bilinear and
+BilinearOp.operator_for_field are tested against.  shifted_line adds to
+one coefficient of a line, which makes the mutant lines.  normalized is
 the form every stored coefficient takes: nonzero, and an int when integral.
 leibniz_reference is the Leibniz rule summed over every s <= mu, with no
 survivor cache and no support test, and symbol_map_reference the canonical
@@ -29,10 +34,11 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, perm, prod
 
-from cohomolab.ansatz import AnsatzCoefficients, BilinearOp, cocycle_defects
+from cohomolab.ansatz import (FAMILIES, AnsatzCoefficients, ansatz_term_op, cocycle_defects,
+                              full_indices, term_norm)
 from cohomolab.cocycles import OneCocycle, _nonzero_witness, monomial_fields
 from cohomolab.linalg import RowReducer
-from cohomolab.operators import PolyDiffOp, xi_simplex
+from cohomolab.operators import PolyDiffOp, linear_combination, xi_simplex
 from cohomolab.poly import (Coeff, Poly, Ring, StructureError, norm_coeff, poly_str, rat,
                             single_ring)
 from cohomolab.quantization import operator_from_symbol_values
@@ -102,18 +108,55 @@ def rank_of(vectors: list[list[Coeff]]) -> int:
     return red.rank
 
 
-def bilinear_value(C: BilinearOp, X: Poly, P: Poly) -> Poly:
-    """C(X, P) by its definition, the reference operator_for_field is tested against.
+def line_operator(coeffs: AnsatzCoefficients, n: int) -> PolyDiffOp:
+    """The candidate operator of an ansatz line in single_ring(2n), by its definition.
 
-    X(x, xi) P(y, eta) is formed in single_ring(2n), the operator is
-    applied, and y := x, eta := xi restricts the value to single_ring(n).
+    sum coeff * term_norm * ansatz_term_op over the line's nonzero indices,
+    summed with rational weights: no lcm of denominators, no integer form
+    and no scale.
     """
-    n, ring = C.n, C.op.ring
+    k, p = coeffs.k, coeffs.p
+    nonzero = [(kind, s) for kind, s in full_indices(k, p) if coeffs.get(kind, s) != 0]
+    return linear_combination(single_ring(2 * n),
+                              [ansatz_term_op(n, kind, s, p) for kind, s in nonzero],
+                              [coeffs.get(kind, s) * term_norm(kind, s, p) for kind, s in nonzero])
+
+
+def shifted_line(line: AnsatzCoefficients, kind: str, s: int, delta) -> AnsatzCoefficients:
+    """The ansatz line with delta added to its (kind, s) coefficient."""
+    data = {family: dict(getattr(line, family)) for family in FAMILIES}
+    data[kind][s] = data[kind].get(s, 0) + delta
+    return AnsatzCoefficients(line.k, line.p, **data)
+
+
+def regrouped_parts(op: PolyDiffOp) -> dict:
+    """{(a, b): {(g, h): c}} for the terms c dx^a dy^g dxi^b deta^h of a bilinear operator.
+
+    op is a single_ring(2n) operator with constant coefficients; (a, b) is
+    the derivative that lands on the field, as BilinearOp.parts keys it.
+    """
+    n = op.ring.n // 2
+    parts: dict = {}
+    for mu, coeff in op.terms.items():
+        [(e, c)] = coeff.terms.items()
+        assert not any(e)
+        parts.setdefault(mu[:n] + mu[2 * n:3 * n], {})[mu[n:2 * n] + mu[3 * n:]] = c
+    return parts
+
+
+def bilinear_value(op: PolyDiffOp, X: Poly, P: Poly) -> Poly:
+    """C(X, P) by its definition, for the single_ring(2n) operator op of C.
+
+    X(x, xi) P(y, eta) is formed in single_ring(2n), op is applied, and
+    y := x, eta := xi restricts the value to single_ring(n).
+    """
+    ring = op.ring
+    n = ring.n // 2
     pad = (0,) * n
     first = Poly(ring, {e[:n] + pad + e[n:] + pad: c for e, c in X.terms.items()})
     second = Poly(ring, {pad + e[:n] + pad + e[n:]: c for e, c in P.terms.items()})
     out: dict = {}
-    for e, c in C.op.apply(first * second).terms.items():
+    for e, c in op.apply(first * second).terms.items():
         key = tuple(a + b for a, b in zip(e[:n] + e[2 * n:3 * n], e[n:2 * n] + e[3 * n:]))
         out[key] = out.get(key, 0) + c
     return Poly(single_ring(n), out)

@@ -34,13 +34,14 @@ from cohomolab.ansatz import (
 from cohomolab.cocycles import (bilinear_cocycle, builtin_c1, cocycle_check,
                                 second_class_coefficients, vanishes_on_sl)
 from cohomolab.linalg import RowReducer, keyed_rows
-from cohomolab.operators import (PolyDiffOp, commutator_sum, lie_derivative_op, linear_combination,
+from cohomolab.operators import (PolyDiffOp, commutator_sum, lie_derivative_op,
                                  monomials_up_to, unit_deriv, xi_simplex)
 from cohomolab.poly import Poly, ResourceLimitError, StructureError, rat_str, single_ring
 from cohomolab.symbols import euler_field, hamiltonian_action, schouten_bracket, sl_generators
 
 import gl_closure
-from exact_helpers import bilinear_value, every_pair_check, rank_of, sys4_residuals
+from exact_helpers import (bilinear_value, every_pair_check, line_operator, normalized, rank_of,
+                           regrouped_parts, shifted_line, sys4_residuals)
 from plane_ring import R2, x, xi
 
 
@@ -60,15 +61,19 @@ def test_alpha_term_normalization():
 
 
 def test_zero_coefficients_give_zero_map():
-    C = build_bilinear(AnsatzCoefficients(3, 1), 2)
-    assert bilinear_value(C, x(0) * x(0) * xi(0), xi(0) ** 3).is_zero()
+    line = AnsatzCoefficients(3, 1)
+    C = build_bilinear(line, 2)
+    assert C.parts == {} and line_operator(line, 2).is_zero()
+    X = x(0) * x(0) * xi(0)
+    assert C.operator_for_field(X).is_zero()
+    assert bilinear_value(line_operator(line, 2), X, xi(0) ** 3).is_zero()
 
 
 def test_operator_for_field_matches_direct_evaluation():
     rng = random.Random(17)
     coeffs = AnsatzCoefficients(3, 2, alpha={2: 1, 3: 5}, beta={2: Fraction(1, 2)},
                                 gamma={2: -3})
-    C = build_bilinear(coeffs, 2)
+    C, op = build_bilinear(coeffs, 2), line_operator(coeffs, 2)
     for _ in range(15):
         Xexp = [rng.randint(0, 3), rng.randint(0, 2), 0, 0]
         Xexp[2 + rng.randrange(2)] = 1
@@ -77,7 +82,7 @@ def test_operator_for_field_matches_direct_evaluation():
         for _ in range(3):
             Pexp[2 + rng.randrange(2)] += 1
         P = Poly.monomial(R2, tuple(Pexp), rng.randint(-4, 4))
-        assert C.operator_for_field(X).apply(P) == bilinear_value(C, X, P)
+        assert C.operator_for_field(X).apply(P) == bilinear_value(op, X, P)
 
 
 def test_bilinear_oracle_matches_hand_computed_values():
@@ -87,23 +92,29 @@ def test_bilinear_oracle_matches_hand_computed_values():
     # beta_2 = 1 is Dxxi Dxeta, Dxxi X = 2 x1 and d_x1 (2 x1) d_eta1 (eta1^2)
     # = 2 * 2 eta1; gamma_1 = 1 is Dyxi Dxeta, d_x1 (x1 xi1) d_eta1 (y1 eta1^2)
     # = 2 xi1 y1 eta1, then d_y1 d_xi1 gives 2 eta1
+    # build_bilinear's rule gives the same values
     X, P = x(0) * x(0) * xi(0), xi(0) * xi(0)
     for coeffs in (AnsatzCoefficients(2, 1, alpha={2: 2}), AnsatzCoefficients(2, 1, beta={2: 1})):
-        assert bilinear_value(build_bilinear(coeffs, 2), X, P) == xi(0).scale(4)
-    C = build_bilinear(AnsatzCoefficients(2, 1, gamma={1: 1}), 2)
-    assert bilinear_value(C, x(0) * xi(0), x(0) * xi(0) * xi(0)) == xi(0).scale(2)
+        assert bilinear_value(line_operator(coeffs, 2), X, P) == xi(0).scale(4)
+        assert build_bilinear(coeffs, 2).operator_for_field(X).apply(P) == xi(0).scale(4)
+    coeffs = AnsatzCoefficients(2, 1, gamma={1: 1})
+    X, P = x(0) * xi(0), x(0) * xi(0) * xi(0)
+    assert bilinear_value(line_operator(coeffs, 2), X, P) == xi(0).scale(2)
+    assert build_bilinear(coeffs, 2).operator_for_field(X).apply(P) == xi(0).scale(2)
 
 
 def test_bilinear_op_rejects_non_constant_coefficients_when_built():
     R4 = single_ring(4)
     op = PolyDiffOp(R4, {unit_deriv(R4, R4.x(0)): Poly.variable(R4, R4.x(2))})  # coefficient y1
-    with pytest.raises(StructureError):
-        BilinearOp(2, op)
+    for scale in (1, Fraction(1, 2)):
+        with pytest.raises(StructureError, match="need constant coefficients"):
+            BilinearOp(2, op, scale)
 
 
 def test_bilinear_op_rejects_an_operator_outside_single_ring_2n():
-    with pytest.raises(StructureError):
-        BilinearOp(2, PolyDiffOp.identity(R2))
+    for scale in (1, Fraction(1, 2)):
+        with pytest.raises(StructureError, match=r"live in single_ring\(4\)"):
+            BilinearOp(2, PolyDiffOp.identity(R2), scale)
 
 
 def test_ansatz_coefficients_reject_a_shape_or_index_out_of_range():
@@ -202,8 +213,9 @@ def test_operator_for_field_skips_terms_above_the_field_degree(monkeypatch):
     # quadratic field x1 x2 xi1: on a monomial field x^e exactly the parts
     # s <= e are differentiated, each term of such a part adds d^s x^e once,
     # and no part whose derivative kills the field is read at all
-    C = build_bilinear(second_class_coefficients(2, 3), 2)
-    assert sum(map(len, C.parts.values())) == len(C.op.terms)
+    line = second_class_coefficients(2, 3)
+    C, line_op = build_bilinear(line, 2), line_operator(line, 2)
+    assert sum(map(len, C.parts.values())) == len(line_op.terms)
     top = max(map(sum, C.parts))
     assert top == 4
     read, added = [], []
@@ -250,7 +262,7 @@ def test_operator_for_field_skips_terms_above_the_field_degree(monkeypatch):
         assert ({terms[0][0] for terms in added}
                 == {tuple(b - a for a, b in zip(s, e)) for s in surviving})
         P = x(0) * x(1) * x(1) * xi(0) * xi(0) * xi(1)
-        assert op.apply(P) == bilinear_value(C, X, P)
+        assert op.apply(P) == bilinear_value(line_op, X, P)
     # every part takes two x-derivatives, so only the quadratic field meets
     # any: d_x1 d_x2 and d_x1 d_x2 d_xi1
     assert met == [[], [], [(1, 1, 0, 0), (1, 1, 1, 0)]]
@@ -539,7 +551,7 @@ def test_affine_fields_are_equivariant_term_by_term():
         fields = field_monomials(n, monomials_up_to(n, 3))
         affine = sl_generators(n).affine()
         for kind, s in full_indices(k, p):
-            rule = cache(BilinearOp(n, ansatz_term_op(n, kind, s, p)).operator_for_field)
+            rule = cache(BilinearOp(n, ansatz_term_op(n, kind, s, p), 1).operator_for_field)
             for A in affine:
                 for Y in fields:
                     assert _equivariance_defect(rule, A, Y).symbol_map(k).is_zero()
@@ -998,12 +1010,7 @@ def test_both_row_generators_are_exact_on_each_call(monkeypatch, n):
 
 def _rational_form(coeffs, n):
     """The candidate operator as a sum of the normalized terms, with scale 1."""
-    k, p = coeffs.k, coeffs.p
-    nonzero = [(kind, s) for kind, s in full_indices(k, p) if coeffs.get(kind, s) != 0]
-    return linear_combination(
-        single_ring(2 * n),
-        [ansatz_term_op(n, kind, s, p).scale(term_norm(kind, s, p)) for kind, s in nonzero],
-        coeffs.as_vector(nonzero)), 1
+    return line_operator(coeffs, n), 1
 
 
 def _solver_runs(monkeypatch):
@@ -1057,7 +1064,36 @@ def test_integer_form_times_its_scale_is_the_candidate_operator():
         op, scale = integer_form(coeffs, 2)
         assert all(type(c) is int for coeff in op.terms.values() for c in coeff.terms.values())
         assert type(scale) is int or scale.numerator == 1
-        assert build_bilinear(coeffs, 2).op == op.scale(scale) == _rational_form(coeffs, 2)[0]
+        assert op.scale(scale) == line_operator(coeffs, 2)
+        assert ({ab: dict(terms) for ab, terms in build_bilinear(coeffs, 2).parts.items()}
+                == regrouped_parts(op.scale(scale)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_build_bilinear_parts_are_those_of_the_line_operator(n):
+    # BilinearOp keeps only its parts, scaled once: they must be the parts
+    # of the line's operator by its definition, sum coeff * term_norm *
+    # ansatz_term_op, with every constant normalized; the lines are c1, c2,
+    # gamma1, the top quantization line at weights 0, 1/3 and 1/2, and the
+    # c2 mutant beta_3 + 1/7, at k <= 4
+    lines = []
+    for k in range(1, 5):
+        lines += [AnsatzCoefficients(k, 1, alpha={2: -1}, beta={2: -w})
+                  for w in (0, Fraction(1, 3), Fraction(1, 2))]
+        if k >= 2:
+            c2 = second_class_coefficients(n, k)
+            lines += [AnsatzCoefficients(k, 1, alpha={2: 2},
+                                         beta={2: Fraction(-2 * (k - 1), n + 1)}),
+                      AnsatzCoefficients(k, 1, alpha={2: 2}), c2,
+                      shifted_line(c2, "beta", 3, Fraction(1, 7))]
+    scaled = 0
+    for line in lines:
+        parts = build_bilinear(line, n).parts
+        assert {ab: dict(terms) for ab, terms in parts.items()} == regrouped_parts(
+            line_operator(line, n)), line
+        assert all(normalized(c for _, c in terms) for terms in parts.values())
+        scaled += integer_form(line, n)[1] != 1
+    assert len(lines) == 24 and scaled > 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1148,7 +1184,7 @@ def test_solver_output_is_equivariant_beyond_solver_family():
         fam = sl_generators(n)
         space = recurrence_solutions(n, k, p)
         for coeffs in space.basis:
-            C = build_bilinear(coeffs, n)
+            C = line_operator(coeffs, n)
             for _ in range(12):
                 G = fam.all()[rng.randrange(len(fam.all()))]
                 Y = _random_symbol(rng, ring, 1, p + 2)
@@ -1166,7 +1202,7 @@ def test_cocycle_output_satisfies_identity_on_random_pairs():
         ring = single_ring(n)
         space = impose_cocycle(recurrence_solutions(n, k, p))
         for coeffs in space.basis:
-            C = build_bilinear(coeffs, n)
+            C = line_operator(coeffs, n)
             for _ in range(10):
                 Y = _random_symbol(rng, ring, 1, 4)
                 Z = _random_symbol(rng, ring, 1, 4)

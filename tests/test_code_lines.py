@@ -40,13 +40,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CODE_LINES = {
     "cohomolab/__init__.py": 34,
     "cohomolab/__main__.py": 4,
-    "cohomolab/ansatz.py": 279,
+    "cohomolab/ansatz.py": 277,
     "cohomolab/cli.py": 186,
-    "cohomolab/cocycles.py": 218,
+    "cohomolab/cocycles.py": 217,
     "cohomolab/linalg.py": 60,
-    "cohomolab/operators.py": 304,
+    "cohomolab/operators.py": 296,
     "cohomolab/poly.py": 275,
-    "cohomolab/quantization.py": 135,
+    "cohomolab/quantization.py": 134,
     "cohomolab/report.py": 191,
     "cohomolab/symbols.py": 62,
 }

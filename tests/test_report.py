@@ -7,11 +7,12 @@ from functools import cache
 import pytest
 
 from cohomolab import ansatz, report
-from cohomolab.ansatz import (FAMILIES, AnsatzCoefficients, cocycle_filter_pairs,
-                              field_monomials, impose_cocycle, recurrence_solutions)
+from cohomolab.ansatz import (AnsatzCoefficients, cocycle_filter_pairs, field_monomials,
+                              impose_cocycle, recurrence_solutions)
 from cohomolab.cocycles import (OneCocycle, bilinear_cocycle, builtin_c1, builtin_c2,
                                 builtin_div, builtin_gamma1_flat, class_proportionality,
-                                coboundary_solve, cocycle_check, field_columns, monomial_fields)
+                                coboundary_solve, cocycle_check, field_columns, monomial_fields,
+                                second_class_coefficients)
 from cohomolab.operators import (PolyDiffOp, affine_equivariant_basis, divergence_diffop,
                                  euler_diffop, module_action)
 from cohomolab.poly import Poly, StructureError, parse_poly, poly_str, single_ring
@@ -27,7 +28,7 @@ from cohomolab.report import (
 )
 from cohomolab.symbols import sl_generators
 
-from exact_helpers import every_pair_check, x1_div_rule
+from exact_helpers import every_pair_check, shifted_line, x1_div_rule
 from plane_ring import R2, x
 from property_suite import run_property_suite
 
@@ -45,10 +46,14 @@ def test_expected_pattern():
 
 
 def test_run_config_validation():
+    # every field is required: the CLI and every caller pass all three
+    for given in ((2,), (2, 2)):
+        with pytest.raises(TypeError, match="missing"):
+            RunConfig(*given)
     with pytest.raises(StructureError):
-        RunConfig(1)
+        RunConfig(1, 5, 3)
     with pytest.raises(StructureError):
-        RunConfig(2, -1)
+        RunConfig(2, -1, 3)
     with pytest.raises(StructureError):
         RunConfig(2, 2, max_vf_degree=1)
     # a float dimension misses the cached Ring(2) and is refused, not read as 2
@@ -181,13 +186,6 @@ def test_certificates_at_the_derived_degree_agree_with_degree_4(monkeypatch):
     assert verdicts == {(False, True), (True, False)}
 
 
-def _shifted(line, kind, s, delta):
-    """The ansatz line with delta added to its (kind, s) coefficient."""
-    data = {family: dict(getattr(line, family)) for family in FAMILIES}
-    data[kind][s] = data[kind].get(s, 0) + delta
-    return AnsatzCoefficients(line.k, line.p, **data)
-
-
 def test_the_proved_identity_check_agrees_with_the_degree_3_loop():
     # bound: the loop forms the defect of every pair of monomial fields of
     # degree <= 3, trusting no marker; the certificate checks these lines
@@ -204,9 +202,12 @@ def test_the_proved_identity_check_agrees_with_the_degree_3_loop():
     # the weight-1/2 projected cocycles, affine-natural with the witness c D
     cases += [c for c, ref in _one_field_grid() if ref is None]
     # the c1 mutant is an affine-vanishing p = 1 line, so a cocycle, just
-    # not sl-relative
+    # not sl-relative; c1's line at (3, 3) is alpha_2 = 2, beta_2 = -1
+    c1_line, c1 = AnsatzCoefficients(3, 1, alpha={2: 2}, beta={2: -1}), builtin_c1(3, 3)
+    line_rule = bilinear_cocycle(3, c1_line, "c1").rule
+    assert all(line_rule(F) == c1.rule(F) for F in monomial_fields(3, 2))
     cases.append(bilinear_cocycle(
-        3, _shifted(builtin_c1(3, 3).coeffs, "beta", 2, Fraction(1, 7)), "c1-mutant"))
+        3, shifted_line(c1_line, "beta", 2, Fraction(1, 7)), "c1-mutant"))
     for c in cases:
         assert c.affine_natural
         assert certify_class(c, 3)[0].holds, (c.name, c.n, c.k)
@@ -301,7 +302,7 @@ def test_the_marker_is_no_constructor_argument():
 def _c2_mutant():
     """c2 at (3, 3) with 1/7 added to beta_3: affine-natural, but no cocycle."""
     return bilinear_cocycle(
-        3, _shifted(builtin_c2(3, 3).coeffs, "beta", 3, Fraction(1, 7)), "c2-mutant")
+        3, shifted_line(second_class_coefficients(3, 3), "beta", 3, Fraction(1, 7)), "c2-mutant")
 
 
 @cache
