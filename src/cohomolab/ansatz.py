@@ -42,11 +42,12 @@ answers are exact.  The solvers' agreement, together with the filter,
 reproduces the case classification (a)-(d) of the relative cohomology
 computation.
 
-cocycle_defects is the one home of the cocycle defect: the filter
-impose_cocycle and the identity check cocycles.cocycle_check both loop
-over it.  The rule of every solver unknown and of every ansatz-line
-cocycle is BilinearOp.operator_for_field, which takes only the field
-derivatives that survive (_lower_indices).
+cocycle_defects is the one home of the cocycle defect, one field pair's
+defects per call: the filter impose_cocycle and the identity check
+cocycles.cocycle_check each walk their own pairs and call it on each.
+The rule of every solver unknown and of every ansatz-line cocycle is
+BilinearOp.operator_for_field, which takes only the field derivatives
+that survive (_lower_indices).
 build_bilinear and the two drivers impose_cocycle and
 solve_equivariant_direct read the term budget once per call tree
 (poly.budget_scope).
@@ -57,11 +58,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations, product, takewhile
+from itertools import combinations, product
 from math import comb, factorial, lcm
 from operator import sub
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
 from .operators import (PolyDiffOp, commutator_sum, falling, hamiltonian_op, lie_derivative_op,
@@ -335,7 +336,12 @@ class SolutionSpace:
     basis: tuple[AnsatzCoefficients, ...]
 
     def __post_init__(self):
-        """Reject a line of another (k, p) and a dependent basis (a zero line is one)."""
+        """Reject what _validate refuses, a line of another (k, p) and a dependent basis.
+
+        The shape is checked with an empty basis too; a zero line makes a
+        basis dependent.
+        """
+        _validate(self.n, self.k, self.p)
         object.__setattr__(self, "basis", tuple(self.basis))
         for line in self.basis:
             if (line.k, line.p) != (self.k, self.p):
@@ -521,12 +527,11 @@ def _monomial_terms(F: Poly) -> list[tuple[Coeff, Poly]]:
     return [(c, _unit_monomial(ring, e)) for e, c in F.terms.items()]
 
 
-def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
-                    pairs: Iterable[tuple[Poly, Poly]]
-                    ) -> Iterator[tuple[Poly, Poly, list[PolyDiffOp]]]:
-    """(Y, Z, the cocycle defect operators of each rule) for each field pair (Y, Z).
+def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]], Y: Poly, Z: Poly
+                    ) -> list[PolyDiffOp]:
+    """The cocycle defect operator of each rule at the one field pair (Y, Z).
 
-    For a pair (Y, Z) and a rule r : X |-> r(X), a linear map from vector
+    For the pair (Y, Z) and a rule r : X |-> r(X), a linear map from vector
     fields to operators, the defect of the identity
     r([Y, Z]) = Y.r(Z) - Z.r(Y), with X.A = [L_X, A], is
 
@@ -543,25 +548,21 @@ def cocycle_defects(rules: list[Callable[[Poly], PolyDiffOp]],
     differentiated once, not once per pair; the fields of field_monomials
     are interned, so once per process.
 
-    The pairs must be vector fields (xi-degree 1): the defect above is the
+    Y and Z must be vector fields (xi-degree 1): the defect above is the
     cocycle identity only for them, and hamiltonian_op, unlike
     lie_derivative_op, does not check the degree.  Both callers satisfy
     this, as both draw their pairs from field_monomials, whose fields are
     x^u xi_m: impose_cocycle through cocycle_filter_pairs, and
-    cocycles.cocycle_check, one pair at a time, through
-    cocycles.monomial_fields or, for the affine-natural cocycles
-    report.certify_class checks, through cocycle_filter_pairs, which is
-    complete for them (which pairs it passes: "Pairs with an affine
-    member" in its docstring).  A rule that should build each field's
-    operator once is memoized by the caller.  Pairs are formed only as the
-    caller draws them.
+    cocycles.cocycle_check through cocycles.monomial_fields or, for the
+    affine-natural cocycles report.certify_class checks, through
+    cocycle_filter_pairs, which is complete for them (which pairs it
+    passes: "Pairs with an affine member" in its docstring).  A rule that
+    should build each field's operator once is memoized by the caller.
     """
-    for Y, Z in pairs:
-        L_Y, L_Z = hamiltonian_op(Y), hamiltonian_op(Z)
-        bracket = _monomial_terms(schouten_bracket(Y, Z))
-        yield Y, Z, [commutator_sum([(L_Z, r(Y)), (r(Z), L_Y)],
-                                    base=[(c, r(m)) for c, m in bracket])
-                     for r in rules]
+    L_Y, L_Z = hamiltonian_op(Y), hamiltonian_op(Z)
+    bracket = _monomial_terms(schouten_bracket(Y, Z))
+    return [commutator_sum([(L_Z, r(Y)), (r(Z), L_Y)], base=[(c, r(m)) for c, m in bracket])
+            for r in rules]
 
 
 @budget_scope
@@ -784,19 +785,19 @@ def impose_cocycle(space: SolutionSpace) -> SolutionSpace:
     Each basis map's rule F |-> C_b(F, .) is memoized for this call and,
     through cocycle_defects, evaluated on Xbar_1, the pairs' fields and
     the monomials of their brackets only, once each; a vanishing bracket
-    builds none.  Pairs are drawn only while the rank is below
-    full, so no defect past the pair that completes it is formed.  The
-    rule of a basis map is that of its integer_form; its scale is applied
-    once, to the nullspace (_scaled_nullspace), which keeps the rank, so the
-    pairs drawn are those of the scaled rules.
+    builds none.  The walk over the pairs stops once the rank is full, so
+    no defect past the pair that completes it is formed.  The rule of a
+    basis map is that of its integer_form; its scale is applied once, to
+    the nullspace (_scaled_nullspace), which keeps the rank, so the pairs
+    drawn are those of the scaled rules.
     """
     n, k, p = space.n, space.k, space.p
-    _validate(n, k, p)
     forms = [integer_form(c, n) for c in space.basis]
     rules, reducer = _vanishing_system(n, k, forms)
-    pairs = takewhile(lambda _: reducer.rank < len(rules), cocycle_filter_pairs(n, p))
-    for _, _, defects in cocycle_defects(rules, pairs):
-        _add_rows(reducer, defects, k)
+    for Y, Z in cocycle_filter_pairs(n, p):
+        if reducer.rank == len(rules):
+            break
+        _add_rows(reducer, cocycle_defects(rules, Y, Z), k)
 
     basis = [AnsatzCoefficients.from_vector(
                  k, p, full_indices(k, p),

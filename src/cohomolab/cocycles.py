@@ -66,7 +66,8 @@ class OneCocycle:
     The rule must be linear: cocycle_check evaluates it on coefficient-1
     monomial fields only and takes its value at a bracket sum_m c_m x^m as
     sum_m c_m rule(x^m) (ansatz.cocycle_defects).  evaluate memoizes it by
-    the field.
+    the field, in a memo that holds only values the rule returned: it is
+    no constructor argument, so no caller can seed it.
 
     affine_natural marks a proof, not an option: the rule vanishes on the
     affine fields A and is affine-equivariant, [L_A, c(X)] = c([A, X]).
@@ -87,7 +88,7 @@ class OneCocycle:
     name: str
     rule: Callable[[Poly], PolyDiffOp]
     _natural: bool = field(default=False, init=False)
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def affine_natural(self) -> bool:
@@ -208,16 +209,16 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int,
     pair with an affine member, so on it nothing is settled.
 
     Operator equality is exact equality of degree-k canonical forms.  Each
-    pair's defect c([X, Y]) + [L_Y, c(X)] + [c(Y), L_X] is the one operator
-    that ansatz.cocycle_defects forms for the rule c.evaluate, so both
-    commutators and the bracket value, sum_m c_m c(x^m) over the bracket's
-    monomials, merge in one accumulator with one term-budget check; c is
-    evaluated once per monomial field of an evaluated pair.  The pairs are
-    drawn lazily, so the check draws no pair past the first failing one.
-    That pair is reported with a monomial symbol on which the defect
-    evaluates to something nonzero (_nonzero_witness), and the defect
-    operator's value there: the canonical form is faithful on S_k, so that
-    is the map's value.
+    evaluated pair's defect c([X, Y]) + [L_Y, c(X)] + [c(Y), L_X] is the
+    one operator ansatz.cocycle_defects([c.evaluate], X, Y) returns, so
+    both commutators and the bracket value, sum_m c_m c(x^m) over the
+    bracket's monomials, merge in one accumulator with one term-budget
+    check; c is evaluated once per monomial field of an evaluated pair.
+    The pairs are drawn lazily, so the check draws no pair past the first
+    failing one.  That pair is reported with a monomial symbol on which
+    the defect evaluates to something nonzero (_nonzero_witness), and the
+    defect operator's value there: the canonical form is faithful on S_k,
+    so that is the map's value.
     """
     check_int(max_vf_degree, 2, "the vector-field degree bound")
 
@@ -231,7 +232,7 @@ def cocycle_check(c: OneCocycle, max_vf_degree: int,
     for checked, (X, Y) in enumerate(pairs, 1):
         if c.affine_natural and min(X.total_degree(), Y.total_degree()) <= 2:
             continue
-        [(_, _, [defect])] = cocycle_defects([c.evaluate], [(X, Y)])
+        [defect] = cocycle_defects([c.evaluate], X, Y)
         sm = defect.symbol_map(c.k)
         if not sm.is_zero():
             P = _nonzero_witness(sm, c.n)
@@ -364,18 +365,15 @@ def hessian_contraction_op(X: Poly) -> PolyDiffOp:
     The definitional form of gamma1, which builtin_gamma1_flat evaluates as
     the ansatz line alpha_2 = 2 instead; the tests and the benchmark gate
     (perfbench/tests/test_bench_gate.py) read this form to check that line.
+    Every (i, j) adds its coefficient at d_xi_i d_xi_j, so (i, j) and (j, i)
+    sum, and the checking PolyDiffOp constructor drops the zero ones.
     """
     ring = X.ring
-    n = ring.n
     terms: dict = {}
-    for i in range(n):
-        for j in range(n):
-            coeff = X.diff(ring.x(i)).diff(ring.x(j))
-            if coeff.is_zero():
-                continue
+    for i in range(ring.n):
+        for j in range(ring.n):
             key = unit_deriv(ring, ring.xi(i), ring.xi(j))
-            prev = terms.get(key)
-            terms[key] = coeff if prev is None else prev + coeff
+            terms[key] = terms.get(key, Poly.zero(ring)) + X.diff(ring.x(i)).diff(ring.x(j))
     return PolyDiffOp(ring, terms)
 
 
@@ -386,20 +384,18 @@ def trace_contraction_op(X: Poly) -> PolyDiffOp:
     builtin_c1 evaluates as an ansatz line instead; on S_k this equals
     (k-1) Dxxi Dxeta (module docstring).  The tests and the benchmark gate
     (perfbench/tests/test_bench_gate.py) read this form to check that line.
+    Every (i, l) adds its coefficient at d_xi_i d_xi_l, as in
+    hessian_contraction_op, and the checking constructor drops the zero ones.
     """
     ring = X.ring
-    n = ring.n
     div_X = divergence(X)
     terms: dict = {}
-    for i in range(n):
+    for i in range(ring.n):
         di_div = div_X.diff(ring.x(i))
-        if di_div.is_zero():
-            continue
-        for ell in range(n):
-            coeff = di_div * Poly.variable(ring, ring.xi(ell))
+        for ell in range(ring.n):
             key = unit_deriv(ring, ring.xi(i), ring.xi(ell))
-            prev = terms.get(key)
-            terms[key] = coeff if prev is None else prev + coeff
+            terms[key] = (terms.get(key, Poly.zero(ring))
+                          + di_div * Poly.variable(ring, ring.xi(ell)))
     return PolyDiffOp(ring, terms)
 
 
@@ -479,19 +475,23 @@ def bilinear_cocycle(n: int, coeffs: AnsatzCoefficients, name: str) -> OneCocycl
 
 @dataclass
 class CocycleReport:
-    name: str
-    n: int
-    k: int
-    ell: int
+    """A cocycle's identity check and sl-vanishing verdict.
+
+    The report keeps the cocycle itself, and to_json reads its name, n, k
+    and ell from it, so the report holds no copy of them.
+    """
+
+    c: OneCocycle
     identity: IdentityCheck
     sl_vanishing: bool
 
     def to_json(self) -> dict:
+        c = self.c
         return {
-            "name": self.name,
-            "dim": self.n,
-            "source_degree": self.k,
-            "target_degree": self.ell,
+            "name": c.name,
+            "dim": c.n,
+            "source_degree": c.k,
+            "target_degree": c.ell,
             "cocycle_identity": self.identity.to_json(),
             "vanishes_on_sl": self.sl_vanishing,
         }
@@ -500,4 +500,4 @@ class CocycleReport:
 @budget_scope
 def build_report(c: OneCocycle, max_vf_degree: int) -> CocycleReport:
     identity = cocycle_check(c, max_vf_degree)
-    return CocycleReport(c.name, c.n, c.k, c.ell, identity, vanishes_on_sl(c))
+    return CocycleReport(c, identity, vanishes_on_sl(c))

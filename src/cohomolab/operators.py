@@ -59,14 +59,14 @@ commutators and a base linear combination of operators, sum_j c_j B_j, in
 one such accumulator; a commutator with a zero operand adds nothing and is
 skipped.  Both row generators and the identity check pass a rule's value
 at a field bracket as that combination over the bracket's monomials, so a
-rule is evaluated on monomial fields only.  The pair loop over it is
-ansatz.cocycle_defects, shared by cocycle_check and the cocycle filter;
-the direct solver calls it once per equivariance defect.  The term budget
-is checked once per call, on the larger of the output's surviving
-derivatives and its largest merged coefficient's term count; the second
-stands in for a check on every coefficient product.  That check compares
-against the budget its driver read once (poly.budget_scope), not the
-environment.
+rule is evaluated on monomial fields only.  ansatz.cocycle_defects calls
+it once per rule for one field pair, and cocycle_check and the cocycle
+filter call that on each pair they walk; the direct solver calls it once
+per equivariance defect.  The term budget is checked once per call, on
+the larger of the output's surviving derivatives and its largest merged
+coefficient's term count; the second stands in for a check on every
+coefficient product.  That check compares against the budget its driver
+read once (poly.budget_scope), not the environment.
 
 hamiltonian_op builds the Hamiltonian field of a symbol once per Poly
 object, as an operator kept in the Poly's _ham slot: lie_derivative_op is
@@ -140,27 +140,24 @@ Deriv = tuple[int, ...]
 
 
 @lru_cache(maxsize=None, typed=True)
-def _simplex(n: int, k: int) -> tuple[Exponent, ...]:
+def xi_simplex(n: int, k: int) -> tuple[Exponent, ...]:
     """All exponent tuples in n variables of total degree k, lexicographic.
 
-    The cache is typed, so a float or bool n or k misses the int entry it
-    compares equal to and reaches the check: single_ring(n) checks n.
+    One table per (n, k) per process: every call returns the same tuple,
+    which no caller can edit.  The cache is typed, so a float or bool n or
+    k misses the int entry it compares equal to and reaches the check:
+    single_ring(n) checks n.
     """
     single_ring(n)
     combos = combinations_with_replacement(range(n), check_int(k, 0, "the symbol degree"))
     return tuple(sorted(tuple(map(combo.count, range(n))) for combo in combos))
 
 
-def xi_simplex(n: int, k: int) -> list[Exponent]:
-    """All xi-exponent tuples of total degree k, in lexicographic order."""
-    return list(_simplex(n, k))
-
-
 def monomials_up_to(n: int, d: int) -> list[Exponent]:
     """All exponent tuples in n variables of total degree <= d, lexicographic."""
     out: list[Exponent] = []
     for k in range(check_int(d, 0, "the degree bound") + 1):
-        out.extend(_simplex(n, k))
+        out.extend(xi_simplex(n, k))
     return sorted(out)
 
 
@@ -171,13 +168,13 @@ def falling(v: Exponent, beta: Exponent) -> int:
 
 @lru_cache(maxsize=None, typed=True)
 def _symbol_images(n: int, k: int, beta: Exponent) -> tuple:
-    """Triples (v, v - beta, falling(v, beta)) for the v of _simplex(n, k) with falling != 0.
+    """Triples (v, v - beta, falling(v, beta)) for the v of xi_simplex(n, k) with falling != 0.
 
     d_xi^beta(xi^v) = falling(v, beta) xi^(v - beta) on S_k, the xi-part of
-    SymbolMap.from_operator.  Typed like _simplex, so a float or bool n or
-    k reaches _simplex's check.
+    SymbolMap.from_operator.  Typed like xi_simplex, so a float or bool n
+    or k reaches xi_simplex's check.
     """
-    return tuple((v, tuple(map(sub, v, beta)), fac) for v in _simplex(n, k)
+    return tuple((v, tuple(map(sub, v, beta)), fac) for v in xi_simplex(n, k)
                  if (fac := falling(v, beta)))
 
 
@@ -532,7 +529,7 @@ class SymbolMap:
         """
         n = op.ring.n
         if not op.terms:
-            _simplex(n, k)  # the degree check _symbol_images makes on a nonzero operator
+            xi_simplex(n, k)  # the degree check _symbol_images makes on a nonzero operator
             return SymbolMap(n, k, {})
         entries: dict = {}
         for mu, coeff in op.terms.items():

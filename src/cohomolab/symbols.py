@@ -60,10 +60,10 @@ class GeneratorFamily:
 
     sl_generators returns one family per n, shared by every caller: linear
     is a read-only mapping, all() and affine() return new lists, and the
-    Polys must not be mutated.
+    Polys must not be mutated.  The family keeps no copy of n: it is the
+    dimension of the generators' ring.
     """
 
-    n: int
     translations: tuple[Poly, ...]
     linear: Mapping[tuple[int, int], Poly]
     quadratic: tuple[Poly, ...]
@@ -81,7 +81,7 @@ def sl_generators(n: int) -> GeneratorFamily:
 
     One family per n per process, so each generator's L_X (hamiltonian_op's
     _ham slot), Leibniz table and hash are built once.  The cache is typed
-    like operators._simplex, so a float or bool n misses the int entry it
+    like operators.xi_simplex, so a float or bool n misses the int entry it
     compares equal to and reaches single_ring's check.
     """
     ring = single_ring(n)
@@ -92,7 +92,7 @@ def sl_generators(n: int) -> GeneratorFamily:
     })
     E = euler_field(n)
     quadratic = tuple(Poly.variable(ring, ring.x(i)) * E for i in range(n))
-    return GeneratorFamily(n, translations, linear, quadratic)
+    return GeneratorFamily(translations, linear, quadratic)
 
 
 def euler_field(n: int) -> Poly:

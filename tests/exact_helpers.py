@@ -220,15 +220,16 @@ def divergence_reference(p: Poly) -> Poly:
 def every_pair_check(c: OneCocycle, max_vf_degree: int) -> dict:
     """cocycle_check(c, max_vf_degree).to_json() with every pair's defect formed.
 
-    The pairs are combinations over monomial_fields, in order, each defect
-    formed by ansatz.cocycle_defects whatever the cocycle's marker; the
-    first defect nonzero on S_k is reported with its 1-based index, its
-    witness symbol and the defect's value there, and a pass with the count
-    of every pair.
+    The pairs are combinations over monomial_fields, in order, each
+    pair's defect formed by ansatz.cocycle_defects whatever the cocycle's
+    marker; the first defect nonzero on S_k is reported with its 1-based
+    index, its witness symbol and the defect's value there, and a pass with
+    the count of every pair.
     """
     pairs = combinations(monomial_fields(c.n, max_vf_degree), 2)
     checked = 0
-    for checked, (X, Y, [defect]) in enumerate(cocycle_defects([c.evaluate], pairs), 1):
+    for checked, (X, Y) in enumerate(pairs, 1):
+        [defect] = cocycle_defects([c.evaluate], X, Y)
         sm = defect.symbol_map(c.k)
         if not sm.is_zero():
             P = _nonzero_witness(sm, c.n)

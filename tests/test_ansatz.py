@@ -161,6 +161,25 @@ def test_solution_space_rejects_a_line_of_another_shape_or_a_dependent_basis():
     assert SolutionSpace(2, 3, 2, []).dimension == 0
 
 
+def test_solution_space_refuses_a_shape_the_solvers_refuse():
+    # an empty basis has no line whose (k, p) is checked, so the space checks
+    # its own shape, with the refusal the solvers make (ansatz._validate);
+    # unchecked, n < 2, p > k, a float k and a bool k would each print a
+    # plausible to_json
+    for shape, message in (((1, 3, 2), "dimension must be an integer of at least 2, got 1"),
+                           ((2, 3, 5), "symbol degree k must be an integer of at least 5, got 3"),
+                           ((2, 3.0, 2), "symbol degree k must be an integer of at least 2,"
+                                         " got 3.0"),
+                           ((2, True, 1), "symbol degree k must be an integer of at least 1,"
+                                          " got True")):
+        with pytest.raises(StructureError) as solver:
+            ansatz._validate(*shape)
+        assert str(solver.value) == message
+        with pytest.raises(StructureError) as space:
+            SolutionSpace(*shape, [])
+        assert str(space.value) == message, shape
+
+
 def test_solution_spaces_and_ansatz_lines_are_read_only():
     # the checks of SolutionSpace and AnsatzCoefficients hold at construction,
     # so neither may change after it: a dependent basis or an illegal index
@@ -424,9 +443,9 @@ def test_cocycle_filter_adds_no_row_when_every_defect_vanishes(monkeypatch):
     rows, drawn = [], []
     original_defects = ansatz.cocycle_defects
 
-    def recorded_defects(rules, pairs):
-        drawn.extend(pairs)
-        return original_defects(rules, drawn)
+    def recorded_defects(rules, Y, Z):
+        drawn.append((Y, Z))
+        return original_defects(rules, Y, Z)
 
     space = recurrence_solutions(2, 3, 1)
     monkeypatch.setattr(ansatz, "RowReducer", _recording_reducer(rows.append))
@@ -445,8 +464,7 @@ def test_cocycle_defects_match_the_pointwise_identity():
     Y, Z = x(0) * x(0) * xi(0), x(0) * x(1) * xi(1)
     bracket = schouten_bracket(Y, Z)
     assert not bracket.is_zero()
-    [(drawn_Y, drawn_Z, defects)] = cocycle_defects(rules, [(Y, Z)])
-    assert (drawn_Y, drawn_Z) == (Y, Z)
+    defects = cocycle_defects(rules, Y, Z)
     assert len(defects) == len(rules)
     symbols = [Poly.monomial(R2, u + v) for u in monomials_up_to(2, 2)
                for v in xi_simplex(2, k)]
@@ -468,7 +486,7 @@ def test_cocycle_defects_evaluate_no_rule_at_a_vanishing_bracket():
         seen.append(X)
         return op(X)
 
-    [(_, _, defects)] = cocycle_defects([rule], [(xi(0), xi(1))])
+    defects = cocycle_defects([rule], xi(0), xi(1))
     assert len(defects) == 1
     assert set(seen) == {xi(0), xi(1)}
 
@@ -699,8 +717,8 @@ def test_surviving_filter_lines_are_cocycles_on_every_field_pair():
                 continue
             kept = impose_cocycle(space)
             rules = [build_bilinear(c, n).operator_for_field for c in kept.basis]
-            for _, _, defects in cocycle_defects(rules, pairs):
-                assert all(d.symbol_map(k).is_zero() for d in defects)
+            for Y, Z in pairs:
+                assert all(d.symbol_map(k).is_zero() for d in cocycle_defects(rules, Y, Z))
             lines += kept.dimension
             pairs_checked += len(pairs)
     assert (lines, pairs_checked) == (9, 2400)
@@ -775,7 +793,8 @@ def test_quadratic_pair_defects_form_a_gl_submodule(n):
 
         @cache
         def defect(key):
-            return next(cocycle_defects([rule], [tuple(fields[e] for e in key)]))[2][0]
+            [d] = cocycle_defects([rule], *(fields[e] for e in key))
+            return d
 
         assert all(defect(key).symbol_map(k).is_zero() for key in keys) == cocycle
         for A in sl_generators(n).linear.values():

@@ -165,7 +165,7 @@ def test_memo_inventory_is_pinned():
                         lazy = {e.value for e in stmt.value.elts if e.value.startswith("_")}
                         if lazy:
                             slots[node.name] = lazy
-    assert decorated == {"_simplex", "_symbol_images", "_leibniz_survivors", "active_vars",
+    assert decorated == {"xi_simplex", "_symbol_images", "_leibniz_survivors", "active_vars",
                          "single_ring", "ansatz_term_op", "monomial_section", "_lower_indices",
                          "_pack", "_unpack", "_unit_monomial", "sl_generators",
                          "_build_parser"}
@@ -282,7 +282,7 @@ INT_PARAMETERS = {
 @pytest.mark.parametrize("site", sorted(INT_PARAMETERS))
 def test_every_integer_parameter_refuses_a_non_int_or_a_value_below_its_floor(site):
     # the int at the floor runs first, so a cache keyed by it (single_ring,
-    # _simplex) is warm when the bool, float or string that equals it arrives
+    # xi_simplex) is warm when the bool, float or string that equals it arrives
     call, floor, name = INT_PARAMETERS[site]
     call(floor)
     for bad in (2.0, True, "3", floor - 1):
@@ -292,7 +292,7 @@ def test_every_integer_parameter_refuses_a_non_int_or_a_value_below_its_floor(si
 
 
 def test_a_filled_image_table_still_refuses_a_float_or_bool_degree():
-    # SymbolMap.from_operator's image table is typed like _simplex: the int
+    # SymbolMap.from_operator's image table is typed like xi_simplex: the int
     # entries 2 and 1 fill it, and 2.0 and True, which compare equal to
     # them, still reach the degree check
     D = divergence_diffop(R2)

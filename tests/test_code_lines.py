@@ -40,15 +40,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CODE_LINES = {
     "cohomolab/__init__.py": 34,
     "cohomolab/__main__.py": 4,
-    "cohomolab/ansatz.py": 277,
+    "cohomolab/ansatz.py": 275,
     "cohomolab/cli.py": 186,
-    "cohomolab/cocycles.py": 217,
+    "cohomolab/cocycles.py": 206,
     "cohomolab/linalg.py": 60,
-    "cohomolab/operators.py": 296,
+    "cohomolab/operators.py": 294,
     "cohomolab/poly.py": 275,
     "cohomolab/quantization.py": 134,
     "cohomolab/report.py": 191,
-    "cohomolab/symbols.py": 62,
+    "cohomolab/symbols.py": 61,
 }
 
 

@@ -830,11 +830,12 @@ def test_a_malformed_factor_is_named():
 
 
 def test_simplex_enumeration():
-    assert xi_simplex(2, 2) == [(0, 2), (1, 1), (2, 0)]
+    assert xi_simplex(2, 2) == ((0, 2), (1, 1), (2, 0))
     assert len(xi_simplex(3, 5)) == 21
     assert len(monomials_up_to(2, 3)) == 10
     for n, k in ((2, 5), (3, 4), (4, 3)):
-        assert xi_simplex(n, k) == [e for e in product(range(k + 1), repeat=n) if sum(e) == k]
+        assert xi_simplex(n, k) == tuple(e for e in product(range(k + 1), repeat=n)
+                                         if sum(e) == k)
 
 
 def test_counting_factors_match_their_products():
@@ -856,7 +857,7 @@ def test_simplex_rejects_negative_degree():
         xi_simplex(2, -1)
     with pytest.raises(StructureError):
         PolyDiffOp.identity(R2).symbol_map(-1)
-    # each call returns a fresh list, so a caller's edit cannot leak
+    # every call returns the one shared table, a tuple no caller can edit
     first = xi_simplex(2, 2)
-    first.append((9, 9))
-    assert xi_simplex(2, 2) == [(0, 2), (1, 1), (2, 0)]
+    assert type(first) is tuple and xi_simplex(2, 2) is first
+    assert first == ((0, 2), (1, 1), (2, 0))

@@ -29,7 +29,7 @@ from cohomolab.report import (
 from cohomolab.symbols import sl_generators
 
 from exact_helpers import every_pair_check, shifted_line, x1_div_rule
-from plane_ring import R2, x
+from plane_ring import R2, x, xi
 from property_suite import run_property_suite
 
 
@@ -297,6 +297,22 @@ def test_the_marker_is_no_constructor_argument():
     assert not cocycle_check(c, 3).holds
     with pytest.raises(StructureError, match="x1div is not marked affine_natural"):
         certify_class(c, 3)
+
+
+def test_the_memo_is_no_constructor_argument():
+    # a memo seeded with x1^2 xi1 |-> identity, a value c1's rule never
+    # returns, would fail c1's degree-2 check; the memo is filled by the
+    # rule alone, so it can be passed neither by keyword nor by position
+    seed = {x(0) * x(0) * xi(0): PolyDiffOp.identity(R2)}
+    rule = builtin_c1(2, 2).rule
+    with pytest.raises(TypeError, match="_cache"):
+        OneCocycle(2, 2, 1, "seeded", rule, _cache=seed)
+    with pytest.raises(TypeError):
+        OneCocycle(2, 2, 1, "seeded", rule, seed)
+    c = OneCocycle(2, 2, 1, "unseeded", rule)
+    assert c._cache == {} and "_cache" not in repr(c)
+    assert cocycle_check(c, 2).holds
+    assert c._cache[x(0) * x(0) * xi(0)] == rule(x(0) * x(0) * xi(0))
 
 
 def _c2_mutant():
