@@ -24,10 +24,13 @@ derivatives to an eta-degree-k argument and die on the relevant subspace).
 Each denominator is a! b! for the term's powers a of Dxeta and b of Dyeta.
 ansatz_term_op is the integer contraction product and term_norm its factor
 1/(a! b!), the one place it lives.  A line's integer form (integer_form) is
-the integer combination of those products times one rational scale.  The
-single_ring(2n) operator is built by ansatz_term_op and integer_form only,
-and is not kept: BilinearOp regroups it into parts by the derivative that
-lands on the field, each constant multiplied by the scale once.
+its integer weights over those products and one rational scale.  The
+products and their factors (contraction_ops) are the module's only
+single_ring(2n) operators: _term_parts, the products' one reader,
+regroups each once per process into parts by the derivative that lands
+on the field.  BilinearOp, built one way, adds a line's parts from that
+table with its integer weights and multiplies each summed constant by the
+scale once; no operator of a line is formed.
 build_bilinear passes a line's scale; the two solvers pass 1, feed integer
 rows and apply each unknown's scale once, to the nullspace
 (_scaled_nullspace).
@@ -66,7 +69,7 @@ from typing import Callable, Iterator, Mapping
 
 from .linalg import RowReducer, keyed_rows, nullspace, same_span
 from .operators import (PolyDiffOp, commutator_sum, falling, hamiltonian_op, lie_derivative_op,
-                        linear_combination, operator_from_sum, xi_simplex)
+                        operator_from_sum, xi_simplex)
 from .poly import (Coeff, Exponent, Poly, Ring, StructureError, add_scaled_terms, budget_scope,
                    check_int, check_term_budget, check_vector_field, norm_coeff, rat, rat_str,
                    single_ring, unit_deriv)
@@ -92,7 +95,7 @@ class AnsatzCoefficients:
     gamma: Mapping[int, Coeff] = field(default_factory=dict)
 
     def __post_init__(self):
-        check_int(self.k, check_int(self.p, 0, "degree drop p"), "symbol degree k")
+        _check_shape(self.k, self.p)
         legal = full_indices(self.p + 1, self.p)  # alpha too: its terms vanish on S_k at k = p
         for kind in FAMILIES:
             values = {}
@@ -218,29 +221,49 @@ def ansatz_term_op(n: int, kind: str, s: int, p: int) -> PolyDiffOp:
     return op.compose(ops["Dyeta"].power(b))
 
 
-class BilinearOp:
-    """A bilinear map S_1 (x) S_k -> S_{k-p}: scale times a single_ring(2n) operator, restricted.
+@lru_cache(maxsize=None)
+def _term_parts(n: int, kind: str, s: int, p: int) -> Mapping[tuple, tuple]:
+    """ansatz_term_op(n, kind, s, p) regrouped by the derivative part that lands on the field.
 
-    The operator's coefficients must be constant, checked once here, and
-    the operator is not kept.  `parts` groups its terms
-    c * dx^a dy^g dxi^b deta^h by the derivative part (a, b) that lands on
-    the field, once, in the operator's term order, each constant
-    multiplied by the scale once: parts[(a, b)] = [((g, h), scale * c), ...].
-    build_bilinear passes a line's integer form and its scale, and the
-    solvers (_vanishing_system) an unknown's integer operator and 1.
+    A read-only map (a, b) -> (((g, h), c), ...) of the terms
+    c * dx^a dy^g dxi^b deta^h, in the operator's term order, each c the
+    integer constant of its coefficient.  One table per process; it is the
+    one reader of ansatz_term_op, and BilinearOp sums lines from it.
+    """
+    parts: dict[tuple, list] = {}
+    for mu, coeff in ansatz_term_op(n, kind, s, p).terms.items():
+        parts.setdefault(mu[:n] + mu[2 * n:3 * n], []).append(
+            (mu[n:2 * n] + mu[3 * n:], coeff.terms[(0,) * 4 * n]))
+    return MappingProxyType({ab: tuple(terms) for ab, terms in parts.items()})
+
+
+class BilinearOp:
+    """A bilinear map S_1 (x) S_k -> S_{k-p}: scale times a sum of ansatz terms, restricted.
+
+    weights maps each ansatz index t of degree drop p to its nonzero
+    weight w_t, and the map is scale * sum_t w_t ansatz_term_op(n, t).
+    Regrouping is linear, so its parts are sum_t w_t _term_parts(n, t):
+    they are added from the table through poly.add_scaled_terms, in the
+    order of weights and of each term's parts, and no single_ring(2n)
+    operator is formed.  The sum's term count is the summed operator's,
+    checked against the term budget once; each summed constant is then
+    multiplied by the scale once:
+    parts[(a, b)] = [((g, h), scale * c), ...], keyed by the derivative
+    part (a, b) that lands on the field.  build_bilinear passes a line's
+    integer form and its scale, and the solvers (_vanishing_system) an
+    unknown's integer weights and 1.
     """
 
-    def __init__(self, n: int, op: PolyDiffOp, scale: Coeff):
-        if op.ring != single_ring(2 * n):
-            raise StructureError(f"bilinear operators live in single_ring({2 * n})")
+    def __init__(self, n: int, p: int, weights: Mapping[AnsatzIndex, Coeff], scale: Coeff):
         self.n = n
-        const = (0,) * 4 * n
-        self.parts: dict[tuple, list] = {}
-        for mu, coeff in op.terms.items():
-            if coeff.terms.keys() != {const}:
-                raise StructureError("bilinear operators need constant coefficients")
-            self.parts.setdefault(mu[:n] + mu[2 * n:3 * n], []).append(
-                (mu[n:2 * n] + mu[3 * n:], norm_coeff(coeff.terms[const] * scale)))
+        acc: dict[tuple, dict] = {}
+        for (kind, s), w in weights.items():
+            for ab, terms in _term_parts(n, kind, s, p).items():
+                add_scaled_terms(acc.setdefault(ab, {}), terms, w)
+        check_term_budget(sum(map(len, acc.values())),
+                          "terms of an operator or of its largest coefficient")
+        self.parts = {ab: [(g_h, norm_coeff(c * scale)) for g_h, c in terms.items()]
+                      for ab, terms in acc.items() if terms}
 
     def operator_for_field(self, X: Poly) -> PolyDiffOp:
         """The single_ring(n) operator P |-> C(X, P), for a fixed vector field.
@@ -255,7 +278,7 @@ class BilinearOp:
         the part s, into the raw coefficient of its (g, h), for every
         s <= e that is a part (_lower_indices).  No part whose derivative
         kills the field is differentiated.  The sum becomes an operator
-        through operators.operator_from_sum, as in linear_combination,
+        through operators.operator_from_sum, the one raw operator sum,
         under the term-budget check of compose.
         """
         parts = self.parts
@@ -283,33 +306,30 @@ def _lower_indices(e: Exponent) -> tuple[tuple[Exponent, Exponent, int], ...]:
                  for s in product(*(range(m + 1) for m in e)))
 
 
-def integer_form(coeffs: AnsatzCoefficients, n: int) -> tuple[PolyDiffOp, Coeff]:
-    """An integer-coefficient operator B and a scale: the candidate operator is scale * B.
+def integer_form(coeffs: AnsatzCoefficients) -> tuple[dict[AnsatzIndex, int], Coeff]:
+    """Integer weights and a scale: the candidate operator is scale * sum_t w_t ansatz_term_op(t).
 
-    The weights coeff * term_norm of the nonzero indices are multiplied by
-    the lcm D of their denominators, B is the sum of those integer weights
-    times the ansatz_term_ops, and scale = 1/D, an int when D = 1.  B is
-    the one single_ring(2n) operator of a line; BilinearOp regroups it and
-    applies the scale, and keeps neither.
+    The weights coeff * term_norm of the nonzero indices, in full_indices
+    order, are multiplied by the lcm D of their denominators, giving the
+    integer weights w_t, and scale = 1/D, an int when D = 1.  No operator
+    is formed: BilinearOp sums the weighted term parts and applies the
+    scale.
     """
-    k, p = coeffs.k, coeffs.p
-    nonzero = [(kind, s) for kind, s in full_indices(k, p) if coeffs.get(kind, s) != 0]
-    weights = [Fraction(coeffs.get(kind, s)) * term_norm(kind, s, p) for kind, s in nonzero]
-    D = lcm(*(w.denominator for w in weights))
-    op = linear_combination(single_ring(2 * n),
-                            [ansatz_term_op(n, kind, s, p) for kind, s in nonzero],
-                            [w.numerator * (D // w.denominator) for w in weights])
-    return op, norm_coeff(Fraction(1, D))
+    weights = {(kind, s): Fraction(coeffs.get(kind, s)) * term_norm(kind, s, coeffs.p)
+               for kind, s in full_indices(coeffs.k, coeffs.p) if coeffs.get(kind, s) != 0}
+    D = lcm(*(w.denominator for w in weights.values()))
+    return {t: int(w * D) for t, w in weights.items()}, norm_coeff(Fraction(1, D))
 
 
 @budget_scope
 def build_bilinear(coeffs: AnsatzCoefficients, n: int) -> BilinearOp:
     """The candidate map with its factorial normalizations: integer_form, its scale on the parts.
 
-    No scaled copy of the integer operator is formed: BilinearOp multiplies
-    each part constant by the scale.
+    The line's integer weights are summed in parts space and BilinearOp
+    multiplies each summed constant by the scale; no operator of the line
+    and no scaled copy is formed.
     """
-    return BilinearOp(n, *integer_form(coeffs, n))
+    return BilinearOp(n, coeffs.p, *integer_form(coeffs))
 
 
 # -- solution spaces ----------------------------------------------------------
@@ -414,7 +434,16 @@ def recurrence_solutions(n: int, k: int, p: int) -> SolutionSpace:
 
 def _validate(n: int, k: int, p: int) -> None:
     single_ring(n)  # rejects n < 2
-    AnsatzCoefficients(k, p)  # rejects p outside 0..k
+    _check_shape(k, p)
+
+
+def _check_shape(k: int, p: int) -> None:
+    """Refuse a k or p that is no int, or p outside 0..k; the one shape check, forming no line.
+
+    AnsatzCoefficients and _validate (so SolutionSpace and the solvers)
+    call it; its messages are check_int's, naming p first.
+    """
+    check_int(k, check_int(p, 0, "degree drop p"), "symbol degree k")
 
 
 # -- direct solver -------------------------------------------------------------
@@ -458,18 +487,19 @@ def _add_rows(reducer: RowReducer, ops: list[PolyDiffOp], k: int) -> None:
         reducer.add_row(row)
 
 
-def _vanishing_system(n: int, k: int, forms: list[tuple[PolyDiffOp, Coeff]]
+def _vanishing_system(n: int, k: int, p: int, forms: list[tuple[dict[AnsatzIndex, int], Coeff]]
                       ) -> tuple[list[Callable[[Poly], PolyDiffOp]], RowReducer]:
     """The rules of the unknowns and a RowReducer holding their vanishing rows.
 
-    forms[j] = (B_j, s_j) is unknown j's integer operator and scale, its
-    operator s_j B_j.  The rule F |-> B_j(F, .), a BilinearOp of scale 1,
-    so that the rows stay integer, is memoized for this call, and the rows
-    of sum_j v_j B_j(G, .) = 0 on S_k are added for the one generator
-    G = Xbar_1 = x^1 (x^j xi_j).  They hold at v iff
-    C = sum_j v_j B_j vanishes on sl(n+1), by the lemma below.  Both
-    solvers start from these rows and read their basis through
-    _scaled_nullspace.
+    forms[j] = (w_j, s_j) is unknown j's integer weights over the ansatz
+    indices of degree drop p and its scale: its operator is s_j B_j with
+    B_j = sum_t w_j[t] ansatz_term_op(t).  The rule F |-> B_j(F, .),
+    BilinearOp(n, p, w_j, 1) of scale 1 so that the rows stay integer,
+    is memoized for this call, and the rows of sum_j v_j B_j(G, .) = 0 on
+    S_k are added for the one generator G = Xbar_1 = x^1 (x^j xi_j).  They
+    hold at v iff C = sum_j v_j B_j vanishes on sl(n+1), by the lemma
+    below.  Both solvers start from these rows and read their basis
+    through _scaled_nullspace.
 
     Lemma.  For every coefficient vector, C(Xbar_1, .) = 0 on S_k implies
     C(G, .) = 0 on S_k for every G in sl(n+1).  Every ansatz term is a
@@ -488,7 +518,7 @@ def _vanishing_system(n: int, k: int, forms: list[tuple[PolyDiffOp, Coeff]]
     checks every generator, as it checks cocycles that are not
     affine-equivariant, such as div.
     """
-    rules = [cache(BilinearOp(n, op, 1).operator_for_field) for op, _ in forms]
+    rules = [cache(BilinearOp(n, p, weights, 1).operator_for_field) for weights, _ in forms]
     reducer = RowReducer(len(forms))
     G = sl_generators(n).quadratic[0]
     _add_rows(reducer, [r(G) for r in rules], k)
@@ -655,14 +685,15 @@ def solve_equivariant_direct(n: int, k: int, p: int) -> SolutionSpace:
     sum_m -c_m C_t(x^m, .) over the bracket's monomials (_monomial_terms),
     so each term's rule F |-> C_t(F, .), memoized by the field F, is built
     on Xbar_1 and monomial fields only, once each; a vanishing bracket
-    gives an empty combination.  The rule of term t is that of the integer
-    ansatz_term_op(t); its term_norm(t) is applied once, to the nullspace
+    gives an empty combination.  Unknown t's form is ({t: 1}, term_norm(t)):
+    its rule is that of the integer ansatz_term_op(t), read from the term
+    parts table, and its term_norm(t) is applied once, to the nullspace
     (_scaled_nullspace).
     """
     _validate(n, k, p)
     indices = full_indices(k, p)
-    forms = [(ansatz_term_op(n, kind, s, p), term_norm(kind, s, p)) for kind, s in indices]
-    rules, reducer = _vanishing_system(n, k, forms)
+    forms = [({(kind, s): 1}, term_norm(kind, s, p)) for kind, s in indices]
+    rules, reducer = _vanishing_system(n, k, p, forms)
 
     X = sl_generators(n).quadratic[0]
     L_X = lie_derivative_op(X)
@@ -787,13 +818,14 @@ def impose_cocycle(space: SolutionSpace) -> SolutionSpace:
     the monomials of their brackets only, once each; a vanishing bracket
     builds none.  The walk over the pairs stops once the rank is full, so
     no defect past the pair that completes it is formed.  The rule of a
-    basis map is that of its integer_form; its scale is applied once, to
-    the nullspace (_scaled_nullspace), which keeps the rank, so the pairs
-    drawn are those of the scaled rules.
+    basis map is the BilinearOp of its integer_form's weights, summed in
+    parts space with no operator of the line formed; its scale is applied
+    once, to the nullspace (_scaled_nullspace), which keeps the rank, so
+    the pairs drawn are those of the scaled rules.
     """
     n, k, p = space.n, space.k, space.p
-    forms = [integer_form(c, n) for c in space.basis]
-    rules, reducer = _vanishing_system(n, k, forms)
+    forms = [integer_form(c) for c in space.basis]
+    rules, reducer = _vanishing_system(n, k, p, forms)
     for Y, Z in cocycle_filter_pairs(n, p):
         if reducer.rank == len(rules):
             break

@@ -188,9 +188,10 @@ def add_scaled_terms(acc: dict, terms, c: Coeff) -> None:
     Poly.__mul__ and PolyDiffOp.apply), operators.linear_combination (so
     PolyDiffOp + and - and scale), commutator_sum's base (one call per
     operator, over its flat packed term list), parse_op,
-    SymbolMap.from_operator, BilinearOp.operator_for_field and the
-    elimination step of linalg.RowReducer.add_row.  Coefficients stay
-    unnormalized.
+    SymbolMap.from_operator, ansatz.BilinearOp (one call per ansatz term
+    and part, the weighted sum of a line's term parts),
+    BilinearOp.operator_for_field and the elimination step of
+    linalg.RowReducer.add_row.  Coefficients stay unnormalized.
     """
     for e, v in terms:
         s = acc.get(e)

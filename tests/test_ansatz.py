@@ -4,7 +4,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
 
@@ -34,7 +34,7 @@ from cohomolab.ansatz import (
 from cohomolab.cocycles import (bilinear_cocycle, builtin_c1, cocycle_check,
                                 second_class_coefficients, vanishes_on_sl)
 from cohomolab.linalg import RowReducer, keyed_rows
-from cohomolab.operators import (PolyDiffOp, commutator_sum, lie_derivative_op,
+from cohomolab.operators import (PolyDiffOp, commutator_sum, lie_derivative_op, linear_combination,
                                  monomials_up_to, unit_deriv, xi_simplex)
 from cohomolab.poly import Poly, ResourceLimitError, StructureError, rat_str, single_ring
 from cohomolab.symbols import euler_field, hamiltonian_action, schouten_bracket, sl_generators
@@ -101,20 +101,6 @@ def test_bilinear_oracle_matches_hand_computed_values():
     X, P = x(0) * xi(0), x(0) * xi(0) * xi(0)
     assert bilinear_value(line_operator(coeffs, 2), X, P) == xi(0).scale(2)
     assert build_bilinear(coeffs, 2).operator_for_field(X).apply(P) == xi(0).scale(2)
-
-
-def test_bilinear_op_rejects_non_constant_coefficients_when_built():
-    R4 = single_ring(4)
-    op = PolyDiffOp(R4, {unit_deriv(R4, R4.x(0)): Poly.variable(R4, R4.x(2))})  # coefficient y1
-    for scale in (1, Fraction(1, 2)):
-        with pytest.raises(StructureError, match="need constant coefficients"):
-            BilinearOp(2, op, scale)
-
-
-def test_bilinear_op_rejects_an_operator_outside_single_ring_2n():
-    for scale in (1, Fraction(1, 2)):
-        with pytest.raises(StructureError, match=r"live in single_ring\(4\)"):
-            BilinearOp(2, PolyDiffOp.identity(R2), scale)
 
 
 def test_ansatz_coefficients_reject_a_shape_or_index_out_of_range():
@@ -569,7 +555,7 @@ def test_affine_fields_are_equivariant_term_by_term():
         fields = field_monomials(n, monomials_up_to(n, 3))
         affine = sl_generators(n).affine()
         for kind, s in full_indices(k, p):
-            rule = cache(BilinearOp(n, ansatz_term_op(n, kind, s, p), 1).operator_for_field)
+            rule = cache(BilinearOp(n, p, {(kind, s): 1}, 1).operator_for_field)
             for A in affine:
                 for Y in fields:
                     assert _equivariance_defect(rule, A, Y).symbol_map(k).is_zero()
@@ -632,11 +618,10 @@ def test_the_vanishing_rows_of_xbar1_reduce_as_those_of_every_generator(n):
             indices = full_indices(k, p)
             units = [AnsatzCoefficients.from_vector(k, p, indices, [int(i == j) for j in indices])
                      for i in indices]
-            for forms in ([(ansatz_term_op(n, kind, s, p), term_norm(kind, s, p))
-                           for kind, s in indices],
-                          [integer_form(c, n) for c in recurrence_solutions(n, k, p).basis],
-                          [integer_form(c, n) for c in units]):
-                rules, reducer = ansatz._vanishing_system(n, k, forms)
+            for forms in ([({(kind, s): 1}, term_norm(kind, s, p)) for kind, s in indices],
+                          [integer_form(c) for c in recurrence_solutions(n, k, p).basis],
+                          [integer_form(c) for c in units]):
+                rules, reducer = ansatz._vanishing_system(n, k, p, forms)
                 every = RowReducer(len(forms))
                 for G in generators:
                     ansatz._add_rows(every, [r(G) for r in rules], k)
@@ -1027,9 +1012,10 @@ def test_both_row_generators_are_exact_on_each_call(monkeypatch, n):
     assert [c for c in calls if c[0] != c[1]] == []
 
 
-def _rational_form(coeffs, n):
-    """The candidate operator as a sum of the normalized terms, with scale 1."""
-    return line_operator(coeffs, n), 1
+def _rational_form(coeffs):
+    """The candidate's weights over the normalized terms, its coefficients, with scale 1."""
+    return {(kind, s): coeffs.get(kind, s) for kind, s in full_indices(coeffs.k, coeffs.p)
+            if coeffs.get(kind, s) != 0}, 1
 
 
 def _solver_runs(monkeypatch):
@@ -1064,9 +1050,13 @@ def test_integer_rules_feed_the_rows_of_the_rational_rules(monkeypatch):
     rows, values, bases = _solver_runs(monkeypatch)
     assert rows and all(type(c) is int for row in rows for c in row.values())
     assert values and all(type(c) is int for c in values)
-    # the direct solver's unknowns are the terms, impose_cocycle's the lines
+    # the direct solver's unknowns are the terms, impose_cocycle's the lines;
+    # a fresh term parts table regroups the normalized terms, so every rule
+    # of the rational run is rebuilt from them
     monkeypatch.setattr(ansatz, "ansatz_term_op", lambda n, kind, s, p: ansatz_term_op(
         n, kind, s, p).scale(term_norm(kind, s, p)))
+    monkeypatch.setattr(ansatz, "_term_parts", lru_cache(maxsize=None)(
+        ansatz._term_parts.__wrapped__))
     monkeypatch.setattr(ansatz, "term_norm", lambda kind, s, p: 1)
     monkeypatch.setattr(ansatz, "integer_form", _rational_form)
     rational_rows, rational_values, rational_bases = _solver_runs(monkeypatch)
@@ -1076,13 +1066,21 @@ def test_integer_rules_feed_the_rows_of_the_rational_rules(monkeypatch):
 
 
 def test_integer_form_times_its_scale_is_the_candidate_operator():
+    # scale * sum_t w_t ansatz_term_op(t) is the line's operator by its
+    # definition, the weights are nonzero ints in full_indices order, and
+    # build_bilinear's parts are those of that operator
     for coeffs in (AnsatzCoefficients(3, 2, alpha={2: 1, 3: 5}, beta={2: Fraction(1, 2)},
                                       gamma={2: -3}),
                    AnsatzCoefficients(2, 2, beta={1: Fraction(-2, 7)}),
                    AnsatzCoefficients(3, 1)):
-        op, scale = integer_form(coeffs, 2)
-        assert all(type(c) is int for coeff in op.terms.values() for c in coeff.terms.values())
+        weights, scale = integer_form(coeffs)
+        assert list(weights) == [t for t in full_indices(coeffs.k, coeffs.p)
+                                 if coeffs.get(*t) != 0]
+        assert all(type(w) is int and w != 0 for w in weights.values())
         assert type(scale) is int or scale.numerator == 1
+        op = linear_combination(single_ring(4), [ansatz_term_op(2, kind, s, coeffs.p)
+                                                 for kind, s in weights], list(weights.values()))
+        assert all(type(c) is int for coeff in op.terms.values() for c in coeff.terms.values())
         assert op.scale(scale) == line_operator(coeffs, 2)
         assert ({ab: dict(terms) for ab, terms in build_bilinear(coeffs, 2).parts.items()}
                 == regrouped_parts(op.scale(scale)))
@@ -1094,7 +1092,8 @@ def test_build_bilinear_parts_are_those_of_the_line_operator(n):
     # of the line's operator by its definition, sum coeff * term_norm *
     # ansatz_term_op, with every constant normalized; the lines are c1, c2,
     # gamma1, the top quantization line at weights 0, 1/3 and 1/2, and the
-    # c2 mutant beta_3 + 1/7, at k <= 4
+    # c2 mutant beta_3 + 1/7, at k <= 4; each line with the integer weight
+    # of its first index off by one must fail the equality
     lines = []
     for k in range(1, 5):
         lines += [AnsatzCoefficients(k, 1, alpha={2: -1}, beta={2: -w})
@@ -1107,12 +1106,46 @@ def test_build_bilinear_parts_are_those_of_the_line_operator(n):
                       shifted_line(c2, "beta", 3, Fraction(1, 7))]
     scaled = 0
     for line in lines:
+        expected = regrouped_parts(line_operator(line, n))
         parts = build_bilinear(line, n).parts
-        assert {ab: dict(terms) for ab, terms in parts.items()} == regrouped_parts(
-            line_operator(line, n)), line
+        assert {ab: dict(terms) for ab, terms in parts.items()} == expected, line
         assert all(normalized(c for _, c in terms) for terms in parts.values())
-        scaled += integer_form(line, n)[1] != 1
+        weights, scale = integer_form(line)
+        t = full_indices(line.k, line.p)[0]
+        mutant = BilinearOp(n, line.p, {**weights, t: weights.get(t, 0) + 1}, scale).parts
+        assert {ab: dict(terms) for ab, terms in mutant.items()} != expected, line
+        scaled += scale != 1
     assert len(lines) == 24 and scaled > 0
+
+
+def test_warm_rules_form_no_operator_in_single_ring_2n(monkeypatch):
+    # a line's parts are summed from the term parts table: once the table is
+    # warm, build_bilinear, impose_cocycle and the direct solver construct
+    # operators in single_ring(n) only, neither a line's nor a term's in
+    # single_ring(2n), and give the same answers as before the spy
+    init = PolyDiffOp.__init__
+    rings = []
+
+    def recording(self, ring, terms, **kw):
+        rings.append(ring)
+        init(self, ring, terms, **kw)
+
+    for n, k in ((2, 3), (3, 4)):
+        X = field_monomials(n, [(1, 1) + (0,) * (n - 2)])[0]
+        lines = [second_class_coefficients(n, k), AnsatzCoefficients(k, 1, alpha={2: 2}),
+                 AnsatzCoefficients(k, 2, beta={2: Fraction(1, 3)}, gamma={1: 5})]
+
+        def run():
+            return ([build_bilinear(line, n).operator_for_field(X) for line in lines],
+                    [impose_cocycle(recurrence_solutions(n, k, p)) for p in range(k + 1)],
+                    [solve_equivariant_direct(n, k, p) for p in range(k + 1)])
+
+        warm = run()
+        monkeypatch.setattr(PolyDiffOp, "__init__", recording)
+        assert run() == warm
+        monkeypatch.undo()
+        assert single_ring(n) in rings and single_ring(2 * n) not in rings, n
+        rings.clear()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

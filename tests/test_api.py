@@ -166,8 +166,8 @@ def test_memo_inventory_is_pinned():
                         if lazy:
                             slots[node.name] = lazy
     assert decorated == {"xi_simplex", "_symbol_images", "_leibniz_survivors", "active_vars",
-                         "single_ring", "ansatz_term_op", "monomial_section", "_lower_indices",
-                         "_pack", "_unpack", "_unit_monomial", "sl_generators",
+                         "single_ring", "ansatz_term_op", "_term_parts", "monomial_section",
+                         "_lower_indices", "_pack", "_unpack", "_unit_monomial", "sl_generators",
                          "_build_parser"}
     assert calling == {"_vanishing_system"}
     assert slots == {"Poly": {"_hash", "_ham"}, "PolyDiffOp": {"_table"}}

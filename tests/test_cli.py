@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cohomolab.ansatz import ansatz_term_op
+from cohomolab.ansatz import _term_parts, ansatz_term_op
 from cohomolab.cli import _build_parser, main
 from cohomolab.operators import PolyDiffOp
 
@@ -375,6 +375,7 @@ def test_an_ansatz_term_over_the_budget_is_refused_before_composing(capsys, monk
                         lambda self, other: composed.append(1) or compose(self, other))
     monkeypatch.setenv("COHOMOLAB_MAX_TERMS", "9")
     ansatz_term_op.cache_clear()
+    _term_parts.cache_clear()
     assert main(["classify-equivariant", "--dim", "3", "--order", "3", "--delta", "2"]) == 1
     assert capsys.readouterr().err == (
         "resource limit: 10 terms of the ansatz term alpha_0 (n = 3, p = 2)"
