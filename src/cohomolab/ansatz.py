@@ -228,8 +228,12 @@ def _term_parts(n: int, kind: str, s: int, p: int) -> Mapping[tuple, tuple]:
     A read-only map (a, b) -> (((g, h), c), ...) of the terms
     c * dx^a dy^g dxi^b deta^h, in the operator's term order, each c the
     integer constant of its coefficient.  One table per process; it is the
-    one reader of ansatz_term_op, and BilinearOp sums lines from it.
+    one reader of ansatz_term_op, and BilinearOp sums lines from it.  An
+    index outside the ansatz for p is refused with AnsatzCoefficients'
+    message, before any operator is formed.
     """
+    if (kind, s) not in full_indices(p + 1, p):
+        raise StructureError(f"{kind}_{s} is not an ansatz index for p = {p}")
     parts: dict[tuple, list] = {}
     for mu, coeff in ansatz_term_op(n, kind, s, p).terms.items():
         parts.setdefault(mu[:n] + mu[2 * n:3 * n], []).append(
@@ -240,8 +244,9 @@ def _term_parts(n: int, kind: str, s: int, p: int) -> Mapping[tuple, tuple]:
 class BilinearOp:
     """A bilinear map S_1 (x) S_k -> S_{k-p}: scale times a sum of ansatz terms, restricted.
 
-    weights maps each ansatz index t of degree drop p to its nonzero
-    weight w_t, and the map is scale * sum_t w_t ansatz_term_op(n, t).
+    weights maps each ansatz index t of degree drop p to its weight w_t
+    (a zero weight adds nothing; _term_parts refuses an index outside the
+    ansatz), and the map is scale * sum_t w_t ansatz_term_op(n, t).
     Regrouping is linear, so its parts are sum_t w_t _term_parts(n, t):
     they are added from the table through poly.add_scaled_terms, in the
     order of weights and of each term's parts, and no single_ring(2n)
@@ -259,7 +264,8 @@ class BilinearOp:
         acc: dict[tuple, dict] = {}
         for (kind, s), w in weights.items():
             for ab, terms in _term_parts(n, kind, s, p).items():
-                add_scaled_terms(acc.setdefault(ab, {}), terms, w)
+                if w:  # add_scaled_terms needs a nonzero scalar
+                    add_scaled_terms(acc.setdefault(ab, {}), terms, w)
         check_term_budget(sum(map(len, acc.values())),
                           "terms of an operator or of its largest coefficient")
         self.parts = {ab: [(g_h, norm_coeff(c * scale)) for g_h, c in terms.items()]

@@ -132,6 +132,47 @@ def test_ansatz_coefficients_reject_a_shape_or_index_out_of_range():
     AnsatzCoefficients(1, 1, alpha={2: -1}, beta={2: Fraction(-1, 2)})
 
 
+def test_bilinear_op_refuses_an_index_outside_the_ansatz(monkeypatch):
+    # BilinearOp takes weights over ansatz indices, so it refuses the
+    # indices AnsatzCoefficients refuses, with its message, before any term
+    # operator of them is formed; an unknown family is no index either
+    built = []
+    monkeypatch.setattr(ansatz, "ansatz_term_op", lambda n, kind, s, p: built.append(
+        (kind, s, p)) or ansatz_term_op(n, kind, s, p))
+    for p in range(4):
+        for kind, s in (("alpha", -1), ("alpha", p + 2), ("beta", 0), ("beta", p + 2),
+                        ("gamma", -1), ("gamma", p + 1), ("delta", 1)):
+            message = f"{kind}_{s} is not an ansatz index for p = {p}"
+            for scale in (1, Fraction(1, 2)):
+                with pytest.raises(StructureError, match=message):
+                    BilinearOp(2, p, {("beta", 1): 1, (kind, s): 1}, scale)
+            if kind in FAMILIES:
+                with pytest.raises(StructureError, match=message):
+                    AnsatzCoefficients(p + 1, p, **{kind: {s: 1}})
+        # every legal index, alpha at k = p included, builds a nonzero rule
+        for t in full_indices(p + 1, p):
+            assert BilinearOp(2, p, {t: 1}, 1).parts
+    legal = {(kind, s, p) for p in range(4) for kind, s in full_indices(p + 1, p)}
+    assert set(built) <= legal
+
+
+def test_a_zero_weight_adds_nothing_to_a_bilinear_op():
+    # a zero weight is no term: the parts, and so every rule, are those of
+    # the weights without it, wherever it stands; all-zero weights give the
+    # zero map
+    X = x(0) * x(0) * xi(0) + x(1) * xi(1)
+    for p in range(3):
+        indices = full_indices(p + 1, p)
+        for t in indices:
+            rest = {u: i + 2 for i, u in enumerate(indices) if u != t}
+            for scale in (1, Fraction(1, 3)):
+                assert (BilinearOp(2, p, {t: 0, **rest}, scale).parts
+                        == BilinearOp(2, p, {**rest, t: 0}, scale).parts
+                        == BilinearOp(2, p, rest, scale).parts)
+        zero = BilinearOp(2, p, dict.fromkeys(indices, 0), 1)
+        assert zero.parts == {} and zero.operator_for_field(X).is_zero()
+
+
 def test_solution_space_rejects_a_line_of_another_shape_or_a_dependent_basis():
     # impose_cocycle would read each of these wrong: a (3, 2) line through
     # the indices of (3, 1), a doubled basis whose cocycles span dimension 1

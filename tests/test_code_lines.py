@@ -40,7 +40,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CODE_LINES = {
     "cohomolab/__init__.py": 34,
     "cohomolab/__main__.py": 4,
-    "cohomolab/ansatz.py": 279,
+    "cohomolab/ansatz.py": 282,
     "cohomolab/cli.py": 186,
     "cohomolab/cocycles.py": 206,
     "cohomolab/linalg.py": 60,
